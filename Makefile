@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: check build vet test race chaos bench bench-smoke obs-smoke vm-smoke serve-smoke inline-smoke fuzz-smoke lint
+.PHONY: check build vet test race chaos bench bench-smoke obs-smoke vm-smoke serve-smoke inline-smoke fuzz-smoke lint loc
 
 ## check: the full pre-commit gate — build, vet, race-enabled tests.
 check:
@@ -27,11 +27,19 @@ test:
 race:
 	$(GO) test -race ./...
 
+## loc: non-test Go lines per internal/* package (benchmark/ is its own
+## module and is not counted) — the one number simplicity PRs quote.
+loc:
+	@for d in internal/*/; do \
+		n=$$(find $$d -name '*.go' ! -name '*_test.go' | xargs cat | wc -l); \
+		printf '%6d  %s\n' $$n $${d%/}; \
+	done
+
 ## chaos: the fault-injection sweep — every registered fault point is
 ## fired in turn and each query must degrade to a bit-identical native
 ## result or a typed QueryError, under the race detector.
 chaos:
-	$(GO) test -race -count=1 -run 'Chaos|Fault|Breaker|Recover|Backoff|Interrupt|ProcessInvoker' ./...
+	$(GO) test -race -count=1 -run 'Chaos|Fault|Breaker|Recover|Backoff|Interrupt|ProcessInvoker|Concurrent|Attribution' ./...
 
 
 

@@ -3,12 +3,14 @@ package qfusor_test
 import (
 	"context"
 	"errors"
+	"fmt"
 	"strings"
 	"testing"
 	"time"
 
 	"qfusor"
 	"qfusor/internal/faultinject"
+	"qfusor/internal/obs"
 	"qfusor/internal/resilience"
 )
 
@@ -162,6 +164,75 @@ func TestChaosFaultOnCachedPlan(t *testing.T) {
 	}
 }
 
+// TestChaosAnalyzeDegradesLikeFused: EXPLAIN ANALYZE runs the same
+// resilient ladder as a plain fused query, so a fused failure on a
+// cached plan does in analyze mode exactly what it does in fused mode —
+// native-identical rows, the cached plan evicted, one
+// qfusor.fallbacks{reason=exec_error} per failure, the query's and the
+// wrapper's circuits tripped at the third, and the fourth routed
+// through the open breaker without touching the front-end.
+func TestChaosAnalyzeDegradesLikeFused(t *testing.T) {
+	const sql = "SELECT id, slug(slug(title)) AS s FROM notes ORDER BY id"
+	want := chaosBaseline(t, qfusor.MonetDB, sql)
+	modes := map[string]func(db *qfusor.DB) (*qfusor.Table, error){
+		"fused": func(db *qfusor.DB) (*qfusor.Table, error) { return db.Query(sql) },
+		"analyze": func(db *qfusor.DB) (*qfusor.Table, error) {
+			a, err := db.QueryAnalyze(sql)
+			if err != nil {
+				return nil, err
+			}
+			// A failed fused attempt reruns under a phase:fallback span; the
+			// open breaker skips the attempt, so there is nothing to fall from.
+			skipped := a.Report.FallbackReason == "circuit breaker open"
+			if !a.Report.Fallback || strings.Contains(a.Render(), "phase:fallback") == skipped {
+				return nil, fmt.Errorf("analysis does not show the fallback: %+v\n%s", a.Report, a.Render())
+			}
+			return a.Result, nil
+		},
+	}
+	type outcome struct {
+		execErrors, breakerSkips, trips, evictions, cached int64
+	}
+	got := map[string]outcome{}
+	for mode, run := range modes {
+		faultinject.Reset()
+		db := openTestDB(t, qfusor.MonetDB)
+		for i := 0; i < 2; i++ { // prime: the second run is a plan-cache hit
+			if _, err := db.Query(sql); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := faultinject.Enable("ffi.fused", faultinject.Spec{Kind: faultinject.Error}); err != nil {
+			t.Fatal(err)
+		}
+		m0, pc0 := qfusor.Metrics(), db.PlanCacheStats()
+		for i := 0; i < 4; i++ { // three failures open the circuits; the fourth skips
+			res, err := run(db)
+			if err != nil {
+				t.Fatalf("%s attempt %d: must degrade, got error: %v", mode, i, err)
+			}
+			if r := renderRows(t, res); r != want {
+				t.Fatalf("%s attempt %d: wrong result\ngot:\n%s\nwant:\n%s", mode, i, r, want)
+			}
+		}
+		faultinject.Reset()
+		d, pc := qfusor.Metrics().Diff(m0), db.PlanCacheStats()
+		got[mode] = outcome{
+			execErrors:   d.Counters[obs.LabeledName("qfusor.fallbacks", "reason", "exec_error")],
+			breakerSkips: d.Counters[obs.LabeledName("qfusor.fallbacks", "reason", "breaker_open")],
+			trips:        d.Counters["qfusor.breaker_trips"],
+			evictions:    pc.Invalidations - pc0.Invalidations,
+			cached:       int64(pc.Size),
+		}
+	}
+	if want := (outcome{execErrors: 3, breakerSkips: 1, trips: 2, evictions: got["fused"].evictions}); got["fused"] != want || want.evictions < 1 {
+		t.Fatalf("premise broken: fused mode degraded as %+v", got["fused"])
+	}
+	if got["analyze"] != got["fused"] {
+		t.Fatalf("analyze mode degraded as %+v, fused mode as %+v", got["analyze"], got["fused"])
+	}
+}
+
 // TestChaosBreakerBlocksPlanCache drives the breaker open on a fusing
 // query (threshold 3) and checks the interplay with the plan cache:
 // while failures accumulate, every attempt degrades to the exact native
@@ -307,5 +378,89 @@ func TestChaosTimeoutDeadline(t *testing.T) {
 	}
 	if !errors.Is(err, context.DeadlineExceeded) {
 		t.Fatalf("deadline cause lost from chain: %v", err)
+	}
+}
+
+// TestChaosInterruptInsideFusedSection: UDFs fused into a section run
+// on the section wrapper's per-query runtime view, so the query's step
+// budget and context stop them wherever they run inside the trace — as
+// an interpreted call (a body the closure compiler rejects), as an
+// expanding generator, and as a UDF aggregate's step. JIT is off so
+// nothing outside the trace compiles them. Each must surface as a typed
+// `cancelled` QueryError, never as a fallback to the native plan.
+func TestChaosInterruptInsideFusedSection(t *testing.T) {
+	faultinject.Reset()
+	const lib = `
+@scalarudf
+def spinscalar(s: str) -> str:
+    if s is None:
+        del s.nothing
+    i = 0
+    while i < 1000000000:
+        i = i + 1
+    return s
+
+@expandudf
+def spinexpand(s: str) -> str:
+    i = 0
+    while i < 1000000000:
+        i = i + 1
+    yield s
+
+@aggregateudf
+class spinagg:
+    def init(self):
+        self.n = 0
+    def step(self, s):
+        while self.n < 1000000000:
+            self.n = self.n + 1
+    def final(self):
+        return self.n
+`
+	cases := map[string]string{
+		"interpreted_scalar": "SELECT slug(spinscalar(title)) AS s FROM notes",
+		"expand":             "SELECT spinexpand(slug(title)) AS s FROM notes",
+		"aggregate":          "SELECT spinagg(slug(title)) AS n FROM notes",
+	}
+	stops := map[string]func(t *testing.T) (*qfusor.DB, context.Context){
+		"step_budget": func(t *testing.T) (*qfusor.DB, context.Context) {
+			return openTestDB(t, qfusor.MonetDB, qfusor.WithJIT(false), qfusor.WithStepBudget(20_000)), context.Background()
+		},
+		"cancelled_context": func(t *testing.T) (*qfusor.DB, context.Context) {
+			ctx, cancel := context.WithTimeout(context.Background(), 30*time.Millisecond)
+			t.Cleanup(cancel)
+			return openTestDB(t, qfusor.MonetDB, qfusor.WithJIT(false)), ctx
+		},
+	}
+	for stop, open := range stops {
+		for name, sql := range cases {
+			t.Run(stop+"/"+name, func(t *testing.T) {
+				db, ctx := open(t)
+				if err := db.Define(lib); err != nil {
+					t.Fatal(err)
+				}
+				if err := db.Register(qfusor.UDFSpec{Name: "spinagg", Kind: qfusor.Aggregate,
+					In: []qfusor.Kind{qfusor.KindString}, Out: []qfusor.Kind{qfusor.KindInt}}); err != nil {
+					t.Fatal(err)
+				}
+				done := make(chan error, 1)
+				go func() {
+					_, err := db.QueryContext(ctx, sql)
+					done <- err
+				}()
+				select {
+				case err := <-done:
+					var qe *qfusor.QueryError
+					if !errors.As(err, &qe) || qe.Stage != "cancelled" {
+						t.Fatalf("want cancelled QueryError, got %v", err)
+					}
+					if rep := db.LastReport(); rep.Sections != 1 {
+						t.Fatalf("premise broken: the UDF was not fused into a section: %+v", rep)
+					}
+				case <-time.After(30 * time.Second):
+					t.Fatal("the query's interrupt did not reach the fused UDF")
+				}
+			})
+		}
 	}
 }

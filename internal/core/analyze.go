@@ -2,17 +2,14 @@ package core
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"sort"
 	"strings"
 	"time"
 
 	"qfusor/internal/data"
-	"qfusor/internal/ffi"
 	"qfusor/internal/obs"
 	"qfusor/internal/pylite"
-	"qfusor/internal/resilience"
 	"qfusor/internal/sqlengine"
 )
 
@@ -78,116 +75,59 @@ func (qf *QFusor) QueryAnalyze(eng *sqlengine.Engine, sql string) (*Analysis, er
 	return qf.QueryAnalyzeCtx(context.Background(), eng, sql)
 }
 
-// QueryAnalyzeCtx is QueryAnalyze under a context: cancellation reaches
-// the executors and the UDF runtime exactly as in QueryCtx, and a
-// fused-path failure degrades to the native plan under a
-// phase:fallback span instead of failing the analysis.
+// QueryAnalyzeCtx is QueryAnalyze under a context. It is QueryCtx with a
+// forced tracer root — the same ladder, breaker, plan-cache eviction and
+// fallback accounting, so a fused-path failure shows up in the span
+// tree as the degraded rerun instead of failing the analysis — and
+// decorates the outcome with what only an analysis reports.
 func (qf *QFusor) QueryAnalyzeCtx(ctx context.Context, eng *sqlengine.Engine, sql string) (*Analysis, error) {
-	if ctx == nil {
-		ctx = context.Background()
-	}
-	start := time.Now()
-	led := obs.LedgerFromContext(ctx)
-	if led == nil && obs.AccountingEnabled() {
-		led = obs.NewLedger()
-		ctx = obs.ContextWithLedger(ctx, led)
-	}
 	root := obs.NewTracer().Start("query")
-	adm := admissionSpan(ctx, root)
-
-	// Per-UDF stats baseline: wrappers registered during Process simply
-	// have no baseline entry, which reads as zero.
-	base := map[string]ffi.StatsSnapshot{}
-	for _, u := range eng.Catalog.UDFs() {
-		base[u.Name] = u.Stats.Snapshot()
-	}
 	m0 := obs.Default.Snapshot()
 	var prof0 pylite.ProfileSnapshot
 	if p := pylite.ActiveProfiler(); p != nil {
 		prof0 = p.Snapshot()
 	}
-
-	q, rep, err := qf.ProcessTraced(eng, sql, root)
-	led.MarkPhase("optimize")
+	r, rec, err := qf.queryRecorded(ctx, eng, sql, "analyze", root)
 	if err != nil {
 		return nil, err
 	}
-	secBase := qf.sectionBaselines(rep)
-	ex := root.Child("phase:execute")
-	res, err := execTracedRecovered(ctx, eng, q, ex)
-	ex.End()
-	led.MarkPhase("execute")
-	if err == nil {
-		qf.observeSectionCosts(rep, secBase)
-	}
-	if err != nil && !isCancellation(ctx, err) {
-		// Degrade exactly like QueryCtx, but keep the span tree: the
-		// analysis shows the failed fused execute and the native rerun.
-		led.AddRetry()
-		fb := root.Child("phase:fallback")
-		fb.SetAttr("cause", err.Error())
-		var nq *sqlengine.Query
-		nq, perr := eng.Plan(sql)
-		if perr == nil {
-			res, perr = execTracedRecovered(ctx, eng, nq, fb)
-		}
-		fb.End()
-		led.MarkPhase("fallback")
-		if perr != nil {
-			root.End()
-			return nil, qerr(sql, "fallback", errors.Join(err, perr))
-		}
-		mFallbacks.Inc()
-		rep.Fallback = true
-		rep.FallbackReason = err.Error()
-		q = nq
-		err = nil
-	}
-	root.End()
-	if err != nil {
-		if isCancellation(ctx, err) {
-			mCancelled.Inc()
-			err = qerr(sql, "cancelled", err)
-		}
-		fillLedgerUDFs(led, eng, base)
-		qf.recordFlight("analyze", sql, start, nil, rep, err, root, led, adm)
-		return nil, err
-	}
-	fillLedgerUDFs(led, eng, base)
-
 	a := &Analysis{
 		SQL:       sql,
-		Result:    res,
-		Report:    *rep,
+		Result:    r.table,
+		Report:    *r.rep,
 		Root:      root,
-		Plan:      q.Explain(),
+		Plan:      r.plan.Explain(),
 		Metrics:   obs.Default.Snapshot().Diff(m0),
-		Admission: adm,
+		Resources: rec.Resources,
+		Admission: rec.Admission,
 	}
 	if p := pylite.ActiveProfiler(); p != nil {
 		win := p.Snapshot().Diff(prof0)
 		a.HotLines = &win
 	}
-	qf.recordFlight("analyze", sql, start, res, rep, nil, root, led, adm)
-	a.Resources = led.Snapshot()
 	tierOf := map[string]string{}
-	for i, w := range rep.Wrappers {
-		if i < len(rep.Tiers) {
-			tierOf[w] = rep.Tiers[i]
+	for i, w := range r.rep.Wrappers {
+		if i < len(r.rep.Tiers) {
+			tierOf[w] = r.rep.Tiers[i]
 		}
 	}
-	for _, u := range eng.Catalog.UDFs() {
-		d := u.Stats.Snapshot().Sub(base[u.Name])
-		if d.IsZero() {
-			continue
+	// One row per UDF: a UDF the failed fused attempt and the native
+	// rerun both called shows their sum.
+	at := map[string]int{}
+	for _, u := range r.udfs {
+		i, seen := at[u.Name]
+		if !seen {
+			i = len(a.UDFs)
+			at[u.Name] = i
+			a.UDFs = append(a.UDFs, UDFUsage{Name: u.Name, Fused: u.Fused, Tier: tierOf[u.Name]})
 		}
-		wall := time.Duration(d.WallNanos)
-		wrap := time.Duration(d.WrapNanos)
-		a.UDFs = append(a.UDFs, UDFUsage{
-			Name: u.Name, Fused: u.Fused, Tier: tierOf[u.Name],
-			Calls: d.Calls, RowsIn: d.InRows, RowsOut: d.OutRows,
-			Wall: wall, Wrapper: wrap, Body: wall - wrap,
-		})
+		row := &a.UDFs[i]
+		row.Calls += u.Calls
+		row.RowsIn += u.InRows
+		row.RowsOut += u.OutRows
+		row.Wall += time.Duration(u.WallNanos)
+		row.Wrapper += time.Duration(u.WrapNanos)
+		row.Body = row.Wall - row.Wrapper
 	}
 	sort.Slice(a.UDFs, func(i, j int) bool {
 		if a.UDFs[i].Wall != a.UDFs[j].Wall {
@@ -285,11 +225,4 @@ func fmtAnalyzeDur(d time.Duration) string {
 	default:
 		return d.Round(time.Millisecond).String()
 	}
-}
-
-// execTracedRecovered executes a planned query under ctx and the given
-// span with panic containment.
-func execTracedRecovered(ctx context.Context, eng *sqlengine.Engine, q *sqlengine.Query, sp *obs.Span) (_ *data.Table, err error) {
-	defer resilience.Recover(&err)
-	return eng.ExecuteTracedCtx(ctx, q, sp)
 }

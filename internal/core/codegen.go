@@ -444,7 +444,11 @@ func (qf *QFusor) emitWrapper(seg *Segment, g *DFG, inSec map[int]bool, lo, hi i
 
 	// Register (or reuse from the wrapper cache).
 	outKinds, outNames := w.outTypes(top, isAgg)
-	u, cached, err := qf.registerWrapper(name, src, outNames, outKinds, isAgg)
+	kind := ffi.Table
+	if isAgg {
+		kind = ffi.Aggregate
+	}
+	u, cached, err := qf.registerWrapper(name, src, kind, nil, outNames, outKinds)
 	if err != nil {
 		return nil, err
 	}

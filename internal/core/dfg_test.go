@@ -16,7 +16,7 @@ import (
 // white-box access to the algorithms).
 func dfgFixture(t *testing.T, sql string) (*sqlengine.Engine, *Segment, *DFG) {
 	t.Helper()
-	eng := sqlengine.New("t", sqlengine.ModeColumnar, ffi.VectorInvoker{})
+	eng := sqlengine.New("t", sqlengine.ModeColumnar, ffi.VectorInvoker{}, 0)
 	tbl := data.NewTable("t", data.Schema{
 		{Name: "a", Kind: data.KindString},
 		{Name: "b", Kind: data.KindString},

@@ -170,47 +170,25 @@ func sectionKeyOf(g *DFG, nodes []int) string {
 	return strings.Join(names, "+")
 }
 
-// sectionBaselines snapshots each section wrapper's ffi stats just
-// before execution, so observeSectionCosts can diff a per-query window
-// (the wrapper's Stats are cumulative across queries). Indexed like
-// rep.SectionCosts; a missing wrapper leaves a zero snapshot.
-func (qf *QFusor) sectionBaselines(rep *Report) []ffi.StatsSnapshot {
-	if rep == nil || len(rep.SectionCosts) == 0 {
-		return nil
-	}
-	base := make([]ffi.StatsSnapshot, len(rep.SectionCosts))
-	for i, sd := range rep.SectionCosts {
-		if u, ok := qf.Reg.UDF(sd.Wrapper); ok {
-			base[i] = u.Stats.Snapshot()
-		}
-	}
-	return base
-}
-
 // observeSectionCosts closes the drift loop after a successful fused
 // execution: the measured cost of each section is its wrapper's wall +
-// boundary-conversion time over the query window (morsel workers fold
-// their clone stats back at the barrier, so the parent UDF's delta
-// covers parallel execution too). Each pair updates the calibration
-// store and the per-section /metrics gauges, and lands on the Report
-// for Analysis.
-func (qf *QFusor) observeSectionCosts(rep *Report, base []ffi.StatsSnapshot) {
-	if rep == nil || len(base) != len(rep.SectionCosts) {
-		return
-	}
+// boundary-conversion time in this query — the Stats of the query's own
+// clone of the wrapper (morsel workers fold into it at the barrier), so
+// concurrent queries sharing the wrapper never leak into each other's
+// measurement. Each pair updates the calibration store and the
+// per-section /metrics gauges, and lands on the Report for Analysis.
+func (qf *QFusor) observeSectionCosts(rep *Report, used []ffi.Usage) {
 	for i := range rep.SectionCosts {
 		sd := &rep.SectionCosts[i]
-		u, ok := qf.Reg.UDF(sd.Wrapper)
-		if !ok {
-			continue
+		for _, u := range used {
+			if u.Name != sd.Wrapper {
+				continue
+			}
+			if actual := float64(u.WallNanos + u.WrapNanos); actual > 0 {
+				sd.Actual = actual
+				qf.CM.Drift.Observe(sd.Key, sd.Predicted, actual)
+			}
 		}
-		win := u.Stats.Snapshot().Sub(base[i])
-		actual := float64(win.WallNanos + win.WrapNanos)
-		if actual <= 0 {
-			continue
-		}
-		sd.Actual = actual
-		qf.CM.Drift.Observe(sd.Key, sd.Predicted, actual)
 	}
 }
 

@@ -75,7 +75,7 @@ func TestDriftCalClampAndNilSafety(t *testing.T) {
 // "actual" by 4x.
 func buildDriftEngine(t *testing.T) (*sqlengine.Engine, *core.QFusor) {
 	t.Helper()
-	eng := sqlengine.New("monet", sqlengine.ModeColumnar, ffi.VectorInvoker{})
+	eng := sqlengine.New("monet", sqlengine.ModeColumnar, ffi.VectorInvoker{}, 0)
 	nums := data.NewTable("nums", data.Schema{{Name: "n", Kind: data.KindInt}})
 	for i := 0; i < 3000; i++ {
 		if err := nums.AppendRow(data.Int(int64(i))); err != nil {

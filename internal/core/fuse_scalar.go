@@ -209,14 +209,6 @@ func (qf *QFusor) emitScalarWrapper(e sqlengine.SQLExpr, childSchema data.Schema
 			outKind = u.OutKind()
 		}
 	}
-	u, cached, err := qf.registerWrapper(name, src.String(), []string{name}, []data.Kind{outKind}, false)
-	if err != nil {
-		return nil, err
-	}
-	if cached {
-		rep.CacheHits++
-	}
-	u.Kind = ffi.Scalar
 	inKinds := make([]data.Kind, len(cols))
 	for i, cr := range cols {
 		inKinds[i] = data.KindString
@@ -224,7 +216,13 @@ func (qf *QFusor) emitScalarWrapper(e sqlengine.SQLExpr, childSchema data.Schema
 			inKinds[i] = childSchema[cr.Index].Kind
 		}
 	}
-	u.InKinds = inKinds
+	u, cached, err := qf.registerWrapper(name, src.String(), ffi.Scalar, inKinds, []string{name}, []data.Kind{outKind})
+	if err != nil {
+		return nil, err
+	}
+	if cached {
+		rep.CacheHits++
+	}
 	// The engine must resolve the wrapper by name during execution.
 	qf.catalog().PutUDF(u)
 	rep.Sections++

@@ -291,8 +291,10 @@ func (qf *QFusor) catalog() *sqlengine.Catalog {
 }
 
 // registerWrapper compiles + registers a fused wrapper, consulting the
-// compile cache.
-func (qf *QFusor) registerWrapper(name, src string, outNames []string, outKinds []data.Kind, isAgg bool) (*ffi.UDF, bool, error) {
+// compile cache. The wrapper is complete (kind and input kinds set)
+// before it is published: other queries read it from the cache and the
+// catalog at once.
+func (qf *QFusor) registerWrapper(name, src string, kind ffi.UDFKind, inKinds []data.Kind, outNames []string, outKinds []data.Kind) (*ffi.UDF, bool, error) {
 	// Cache key: the source with the wrapper's own name normalized out.
 	normalized := replaceName(src, name, "__qf_wrapper")
 	h := sha256.Sum256([]byte(normalized))
@@ -309,14 +311,11 @@ func (qf *QFusor) registerWrapper(name, src string, outNames []string, outKinds 
 			return u, true, nil
 		}
 	}
-	kind := ffi.Table
-	if isAgg {
-		kind = ffi.Aggregate
-	}
 	u, err := ffi.NewFusedUDF(qf.Reg.RT, name, src, kind, outNames, outKinds)
 	if err != nil {
 		return nil, false, err
 	}
+	u.InKinds = inKinds
 	mCacheMiss.Inc()
 	qf.wc.setKey(u.Name, key)
 	qf.Reg.RegisterFused(u)

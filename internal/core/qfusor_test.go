@@ -13,7 +13,7 @@ import (
 // buildEngine creates an engine + QFusor sharing one registry.
 func buildEngine(t *testing.T) (*sqlengine.Engine, *core.QFusor) {
 	t.Helper()
-	eng := sqlengine.New("monet", sqlengine.ModeColumnar, ffi.VectorInvoker{})
+	eng := sqlengine.New("monet", sqlengine.ModeColumnar, ffi.VectorInvoker{}, 0)
 
 	people := data.NewTable("people", data.Schema{
 		{Name: "id", Kind: data.KindInt},

@@ -86,35 +86,50 @@ func queryKey(sql string) string {
 // Fallbacks are recorded on the returned Report (Fallback /
 // FallbackReason) and the qfusor.fallbacks / qfusor.breaker_* metrics.
 func (qf *QFusor) QueryCtx(ctx context.Context, eng *sqlengine.Engine, sql string) (*data.Table, *Report, error) {
-	if ctx == nil {
-		ctx = context.Background()
-	}
 	// Flight recorder: the diagnostics server's trace-all switch makes
 	// every query build a span tree; otherwise root stays nil and every
 	// span hook is a pointer compare (the nil-tracer guarantee).
+	var root *obs.Span
+	if obs.DefaultFlight.TraceAll() {
+		root = obs.NewSpan("query")
+	}
+	r, _, err := qf.queryRecorded(ctx, eng, sql, "fused", root)
+	return r.table, r.rep, err
+}
+
+// queryRun is what one pass down the ladder produced beyond its error.
+type queryRun struct {
+	table *data.Table
+	rep   *Report // never nil once queryResilient returns
+	// plan is the plan that produced table: the rewritten one, or the
+	// native one after a fallback.
+	plan *sqlengine.Query
+	// udfs is the exact per-UDF work of every plan the query executed
+	// (the failed fused attempt and the native rerun both count).
+	udfs []ffi.Usage
+}
+
+// queryRecorded runs the ladder once under a ledger (the one the
+// embedder attached to ctx, or one opened here) and files the outcome
+// with the flight recorder under the given path label. QueryCtx and
+// QueryAnalyzeCtx are both this; they differ in the root they pass and
+// in what they return.
+func (qf *QFusor) queryRecorded(ctx context.Context, eng *sqlengine.Engine, sql, path string, root *obs.Span) (queryRun, *obs.QueryRecord, error) {
+	if ctx == nil {
+		ctx = context.Background()
+	}
 	start := time.Now()
-	// Resource ledger: ride the one the embedder attached (engines
-	// attaches at its entry points), or open one here for direct callers.
 	led := obs.LedgerFromContext(ctx)
 	if led == nil && obs.AccountingEnabled() {
 		led = obs.NewLedger()
 		ctx = obs.ContextWithLedger(ctx, led)
 	}
-	var base map[string]ffi.StatsSnapshot
-	if led != nil {
-		base = udfBaselines(eng)
-	}
-	var root *obs.Span
-	if obs.DefaultFlight.TraceAll() {
-		root = obs.NewSpan("query")
-	}
 	adm := admissionSpan(ctx, root)
-	t, rep, err := qf.queryResilient(ctx, eng, sql, root)
+	r, err := qf.queryResilient(ctx, eng, sql, root)
 	root.End()
 	qf.updateBreakerGauges()
-	fillLedgerUDFs(led, eng, base)
-	qf.recordFlight("fused", sql, start, t, rep, err, root, led, adm)
-	return t, rep, err
+	rec := qf.recordFlight(path, sql, start, r.table, r.rep, err, root, led, adm)
+	return r, rec, err
 }
 
 // admissionSpan copies serving-plane admission metadata (when ctx
@@ -140,38 +155,10 @@ func admissionSpan(ctx context.Context, root *obs.Span) *obs.AdmissionInfo {
 	return ai
 }
 
-// udfBaselines snapshots every catalog UDF's stats at query start (the
-// EXPLAIN ANALYZE attribution pattern, reused by the resource ledger).
-func udfBaselines(eng *sqlengine.Engine) map[string]ffi.StatsSnapshot {
-	base := map[string]ffi.StatsSnapshot{}
-	for _, u := range eng.Catalog.UDFs() {
-		base[u.Name] = u.Stats.Snapshot()
-	}
-	return base
-}
-
-// fillLedgerUDFs attributes per-UDF usage the live FFI threading did
-// not catch (the per-row scalar invoker paths) from the catalog stats
-// delta. UDFFillMissing skips UDFs with threaded entries, so the two
-// sources never double count. Per-engine deltas make this approximate
-// when concurrent queries share one engine.
-func fillLedgerUDFs(led *obs.ResourceLedger, eng *sqlengine.Engine, base map[string]ffi.StatsSnapshot) {
-	if led == nil || base == nil {
-		return
-	}
-	for _, u := range eng.Catalog.UDFs() {
-		d := u.Stats.Snapshot().Sub(base[u.Name])
-		if d.IsZero() {
-			continue
-		}
-		led.UDFFillMissing(u.Name, d.Calls, d.InRows, d.OutRows, d.WallNanos, d.WrapNanos)
-	}
-}
-
 // recordFlight stores one completed query in the process flight
 // recorder (nil-safe span snapshot; no-op cost is one mutex-guarded
-// ring write).
-func (qf *QFusor) recordFlight(path, sql string, start time.Time, t *data.Table, rep *Report, err error, root *obs.Span, led *obs.ResourceLedger, adm *obs.AdmissionInfo) {
+// ring write) and returns the record.
+func (qf *QFusor) recordFlight(path, sql string, start time.Time, t *data.Table, rep *Report, err error, root *obs.Span, led *obs.ResourceLedger, adm *obs.AdmissionInfo) *obs.QueryRecord {
 	rec := &obs.QueryRecord{
 		QID:       led.QID(),
 		SQL:       sql,
@@ -211,47 +198,47 @@ func (qf *QFusor) recordFlight(path, sql string, start time.Time, t *data.Table,
 	obs.DefaultRegressions.Observe(rec)
 	obs.DefaultFlight.Record(rec)
 	obs.DefaultQueryLog.Emit(rec)
+	return rec
 }
 
 // breakerOpenReason is the FallbackReason for breaker-routed queries.
 const breakerOpenReason = "circuit breaker open"
 
-// queryResilient is QueryCtx's ladder body (split out so the flight
-// recorder wraps exactly one attempt).
-func (qf *QFusor) queryResilient(ctx context.Context, eng *sqlengine.Engine, sql string, root *obs.Span) (*data.Table, *Report, error) {
+// queryResilient is the ladder body (split out so the flight recorder
+// wraps exactly one attempt).
+func (qf *QFusor) queryResilient(ctx context.Context, eng *sqlengine.Engine, sql string, root *obs.Span) (queryRun, error) {
 	key := queryKey(sql)
 	led := obs.LedgerFromContext(ctx)
 	if qf.Breaker != nil && !qf.Breaker.Allow(key) {
 		mBreakerSkips.Inc()
-		rep := &Report{Fallback: true, FallbackReason: breakerOpenReason}
-		t, err := qf.execNative(ctx, eng, sql, root)
+		r := queryRun{rep: &Report{Fallback: true, FallbackReason: breakerOpenReason}}
+		err := qf.execNative(ctx, eng, sql, root, &r)
 		led.MarkPhase("execute")
+		qf.setReport(*r.rep)
 		if err != nil {
-			qf.setReport(*rep)
-			return nil, rep, qerr(sql, "native", err)
+			return r, qerr(sql, "native", err)
 		}
 		mFallbacks.Inc()
 		fallbackReason(true, nil)
-		qf.setReport(*rep)
-		return t, rep, nil
+		return r, nil
 	}
 
-	t, rep, ferr := qf.queryFusedOnce(ctx, eng, sql, root)
-	if rep == nil {
-		rep = &Report{}
+	r, ferr := qf.queryFusedOnce(ctx, eng, sql, root)
+	if r.rep == nil {
+		r.rep = &Report{}
 	}
 	if ferr == nil {
 		if qf.Breaker != nil {
 			qf.Breaker.Success(key)
-			for _, k := range rep.wrapKeysUsed(qf) {
+			for _, k := range r.rep.wrapKeysUsed(qf) {
 				qf.Breaker.Success(k)
 			}
 		}
-		return t, rep, nil
+		return r, nil
 	}
 	if isCancellation(ctx, ferr) {
 		mCancelled.Inc()
-		return nil, rep, qerr(sql, "cancelled", ferr)
+		return r, qerr(sql, "cancelled", ferr)
 	}
 
 	// The optimized path failed on a live query: record the failure
@@ -261,7 +248,7 @@ func (qf *QFusor) queryResilient(ctx context.Context, eng *sqlengine.Engine, sql
 		if qf.Breaker.Failure(key) {
 			mBreakerTrips.Inc()
 		}
-		for _, k := range rep.wrapKeysUsed(qf) {
+		for _, k := range r.rep.wrapKeysUsed(qf) {
 			if qf.Breaker.Failure(k) {
 				mBreakerTrips.Inc()
 			}
@@ -272,27 +259,27 @@ func (qf *QFusor) queryResilient(ctx context.Context, eng *sqlengine.Engine, sql
 	// wrappers involved (a wrapper whose breaker is accumulating
 	// failures — or has just opened — may be cached under other queries
 	// too).
-	qf.planCacheEvictFailure(eng, sql, rep)
+	qf.planCacheEvictFailure(eng, sql, r.rep)
 	led.AddRetry()
 	fb := root.Child("phase:fallback")
 	fb.SetAttr("cause", ferr.Error())
-	nt, nerr := qf.execNative(ctx, eng, sql, fb)
+	nerr := qf.execNative(ctx, eng, sql, fb, &r)
 	fb.End()
 	led.MarkPhase("fallback")
 	if nerr != nil {
 		if isCancellation(ctx, nerr) {
 			mCancelled.Inc()
-			return nil, rep, qerr(sql, "cancelled", nerr)
+			return r, qerr(sql, "cancelled", nerr)
 		}
 		// Both paths failed: surface both causes in one chain.
-		return nil, rep, qerr(sql, "fallback", errors.Join(ferr, nerr))
+		return r, qerr(sql, "fallback", errors.Join(ferr, nerr))
 	}
 	mFallbacks.Inc()
 	fallbackReason(false, ferr)
-	rep.Fallback = true
-	rep.FallbackReason = ferr.Error()
-	qf.setReport(*rep)
-	return nt, rep, nil
+	r.rep.Fallback = true
+	r.rep.FallbackReason = ferr.Error()
+	qf.setReport(*r.rep)
+	return r, nil
 }
 
 // queryFusedOnce runs one attempt of the optimized path (Process +
@@ -300,36 +287,42 @@ func (qf *QFusor) queryResilient(ctx context.Context, eng *sqlengine.Engine, sql
 // drift loop by recording each fused section's measured cost against
 // its prediction. The Report is returned even on failure so the caller
 // knows which wrappers were involved.
-func (qf *QFusor) queryFusedOnce(ctx context.Context, eng *sqlengine.Engine, sql string, root *obs.Span) (_ *data.Table, rep *Report, err error) {
+func (qf *QFusor) queryFusedOnce(ctx context.Context, eng *sqlengine.Engine, sql string, root *obs.Span) (r queryRun, err error) {
 	defer resilience.Recover(&err)
 	led := obs.LedgerFromContext(ctx)
-	q, rep, perr := qf.ProcessTraced(eng, sql, root)
+	r.plan, r.rep, err = qf.ProcessTraced(eng, sql, root)
 	led.MarkPhase("optimize")
-	if perr != nil {
-		return nil, rep, perr
+	if err != nil {
+		return r, err
 	}
-	base := qf.sectionBaselines(rep)
 	sp := root.Child("phase:execute")
-	t, xerr := eng.ExecuteTracedCtx(ctx, q, sp)
+	r.table, r.udfs, err = eng.ExecuteTracedCtx(ctx, r.plan, sp)
 	sp.End()
 	led.MarkPhase("execute")
-	if xerr == nil {
-		qf.observeSectionCosts(rep, base)
+	if err == nil {
+		qf.observeSectionCosts(r.rep, r.udfs)
 	}
-	return t, rep, xerr
+	return r, err
 }
 
 // execNative plans and executes sql without any QFusor rewrite, with
 // panic containment (the degradation target must not be able to crash
-// the process either). span, when non-nil, receives the native plan's
-// operator spans.
-func (qf *QFusor) execNative(ctx context.Context, eng *sqlengine.Engine, sql string, span *obs.Span) (_ *data.Table, err error) {
+// the process either), leaving the result, the native plan and the UDF
+// usage (added to any a failed fused attempt left) on r. span, when
+// non-nil, receives the native plan's operator spans.
+func (qf *QFusor) execNative(ctx context.Context, eng *sqlengine.Engine, sql string, span *obs.Span, r *queryRun) (err error) {
 	defer resilience.Recover(&err)
-	q, perr := eng.Plan(sql)
-	if perr != nil {
-		return nil, perr
+	q, err := eng.Plan(sql)
+	if err != nil {
+		return err
 	}
-	return eng.ExecuteTracedCtx(ctx, q, span)
+	t, used, err := eng.ExecuteTracedCtx(ctx, q, span)
+	r.udfs = append(r.udfs, used...)
+	if err != nil {
+		return err
+	}
+	r.table, r.plan = t, q
+	return nil
 }
 
 // isCancellation reports whether err (or the context itself) represents

@@ -10,13 +10,11 @@ import (
 	"os"
 	"path/filepath"
 	"runtime"
-	"sync/atomic"
 	"time"
 
 	"qfusor/internal/core"
 	"qfusor/internal/data"
 	"qfusor/internal/ffi"
-	"qfusor/internal/obs"
 	"qfusor/internal/sqlengine"
 )
 
@@ -61,7 +59,7 @@ type Config struct {
 	// UDFCallTimeout bounds each out-of-process UDF round trip (profiles
 	// with a process transport only). 0 = no per-call deadline.
 	UDFCallTimeout time.Duration
-	// UDFStepBudget caps the PyLite statements a context-bound query may
+	// UDFStepBudget caps the PyLite statements a query or DML statement may
 	// execute before it is interrupted (runaway-UDF guard). 0 = no cap.
 	UDFStepBudget int64
 	// PlanCacheSize sizes the plan-decision cache: 0 keeps the default
@@ -141,7 +139,7 @@ func Launch(cfg Config) *Instance {
 	if proc != nil && cfg.UDFCallTimeout > 0 {
 		proc.CallTimeout = cfg.UDFCallTimeout
 	}
-	eng := sqlengine.New(string(cfg.Profile), mode, inv)
+	eng := sqlengine.New(string(cfg.Profile), mode, inv, cfg.UDFStepBudget)
 	// 0 keeps the engine's auto default (every core); 1 forces the
 	// legacy serial executor for A/B baselines.
 	eng.Parallelism = cfg.Parallelism
@@ -182,34 +180,6 @@ func (in *Instance) SessionView(tier string, parallelism, morsel int) *Instance 
 	return &v
 }
 
-// withLedger attaches a fresh resource ledger to ctx when accounting is
-// on and none rides it yet (an embedder-supplied ledger wins).
-func withLedger(ctx context.Context) context.Context {
-	if ctx == nil {
-		ctx = context.Background()
-	}
-	if obs.AccountingEnabled() && obs.LedgerFromContext(ctx) == nil {
-		ctx = obs.ContextWithLedger(ctx, obs.NewLedger())
-	}
-	return ctx
-}
-
-// bindQuery attaches ctx cancellation, the configured step budget, and
-// the ledger's interpreter-step counter to the UDF runtime for the
-// duration of one query; the returned release detaches them. A
-// background context with no step budget and no ledger binds nothing.
-func (in *Instance) bindQuery(ctx context.Context) func() {
-	var steps *atomic.Int64
-	if ctx != nil {
-		steps = obs.LedgerFromContext(ctx).StepCounter()
-	}
-	if ctx == nil || (ctx.Done() == nil && in.cfg.UDFStepBudget <= 0 && steps == nil) {
-		return func() {}
-	}
-	return in.Reg.RT.BindInterruptSteps(ctx.Done(), func() error { return context.Cause(ctx) },
-		in.cfg.UDFStepBudget, steps)
-}
-
 // Define executes UDF module source and attaches the registrations.
 func (in *Instance) Define(src string) error {
 	if err := in.Reg.Define(src); err != nil {
@@ -239,8 +209,6 @@ func (in *Instance) Query(sql string) (*data.Table, error) {
 // QueryCtx runs sql natively under ctx: cancellation reaches the
 // executors' morsel loops and the UDF runtime's statement checks.
 func (in *Instance) QueryCtx(ctx context.Context, sql string) (*data.Table, error) {
-	release := in.bindQuery(ctx)
-	defer release()
 	return in.Eng.QueryCtx(ctx, sql)
 }
 
@@ -259,9 +227,6 @@ func (in *Instance) QueryFusedCtx(ctx context.Context, sql string) (*data.Table,
 // QueryFusedReportedCtx is QueryFusedCtx keeping the per-query
 // optimizer report (the serving plane returns it to clients).
 func (in *Instance) QueryFusedReportedCtx(ctx context.Context, sql string) (*data.Table, *core.Report, error) {
-	ctx = withLedger(ctx)
-	release := in.bindQuery(ctx)
-	defer release()
 	return in.QF.QueryCtx(ctx, in.Eng, sql)
 }
 
@@ -273,9 +238,6 @@ func (in *Instance) QueryAnalyze(sql string) (*core.Analysis, error) {
 
 // QueryAnalyzeCtx is QueryAnalyze under a context.
 func (in *Instance) QueryAnalyzeCtx(ctx context.Context, sql string) (*core.Analysis, error) {
-	ctx = withLedger(ctx)
-	release := in.bindQuery(ctx)
-	defer release()
 	return in.QF.QueryAnalyzeCtx(ctx, in.Eng, sql)
 }
 

@@ -149,6 +149,16 @@ func (s StatsSnapshot) Sub(b StatsSnapshot) StatsSnapshot {
 // IsZero reports whether every field is zero.
 func (s StatsSnapshot) IsZero() bool { return s == StatsSnapshot{} }
 
+// Usage is one UDF's exact work inside one query: the Stats of the
+// per-query clone the query executed on, read when the clone is absorbed
+// back into the catalog UDF. It is the only source of per-query UDF
+// attribution (resource ledger rows, EXPLAIN ANALYZE, cost-model drift).
+type Usage struct {
+	Name  string
+	Fused bool
+	StatsSnapshot
+}
+
 // Merge adds a snapshot — typically a worker clone's totals — into s,
 // so the profiler's cold-start heuristics see aggregated statistics
 // rather than whichever worker happened to finish last.
@@ -202,29 +212,53 @@ type UDF struct {
 	// (CREATE FUNCTION ... COST n), in nanoseconds per row.
 	EstCost float64
 
+	// led is the resource ledger of the query a clone executes for (nil
+	// on catalog UDFs and for unaccounted queries; every hook is nil-safe).
+	led *obs.ResourceLedger
+
 	Stats Stats
 }
 
-// WorkerClone returns a per-worker instance of the UDF for morsel-
-// parallel fused execution: the clone shares the function object, the
-// compiled trace, and all metadata, but runs on its own interpreter
-// view (pylite.Interp.Worker) and accumulates its own Stats, so workers
-// never serialize on shared counters. The caller must fold the clone
-// back with AbsorbWorker after the barrier — dropping it would leave
-// the profiler with only a fraction of the query's true activity.
+// QueryClone returns the instance of the UDF one query executes on: it
+// shares the function object, the compiled trace, the VM program and
+// all metadata, but runs on its own interpreter view — constructed with
+// the query's interrupt — carries the query's ledger, and accumulates
+// its own Stats. Queries never execute on the catalog's UDF: whatever a
+// query can mutate (step budget, VM argument scratch, counters) lives
+// on its clones. The caller folds the clone back with AbsorbWorker when
+// the query ends; its Stats are then the query's exact usage of u.
+func (u *UDF) QueryClone(in *pylite.Interrupt, led *obs.ResourceLedger) *UDF {
+	var rt *pylite.Interp
+	if u.RT != nil {
+		rt = u.RT.View(in)
+	}
+	return u.cloneOn(rt, led)
+}
+
+// WorkerClone returns a per-worker instance of a query's clone for
+// morsel-parallel fused execution: same query (interrupt, ledger), own
+// interpreter view and Stats, so workers never share VM scratch or
+// serialize on counters. The caller must fold the clone back with
+// AbsorbWorker after the barrier — dropping it would leave the profiler
+// with only a fraction of the query's true activity.
 func (u *UDF) WorkerClone() *UDF {
+	var rt *pylite.Interp
+	if u.RT != nil {
+		rt = u.RT.Worker()
+	}
+	return u.cloneOn(rt, u.led)
+}
+
+func (u *UDF) cloneOn(rt *pylite.Interp, led *obs.ResourceLedger) *UDF {
 	c := &UDF{
 		Name: u.Name, Kind: u.Kind, Params: u.Params,
 		InKinds: u.InKinds, OutKinds: u.OutKinds, OutNames: u.OutNames,
-		Source: u.Source, Fn: u.Fn, RT: u.RT, GoFn: u.GoFn, GoAgg: u.GoAgg,
-		Fused: u.Fused, EstCost: u.EstCost,
+		Source: u.Source, Fn: u.Fn, RT: rt, GoFn: u.GoFn, GoAgg: u.GoAgg,
+		Fused: u.Fused, EstCost: u.EstCost, led: led,
 	}
 	c.trace.Store(u.trace.Load())
 	c.vmprog.Store(u.vmprog.Load())
 	c.vmTierOff.Store(u.vmTierOff.Load())
-	if u.RT != nil {
-		c.RT = u.RT.Worker()
-	}
 	return c
 }
 
@@ -254,7 +288,7 @@ func (u *UDF) SetVMProg(vp *VMProgram) { u.vmprog.Store(vp) }
 // compiled VM program (the -tier=closure override).
 func (u *UDF) SetVMTierOff(off bool) { u.vmTierOff.Store(off) }
 
-// AbsorbWorker folds a worker clone's learned statistics (UDF stats and
+// AbsorbWorker folds a clone's learned statistics (UDF stats and
 // interpreter counters) back into u.
 func (u *UDF) AbsorbWorker(c *UDF) {
 	if c == nil {
@@ -288,6 +322,15 @@ func (u *UDF) record(inRows, outRows int, wall, wrap time.Duration) {
 	mUDFWallNanos.Add(wall.Nanoseconds())
 	mUDFWrapNanos.Add(wrap.Nanoseconds())
 	mUDFCallNanos.Observe(float64(wall.Nanoseconds()))
+}
+
+// recordMerge adds a barrier merge's output rows and time to the
+// crossings its partials already recorded — the merge is not a call.
+func (u *UDF) recordMerge(outRows int, wall time.Duration) {
+	u.Stats.OutRows.Add(int64(outRows))
+	u.Stats.WallNanos.Add(wall.Nanoseconds())
+	mUDFRowsOut.Add(int64(outRows))
+	mUDFWallNanos.Add(wall.Nanoseconds())
 }
 
 // CrossIn boxes one engine value into the UDF environment. String
@@ -389,30 +432,43 @@ type pyAggState struct {
 // when present, the PyLite runtime otherwise. A panic in either becomes
 // a *resilience.PanicError — one poisoned row must fail its query, not
 // the process.
-func (u *UDF) Invoke(args []data.Value) (v data.Value, err error) {
+func (u *UDF) Invoke(args []data.Value) (data.Value, error) {
+	return u.invokeOn(u.RT, args)
+}
+
+// invokeOn is Invoke on a given runtime view: a fused wrapper calls the
+// UDFs it fuses on its own view, so they poll the host query's
+// interrupt and never touch their catalog UDF's root runtime.
+func (u *UDF) invokeOn(rt *pylite.Interp, args []data.Value) (v data.Value, err error) {
 	defer resilience.Recover(&err)
 	if u.GoFn != nil {
 		return u.GoFn(args)
 	}
-	return u.RT.Call(u.Fn, args)
+	return rt.Call(u.Fn, args)
 }
 
 // NewAggState instantiates the UDF's aggregate class and calls init.
 func NewAggState(u *UDF) (AggState, error) {
+	return newAggStateOn(u.RT, u)
+}
+
+// newAggStateOn is NewAggState with the state living on a given runtime
+// view (see invokeOn).
+func newAggStateOn(rt *pylite.Interp, u *UDF) (AggState, error) {
 	if u.Kind != Aggregate {
 		return nil, fmt.Errorf("ffi: %s is not an aggregate UDF", u.Name)
 	}
 	if u.GoAgg != nil {
 		return u.GoAgg(), nil
 	}
-	self, err := u.RT.Call(u.Fn, nil)
+	self, err := rt.Call(u.Fn, nil)
 	if err != nil {
 		return nil, fmt.Errorf("ffi: instantiate %s: %w", u.Name, err)
 	}
-	ctx := u.RT.Ctx()
+	ctx := rt.Ctx()
 	initFn, err := pyAttr(ctx, self, "init")
 	if err == nil {
-		if _, err := u.RT.Call(initFn, nil); err != nil {
+		if _, err := rt.Call(initFn, nil); err != nil {
 			return nil, fmt.Errorf("ffi: %s.init: %w", u.Name, err)
 		}
 	}
@@ -424,7 +480,7 @@ func NewAggState(u *UDF) (AggState, error) {
 	if err != nil {
 		return nil, fmt.Errorf("ffi: %s has no final method", u.Name)
 	}
-	st := &pyAggState{rt: u.RT, self: self, step: stepFn, fin: finFn}
+	st := &pyAggState{rt: rt, self: self, step: stepFn, fin: finFn}
 	if mergeFn, err := pyAttr(ctx, self, "merge"); err == nil {
 		st.merge = mergeFn
 	}

@@ -368,8 +368,10 @@ func contains(s, sub string) bool {
 	return false
 }
 
-// TestMergeTraceAggPartials: partial merge equals single-shot.
-func TestMergeTraceAggPartials(t *testing.T) {
+// TestTraceAggPartialsEqualSingleShot: per-partition partial states
+// merged at the barrier equal the one-partition run (which is the same
+// code with one part), avg included — live states keep sum and count.
+func TestTraceAggPartialsEqualSingleShot(t *testing.T) {
 	rt := testRuntime(t)
 	fn, _ := rt.Global("double")
 	u := &UDF{Name: "m", Kind: Aggregate, Fn: fn, RT: rt, Fused: true}
@@ -379,54 +381,43 @@ func TestMergeTraceAggPartials(t *testing.T) {
 			{Kind: "sum", ArgReg: 0},
 			{Kind: "min", ArgReg: 0},
 			{Kind: "max", ArgReg: 0},
+			{Kind: "avg", ArgReg: 0},
 		}}
-	if !tr.Mergeable() {
-		t.Fatal("count/sum/min/max should be mergeable")
+	if !tr.PartialMergeable() {
+		t.Fatal("count/sum/min/max/avg should merge as partial states")
 	}
 	vals := intCol(1, 2, 3, 4, 5, 6, 7, 8)
 	keys := strCol("a", "b", "a", "b", "a", "b", "a", "b")
-	names := []string{"k", "n", "s", "mn", "mx"}
-	kinds := []data.Kind{data.KindString, data.KindInt, data.KindInt, data.KindInt, data.KindInt}
+	names := []string{"k", "n", "s", "mn", "mx", "av"}
+	kinds := []data.Kind{data.KindString, data.KindInt, data.KindInt, data.KindInt, data.KindInt, data.KindFloat}
 	whole, err := RunTraceAgg(u, tr, []*data.Column{vals, keys}, 8, names, kinds)
 	if err != nil {
 		t.Fatal(err)
 	}
-	lo, err := RunTraceAgg(u, tr, []*data.Column{vals.Slice(0, 5), keys.Slice(0, 5)}, 5, names, kinds)
+	if got := u.Stats.Calls.Load(); got != 1 {
+		t.Fatalf("a one-partition run is one crossing, recorded %d", got)
+	}
+	lo, err := RunTraceAggPartial(u.WorkerClone(), tr, []*data.Column{vals.Slice(0, 5), keys.Slice(0, 5)}, 5)
 	if err != nil {
 		t.Fatal(err)
 	}
-	hi, err := RunTraceAgg(u, tr, []*data.Column{vals.Slice(5, 8), keys.Slice(5, 8)}, 3, names, kinds)
+	hi, err := RunTraceAggPartial(u.WorkerClone(), tr, []*data.Column{vals.Slice(5, 8), keys.Slice(5, 8)}, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
-	merged := MergeTraceAggPartials(tr, [][]*data.Column{lo, hi}, names, kinds)
-	if merged[0].Len() != whole[0].Len() {
-		t.Fatalf("groups %d vs %d", merged[0].Len(), whole[0].Len())
+	merged, err := FinalizeTraceAggPartials(u, tr, []*TraceAggPartial{lo, hi}, names, kinds)
+	if err != nil {
+		t.Fatal(err)
 	}
-	byKey := func(cols []*data.Column) map[string][]int64 {
-		out := map[string][]int64{}
-		for r := 0; r < cols[0].Len(); r++ {
-			var vs []int64
-			for c := 1; c < len(cols); c++ {
-				v, _ := cols[c].Get(r).AsInt()
-				vs = append(vs, v)
-			}
-			out[cols[0].Strs[r]] = vs
+	for c := range whole {
+		if whole[c].Len() != merged[c].Len() {
+			t.Fatalf("col %d: %d vs %d groups", c, whole[c].Len(), merged[c].Len())
 		}
-		return out
-	}
-	w, m := byKey(whole), byKey(merged)
-	for k, vs := range w {
-		for i := range vs {
-			if m[k][i] != vs[i] {
-				t.Fatalf("key %s agg %d: %d vs %d", k, i, m[k][i], vs[i])
+		for r := 0; r < whole[c].Len(); r++ {
+			if w, m := whole[c].Get(r), merged[c].Get(r); w.Key() != m.Key() {
+				t.Fatalf("col %s row %d: single-shot %v, merged %v", names[c], r, w, m)
 			}
 		}
-	}
-	// An aggregating trace with avg must not be mergeable.
-	tr2 := &Trace{Aggs: []TraceAgg{{Kind: "avg", ArgReg: 0}}}
-	if tr2.Mergeable() {
-		t.Fatal("avg wrongly mergeable")
 	}
 }
 

@@ -6,7 +6,6 @@ import (
 
 	"qfusor/internal/data"
 	"qfusor/internal/faultinject"
-	"qfusor/internal/obs"
 	"qfusor/internal/pylite"
 	"qfusor/internal/resilience"
 )
@@ -35,17 +34,16 @@ var FaultFused = faultinject.Register("ffi.fused")
 //	def __qf_fusedagg(col_a, __gids, __g, __n):
 //	    ...
 //	    return [per_group_results...]
+//
+// Their source is the registered artifact only: an aggregating section
+// is emitted solely with a compiled trace and always executes as that
+// trace (RunTraceAgg), which groups after the fused filters.
 
 // CallFusedVector invokes a fused wrapper over n rows of input columns,
-// returning its output columns with the given names/kinds.
-func CallFusedVector(u *UDF, args []*data.Column, n int, outNames []string, outKinds []data.Kind) ([]*data.Column, error) {
-	return CallFusedVectorTo(nil, u, args, n, outNames, outKinds)
-}
-
-// CallFusedVectorTo is CallFusedVector additionally attributing the
-// boundary crossing to a per-query resource ledger (nil led records
-// nothing; the engine-wide metrics and u.Stats update either way).
-func CallFusedVectorTo(led *obs.ResourceLedger, u *UDF, args []*data.Column, n int, outNames []string, outKinds []data.Kind) (_ []*data.Column, err error) {
+// returning its output columns with the given names/kinds. u is a
+// query's clone of the wrapper (QueryClone / WorkerClone): the crossing
+// is attributed through its Stats and the ledger it carries.
+func CallFusedVector(u *UDF, args []*data.Column, n int, outNames []string, outKinds []data.Kind) (_ []*data.Column, err error) {
 	defer resilience.Recover(&err)
 	if faultinject.Armed() {
 		if err := faultinject.Fire(FaultFused); err != nil {
@@ -53,111 +51,39 @@ func CallFusedVectorTo(led *obs.ResourceLedger, u *UDF, args []*data.Column, n i
 		}
 	}
 	if tr := u.Trace(); tr != nil {
-		// Tier dispatch: the vectorized VM program when one is published
-		// (CallFusedVectorVM), the closure-tier trace loop otherwise.
-		// Aggregating traces never land here (they route through the
-		// RunTraceAgg runners, which have their own VM dispatch) — the
-		// guard keeps a misrouted one off the row-emitting VM loop.
+		// Tier dispatch: the vectorized VM program when one is published,
+		// the closure-tier trace loop otherwise. Aggregating traces never
+		// land here (they route through RunTraceAgg, which has its own VM
+		// dispatch) — the guard keeps a misrouted one off the row-emitting
+		// VM loop.
+		var cols []*data.Column
 		if vp := u.VMProg(); vp != nil && len(tr.Aggs) == 0 {
-			return CallFusedVectorVM(led, u, vp, tr, args, n, outNames, outKinds)
+			cols, _, err = RunTraceVectorVM(u, vp, tr, args, n, outNames, outKinds)
+		} else {
+			cols, err = RunTraceVector(u, tr, args, n, outNames, outKinds)
 		}
-		start := time.Now()
-		cols, err := RunTraceVector(u, tr, args, n, outNames, outKinds)
-		if err == nil {
-			rows, rerr := colRows(u, cols)
-			if rerr != nil {
-				return nil, rerr
-			}
-			led.FFIObserve(u.Name, n, rows, time.Since(start), 0)
+		if err != nil {
+			return nil, err
 		}
-		return cols, err
+		if _, err := colRows(u, cols); err != nil {
+			return nil, err
+		}
+		return cols, nil
 	}
 	start := time.Now()
-	var wrap time.Duration
-	ws := time.Now()
 	callArgs := make([]data.Value, 0, len(args)+1)
 	for _, c := range args {
 		callArgs = append(callArgs, data.NewList(BoxColumn(c, n)))
 	}
 	callArgs = append(callArgs, data.Int(int64(n)))
-	wrap += time.Since(ws)
+	wrap := time.Since(start)
 
 	res, err := u.RT.Call(u.Fn, callArgs)
 	if err != nil {
 		return nil, wrapUDFErr(u, err)
 	}
 
-	ws = time.Now()
-	cols, outRows, err := unpackFusedResult(u, res, outNames, outKinds)
-	wrap += time.Since(ws)
-	if err != nil {
-		return nil, err
-	}
-	mInterpRows.Add(int64(n))
-	u.record(n, outRows, time.Since(start), wrap)
-	led.FFIObserve(u.Name, n, outRows, time.Since(start), wrap)
-	return cols, nil
-}
-
-// CallFusedVectorVM invokes a fused wrapper on the vectorized VM tier:
-// the whole morsel executes through register bytecode with unboxed
-// column loads, bailing per-row to the closure tier where needed. The
-// ledger gets both the boundary crossing and the VM/bail attribution.
-func CallFusedVectorVM(led *obs.ResourceLedger, u *UDF, vp *VMProgram, tr *Trace, args []*data.Column, n int, outNames []string, outKinds []data.Kind) (_ []*data.Column, err error) {
-	defer resilience.Recover(&err)
-	start := time.Now()
-	cols, bails, err := RunTraceVectorVM(u, vp, tr, args, n, outNames, outKinds)
-	if err != nil {
-		return nil, err
-	}
-	rows, err := colRows(u, cols)
-	if err != nil {
-		return nil, err
-	}
-	led.FFIObserve(u.Name, n, rows, time.Since(start), 0)
-	led.VMObserve(n, bails)
-	return cols, nil
-}
-
-// CallFusedAggVector invokes an aggregating fused wrapper: inputs,
-// engine-computed group ids, group count.
-func CallFusedAggVector(u *UDF, args []*data.Column, n int, groupIDs []int, g int, outNames []string, outKinds []data.Kind) ([]*data.Column, error) {
-	return CallFusedAggVectorTo(nil, u, args, n, groupIDs, g, outNames, outKinds)
-}
-
-// CallFusedAggVectorTo is CallFusedAggVector with per-query ledger
-// attribution (nil led records nothing).
-func CallFusedAggVectorTo(led *obs.ResourceLedger, u *UDF, args []*data.Column, n int, groupIDs []int, g int, outNames []string, outKinds []data.Kind) (_ []*data.Column, err error) {
-	defer resilience.Recover(&err)
-	if faultinject.Armed() {
-		if err := faultinject.Fire(FaultFused); err != nil {
-			return nil, err
-		}
-	}
-	start := time.Now()
-	var wrap time.Duration
 	ws := time.Now()
-	callArgs := make([]data.Value, 0, len(args)+3)
-	for _, c := range args {
-		callArgs = append(callArgs, data.NewList(BoxColumn(c, n)))
-	}
-	gids := make([]data.Value, n)
-	for i := 0; i < n; i++ {
-		id := 0
-		if groupIDs != nil {
-			id = groupIDs[i]
-		}
-		gids[i] = data.Int(int64(id))
-	}
-	callArgs = append(callArgs, data.NewList(gids), data.Int(int64(g)), data.Int(int64(n)))
-	wrap += time.Since(ws)
-
-	res, err := u.RT.Call(u.Fn, callArgs)
-	if err != nil {
-		return nil, wrapUDFErr(u, err)
-	}
-
-	ws = time.Now()
 	cols, outRows, err := unpackFusedResult(u, res, outNames, outKinds)
 	wrap += time.Since(ws)
 	if err != nil {
@@ -165,7 +91,6 @@ func CallFusedAggVectorTo(led *obs.ResourceLedger, u *UDF, args []*data.Column, 
 	}
 	mInterpRows.Add(int64(n))
 	u.record(n, outRows, time.Since(start), wrap)
-	led.FFIObserve(u.Name, n, outRows, time.Since(start), wrap)
 	return cols, nil
 }
 

@@ -5,7 +5,6 @@ import (
 	"time"
 
 	"qfusor/internal/data"
-	"qfusor/internal/obs"
 	"qfusor/internal/pylite"
 )
 
@@ -148,20 +147,16 @@ func runOps(u *UDF, ops []TraceOp, regs []data.Value, emit func([]data.Value) er
 			for i, a := range op.Args {
 				callArgs[i] = regs[a]
 			}
+			// Fused UDFs run on the host wrapper's runtime view — the
+			// clone's own, bound to its query — whether compiled, interpreted
+			// or (below) expanding; their catalog UDF's root runtime is
+			// never entered.
 			var v data.Value
 			var err error
 			if op.Compiled != nil {
-				// Compiled bodies run on the host wrapper's runtime: for a
-				// worker clone that is the per-worker interpreter view, so
-				// parallel trace execution never contends on one runtime's
-				// counters. Serially u.RT and op.UDF.RT are the same interp.
-				rt := op.UDF.RT
-				if u != nil && u.RT != nil {
-					rt = u.RT
-				}
-				v, err = op.Compiled.Call(rt, callArgs, nil)
+				v, err = op.Compiled.Call(u.RT, callArgs, nil)
 			} else {
-				v, err = op.UDF.Invoke(callArgs)
+				v, err = op.UDF.invokeOn(u.RT, callArgs)
 			}
 			if err != nil {
 				return wrapUDFErr(op.UDF, err)
@@ -186,7 +181,7 @@ func runOps(u *UDF, ops []TraceOp, regs []data.Value, emit func([]data.Value) er
 			for i, a := range op.Args {
 				callArgs[i] = regs[a]
 			}
-			gv, err := op.UDF.RT.Call(op.UDF.Fn, callArgs)
+			gv, err := u.RT.Call(op.UDF.Fn, callArgs)
 			if err != nil {
 				return wrapUDFErr(op.UDF, err)
 			}
@@ -232,104 +227,6 @@ func runOps(u *UDF, ops []TraceOp, regs []data.Value, emit func([]data.Value) er
 	return emit(regs)
 }
 
-// Mergeable reports whether the trace's aggregates can be computed as
-// per-partition partials and merged (count/sum/min/max — avg and UDF
-// aggregates need their full input).
-func (t *Trace) Mergeable() bool {
-	if len(t.Aggs) == 0 {
-		return false
-	}
-	for _, a := range t.Aggs {
-		switch a.Kind {
-		case "count", "sum", "min", "max":
-		default:
-			return false
-		}
-	}
-	return true
-}
-
-// MergeTraceAggPartials combines per-partition outputs of RunTraceAgg
-// (each: key columns followed by aggregate columns) into one result.
-func MergeTraceAggPartials(t *Trace, parts [][]*data.Column, outNames []string, outKinds []data.Kind) []*data.Column {
-	nKeys := len(t.KeyRegs)
-	type acc struct {
-		keys []data.Value
-		vals []data.Value
-	}
-	idx := map[string]int{}
-	var groups []acc
-	for _, cols := range parts {
-		if len(cols) == 0 {
-			continue
-		}
-		n := cols[0].Len()
-		for r := 0; r < n; r++ {
-			var kb []byte
-			for k := 0; k < nKeys; k++ {
-				kb = append(kb, cols[k].Get(r).Key()...)
-				kb = append(kb, 0)
-			}
-			gi, ok := idx[string(kb)]
-			if !ok {
-				gi = len(groups)
-				idx[string(kb)] = gi
-				keys := make([]data.Value, nKeys)
-				for k := 0; k < nKeys; k++ {
-					keys[k] = cols[k].Get(r)
-				}
-				vals := make([]data.Value, len(t.Aggs))
-				for a := range t.Aggs {
-					vals[a] = cols[nKeys+a].Get(r)
-				}
-				groups = append(groups, acc{keys: keys, vals: vals})
-				continue
-			}
-			g := &groups[gi]
-			for a, spec := range t.Aggs {
-				v := cols[nKeys+a].Get(r)
-				switch {
-				case v.IsNull():
-				case g.vals[a].IsNull():
-					g.vals[a] = v
-				default:
-					switch spec.Kind {
-					case "count", "sum":
-						if g.vals[a].Kind == data.KindInt && v.Kind == data.KindInt {
-							g.vals[a] = data.Int(g.vals[a].I + v.I)
-						} else {
-							af, _ := g.vals[a].AsFloat()
-							bf, _ := v.AsFloat()
-							g.vals[a] = data.Float(af + bf)
-						}
-					case "min":
-						if c, ok := data.Compare(v, g.vals[a]); ok && c < 0 {
-							g.vals[a] = v
-						}
-					case "max":
-						if c, ok := data.Compare(v, g.vals[a]); ok && c > 0 {
-							g.vals[a] = v
-						}
-					}
-				}
-			}
-		}
-	}
-	out := make([]*data.Column, nKeys+len(t.Aggs))
-	for i := range out {
-		out[i] = data.NewColumnCap(outNames[i], outKinds[i], len(groups))
-	}
-	for _, g := range groups {
-		for k := 0; k < nKeys; k++ {
-			out[k].AppendValue(g.keys[k])
-		}
-		for a := range t.Aggs {
-			out[nKeys+a].AppendValue(g.vals[a])
-		}
-	}
-	return out
-}
-
 // aggState is the native per-group accumulator of an aggregating trace.
 type aggState struct {
 	count int64
@@ -341,12 +238,13 @@ type aggState struct {
 	udf   AggState
 }
 
-// newAggStates allocates one fresh accumulator per aggregate spec.
-func newAggStates(t *Trace) ([]aggState, error) {
+// newAggStates allocates one fresh accumulator per aggregate spec; UDF
+// aggregate states live on the host wrapper's runtime view rt.
+func newAggStates(rt *pylite.Interp, t *Trace) ([]aggState, error) {
 	sts := make([]aggState, len(t.Aggs))
 	for ai, spec := range t.Aggs {
 		if spec.Kind == "udf" {
-			st, err := NewAggState(spec.UDF)
+			st, err := newAggStateOn(rt, spec.UDF)
 			if err != nil {
 				return nil, err
 			}
@@ -476,141 +374,19 @@ func finalizeAggValue(st *aggState, spec *TraceAgg) (data.Value, error) {
 // inside the trace, after fused filters, via the native hash group-by —
 // the reproduction of invoking the engine's exported grouping functions
 // from within the JIT (§5.3.2). Output columns are the group keys (in
-// first-seen order) followed by the aggregates.
+// first-seen order) followed by the aggregates. It is the one-partition
+// case of the partial runner: nothing is merged, so it serves every
+// aggregate kind, mergeable or not.
 func RunTraceAgg(u *UDF, t *Trace, args []*data.Column, n int, outNames []string, outKinds []data.Kind) ([]*data.Column, error) {
-	return RunTraceAggTo(nil, u, t, args, n, outNames, outKinds)
-}
-
-// RunTraceAggTo is RunTraceAgg additionally attributing the boundary
-// crossing — and, when the wrapper carries a VM program, the VM row and
-// bail counts — to a per-query resource ledger (nil led records
-// nothing). The scalar prefix of each row runs on the VM tier when one
-// is published; grouping and accumulation are tier-independent.
-func RunTraceAggTo(led *obs.ResourceLedger, u *UDF, t *Trace, args []*data.Column, n int, outNames []string, outKinds []data.Kind) ([]*data.Column, error) {
-	start := time.Now()
-	nKeys := len(t.KeyRegs)
-	groupIdx := map[string]int{}
-	var keyRows [][]data.Value
-	var states [][]aggState // [group][agg]
-	newGroup := func(regs []data.Value) (int, error) {
-		keys := make([]data.Value, nKeys)
-		for i, r := range t.KeyRegs {
-			keys[i] = regs[r]
-		}
-		keyRows = append(keyRows, keys)
-		sts, err := newAggStates(t)
-		if err != nil {
-			return 0, err
-		}
-		states = append(states, sts)
-		return len(states) - 1, nil
+	pt, err := RunTraceAggPartial(u, t, args, n)
+	if err != nil {
+		return nil, err
 	}
-	// Tier dispatch: the trace's register indices are a prefix of the
-	// VM program's register file, so the same emit step serves both.
-	vp := u.VMProg()
-	nRegs := t.NumRegs
-	if vp != nil {
-		nRegs = vp.NumRegs
-	}
-	regs := make([]data.Value, nRegs)
-	for i, r := range t.ConstRegs {
-		regs[r] = t.Consts[i]
-	}
-	var stepErr error
-	bails := 0
-	emit := func(regs []data.Value) error {
-		var kb []byte
-		for _, r := range t.KeyRegs {
-			kb = append(kb, regs[r].Key()...)
-			kb = append(kb, 0)
-		}
-		gid, ok := groupIdx[string(kb)]
-		if !ok {
-			var err error
-			gid, err = newGroup(regs)
-			if err != nil {
-				stepErr = err
-				return err
-			}
-			groupIdx[string(kb)] = gid
-		}
-		for ai := range t.Aggs {
-			spec := &t.Aggs[ai]
-			var v data.Value
-			if spec.ArgReg >= 0 {
-				v = regs[spec.ArgReg]
-			}
-			if err := stepAggState(&states[gid][ai], spec, v); err != nil {
-				stepErr = err
-				return stepErr
-			}
-		}
-		return nil
-	}
-	for i := 0; i < n; i++ {
-		var err error
-		if vp != nil {
-			for j, c := range args {
-				regs[j] = vmColLoad(c, i)
-			}
-			err = runOpsVM(u, vp, t.Ops, regs, &bails, emit)
-		} else {
-			for j, c := range args {
-				regs[j] = CrossIn(c, i)
-			}
-			err = runOps(u, t.Ops, regs, emit)
-		}
-		if err != nil {
-			return nil, err
-		}
-	}
-	if stepErr != nil {
-		return nil, stepErr
-	}
-	g := len(states)
-	// Global aggregate over zero rows still produces one (empty) group.
-	if nKeys == 0 && g == 0 {
-		if _, err := newGroup(regs); err != nil {
-			return nil, err
-		}
-		g = 1
-	}
-	outs := make([]*data.Column, nKeys+len(t.Aggs))
-	for ki := 0; ki < nKeys; ki++ {
-		col := data.NewColumnCap(outNames[ki], outKinds[ki], g)
-		for gi := 0; gi < g; gi++ {
-			col.AppendValue(keyRows[gi][ki])
-		}
-		outs[ki] = col
-	}
-	for ai := range t.Aggs {
-		spec := &t.Aggs[ai]
-		col := data.NewColumnCap(outNames[nKeys+ai], outKinds[nKeys+ai], g)
-		for gi := 0; gi < g; gi++ {
-			v, err := finalizeAggValue(&states[gi][ai], spec)
-			if err != nil {
-				return nil, err
-			}
-			col.AppendValue(v)
-		}
-		outs[nKeys+ai] = col
-	}
-	if vp != nil {
-		mVMMorsels.Inc()
-		mVMRows.Add(int64(n))
-		mVMBailRows.Add(int64(bails))
-		led.VMObserve(n, bails)
-	}
-	mTraceRows.Add(int64(n))
-	u.record(n, g, time.Since(start), 0)
-	led.FFIObserve(u.Name, n, g, time.Since(start), 0)
-	return outs, nil
+	return FinalizeTraceAggPartials(u, t, []*TraceAggPartial{pt}, outNames, outKinds)
 }
 
 // PartialMergeable reports whether the trace's aggregates can run as
-// per-worker partial STATES merged at the barrier. This is strictly
-// wider than Mergeable (which merges finalized output columns and so
-// cannot reconstruct an avg from its ratio): live states keep the
+// per-worker partial states merged at the barrier: live states keep the
 // sum/count decomposition for avg, and UDF aggregates qualify when
 // their state is decomposable (a merge hook exists).
 func (t *Trace) PartialMergeable() bool {
@@ -642,18 +418,12 @@ type TraceAggPartial struct {
 }
 
 // RunTraceAggPartial executes an aggregating trace over one partition,
-// returning the live partial states instead of finalized columns. Input
-// rows are recorded on u's stats here; the finalize step records the
-// output groups.
+// returning the live partial states instead of finalized columns. The
+// scalar prefix of each row runs on the VM tier when the wrapper clone u
+// carries a VM program; grouping and accumulation are tier-independent.
+// The crossing and its input rows are recorded on u's stats here; the
+// finalize step adds the output groups.
 func RunTraceAggPartial(u *UDF, t *Trace, args []*data.Column, n int) (*TraceAggPartial, error) {
-	return RunTraceAggPartialTo(nil, u, t, args, n)
-}
-
-// RunTraceAggPartialTo is RunTraceAggPartial with per-query ledger
-// attribution (nil led records nothing). As in RunTraceAggTo, the
-// scalar prefix of each row runs on the VM tier when the wrapper — here
-// typically a worker clone — carries a VM program.
-func RunTraceAggPartialTo(led *obs.ResourceLedger, u *UDF, t *Trace, args []*data.Column, n int) (*TraceAggPartial, error) {
 	start := time.Now()
 	pt := &TraceAggPartial{}
 	groupIdx := map[string]int{}
@@ -680,14 +450,15 @@ func RunTraceAggPartialTo(led *obs.ResourceLedger, u *UDF, t *Trace, args []*dat
 			for ki, r := range t.KeyRegs {
 				keys[ki] = regs[r]
 			}
-			sts, err := newAggStates(t)
+			sts, err := newAggStates(u.RT, t)
 			if err != nil {
 				stepErr = err
 				return err
 			}
 			gid = len(pt.states)
-			groupIdx[string(kb)] = gid
-			pt.keys = append(pt.keys, string(kb))
+			k := string(kb)
+			groupIdx[k] = gid
+			pt.keys = append(pt.keys, k)
 			pt.keyRows = append(pt.keyRows, keys)
 			pt.states = append(pt.states, sts)
 		}
@@ -728,11 +499,10 @@ func RunTraceAggPartialTo(led *obs.ResourceLedger, u *UDF, t *Trace, args []*dat
 		mVMMorsels.Inc()
 		mVMRows.Add(int64(n))
 		mVMBailRows.Add(int64(bails))
-		led.VMObserve(n, bails)
+		u.led.VMObserve(n, bails)
 	}
 	mTraceRows.Add(int64(n))
 	u.record(n, 0, time.Since(start), 0)
-	led.FFIObserve(u.Name, n, 0, time.Since(start), 0)
 	return pt, nil
 }
 
@@ -767,7 +537,7 @@ func FinalizeTraceAggPartials(u *UDF, t *Trace, parts []*TraceAggPartial, outNam
 	g := len(states)
 	// Global aggregate over zero rows still produces one (empty) group.
 	if nKeys == 0 && g == 0 {
-		sts, err := newAggStates(t)
+		sts, err := newAggStates(u.RT, t)
 		if err != nil {
 			return nil, err
 		}
@@ -795,6 +565,6 @@ func FinalizeTraceAggPartials(u *UDF, t *Trace, parts []*TraceAggPartial, outNam
 		}
 		outs[nKeys+ai] = col
 	}
-	u.record(0, g, time.Since(start), 0)
+	u.recordMerge(g, time.Since(start))
 	return outs, nil
 }

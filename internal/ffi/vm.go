@@ -263,6 +263,7 @@ rows:
 	mVMMorsels.Inc()
 	mVMRows.Add(int64(n))
 	mVMBailRows.Add(int64(bails))
+	u.led.VMObserve(n, bails)
 	u.record(n, outRows, time.Since(start), 0)
 	return outs, bails, nil
 }
@@ -332,11 +333,7 @@ func runOpsVM(u *UDF, vp *VMProgram, ops []TraceOp, regs []data.Value, bails *in
 // error). bails counts one per re-routed row.
 func vmRunLinked(u *UDF, vp *VMProgram, ops []TraceOp, regs []data.Value, bails *int) error {
 	if !forcedBail() {
-		rt := ops[0].UDF.RT
-		if u != nil && u.RT != nil {
-			rt = u.RT
-		}
-		_, err := vp.Linked.RunVM(rt, regs)
+		_, err := vp.Linked.RunVM(u.RT, regs)
 		if err == nil {
 			return nil
 		}
@@ -366,7 +363,7 @@ func vmCallOp(u *UDF, vp *VMProgram, op *TraceOp, oi int, regs []data.Value) (da
 		for i, a := range op.Args {
 			callArgs[i] = regs[a]
 		}
-		return op.UDF.Invoke(callArgs)
+		return op.UDF.invokeOn(u.RT, callArgs)
 	}
 	if forcedBail() {
 		return data.Null, &pylite.BailError{Reason: "forced (test)"}
@@ -378,11 +375,7 @@ func vmCallOp(u *UDF, vp *VMProgram, op *TraceOp, oi int, regs []data.Value) (da
 	for i := len(op.Args); i < prog.NumParams; i++ {
 		win[i] = prog.Defaults[i]
 	}
-	rt := op.UDF.RT
-	if u != nil && u.RT != nil {
-		rt = u.RT
-	}
-	return prog.RunVM(rt, win)
+	return prog.RunVM(u.RT, win)
 }
 
 // closureCallOp re-runs one TCall on the closure tier — the bail
@@ -393,13 +386,9 @@ func closureCallOp(u *UDF, op *TraceOp, regs []data.Value) (data.Value, error) {
 		callArgs[i] = regs[a]
 	}
 	if op.Compiled != nil {
-		rt := op.UDF.RT
-		if u != nil && u.RT != nil {
-			rt = u.RT
-		}
-		return op.Compiled.Call(rt, callArgs, nil)
+		return op.Compiled.Call(u.RT, callArgs, nil)
 	}
-	return op.UDF.Invoke(callArgs)
+	return op.UDF.invokeOn(u.RT, callArgs)
 }
 
 // LengthMismatchError is returned when a fused wrapper yields a column

@@ -253,8 +253,8 @@ func (l *ResourceLedger) VMObserve(rows, bailRows int) {
 	l.vmBailRows.Add(int64(bailRows))
 }
 
-// StepCounter exposes the interpreter-step counter for the UDF runtime
-// to bind (pylite.BindInterruptSteps). Nil on a nil ledger.
+// StepCounter exposes the interpreter-step counter the query's UDF
+// runtime views add to (pylite.NewInterrupt). Nil on a nil ledger.
 func (l *ResourceLedger) StepCounter() *atomic.Int64 {
 	if l == nil {
 		return nil
@@ -262,58 +262,32 @@ func (l *ResourceLedger) StepCounter() *atomic.Int64 {
 	return &l.udfSteps
 }
 
-// FFIObserve records one UDF boundary crossing: the query-level FFI
-// totals and the per-UDF attribution row.
-func (l *ResourceLedger) FFIObserve(udf string, inRows, outRows int, wall, wrap time.Duration) {
+// UDFObserve records one UDF's usage by one plan execution — the Stats
+// of the per-query clone the query ran on, read when the clone is
+// absorbed — into the query-level FFI totals and the per-UDF row. The
+// absorbed clones are the only attribution source, so the rows are
+// exact however many queries share the engine.
+func (l *ResourceLedger) UDFObserve(udf string, calls, inRows, outRows, wallNanos, wrapNanos int64) {
 	if l == nil {
 		return
 	}
-	l.ffiCalls.Add(1)
-	l.ffiRowsIn.Add(int64(inRows))
-	l.ffiRowsOut.Add(int64(outRows))
-	l.ffiWallNanos.Add(wall.Nanoseconds())
-	l.ffiWrapNanos.Add(wrap.Nanoseconds())
+	l.ffiCalls.Add(calls)
+	l.ffiRowsIn.Add(inRows)
+	l.ffiRowsOut.Add(outRows)
+	l.ffiWallNanos.Add(wallNanos)
+	l.ffiWrapNanos.Add(wrapNanos)
 	l.mu.Lock()
 	u := l.udfs[udf]
 	if u == nil {
 		u = &ledgerUDF{}
 		l.udfs[udf] = u
 	}
-	u.calls++
-	u.rowsIn += int64(inRows)
-	u.rowsOut += int64(outRows)
-	u.wallNanos += wall.Nanoseconds()
-	u.wrapNanos += wrap.Nanoseconds()
+	u.calls += calls
+	u.rowsIn += inRows
+	u.rowsOut += outRows
+	u.wallNanos += wallNanos
+	u.wrapNanos += wrapNanos
 	l.mu.Unlock()
-}
-
-// UDFFillMissing records a UDF's whole-query usage, but only when the
-// live boundary threading recorded nothing for it. The fused vector
-// paths attribute exactly per crossing (FFIObserve); the per-row scalar
-// invoker paths are instead attributed at query end from the catalog
-// Stats delta — this is their entry point, and the no-overwrite rule
-// keeps the two sources from double counting. Call-site note: catalog
-// deltas are per-engine, so this attribution is approximate when
-// concurrent queries share one engine.
-func (l *ResourceLedger) UDFFillMissing(name string, calls, inRows, outRows, wallNanos, wrapNanos int64) {
-	if l == nil {
-		return
-	}
-	l.mu.Lock()
-	if _, seen := l.udfs[name]; seen {
-		l.mu.Unlock()
-		return
-	}
-	l.udfs[name] = &ledgerUDF{
-		calls: calls, rowsIn: inRows, rowsOut: outRows,
-		wallNanos: wallNanos, wrapNanos: wrapNanos,
-	}
-	l.mu.Unlock()
-	l.ffiCalls.Add(calls)
-	l.ffiRowsIn.Add(inRows)
-	l.ffiRowsOut.Add(outRows)
-	l.ffiWallNanos.Add(wallNanos)
-	l.ffiWrapNanos.Add(wrapNanos)
 }
 
 // OpObserve records one plan-operator execution (rows out, inclusive

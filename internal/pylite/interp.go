@@ -107,14 +107,14 @@ type Interp struct {
 	// function is JIT-compiled. 0 disables the JIT.
 	HotThreshold int
 
-	// intr is the bound cancellation source (see BindInterrupt), shared
-	// with every Worker view so one query's deadline reaches all its
-	// workers.
-	intr *atomic.Pointer[interrupt]
+	// intr is the query this view executes for (see View): immutable, and
+	// nil on the root runtime, which no query executes on.
+	intr *Interrupt
 
-	// vmScratch is the argument-staging buffer for bytecode-VM calls.
-	// Interps are per-worker and VM callees cannot re-enter the VM
-	// (callable arguments bail), so reuse is safe.
+	// vmScratch is the argument-staging buffer for bytecode-VM calls. The
+	// VM only runs on a fused wrapper's clone, whose view belongs to one
+	// goroutine, and VM callees cannot re-enter the VM (callable
+	// arguments bail), so reuse is safe.
 	vmScratch []data.Value
 
 	Stats Stats
@@ -125,7 +125,6 @@ func NewInterp() *Interp {
 	it := &Interp{
 		Globals:  NewSharedEnv(nil),
 		builtins: Builtins(),
-		intr:     &atomic.Pointer[interrupt]{},
 	}
 	it.ctx = &Ctx{Call: func(fn data.Value, args []data.Value) (data.Value, error) {
 		return it.Call(fn, args)
@@ -136,25 +135,29 @@ func NewInterp() *Interp {
 // Ctx returns the callback context for builtins.
 func (it *Interp) Ctx() *Ctx { return it.ctx }
 
-// Worker returns a per-worker view of the runtime for parallel fused
-// execution: the view shares Globals (a shared Env — live UDF
-// definition may mutate it mid-query, see NewSharedEnv) and builtins
-// (read-only) and the JIT threshold, but accumulates its own Stats so
-// concurrent workers never contend on the parent's counters — and the
-// profiler can tell what each worker actually executed. Fold the
-// counters back with MergeStats at the barrier.
-func (it *Interp) Worker() *Interp {
+// View returns a view of the runtime executing for one query: it shares
+// Globals (a shared Env — live UDF definition may mutate it mid-query,
+// see NewSharedEnv), builtins (read-only) and the JIT threshold, polls
+// in at every statement, and accumulates its own Stats — so concurrent
+// queries and workers never contend on the root's counters, and the
+// profiler can tell what each view actually executed. Fold the counters
+// back with MergeStats when the view's work is done.
+func (it *Interp) View(in *Interrupt) *Interp {
 	w := &Interp{
 		Globals:      it.Globals,
 		builtins:     it.builtins,
 		HotThreshold: it.HotThreshold,
-		intr:         it.intr,
+		intr:         in,
 	}
 	w.ctx = &Ctx{Call: func(fn data.Value, args []data.Value) (data.Value, error) {
 		return w.Call(fn, args)
 	}}
 	return w
 }
+
+// Worker returns a per-worker view for parallel fused execution: a View
+// executing for the same query as it.
+func (it *Interp) Worker() *Interp { return it.View(it.intr) }
 
 // MergeStats folds a worker view's counters into this runtime's Stats.
 func (it *Interp) MergeStats(w *Interp) {

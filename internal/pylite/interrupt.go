@@ -32,56 +32,45 @@ func (e *InterruptError) Error() string {
 // Unwrap exposes the interrupt reason.
 func (e *InterruptError) Unwrap() error { return e.Cause }
 
-// interrupt is one bound cancellation source, shared (via the runtime's
-// atomic pointer) by every Worker view executing the same query.
-type interrupt struct {
+// Interrupt is one query's cancellation source, step budget and step
+// counter. It is immutable once built: a runtime view is constructed
+// with it (Interp.View) and every view executing the same query shares
+// it, so a query can only ever be stopped by its own context.
+type Interrupt struct {
 	done   <-chan struct{}
 	cause  func() error
 	budget *atomic.Int64 // remaining statement steps; nil = unlimited
 	steps  *atomic.Int64 // executed-statement counter (resource ledger); nil = uncounted
 }
 
-// BindInterrupt arms cancellation on this runtime and all its Worker
-// views: while bound, every interpreted statement and compiled loop
-// back-edge polls done and (when budget > 0) a shared step budget.
-// cause explains a done-closure (typically ctx.Err); it may be nil.
-//
-// The binding is connection-scoped like sqlite3_interrupt: one binding
-// at a time per runtime, so concurrent queries over one shared runtime
-// share the most recent binding. The returned release only clears its
-// own binding (compare-and-swap), so a stale release cannot clobber a
-// newer query's.
-func (it *Interp) BindInterrupt(done <-chan struct{}, cause func() error, budget int64) (release func()) {
-	return it.BindInterruptSteps(done, cause, budget, nil)
-}
-
-// BindInterruptSteps is BindInterrupt additionally binding a per-query
-// statement counter: while bound, every interpreted statement and
-// compiled back-edge adds one to steps — the UDF-CPU attribution the
-// resource ledger surfaces. A nil steps counts nothing.
-func (it *Interp) BindInterruptSteps(done <-chan struct{}, cause func() error, budget int64, steps *atomic.Int64) (release func()) {
-	in := &interrupt{done: done, cause: cause, steps: steps}
+// NewInterrupt builds a query's interrupt: every interpreted statement
+// and compiled loop back-edge of a view carrying it polls done, draws
+// from a budget of that many steps (budget <= 0 = unlimited) and adds
+// one to steps. cause explains a done-closure (typically ctx.Err); it
+// may be nil. With nothing to poll or count it returns nil, which a
+// view treats as "never interrupted".
+func NewInterrupt(done <-chan struct{}, cause func() error, budget int64, steps *atomic.Int64) *Interrupt {
+	if done == nil && budget <= 0 && steps == nil {
+		return nil
+	}
+	in := &Interrupt{done: done, cause: cause, steps: steps}
 	if budget > 0 {
 		in.budget = &atomic.Int64{}
 		in.budget.Store(budget)
 	}
-	it.intr.Store(in)
-	return func() { it.intr.CompareAndSwap(in, nil) }
+	return in
 }
 
 // checkIntr is the statement-level gate: fault hook, step budget, and
-// cancellation poll. When nothing is bound and no fault is armed it
-// costs two atomic loads.
+// cancellation poll. With no interrupt and no fault armed it costs one
+// atomic load and a nil check.
 func (it *Interp) checkIntr() error {
 	if faultinject.Armed() {
 		if err := faultinject.Fire(FaultStep); err != nil {
 			return err
 		}
 	}
-	if it.intr == nil {
-		return nil
-	}
-	in := it.intr.Load()
+	in := it.intr
 	if in == nil {
 		return nil
 	}

@@ -3,6 +3,7 @@ package pylite
 import (
 	"context"
 	"errors"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -23,7 +24,9 @@ def spin(n):
     return i
 `
 
-func runSpin(t *testing.T, hot int, bind func(*Interp) func()) (data.Value, error) {
+// runSpin runs the runaway loop on a view of a fresh runtime built with
+// the given interrupt — what a query does.
+func runSpin(t *testing.T, hot int, in *Interrupt) (data.Value, error) {
 	t.Helper()
 	it := NewInterp()
 	it.HotThreshold = hot
@@ -39,16 +42,12 @@ func runSpin(t *testing.T, hot int, bind func(*Interp) func()) (data.Value, erro
 			}
 		}
 	}
-	release := bind(it)
-	defer release()
-	return it.Call(fn, []data.Value{data.Int(1 << 40)})
+	return it.View(in).Call(fn, []data.Value{data.Int(1 << 40)})
 }
 
 func TestStepBudgetStopsRunawayLoop(t *testing.T) {
 	for _, hot := range []int{0, 2} { // interpreter and compiled tiers
-		_, err := runSpin(t, hot, func(it *Interp) func() {
-			return it.BindInterrupt(nil, nil, 10_000)
-		})
+		_, err := runSpin(t, hot, NewInterrupt(nil, nil, 10_000, nil))
 		var ie *InterruptError
 		if !errors.As(err, &ie) || !errors.Is(err, ErrStepBudget) {
 			t.Fatalf("hot=%d: want InterruptError{ErrStepBudget}, got %v", hot, err)
@@ -67,9 +66,7 @@ func TestCancellationStopsRunawayLoop(t *testing.T) {
 		var err error
 		go func() {
 			defer close(done)
-			res, err = runSpin(t, hot, func(it *Interp) func() {
-				return it.BindInterrupt(ctx.Done(), ctx.Err, 0)
-			})
+			res, err = runSpin(t, hot, NewInterrupt(ctx.Done(), ctx.Err, 0, nil))
 		}()
 		time.Sleep(10 * time.Millisecond)
 		cancel()
@@ -87,25 +84,42 @@ func TestCancellationStopsRunawayLoop(t *testing.T) {
 func TestExceptCannotSwallowInterrupt(t *testing.T) {
 	// The bare except in loopSrc returns -1 when it catches anything; a
 	// budget interrupt must propagate as an error instead.
-	res, err := runSpin(t, 0, func(it *Interp) func() {
-		return it.BindInterrupt(nil, nil, 500)
-	})
+	res, err := runSpin(t, 0, NewInterrupt(nil, nil, 500, nil))
 	if err == nil {
 		t.Fatalf("except swallowed the interrupt: res=%v", res)
 	}
 }
 
-func TestReleaseIsCASScoped(t *testing.T) {
+// TestViewsDoNotShareInterrupts is the ownership rule: a view polls the
+// interrupt it was built with and nothing else, so one query's expired
+// budget (or closed context) cannot stop another query on the same
+// runtime, and the root runtime is never interruptible.
+func TestViewsDoNotShareInterrupts(t *testing.T) {
 	it := NewInterp()
-	rel1 := it.BindInterrupt(nil, nil, 1)
-	rel2 := it.BindInterrupt(nil, nil, 0) // newer query rebinds
-	rel1()                                // stale release must not clobber rel2's binding
-	if it.intr.Load() == nil {
-		t.Fatal("stale release cleared the newer binding")
+	if err := it.Exec(loopSrc); err != nil {
+		t.Fatal(err)
 	}
-	rel2()
-	if it.intr.Load() != nil {
-		t.Fatal("release did not clear its own binding")
+	fn, _ := it.Global("spin")
+	var steps atomic.Int64
+	spent := it.View(NewInterrupt(nil, nil, 1, &steps))
+	if _, err := spent.Call(fn, []data.Value{data.Int(100)}); !errors.Is(err, ErrStepBudget) {
+		t.Fatalf("budget of 1 did not stop the loop: %v", err)
+	}
+	if steps.Load() == 0 {
+		t.Fatal("view did not count its steps")
+	}
+	before := steps.Load()
+	for _, other := range []*Interp{it, it.View(nil), it.View(NewInterrupt(nil, nil, 10_000, nil))} {
+		v, err := other.Call(fn, []data.Value{data.Int(100)})
+		if err != nil || v.I != 100 {
+			t.Fatalf("another view was stopped by a foreign interrupt: %v %v", v, err)
+		}
+	}
+	if steps.Load() != before {
+		t.Fatal("another view's steps were charged to this query's counter")
+	}
+	if NewInterrupt(nil, nil, 0, nil) != nil {
+		t.Fatal("an interrupt with nothing to poll should be nil")
 	}
 }
 
@@ -114,9 +128,7 @@ func TestWorkerSharesInterrupt(t *testing.T) {
 	if err := it.Exec(loopSrc); err != nil {
 		t.Fatal(err)
 	}
-	release := it.BindInterrupt(nil, nil, 100)
-	defer release()
-	w := it.Worker()
+	w := it.View(NewInterrupt(nil, nil, 100, nil)).Worker()
 	fn, _ := w.Global("spin")
 	_, err := w.Call(fn, []data.Value{data.Int(1 << 40)})
 	if !errors.Is(err, ErrStepBudget) {

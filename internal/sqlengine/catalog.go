@@ -23,6 +23,9 @@ type Catalog struct {
 	mu     sync.RWMutex
 	tables map[string]*data.Table
 	udfs   map[string]*ffi.UDF
+	// dml serializes DML statements: INSERT and UPDATE write a table's
+	// column storage in place, so two writers must not overlap.
+	dml sync.Mutex
 
 	// epoch counts catalog generations (see Epoch/BumpEpoch).
 	epoch atomic.Int64

@@ -1,6 +1,7 @@
 package sqlengine
 
 import (
+	"context"
 	"fmt"
 
 	"qfusor/internal/data"
@@ -9,10 +10,22 @@ import (
 // Exec runs a DDL or DML statement (CREATE TABLE, INSERT, UPDATE,
 // DELETE). UDFs are fully supported in DML expressions and predicates —
 // the capability the paper notes is missing from SOTA comparators
-// (§4.2.5); QFusor's fusion applies to these plans too.
+// (§4.2.5); QFusor's fusion applies to these plans too. QueryCtx runs
+// the same statements under its caller's context.
 func (e *Engine) Exec(sql string) error {
 	st, err := ParseSQL(sql)
 	if err != nil {
+		return err
+	}
+	return e.execStmt(context.Background(), st)
+}
+
+// execStmt runs a parsed DDL or DML statement under ctx: like a query,
+// it executes its UDFs on its own clones (see statement), so the
+// caller's deadline or cancel, the step budget and the ledger on ctx
+// all reach a UDF inside INSERT … SELECT, UPDATE and DELETE.
+func (e *Engine) execStmt(ctx context.Context, st Statement) error {
+	if err := ctx.Err(); err != nil {
 		return err
 	}
 	switch s := st.(type) {
@@ -20,11 +33,11 @@ func (e *Engine) Exec(sql string) error {
 		e.Catalog.PutTable(data.NewTable(s.Name, s.Schema))
 		return nil
 	case *InsertStmt:
-		return e.execInsert(s)
+		return e.execInsert(ctx, s)
 	case *UpdateStmt:
-		return e.ExecUpdate(s)
+		return e.execUpdate(ctx, s)
 	case *DeleteStmt:
-		return e.execDelete(s)
+		return e.execDelete(ctx, s)
 	case *SelectStmt:
 		_, err := e.PlanQuery(s)
 		if err != nil {
@@ -35,7 +48,9 @@ func (e *Engine) Exec(sql string) error {
 	return fmt.Errorf("sql: unsupported statement %T", st)
 }
 
-func (e *Engine) execInsert(s *InsertStmt) error {
+func (e *Engine) execInsert(ctx context.Context, s *InsertStmt) error {
+	e.Catalog.dml.Lock()
+	defer e.Catalog.dml.Unlock()
 	t, ok := e.Catalog.Table(s.Table)
 	if !ok {
 		return errNoSuchTable(s.Table)
@@ -49,7 +64,7 @@ func (e *Engine) execInsert(s *InsertStmt) error {
 		if err != nil {
 			return err
 		}
-		res, err := e.Execute(q)
+		res, err := e.ExecuteCtx(ctx, q)
 		if err != nil {
 			return err
 		}
@@ -64,7 +79,15 @@ func (e *Engine) execInsert(s *InsertStmt) error {
 		}
 		return nil
 	}
-	for _, row := range s.Rows {
+	_, err := e.statement(ctx, nil, func(qe *Engine) error {
+		return qe.insertValues(t, s.Rows)
+	})
+	return err
+}
+
+// insertValues evaluates INSERT … VALUES rows and appends them to t.
+func (e *Engine) insertValues(t *data.Table, rows [][]SQLExpr) error {
+	for _, row := range rows {
 		if len(row) != len(t.Cols) {
 			return fmt.Errorf("sql: INSERT arity mismatch: %d values for %d columns", len(row), len(t.Cols))
 		}
@@ -86,6 +109,12 @@ func (e *Engine) execInsert(s *InsertStmt) error {
 // ExecUpdate applies an UPDATE (exposed separately so QFusor can rewrite
 // the SET/WHERE expressions before execution).
 func (e *Engine) ExecUpdate(s *UpdateStmt) error {
+	return e.execUpdate(context.Background(), s)
+}
+
+func (e *Engine) execUpdate(ctx context.Context, s *UpdateStmt) error {
+	e.Catalog.dml.Lock()
+	defer e.Catalog.dml.Unlock()
 	t, ok := e.Catalog.Table(s.Table)
 	if !ok {
 		return errNoSuchTable(s.Table)
@@ -119,6 +148,15 @@ func (e *Engine) ExecUpdate(s *UpdateStmt) error {
 		}
 	}
 
+	_, err := e.statement(ctx, nil, func(qe *Engine) error {
+		return qe.updateRows(t, colIdx, exprs, where)
+	})
+	return err
+}
+
+// updateRows evaluates a bound UPDATE over t and writes the new cells
+// back in place.
+func (e *Engine) updateRows(t *data.Table, colIdx []int, exprs []SQLExpr, where SQLExpr) error {
 	ch := t.Chunk()
 	n := ch.NumRows()
 	var keep []bool
@@ -169,7 +207,9 @@ func (e *Engine) ExecUpdate(s *UpdateStmt) error {
 	return nil
 }
 
-func (e *Engine) execDelete(s *DeleteStmt) error {
+func (e *Engine) execDelete(ctx context.Context, s *DeleteStmt) error {
+	e.Catalog.dml.Lock()
+	defer e.Catalog.dml.Unlock()
 	t, ok := e.Catalog.Table(s.Table)
 	if !ok {
 		return errNoSuchTable(s.Table)
@@ -187,7 +227,11 @@ func (e *Engine) execDelete(s *DeleteStmt) error {
 	}
 	ch := t.Chunk()
 	n := ch.NumRows()
-	drop, err := e.evalBoolVec(where, ch)
+	var drop []bool
+	_, err := e.statement(ctx, nil, func(qe *Engine) (err error) {
+		drop, err = qe.evalBoolVec(where, ch)
+		return err
+	})
 	if err != nil {
 		return err
 	}

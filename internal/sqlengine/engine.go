@@ -5,11 +5,13 @@ import (
 	"fmt"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"qfusor/internal/data"
 	"qfusor/internal/ffi"
 	"qfusor/internal/obs"
+	"qfusor/internal/pylite"
 )
 
 // Engine-wide execution metrics (obs.Default).
@@ -66,6 +68,15 @@ type Engine struct {
 	// ModeChunked still follows ChunkSize so operator boundaries stay
 	// aligned with the pipeline's vector size.
 	MorselSize int
+	// stepBudget caps the PyLite statements one statement may execute
+	// before it is interrupted (runaway-UDF guard, fixed by New). 0 = no
+	// cap.
+	stepBudget int64
+
+	// q is the running statement's state. It is nil on the shared engine
+	// and set on the view a statement executes on (see statement), which
+	// is how the expression evaluators — they take no execCtx — reach it.
+	q *execCtx
 
 	// statsMu guards lastStats: concurrent queries on one engine each
 	// write it, so access goes through LastStats().
@@ -81,7 +92,9 @@ type ExecStats struct {
 }
 
 // New creates an engine with the given execution model and transport.
-func New(name string, mode ExecMode, inv ffi.Invoker) *Engine {
+// stepBudget caps the PyLite statements one statement's UDFs may
+// execute before it is interrupted (0 = no cap).
+func New(name string, mode ExecMode, inv ffi.Invoker, stepBudget int64) *Engine {
 	return &Engine{
 		Name:        name,
 		Catalog:     NewCatalog(),
@@ -89,6 +102,7 @@ func New(name string, mode ExecMode, inv ffi.Invoker) *Engine {
 		Mode:        mode,
 		ChunkSize:   2048,
 		Parallelism: 0, // auto: runtime.GOMAXPROCS(0) workers (see Workers)
+		stepBudget:  stepBudget,
 	}
 }
 
@@ -117,6 +131,7 @@ func (e *Engine) View(parallelism, morsel int) *Engine {
 		ChunkSize:   e.ChunkSize,
 		Parallelism: parallelism,
 		MorselSize:  morsel,
+		stepBudget:  e.stepBudget,
 	}
 }
 
@@ -127,9 +142,10 @@ func (e *Engine) Query(sql string) (*data.Table, error) {
 }
 
 // QueryCtx is Query under a context: cancellation or deadline expiry
-// stops execution between plan operators, between morsels, and (for
-// UDF-bearing queries whose runtime is interrupt-bound) between PyLite
-// statements, returning ctx.Err in the chain.
+// stops execution between plan operators, between morsels, and between
+// PyLite statements (every UDF runs on a clone bound to this statement's
+// context, see execCtx), returning ctx.Err in the chain. A DDL or DML
+// statement runs under the same context (see Exec).
 func (e *Engine) QueryCtx(ctx context.Context, sql string) (*data.Table, error) {
 	st, err := ParseSQL(sql)
 	if err != nil {
@@ -157,7 +173,7 @@ func (e *Engine) QueryCtx(ctx context.Context, sql string) (*data.Table, error) 
 		}
 		return t, nil
 	default:
-		if err := e.Exec(sql); err != nil {
+		if err := e.execStmt(ctx, st); err != nil {
 			return nil, err
 		}
 		return data.NewTable("ok", data.Schema{}), nil
@@ -208,33 +224,57 @@ func (e *Engine) Plan(sql string) (*Query, error) {
 
 // Execute runs an optimized query through the configured executor.
 func (e *Engine) Execute(q *Query) (*data.Table, error) {
-	return e.ExecuteTraced(q, nil)
+	return e.ExecuteCtx(context.Background(), q)
 }
 
 // ExecuteCtx runs an optimized query under a context (see QueryCtx).
 func (e *Engine) ExecuteCtx(ctx context.Context, q *Query) (*data.Table, error) {
-	return e.ExecuteTracedCtx(ctx, q, nil)
+	t, _, err := e.ExecuteTracedCtx(ctx, q, nil)
+	return t, err
 }
 
-// ExecuteTraced runs an optimized query, hanging one span per plan
-// operator (rows in/out, wall time) off root when a tracer is attached.
-// A nil root is the zero-overhead fast path Execute takes.
-func (e *Engine) ExecuteTraced(q *Query, root *obs.Span) (*data.Table, error) {
-	return e.ExecuteTracedCtx(context.Background(), q, root)
-}
-
-// ExecuteTracedCtx is ExecuteTraced under a context: the context is
-// checked at every plan-operator entry, every morsel claim, and (for
-// the row executor) every few hundred rows, so cancellation lands
-// within one morsel/step budget rather than at query end.
-func (e *Engine) ExecuteTracedCtx(ctx context.Context, q *Query, root *obs.Span) (*data.Table, error) {
+// ExecuteTracedCtx runs an optimized query under a context, hanging one
+// span per plan operator (rows in/out, wall time) off root when a tracer
+// is attached; a nil root is the zero-overhead fast path Execute takes.
+// The context is checked at every plan-operator entry, every morsel
+// claim, every PyLite statement and (for the row executor) every few
+// hundred rows, so cancellation lands within one morsel/step budget
+// rather than at query end. used is the exact per-UDF work of this
+// execution — partial work included when err is non-nil.
+func (e *Engine) ExecuteTracedCtx(ctx context.Context, q *Query, root *obs.Span) (*data.Table, []ffi.Usage, error) {
 	start := time.Now()
-	ectx := newExecCtx(e)
-	if ctx != nil {
-		ectx.ctx = ctx
-		ectx.led = obs.LedgerFromContext(ctx)
+	var ch *data.Chunk
+	used, err := e.statement(ctx, root, func(qe *Engine) (err error) {
+		ch, err = qe.execQuery(q)
+		return err
+	})
+	if err != nil {
+		return nil, used, err
 	}
-	ectx.span = root
+	execTime := time.Since(start)
+	mQueries.Inc()
+	mRowsOut.Add(int64(ch.NumRows()))
+	mExecNanos.Observe(float64(execTime.Nanoseconds()))
+	e.statsMu.Lock()
+	e.lastStats.ExecTime = execTime
+	e.lastStats.Rows = ch.NumRows()
+	e.statsMu.Unlock()
+	out := data.FromChunk("result", ch)
+	out.Schema = q.Root.Schema
+	for i, c := range out.Cols {
+		if i < len(q.Root.Schema) {
+			c.Name = q.Root.Schema[i].Name
+		}
+	}
+	return out, used, nil
+}
+
+// execQuery runs a query's CTEs and root plan on the statement's view.
+func (e *Engine) execQuery(q *Query) (*data.Chunk, error) {
+	ectx, root := e.q, e.q.span
+	if len(q.CTEs) > 0 {
+		ectx.ctes = make(map[string]*data.Chunk, len(q.CTEs))
+	}
 	for _, cte := range q.CTEs {
 		sp := root.Child("cte:" + cte.Name)
 		ectx.span = sp
@@ -251,23 +291,8 @@ func (e *Engine) ExecuteTracedCtx(ctx context.Context, q *Query, root *obs.Span)
 	if err != nil {
 		return nil, err
 	}
-	execTime := time.Since(start)
-	mQueries.Inc()
-	mRowsOut.Add(int64(ch.NumRows()))
 	ectx.led.AddRowsOut(ch.NumRows())
-	mExecNanos.Observe(float64(execTime.Nanoseconds()))
-	e.statsMu.Lock()
-	e.lastStats.ExecTime = execTime
-	e.lastStats.Rows = ch.NumRows()
-	e.statsMu.Unlock()
-	out := data.FromChunk("result", ch)
-	out.Schema = q.Root.Schema
-	for i, c := range out.Cols {
-		if i < len(q.Root.Schema) {
-			c.Name = q.Root.Schema[i].Name
-		}
-	}
-	return out, nil
+	return ch, nil
 }
 
 // execPlan runs one plan node through the physical executor for this
@@ -358,24 +383,137 @@ func (e *Engine) execPlanNode(p *Plan, ectx *execCtx) (*data.Chunk, error) {
 	}
 }
 
-// execCtx carries per-query execution state.
+// execCtx is the one object that carries a running statement's state:
+// the executors' bookkeeping (CTE results, cancellation context, current
+// span, resource ledger) and the statement's UDF state. Every UDF the
+// statement touches executes on a per-query clone (ffi.UDF.QueryClone):
+// the clone's interpreter view is constructed with this statement's
+// context, step budget and step counter, it carries the statement's
+// ledger, and its Stats count this statement's work only. Morsel workers
+// clone from the query's clone. The catalog's UDFs and the registry's
+// root runtime are never executed on, so concurrent statements share no
+// mutable UDF state, and close() yields exact per-UDF attribution at a
+// cost that depends on the UDFs the statement touched, not on the size
+// of the catalog.
 type execCtx struct {
-	eng  *Engine
+	// ctes holds the materialized CTEs of a query (nil without CTEs).
 	ctes map[string]*data.Chunk
-	// ctx is the query's cancellation context; never nil (Background for
-	// the non-context entry points).
+	// ctx is the statement's cancellation context; never nil (Background
+	// for the non-context entry points).
 	ctx context.Context
 	// span is the current parent span when the query is traced (nil
 	// otherwise). Child plan nodes execute sequentially, so execPlan may
 	// swap it in place while descending.
 	span *obs.Span
-	// led is the query's resource ledger (nil when the query runs
+	// led is the statement's resource ledger (nil when it runs
 	// unaccounted — every hook is nil-safe).
 	led *obs.ResourceLedger
+	// budget is the engine's UDF step budget, drawn on by all clones.
+	budget int64
+
+	// clones is copy-on-write: the row executor resolves a UDF per row,
+	// from every morsel worker, so a hit reads the current list without a
+	// lock; mu serializes the derivation of a new clone.
+	clones atomic.Pointer[[]scopedUDF]
+	mu     sync.Mutex
+	intr   *pylite.Interrupt // built with the first clone
 }
 
-func newExecCtx(e *Engine) *execCtx {
-	return &execCtx{eng: e, ctes: make(map[string]*data.Chunk), ctx: context.Background()}
+// scopedUDF pairs a catalog UDF with this statement's clone of it.
+type scopedUDF struct{ src, clone *ffi.UDF }
+
+// statement runs fn as one statement of the engine, on a per-query view:
+// the engine's settings plus a fresh execCtx. It is the only place a
+// view gets its execCtx and the only way into execPlan and the
+// expression evaluators — queries and DML alike — so no UDF is ever
+// resolved outside a statement. When fn returns, the statement's clones
+// are absorbed and their Stats returned (see close).
+func (e *Engine) statement(ctx context.Context, root *obs.Span, fn func(qe *Engine) error) (used []ffi.Usage, err error) {
+	if ctx == nil {
+		ctx = context.Background()
+	}
+	qe := e.View(0, 0)
+	qe.q = &execCtx{ctx: ctx, span: root, led: obs.LedgerFromContext(ctx), budget: e.stepBudget}
+	defer func() { used = qe.q.close() }()
+	return nil, fn(qe)
+}
+
+// lookup returns the statement's clone of u, or nil before first touch.
+func (q *execCtx) lookup(u *ffi.UDF) *ffi.UDF {
+	if p := q.clones.Load(); p != nil {
+		for _, c := range *p {
+			if c.src == u {
+				return c.clone
+			}
+		}
+	}
+	return nil
+}
+
+// clone returns the statement's clone of catalog UDF u, deriving it on
+// first touch.
+func (q *execCtx) clone(u *ffi.UDF) *ffi.UDF {
+	if c := q.lookup(u); c != nil {
+		return c
+	}
+	q.mu.Lock()
+	defer q.mu.Unlock()
+	if c := q.lookup(u); c != nil {
+		return c
+	}
+	var have []scopedUDF
+	if p := q.clones.Load(); p != nil {
+		have = *p
+	} else {
+		ctx := q.ctx
+		q.intr = pylite.NewInterrupt(ctx.Done(), func() error { return context.Cause(ctx) },
+			q.budget, q.led.StepCounter())
+	}
+	c := u.QueryClone(q.intr, q.led)
+	next := append(have[:len(have):len(have)], scopedUDF{u, c})
+	q.clones.Store(&next)
+	return c
+}
+
+// close ends the statement: each clone is absorbed into its catalog UDF
+// (the cost model and the drift loop keep learning) and its Stats become
+// the statement's usage of that UDF — the ledger's UDF rows and the
+// returned list.
+func (q *execCtx) close() []ffi.Usage {
+	p := q.clones.Load()
+	if p == nil {
+		return nil
+	}
+	var used []ffi.Usage
+	for _, c := range *p {
+		c.src.AbsorbWorker(c.clone)
+		st := c.clone.Stats.Snapshot()
+		if st.IsZero() {
+			continue
+		}
+		q.led.UDFObserve(c.src.Name, st.Calls, st.InRows, st.OutRows, st.WallNanos, st.WrapNanos)
+		used = append(used, ffi.Usage{Name: c.src.Name, Fused: c.src.Fused, StatsSnapshot: st})
+	}
+	return used
+}
+
+// udf resolves a function name to the running statement's clone of the
+// catalog UDF. A statement resolves a name once: every later call of
+// that name runs the same definition, even when the UDF is redefined
+// meanwhile (and the per-row lookup never touches the catalog's lock).
+func (e *Engine) udf(name string) (*ffi.UDF, bool) {
+	if p := e.q.clones.Load(); p != nil {
+		for _, c := range *p {
+			if strings.EqualFold(c.src.Name, name) {
+				return c.clone, true
+			}
+		}
+	}
+	u, ok := e.Catalog.UDF(name)
+	if !ok {
+		return nil, false
+	}
+	return e.q.clone(u), true
 }
 
 // callScalarUDFRow invokes a scalar UDF for a single row through the

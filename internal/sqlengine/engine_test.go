@@ -13,7 +13,7 @@ import (
 // newTestEngine builds an engine with a small dataset and a few UDFs.
 func newTestEngine(t *testing.T, mode sqlengine.ExecMode, inv ffi.Invoker) *sqlengine.Engine {
 	t.Helper()
-	eng := sqlengine.New("test", mode, inv)
+	eng := sqlengine.New("test", mode, inv, 0)
 
 	people := data.NewTable("people", data.Schema{
 		{Name: "id", Kind: data.KindInt},
@@ -396,4 +396,47 @@ func indexOf(s, sub string) int {
 		}
 	}
 	return -1
+}
+
+// TestStatementResolvesUDFNameOnce: a statement runs one definition of
+// a UDF. ver is redefined (by redef's side effect) between the
+// evaluation of the first and the third output column; both must still
+// come from the definition the statement resolved first, and the next
+// statement sees the new one.
+func TestStatementResolvesUDFNameOnce(t *testing.T) {
+	for _, mode := range []sqlengine.ExecMode{sqlengine.ModeColumnar, sqlengine.ModeRow} {
+		inv := ffi.Invoker(ffi.VectorInvoker{})
+		if mode == sqlengine.ModeRow {
+			inv = ffi.TupleInvoker{}
+		}
+		eng := sqlengine.New("pin", mode, inv, 0)
+		tb := data.NewTable("t", data.Schema{{Name: "x", Kind: data.KindInt}, {Name: "y", Kind: data.KindInt}})
+		for i := int64(0); i < 4; i++ {
+			_ = tb.AppendRow(data.Int(i), data.Int(i))
+		}
+		eng.Catalog.PutTable(tb)
+		ver := func(v int64) *ffi.UDF {
+			return &ffi.UDF{Name: "ver", Kind: ffi.Scalar, InKinds: []data.Kind{data.KindInt}, OutKinds: []data.Kind{data.KindInt},
+				GoFn: func([]data.Value) (data.Value, error) { return data.Int(v), nil }}
+		}
+		eng.Catalog.PutUDF(ver(1))
+		eng.Catalog.PutUDF(&ffi.UDF{Name: "redef", Kind: ffi.Scalar, InKinds: []data.Kind{data.KindInt}, OutKinds: []data.Kind{data.KindInt},
+			GoFn: func(a []data.Value) (data.Value, error) { eng.Catalog.PutUDF(ver(2)); return a[0], nil }})
+		res, err := eng.Query("SELECT ver(x) AS a, redef(x) AS r, ver(y) AS b FROM t")
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := 0; i < res.NumRows(); i++ {
+			if a, b := res.Cols[0].Get(i).I, res.Cols[2].Get(i).I; a != 1 || b != 1 {
+				t.Fatalf("%v row %d: ver = %d then %d within one statement, want 1 and 1", mode, i, a, b)
+			}
+		}
+		res, err = eng.Query("SELECT ver(x) AS a FROM t")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := res.Cols[0].Get(0).I; got != 2 {
+			t.Fatalf("%v: next statement ran ver = %d, want the redefinition (2)", mode, got)
+		}
+	}
 }

@@ -124,7 +124,7 @@ func (e *Engine) execColumnar(p *Plan, ectx *execCtx) (*data.Chunk, error) {
 			}
 			extra[i] = v
 		}
-		out, err := e.Invoker.CallTable(p.UDF, in, extra)
+		out, err := e.Invoker.CallTable(ectx.clone(p.UDF), in, extra)
 		if err != nil {
 			return nil, err
 		}
@@ -223,7 +223,7 @@ func (e *Engine) expandChunk(p *Plan, in *data.Chunk) (*data.Chunk, error) {
 		}
 		argCols[i] = in.Cols[cr.Index]
 	}
-	perRow, err := e.Invoker.CallExpand(p.UDF, argCols, n)
+	perRow, err := e.Invoker.CallExpand(e.q.clone(p.UDF), argCols, n)
 	if err != nil {
 		return nil, err
 	}
@@ -794,7 +794,7 @@ func (e *Engine) aggregateChunk(p *Plan, in *data.Chunk, ectx *execCtx) (*data.C
 				}
 				argCols[i] = ffi.UnboxValues(fmt.Sprintf("a%d", i), kind, vals)
 			}
-			results, err = e.Invoker.CallAggregate(spec.UDF, argCols, n, groupIDs, g)
+			results, err = e.Invoker.CallAggregate(ectx.clone(spec.UDF), argCols, n, groupIDs, g)
 			if err != nil {
 				return nil, err
 			}

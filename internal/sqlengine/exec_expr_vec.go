@@ -306,7 +306,7 @@ func (e *Engine) evalVecNode(x SQLExpr, ch *data.Chunk, memo vecMemo) ([]data.Va
 		}
 		return out, nil
 	case *FuncExpr:
-		if u, ok := e.Catalog.UDF(ex.Name); ok && u.Kind == ffi.Scalar {
+		if u, ok := e.udf(ex.Name); ok && u.Kind == ffi.Scalar {
 			return e.evalScalarUDFVec(u, ex, ch, memo)
 		}
 		// Native scalar: vector args, row-native application.

@@ -14,8 +14,8 @@ const (
 	// OpFused runs a fused wrapper UDF over its child's columns; it may
 	// change cardinality (offloaded filters/expands/distinct run inside).
 	OpFused PlanOp = 100 + iota
-	// OpFusedAgg computes group ids engine-side (the exported internal
-	// group-by) and folds a fused aggregating wrapper per group.
+	// OpFusedAgg runs a fused aggregating wrapper: its compiled trace
+	// groups (the exported internal group-by) and folds per group.
 	OpFusedAgg
 )
 
@@ -49,8 +49,11 @@ func (e *Engine) runFusedAsTable(p *Plan, in *data.Chunk, ectx *execCtx) (*data.
 	return e.runFused(proxy, in, ectx)
 }
 
-// runFused applies the fused wrapper over a materialized input chunk.
+// runFused applies the fused wrapper over a materialized input chunk. It
+// runs on the query's clone of the wrapper (and, per morsel worker, on
+// clones of that clone) — never on the catalog's UDF.
 func (e *Engine) runFused(p *Plan, in *data.Chunk, ectx *execCtx) (*data.Chunk, error) {
+	u := ectx.clone(p.UDF)
 	n := in.NumRows()
 	args := make([]*data.Column, len(p.TFArgs))
 	for i, a := range p.TFArgs {
@@ -70,168 +73,59 @@ func (e *Engine) runFused(p *Plan, in *data.Chunk, ectx *execCtx) (*data.Chunk, 
 	}
 	if p.Op == OpFused {
 		if p.NoPartition {
-			cols, err := ffi.CallFusedVectorTo(ectx.led, p.UDF, args, n, names, kinds)
+			cols, err := ffi.CallFusedVector(u, args, n, names, kinds)
 			if err != nil {
 				return nil, err
 			}
 			return data.NewChunk(cols...), nil
 		}
 		// Stateless fused wrappers are embarrassingly parallel over row
-		// ranges (like the engine's own vectorized operators): each
-		// worker runs a UDF clone on its own interpreter view, so pylite
-		// execution never serializes on shared runtime state.
-		return e.runFusedMorsels(p.UDF, data.NewChunk(args...), n, names, kinds, ectx)
-	}
-	// OpFusedAgg with a compiled trace: grouping happens inside the
-	// trace (after fused filters) via the native group-by export.
-	if tr := p.UDF.Trace(); tr != nil {
-		// Decomposable aggregates (including avg and UDF aggregates with
-		// a merge hook) run as per-worker partial states over morsels,
-		// merged at the barrier.
-		if e.Workers() > 1 && !p.NoPartition && tr.PartialMergeable() && n >= minParallelRows {
-			return e.runTraceAggMorsels(p.UDF, tr, args, n, names, kinds, ectx)
-		}
-		cols, err := ffi.RunTraceAggTo(ectx.led, p.UDF, tr, args, n, names, kinds)
-		if err != nil {
-			return nil, err
-		}
-		return data.NewChunk(cols...), nil
-	}
-	// Legacy path (PyLite aggregate wrapper): engine-side grouping,
-	// fused fold. Only reachable for sections without fused filters.
-	nKeys := len(p.GroupBy)
-	groupIDs := make([]int, n)
-	var groupRows []int
-	if nKeys == 0 {
-		groupRows = []int{0}
-		if n == 0 {
-			groupRows = nil
-		}
-	} else {
-		keyVecs := make([][]data.Value, nKeys)
-		for i, k := range p.GroupBy {
-			v, err := e.evalVec(k, in)
+		// ranges (like the engine's own vectorized operators). One span is
+		// one clone of u (own pylite interpreter view, own Stats, folded
+		// back into u when the span is done) and one crossing; morselsFor
+		// is what keeps Parallelism 1 operator-at-a-time.
+		return e.runPartitioned(ectx, data.NewChunk(args...), n, func(part *data.Chunk) (*data.Chunk, error) {
+			cu := u.WorkerClone()
+			defer u.AbsorbWorker(cu)
+			cols, err := ffi.CallFusedVector(cu, part.Cols, part.NumRows(), names, kinds)
 			if err != nil {
 				return nil, err
 			}
-			keyVecs[i] = v
-		}
-		seen := make(map[string]int)
-		var kb []byte
-		for i := 0; i < n; i++ {
-			kb = appendVecKey(kb[:0], keyVecs, i)
-			k := string(kb)
-			gid, ok := seen[k]
-			if !ok {
-				gid = len(groupRows)
-				seen[k] = gid
-				groupRows = append(groupRows, i)
-			}
-			groupIDs[i] = gid
-		}
-		g := len(groupRows)
-		aggCols, err := ffi.CallFusedAggVectorTo(ectx.led, p.UDF, args, n, groupIDs, g,
-			names[nKeys:], kinds[nKeys:])
-		if err != nil {
-			return nil, err
-		}
-		out := data.EmptyChunk(p.Schema)
-		for ki := 0; ki < nKeys; ki++ {
-			for _, r := range groupRows {
-				out.Cols[ki].AppendValue(keyVecs[ki][r])
-			}
-		}
-		for i, c := range aggCols {
-			out.Cols[nKeys+i] = c
-			c.Name = p.Schema[nKeys+i].Name
-		}
-		return out, nil
+			return data.NewChunk(cols...), nil
+		})
 	}
-	g := len(groupRows)
-	if g == 0 {
-		g = 1
+	// OpFusedAgg: grouping happens inside the wrapper's compiled trace
+	// (after fused filters) via the native group-by export. The optimizer
+	// only emits the node for a traced wrapper (core/codegen.go).
+	tr := u.Trace()
+	if tr == nil {
+		return nil, fmt.Errorf("sql: aggregating fused wrapper %s has no compiled trace", u.Name)
 	}
-	aggCols, err := ffi.CallFusedAggVectorTo(ectx.led, p.UDF, args, n, groupIDs, g, names, kinds)
+	// Decomposable aggregates (including avg and UDF aggregates with a
+	// merge hook) run as per-worker partial states over morsels, merged
+	// at the barrier.
+	if e.Workers() > 1 && !p.NoPartition && tr.PartialMergeable() && n >= minParallelRows {
+		return e.runTraceAggMorsels(u, tr, args, n, names, kinds, ectx)
+	}
+	cols, err := ffi.RunTraceAgg(u, tr, args, n, names, kinds)
 	if err != nil {
 		return nil, err
 	}
-	return data.NewChunk(aggCols...), nil
+	return data.NewChunk(cols...), nil
 }
 
-// runFusedMorsels drives a stateless fused wrapper over morsels of the
-// argument chunk. Each worker lazily makes one UDF clone (own pylite
-// interpreter view, own Stats); after the barrier every clone's learned
-// statistics fold back into the parent so the cost model sees the
-// query's full activity, not the last worker's.
-func (e *Engine) runFusedMorsels(u *ffi.UDF, argChunk *data.Chunk, n int, names []string, kinds []data.Kind, ectx *execCtx) (*data.Chunk, error) {
-	spans := e.morselsFor(n)
-	if len(spans) == 1 && e.Workers() <= 1 {
-		cols, err := ffi.CallFusedVectorTo(ectx.led, u, argChunk.Cols, n, names, kinds)
-		if err != nil {
-			return nil, err
-		}
-		return data.NewChunk(cols...), nil
-	}
-	clones := make([]*ffi.UDF, e.Workers())
-	outs := make([]*data.Chunk, len(spans))
-	_, err := e.runMorsels(ectx, n, func(w, m, lo, hi int) error {
-		cu := clones[w]
-		if cu == nil {
-			cu = u.WorkerClone()
-			clones[w] = cu
-		}
-		part := argChunk.Slice(lo, hi)
-		cols, err := ffi.CallFusedVectorTo(ectx.led, cu, part.Cols, hi-lo, names, kinds)
-		if err != nil {
-			return err
-		}
-		outs[m] = data.NewChunk(cols...)
-		return nil
-	})
-	for _, cu := range clones {
-		u.AbsorbWorker(cu)
-	}
-	if err != nil {
-		return nil, err
-	}
-	if len(outs) == 1 {
-		return outs[0], nil
-	}
-	defer e.mergeTimer(ectx.span)()
-	merged := data.EmptyChunk(outs[0].Schema())
-	for _, o := range outs {
-		for i, c := range merged.Cols {
-			c.AppendColumn(o.Cols[i])
-		}
-	}
-	return merged, nil
-}
-
-// runTraceAggMorsels executes an aggregating trace as per-worker
-// partial group tables over morsels, merging the live states at the
-// barrier (partial aggregation + merge, §5.3.2 applied in parallel).
+// runTraceAggMorsels executes an aggregating trace as per-morsel partial
+// group tables (each on its own clone of u), merging the live states at
+// the barrier (partial aggregation + merge, §5.3.2 applied in parallel).
 func (e *Engine) runTraceAggMorsels(u *ffi.UDF, tr *ffi.Trace, args []*data.Column, n int, names []string, kinds []data.Kind, ectx *execCtx) (*data.Chunk, error) {
 	argChunk := data.NewChunk(args...)
-	spans := e.morselsFor(n)
-	clones := make([]*ffi.UDF, e.Workers())
-	parts := make([]*ffi.TraceAggPartial, len(spans))
-	_, err := e.runMorsels(ectx, n, func(w, m, lo, hi int) error {
-		cu := clones[w]
-		if cu == nil {
-			cu = u.WorkerClone()
-			clones[w] = cu
-		}
-		sub := argChunk.Slice(lo, hi)
-		pt, err := ffi.RunTraceAggPartialTo(ectx.led, cu, tr, sub.Cols, hi-lo)
-		if err != nil {
-			return err
-		}
-		parts[m] = pt
-		return nil
+	parts := make([]*ffi.TraceAggPartial, len(e.morselsFor(n)))
+	_, err := e.runMorsels(ectx, n, func(_, m, lo, hi int) (err error) {
+		cu := u.WorkerClone()
+		defer u.AbsorbWorker(cu)
+		parts[m], err = ffi.RunTraceAggPartial(cu, tr, argChunk.Slice(lo, hi).Cols, hi-lo)
+		return err
 	})
-	for _, cu := range clones {
-		u.AbsorbWorker(cu)
-	}
 	if err != nil {
 		return nil, err
 	}

@@ -178,7 +178,7 @@ func (e *Engine) execBlockingRow(p *Plan, ectx *execCtx) (*data.Chunk, error) {
 			}
 			extra[i] = v
 		}
-		out, err := e.Invoker.CallTable(p.UDF, in, extra)
+		out, err := e.Invoker.CallTable(ectx.clone(p.UDF), in, extra)
 		if err != nil {
 			return nil, err
 		}
@@ -316,7 +316,7 @@ func (it *expandIter) Next() ([]data.Value, bool, error) {
 			c.AppendValue(in[cr.Index])
 			args[i] = c
 		}
-		perRow, err := it.eng.Invoker.CallExpand(it.plan.UDF, args, 1)
+		perRow, err := it.eng.Invoker.CallExpand(it.eng.q.clone(it.plan.UDF), args, 1)
 		if err != nil {
 			return nil, false, err
 		}

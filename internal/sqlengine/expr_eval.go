@@ -382,7 +382,7 @@ func (e *Engine) evalRow(x SQLExpr, row []data.Value) (data.Value, error) {
 		return sqlBinOp("-", data.Int(0), v)
 	case *FuncExpr:
 		if e != nil {
-			if u, ok := e.Catalog.UDF(ex.Name); ok {
+			if u, ok := e.udf(ex.Name); ok {
 				args := make([]data.Value, len(ex.Args))
 				for i, a := range ex.Args {
 					v, err := e.evalRow(a, row)

@@ -17,7 +17,7 @@ import (
 
 func intProgEngine(t *testing.T) *sqlengine.Engine {
 	t.Helper()
-	eng := sqlengine.New("intprog", sqlengine.ModeColumnar, ffi.VectorInvoker{})
+	eng := sqlengine.New("intprog", sqlengine.ModeColumnar, ffi.VectorInvoker{}, 0)
 	tbl := data.NewTable("t", data.Schema{
 		{Name: "a", Kind: data.KindInt},
 		{Name: "b", Kind: data.KindInt},

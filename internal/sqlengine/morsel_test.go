@@ -59,7 +59,7 @@ func genMorselTable(name string, seed int64, rows int) *data.Table {
 // newMorselEngine builds an engine over two randomized tables at the
 // given parallelism.
 func newMorselEngine(mode sqlengine.ExecMode, par int, seed int64, rows int) *sqlengine.Engine {
-	eng := sqlengine.New("morsel-test", mode, ffi.VectorInvoker{})
+	eng := sqlengine.New("morsel-test", mode, ffi.VectorInvoker{}, 0)
 	eng.Parallelism = par
 	eng.Catalog.PutTable(genMorselTable("m", seed, rows))
 	eng.Catalog.PutTable(genMorselTable("d", seed+1000, rows/4))

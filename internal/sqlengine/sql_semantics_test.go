@@ -14,7 +14,7 @@ import (
 // plainEngine builds an engine without UDFs for semantics tests.
 func plainEngine(t *testing.T, mode sqlengine.ExecMode) *sqlengine.Engine {
 	t.Helper()
-	eng := sqlengine.New("sem", mode, ffi.VectorInvoker{})
+	eng := sqlengine.New("sem", mode, ffi.VectorInvoker{}, 0)
 	nums := data.NewTable("nums", data.Schema{
 		{Name: "i", Kind: data.KindInt},
 		{Name: "f", Kind: data.KindFloat},

@@ -155,9 +155,9 @@ func WithUDFTimeout(d time.Duration) Option {
 	return func(c *engines.Config) { c.UDFCallTimeout = d }
 }
 
-// WithStepBudget caps the number of PyLite statements a context-bound
-// query (QueryContext and friends) may execute before it is
-// interrupted — the runaway-UDF guard. 0 = unlimited.
+// WithStepBudget caps the number of PyLite statements one query or DML
+// statement may execute before it is interrupted — the runaway-UDF
+// guard. 0 = unlimited.
 func WithStepBudget(n int64) Option {
 	return func(c *engines.Config) { c.UDFStepBudget = n }
 }

@@ -17,7 +17,14 @@ fi
 GOMAXPROCS=8 go test -race ./...
 # Chaos sweep: fire every registered fault point and require graceful
 # degradation (native-identical result or typed QueryError, no crash).
-GOMAXPROCS=8 go test -race -count=1 -run 'Chaos|Fault|Breaker|Recover|Backoff|Interrupt|ProcessInvoker' ./...
+# The sweep also carries the concurrency differential (two callers on
+# one engine, every result native-identical, no foreign cancellation) at
+# its full count of overlapped executions per reproducer, and the
+# per-query attribution tests. QFUSOR_CONCURRENT_EXECS can be lowered for
+# fast local iteration (the plain `go test` default is 200); at 2 000 the
+# server package alone needs ~16 min under -race, hence the timeout.
+QFUSOR_CONCURRENT_EXECS="${QFUSOR_CONCURRENT_EXECS:-2000}" GOMAXPROCS=8 go test -race -count=1 -timeout 60m \
+    -run 'Chaos|Fault|Breaker|Recover|Backoff|Interrupt|ProcessInvoker|Concurrent|Attribution' ./...
 # Diagnostics-plane smoke: real HTTP against the embedded server —
 # /metrics must parse as Prometheus 0.0.4 with the required series,
 # /debug/queries must show the flight recorder, and a recorded trace
