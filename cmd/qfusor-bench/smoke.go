@@ -595,9 +595,9 @@ def fgain(x: float) -> float:
 	fmt.Fprintln(w, "inline-smoke: opaque fallback ok (loop-bearing UDF refused by the inliner, results native-identical)")
 
 	// The float UDF uses its argument twice, so the nested call inlines
-	// to a tree with a repeated non-int subtree — the shape the columnar
-	// CSE memo exists for. (All-int trees are claimed by the single-pass
-	// int-program path and never consult the memo.)
+	// to a tree with a repeated subtree — the shape the expression
+	// compiler shares one register for (engine_vec_cse_hits counts the
+	// evaluations that reuse avoids, per morsel, whatever the kinds).
 	const fsql = "SELECT n, fgain(fgain(f)) AS v FROM itbl ORDER BY n"
 	fgot, err := db.Query(fsql)
 	if err != nil {

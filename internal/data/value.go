@@ -9,6 +9,7 @@
 package data
 
 import (
+	"cmp"
 	"fmt"
 	"math"
 	"sort"
@@ -229,6 +230,10 @@ func (v Value) Truthy() bool {
 	}
 }
 
+// isInt reports whether v holds an int64 payload (ints, and bools as
+// 0/1): two such values compare exactly, not through float64.
+func (v Value) isInt() bool { return v.Kind == KindInt || v.Kind == KindBool }
+
 // AsFloat converts numeric values to float64.
 func (v Value) AsFloat() (float64, bool) {
 	switch v.Kind {
@@ -253,6 +258,9 @@ func (v Value) AsInt() (int64, bool) {
 
 // Equal reports deep equality with Python semantics (1 == 1.0 == True).
 func Equal(a, b Value) bool {
+	if a.isInt() && b.isInt() {
+		return a.I == b.I
+	}
 	af, aok := a.AsFloat()
 	bf, bok := b.AsFloat()
 	if aok && bok {
@@ -308,6 +316,9 @@ func Compare(a, b Value) (int, bool) {
 		default:
 			return 1, true
 		}
+	}
+	if a.isInt() && b.isInt() {
+		return cmp.Compare(a.I, b.I), true
 	}
 	af, aok := a.AsFloat()
 	bf, bok := b.AsFloat()

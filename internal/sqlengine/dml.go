@@ -158,49 +158,49 @@ func (e *Engine) execUpdate(ctx context.Context, s *UpdateStmt) error {
 // back in place.
 func (e *Engine) updateRows(t *data.Table, colIdx []int, exprs []SQLExpr, where SQLExpr) error {
 	ch := t.Chunk()
-	n := ch.NumRows()
-	var keep []bool
+	idx := make([]int, ch.NumRows())
+	for i := range idx {
+		idx[i] = i
+	}
 	if where != nil {
-		var err error
-		keep, err = e.evalBoolVec(where, ch)
+		keep, err := e.evalVec(where, ch, data.KindBool)
 		if err != nil {
 			return err
 		}
-	}
-	// Compute new values over the affected rows, then write back.
-	var idx []int
-	for i := 0; i < n; i++ {
-		if keep == nil || keep[i] {
-			idx = append(idx, i)
-		}
+		idx = trueRows(keep)
 	}
 	if len(idx) == 0 {
 		return nil
 	}
+	// Compute new values over the affected rows, then write back.
+	want := make([]data.Kind, len(colIdx))
+	for c, ci := range colIdx {
+		want[c] = t.Cols[ci].Kind
+	}
 	sub := ch.Take(idx)
-	for c, ex := range exprs {
-		vals, err := e.evalVec(ex, sub)
-		if err != nil {
-			return err
-		}
+	prog, err := e.compile(sub, exprs, want)
+	if err != nil {
+		return err
+	}
+	news, err := prog.run(sub)
+	if err != nil {
+		return err
+	}
+	for c, vals := range news {
 		col := t.Cols[colIdx[c]]
-		tmp := data.NewColumnCap("tmp", col.Kind, len(vals))
-		for _, v := range vals {
-			tmp.AppendValue(v)
-		}
 		for m, i := range idx {
 			switch col.Kind {
 			case data.KindInt:
-				col.Ints[i] = tmp.Ints[m]
+				col.Ints[i] = vals.Ints[m]
 			case data.KindFloat:
-				col.Floats[i] = tmp.Floats[m]
+				col.Floats[i] = vals.Floats[m]
 			case data.KindBool:
-				col.Bools[i] = tmp.Bools[m]
+				col.Bools[i] = vals.Bools[m]
 			default:
-				col.Strs[i] = tmp.Strs[m]
+				col.Strs[i] = vals.Strs[m]
 			}
 			if col.Nulls != nil {
-				col.Nulls[i] = tmp.IsNull(m)
+				col.Nulls[i] = vals.IsNull(m)
 			}
 		}
 	}
@@ -226,21 +226,16 @@ func (e *Engine) execDelete(ctx context.Context, s *DeleteStmt) error {
 		return err
 	}
 	ch := t.Chunk()
-	n := ch.NumRows()
-	var drop []bool
+	// Rows stay unless the predicate holds: NOT maps NULL to true too.
+	var keep *data.Column
 	_, err := e.statement(ctx, nil, func(qe *Engine) (err error) {
-		drop, err = qe.evalBoolVec(where, ch)
+		keep, err = qe.evalVec(&UnaryExpr{Op: "NOT", E: where}, ch, data.KindBool)
 		return err
 	})
 	if err != nil {
 		return err
 	}
-	var idx []int
-	for i := 0; i < n; i++ {
-		if !drop[i] {
-			idx = append(idx, i)
-		}
-	}
+	idx := trueRows(keep)
 	nt := data.NewTable(t.Name, t.Schema)
 	nt.Cols = ch.Take(idx).Cols
 	for i, c := range nt.Cols {

@@ -7,6 +7,7 @@ import (
 	"qfusor/internal/core"
 	"qfusor/internal/data"
 	"qfusor/internal/ffi"
+	"qfusor/internal/obs"
 	"qfusor/internal/sqlengine"
 )
 
@@ -438,5 +439,40 @@ func TestStatementResolvesUDFNameOnce(t *testing.T) {
 		if got := res.Cols[0].Get(0).I; got != 2 {
 			t.Fatalf("%v: next statement ran ver = %d, want the redefinition (2)", mode, got)
 		}
+	}
+}
+
+// TestExpressionsCompileOncePerNode: a plan node's expressions compile
+// into one program per statement execution, however many morsels run it:
+// an aggregate's group keys, native-aggregate arguments and computed
+// UDF-aggregate arguments together, an UPDATE's SET list together.
+func TestExpressionsCompileOncePerNode(t *testing.T) {
+	eng := newTestEngine(t, sqlengine.ModeColumnar, ffi.VectorInvoker{})
+	eng.Parallelism, eng.MorselSize = 8, 2
+	compiles := obs.Default.Counter("engine.expr_compiles")
+
+	before := compiles.Value()
+	res, err := eng.Query("SELECT city, SUM(age + 1), strjoin(firstword(name)) FROM people WHERE age > 20 GROUP BY city ORDER BY city")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := fmt.Sprint(res.Cols[1].Get(0), res.Cols[2].Get(0), res.Cols[2].Get(1)); got != "81 Alice,Carol Bob,Eve" {
+		t.Fatalf("got %s", got)
+	}
+	// Filter, Aggregate, Project and Sort: four nodes, four programs.
+	if d := compiles.Value() - before; d != 4 {
+		t.Errorf("query compiled %d programs, want 4 (one per node)", d)
+	}
+
+	before = compiles.Value()
+	if err := eng.Exec("UPDATE people SET name = upname(name), age = age + 1 WHERE addten(age) > 55"); err != nil {
+		t.Fatal(err)
+	}
+	// The predicate over the table, the SET list over the rows it kept.
+	if d := compiles.Value() - before; d != 2 {
+		t.Errorf("UPDATE compiled %d programs, want 2", d)
+	}
+	if got := queryStrings(t, eng, "SELECT name || age FROM people WHERE id = 5", 0); got[0] != "EVE ADAMS53" {
+		t.Fatalf("got %v", got)
 	}
 }

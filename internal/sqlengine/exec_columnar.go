@@ -6,7 +6,6 @@ import (
 	"sync"
 
 	"qfusor/internal/data"
-	"qfusor/internal/ffi"
 )
 
 // execColumnar is the vectorized operator-at-a-time executor: every
@@ -164,52 +163,60 @@ func oneRowChunk() *data.Chunk {
 
 // projectChunk evaluates the projection expressions over the chunk,
 // split into morsels (ModeChunked batches double as morsels) and driven
-// by the worker pool.
+// by the worker pool. The expressions compile into one program, so a
+// subtree repeated between output columns (or within one, as relational
+// inlining produces) evaluates once per morsel.
 func (e *Engine) projectChunk(p *Plan, in *data.Chunk, ectx *execCtx) (*data.Chunk, error) {
-	n := in.NumRows()
-	eval := func(part *data.Chunk) (*data.Chunk, error) {
-		cols := make([]*data.Column, len(p.Exprs))
-		// One CSE memo per morsel part, shared across the projection's
-		// expressions: a subtree repeated between output columns (or within
-		// one, as relational inlining produces) evaluates once per part.
-		memo := make(vecMemo)
-		for i, ex := range p.Exprs {
-			// Zero-copy pass-through for pure column refs of matching kind.
-			if cr, ok := ex.(*ColRef); ok && cr.Index >= 0 && cr.Index < len(part.Cols) &&
-				part.Cols[cr.Index].Kind == p.Schema[i].Kind {
-				cp := *part.Cols[cr.Index]
-				cp.Name = p.Schema[i].Name
-				cols[i] = &cp
-				mZeroCopyCols.Inc()
-				continue
+	want := make([]data.Kind, len(p.Schema))
+	for i, f := range p.Schema {
+		want[i] = f.Kind
+	}
+	prog, err := e.compile(in, p.Exprs, want)
+	if err != nil {
+		return nil, err
+	}
+	return e.runPartitioned(ectx, in, in.NumRows(), func(part *data.Chunk) (*data.Chunk, error) {
+		cols, err := prog.run(part)
+		if err != nil {
+			return nil, err
+		}
+		for i, c := range cols {
+			if prog.roots[i] < len(part.Cols) {
+				mZeroCopyCols.Inc() // a column reference of matching kind passes through
 			}
-			vals, err := e.evalVecM(ex, part, memo)
-			if err != nil {
-				return nil, err
-			}
-			cols[i] = ffi.UnboxValues(p.Schema[i].Name, p.Schema[i].Kind, vals)
+			cp := *c // the result may be the input's own column
+			cp.Name = p.Schema[i].Name
+			cols[i] = &cp
 		}
 		return data.NewChunk(cols...), nil
-	}
-	return e.runPartitioned(ectx, in, n, eval)
+	})
 }
 
 // filterChunk keeps rows where the predicate holds.
 func (e *Engine) filterChunk(pred SQLExpr, in *data.Chunk, ectx *execCtx) (*data.Chunk, error) {
-	n := in.NumRows()
-	return e.runPartitioned(ectx, in, n, func(part *data.Chunk) (*data.Chunk, error) {
-		keep, err := e.evalBoolVec(pred, part)
+	prog, err := e.compile(in, []SQLExpr{pred}, []data.Kind{data.KindBool})
+	if err != nil {
+		return nil, err
+	}
+	return e.runPartitioned(ectx, in, in.NumRows(), func(part *data.Chunk) (*data.Chunk, error) {
+		cols, err := prog.run(part)
 		if err != nil {
 			return nil, err
 		}
-		idx := make([]int, 0, len(keep)/2)
-		for i, k := range keep {
-			if k {
-				idx = append(idx, i)
-			}
-		}
-		return part.Take(idx), nil
+		return part.Take(trueRows(cols[0])), nil
 	})
+}
+
+// trueRows lists the rows where a predicate's bool column holds (NULL
+// does not).
+func trueRows(keep *data.Column) []int {
+	idx := make([]int, 0, keep.Len()/2)
+	for i, k := range keep.Bools {
+		if k && !keep.IsNull(i) {
+			idx = append(idx, i)
+		}
+	}
+	return idx
 }
 
 // expandChunk applies an expand UDF per row, replicating kept columns.
@@ -462,69 +469,63 @@ type aggPartial struct {
 }
 
 // foldNative folds one native aggregate over a morsel into pt, using
-// morsel-local group ids.
-func (e *Engine) foldNative(pt *aggPartial, spec AggSpec, part *data.Chunk, gids []int, g int) error {
-	n := part.NumRows()
-	var argVals []data.Value
-	if !spec.Star && len(spec.Args) > 0 {
-		v, err := e.evalVec(spec.Args[0], part)
-		if err != nil {
-			return err
-		}
-		argVals = v
-	}
+// morsel-local group ids (one per row). arg is the aggregate's evaluated
+// argument column, nil for COUNT(*).
+func foldNative(pt *aggPartial, spec AggSpec, arg *data.Column, gids []int, g int) error {
 	pt.allInt = true
 	switch spec.Name {
 	case "count":
 		pt.counts = make([]int64, g)
-		for i := 0; i < n; i++ {
-			if spec.Star || !argVals[i].IsNull() {
-				pt.counts[gids[i]]++
+		for i, gid := range gids {
+			if arg == nil || !arg.IsNull(i) {
+				pt.counts[gid]++
 			}
 		}
 	case "sum", "avg":
 		pt.sums = make([]float64, g)
 		pt.scount = make([]int64, g)
-		for i := 0; i < n; i++ {
-			v := argVals[i]
-			if v.IsNull() {
-				continue
+		pt.allInt = arg.Kind != data.KindFloat
+		switch arg.Kind {
+		case data.KindInt:
+			sumInto(pt, arg.Ints, arg.Nulls, gids)
+		case data.KindFloat:
+			sumInto(pt, arg.Floats, arg.Nulls, gids)
+		default:
+			for i, gid := range gids {
+				if f, ok := arg.Get(i).AsFloat(); ok {
+					pt.sums[gid] += f
+					pt.scount[gid]++
+				}
 			}
-			f, ok := v.AsFloat()
-			if !ok {
-				continue
-			}
-			if v.Kind == data.KindFloat {
-				pt.allInt = false
-			}
-			pt.sums[gids[i]] += f
-			pt.scount[gids[i]]++
 		}
 	case "min", "max":
 		pt.best = make([]data.Value, g)
-		for i := 0; i < n; i++ {
-			v := argVals[i]
-			if v.IsNull() {
-				continue
+		for i, gid := range gids {
+			if !arg.IsNull(i) {
+				foldBest(spec.Name, pt.best, gid, arg.Get(i))
 			}
-			foldBest(spec.Name, pt.best, gids[i], v)
 		}
 	case "median":
 		pt.vals = make([][]float64, g)
-		for i := 0; i < n; i++ {
-			if argVals[i].IsNull() {
-				continue
+		for i, gid := range gids {
+			if f, ok := arg.Get(i).AsFloat(); ok {
+				pt.vals[gid] = append(pt.vals[gid], f)
 			}
-			f, ok := argVals[i].AsFloat()
-			if !ok {
-				continue
-			}
-			pt.vals[gids[i]] = append(pt.vals[gids[i]], f)
 		}
 	default:
 		return fmt.Errorf("sql: unknown aggregate %s", spec.Name)
 	}
 	return nil
+}
+
+// sumInto adds the non-NULL rows of a numeric column into their groups.
+func sumInto[T int64 | float64](pt *aggPartial, vals []T, nulls []bool, gids []int) {
+	for i, gid := range gids {
+		if nulls == nil || !nulls[i] {
+			pt.sums[gid] += float64(vals[i])
+			pt.scount[gid]++
+		}
+	}
 }
 
 // foldBest applies the min/max comparison rule: first non-null wins the
@@ -652,7 +653,7 @@ func (e *Engine) aggregateChunk(p *Plan, in *data.Chunk, ectx *execCtx) (*data.C
 	spans := e.morselsFor(n)
 
 	type morselGroups struct {
-		keyVecs  [][]data.Value // evaluated group-by keys, morsel rows
+		cols     []*data.Column // the node's evaluated expressions, morsel rows
 		localGID []int          // morsel row -> local group id
 		keys     []string       // local group id -> encoded key
 		firstRow []int          // local group id -> morsel-local first row
@@ -660,22 +661,44 @@ func (e *Engine) aggregateChunk(p *Plan, in *data.Chunk, ectx *execCtx) (*data.C
 	}
 	morsels := make([]*morselGroups, len(spans))
 
-	_, err := e.runMorsels(ectx, n, func(_, m, lo, hi int) error {
-		part := in.Slice(lo, hi)
-		mg := &morselGroups{localGID: make([]int, hi-lo)}
-		if len(p.GroupBy) > 0 {
-			mg.keyVecs = make([][]data.Value, len(p.GroupBy))
-			for i, k := range p.GroupBy {
-				v, err := e.evalVec(k, part)
-				if err != nil {
-					return err
+	// One program per node: the group-by keys, then each aggregate's
+	// arguments from argAt[ai] on. A UDF aggregate's computed argument
+	// materializes at the declared parameter kind.
+	exprs := append([]SQLExpr(nil), p.GroupBy...)
+	want := make([]data.Kind, len(exprs))
+	argAt := make([]int, len(p.Aggs))
+	for ai, spec := range p.Aggs {
+		argAt[ai] = len(exprs)
+		for i, a := range spec.Args {
+			kind := data.KindNull
+			if _, isCol := a.(*ColRef); spec.UDF != nil && !isCol {
+				kind = data.KindString
+				if i < len(spec.UDF.InKinds) {
+					kind = spec.UDF.InKinds[i]
 				}
-				mg.keyVecs[i] = v
 			}
+			exprs, want = append(exprs, a), append(want, kind)
+		}
+	}
+	prog, err := e.compile(in, exprs, want)
+	if err != nil {
+		return nil, err
+	}
+
+	_, err = e.runMorsels(ectx, n, func(_, m, lo, hi int) error {
+		cols, err := prog.run(in.Slice(lo, hi))
+		if err != nil {
+			return err
+		}
+		mg := &morselGroups{cols: cols, localGID: make([]int, hi-lo)}
+		if len(p.GroupBy) > 0 {
 			seen := make(map[string]int)
 			var kb []byte
 			for i := 0; i < hi-lo; i++ {
-				kb = appendVecKey(kb[:0], mg.keyVecs, i)
+				kb = kb[:0]
+				for _, kc := range cols[:len(p.GroupBy)] {
+					kb = appendColKey(kb, kc, i)
+				}
 				gid, ok := seen[string(kb)]
 				if !ok {
 					gid = len(mg.keys)
@@ -697,7 +720,11 @@ func (e *Engine) aggregateChunk(p *Plan, in *data.Chunk, ectx *execCtx) (*data.C
 				continue
 			}
 			mg.parts[ai] = &aggPartial{}
-			if err := e.foldNative(mg.parts[ai], spec, part, mg.localGID, len(mg.keys)); err != nil {
+			var arg *data.Column // nil for COUNT(*)
+			if len(spec.Args) > 0 {
+				arg = cols[argAt[ai]]
+			}
+			if err := foldNative(mg.parts[ai], spec, arg, mg.localGID, len(mg.keys)); err != nil {
 				return err
 			}
 		}
@@ -770,7 +797,7 @@ func (e *Engine) aggregateChunk(p *Plan, in *data.Chunk, ectx *execCtx) (*data.C
 	for ki := range p.GroupBy {
 		col := out.Cols[ki]
 		for _, ref := range groups {
-			col.AppendValue(morsels[ref.m].keyVecs[ki][ref.row])
+			col.AppendValue(morsels[ref.m].cols[ki].Get(ref.row))
 		}
 	}
 	// Aggregate columns.
@@ -784,15 +811,13 @@ func (e *Engine) aggregateChunk(p *Plan, in *data.Chunk, ectx *execCtx) (*data.C
 					argCols[i] = in.Cols[cr.Index]
 					continue
 				}
-				vals, verr := e.evalVec(a, in)
-				if verr != nil {
-					return nil, verr
+				// Intermediate materialization: the morsels' results
+				// become one engine column.
+				at := argAt[ai] + i
+				argCols[i] = data.NewColumnCap("", prog.kinds[prog.roots[at]], n)
+				for _, mg := range morsels {
+					argCols[i].AppendColumn(mg.cols[at])
 				}
-				kind := data.KindString
-				if i < len(spec.UDF.InKinds) {
-					kind = spec.UDF.InKinds[i]
-				}
-				argCols[i] = ffi.UnboxValues(fmt.Sprintf("a%d", i), kind, vals)
 			}
 			results, err = e.Invoker.CallAggregate(ectx.clone(spec.UDF), argCols, n, groupIDs, g)
 			if err != nil {
@@ -816,30 +841,24 @@ func (e *Engine) aggregateChunk(p *Plan, in *data.Chunk, ectx *execCtx) (*data.C
 func (e *Engine) sortChunk(p *Plan, in *data.Chunk, ectx *execCtx) (*data.Chunk, error) {
 	sp := ectx.span
 	n := in.NumRows()
-	keyVecs := make([][]data.Value, len(p.SortItems))
-	for i := range keyVecs {
-		keyVecs[i] = make([]data.Value, n)
+	exprs := make([]SQLExpr, len(p.SortItems))
+	for i, s := range p.SortItems {
+		exprs[i] = s.Expr
 	}
-	_, err := e.runMorsels(ectx, n, func(_, m, lo, hi int) error {
-		part := in.Slice(lo, hi)
-		for k, s := range p.SortItems {
-			v, err := e.evalVec(s.Expr, part)
-			if err != nil {
-				return err
-			}
-			copy(keyVecs[k][lo:hi], v)
-		}
-		return nil
+	prog, err := e.compile(in, exprs, make([]data.Kind, len(exprs)))
+	if err != nil {
+		return nil, err
+	}
+	keys, err := e.runPartitioned(ectx, in, n, func(part *data.Chunk) (*data.Chunk, error) {
+		cols, err := prog.run(part)
+		return data.NewChunk(cols...), err
 	})
 	if err != nil {
 		return nil, err
 	}
 	less := func(a, b int) bool {
 		for k, s := range p.SortItems {
-			c, ok := data.Compare(keyVecs[k][a], keyVecs[k][b])
-			if !ok {
-				c = compareStr(keyVecs[k][a].String(), keyVecs[k][b].String())
-			}
+			c := compareRows(keys.Cols[k], a, b)
 			if c == 0 {
 				continue
 			}
@@ -898,6 +917,46 @@ func (e *Engine) sortChunk(p *Plan, in *data.Chunk, ectx *execCtx) (*data.Chunk,
 	}
 	endMerge()
 	return e.takeParallel(ectx, in, idx), nil
+}
+
+// compareRows orders two rows of a sort-key column as data.Compare
+// orders their values: NULL first, then by value; kinds with no order of
+// their own (dicts) compare by their text.
+func compareRows(c *data.Column, a, b int) int {
+	switch an, bn := c.IsNull(a), c.IsNull(b); {
+	case an && bn:
+		return 0
+	case an:
+		return -1
+	case bn:
+		return 1
+	}
+	switch c.Kind {
+	case data.KindInt:
+		return order(c.Ints[a], c.Ints[b])
+	case data.KindFloat:
+		return order(c.Floats[a], c.Floats[b])
+	case data.KindString:
+		return order(c.Strs[a], c.Strs[b])
+	}
+	va, vb := c.Get(a), c.Get(b)
+	r, ok := data.Compare(va, vb)
+	if !ok {
+		r = order(va.String(), vb.String())
+	}
+	return r
+}
+
+// order is the three-way comparison of data.Compare: a NaN is neither
+// below nor above anything, so it orders equal.
+func order[T int64 | float64 | string](a, b T) int {
+	switch {
+	case a < b:
+		return -1
+	case a > b:
+		return 1
+	}
+	return 0
 }
 
 // mergeRuns stable-merges two adjacent sorted runs of src into the same

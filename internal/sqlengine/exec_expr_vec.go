@@ -2,784 +2,738 @@ package sqlengine
 
 import (
 	"fmt"
+	"math"
+	"strconv"
+	"strings"
 
 	"qfusor/internal/data"
 	"qfusor/internal/ffi"
 	"qfusor/internal/obs"
 )
 
-var mVecCSEHits = obs.Default.Counter("engine.vec_cse_hits")
-
-// vecMemo caches evaluated subexpression vectors within one expression
-// evaluation (or one projection's worth — see projectChunk), keyed by
-// the subtree's index-resolved rendering. Structurally identical pure
-// subtrees — which relational inlining produces wholesale, one copy per
-// parameter occurrence — evaluate once per batch instead of once per
-// occurrence. Entries are shared slices: every consumer of evalVec
-// results treats them as read-only.
-type vecMemo map[string][]data.Value
-
-// evalVec evaluates a bound expression over all rows of a chunk,
-// returning boxed values. Scalar UDF calls are dispatched to the
-// engine's transport per column batch; relational operators between
-// UDFs therefore materialize intermediates — the overhead QFusor fuses
-// away. Compound trees get a fresh CSE memo; callers evaluating several
-// expressions over the same chunk share one via evalVecM.
-func (e *Engine) evalVec(x SQLExpr, ch *data.Chunk) ([]data.Value, error) {
-	var memo vecMemo
-	switch x.(type) {
-	case *ColRef, *Lit, nil:
-	default:
-		memo = make(vecMemo)
-	}
-	return e.evalVecM(x, ch, memo)
-}
-
-// evalVecM is evalVec under a caller-scoped CSE memo (nil disables
-// memoization). Only pure subtrees are cached: a catalog-UDF call is
-// observable (stats, FFI counters, resource ledger), so any subtree
-// containing one re-evaluates every time, exactly as before.
-func (e *Engine) evalVecM(x SQLExpr, ch *data.Chunk, memo vecMemo) ([]data.Value, error) {
-	if memo == nil || !e.cseEligible(x) {
-		return e.evalVecNode(x, ch, memo)
-	}
-	key := vecCSEKey(x)
-	if v, ok := memo[key]; ok {
-		mVecCSEHits.Inc()
-		return v, nil
-	}
-	v, err := e.evalVecNode(x, ch, memo)
-	if err != nil {
-		return nil, err
-	}
-	memo[key] = v
-	return v, nil
-}
-
-// cseEligible reports whether x is worth caching: anything but a bare
-// literal (column references pay a boxing pass per evaluation, so even
-// they benefit), provided no catalog UDF hides in the subtree.
-func (e *Engine) cseEligible(x SQLExpr) bool {
-	switch x.(type) {
-	case *Lit, *StarExpr, nil:
-		return false
-	}
-	pure := true
-	walkExpr(x, func(n SQLExpr) bool {
-		if f, ok := n.(*FuncExpr); ok {
-			if _, isUDF := e.Catalog.UDF(f.Name); isUDF {
-				pure = false
-			}
-		}
-		return pure
-	})
-	return pure
-}
-
-// vecCSEKey renders x with column references by bound index — two
-// columns can share a rendered name (self-joins, subquery aliases), but
-// never an index within one node's input schema.
-func vecCSEKey(x SQLExpr) string {
-	return RewriteExpr(x, func(n SQLExpr) SQLExpr {
-		if c, ok := n.(*ColRef); ok {
-			return &ColRef{Name: fmt.Sprintf("@%d", c.Index), Index: c.Index}
-		}
-		return n
-	}).String()
-}
-
-// ---- single-pass int-arithmetic programs ----
-//
-// A NULL-strict subtree of + - * / % over int columns and int literals
-// needs no per-operator vector passes at all: it lowers to a postfix
-// program evaluated once per row on a fixed int64 stack. One output
-// allocation replaces one slice per operator — the difference between
-// the inlined tier riding the GC and outrunning the closure JIT.
-// Strictness makes NULL handling exact: any NULL column leaf (or a
-// zero divisor) nulls the whole row's result, which is precisely what
-// the generic per-operator evaluation of the same tree produces.
-
-const (
-	ipCol = iota // push column value (NULL leaf -> row is NULL)
-	ipLit        // push literal
-	ipAdd
-	ipSub
-	ipMul
-	ipDiv // zero divisor -> row is NULL
-	ipMod // zero divisor -> row is NULL
+var (
+	mVecCSEHits   = obs.Default.Counter("engine.vec_cse_hits")
+	mExprCompiles = obs.Default.Counter("engine.expr_compiles")
 )
 
-type intInstr struct {
-	code int8
-	col  int
-	lit  int64
+// The columnar executors evaluate expressions as one compiled register
+// program per plan node. compile runs once per node per statement, over
+// the node's bound expressions and its input's column kinds; run then
+// evaluates the program over each morsel and returns typed columns.
+//
+// A frame slot holds a column: the input chunk's columns come first,
+// each literal is a one-row constant column (never n copies), and every
+// instruction fills the next slot. An instruction is a typed kernel over
+// []int64/[]float64/[]string/[]bool plus a null mask when its operands'
+// kinds allow one, a scalar-UDF call (argument columns in, the
+// transport's result column out), or else the one generic instruction,
+// which applies evalRow — the single definition of SQL scalar semantics
+// — per row with the node's children bound to slots. The choice is made
+// from operand kinds alone. A pure subtree that repeats compiles to the
+// same slot; a subtree containing a catalog-UDF call is observable
+// (stats, FFI counters, ledger) and is never shared.
+type exprProg struct {
+	e      *Engine
+	kinds  []data.Kind    // static kind per frame slot (KindNull: the NULL literal)
+	consts []*data.Column // per slot: a literal's one-row column, else nil
+	instrs []instr
+	roots  []int // result slot per compiled expression
+	shared int   // subtree evaluations that register reuse avoids per run
 }
 
-// compileIntProg lowers x to postfix instructions, returning ok=false
-// on any node outside the int-arithmetic fragment.
-func compileIntProg(x SQLExpr, ch *data.Chunk, prog []intInstr) ([]intInstr, bool) {
+// kindDyn marks a value whose kind is only known per row (a CASE with
+// int and string branches, arithmetic on a string). It never gets a slot
+// of its own: the generic instruction that consumes it evaluates it
+// boxed, and at the root it materializes at the kind the consumer asks
+// for or the planner inferred.
+const kindDyn = data.KindObject
+
+type opcode uint8
+
+const (
+	opGeneric opcode = iota // evalRow over node, slots bound as columns
+	opArith                 // + - * / % over two ints or two floats
+	opCompare               // = != < <= > >= over two ints, floats or strings
+	opLogic                 // AND / OR over two bools
+	opNot
+	opCase    // searched CASE; args: when, then, ..., else
+	opBetween // args: value>=low, value<=high; NULL when either is
+	opIsNull
+	opCast // int <-> float
+	opUDF
+)
+
+type instr struct {
+	op   opcode
+	out  int
+	args []int    // operand slots
+	sym  string   // opArith, opCompare, opLogic: the SQL operator
+	not  bool     // opBetween, opIsNull: the negated form
+	node SQLExpr  // opGeneric: the expression, ColRef.Index = frame slot
+	udf  *ffi.UDF // opUDF: the statement's clone
+}
+
+// ---- compile ----
+
+// compiler lowers bound expressions into p. A value in flight is an
+// expression over the frame: &ColRef{Index: slot} once it has a slot,
+// any other node while it is still kindDyn.
+type compiler struct {
+	p    *exprProg
+	in   *data.Chunk
+	pure []bool         // per slot: no catalog-UDF call below it
+	memo map[string]int // rendering of a pure node over its operand slots -> slot
+}
+
+// compile lowers xs against in's column kinds. want[i], when not
+// KindNull, is the kind result i must have (a projection's schema kind,
+// KindBool for a predicate); otherwise a result keeps its own kind.
+func (e *Engine) compile(in *data.Chunk, xs []SQLExpr, want []data.Kind) (*exprProg, error) {
+	mExprCompiles.Inc()
+	c := newCompiler(e, in)
+	for i, x := range xs {
+		t, err := c.expr(x)
+		if err != nil {
+			return nil, err
+		}
+		c.p.roots = append(c.p.roots, c.fit(t, x, want[i]).(*ColRef).Index)
+	}
+	return c.p, nil
+}
+
+func newCompiler(e *Engine, in *data.Chunk) *compiler {
+	c := &compiler{p: &exprProg{e: e}, in: in, memo: make(map[string]int)}
+	for _, col := range in.Cols {
+		c.slot(col.Kind, nil, true)
+	}
+	return c
+}
+
+// evalVec compiles and evaluates one expression over a whole chunk (the
+// DML predicates; operators that run morsels compile once and run per
+// morsel).
+func (e *Engine) evalVec(x SQLExpr, ch *data.Chunk, want data.Kind) (*data.Column, error) {
+	p, err := e.compile(ch, []SQLExpr{x}, []data.Kind{want})
+	if err != nil {
+		return nil, err
+	}
+	cols, err := p.run(ch)
+	if err != nil {
+		return nil, err
+	}
+	return cols[0], nil
+}
+
+// ref is slot s as an expression; the name is what keys render.
+func ref(s int) SQLExpr { return &ColRef{Name: "@" + strconv.Itoa(s), Index: s} }
+
+func (c *compiler) slot(k data.Kind, con *data.Column, pure bool) SQLExpr {
+	c.p.kinds = append(c.p.kinds, k)
+	c.p.consts = append(c.p.consts, con)
+	c.pure = append(c.pure, pure)
+	return ref(len(c.p.kinds) - 1)
+}
+
+func (c *compiler) kindOf(t SQLExpr) data.Kind {
+	if cr, ok := t.(*ColRef); ok {
+		return c.p.kinds[cr.Index]
+	}
+	return kindDyn
+}
+
+// slotsOf lists the slots t reads, in walk order, and whether all are pure.
+func (c *compiler) slotsOf(t SQLExpr) (slots []int, pure bool) {
+	pure = true
+	walkExpr(t, func(n SQLExpr) bool {
+		if cr, ok := n.(*ColRef); ok {
+			slots = append(slots, cr.Index)
+			pure = pure && c.pure[cr.Index]
+		}
+		return true
+	})
+	return slots, pure
+}
+
+// emit appends an instruction computing node t at kind k and returns its
+// slot; a pure one is remembered under key for reuse.
+func (c *compiler) emit(in instr, t SQLExpr, k data.Kind, key string) SQLExpr {
+	var pure bool
+	in.args, pure = c.slotsOf(t)
+	pure = pure && in.op != opUDF
+	if in.op == opGeneric {
+		in.node = t
+	}
+	out := c.slot(k, nil, pure)
+	in.out = out.(*ColRef).Index
+	c.p.instrs = append(c.p.instrs, in)
+	if pure {
+		c.memo[key] = in.out
+	}
+	return out
+}
+
+// fit returns t as a slot of kind want, inserting a generic instruction
+// that coerces the way Column.AppendValue does. With no wanted kind a
+// typed value stays as it is, and a kindDyn or NULL one takes the kind
+// the planner infers for orig — except that the planner's int is only
+// the kind of the first branch it met (CASE WHEN p THEN 0 ELSE f END),
+// and other rows may hold floats: such a value materializes as float,
+// which holds both, so the sums, group keys and sort orders that read
+// it see every row's own value.
+func (c *compiler) fit(t, orig SQLExpr, want data.Kind) SQLExpr {
+	have := c.kindOf(t)
+	if want == data.KindNull {
+		want = have
+		if have == kindDyn || have == data.KindNull {
+			want = exprKind(c.p.e.Catalog, orig, c.in.Schema())
+		}
+		if have == kindDyn && want == data.KindInt {
+			want = data.KindFloat
+		}
+	}
+	if have == want {
+		return t
+	}
+	return c.emit(instr{}, t, want, fmt.Sprintf("fit %s %s", want, t))
+}
+
+func (c *compiler) lit(v data.Value) SQLExpr {
+	key := "lit " + (&Lit{Value: v}).String()
+	if s, ok := c.memo[key]; ok {
+		return ref(s)
+	}
+	col := data.NewColumn("", v.Kind)
+	col.AppendValue(v)
+	t := c.slot(v.Kind, col, true)
+	c.memo[key] = t.(*ColRef).Index
+	return t
+}
+
+// expr compiles x and returns its value as an expression over the frame.
+func (c *compiler) expr(x SQLExpr) (SQLExpr, error) {
 	switch ex := x.(type) {
 	case *ColRef:
-		if ex.Index < 0 || ex.Index >= len(ch.Cols) || ch.Cols[ex.Index].Kind != data.KindInt {
-			return prog, false
-		}
-		return append(prog, intInstr{code: ipCol, col: ex.Index}), true
-	case *Lit:
-		if ex.Value.Kind != data.KindInt {
-			return prog, false
-		}
-		return append(prog, intInstr{code: ipLit, lit: ex.Value.I}), true
-	case *UnaryExpr:
-		if ex.Op == "NOT" {
-			return prog, false
-		}
-		// Unary minus evaluates as 0 - e, same as the generic path.
-		prog = append(prog, intInstr{code: ipLit})
-		prog, ok := compileIntProg(ex.E, ch, prog)
-		if !ok {
-			return prog, false
-		}
-		return append(prog, intInstr{code: ipSub}), true
-	case *BinExpr:
-		var code int8
-		switch ex.Op {
-		case "+":
-			code = ipAdd
-		case "-":
-			code = ipSub
-		case "*":
-			code = ipMul
-		case "/":
-			code = ipDiv
-		case "%":
-			code = ipMod
-		default:
-			return prog, false
-		}
-		prog, ok := compileIntProg(ex.L, ch, prog)
-		if !ok {
-			return prog, false
-		}
-		prog, ok = compileIntProg(ex.R, ch, prog)
-		if !ok {
-			return prog, false
-		}
-		return append(prog, intInstr{code: code}), true
-	}
-	return prog, false
-}
-
-// intProgDepth is the maximum stack depth the program reaches.
-func intProgDepth(prog []intInstr) int {
-	sp, max := 0, 0
-	for _, in := range prog {
-		switch in.code {
-		case ipCol, ipLit:
-			sp++
-			if sp > max {
-				max = sp
-			}
-		default:
-			sp--
-		}
-	}
-	return max
-}
-
-// evalIntProg compiles and runs x as a single-pass int program over
-// the chunk; ok=false means x is outside the fragment (or too deep)
-// and the caller should evaluate it generically.
-func evalIntProg(x SQLExpr, ch *data.Chunk) ([]data.Value, bool) {
-	prog, ok := compileIntProg(x, ch, make([]intInstr, 0, 16))
-	if !ok || len(prog) < 3 {
-		return nil, false
-	}
-	const maxDepth = 32
-	if intProgDepth(prog) > maxDepth {
-		return nil, false
-	}
-	n := ch.NumRows()
-	out := make([]data.Value, n)
-	var stack [maxDepth]int64
-rows:
-	for i := 0; i < n; i++ {
-		sp := 0
-		for _, in := range prog {
-			switch in.code {
-			case ipCol:
-				c := ch.Cols[in.col]
-				if c.Nulls != nil && c.Nulls[i] {
-					continue rows // out[i] stays data.Null
-				}
-				stack[sp] = c.Ints[i]
-				sp++
-			case ipLit:
-				stack[sp] = in.lit
-				sp++
-			case ipAdd:
-				sp--
-				stack[sp-1] += stack[sp]
-			case ipSub:
-				sp--
-				stack[sp-1] -= stack[sp]
-			case ipMul:
-				sp--
-				stack[sp-1] *= stack[sp]
-			case ipDiv:
-				sp--
-				if stack[sp] == 0 {
-					continue rows
-				}
-				stack[sp-1] /= stack[sp]
-			case ipMod:
-				sp--
-				if stack[sp] == 0 {
-					continue rows
-				}
-				stack[sp-1] %= stack[sp]
-			}
-		}
-		out[i] = data.Int(stack[0])
-	}
-	return out, true
-}
-
-// vecIntArith is the columnar fast path for arithmetic over int
-// vectors: operator dispatch hoisted out of the row loop, native int64
-// math on the boxed payloads, no float round-trip. NULL in either
-// operand yields NULL (same as sqlBinOp); division by zero yields NULL
-// (same as sqlArith). The moment a non-int, non-NULL operand appears
-// it bails with ok=false and the caller re-runs the whole batch
-// through the generic per-row evaluator.
-func vecIntArith(op string, l, r []data.Value) ([]data.Value, bool) {
-	var f func(a, b int64) data.Value
-	switch op {
-	case "+":
-		f = func(a, b int64) data.Value { return data.Int(a + b) }
-	case "-":
-		f = func(a, b int64) data.Value { return data.Int(a - b) }
-	case "*":
-		f = func(a, b int64) data.Value { return data.Int(a * b) }
-	case "/":
-		f = func(a, b int64) data.Value {
-			if b == 0 {
-				return data.Null
-			}
-			return data.Int(a / b)
-		}
-	case "%":
-		f = func(a, b int64) data.Value {
-			if b == 0 {
-				return data.Null
-			}
-			return data.Int(a % b)
-		}
-	default:
-		return nil, false
-	}
-	out := make([]data.Value, len(l))
-	for i := range l {
-		a, b := l[i], r[i]
-		if a.Kind == data.KindNull || b.Kind == data.KindNull {
-			continue // out[i] is already data.Null
-		}
-		if a.Kind != data.KindInt || b.Kind != data.KindInt {
-			return nil, false
-		}
-		out[i] = f(a.I, b.I)
-	}
-	return out, true
-}
-
-func (e *Engine) evalVecNode(x SQLExpr, ch *data.Chunk, memo vecMemo) ([]data.Value, error) {
-	n := ch.NumRows()
-	switch ex := x.(type) {
-	case *ColRef:
-		if ex.Index < 0 || ex.Index >= len(ch.Cols) {
+		if ex.Index < 0 || ex.Index >= len(c.in.Cols) {
 			return nil, fmt.Errorf("sql: unbound column %s", ex)
 		}
-		return ffi.BoxColumn(ch.Cols[ex.Index], n), nil
+		return ref(ex.Index), nil
 	case *Lit:
-		out := make([]data.Value, n)
-		for i := range out {
-			out[i] = ex.Value
+		return c.lit(ex.Value), nil
+	case *UnaryExpr:
+		if ex.Op != "NOT" {
+			// Unary minus is 0 - e, as in evalRow.
+			return c.expr(&BinExpr{Op: "-", L: &Lit{Value: data.Int(0)}, R: ex.E})
 		}
-		return out, nil
 	case *FuncExpr:
-		if u, ok := e.udf(ex.Name); ok && u.Kind == ffi.Scalar {
-			return e.evalScalarUDFVec(u, ex, ch, memo)
+		if u, ok := c.p.e.udf(ex.Name); ok && u.Kind == ffi.Scalar {
+			return c.call(u, ex)
 		}
-		// Native scalar: vector args, row-native application.
-		argVecs := make([][]data.Value, len(ex.Args))
-		for i, a := range ex.Args {
-			v, err := e.evalVecM(a, ch, memo)
-			if err != nil {
-				return nil, err
-			}
-			argVecs[i] = v
-		}
-		out := make([]data.Value, n)
-		row := make([]data.Value, len(argVecs))
-		for i := 0; i < n; i++ {
-			for j := range argVecs {
-				row[j] = argVecs[j][i]
-			}
-			v, err := evalNativeScalar(ex.Name, row)
-			if err != nil {
-				return nil, err
-			}
-			out[i] = v
-		}
-		return out, nil
-	case *BinExpr:
-		if out, ok := evalIntProg(ex, ch); ok {
-			return out, nil
-		}
-		l, err := e.evalVecM(ex.L, ch, memo)
-		if err != nil {
-			return nil, err
-		}
-		r, err := e.evalVecM(ex.R, ch, memo)
-		if err != nil {
-			return nil, err
-		}
-		if out, ok := vecIntArith(ex.Op, l, r); ok {
-			return out, nil
-		}
-		out := make([]data.Value, n)
-		for i := 0; i < n; i++ {
-			v, err := sqlBinOp(ex.Op, l[i], r[i])
-			if err != nil {
-				return nil, err
-			}
-			out[i] = v
-		}
-		return out, nil
-	case *UnaryExpr:
-		v, err := e.evalVecM(ex.E, ch, memo)
-		if err != nil {
-			return nil, err
-		}
-		out := make([]data.Value, n)
-		for i := 0; i < n; i++ {
-			if ex.Op == "NOT" {
-				out[i] = data.Bool(!v[i].Truthy())
-			} else {
-				nv, err := sqlBinOp("-", data.Int(0), v[i])
-				if err != nil {
-					return nil, err
-				}
-				out[i] = nv
-			}
-		}
-		return out, nil
-	case *CaseExpr:
-		// Operator-at-a-time CASE: all branches evaluated fully, then
-		// merged (faithful to columnar engines; the row executor
-		// short-circuits instead).
-		var operand []data.Value
-		if ex.Operand != nil {
-			v, err := e.evalVecM(ex.Operand, ch, memo)
-			if err != nil {
-				return nil, err
-			}
-			operand = v
-		}
-		conds := make([][]data.Value, len(ex.Whens))
-		thens := make([][]data.Value, len(ex.Thens))
-		for i := range ex.Whens {
-			cv, err := e.evalVecM(ex.Whens[i], ch, memo)
-			if err != nil {
-				return nil, err
-			}
-			conds[i] = cv
-			tv, err := e.evalVecM(ex.Thens[i], ch, memo)
-			if err != nil {
-				return nil, err
-			}
-			thens[i] = tv
-		}
-		var els []data.Value
-		if ex.Else != nil {
-			v, err := e.evalVecM(ex.Else, ch, memo)
-			if err != nil {
-				return nil, err
-			}
-			els = v
-		}
-		out := make([]data.Value, n)
-		for i := 0; i < n; i++ {
-			matched := false
-			for b := range conds {
-				hit := false
-				if operand != nil {
-					hit = data.Equal(operand[i], conds[b][i])
-				} else {
-					hit = conds[b][i].Truthy()
-				}
-				if hit {
-					out[i] = thens[b][i]
-					matched = true
-					break
-				}
-			}
-			if !matched {
-				if els != nil {
-					out[i] = els[i]
-				} else {
-					out[i] = data.Null
-				}
-			}
-		}
-		return out, nil
-	case *BetweenExpr:
-		v, err := e.evalVecM(ex.E, ch, memo)
-		if err != nil {
-			return nil, err
-		}
-		lo, err := e.evalVecM(ex.Lo, ch, memo)
-		if err != nil {
-			return nil, err
-		}
-		hi, err := e.evalVecM(ex.Hi, ch, memo)
-		if err != nil {
-			return nil, err
-		}
-		out := make([]data.Value, n)
-		for i := 0; i < n; i++ {
-			if v[i].IsNull() || lo[i].IsNull() || hi[i].IsNull() {
-				out[i] = data.Null
-				continue
-			}
-			ge, _ := sqlBinOp(">=", v[i], lo[i])
-			le, _ := sqlBinOp("<=", v[i], hi[i])
-			res := ge.Truthy() && le.Truthy()
-			if ex.Not {
-				res = !res
-			}
-			out[i] = data.Bool(res)
-		}
-		return out, nil
-	case *InExpr:
-		v, err := e.evalVecM(ex.E, ch, memo)
-		if err != nil {
-			return nil, err
-		}
-		lists := make([][]data.Value, len(ex.List))
-		for i, item := range ex.List {
-			lv, err := e.evalVecM(item, ch, memo)
-			if err != nil {
-				return nil, err
-			}
-			lists[i] = lv
-		}
-		out := make([]data.Value, n)
-		for i := 0; i < n; i++ {
-			found := false
-			for _, lv := range lists {
-				if data.Equal(v[i], lv[i]) {
-					found = true
-					break
-				}
-			}
-			if ex.Not {
-				found = !found
-			}
-			out[i] = data.Bool(found)
-		}
-		return out, nil
-	case *IsNullExpr:
-		v, err := e.evalVecM(ex.E, ch, memo)
-		if err != nil {
-			return nil, err
-		}
-		out := make([]data.Value, n)
-		for i := 0; i < n; i++ {
-			isNull := v[i].IsNull()
-			if ex.Not {
-				isNull = !isNull
-			}
-			out[i] = data.Bool(isNull)
-		}
-		return out, nil
-	case *CastExpr:
-		v, err := e.evalVecM(ex.E, ch, memo)
-		if err != nil {
-			return nil, err
-		}
-		out := make([]data.Value, n)
-		for i := 0; i < n; i++ {
-			out[i] = castValue(v[i], ex.Kind)
-		}
-		return out, nil
+	case *StarExpr, nil:
+		return nil, fmt.Errorf("sql: cannot vectorize %T", x)
 	}
-	return nil, fmt.Errorf("sql: cannot vectorize %T", x)
+	var err error
+	sh := mapChildren(x, func(k SQLExpr) SQLExpr {
+		t, kerr := c.expr(k)
+		if kerr != nil {
+			err = kerr
+			return k
+		}
+		return t
+	})
+	if err != nil {
+		return nil, err
+	}
+	return c.node(sh), nil
 }
 
-// evalScalarUDFVec crosses into the UDF environment once per batch:
-// arguments become engine columns (materializing + serializing any
-// intermediate UDF results) and the transport converts back.
-func (e *Engine) evalScalarUDFVec(u *ffi.UDF, ex *FuncExpr, ch *data.Chunk, memo vecMemo) ([]data.Value, error) {
-	n := ch.NumRows()
-	argCols := make([]*data.Column, len(ex.Args))
+// call compiles a scalar-UDF call. An argument that is a column of the
+// input passes as it is (the engine hands the UDF its own column, like
+// MonetDB passing a BAT pointer); a computed one is materialized at the
+// UDF's declared parameter kind.
+func (c *compiler) call(u *ffi.UDF, ex *FuncExpr) (SQLExpr, error) {
+	sh := &FuncExpr{Name: ex.Name, Args: make([]SQLExpr, len(ex.Args))}
 	for i, a := range ex.Args {
-		// Direct column references avoid an extra copy (the engine hands
-		// the UDF its own column, like MonetDB passing a BAT pointer).
-		if cr, ok := a.(*ColRef); ok {
-			argCols[i] = ch.Cols[cr.Index]
-			continue
-		}
-		vals, err := e.evalVecM(a, ch, memo)
+		t, err := c.expr(a)
 		if err != nil {
 			return nil, err
 		}
-		kind := data.KindString
-		if i < len(u.InKinds) {
-			kind = u.InKinds[i]
+		want := data.KindNull
+		if cr, ok := t.(*ColRef); !(ok && cr.Index < len(c.in.Cols)) && i < len(u.InKinds) {
+			want = u.InKinds[i]
+		}
+		sh.Args[i] = c.fit(t, a, want)
+	}
+	return c.emit(instr{op: opUDF, udf: u}, sh, u.OutKind(), ""), nil
+}
+
+// node picks the instruction for sh, a node whose children are already
+// compiled: a typed kernel when the operand kinds allow one, else the
+// generic instruction at sh's static kind — or, when even that is only
+// known per row, no instruction: sh stays an expression for its consumer.
+func (c *compiler) node(sh SQLExpr) SQLExpr {
+	key := sh.String()
+	if s, ok := c.memo[key]; ok {
+		c.p.shared++
+		return ref(s)
+	}
+	in, kind := instr{}, kindDyn
+	switch x := sh.(type) {
+	case *BinExpr:
+		switch x.Op {
+		case "+", "-", "*", "/", "%":
+			if k := c.unify(&x.L, &x.R); k == data.KindInt || k == data.KindFloat {
+				in, kind = instr{op: opArith, sym: x.Op}, k
+			}
+		case "=", "!=", "<", "<=", ">", ">=":
+			kind = data.KindBool
+			if k := c.unify(&x.L, &x.R); k == data.KindInt || k == data.KindFloat || k == data.KindString {
+				in = instr{op: opCompare, sym: x.Op}
+			}
+		case "AND", "OR":
+			kind = data.KindBool
+			if c.common(x.L, x.R) == data.KindBool {
+				in = instr{op: opLogic, sym: x.Op}
+			}
+		case "LIKE":
+			kind = data.KindBool
+		case "||":
+			kind = data.KindString
+		}
+	case *UnaryExpr: // NOT; minus was rewritten by expr
+		kind = data.KindBool
+		if c.common(x.E) == data.KindBool {
+			in = instr{op: opNot}
+		}
+	case *CaseExpr:
+		if x.Else == nil {
+			x.Else = c.lit(data.Null) // a missing ELSE is ELSE NULL
+		}
+		kind = c.common(append(x.Thens[:len(x.Thens):len(x.Thens)], x.Else)...)
+		if x.Operand == nil && len(x.Whens) <= math.MaxUint8 && c.common(x.Whens...) == data.KindBool && isScalarKind(kind) {
+			in = instr{op: opCase}
+		}
+	case *BetweenExpr:
+		// E>=Lo AND E<=Hi, NULL when any of the three is. Each bound meets
+		// E in a comparison of its own, so a float bound does not make
+		// the other, int one compare through float64.
+		ge := c.node(&BinExpr{Op: ">=", L: x.E, R: x.Lo})
+		le := c.node(&BinExpr{Op: "<=", L: x.E, R: x.Hi})
+		sh, in, kind = &BinExpr{Op: "BETWEEN", L: ge, R: le}, instr{op: opBetween, not: x.Not}, data.KindBool
+	case *InExpr:
+		kind = data.KindBool
+	case *IsNullExpr:
+		kind = data.KindBool
+		if c.kindOf(x.E) != kindDyn {
+			in = instr{op: opIsNull, not: x.Not}
+		}
+	case *CastExpr:
+		from := c.kindOf(x.E)
+		switch {
+		case from == x.Kind && isScalarKind(from):
+			return x.E
+		case from == data.KindInt && x.Kind == data.KindFloat, from == data.KindFloat && x.Kind == data.KindInt:
+			in, kind = instr{op: opCast}, x.Kind
+		case isScalarKind(x.Kind):
+			kind = x.Kind
+		}
+	case *FuncExpr:
+		kind = c.nativeKind(x)
+	}
+	if kind == kindDyn {
+		return sh
+	}
+	return c.emit(in, sh, kind, key)
+}
+
+func isScalarKind(k data.Kind) bool {
+	return k == data.KindInt || k == data.KindFloat || k == data.KindString || k == data.KindBool
+}
+
+// common returns the one kind all of ts share, NULL literals fitting
+// any; kindDyn when they disagree or are all NULL.
+func (c *compiler) common(ts ...SQLExpr) data.Kind {
+	k := data.KindNull
+	for _, t := range ts {
+		switch tk := c.kindOf(t); {
+		case tk == data.KindNull:
+		case k == data.KindNull:
+			k = tk
+		case k != tk:
+			return kindDyn
+		}
+	}
+	if k == data.KindNull {
+		return kindDyn
+	}
+	return k
+}
+
+// unify brings two numeric operands to one kind the way sqlArith and
+// data.Compare do — an int meeting a float computes as a float — and
+// returns the operands' kind, kindDyn when they still differ.
+func (c *compiler) unify(l, r *SQLExpr) data.Kind {
+	lk, rk := c.kindOf(*l), c.kindOf(*r)
+	switch {
+	case lk == data.KindInt && rk == data.KindFloat:
+		*l, lk = c.toFloat(*l), rk
+	case lk == data.KindFloat && rk == data.KindInt:
+		*r, rk = c.toFloat(*r), lk
+	}
+	if lk != rk {
+		return kindDyn
+	}
+	return lk
+}
+
+// toFloat is int slot t as a float: a constant converts now, a column
+// through a cast instruction.
+func (c *compiler) toFloat(t SQLExpr) SQLExpr {
+	if con := c.p.consts[t.(*ColRef).Index]; con != nil {
+		return c.lit(data.Float(float64(con.Ints[0])))
+	}
+	return c.node(&CastExpr{E: t, Kind: data.KindFloat})
+}
+
+// nativeKind is the kind evalNativeScalar returns for x whenever it does
+// not return NULL, kindDyn if that depends on the row.
+func (c *compiler) nativeKind(x *FuncExpr) data.Kind {
+	switch strings.ToLower(x.Name) {
+	case "length", "instr":
+		return data.KindInt
+	case "round":
+		return data.KindFloat
+	case "substr", "trim", "sqlupper", "sqllower", "typeof":
+		return data.KindString
+	case "abs":
+		if k := c.common(x.Args...); k == data.KindInt || k == data.KindFloat {
+			return k
+		}
+	case "nullif":
+		if len(x.Args) > 0 {
+			return c.common(x.Args[0])
+		}
+	case "coalesce", "ifnull":
+		return c.common(x.Args...)
+	}
+	return kindDyn
+}
+
+// ---- run ----
+
+// vec is an operand at run time: a column, and the mask that indexes it
+// (-1: one row per input row; 0: a one-row constant).
+type vec struct {
+	*data.Column
+	mask int
+}
+
+type frame struct {
+	p    *exprProg
+	cols []*data.Column
+	n    int
+}
+
+func (f *frame) at(s int) vec {
+	if f.p.consts[s] != nil {
+		return vec{Column: f.cols[s]}
+	}
+	return vec{Column: f.cols[s], mask: -1}
+}
+
+// full returns slot s as a column of n rows (a constant is broadcast).
+func (f *frame) full(s int) *data.Column {
+	if v := f.at(s); v.mask == 0 {
+		return v.Take(make([]int, f.n))
+	}
+	return f.cols[s]
+}
+
+// run evaluates the program over one morsel and returns one column per
+// compiled expression. A result may be a column of ch itself, or share
+// storage with one: results are read-only.
+func (p *exprProg) run(ch *data.Chunk) ([]*data.Column, error) {
+	f := &frame{p: p, cols: append([]*data.Column(nil), p.consts...), n: ch.NumRows()}
+	copy(f.cols, ch.Cols)
+	for i := range p.instrs {
+		in := &p.instrs[i]
+		col, err := p.exec(in, f)
+		if err != nil {
+			return nil, err
+		}
+		f.cols[in.out] = col
+	}
+	mVecCSEHits.Add(int64(p.shared))
+	outs := make([]*data.Column, len(p.roots))
+	for i, s := range p.roots {
+		outs[i] = f.full(s)
+	}
+	return outs, nil
+}
+
+func (p *exprProg) exec(in *instr, f *frame) (*data.Column, error) {
+	n := f.n
+	out := &data.Column{Kind: p.kinds[in.out]}
+	var a, b vec
+	if len(in.args) > 0 {
+		a = f.at(in.args[0])
+	}
+	if len(in.args) > 1 {
+		b = f.at(in.args[1])
+	}
+	switch in.op {
+	case opArith:
+		out.Nulls = orNulls(n, a, b)
+		if out.Kind == data.KindInt {
+			out.Ints, out.Nulls = arith(in.sym, a.Ints, b.Ints, a.mask, b.mask, n, out.Nulls, func(x, y int64) int64 { return x % y })
 		} else {
-			for _, v := range vals {
-				if !v.IsNull() {
-					kind = v.Kind
-					break
+			out.Floats, out.Nulls = arith(in.sym, a.Floats, b.Floats, a.mask, b.mask, n, out.Nulls, math.Mod)
+		}
+	case opCompare:
+		out.Nulls = orNulls(n, a, b)
+		switch a.Kind {
+		case data.KindInt:
+			out.Bools = compare(in.sym, a.Ints, b.Ints, a.mask, b.mask, n)
+		case data.KindFloat:
+			out.Bools = compare(in.sym, a.Floats, b.Floats, a.mask, b.mask, n)
+		default:
+			out.Bools = compare(in.sym, a.Strs, b.Strs, a.mask, b.mask, n)
+		}
+	case opLogic:
+		at, am := truths(a)
+		bt, bm := truths(b)
+		out.Bools = make([]bool, n)
+		for i := range out.Bools {
+			if in.sym == "AND" {
+				out.Bools[i] = at[i&am] && bt[i&bm]
+			} else {
+				out.Bools[i] = at[i&am] || bt[i&bm]
+			}
+		}
+	case opNot:
+		at, am := truths(a)
+		out.Bools = make([]bool, n)
+		for i := range out.Bools {
+			out.Bools[i] = !at[i&am]
+		}
+	case opCase:
+		// Operator-at-a-time CASE: every branch is already evaluated in
+		// full (the row executor short-circuits instead); which[i] is the
+		// first WHEN that holds for row i, nb standing for ELSE.
+		nb := len(in.args) / 2
+		which := make([]uint8, n)
+		for i := range which {
+			which[i] = uint8(nb)
+		}
+		branches := make([]vec, nb+1)
+		branches[nb] = f.at(in.args[2*nb])
+		for j := nb - 1; j >= 0; j-- {
+			branches[j] = f.at(in.args[2*j+1])
+			wt, wm := truths(f.at(in.args[2*j]))
+			for i := range which {
+				if wt[i&wm] {
+					which[i] = uint8(j)
 				}
 			}
 		}
-		// Intermediate materialization: the nested expression's result
-		// becomes a real engine column (serializing lists/dicts to JSON).
-		argCols[i] = ffi.UnboxValues(fmt.Sprintf("a%d", i), kind, vals)
-	}
-	if u.Fused {
-		// Fused wrapper: one boundary crossing, the loop runs inside the
-		// UDF runtime as a single trace.
-		cols, err := ffi.CallFusedVector(u, argCols, n, []string{u.Name}, []data.Kind{u.OutKind()})
-		if err != nil {
-			return nil, err
+		switch out.Kind {
+		case data.KindInt:
+			out.Ints = pick(which, branches, func(c *data.Column) []int64 { return c.Ints })
+		case data.KindFloat:
+			out.Floats = pick(which, branches, func(c *data.Column) []float64 { return c.Floats })
+		case data.KindBool:
+			out.Bools = pick(which, branches, func(c *data.Column) []bool { return c.Bools })
+		default:
+			out.Strs = pick(which, branches, func(c *data.Column) []string { return c.Strs })
 		}
-		return ffi.BoxColumn(cols[0], cols[0].Len()), nil
-	}
-	out, err := e.Invoker.CallScalar(u, argCols, n)
-	if err != nil {
-		return nil, err
-	}
-	return ffi.BoxColumn(out, n), nil
-}
-
-// evalBoolVec evaluates a predicate over a chunk with unboxed fast
-// paths for simple column comparisons (the engine-native filter the
-// offloading experiments compare against).
-func (e *Engine) evalBoolVec(x SQLExpr, ch *data.Chunk) ([]bool, error) {
-	n := ch.NumRows()
-	switch ex := x.(type) {
-	case *BinExpr:
-		switch ex.Op {
-		case "AND":
-			l, err := e.evalBoolVec(ex.L, ch)
-			if err != nil {
-				return nil, err
-			}
-			r, err := e.evalBoolVec(ex.R, ch)
-			if err != nil {
-				return nil, err
-			}
-			for i := range l {
-				l[i] = l[i] && r[i]
-			}
-			return l, nil
-		case "OR":
-			l, err := e.evalBoolVec(ex.L, ch)
-			if err != nil {
-				return nil, err
-			}
-			r, err := e.evalBoolVec(ex.R, ch)
-			if err != nil {
-				return nil, err
-			}
-			for i := range l {
-				l[i] = l[i] || r[i]
-			}
-			return l, nil
-		case "=", "!=", "<", "<=", ">", ">=":
-			if out, ok, err := e.fastCompare(ex, ch); err != nil {
-				return nil, err
-			} else if ok {
-				return out, nil
+		for _, br := range branches {
+			if br.Nulls != nil {
+				out.Nulls = pick(which, branches, func(c *data.Column) []bool { return c.Nulls })
+				break
 			}
 		}
-	case *UnaryExpr:
-		if ex.Op == "NOT" {
-			v, err := e.evalBoolVec(ex.E, ch)
+	case opBetween:
+		out.Nulls = orNulls(n, a, b)
+		out.Bools = make([]bool, n)
+		for i := range out.Bools {
+			out.Bools[i] = (a.Bools[i] && b.Bools[i]) != in.not
+		}
+	case opIsNull:
+		out.Bools = make([]bool, n)
+		for i := range out.Bools {
+			out.Bools[i] = a.IsNull(i&a.mask) != in.not
+		}
+	case opCast:
+		out.Nulls = orNulls(n, a)
+		if out.Kind == data.KindFloat {
+			out.Floats = convert[int64, float64](a.Ints, a.mask, n)
+		} else {
+			out.Ints = convert[float64, int64](a.Floats, a.mask, n)
+		}
+	case opUDF:
+		// The one real crossing: arguments are engine columns, the
+		// transport boxes them, runs the UDF and unboxes its results.
+		args := make([]*data.Column, len(in.args))
+		for i, s := range in.args {
+			args[i] = f.full(s)
+		}
+		if in.udf.Fused {
+			// Fused wrapper: one boundary crossing, the loop runs inside
+			// the UDF runtime as a single trace.
+			cols, err := ffi.CallFusedVector(in.udf, args, n, []string{in.udf.Name}, []data.Kind{out.Kind})
 			if err != nil {
 				return nil, err
 			}
-			for i := range v {
-				v[i] = !v[i]
-			}
-			return v, nil
+			return cols[0], nil
 		}
-	}
-	vals, err := e.evalVec(x, ch)
-	if err != nil {
-		return nil, err
-	}
-	out := make([]bool, n)
-	for i, v := range vals {
-		out[i] = v.Truthy()
+		return p.e.Invoker.CallScalar(in.udf, args, n)
+	default:
+		out = data.NewColumnCap("", out.Kind, n)
+		ops := make([]vec, len(in.args))
+		for j, s := range in.args {
+			ops[j] = f.at(s)
+		}
+		row := make([]data.Value, len(f.cols))
+		for i := 0; i < n; i++ {
+			for j, s := range in.args {
+				row[s] = ops[j].Get(i & ops[j].mask)
+			}
+			v, err := EvalPure(in.node, row)
+			if err != nil {
+				return nil, err
+			}
+			out.AppendValue(v)
+		}
 	}
 	return out, nil
 }
 
-// fastCompare handles col-vs-literal and col-vs-col comparisons without
-// boxing. ok=false means the shape didn't match and the caller should
-// fall back.
-func (e *Engine) fastCompare(ex *BinExpr, ch *data.Chunk) ([]bool, bool, error) {
-	lc, lok := ex.L.(*ColRef)
-	rc, rok := ex.R.(*ColRef)
-	llit, llok := ex.L.(*Lit)
-	rlit, rlok := ex.R.(*Lit)
-	n := ch.NumRows()
-	cmp := func(c int) bool {
-		switch ex.Op {
-		case "=":
-			return c == 0
-		case "!=":
-			return c != 0
-		case "<":
-			return c < 0
-		case "<=":
-			return c <= 0
-		case ">":
-			return c > 0
+// ---- kernels ----
+
+// orNulls is the null mask of a NULL-strict result: the union of the
+// operands' masks, nil when none has one. A lone mask is shared, not
+// copied — slots are read-only.
+func orNulls(n int, vs ...vec) []bool {
+	var out []bool
+	owned := false
+	for _, v := range vs {
+		switch {
+		case v.Nulls == nil:
+		case out == nil && v.mask != 0:
+			out = v.Nulls
 		default:
-			return c >= 0
+			if !owned {
+				out, owned = append(make([]bool, 0, n), out...)[:n], true
+			}
+			for i := range out {
+				out[i] = out[i] || v.Nulls[i&v.mask]
+			}
 		}
 	}
-	switch {
-	case lok && rlok:
-		col := ch.Cols[lc.Index]
-		return compareColLit(col, rlit.Value, n, cmp, false)
-	case rok && llok:
-		col := ch.Cols[rc.Index]
-		return compareColLit(col, llit.Value, n, cmp, true)
-	case lok && rok:
-		a, b := ch.Cols[lc.Index], ch.Cols[rc.Index]
-		if a.Kind != b.Kind {
-			return nil, false, nil
-		}
-		out := make([]bool, n)
-		switch a.Kind {
-		case data.KindInt:
-			for i := 0; i < n; i++ {
-				if a.IsNull(i) || b.IsNull(i) {
-					continue
-				}
-				out[i] = cmp(compareInt(a.Ints[i], b.Ints[i]))
-			}
-		case data.KindFloat:
-			for i := 0; i < n; i++ {
-				if a.IsNull(i) || b.IsNull(i) {
-					continue
-				}
-				out[i] = cmp(compareFloat(a.Floats[i], b.Floats[i]))
-			}
-		case data.KindString:
-			for i := 0; i < n; i++ {
-				if a.IsNull(i) || b.IsNull(i) {
-					continue
-				}
-				out[i] = cmp(compareStr(a.Strs[i], b.Strs[i]))
-			}
-		default:
-			return nil, false, nil
-		}
-		return out, true, nil
-	}
-	return nil, false, nil
+	return out
 }
 
-func compareColLit(col *data.Column, lit data.Value, n int, cmp func(int) bool, flip bool) ([]bool, bool, error) {
-	apply := func(c int) bool {
-		if flip {
-			c = -c
-		}
-		return cmp(c)
+// truths reads a bool operand (or the NULL literal) as predicates do:
+// NULL is false.
+func truths(v vec) ([]bool, int) {
+	if v.Nulls == nil {
+		return v.Bools, v.mask
 	}
+	t := make([]bool, len(v.Nulls))
+	for i, null := range v.Nulls {
+		t[i] = !null && v.Bools[i]
+	}
+	return t, v.mask
+}
+
+// arith is the typed specialization of sqlArith: int64 or float64
+// arithmetic with the operator hoisted out of the row loop; a zero
+// divisor makes the row NULL. nulls is the operands' mask (possibly
+// shared) and comes back extended by those rows.
+func arith[T int64 | float64](sym string, a, b []T, am, bm, n int, nulls []bool, mod func(T, T) T) ([]T, []bool) {
+	out := make([]T, n)
+	switch sym {
+	case "+":
+		for i := range out {
+			out[i] = a[i&am] + b[i&bm]
+		}
+	case "-":
+		for i := range out {
+			out[i] = a[i&am] - b[i&bm]
+		}
+	case "*":
+		for i := range out {
+			out[i] = a[i&am] * b[i&bm]
+		}
+	default:
+		nulls = append(make([]bool, 0, n), nulls...)[:n]
+		for i := range out {
+			switch d := b[i&bm]; {
+			case d == 0:
+				nulls[i] = true
+			case sym == "/":
+				out[i] = a[i&am] / d
+			default:
+				out[i] = mod(a[i&am], d)
+			}
+		}
+	}
+	return out, nulls
+}
+
+// convert is CAST between the numeric kinds (a float truncates).
+func convert[A, B int64 | float64](a []A, am, n int) []B {
+	out := make([]B, n)
+	for i := range out {
+		out[i] = B(a[i&am])
+	}
+	return out
+}
+
+// compare is the typed specialization of sqlBinOp's comparisons. <= and
+// >= are written as negations so that a NaN operand answers as it does
+// through data.Compare, which orders NaN equal to everything.
+func compare[T int64 | float64 | string](sym string, a, b []T, am, bm, n int) []bool {
 	out := make([]bool, n)
-	switch {
-	case col.Kind == data.KindInt && (lit.Kind == data.KindInt || lit.Kind == data.KindBool):
-		v := lit.I
-		for i := 0; i < n; i++ {
-			if col.IsNull(i) {
-				continue
-			}
-			out[i] = apply(compareInt(col.Ints[i], v))
+	switch sym {
+	case "=":
+		for i := range out {
+			out[i] = a[i&am] == b[i&bm]
 		}
-	case col.Kind == data.KindFloat && lit.Kind == data.KindFloat:
-		v := lit.F
-		for i := 0; i < n; i++ {
-			if col.IsNull(i) {
-				continue
-			}
-			out[i] = apply(compareFloat(col.Floats[i], v))
+	case "!=":
+		for i := range out {
+			out[i] = a[i&am] != b[i&bm]
 		}
-	case col.Kind == data.KindFloat && lit.Kind == data.KindInt:
-		v := float64(lit.I)
-		for i := 0; i < n; i++ {
-			if col.IsNull(i) {
-				continue
-			}
-			out[i] = apply(compareFloat(col.Floats[i], v))
+	case "<":
+		for i := range out {
+			out[i] = a[i&am] < b[i&bm]
 		}
-	case col.Kind == data.KindInt && lit.Kind == data.KindFloat:
-		v := lit.F
-		for i := 0; i < n; i++ {
-			if col.IsNull(i) {
-				continue
-			}
-			out[i] = apply(compareFloat(float64(col.Ints[i]), v))
+	case "<=":
+		for i := range out {
+			out[i] = !(a[i&am] > b[i&bm])
 		}
-	case col.Kind == data.KindString && lit.Kind == data.KindString:
-		v := lit.S
-		for i := 0; i < n; i++ {
-			if col.IsNull(i) {
-				continue
-			}
-			out[i] = apply(compareStr(col.Strs[i], v))
+	case ">":
+		for i := range out {
+			out[i] = a[i&am] > b[i&bm]
 		}
 	default:
-		return nil, false, nil
+		for i := range out {
+			out[i] = !(a[i&am] < b[i&bm])
+		}
 	}
-	return out, true, nil
+	return out
 }
 
-func compareInt(a, b int64) int {
-	switch {
-	case a < b:
-		return -1
-	case a > b:
-		return 1
-	default:
-		return 0
+// pick gathers, per row, the payload of the branch the row took.
+func pick[T any](which []uint8, branches []vec, payload func(*data.Column) []T) []T {
+	src := make([][]T, len(branches))
+	for j, br := range branches {
+		src[j] = payload(br.Column)
 	}
-}
-
-func compareFloat(a, b float64) int {
-	switch {
-	case a < b:
-		return -1
-	case a > b:
-		return 1
-	default:
-		return 0
+	out := make([]T, len(which))
+	for i, w := range which {
+		if s := src[w]; len(s) > 0 {
+			out[i] = s[i&branches[w].mask]
+		}
 	}
-}
-
-func compareStr(a, b string) int {
-	switch {
-	case a < b:
-		return -1
-	case a > b:
-		return 1
-	default:
-		return 0
-	}
+	return out
 }

@@ -59,44 +59,27 @@ func sqlBinOp(op string, a, b data.Value) (data.Value, error) {
 	return data.Null, fmt.Errorf("sql: unsupported operator %q", op)
 }
 
+// sqlArith is SQL arithmetic. Two ints (bools count as 0/1) compute in
+// exact int64; anything involving a float computes in float64; a numeric
+// string takes part through its parsed value.
 func sqlArith(op string, a, b data.Value) (data.Value, error) {
-	af, aok := a.AsFloat()
-	bf, bok := b.AsFloat()
-	if !aok {
-		if a.Kind == data.KindString {
-			af, aok = parseNum(a.S)
+	if a.Kind != data.KindFloat && b.Kind != data.KindFloat {
+		if ai, aok := asExactInt(a); aok {
+			if bi, bok := asExactInt(b); bok {
+				return intArith(op, ai, bi)
+			}
 		}
 	}
-	if !bok {
-		if b.Kind == data.KindString {
-			bf, bok = parseNum(b.S)
-		}
+	af, aok := a.AsFloat()
+	bf, bok := b.AsFloat()
+	if !aok && a.Kind == data.KindString {
+		af, aok = parseNum(a.S)
+	}
+	if !bok && b.Kind == data.KindString {
+		bf, bok = parseNum(b.S)
 	}
 	if !aok || !bok {
 		return data.Null, nil
-	}
-	bothInt := a.Kind != data.KindFloat && b.Kind != data.KindFloat &&
-		af == math.Trunc(af) && bf == math.Trunc(bf)
-	if bothInt {
-		ai, bi := int64(af), int64(bf)
-		switch op {
-		case "+":
-			return data.Int(ai + bi), nil
-		case "-":
-			return data.Int(ai - bi), nil
-		case "*":
-			return data.Int(ai * bi), nil
-		case "/":
-			if bi == 0 {
-				return data.Null, nil
-			}
-			return data.Int(ai / bi), nil
-		case "%":
-			if bi == 0 {
-				return data.Null, nil
-			}
-			return data.Int(ai % bi), nil
-		}
 	}
 	switch op {
 	case "+":
@@ -115,6 +98,41 @@ func sqlArith(op string, a, b data.Value) (data.Value, error) {
 			return data.Null, nil
 		}
 		return data.Float(math.Mod(af, bf)), nil
+	}
+	return data.Null, fmt.Errorf("sql: unsupported arithmetic %q", op)
+}
+
+// asExactInt returns v as an int64 without a float round trip: ints and
+// bools directly, a string when it spells an integral number.
+func asExactInt(v data.Value) (int64, bool) {
+	switch v.Kind {
+	case data.KindInt, data.KindBool:
+		return v.I, true
+	case data.KindString:
+		if f, ok := parseNum(v.S); ok && f == math.Trunc(f) {
+			return int64(f), true
+		}
+	}
+	return 0, false
+}
+
+// intArith is int64 arithmetic; a zero divisor yields NULL.
+func intArith(op string, a, b int64) (data.Value, error) {
+	switch op {
+	case "+":
+		return data.Int(a + b), nil
+	case "-":
+		return data.Int(a - b), nil
+	case "*":
+		return data.Int(a * b), nil
+	case "/", "%":
+		if b == 0 {
+			return data.Null, nil
+		}
+		if op == "/" {
+			return data.Int(a / b), nil
+		}
+		return data.Int(a % b), nil
 	}
 	return data.Null, fmt.Errorf("sql: unsupported arithmetic %q", op)
 }
@@ -321,8 +339,13 @@ func EvalPure(x SQLExpr, row []data.Value) (data.Value, error) {
 	return (*Engine)(nil).evalRow(x, row)
 }
 
-// evalRow evaluates a bound expression against one boxed row. UDF calls
-// go through the engine's invoker row path.
+// evalRow evaluates a bound expression against one boxed row; UDF calls
+// go through the engine's invoker row path. It is the one definition of
+// SQL scalar semantics: the columnar executors' compiled programs
+// (exec_expr_vec.go) specialize it into typed kernels and call it for
+// everything else. The row executor keeps evaluating through it tuple
+// by tuple on purpose — the sqlite and postgres profiles model exactly
+// that cost.
 func (e *Engine) evalRow(x SQLExpr, row []data.Value) (data.Value, error) {
 	switch ex := x.(type) {
 	case *ColRef:

@@ -92,12 +92,3 @@ func appendRowKey(b []byte, ch *data.Chunk, keys []int, i int) []byte {
 	}
 	return b
 }
-
-// appendVecKey appends the compound key of row i across evaluated key
-// vectors (group-by keys are expressions, so they arrive boxed).
-func appendVecKey(b []byte, keyVecs [][]data.Value, i int) []byte {
-	for _, kv := range keyVecs {
-		b = appendValueKey(b, kv[i])
-	}
-	return b
-}

@@ -121,7 +121,7 @@ func (pl *planner) planSelectStmt(st *SelectStmt) (*Plan, error) {
 				}
 				name := fmt.Sprintf("__ord%d", i)
 				p.Exprs = append(p.Exprs, h)
-				p.Schema = append(p.Schema, data.Field{Name: name, Kind: pl.exprKind(h, child)})
+				p.Schema = append(p.Schema, data.Field{Name: name, Kind: exprKind(pl.cat, h, child.Schema)})
 				p.Quals = append(p.Quals, "")
 				e = &ColRef{Name: name, Index: len(p.Schema) - 1}
 				hidden++
@@ -416,7 +416,7 @@ func (pl *planner) planExpand(items []SelectItem, in *Plan) (*Plan, []SelectItem
 			return nil, nil, err
 		}
 		preExprs = append(preExprs, e)
-		preSchema = append(preSchema, data.Field{Name: itemName(it, len(preSchema)), Kind: pl.exprKind(e, in)})
+		preSchema = append(preSchema, data.Field{Name: itemName(it, len(preSchema)), Kind: exprKind(pl.cat, e, in.Schema)})
 	}
 	nKeep := len(preExprs)
 	var tfArgs []SQLExpr
@@ -427,7 +427,7 @@ func (pl *planner) planExpand(items []SelectItem, in *Plan) (*Plan, []SelectItem
 		}
 		preExprs = append(preExprs, e)
 		argName := fmt.Sprintf("__arg%d", ai)
-		preSchema = append(preSchema, data.Field{Name: argName, Kind: pl.exprKind(e, in)})
+		preSchema = append(preSchema, data.Field{Name: argName, Kind: exprKind(pl.cat, e, in.Schema)})
 		tfArgs = append(tfArgs, &ColRef{Name: argName, Index: nKeep + ai})
 	}
 	pre := &Plan{Op: OpProject, Children: []*Plan{in}, Schema: preSchema,
@@ -498,7 +498,7 @@ func (pl *planner) project(items []SelectItem, in *Plan) (*Plan, error) {
 			return nil, err
 		}
 		exprs[i] = e
-		schema[i] = data.Field{Name: itemName(it, i), Kind: pl.exprKind(e, in)}
+		schema[i] = data.Field{Name: itemName(it, i), Kind: exprKind(pl.cat, e, in.Schema)}
 		// Plain column references keep their source qualifier so outer
 		// scopes can still address them as alias.column.
 		if cr, ok := e.(*ColRef); ok && cr.Index >= 0 && cr.Index < len(in.Quals) &&

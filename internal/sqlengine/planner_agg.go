@@ -98,7 +98,7 @@ func (pl *planner) planAggregate(core *SelectCore, items []SelectItem, in *Plan)
 		if cr, ok := k.(*ColRef); ok {
 			name = cr.Name
 		}
-		schema = append(schema, data.Field{Name: name, Kind: pl.exprKind(k, in)})
+		schema = append(schema, data.Field{Name: name, Kind: exprKind(pl.cat, k, in.Schema)})
 	}
 	for i, a := range aggs {
 		schema = append(schema, data.Field{Name: fmt.Sprintf("__agg%d", i), Kind: pl.aggKind(a, in)})
@@ -135,7 +135,7 @@ func (pl *planner) planAggregate(core *SelectCore, items []SelectItem, in *Plan)
 			return nil, err
 		}
 		exprs[i] = e
-		outSchema[i] = data.Field{Name: itemName(it, i), Kind: pl.exprKind(e, p)}
+		outSchema[i] = data.Field{Name: itemName(it, i), Kind: exprKind(pl.cat, e, p.Schema)}
 	}
 	out := &Plan{Op: OpProject, Children: []*Plan{p}, Schema: outSchema,
 		Quals: make([]string, len(outSchema)), Exprs: exprs, EstRows: p.EstRows}
@@ -322,7 +322,7 @@ func (pl *planner) aggKind(a AggSpec, in *Plan) data.Kind {
 		return data.KindFloat
 	default: // sum, min, max follow the argument
 		if len(a.Args) > 0 {
-			return pl.exprKind(a.Args[0], in)
+			return exprKind(pl.cat, a.Args[0], in.Schema)
 		}
 		return data.KindFloat
 	}

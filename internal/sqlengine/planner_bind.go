@@ -10,52 +10,7 @@ import (
 // cloneExpr deep-copies an expression so binding never aliases the
 // parsed AST (plans may rebind the same source expression at different
 // schema levels).
-func cloneExpr(e SQLExpr) SQLExpr {
-	switch x := e.(type) {
-	case nil:
-		return nil
-	case *ColRef:
-		cp := *x
-		return &cp
-	case *Lit:
-		cp := *x
-		return &cp
-	case *FuncExpr:
-		cp := &FuncExpr{Name: x.Name, Star: x.Star}
-		for _, a := range x.Args {
-			cp.Args = append(cp.Args, cloneExpr(a))
-		}
-		return cp
-	case *BinExpr:
-		return &BinExpr{Op: x.Op, L: cloneExpr(x.L), R: cloneExpr(x.R)}
-	case *UnaryExpr:
-		return &UnaryExpr{Op: x.Op, E: cloneExpr(x.E)}
-	case *CaseExpr:
-		cp := &CaseExpr{Operand: cloneExpr(x.Operand), Else: cloneExpr(x.Else)}
-		for i := range x.Whens {
-			cp.Whens = append(cp.Whens, cloneExpr(x.Whens[i]))
-			cp.Thens = append(cp.Thens, cloneExpr(x.Thens[i]))
-		}
-		return cp
-	case *BetweenExpr:
-		return &BetweenExpr{E: cloneExpr(x.E), Lo: cloneExpr(x.Lo), Hi: cloneExpr(x.Hi), Not: x.Not}
-	case *InExpr:
-		cp := &InExpr{E: cloneExpr(x.E), Not: x.Not}
-		for _, it := range x.List {
-			cp.List = append(cp.List, cloneExpr(it))
-		}
-		return cp
-	case *IsNullExpr:
-		return &IsNullExpr{E: cloneExpr(x.E), Not: x.Not}
-	case *CastExpr:
-		return &CastExpr{E: cloneExpr(x.E), Kind: x.Kind}
-	case *StarExpr:
-		return &StarExpr{}
-	case *subqueryArg:
-		return x
-	}
-	return e
-}
+func cloneExpr(e SQLExpr) SQLExpr { return mapChildren(e, cloneExpr) }
 
 // bindExpr resolves every ColRef in e against the plan's schema.
 func (pl *planner) bindExpr(e SQLExpr, p *Plan) error {
@@ -93,11 +48,11 @@ func resolveCol(p *Plan, cr *ColRef) int {
 }
 
 // exprKind infers the output kind of a bound expression.
-func (pl *planner) exprKind(e SQLExpr, in *Plan) data.Kind {
+func exprKind(cat *Catalog, e SQLExpr, in data.Schema) data.Kind {
 	switch x := e.(type) {
 	case *ColRef:
-		if x.Index >= 0 && x.Index < len(in.Schema) {
-			return in.Schema[x.Index].Kind
+		if x.Index >= 0 && x.Index < len(in) {
+			return in[x.Index].Kind
 		}
 		return data.KindString
 	case *Lit:
@@ -106,7 +61,7 @@ func (pl *planner) exprKind(e SQLExpr, in *Plan) data.Kind {
 		}
 		return x.Value.Kind
 	case *FuncExpr:
-		if u, ok := pl.cat.UDF(x.Name); ok {
+		if u, ok := cat.UDF(x.Name); ok {
 			return u.OutKind()
 		}
 		switch strings.ToLower(x.Name) {
@@ -116,7 +71,7 @@ func (pl *planner) exprKind(e SQLExpr, in *Plan) data.Kind {
 			return data.KindFloat
 		case "sum", "min", "max", "abs", "coalesce", "ifnull", "nullif":
 			if len(x.Args) > 0 {
-				return pl.exprKind(x.Args[0], in)
+				return exprKind(cat, x.Args[0], in)
 			}
 			return data.KindFloat
 		default:
@@ -129,8 +84,8 @@ func (pl *planner) exprKind(e SQLExpr, in *Plan) data.Kind {
 		case "||":
 			return data.KindString
 		default:
-			lk := pl.exprKind(x.L, in)
-			rk := pl.exprKind(x.R, in)
+			lk := exprKind(cat, x.L, in)
+			rk := exprKind(cat, x.R, in)
 			if lk == data.KindFloat || rk == data.KindFloat {
 				return data.KindFloat
 			}
@@ -143,16 +98,16 @@ func (pl *planner) exprKind(e SQLExpr, in *Plan) data.Kind {
 		if x.Op == "NOT" {
 			return data.KindBool
 		}
-		return pl.exprKind(x.E, in)
+		return exprKind(cat, x.E, in)
 	case *CaseExpr:
 		for _, t := range x.Thens {
 			if lit, ok := t.(*Lit); ok && lit.Value.IsNull() {
 				continue
 			}
-			return pl.exprKind(t, in)
+			return exprKind(cat, t, in)
 		}
 		if x.Else != nil {
-			return pl.exprKind(x.Else, in)
+			return exprKind(cat, x.Else, in)
 		}
 		return data.KindString
 	case *BetweenExpr, *InExpr, *IsNullExpr:

@@ -305,59 +305,65 @@ func RewriteExpr(e SQLExpr, fn func(SQLExpr) SQLExpr) SQLExpr {
 	if e == nil {
 		return nil
 	}
-	var out SQLExpr
+	return fn(mapChildren(e, func(c SQLExpr) SQLExpr { return RewriteExpr(c, fn) }))
+}
+
+// mapChildren returns a copy of e whose direct children are replaced by
+// fn's results (absent children — a searched CASE's operand, a missing
+// ELSE — stay absent). The input is never mutated.
+func mapChildren(e SQLExpr, fn func(SQLExpr) SQLExpr) SQLExpr {
+	opt := func(c SQLExpr) SQLExpr {
+		if c == nil {
+			return nil
+		}
+		return fn(c)
+	}
+	each := func(cs []SQLExpr) []SQLExpr {
+		if cs == nil {
+			return nil
+		}
+		out := make([]SQLExpr, len(cs))
+		for i, c := range cs {
+			out[i] = fn(c)
+		}
+		return out
+	}
 	switch x := e.(type) {
 	case *ColRef:
 		c := *x
-		out = &c
+		return &c
 	case *Lit:
 		c := *x
-		out = &c
+		return &c
 	case *FuncExpr:
-		c := &FuncExpr{Name: x.Name, Star: x.Star}
-		if x.Args != nil {
-			c.Args = make([]SQLExpr, len(x.Args))
-			for i, a := range x.Args {
-				c.Args[i] = RewriteExpr(a, fn)
-			}
-		}
-		out = c
+		return &FuncExpr{Name: x.Name, Star: x.Star, Args: each(x.Args)}
 	case *BinExpr:
-		out = &BinExpr{Op: x.Op, L: RewriteExpr(x.L, fn), R: RewriteExpr(x.R, fn)}
+		return &BinExpr{Op: x.Op, L: fn(x.L), R: fn(x.R)}
 	case *UnaryExpr:
-		out = &UnaryExpr{Op: x.Op, E: RewriteExpr(x.E, fn)}
+		return &UnaryExpr{Op: x.Op, E: fn(x.E)}
 	case *CaseExpr:
-		c := &CaseExpr{Operand: RewriteExpr(x.Operand, fn), Else: RewriteExpr(x.Else, fn)}
+		c := &CaseExpr{Operand: opt(x.Operand), Else: opt(x.Else)}
 		if x.Whens != nil {
 			c.Whens = make([]SQLExpr, len(x.Whens))
 			c.Thens = make([]SQLExpr, len(x.Thens))
 			for i := range x.Whens {
-				c.Whens[i] = RewriteExpr(x.Whens[i], fn)
-				c.Thens[i] = RewriteExpr(x.Thens[i], fn)
+				c.Whens[i] = fn(x.Whens[i])
+				c.Thens[i] = fn(x.Thens[i])
 			}
 		}
-		out = c
+		return c
 	case *BetweenExpr:
-		out = &BetweenExpr{E: RewriteExpr(x.E, fn), Lo: RewriteExpr(x.Lo, fn), Hi: RewriteExpr(x.Hi, fn), Not: x.Not}
+		return &BetweenExpr{E: fn(x.E), Lo: fn(x.Lo), Hi: fn(x.Hi), Not: x.Not}
 	case *InExpr:
-		c := &InExpr{E: RewriteExpr(x.E, fn), Not: x.Not}
-		if x.List != nil {
-			c.List = make([]SQLExpr, len(x.List))
-			for i, it := range x.List {
-				c.List[i] = RewriteExpr(it, fn)
-			}
-		}
-		out = c
+		return &InExpr{E: fn(x.E), List: each(x.List), Not: x.Not}
 	case *IsNullExpr:
-		out = &IsNullExpr{E: RewriteExpr(x.E, fn), Not: x.Not}
+		return &IsNullExpr{E: fn(x.E), Not: x.Not}
 	case *CastExpr:
-		out = &CastExpr{E: RewriteExpr(x.E, fn), Kind: x.Kind}
+		return &CastExpr{E: fn(x.E), Kind: x.Kind}
 	case *StarExpr:
-		out = &StarExpr{}
-	default:
-		out = e
+		return &StarExpr{}
 	}
-	return fn(out)
+	return e
 }
 
 // walkExpr visits e and its children pre-order; fn returning false

@@ -49,3 +49,8 @@ go run ./cmd/qfusor-bench -inline-smoke
 # plan-cache or fusion correctness bug. FUZZTIME can be shortened for
 # fast local iteration.
 go test -run '^$' -fuzz FuzzDiff -fuzztime "${FUZZTIME:-30s}" ./internal/core
+# Expression-equivalence fuzz smoke: seeded random expressions over
+# random columns; the compiled columnar program must equal evalRow row
+# by row at every morsel size and parallelism (the seeded table of the
+# same check, TestExprEquivalence, already ran under -race above).
+go test -run '^$' -fuzz FuzzExprEquiv -fuzztime "${FUZZTIME:-30s}" ./internal/sqlengine
