@@ -43,14 +43,17 @@ chaos:
 
 
 
-## fuzz-smoke: bounded runs of the two fuzzers. FuzzDiff — native vs
+## fuzz-smoke: bounded runs of the three fuzzers. FuzzDiff — native vs
 ## fused-cold vs fused-warm (plan-cache hit) must stay bit-identical on
 ## every generated query; 30s is enough for tens of thousands of execs.
 ## FuzzExprEquiv — a compiled expression program must equal the row
 ## evaluator row by row at every morsel size and parallelism.
+## FuzzJSONLoads — the single-pass JSON decoder must equal the
+## encoding/json path it replaced, trailing data aside.
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzDiff -fuzztime 30s ./internal/core
 	$(GO) test -run '^$$' -fuzz FuzzExprEquiv -fuzztime 30s ./internal/sqlengine
+	$(GO) test -run '^$$' -fuzz FuzzJSONLoads -fuzztime 30s ./internal/data
 
 ## obs-smoke: end-to-end diagnostics-plane check — starts the embedded
 ## HTTP server against a live engine and validates /metrics exposition,

@@ -246,10 +246,13 @@ func (d *Dataset) Collect() ([][]data.Value, Stats, error) {
 	var wg sync.WaitGroup
 	for pi, part := range parts {
 		wg.Add(1)
-		go func(pi int, part [][]data.Value) {
+		// Each partition's thread runs on its own runtime view: a view's
+		// call stacks belong to one goroutine.
+		go func(pi int, part [][]data.Value, rt *pylite.Interp) {
 			defer wg.Done()
-			results[pi], errs[pi] = d.runPartition(part, fns)
-		}(pi, part)
+			defer d.ctx.rt.MergeStats(rt)
+			results[pi], errs[pi] = d.runPartition(rt, part, fns)
+		}(pi, part, d.ctx.rt.Worker())
 	}
 	wg.Wait()
 	for _, err := range errs {
@@ -301,7 +304,7 @@ func partition(rows [][]data.Value, p int) [][][]data.Value {
 
 // runPartition streams a partition through the non-terminal stages and
 // performs a partial aggregate for terminal aggregation.
-func (d *Dataset) runPartition(rows [][]data.Value, fns map[string]data.Value) ([][]data.Value, error) {
+func (d *Dataset) runPartition(rt *pylite.Interp, rows [][]data.Value, fns map[string]data.Value) ([][]data.Value, error) {
 	var aggStage *stage
 	stages := d.stages
 	if len(stages) > 0 && stages[len(stages)-1].kind == "aggregate" {
@@ -315,7 +318,7 @@ func (d *Dataset) runPartition(rows [][]data.Value, fns map[string]data.Value) (
 		for _, st := range stages {
 			switch st.kind {
 			case "map":
-				res, err := d.ctx.rt.Call(fns[st.fn], []data.Value{data.NewList(cur)})
+				res, err := rt.Call(fns[st.fn], []data.Value{data.NewList(cur)})
 				if err != nil {
 					return nil, fmt.Errorf("tuplex: %s: %w", st.fn, err)
 				}
@@ -325,7 +328,7 @@ func (d *Dataset) runPartition(rows [][]data.Value, fns map[string]data.Value) (
 					cur = []data.Value{res}
 				}
 			case "filter":
-				res, err := d.ctx.rt.Call(fns[st.fn], []data.Value{data.NewList(cur)})
+				res, err := rt.Call(fns[st.fn], []data.Value{data.NewList(cur)})
 				if err != nil {
 					return nil, fmt.Errorf("tuplex: %s: %w", st.fn, err)
 				}

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"strings"
+	"sync"
 	"time"
 
 	"qfusor/internal/baselines/pandas"
@@ -260,23 +261,37 @@ def udo_keep(bd, offer):
 	return rt, nil
 }
 
+// udoCaller calls PyLite functions from UDO's operator threads, each
+// call on a runtime view it borrows: a view's call stacks belong to one
+// goroutine, and a pipeline with Parallelism > 1 runs its operators on
+// several.
+func udoCaller(rt *pylite.Interp) func(fn data.Value, args ...data.Value) (data.Value, error) {
+	views := &sync.Pool{New: func() any { return rt.Worker() }}
+	return func(fn data.Value, args ...data.Value) (data.Value, error) {
+		v := views.Get().(*pylite.Interp)
+		defer views.Put(v)
+		return v.Call(fn, args)
+	}
+}
+
 // udoZillowQ11 runs the Zillow pipeline as a UDO operator chain.
 func udoZillowQ11(t *data.Table, fused bool, par int) (int, udo.Stats, error) {
 	rt, err := udoRuntime()
 	if err != nil {
 		return 0, udo.Stats{}, err
 	}
+	call := udoCaller(rt)
 	extractFn, _ := rt.Global("udo_extract")
 	keepFn, _ := rt.Global("udo_keep")
 	extract := udo.MapOp("z_extract", func(r []data.Value) []data.Value {
-		out, err := rt.Call(extractFn, []data.Value{r[3], r[1], r[5], r[6], r[7]})
+		out, err := call(extractFn, r[3], r[1], r[5], r[6], r[7])
 		if err != nil || out.List() == nil {
 			return []data.Value{data.Null, data.Null, data.Null, data.Null, data.Null, data.Null}
 		}
 		return out.List().Items
 	})
 	filter := udo.FilterOp("z_filter", func(r []data.Value) bool {
-		v, err := rt.Call(keepFn, []data.Value{r[4], r[5]})
+		v, err := call(keepFn, r[4], r[5])
 		return err == nil && v.Truthy()
 	})
 	p := &udo.Pipeline{Ops: []udo.Operator{extract, filter}, Fused: fused, Parallelism: par}
@@ -298,11 +313,12 @@ func udoRun(id string, arrays, docs *data.Table, par int) (int, udo.Stats, error
 	if err != nil {
 		return 0, udo.Stats{}, err
 	}
+	call := udoCaller(rt)
 	switch id {
 	case "Q17":
 		fn, _ := rt.Global("splitarray")
 		split := udo.ExpandOp("splitarray", func(r []data.Value, emit func([]data.Value)) {
-			gv, err := rt.Call(fn, []data.Value{r[1]})
+			gv, err := call(fn, r[1])
 			if err != nil {
 				return
 			}
@@ -317,7 +333,7 @@ func udoRun(id string, arrays, docs *data.Table, par int) (int, udo.Stats, error
 	case "Q18":
 		fn, _ := rt.Global("containsdb")
 		filter := udo.FilterOp("containsdb", func(r []data.Value) bool {
-			v, err := rt.Call(fn, []data.Value{r[1]})
+			v, err := call(fn, r[1])
 			return err == nil && v.Truthy()
 		})
 		p := &udo.Pipeline{Ops: []udo.Operator{filter}, Parallelism: par}

@@ -41,13 +41,15 @@ func (p *Profiler) ProfileColdUDFs(eng *sqlengine.Engine, tableName string) int 
 			continue
 		}
 		n := cols[0].Len()
-		// Probe through the vectorized transport; errors just leave the
-		// UDF cold (dirty samples may not fit every UDF).
-		if _, err := (ffi.VectorInvoker{}).CallScalar(u, cols, n); err == nil {
+		// Probe through the vectorized transport, on a clone: the catalog
+		// UDF's runtime is shared, and a runtime view belongs to one
+		// goroutine. Only a probe that succeeds folds its statistics
+		// back; a failing one (dirty samples may not fit every UDF)
+		// leaves the UDF fully cold.
+		cu := u.WorkerClone()
+		if _, err := (ffi.VectorInvoker{}).CallScalar(cu, cols, n); err == nil {
+			u.AbsorbWorker(cu)
 			probed++
-		} else {
-			// A failing probe must leave the UDF fully cold.
-			u.Stats.Reset()
 		}
 	}
 	return probed

@@ -12,10 +12,10 @@ import (
 )
 
 // Vectorized VM tier: instead of dispatching each TCall through a
-// closure-compiled function (per-call cframe + slot allocation, boxed
-// CrossIn with string marshalling), the section's UDFs run as register
-// bytecode in windows of one flat register file that lives for the
-// whole morsel. Column values load unboxed straight into registers —
+// closure-compiled function (closure dispatch per node, a frame per
+// call, boxed CrossIn with string marshalling), the section's UDFs run
+// as register bytecode in windows of one flat register file that lives
+// for the whole morsel. Column values load unboxed straight into registers —
 // no per-row string clone, no per-call allocation — and a row only
 // pays boxing when it genuinely needs the closure tier (a bail).
 var (

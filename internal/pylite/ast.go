@@ -102,9 +102,11 @@ type Pass struct{ pos }
 type Break struct{ pos }
 type Continue struct{ pos }
 
-// Import is `import name` (modules: json, re, math).
+// Import is `import a, b` (From empty: each name binds its module) or
+// `from m import a, b` (From m: each name binds m's attribute).
 type Import struct {
 	pos
+	From  string
 	Names []string
 }
 

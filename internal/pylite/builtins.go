@@ -259,6 +259,9 @@ func Builtins() map[string]data.Value {
 		return d, nil
 	})
 
+	// The lazy builtins (enumerate, zip, map, filter) iterate their
+	// sources inside the producer, so a producer that overflows its eager
+	// run and restarts on its own goroutine (Generator.start) starts over.
 	reg("enumerate", func(_ *Ctx, args []data.Value, _ map[string]data.Value) (data.Value, error) {
 		if err := wantArgs("enumerate", args, 1, 2); err != nil {
 			return data.Null, err
@@ -267,36 +270,31 @@ func Builtins() map[string]data.Value {
 		if len(args) == 2 {
 			start, _ = args[1].AsInt()
 		}
-		it, err := ValueIter(args[0])
-		if err != nil {
+		src := args[0]
+		if _, err := ValueIter(src); err != nil {
 			return data.Null, err
 		}
-		i := start
 		return data.Object(GoGenerator(func(yield func(data.Value) error) error {
-			defer it.Close()
-			for {
-				v, ok, err := it.Next()
-				if err != nil || !ok {
-					return err
-				}
-				if err := yield(data.NewList([]data.Value{data.Int(i), v})); err != nil {
-					return err
-				}
+			i := start
+			return Iterate(src, func(v data.Value) error {
 				i++
-			}
+				return yield(data.NewList([]data.Value{data.Int(i - 1), v}))
+			})
 		})), nil
 	})
 
 	reg("zip", func(_ *Ctx, args []data.Value, _ map[string]data.Value) (data.Value, error) {
-		iters := make([]Iterator, len(args))
-		for i, a := range args {
-			it, err := ValueIter(a)
-			if err != nil {
+		srcs := append([]data.Value(nil), args...)
+		for _, a := range srcs {
+			if _, err := ValueIter(a); err != nil {
 				return data.Null, err
 			}
-			iters[i] = it
 		}
 		return data.Object(GoGenerator(func(yield func(data.Value) error) error {
+			iters := make([]Iterator, len(srcs))
+			for i, a := range srcs {
+				iters[i], _ = ValueIter(a) // iterable: checked when zip was called
+			}
 			defer func() {
 				for _, it := range iters {
 					it.Close()
@@ -372,26 +370,18 @@ func Builtins() map[string]data.Value {
 		if err := wantArgs("map", args, 2, 2); err != nil {
 			return data.Null, err
 		}
-		fn := args[0]
-		it, err := ValueIter(args[1])
-		if err != nil {
+		fn, src := args[0], args[1]
+		if _, err := ValueIter(src); err != nil {
 			return data.Null, err
 		}
-		return data.Object(GoGenerator(func(yield func(data.Value) error) error {
-			defer it.Close()
-			for {
-				v, ok, err := it.Next()
-				if err != nil || !ok {
-					return err
-				}
+		return data.Object(ctxGenerator(ctx, func(ctx *Ctx, yield func(data.Value) error) error {
+			return Iterate(src, func(v data.Value) error {
 				r, err := ctx.Call(fn, []data.Value{v})
 				if err != nil {
 					return err
 				}
-				if err := yield(r); err != nil {
-					return err
-				}
-			}
+				return yield(r)
+			})
 		})), nil
 	})
 
@@ -399,18 +389,12 @@ func Builtins() map[string]data.Value {
 		if err := wantArgs("filter", args, 2, 2); err != nil {
 			return data.Null, err
 		}
-		fn := args[0]
-		it, err := ValueIter(args[1])
-		if err != nil {
+		fn, src := args[0], args[1]
+		if _, err := ValueIter(src); err != nil {
 			return data.Null, err
 		}
-		return data.Object(GoGenerator(func(yield func(data.Value) error) error {
-			defer it.Close()
-			for {
-				v, ok, err := it.Next()
-				if err != nil || !ok {
-					return err
-				}
+		return data.Object(ctxGenerator(ctx, func(ctx *Ctx, yield func(data.Value) error) error {
+			return Iterate(src, func(v data.Value) error {
 				keep := v.Truthy()
 				if !fn.IsNull() {
 					r, err := ctx.Call(fn, []data.Value{v})
@@ -419,12 +403,11 @@ func Builtins() map[string]data.Value {
 					}
 					keep = r.Truthy()
 				}
-				if keep {
-					if err := yield(v); err != nil {
-						return err
-					}
+				if !keep {
+					return nil
 				}
-			}
+				return yield(v)
+			})
 		})), nil
 	})
 

@@ -30,6 +30,7 @@ type cframe struct {
 	names   []string
 	closure *Env // defining environment for free variables
 	gs      *genSink
+	argBase int // argument-stack height at entry (stack frames only)
 }
 
 type cStmt func(f *cframe) (flow, error)
@@ -74,7 +75,10 @@ func Compile(fn *FuncValue) (*CompiledFunc, error) {
 	return cf, nil
 }
 
-// Call invokes the compiled function.
+// Call invokes the compiled function. Its frame comes from the runtime's
+// frame stack and is released on every exit path, a recovered panic
+// included; only a generator function's frame, which outlives the call,
+// is allocated.
 func (cf *CompiledFunc) Call(it *Interp, args []data.Value, kwargs map[string]data.Value) (data.Value, error) {
 	// Compiled bodies only poll at loop back-edges; the entry check keeps
 	// straight-line compiled UDFs cancellable once per row.
@@ -87,15 +91,50 @@ func (cf *CompiledFunc) Call(it *Interp, args []data.Value, kwargs map[string]da
 	if p := profActive.Load(); p != nil {
 		p.maybeSample(cf.src.Name, cf.entryLine)
 	}
-	f := &cframe{
-		it:      it,
-		slots:   make([]data.Value, len(cf.names)),
-		names:   cf.names,
-		closure: cf.src.Env,
+	if cf.isGen {
+		return cf.callGen(it, args, kwargs)
 	}
+	f := it.pushFrame(cf)
+	defer it.popFrame(f)
+	if err := cf.bind(f, args, kwargs); err != nil {
+		return data.Null, err
+	}
+	if cf.expr != nil {
+		return cf.expr(f)
+	}
+	fl, err := cf.body(f)
+	if err != nil {
+		return data.Null, err
+	}
+	if fl.kind == flowReturn {
+		return fl.val, nil
+	}
+	return data.Null, nil
+}
+
+// callGen starts a generator function on a heap frame.
+func (cf *CompiledFunc) callGen(it *Interp, args []data.Value, kwargs map[string]data.Value) (data.Value, error) {
+	// The eager run stages arguments on the runtime's argument stack; a
+	// panic out of it must not leave them there.
+	defer it.popArgs(len(it.args))
+	f := &cframe{it: it, slots: make([]data.Value, len(cf.names)), names: cf.names, closure: cf.src.Env}
+	if err := cf.bind(f, args, kwargs); err != nil {
+		return data.Null, err
+	}
+	g := newGenerator()
+	g.start(it, func(run *Interp, sink *genSink) error {
+		f.it, f.gs = run, sink
+		_, err := cf.body(f)
+		return err
+	})
+	return data.Object(g), nil
+}
+
+// bind stores the call's arguments, defaults and varargs in f's slots.
+func (cf *CompiledFunc) bind(f *cframe, args []data.Value, kwargs map[string]data.Value) error {
 	np := len(cf.paramSlots)
 	if len(args) > np && cf.varargSlot < 0 {
-		return data.Null, typeErrf("%s() takes %d positional arguments but %d were given", cf.src.Name, np, len(args))
+		return typeErrf("%s() takes %d positional arguments but %d were given", cf.src.Name, np, len(args))
 	}
 	for i, slot := range cf.paramSlots {
 		switch {
@@ -110,11 +149,11 @@ func (cf *CompiledFunc) Call(it *Interp, args []data.Value, kwargs map[string]da
 				}
 			}
 			if p.Default == nil {
-				return data.Null, typeErrf("%s() missing required argument: '%s'", cf.src.Name, p.Name)
+				return typeErrf("%s() missing required argument: '%s'", cf.src.Name, p.Name)
 			}
 			d, err := evalConstDefault(cf.src, p.Default)
 			if err != nil {
-				return data.Null, err
+				return err
 			}
 			f.slots[slot] = d
 		}
@@ -126,26 +165,34 @@ func (cf *CompiledFunc) Call(it *Interp, args []data.Value, kwargs map[string]da
 		}
 		f.slots[cf.varargSlot] = data.NewList(rest)
 	}
-	if cf.expr != nil {
-		return cf.expr(f)
+	return nil
+}
+
+// pushFrame takes the frame of the next call depth from the runtime's
+// frame stack and readies it for cf.
+func (it *Interp) pushFrame(cf *CompiledFunc) *cframe {
+	if it.depth == len(it.frames) {
+		it.frames = append(it.frames, &cframe{it: it})
 	}
-	if cf.isGen {
-		g := newGenerator()
-		g.start(func(sink *genSink) error {
-			f.gs = sink
-			_, err := cf.body(f)
-			return err
-		})
-		return data.Object(g), nil
+	f := it.frames[it.depth]
+	it.depth++
+	if n := len(cf.names); cap(f.slots) < n {
+		f.slots = make([]data.Value, n)
+	} else {
+		f.slots = f.slots[:n]
 	}
-	fl, err := cf.body(f)
-	if err != nil {
-		return data.Null, err
-	}
-	if fl.kind == flowReturn {
-		return fl.val, nil
-	}
-	return data.Null, nil
+	f.names, f.closure, f.argBase = cf.names, cf.src.Env, len(it.args)
+	return f
+}
+
+// popFrame releases the innermost frame: its slots are cleared, so the
+// next call at this depth starts unbound and the frame keeps no values
+// alive, and the argument stack drops back to its height at entry.
+func (it *Interp) popFrame(f *cframe) {
+	clear(f.slots)
+	f.closure = nil
+	it.popArgs(f.argBase)
+	it.depth--
 }
 
 // compiler holds per-function compilation state.
@@ -603,9 +650,9 @@ func (c *compiler) compileStmt(st Stmt) (cStmt, error) {
 	case *Global:
 		return func(f *cframe) (flow, error) { return flowZero, nil }, nil
 	case *Import:
-		names := s.Names
-		slots := make([]int, len(names))
-		for i, n := range names {
+		imp := s
+		slots := make([]int, len(imp.Names))
+		for i, n := range imp.Names {
 			if c.globals[n] {
 				slots[i] = -1
 			} else {
@@ -613,15 +660,15 @@ func (c *compiler) compileStmt(st Stmt) (cStmt, error) {
 			}
 		}
 		return func(f *cframe) (flow, error) {
-			for i, n := range names {
-				m, err := importModule(n)
+			for i, n := range imp.Names {
+				v, err := importBinding(imp, i)
 				if err != nil {
 					return flowZero, err
 				}
 				if slots[i] >= 0 {
-					f.slots[slots[i]] = m
+					f.slots[slots[i]] = v
 				} else {
-					f.it.Globals.Set(n, m)
+					f.it.Globals.Set(n, v)
 				}
 			}
 			return flowZero, nil

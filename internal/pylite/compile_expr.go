@@ -502,23 +502,21 @@ func (c *compiler) compileCall(x *Call) (cExpr, error) {
 		if err != nil {
 			return data.Null, err
 		}
-		av := make([]data.Value, 0, len(args))
-		for _, ae := range args {
-			v, err := ae(f)
-			if err != nil {
-				return data.Null, err
-			}
-			av = append(av, v)
+		it := f.it
+		base := len(it.args)
+		if err := stageArgs(f, args); err != nil {
+			return data.Null, err
 		}
 		if star != nil {
 			sv, err := star(f)
-			if err != nil {
-				return data.Null, err
+			if err == nil {
+				err = Iterate(sv, func(v data.Value) error {
+					it.args = append(it.args, v)
+					return nil
+				})
 			}
-			if err := Iterate(sv, func(v data.Value) error {
-				av = append(av, v)
-				return nil
-			}); err != nil {
+			if err != nil {
+				it.popArgs(base)
 				return data.Null, err
 			}
 		}
@@ -528,13 +526,33 @@ func (c *compiler) compileCall(x *Call) (cExpr, error) {
 			for i, n := range kwNames {
 				v, err := kwVals[i](f)
 				if err != nil {
+					it.popArgs(base)
 					return data.Null, err
 				}
 				kwargs[n] = v
 			}
 		}
-		return f.it.callKw(fv, av, kwargs)
+		v, err := it.callKw(fv, it.argsFrom(base), kwargs)
+		it.popArgs(base)
+		return v, err
 	}, nil
+}
+
+// stageArgs evaluates a call's arguments onto the argument stack, left
+// to right; an argument that is itself a call stages and pops its own
+// vector above them. On error the stack is back where it started.
+func stageArgs(f *cframe, args []cExpr) error {
+	it := f.it
+	base := len(it.args)
+	for _, ae := range args {
+		v, err := ae(f)
+		if err != nil {
+			it.popArgs(base)
+			return err
+		}
+		it.args = append(it.args, v)
+	}
+	return nil
 }
 
 // compileMethodCall builds the specialized method-call closure, or
@@ -564,55 +582,57 @@ func (c *compiler) compileMethodCall(attr *Attr, argExprs []Expr) (cExpr, error)
 			l.Items = append(l.Items, v)
 			return data.Null, nil
 		}
-		av := make([]data.Value, len(args))
-		for i, ae := range args {
-			v, err := ae(f)
-			if err != nil {
-				return data.Null, err
-			}
-			av[i] = v
+		it := f.it
+		base := len(it.args)
+		if err := stageArgs(f, args); err != nil {
+			return data.Null, err
 		}
-		switch o := ov.P.(type) {
-		case *Instance:
-			if ov.Kind == data.KindObject {
-				if v, ok := o.Fields[name]; ok {
-					return f.it.callKw(v, av, nil)
-				}
-				if m, ok := o.Class.Methods[name]; ok {
-					full := make([]data.Value, 0, len(av)+1)
-					full = append(full, ov)
-					full = append(full, av...)
-					return f.it.callFunc(m, full, nil)
-				}
-				return data.Null, attrErrf("'%s' object has no attribute '%s'", o.Class.Name, name)
-			}
-		case *ModuleObj:
-			if ov.Kind == data.KindObject {
-				v, ok := o.Attrs[name]
-				if !ok {
-					return data.Null, attrErrf("module '%s' has no attribute '%s'", o.Name, name)
-				}
-				return f.it.callKw(v, av, nil)
-			}
-		case *Generator:
-			if ov.Kind == data.KindObject && name == "close" {
-				o.Close()
-				return data.Null, nil
-			}
-		}
-		if ov.Kind == data.KindObject {
-			// Other runtime objects (exceptions, sets handled below by
-			// callMethod's set branch).
-			if _, isSet := ov.P.(*Set); !isSet {
-				fnv, err := getAttr(f.it.ctx, ov, name)
-				if err != nil {
-					return data.Null, err
-				}
-				return f.it.callKw(fnv, av, nil)
-			}
-		}
-		return callMethod(f.it.ctx, ov, name, av, nil)
+		v, err := it.callMethodOf(ov, name, it.argsFrom(base))
+		it.popArgs(base)
+		return v, err
 	}, nil
+}
+
+// callMethodOf dispatches ov.name(av...) without materializing a bound
+// method object.
+func (it *Interp) callMethodOf(ov data.Value, name string, av []data.Value) (data.Value, error) {
+	switch o := ov.P.(type) {
+	case *Instance:
+		if ov.Kind == data.KindObject {
+			if v, ok := o.Fields[name]; ok {
+				return it.callKw(v, av, nil)
+			}
+			if m, ok := o.Class.Methods[name]; ok {
+				return it.callWithSelf(m, ov, av, nil)
+			}
+			return data.Null, attrErrf("'%s' object has no attribute '%s'", o.Class.Name, name)
+		}
+	case *ModuleObj:
+		if ov.Kind == data.KindObject {
+			v, ok := o.Attrs[name]
+			if !ok {
+				return data.Null, attrErrf("module '%s' has no attribute '%s'", o.Name, name)
+			}
+			return it.callKw(v, av, nil)
+		}
+	case *Generator:
+		if ov.Kind == data.KindObject && name == "close" {
+			o.Close()
+			return data.Null, nil
+		}
+	case *Set, *MatchObj:
+		return callMethod(it.ctx, ov, name, av, nil)
+	}
+	if ov.Kind == data.KindObject {
+		// Other runtime objects (exceptions, functions) resolve the
+		// attribute first.
+		fnv, err := getAttr(it.ctx, ov, name)
+		if err != nil {
+			return data.Null, err
+		}
+		return it.callKw(fnv, av, nil)
+	}
+	return callMethod(it.ctx, ov, name, av, nil)
 }
 
 func (c *compiler) compileComp(x *Comp) (cExpr, error) {
@@ -695,11 +715,11 @@ func (c *compiler) compileComp(x *Comp) (cExpr, error) {
 		return func(f *cframe) (data.Value, error) {
 			// Snapshot the frame so the lazy producer does not race with
 			// the continuing function.
-			snap := &cframe{it: f.it, slots: append([]data.Value(nil), f.slots...),
+			snap := &cframe{slots: append([]data.Value(nil), f.slots...),
 				names: f.names, closure: f.closure}
 			g := newGenerator()
-			g.start(func(sink *genSink) error {
-				snap.gs = sink
+			g.start(f.it, func(run *Interp, sink *genSink) error {
+				snap.it, snap.gs = run, sink
 				return loop(snap, 0, sink.emit)
 			})
 			return data.Object(g), nil

@@ -98,6 +98,11 @@ var (
 // policy. With HotThreshold == 0 it behaves like a pure interpreter
 // (the CPython cost baseline); with HotThreshold > 0, functions that
 // get hot are closure-compiled and swapped in (the PyPy-style tier).
+//
+// An Interp runs on one goroutine at a time. vmScratch, the frame stack
+// and the argument stack rely on that to be reused without locks:
+// concurrent work takes a view of its own (View, Worker), and so does a
+// generator producer that resumes on its own goroutine.
 type Interp struct {
 	Globals  *Env
 	builtins map[string]data.Value
@@ -111,11 +116,21 @@ type Interp struct {
 	// nil on the root runtime, which no query executes on.
 	intr *Interrupt
 
-	// vmScratch is the argument-staging buffer for bytecode-VM calls. The
-	// VM only runs on a fused wrapper's clone, whose view belongs to one
-	// goroutine, and VM callees cannot re-enter the VM (callable
-	// arguments bail), so reuse is safe.
+	// vmScratch is the argument-staging buffer for bytecode-VM calls. VM
+	// callees cannot re-enter the VM (callable arguments bail), so one
+	// flat buffer suffices.
 	vmScratch []data.Value
+
+	// frames is the closure tier's frame stack: frames[d] is reused by
+	// every compiled call at depth d, so a depth's frame never moves while
+	// it is live. Generator functions keep heap frames, which outlive
+	// their call.
+	frames []*cframe
+	depth  int
+
+	// args is the LIFO argument stack: a call stages its argument vector
+	// on top and pops it after the callee returns, so nested calls stack.
+	args []data.Value
 
 	Stats Stats
 }
@@ -126,9 +141,7 @@ func NewInterp() *Interp {
 		Globals:  NewSharedEnv(nil),
 		builtins: Builtins(),
 	}
-	it.ctx = &Ctx{Call: func(fn data.Value, args []data.Value) (data.Value, error) {
-		return it.Call(fn, args)
-	}}
+	it.ctx = &Ctx{it: it}
 	return it
 }
 
@@ -149,9 +162,7 @@ func (it *Interp) View(in *Interrupt) *Interp {
 		HotThreshold: it.HotThreshold,
 		intr:         in,
 	}
-	w.ctx = &Ctx{Call: func(fn data.Value, args []data.Value) (data.Value, error) {
-		return w.Call(fn, args)
-	}}
+	w.ctx = &Ctx{it: w}
 	return w
 }
 
@@ -177,10 +188,15 @@ func (it *Interp) Exec(src string) error {
 	return it.RunModule(mod)
 }
 
-// RunModule executes a parsed module's top-level statements.
+// RunModule executes a parsed module's top-level statements. It runs on
+// a view of its own: definitions arrive while queries execute (the
+// serving plane's CREATE FUNCTION), and a view's call stacks belong to
+// one goroutine.
 func (it *Interp) RunModule(mod *Module) error {
-	fr := &frame{it: it, env: it.Globals}
-	fl, err := it.execBlock(fr, mod.Body)
+	w := it.Worker()
+	defer it.MergeStats(w)
+	fr := &frame{it: w, env: it.Globals}
+	fl, err := w.execBlock(fr, mod.Body)
 	if err != nil {
 		return err
 	}
@@ -233,26 +249,43 @@ func (it *Interp) callKw(fn data.Value, args []data.Value, kwargs map[string]dat
 	case *FuncValue:
 		return it.callFunc(o, args, kwargs)
 	case *BoundMethod:
-		full := make([]data.Value, 0, len(args)+1)
-		full = append(full, o.Self)
-		full = append(full, args...)
-		return it.callFunc(o.Fn, full, kwargs)
+		return it.callWithSelf(o.Fn, o.Self, args, kwargs)
 	case *Builtin:
 		return o.Fn(it.ctx, args, kwargs)
 	case *Class:
 		inst := &Instance{Class: o, Fields: make(map[string]data.Value)}
 		self := data.Object(inst)
 		if init, ok := o.Methods["__init__"]; ok {
-			full := make([]data.Value, 0, len(args)+1)
-			full = append(full, self)
-			full = append(full, args...)
-			if _, err := it.callFunc(init, full, kwargs); err != nil {
+			if _, err := it.callWithSelf(init, self, args, kwargs); err != nil {
 				return data.Null, err
 			}
 		}
 		return self, nil
 	}
 	return data.Null, typeErrf("'%s' object is not callable", fn.TypeName())
+}
+
+// callWithSelf calls a method with self prepended to args, staged on
+// the argument stack.
+func (it *Interp) callWithSelf(fn *FuncValue, self data.Value, args []data.Value, kwargs map[string]data.Value) (data.Value, error) {
+	base := len(it.args)
+	defer it.popArgs(base)
+	it.args = append(it.args, self)
+	it.args = append(it.args, args...)
+	return it.callFunc(fn, it.argsFrom(base), kwargs)
+}
+
+// argsFrom is the argument vector staged since base. Its capacity ends
+// at its length, so a callee's append cannot write into the stack.
+func (it *Interp) argsFrom(base int) []data.Value {
+	return it.args[base:len(it.args):len(it.args)]
+}
+
+// popArgs drops the argument stack back to base, clearing what it pops
+// so the stack keeps no values alive.
+func (it *Interp) popArgs(base int) {
+	clear(it.args[base:])
+	it.args = it.args[:base]
 }
 
 // callFunc invokes a user-defined function, choosing the compiled tier
@@ -291,9 +324,9 @@ func (it *Interp) callFunc(fn *FuncValue, args []data.Value, kwargs map[string]d
 	}
 	if fn.IsGen {
 		g := newGenerator()
-		g.start(func(sink *genSink) error {
-			fr := &frame{it: it, env: env, gs: sink, fnName: fn.Name}
-			_, err := it.execBlock(fr, fn.Body)
+		g.start(it, func(run *Interp, sink *genSink) error {
+			fr := &frame{it: run, env: env, gs: sink, fnName: fn.Name}
+			_, err := run.execBlock(fr, fn.Body)
 			return err
 		})
 		return data.Object(g), nil
@@ -508,20 +541,12 @@ func (it *Interp) execStmt(fr *frame, st Stmt) (flow, error) {
 	case *Continue:
 		return flow{kind: flowContinue}, nil
 	case *Import:
-		for _, name := range s.Names {
-			m, err := importModule(name)
+		for i, name := range s.Names {
+			v, err := importBinding(s, i)
 			if err != nil {
 				return flowZero, err
 			}
-			fr.env.Set(name, m)
-			// `from mod import x` support: expose module attrs too.
-			if mo, ok := m.P.(*ModuleObj); ok {
-				for k, v := range mo.Attrs {
-					if _, exists := fr.env.Lookup(k); !exists {
-						fr.env.Set(k, v)
-					}
-				}
-			}
+			it.bind(fr, name, v)
 		}
 		return flowZero, nil
 	case *Del:
@@ -620,6 +645,16 @@ func matchExcept(pe *PyError, typ string) bool {
 		return false
 	}
 	return typ == "" || typ == "Exception" || typ == "BaseException" || typ == pe.Type
+}
+
+// bind sets name in the frame's scope, or in Globals when the frame
+// declared it global.
+func (it *Interp) bind(fr *frame, name string, v data.Value) {
+	if fr.globalNames != nil && fr.globalNames[name] {
+		it.Globals.Set(name, v)
+	} else {
+		fr.env.Set(name, v)
+	}
 }
 
 // assign binds a value to an assignment target.
@@ -891,11 +926,9 @@ func (it *Interp) evalComp(fr *frame, c *Comp) (data.Value, error) {
 		// Generator expression: lazy evaluation in its own goroutine.
 		g := newGenerator()
 		env := NewEnv(fr.env)
-		g.start(func(sink *genSink) error {
-			sub := &frame{it: it, env: env, gs: fr.gs}
-			return it.compLoop(sub, c, 0, func(v data.Value) error {
-				return sink.emit(v)
-			})
+		g.start(it, func(run *Interp, sink *genSink) error {
+			sub := &frame{it: run, env: env, gs: fr.gs}
+			return run.compLoop(sub, c, 0, sink.emit)
 		})
 		return data.Object(g), nil
 	}

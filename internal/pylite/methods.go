@@ -75,8 +75,11 @@ func callMethod(ctx *Ctx, obj data.Value, name string, args []data.Value, kwargs
 	case data.KindDict:
 		return dictMethod(obj.Dict(), name, args)
 	case data.KindObject:
-		if s, ok := obj.P.(*Set); ok {
-			return setMethod(s, name, args)
+		switch o := obj.P.(type) {
+		case *Set:
+			return setMethod(o, name, args)
+		case *MatchObj:
+			return matchMethod(o, name, args)
 		}
 	}
 	return data.Null, attrErrf("'%s' object has no attribute '%s'", obj.TypeName(), name)

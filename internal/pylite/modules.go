@@ -9,21 +9,47 @@ import (
 	"qfusor/internal/data"
 )
 
+// modules maps each importable name to its module, built on first
+// import and then shared by every runtime in the process. Sharing is safe
+// because a module is immutable: setAttr refuses every receiver but a
+// class instance, and nothing writes a ModuleObj's Attrs after it is
+// built. (Filled by init: the builders reach importModule through the
+// runtime, which a variable initializer may not.)
+var modules map[string]func() data.Value
+
+func init() {
+	modules = map[string]func() data.Value{
+		"json":      sync.OnceValue(jsonModule),
+		"re":        sync.OnceValue(reModule),
+		"math":      sync.OnceValue(mathModule),
+		"itertools": sync.OnceValue(itertoolsModule),
+		"string":    sync.OnceValue(stringModule),
+	}
+}
+
 // importModule resolves `import name` for the supported module set.
 func importModule(name string) (data.Value, error) {
-	switch name {
-	case "json":
-		return jsonModule(), nil
-	case "re":
-		return reModule(), nil
-	case "math":
-		return mathModule(), nil
-	case "itertools":
-		return itertoolsModule(), nil
-	case "string":
-		return stringModule(), nil
+	if m, ok := modules[name]; ok {
+		return m(), nil
 	}
 	return data.Null, raisef("ImportError", "no module named %q", name)
+}
+
+// importBinding is the value an import statement binds to its i-th
+// name: the module for `import m`, the module's attribute for
+// `from m import a`.
+func importBinding(imp *Import, i int) (data.Value, error) {
+	if imp.From == "" {
+		return importModule(imp.Names[i])
+	}
+	m, err := importModule(imp.From)
+	if err != nil {
+		return data.Null, err
+	}
+	if v, ok := m.P.(*ModuleObj).Attrs[imp.Names[i]]; ok {
+		return v, nil
+	}
+	return data.Null, raisef("ImportError", "cannot import name '%s' from '%s'", imp.Names[i], imp.From)
 }
 
 func moduleOf(name string, attrs map[string]data.Value) data.Value {
@@ -106,33 +132,36 @@ func translateReplacement(r string) string {
 	return b.String()
 }
 
-// MatchObj is the object returned by re.match/re.search.
+// MatchObj is the object returned by re.match/re.search. Its group and
+// groups methods dispatch through callMethod, like the other runtime
+// objects, so a match costs no per-match method table.
 type MatchObj struct {
 	Groups []string
 }
 
 func matchValue(groups []string) data.Value {
-	m := &MatchObj{Groups: groups}
-	attrs := map[string]data.Value{
-		"group": nativeFn("group", func(_ *Ctx, args []data.Value, _ map[string]data.Value) (data.Value, error) {
-			i := int64(0)
-			if len(args) == 1 {
-				i, _ = args[0].AsInt()
-			}
-			if i < 0 || int(i) >= len(m.Groups) {
-				return data.Null, indexErrf("no such group")
-			}
-			return data.Str(m.Groups[i]), nil
-		}),
-		"groups": nativeFn("groups", func(_ *Ctx, args []data.Value, _ map[string]data.Value) (data.Value, error) {
-			items := make([]data.Value, 0, len(m.Groups))
-			for _, g := range m.Groups[1:] {
-				items = append(items, data.Str(g))
-			}
-			return data.NewList(items), nil
-		}),
+	return data.Object(&MatchObj{Groups: groups})
+}
+
+func matchMethod(m *MatchObj, name string, args []data.Value) (data.Value, error) {
+	switch name {
+	case "group":
+		i := int64(0)
+		if len(args) == 1 {
+			i, _ = args[0].AsInt()
+		}
+		if i < 0 || int(i) >= len(m.Groups) {
+			return data.Null, indexErrf("no such group")
+		}
+		return data.Str(m.Groups[i]), nil
+	case "groups":
+		items := make([]data.Value, 0, len(m.Groups))
+		for _, g := range m.Groups[1:] {
+			items = append(items, data.Str(g))
+		}
+		return data.NewList(items), nil
 	}
-	return data.Object(&ModuleObj{Name: "match", Attrs: attrs})
+	return data.Null, attrErrf("'re.Match' object has no attribute '%s'", name)
 }
 
 func reArgs(name string, args []data.Value, n int) ([]string, error) {

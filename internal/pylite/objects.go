@@ -12,8 +12,12 @@ import (
 // PyLite callables (sorted key functions, map/filter, generator pumps)
 // regardless of whether the caller is the interpreter or compiled code.
 type Ctx struct {
-	// Call invokes fn (any callable Value) with positional args.
-	Call func(fn data.Value, args []data.Value) (data.Value, error)
+	it *Interp
+}
+
+// Call invokes fn (any callable Value) with positional args.
+func (c *Ctx) Call(fn data.Value, args []data.Value) (data.Value, error) {
+	return c.it.Call(fn, args)
 }
 
 // FuncValue is a user-defined function or lambda (a runtime object).
@@ -102,7 +106,11 @@ type BoundMethod struct {
 	Fn   *FuncValue
 }
 
-// Builtin is a native function exposed to PyLite code.
+// Builtin is a native function exposed to PyLite code. Fn may read args
+// until it returns but must not keep the slice (it may alias the
+// runtime's argument stack, which the next call reuses): a builtin that
+// needs the values later — a lazy iterator, a generator — copies them or
+// captures what it derives from them.
 type Builtin struct {
 	Name string
 	Fn   func(ctx *Ctx, args []data.Value, kwargs map[string]data.Value) (data.Value, error)
@@ -237,11 +245,14 @@ var errEagerOverflow = &PyError{Type: "__eageroverflow__"}
 
 // start executes the producer. body must emit values via the sink and
 // return the terminal error (nil for normal exhaustion). It is invoked
-// once eagerly; if the eager run overflows, body is invoked a second
-// time inside a goroutine.
-func (g *Generator) start(body func(sink *genSink) error) {
+// once eagerly, on it; if the eager run overflows, body is invoked a
+// second time inside a goroutine, on a view of its own: the resumed
+// producer runs concurrently with its consumer, and an Interp belongs to
+// one goroutine. The view's counters fold back into it when the producer
+// exits. it is nil for producers that run no PyLite code.
+func (g *Generator) start(it *Interp, body func(it *Interp, sink *genSink) error) {
 	eager := &genSink{eagerLimit: eagerYieldLimit}
-	err := body(eager)
+	err := body(it, eager)
 	if err != errEagerOverflow {
 		g.eager = true
 		g.items = eager.eagerItems
@@ -257,9 +268,16 @@ func (g *Generator) start(body func(sink *genSink) error) {
 	g.errc = make(chan error, 1)
 	sink := &genSink{ch: g.ch, stop: g.stop}
 	go func() {
-		err := body(sink)
+		run := it
+		if it != nil {
+			run = it.Worker()
+		}
+		err := body(run, sink)
 		if err == errGenStopped {
 			err = nil
+		}
+		if it != nil {
+			it.MergeStats(run)
 		}
 		g.errc <- err
 		close(g.ch)
@@ -344,8 +362,19 @@ func (s *genSink) emit(v data.Value) error {
 // inp_datagen generator.
 func GoGenerator(produce func(yield func(data.Value) error) error) *Generator {
 	g := newGenerator()
-	g.start(func(sink *genSink) error {
+	g.start(nil, func(_ *Interp, sink *genSink) error {
 		return produce(sink.emit)
+	})
+	return g
+}
+
+// ctxGenerator is GoGenerator for a builtin whose producer calls back
+// into PyLite: produce calls through the Ctx it is given, which belongs
+// to a view of its own once the producer resumes on its own goroutine.
+func ctxGenerator(ctx *Ctx, produce func(ctx *Ctx, yield func(data.Value) error) error) *Generator {
+	g := newGenerator()
+	g.start(ctx.it, func(it *Interp, sink *genSink) error {
+		return produce(it.ctx, sink.emit)
 	})
 	return g
 }

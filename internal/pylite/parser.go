@@ -105,6 +105,21 @@ func (p *parser) expectName() (string, error) {
 	return p.next().Text, nil
 }
 
+// parseNames parses a comma-separated list of one or more names.
+func (p *parser) parseNames() ([]string, error) {
+	var names []string
+	for {
+		n, err := p.expectName()
+		if err != nil {
+			return nil, err
+		}
+		names = append(names, n)
+		if !p.acceptOp(",") {
+			return names, nil
+		}
+	}
+}
+
 func (p *parser) expectNewline() error {
 	if p.at(tokEOF) {
 		return nil
@@ -273,38 +288,25 @@ func (p *parser) parseSimpleStmt() (Stmt, error) {
 			return &Continue{pos: ps}, nil
 		case "import":
 			p.next()
-			var names []string
-			for {
-				n, err := p.expectName()
-				if err != nil {
-					return nil, err
-				}
-				names = append(names, n)
-				if !p.acceptOp(",") {
-					break
-				}
+			names, err := p.parseNames()
+			if err != nil {
+				return nil, err
 			}
 			return &Import{pos: ps, Names: names}, nil
 		case "from":
-			// `from mod import a, b` — treated as `import mod` for the
-			// module set we support; names resolve via the module anyway.
 			p.next()
-			n, err := p.expectName()
+			mod, err := p.expectName()
 			if err != nil {
 				return nil, err
 			}
 			if err := p.expectKw("import"); err != nil {
 				return nil, err
 			}
-			for {
-				if _, err := p.expectName(); err != nil {
-					return nil, err
-				}
-				if !p.acceptOp(",") {
-					break
-				}
+			names, err := p.parseNames()
+			if err != nil {
+				return nil, err
 			}
-			return &Import{pos: ps, Names: []string{n}}, nil
+			return &Import{pos: ps, From: mod, Names: names}, nil
 		case "del":
 			p.next()
 			e, err := p.parseExpr()
@@ -314,16 +316,9 @@ func (p *parser) parseSimpleStmt() (Stmt, error) {
 			return &Del{pos: ps, Target: e}, nil
 		case "global":
 			p.next()
-			var names []string
-			for {
-				n, err := p.expectName()
-				if err != nil {
-					return nil, err
-				}
-				names = append(names, n)
-				if !p.acceptOp(",") {
-					break
-				}
+			names, err := p.parseNames()
+			if err != nil {
+				return nil, err
 			}
 			return &Global{pos: ps, Names: names}, nil
 		case "raise":

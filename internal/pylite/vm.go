@@ -292,7 +292,7 @@ func (p *Program) vmCallMethod(it *Interp, regs []data.Value, in *Instr) (data.V
 			}
 			it.vmScratch = args[:0]
 			return b.Fn(it.ctx, args, nil)
-		case *Set:
+		case *Set, *MatchObj:
 			// falls through to callMethod below
 		default:
 			return data.Null, bailErr("method call on runtime object")

@@ -396,10 +396,16 @@ func (e *Engine) hashJoin(p *Plan, l, r *data.Chunk, leftKeys, rightKeys []int, 
 
 	// Materialization phase: morsels over the match list; each worker
 	// fills its own output chunk (and evaluates the residual predicate
-	// on its own rows), then the parts concatenate in order.
-	outSpans := e.morselsFor(total)
-	outs := make([]*data.Chunk, len(outSpans))
-	_, err = e.runMorsels(ectx, total, func(_, m, lo, hi int) error {
+	// on its own rows), then the parts concatenate in order. A residual
+	// that calls a UDF runs it per row on the statement's clone, whose
+	// interpreter view belongs to one goroutine: that join materializes
+	// in one span.
+	serial := false
+	for _, pr := range residual {
+		serial = serial || exprHasUDF(pr, e.Catalog)
+	}
+	var outs []*data.Chunk
+	materialize := func(_, m, lo, hi int) error {
 		part := data.EmptyChunk(p.Schema)
 		row := make([]data.Value, len(p.Schema))
 		for x := lo; x < hi; x++ {
@@ -436,7 +442,14 @@ func (e *Engine) hashJoin(p *Plan, l, r *data.Chunk, leftKeys, rightKeys []int, 
 		}
 		outs[m] = part
 		return nil
-	})
+	}
+	if serial {
+		outs = make([]*data.Chunk, 1)
+		err = materialize(0, 0, 0, total)
+	} else {
+		outs = make([]*data.Chunk, len(e.morselsFor(total)))
+		_, err = e.runMorsels(ectx, total, materialize)
+	}
 	if err != nil {
 		return nil, err
 	}

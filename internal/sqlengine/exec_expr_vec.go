@@ -420,6 +420,27 @@ func (c *compiler) nativeKind(x *FuncExpr) data.Kind {
 
 // ---- run ----
 
+// callUDF is the one real crossing: arguments are engine columns, the
+// transport boxes them, runs the UDF and unboxes its results. It runs on
+// a clone of the statement's UDF, folded back when it returns: the
+// program may run on several morsel workers at once, and a clone's
+// interpreter view belongs to one goroutine (one span, one clone, one
+// crossing, like a fused section's).
+func (p *exprProg) callUDF(u *ffi.UDF, args []*data.Column, n int, kind data.Kind) (*data.Column, error) {
+	cu := u.WorkerClone()
+	defer u.AbsorbWorker(cu)
+	if u.Fused {
+		// Fused wrapper: one boundary crossing, the loop runs inside
+		// the UDF runtime as a single trace.
+		cols, err := ffi.CallFusedVector(cu, args, n, []string{u.Name}, []data.Kind{kind})
+		if err != nil {
+			return nil, err
+		}
+		return cols[0], nil
+	}
+	return p.e.Invoker.CallScalar(cu, args, n)
+}
+
 // vec is an operand at run time: a column, and the mask that indexes it
 // (-1: one row per input row; 0: a one-row constant).
 type vec struct {
@@ -570,22 +591,11 @@ func (p *exprProg) exec(in *instr, f *frame) (*data.Column, error) {
 			out.Ints = convert[float64, int64](a.Floats, a.mask, n)
 		}
 	case opUDF:
-		// The one real crossing: arguments are engine columns, the
-		// transport boxes them, runs the UDF and unboxes its results.
 		args := make([]*data.Column, len(in.args))
 		for i, s := range in.args {
 			args[i] = f.full(s)
 		}
-		if in.udf.Fused {
-			// Fused wrapper: one boundary crossing, the loop runs inside
-			// the UDF runtime as a single trace.
-			cols, err := ffi.CallFusedVector(in.udf, args, n, []string{in.udf.Name}, []data.Kind{out.Kind})
-			if err != nil {
-				return nil, err
-			}
-			return cols[0], nil
-		}
-		return p.e.Invoker.CallScalar(in.udf, args, n)
+		return p.callUDF(in.udf, args, n, out.Kind)
 	default:
 		out = data.NewColumnCap("", out.Kind, n)
 		ops := make([]vec, len(in.args))

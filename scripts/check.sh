@@ -54,3 +54,8 @@ go test -run '^$' -fuzz FuzzDiff -fuzztime "${FUZZTIME:-30s}" ./internal/core
 # by row at every morsel size and parallelism (the seeded table of the
 # same check, TestExprEquivalence, already ran under -race above).
 go test -run '^$' -fuzz FuzzExprEquiv -fuzztime "${FUZZTIME:-30s}" ./internal/sqlengine
+# JSON decoder fuzz smoke: json.loads' single-pass decoder against the
+# encoding/json path it replaced — same values, same int/float split,
+# same sorted keys, same error outcome; only trailing data (which the
+# decoder rejects, like CPython) may differ.
+go test -run '^$' -fuzz FuzzJSONLoads -fuzztime "${FUZZTIME:-30s}" ./internal/data
