@@ -30,10 +30,12 @@ race:
 ## loc: non-test Go lines per internal/* package (benchmark/ is its own
 ## module and is not counted) — the one number simplicity PRs quote.
 loc:
-	@for d in internal/*/; do \
+	@total=0; for d in internal/*/; do \
 		n=$$(find $$d -name '*.go' ! -name '*_test.go' | xargs cat | wc -l); \
 		printf '%6d  %s\n' $$n $${d%/}; \
-	done
+		total=$$((total + n)); \
+	done; \
+	printf '%6d  total\n' $$total
 
 ## chaos: the fault-injection sweep — every registered fault point is
 ## fired in turn and each query must degrade to a bit-identical native

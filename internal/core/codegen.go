@@ -162,7 +162,7 @@ func childSchemaOf(seg *Segment, lo int) data.Schema {
 // substFieldRefs replaces DFG-field placeholders with plan column refs.
 func substFieldRefs(e sqlengine.SQLExpr, pos map[string]int, schema data.Schema) (sqlengine.SQLExpr, error) {
 	var err error
-	out := cloneViaWalk(e, func(x sqlengine.SQLExpr) sqlengine.SQLExpr {
+	out := sqlengine.RewriteExpr(e, func(x sqlengine.SQLExpr) sqlengine.SQLExpr {
 		if f, ok := asFieldRef(x); ok {
 			i, found := pos[f]
 			if !found {
@@ -178,57 +178,6 @@ func substFieldRefs(e sqlengine.SQLExpr, pos map[string]int, schema data.Schema)
 		return x
 	})
 	return out, err
-}
-
-// cloneViaWalk deep-copies e, applying fn to every node (post-copy).
-func cloneViaWalk(e sqlengine.SQLExpr, fn func(sqlengine.SQLExpr) sqlengine.SQLExpr) sqlengine.SQLExpr {
-	switch x := e.(type) {
-	case nil:
-		return nil
-	case *sqlengine.ColRef:
-		cp := *x
-		return fn(&cp)
-	case *sqlengine.Lit:
-		cp := *x
-		return fn(&cp)
-	case *sqlengine.FuncExpr:
-		cp := &sqlengine.FuncExpr{Name: x.Name, Star: x.Star}
-		for _, a := range x.Args {
-			cp.Args = append(cp.Args, cloneViaWalk(a, fn))
-		}
-		return fn(cp)
-	case *sqlengine.BinExpr:
-		return fn(&sqlengine.BinExpr{Op: x.Op, L: cloneViaWalk(x.L, fn), R: cloneViaWalk(x.R, fn)})
-	case *sqlengine.UnaryExpr:
-		return fn(&sqlengine.UnaryExpr{Op: x.Op, E: cloneViaWalk(x.E, fn)})
-	case *sqlengine.CaseExpr:
-		cp := &sqlengine.CaseExpr{}
-		if x.Operand != nil {
-			cp.Operand = cloneViaWalk(x.Operand, fn)
-		}
-		for i := range x.Whens {
-			cp.Whens = append(cp.Whens, cloneViaWalk(x.Whens[i], fn))
-			cp.Thens = append(cp.Thens, cloneViaWalk(x.Thens[i], fn))
-		}
-		if x.Else != nil {
-			cp.Else = cloneViaWalk(x.Else, fn)
-		}
-		return fn(cp)
-	case *sqlengine.BetweenExpr:
-		return fn(&sqlengine.BetweenExpr{E: cloneViaWalk(x.E, fn), Lo: cloneViaWalk(x.Lo, fn),
-			Hi: cloneViaWalk(x.Hi, fn), Not: x.Not})
-	case *sqlengine.InExpr:
-		cp := &sqlengine.InExpr{E: cloneViaWalk(x.E, fn), Not: x.Not}
-		for _, it := range x.List {
-			cp.List = append(cp.List, cloneViaWalk(it, fn))
-		}
-		return fn(cp)
-	case *sqlengine.IsNullExpr:
-		return fn(&sqlengine.IsNullExpr{E: cloneViaWalk(x.E, fn), Not: x.Not})
-	case *sqlengine.CastExpr:
-		return fn(&sqlengine.CastExpr{E: cloneViaWalk(x.E, fn), Kind: x.Kind})
-	}
-	return fn(e)
 }
 
 // ---------------------------------------------------------------------
@@ -860,7 +809,7 @@ func (qf *QFusor) rebindKeys(top *sqlengine.Plan, g *DFG, lo, hi int) ([]sqlengi
 	var out []sqlengine.SQLExpr
 	for _, k := range top.GroupBy {
 		var err error
-		nk := cloneViaWalk(k, func(x sqlengine.SQLExpr) sqlengine.SQLExpr {
+		nk := sqlengine.RewriteExpr(k, func(x sqlengine.SQLExpr) sqlengine.SQLExpr {
 			cr, ok := x.(*sqlengine.ColRef)
 			if !ok || cr.Table == fieldTable {
 				return x

@@ -47,7 +47,7 @@ func (qf *QFusor) fuseUnboundExpr(eng *sqlengine.Engine, table string, e sqlengi
 	if !ok {
 		return nil, fmt.Errorf("core: no such table %s", table)
 	}
-	bound := cloneViaWalk(e, func(x sqlengine.SQLExpr) sqlengine.SQLExpr {
+	bound := sqlengine.RewriteExpr(e, func(x sqlengine.SQLExpr) sqlengine.SQLExpr {
 		if cr, isRef := x.(*sqlengine.ColRef); isRef {
 			cp := *cr
 			cp.Index = t.Schema.IndexOf(cr.Name)

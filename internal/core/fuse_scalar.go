@@ -58,7 +58,7 @@ func (qf *QFusor) fuseExprChains(e sqlengine.SQLExpr, childSchema data.Schema, r
 	}
 	// Otherwise recurse into children.
 	var outerErr error
-	out := cloneViaWalk(e, func(x sqlengine.SQLExpr) sqlengine.SQLExpr { return x })
+	out := sqlengine.RewriteExpr(e, func(x sqlengine.SQLExpr) sqlengine.SQLExpr { return x })
 	rewriteChildren(out, func(child sqlengine.SQLExpr) sqlengine.SQLExpr {
 		ne, err := qf.fuseExprChains(child, childSchema, rep)
 		if err != nil {

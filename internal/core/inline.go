@@ -958,11 +958,9 @@ func (qf *QFusor) inlineSite(x sqlengine.SQLExpr, in data.Schema, est float64, c
 		return x
 	}
 	// Argument kinds must match the kinds the template was typed under
-	// (NULL literals are fine — the guards carry them). An uninferrable
-	// argument keeps the site on the fusion ladder.
+	// (NULL literals are fine — the guards carry them).
 	for i, a := range f.Args {
-		k, ok := inferExprKind(a, in, cat)
-		if !ok || (k != data.KindNull && k != u.InKinds[i]) {
+		if k := sqlengine.ExprKind(cat, a, in); k != data.KindNull && k != u.InKinds[i] {
 			return x
 		}
 	}
@@ -974,8 +972,13 @@ func (qf *QFusor) inlineSite(x sqlengine.SQLExpr, in data.Schema, est float64, c
 		if !ok || c.Table != inlineParamTable {
 			return n
 		}
-		return cloneSQLExpr(f.Args[c.Index])
+		return sqlengine.RewriteExpr(f.Args[c.Index], func(a sqlengine.SQLExpr) sqlengine.SQLExpr { return a })
 	})
+	// The substitution stands in for a call the binder typed with the
+	// UDF's declared kind: it must compute that kind (or only NULLs).
+	if k := sqlengine.ExprKind(cat, out, in); k != data.KindNull && k != u.OutKind() {
+		return x
+	}
 	d.Sites++
 	st.sites++
 	return out
@@ -993,10 +996,6 @@ func inlineUDFCost(u *ffi.UDF) float64 {
 	return u.EstCost
 }
 
-func cloneSQLExpr(e sqlengine.SQLExpr) sqlengine.SQLExpr {
-	return sqlengine.RewriteExpr(e, func(n sqlengine.SQLExpr) sqlengine.SQLExpr { return n })
-}
-
 // inlineTemplateString renders a template with parameter markers shown
 // by bare name (for \analyze and the decision record).
 func inlineTemplateString(t sqlengine.SQLExpr) string {
@@ -1006,78 +1005,6 @@ func inlineTemplateString(t sqlengine.SQLExpr) string {
 		}
 		return n
 	}).String()
-}
-
-// inferExprKind types a bound engine expression against the node's
-// input schema — the argument-kind gate for substitution.
-func inferExprKind(e sqlengine.SQLExpr, in data.Schema, cat *sqlengine.Catalog) (data.Kind, bool) {
-	switch x := e.(type) {
-	case *sqlengine.ColRef:
-		if x.Index >= 0 && x.Index < len(in) {
-			return in[x.Index].Kind, true
-		}
-	case *sqlengine.Lit:
-		return x.Value.Kind, true
-	case *sqlengine.CastExpr:
-		return x.Kind, true
-	case *sqlengine.IsNullExpr, *sqlengine.BetweenExpr, *sqlengine.InExpr:
-		return data.KindBool, true
-	case *sqlengine.UnaryExpr:
-		if x.Op == "NOT" {
-			return data.KindBool, true
-		}
-		return inferExprKind(x.E, in, cat)
-	case *sqlengine.BinExpr:
-		switch x.Op {
-		case "AND", "OR", "=", "!=", "<", "<=", ">", ">=", "LIKE":
-			return data.KindBool, true
-		case "||":
-			return data.KindString, true
-		case "+", "-", "*", "/", "%":
-			lk, lok := inferExprKind(x.L, in, cat)
-			rk, rok := inferExprKind(x.R, in, cat)
-			if !lok || !rok || !isNumericKind(lk) || !isNumericKind(rk) {
-				return 0, false
-			}
-			if lk == data.KindFloat || rk == data.KindFloat {
-				return data.KindFloat, true
-			}
-			return data.KindInt, true
-		}
-	case *sqlengine.CaseExpr:
-		kind := data.KindNull
-		branches := append([]sqlengine.SQLExpr{}, x.Thens...)
-		if x.Else != nil {
-			branches = append(branches, x.Else)
-		}
-		for _, b := range branches {
-			k, ok := inferExprKind(b, in, cat)
-			if !ok {
-				return 0, false
-			}
-			u, err := unifyKinds(kind, k)
-			if err != nil {
-				return 0, false
-			}
-			kind = u
-		}
-		return kind, true
-	case *sqlengine.FuncExpr:
-		if u, ok := cat.UDF(x.Name); ok {
-			return u.OutKind(), true
-		}
-		switch x.Name {
-		case "length", "instr":
-			return data.KindInt, true
-		case "sqlupper", "sqllower", "trim", "upper", "lower", "substr":
-			return data.KindString, true
-		case "round":
-			return data.KindFloat, true
-		case "abs":
-			return inferExprKind(x.Args[0], in, cat)
-		}
-	}
-	return 0, false
 }
 
 // inlineSitesOf totals the substituted call sites recorded on a report.

@@ -226,3 +226,49 @@ def boost(x: int) -> int:
 		t.Fatalf("post-redefinition result diverged:\ngot:\n%s\nwant:\n%s", got, want)
 	}
 }
+
+// TestInlineTypedSubstitution: a site is substituted only when the
+// substituted expression has the kind the binder gave the call. twice's
+// template x * 2 is float over a float argument, but over a NULL literal
+// it types as an int, so that site keeps its call — with the same rows.
+func TestInlineTypedSubstitution(t *testing.T) {
+	in := inlineTestDB(t)
+	defer func() { in.QF.Opts.Tier = "auto" }()
+	if err := in.Define(`
+@scalarudf
+def twice(x: float) -> float:
+    if x is None:
+        return None
+    return x * 2
+`); err != nil {
+		t.Fatal(err)
+	}
+	in.QF.Opts.Tier = "inline"
+	for sql, sites := range map[string]int{
+		"SELECT id, twice(CAST(n AS float)) AS v FROM nums ORDER BY id": 1,
+		"SELECT id, twice(NULL) AS v FROM nums ORDER BY id":             0,
+	} {
+		_, rep, err := in.QF.Process(in.Eng, sql)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got := 0
+		for _, d := range rep.Inlined {
+			got += d.Sites
+		}
+		if got != sites {
+			t.Errorf("%s: %d sites inlined, want %d (%+v)", sql, got, sites, rep.Inlined)
+		}
+		native, err := in.Query(sql)
+		if err != nil {
+			t.Fatal(err)
+		}
+		fused, err := in.QueryFused(sql)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if renderTable(fused) != renderTable(native) {
+			t.Errorf("%s:\nfused:\n%s\nnative:\n%s", sql, renderTable(fused), renderTable(native))
+		}
+	}
+}

@@ -246,7 +246,7 @@ func (qf *QFusor) buildTrace(seg *Segment, g *DFG, inSec map[int]bool, lo, hi in
 // chain[srcIdx]'s schema) into register-indexed form.
 func (qf *QFusor) rebindPlanExpr(e sqlengine.SQLExpr, g *DFG, srcIdx int, regOf map[string]int) (sqlengine.SQLExpr, error) {
 	var err error
-	out := cloneViaWalk(e, func(x sqlengine.SQLExpr) sqlengine.SQLExpr {
+	out := sqlengine.RewriteExpr(e, func(x sqlengine.SQLExpr) sqlengine.SQLExpr {
 		cr, ok := x.(*sqlengine.ColRef)
 		if !ok || cr.Table == fieldTable {
 			return x
@@ -268,7 +268,7 @@ func (qf *QFusor) rebindPlanExpr(e sqlengine.SQLExpr, g *DFG, srcIdx int, regOf 
 // column refs for EvalPure.
 func (qf *QFusor) rebindToRegs(e sqlengine.SQLExpr, regOf map[string]int) (sqlengine.SQLExpr, error) {
 	var err error
-	out := cloneViaWalk(e, func(x sqlengine.SQLExpr) sqlengine.SQLExpr {
+	out := sqlengine.RewriteExpr(e, func(x sqlengine.SQLExpr) sqlengine.SQLExpr {
 		if f, ok := asFieldRef(x); ok {
 			r, found := regOf[f]
 			if !found {

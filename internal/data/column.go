@@ -268,8 +268,13 @@ func (c *Column) Slice(lo, hi int) *Column {
 	return out
 }
 
-// AppendColumn appends all rows of other (same kind) to c.
+// AppendColumn appends all rows of other to c. The two must keep their
+// rows in the same slice (string, list and dict columns share Strs);
+// anything else is a caller's bug and panics rather than append nothing.
 func (c *Column) AppendColumn(other *Column) {
+	if payload(c.Kind) != payload(other.Kind) {
+		panic(fmt.Sprintf("data: cannot append a %s column to a %s column", other.Kind, c.Kind))
+	}
 	n := other.Len()
 	if other.Nulls != nil || c.Nulls != nil {
 		c.ensureNulls()
@@ -293,6 +298,15 @@ func (c *Column) AppendColumn(other *Column) {
 			}
 		}
 	}
+}
+
+// payload names the slice a column of kind k keeps its rows in.
+func payload(k Kind) Kind {
+	switch k {
+	case KindInt, KindFloat, KindBool:
+		return k
+	}
+	return KindString
 }
 
 // Chunk is a batch of aligned columns: the unit of vectorized execution.

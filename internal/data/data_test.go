@@ -2,9 +2,11 @@ package data
 
 import (
 	"bytes"
+	"fmt"
 	"math"
 	"math/rand"
 	"reflect"
+	"strings"
 	"testing"
 	"testing/quick"
 )
@@ -231,6 +233,35 @@ func TestColumnTakeSliceAppend(t *testing.T) {
 	dst.AppendColumn(sl)
 	if dst.Len() != 6 || !dst.IsNull(2) || dst.IsNull(3) {
 		t.Fatalf("append: len=%d", dst.Len())
+	}
+}
+
+// TestAppendColumnRefusesOtherPayload: appending a column whose rows live
+// in another slice panics with both kinds named, instead of appending
+// nothing; string, list and dict columns share Strs and append freely.
+func TestAppendColumnRefusesOtherPayload(t *testing.T) {
+	ints := NewColumn("i", KindInt)
+	ints.AppendInt(1)
+	floats := NewColumn("f", KindFloat)
+	floats.AppendFloat(0.5)
+	func() {
+		defer func() {
+			msg := fmt.Sprint(recover())
+			if !strings.Contains(msg, "float") || !strings.Contains(msg, "int") {
+				t.Errorf("panic %q does not name both kinds", msg)
+			}
+		}()
+		ints.AppendColumn(floats)
+	}()
+	if ints.Len() != 1 {
+		t.Fatalf("refused append changed the column: %d rows", ints.Len())
+	}
+	list := NewColumn("l", KindList)
+	list.AppendValue(NewList([]Value{Int(1)}))
+	strs := NewColumn("s", KindString)
+	strs.AppendColumn(list)
+	if strs.Len() != 1 || strs.Strs[0] != list.Strs[0] {
+		t.Fatalf("string column did not take the list column's rows: %v", strs.Strs)
 	}
 }
 

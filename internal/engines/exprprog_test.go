@@ -1,6 +1,7 @@
 package engines
 
 import (
+	"errors"
 	"fmt"
 	"math"
 	"math/rand"
@@ -10,6 +11,7 @@ import (
 
 	"qfusor/internal/data"
 	"qfusor/internal/obs"
+	"qfusor/internal/sqlengine"
 )
 
 func render(t *data.Table) string {
@@ -67,28 +69,65 @@ func TestBigIntAgreementAcrossProfiles(t *testing.T) {
 	}
 }
 
-// TestMixedKindCaseAcrossProfiles: a CASE whose branches are int on some
-// rows and float on others keeps every row's own value where an
-// aggregate, a group key or a sort key reads it — nothing is truncated
-// to the kind of the first THEN before the fold.
-func TestMixedKindCaseAcrossProfiles(t *testing.T) {
+// mixedTable is m(id, x, f): x = -4..5, f = 0.5, 1.5, ..., 9.5.
+func mixedTable() *data.Table {
 	tbl := data.NewTable("m", data.Schema{{Name: "id", Kind: data.KindInt},
 		{Name: "x", Kind: data.KindInt}, {Name: "f", Kind: data.KindFloat}})
-	for i := 0; i < 10; i++ { // x = -4..5; f = 0.5, 1.5, ... on the five rows with x <= 0
+	for i := 0; i < 10; i++ {
 		_ = tbl.AppendRow(data.Int(int64(i)), data.Int(int64(i-4)), data.Float(float64(i)+0.5))
 	}
+	return tbl
+}
+
+// TestMixedKindCaseAcrossProfiles: every expression has the one kind the
+// binder gives it, on every profile and parallelism. A CASE, COALESCE or
+// UNION whose branches are int and float is float, so the aggregate,
+// group key or sort key that reads it sees every row as a float; a bool
+// meeting an int is an int; a NULL branch or arm takes the other's kind;
+// arithmetic over a string is float, NULL where the string is not a
+// number. Statements the binder cannot type are typed errors, not panics.
+func TestMixedKindCaseAcrossProfiles(t *testing.T) {
+	strs := data.NewTable("t2", data.Schema{{Name: "id", Kind: data.KindInt},
+		{Name: "s", Kind: data.KindString}, {Name: "flag", Kind: data.KindBool}})
+	_ = strs.AppendRow(data.Int(0), data.Str("3"), data.Bool(true))
+	_ = strs.AppendRow(data.Int(1), data.Null, data.Bool(false))
+	_ = strs.AppendRow(data.Int(2), data.Str("2.5"), data.Bool(true))
+	_ = strs.AppendRow(data.Int(3), data.Str("abc"), data.Bool(false))
+	_ = strs.AppendRow(data.Int(4), data.Str(" 3"), data.Null)
 	cases := []struct{ sql, want string }{
-		{"SELECT SUM(CASE WHEN x > 0 THEN 0 ELSE f END) AS v FROM m", "12|\n"}, // 12.5 in an int column
-		{"SELECT SUM(CASE WHEN x > 0 THEN 1 ELSE 2.5 END) AS v FROM m", "17|\n"},
+		{"SELECT SUM(CASE WHEN x > 0 THEN 0 ELSE f END) AS v FROM m", "12.5|\n"},
+		{"SELECT SUM(CASE WHEN x > 0 THEN 1 ELSE 2.5 END) AS v FROM m", "17.5|\n"},
 		{"SELECT AVG(CASE WHEN x > 0 THEN 1 ELSE f END) AS v FROM m", "1.75|\n"},
 		{"SELECT MEDIAN(CASE WHEN x > 3 THEN 1 ELSE f END) AS v FROM m", "3.0|\n"},
-		{"SELECT MAX(CASE WHEN x > 0 THEN 1 ELSE f END * 2) AS v FROM m", "9|\n"},
+		{"SELECT MAX(CASE WHEN x > 0 THEN 1 ELSE f END * 2) AS v FROM m", "9.0|\n"},
 		{"SELECT COUNT(*) AS c FROM m GROUP BY CASE WHEN x > 0 THEN 0 ELSE f END ORDER BY c", "1|\n1|\n1|\n1|\n1|\n5|\n"},
+		{"SELECT CASE WHEN x > 0 THEN 0 ELSE f END AS k, COUNT(*) AS c FROM m GROUP BY k ORDER BY k",
+			"0.0|5|\n0.5|1|\n1.5|1|\n2.5|1|\n3.5|1|\n4.5|1|\n"},
+		{"SELECT CASE WHEN x > 0 THEN 1 ELSE f END AS v FROM m ORDER BY id",
+			"0.5|\n1.5|\n2.5|\n3.5|\n4.5|\n1.0|\n1.0|\n1.0|\n1.0|\n1.0|\n"},
+		{"SELECT COALESCE(NULL, x, f) AS v FROM m WHERE id < 3 ORDER BY id", "-4.0|\n-3.0|\n-2.0|\n"},
+		{"SELECT x AS v FROM m WHERE id < 2 UNION ALL SELECT f FROM m WHERE id < 2 ORDER BY 1", "-4.0|\n-3.0|\n0.5|\n1.5|\n"},
+		{"SELECT id FROM m WHERE id < 4 ORDER BY CASE WHEN x > -2 THEN 1 ELSE f / 10 END, id DESC", "0|\n1|\n2|\n3|\n"},
+		{"SELECT s + 1 AS v FROM t2 ORDER BY id", "4.0|\nNone|\n3.5|\nNone|\nNone|\n"},
+		{"SELECT -s AS v FROM t2 ORDER BY id", "-3.0|\nNone|\n-2.5|\nNone|\nNone|\n"},
+		{"SELECT CASE WHEN id > 1 THEN flag ELSE 0 END AS v FROM t2 ORDER BY id", "0|\n0|\n1|\n0|\nNone|\n"},
+		{"SELECT COALESCE(flag, 2) AS v FROM t2 ORDER BY id", "1|\n0|\n1|\n0|\n2|\n"},
+		{"SELECT flag AS v FROM t2 WHERE id < 2 UNION ALL SELECT id FROM t2 WHERE id > 3 ORDER BY 1", "0|\n1|\n4|\n"},
+		{"SELECT x AS v FROM m WHERE id < 2 UNION ALL SELECT NULL FROM m WHERE id < 1", "-4|\n-3|\nNone|\n"},
+		{"WITH z AS (SELECT NULL AS v FROM m) SELECT SUM(v) AS t FROM z", "None|\n"},
+	}
+	bad := []string{
+		"SELECT id FROM m ORDER BY 5",
+		"SELECT id FROM m ORDER BY 0",
+		"SELECT id FROM m ORDER BY -1",
+		"SELECT SUM(s) FROM t2",
+		"SELECT AVG(s || 'x') FROM t2",
 	}
 	for _, prof := range []Profile{Monet, SQLite, Postgres, Duck} {
 		for _, par := range []int{1, 8} {
 			in := Launch(Config{Profile: prof, Parallelism: par, MorselSize: 3})
-			in.Put(tbl)
+			in.Put(mixedTable())
+			in.Put(strs)
 			for _, c := range cases {
 				res, err := in.Query(c.sql)
 				if err != nil {
@@ -96,6 +135,12 @@ func TestMixedKindCaseAcrossProfiles(t *testing.T) {
 				}
 				if got := render(res); got != c.want {
 					t.Errorf("%s par=%d %s:\ngot:\n%swant:\n%s", prof, par, c.sql, got, c.want)
+				}
+			}
+			for _, sql := range bad {
+				var be *sqlengine.BindError
+				if _, err := in.Query(sql); !errors.As(err, &be) {
+					t.Errorf("%s par=%d %s: got %v, want a bind error", prof, par, sql, err)
 				}
 			}
 			in.Close()

@@ -134,16 +134,16 @@ func (e *Engine) execUpdate(ctx context.Context, s *UpdateStmt) error {
 			return fmt.Errorf("sql: no such column %s in %s", col, s.Table)
 		}
 		colIdx[i] = idx
-		ex := cloneExpr(s.Exprs[i])
-		if err := pl.bindExpr(ex, scan); err != nil {
+		ex, _, err := pl.bindExpr(s.Exprs[i], scan)
+		if err != nil {
 			return err
 		}
 		exprs[i] = ex
 	}
 	var where SQLExpr
 	if s.Where != nil {
-		where = cloneExpr(s.Where)
-		if err := pl.bindExpr(where, scan); err != nil {
+		var err error
+		if where, _, err = pl.bindExpr(s.Where, scan); err != nil {
 			return err
 		}
 	}
@@ -199,6 +199,9 @@ func (e *Engine) updateRows(t *data.Table, colIdx []int, exprs []SQLExpr, where 
 			default:
 				col.Strs[i] = vals.Strs[m]
 			}
+			if col.Nulls == nil && vals.IsNull(m) {
+				col.Nulls = make([]bool, col.Len())
+			}
 			if col.Nulls != nil {
 				col.Nulls[i] = vals.IsNull(m)
 			}
@@ -221,14 +224,14 @@ func (e *Engine) execDelete(ctx context.Context, s *DeleteStmt) error {
 	scan := &Plan{Op: OpScan, Table: t.Name, Schema: t.Schema,
 		Quals: qualsFor(t.Name, len(t.Schema))}
 	pl := &planner{cat: e.Catalog, ctes: map[string]*Plan{}}
-	where := cloneExpr(s.Where)
-	if err := pl.bindExpr(where, scan); err != nil {
+	where, _, err := pl.bindExpr(s.Where, scan)
+	if err != nil {
 		return err
 	}
 	ch := t.Chunk()
 	// Rows stay unless the predicate holds: NOT maps NULL to true too.
 	var keep *data.Column
-	_, err := e.statement(ctx, nil, func(qe *Engine) (err error) {
+	_, err = e.statement(ctx, nil, func(qe *Engine) (err error) {
 		keep, err = qe.evalVec(&UnaryExpr{Op: "NOT", E: where}, ch, data.KindBool)
 		return err
 	})

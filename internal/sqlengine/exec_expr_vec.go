@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"math"
 	"strconv"
-	"strings"
 
 	"qfusor/internal/data"
 	"qfusor/internal/ffi"
@@ -28,25 +27,20 @@ var (
 // kinds allow one, a scalar-UDF call (argument columns in, the
 // transport's result column out), or else the one generic instruction,
 // which applies evalRow — the single definition of SQL scalar semantics
-// — per row with the node's children bound to slots. The choice is made
-// from operand kinds alone. A pure subtree that repeats compiles to the
-// same slot; a subtree containing a catalog-UDF call is observable
-// (stats, FFI counters, ledger) and is never shared.
+// — per row with the node's children bound to slots. A slot's kind is
+// KindOf over its operands' kinds, the rule the binder typed the
+// expression with, and the choice of instruction is made from those
+// kinds alone. A pure subtree that repeats compiles to the same slot; a
+// subtree containing a catalog-UDF call is observable (stats, FFI
+// counters, ledger) and is never shared.
 type exprProg struct {
 	e      *Engine
-	kinds  []data.Kind    // static kind per frame slot (KindNull: the NULL literal)
+	kinds  []data.Kind    // static kind per frame slot (KindNull: NULL on every row)
 	consts []*data.Column // per slot: a literal's one-row column, else nil
 	instrs []instr
 	roots  []int // result slot per compiled expression
 	shared int   // subtree evaluations that register reuse avoids per run
 }
-
-// kindDyn marks a value whose kind is only known per row (a CASE with
-// int and string branches, arithmetic on a string). It never gets a slot
-// of its own: the generic instruction that consumes it evaluates it
-// boxed, and at the root it materializes at the kind the consumer asks
-// for or the planner inferred.
-const kindDyn = data.KindObject
 
 type opcode uint8
 
@@ -75,9 +69,8 @@ type instr struct {
 
 // ---- compile ----
 
-// compiler lowers bound expressions into p. A value in flight is an
-// expression over the frame: &ColRef{Index: slot} once it has a slot,
-// any other node while it is still kindDyn.
+// compiler lowers bound expressions into p. A compiled value is its slot,
+// as the expression &ColRef{Index: slot}.
 type compiler struct {
 	p    *exprProg
 	in   *data.Chunk
@@ -96,7 +89,7 @@ func (e *Engine) compile(in *data.Chunk, xs []SQLExpr, want []data.Kind) (*exprP
 		if err != nil {
 			return nil, err
 		}
-		c.p.roots = append(c.p.roots, c.fit(t, x, want[i]).(*ColRef).Index)
+		c.p.roots = append(c.p.roots, c.fit(t, want[i]).(*ColRef).Index)
 	}
 	return c.p, nil
 }
@@ -134,11 +127,17 @@ func (c *compiler) slot(k data.Kind, con *data.Column, pure bool) SQLExpr {
 	return ref(len(c.p.kinds) - 1)
 }
 
-func (c *compiler) kindOf(t SQLExpr) data.Kind {
-	if cr, ok := t.(*ColRef); ok {
-		return c.p.kinds[cr.Index]
+func (c *compiler) kindOf(t SQLExpr) data.Kind { return c.p.kinds[t.(*ColRef).Index] }
+
+// kindsAre reports whether every slot in ts holds kind k or is NULL on
+// every row.
+func (c *compiler) kindsAre(k data.Kind, ts ...SQLExpr) bool {
+	for _, t := range ts {
+		if tk := c.kindOf(t); tk != k && tk != data.KindNull {
+			return false
+		}
 	}
-	return kindDyn
+	return true
 }
 
 // slotsOf lists the slots t reads, in walk order, and whether all are pure.
@@ -172,26 +171,12 @@ func (c *compiler) emit(in instr, t SQLExpr, k data.Kind, key string) SQLExpr {
 	return out
 }
 
-// fit returns t as a slot of kind want, inserting a generic instruction
-// that coerces the way Column.AppendValue does. With no wanted kind a
-// typed value stays as it is, and a kindDyn or NULL one takes the kind
-// the planner infers for orig — except that the planner's int is only
-// the kind of the first branch it met (CASE WHEN p THEN 0 ELSE f END),
-// and other rows may hold floats: such a value materializes as float,
-// which holds both, so the sums, group keys and sort orders that read
-// it see every row's own value.
-func (c *compiler) fit(t, orig SQLExpr, want data.Kind) SQLExpr {
-	have := c.kindOf(t)
-	if want == data.KindNull {
-		want = have
-		if have == kindDyn || have == data.KindNull {
-			want = exprKind(c.p.e.Catalog, orig, c.in.Schema())
-		}
-		if have == kindDyn && want == data.KindInt {
-			want = data.KindFloat
-		}
-	}
-	if have == want {
+// fit returns slot t at the kind its consumer stores — a projection's
+// schema kind, bool for a predicate, a UDF's declared parameter kind —
+// through a generic instruction that converts the way Column.AppendValue
+// does; KindNull wants t as it is.
+func (c *compiler) fit(t SQLExpr, want data.Kind) SQLExpr {
+	if want == data.KindNull || c.kindOf(t) == want {
 		return t
 	}
 	return c.emit(instr{}, t, want, fmt.Sprintf("fit %s %s", want, t))
@@ -209,7 +194,7 @@ func (c *compiler) lit(v data.Value) SQLExpr {
 	return t
 }
 
-// expr compiles x and returns its value as an expression over the frame.
+// expr compiles x and returns its slot.
 func (c *compiler) expr(x SQLExpr) (SQLExpr, error) {
 	switch ex := x.(type) {
 	case *ColRef:
@@ -261,55 +246,48 @@ func (c *compiler) call(u *ffi.UDF, ex *FuncExpr) (SQLExpr, error) {
 		if cr, ok := t.(*ColRef); !(ok && cr.Index < len(c.in.Cols)) && i < len(u.InKinds) {
 			want = u.InKinds[i]
 		}
-		sh.Args[i] = c.fit(t, a, want)
+		sh.Args[i] = c.fit(t, want)
 	}
 	return c.emit(instr{op: opUDF, udf: u}, sh, u.OutKind(), ""), nil
 }
 
 // node picks the instruction for sh, a node whose children are already
 // compiled: a typed kernel when the operand kinds allow one, else the
-// generic instruction at sh's static kind — or, when even that is only
-// known per row, no instruction: sh stays an expression for its consumer.
+// generic instruction. Either fills a slot of the kind KindOf gives sh.
 func (c *compiler) node(sh SQLExpr) SQLExpr {
 	key := sh.String()
 	if s, ok := c.memo[key]; ok {
 		c.p.shared++
 		return ref(s)
 	}
-	in, kind := instr{}, kindDyn
+	kind := KindOf(c.p.e.Catalog, sh, c.kindOf)
+	var in instr // the generic instruction unless a kernel fits
 	switch x := sh.(type) {
 	case *BinExpr:
 		switch x.Op {
 		case "+", "-", "*", "/", "%":
 			if k := c.unify(&x.L, &x.R); k == data.KindInt || k == data.KindFloat {
-				in, kind = instr{op: opArith, sym: x.Op}, k
+				in = instr{op: opArith, sym: x.Op}
 			}
 		case "=", "!=", "<", "<=", ">", ">=":
-			kind = data.KindBool
 			if k := c.unify(&x.L, &x.R); k == data.KindInt || k == data.KindFloat || k == data.KindString {
 				in = instr{op: opCompare, sym: x.Op}
 			}
 		case "AND", "OR":
-			kind = data.KindBool
-			if c.common(x.L, x.R) == data.KindBool {
+			if c.kindsAre(data.KindBool, x.L, x.R) {
 				in = instr{op: opLogic, sym: x.Op}
 			}
-		case "LIKE":
-			kind = data.KindBool
-		case "||":
-			kind = data.KindString
 		}
 	case *UnaryExpr: // NOT; minus was rewritten by expr
-		kind = data.KindBool
-		if c.common(x.E) == data.KindBool {
+		if c.kindOf(x.E) == data.KindBool {
 			in = instr{op: opNot}
 		}
 	case *CaseExpr:
 		if x.Else == nil {
 			x.Else = c.lit(data.Null) // a missing ELSE is ELSE NULL
 		}
-		kind = c.common(append(x.Thens[:len(x.Thens):len(x.Thens)], x.Else)...)
-		if x.Operand == nil && len(x.Whens) <= math.MaxUint8 && c.common(x.Whens...) == data.KindBool && isScalarKind(kind) {
+		if x.Operand == nil && len(x.Whens) <= math.MaxUint8 && isScalarKind(kind) &&
+			c.kindsAre(data.KindBool, x.Whens...) && c.kindsAre(kind, x.Thens...) && c.kindsAre(kind, x.Else) {
 			in = instr{op: opCase}
 		}
 	case *BetweenExpr:
@@ -318,29 +296,16 @@ func (c *compiler) node(sh SQLExpr) SQLExpr {
 		// the other, int one compare through float64.
 		ge := c.node(&BinExpr{Op: ">=", L: x.E, R: x.Lo})
 		le := c.node(&BinExpr{Op: "<=", L: x.E, R: x.Hi})
-		sh, in, kind = &BinExpr{Op: "BETWEEN", L: ge, R: le}, instr{op: opBetween, not: x.Not}, data.KindBool
-	case *InExpr:
-		kind = data.KindBool
+		sh, in = &BinExpr{Op: "BETWEEN", L: ge, R: le}, instr{op: opBetween, not: x.Not}
 	case *IsNullExpr:
-		kind = data.KindBool
-		if c.kindOf(x.E) != kindDyn {
-			in = instr{op: opIsNull, not: x.Not}
-		}
+		in = instr{op: opIsNull, not: x.Not}
 	case *CastExpr:
-		from := c.kindOf(x.E)
-		switch {
-		case from == x.Kind && isScalarKind(from):
+		switch from := c.kindOf(x.E); {
+		case from == x.Kind:
 			return x.E
 		case from == data.KindInt && x.Kind == data.KindFloat, from == data.KindFloat && x.Kind == data.KindInt:
-			in, kind = instr{op: opCast}, x.Kind
-		case isScalarKind(x.Kind):
-			kind = x.Kind
+			in = instr{op: opCast}
 		}
-	case *FuncExpr:
-		kind = c.nativeKind(x)
-	}
-	if kind == kindDyn {
-		return sh
 	}
 	return c.emit(in, sh, kind, key)
 }
@@ -349,28 +314,9 @@ func isScalarKind(k data.Kind) bool {
 	return k == data.KindInt || k == data.KindFloat || k == data.KindString || k == data.KindBool
 }
 
-// common returns the one kind all of ts share, NULL literals fitting
-// any; kindDyn when they disagree or are all NULL.
-func (c *compiler) common(ts ...SQLExpr) data.Kind {
-	k := data.KindNull
-	for _, t := range ts {
-		switch tk := c.kindOf(t); {
-		case tk == data.KindNull:
-		case k == data.KindNull:
-			k = tk
-		case k != tk:
-			return kindDyn
-		}
-	}
-	if k == data.KindNull {
-		return kindDyn
-	}
-	return k
-}
-
-// unify brings two numeric operands to one kind the way sqlArith and
-// data.Compare do — an int meeting a float computes as a float — and
-// returns the operands' kind, kindDyn when they still differ.
+// unify promotes an int operand meeting a float one to float, as sqlArith
+// and data.Compare compute it, so that both reach one typed kernel; it
+// returns the operands' kind, KindNull when they still differ.
 func (c *compiler) unify(l, r *SQLExpr) data.Kind {
 	lk, rk := c.kindOf(*l), c.kindOf(*r)
 	switch {
@@ -380,7 +326,7 @@ func (c *compiler) unify(l, r *SQLExpr) data.Kind {
 		*r, rk = c.toFloat(*r), lk
 	}
 	if lk != rk {
-		return kindDyn
+		return data.KindNull
 	}
 	return lk
 }
@@ -392,30 +338,6 @@ func (c *compiler) toFloat(t SQLExpr) SQLExpr {
 		return c.lit(data.Float(float64(con.Ints[0])))
 	}
 	return c.node(&CastExpr{E: t, Kind: data.KindFloat})
-}
-
-// nativeKind is the kind evalNativeScalar returns for x whenever it does
-// not return NULL, kindDyn if that depends on the row.
-func (c *compiler) nativeKind(x *FuncExpr) data.Kind {
-	switch strings.ToLower(x.Name) {
-	case "length", "instr":
-		return data.KindInt
-	case "round":
-		return data.KindFloat
-	case "substr", "trim", "sqlupper", "sqllower", "typeof":
-		return data.KindString
-	case "abs":
-		if k := c.common(x.Args...); k == data.KindInt || k == data.KindFloat {
-			return k
-		}
-	case "nullif":
-		if len(x.Args) > 0 {
-			return c.common(x.Args[0])
-		}
-	case "coalesce", "ifnull":
-		return c.common(x.Args...)
-	}
-	return kindDyn
 }
 
 // ---- run ----

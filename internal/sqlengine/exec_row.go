@@ -83,9 +83,9 @@ func (e *Engine) buildRowIter(p *Plan, ectx *execCtx) (rowIter, error) {
 	case OpJoin:
 		return e.buildJoinIter(p, ectx)
 	case OpAggregate, OpSort, OpDistinct, OpUnion, OpTableFunc:
-		// Blocking (or engine-side) operators reuse the columnar
-		// implementations over the drained child; rows then stream out.
-		ch, err := e.execBlockingRow(p, ectx)
+		// Blocking (or engine-side) operators are the columnar ones: they
+		// drain the child through execPlan, then rows stream out.
+		ch, err := e.execColumnar(p, ectx)
 		if err != nil {
 			return nil, err
 		}
@@ -117,79 +117,6 @@ func (e *Engine) buildRowIter(p *Plan, ectx *execCtx) (rowIter, error) {
 		return &chunkIter{ch: ch}, nil
 	}
 	return nil, fmt.Errorf("sql: row executor: unsupported op %s", p.Op)
-}
-
-// execBlockingRow drains children tuple-at-a-time, then runs the
-// blocking operator's columnar implementation on the materialized input.
-func (e *Engine) execBlockingRow(p *Plan, ectx *execCtx) (*data.Chunk, error) {
-	drain := func(c *Plan) (*data.Chunk, error) {
-		return e.execPlan(c, ectx)
-	}
-	switch p.Op {
-	case OpAggregate:
-		in, err := drain(p.Children[0])
-		if err != nil {
-			return nil, err
-		}
-		return e.aggregateChunk(p, in, ectx)
-	case OpSort:
-		in, err := drain(p.Children[0])
-		if err != nil {
-			return nil, err
-		}
-		return e.sortChunk(p, in, ectx)
-	case OpDistinct:
-		in, err := drain(p.Children[0])
-		if err != nil {
-			return nil, err
-		}
-		return e.distinctChunk(in, ectx), nil
-	case OpUnion:
-		l, err := drain(p.Children[0])
-		if err != nil {
-			return nil, err
-		}
-		r, err := drain(p.Children[1])
-		if err != nil {
-			return nil, err
-		}
-		out := data.EmptyChunk(p.Schema)
-		for i, c := range out.Cols {
-			c.AppendColumn(l.Cols[i])
-			c.AppendColumn(r.Cols[i])
-		}
-		if !p.UnionAll {
-			return e.distinctChunk(out, ectx), nil
-		}
-		return out, nil
-	case OpTableFunc:
-		in, err := drain(p.Children[0])
-		if err != nil {
-			return nil, err
-		}
-		if p.UDF.Fused {
-			return e.runFusedAsTable(p, in, ectx)
-		}
-		extra := make([]data.Value, len(p.TFArgs))
-		for i, a := range p.TFArgs {
-			v, err := e.evalRow(a, nil)
-			if err != nil {
-				return nil, err
-			}
-			extra[i] = v
-		}
-		out, err := e.Invoker.CallTable(ectx.clone(p.UDF), in, extra)
-		if err != nil {
-			return nil, err
-		}
-		for i, c := range out.Cols {
-			if i < len(p.Schema) {
-				c.Name = p.Schema[i].Name
-			}
-		}
-		return out, nil
-	}
-	return nil, fmt.Errorf("sql: not a blocking op: %s", p.Op)
 }
 
 // chunkIter streams a materialized chunk row by row (boxing per tuple).

@@ -45,23 +45,32 @@ func sameValue(a, b data.Value) bool {
 	return a.I == b.I && a.S == b.S
 }
 
-// checkExprEquiv holds x over tbl to the row evaluator: the projected
-// column, coerced the way any result column is, equals EvalPure per row;
-// a statically typed result never needed that coercion, and none that
-// holds a float on some row materializes as int; the filter keeps
-// exactly the rows where EvalPure is truthy; and each operator compiled
-// its expressions once, however many morsels it ran.
+// checkExprEquiv binds x over tbl as the planner does and holds the bound
+// expression to the row evaluator: every non-NULL row has the bound
+// kind, and so does the compiled result; the projected column equals
+// EvalPure per row; the filter keeps exactly the rows where EvalPure is
+// truthy; and each operator compiled its expressions once, however many
+// morsels it ran.
 func checkExprEquiv(t *testing.T, tbl *data.Table, x SQLExpr) {
 	t.Helper()
+	x, kind, err := (&planner{cat: NewCatalog()}).bindExpr(x, &Plan{Schema: tbl.Schema})
+	if err != nil {
+		t.Fatalf("%s: bind: %v", x, err)
+	}
 	in := tbl.Chunk()
 	n := in.NumRows()
 	rows := make([]data.Value, n)
+	want := data.NewColumn("v", fieldKind(kind))
 	for i := range rows {
 		v, err := EvalPure(x, in.Row(i))
 		if err != nil {
 			t.Fatalf("%s: EvalPure row %d: %v", x, i, err)
 		}
+		if !v.IsNull() && v.Kind != kind {
+			t.Errorf("%s: bound as %s but row %d evaluates to %s %v", x, kind, i, v.Kind, v)
+		}
 		rows[i] = v
+		want.AppendValue(v)
 	}
 	for _, eng := range equivConfigs() {
 		eng.Catalog.PutTable(tbl)
@@ -72,23 +81,14 @@ func checkExprEquiv(t *testing.T, tbl *data.Table, x SQLExpr) {
 			if err != nil {
 				return err
 			}
-			static := c.kindOf(tree)
-			kind := c.p.kinds[c.fit(tree, x, data.KindNull).(*ColRef).Index]
-			want := data.NewColumn("v", kind)
-			for i, v := range rows {
-				if static != kindDyn && static != data.KindNull && !v.IsNull() && v.Kind != static {
-					t.Errorf("%s: compiled as %s but row %d evaluates to %s %v", label, static, i, v.Kind, v)
-				}
-				if kind == data.KindInt && v.Kind == data.KindFloat {
-					t.Errorf("%s: materializes as int but row %d evaluates to float %v", label, i, v)
-				}
-				want.AppendValue(v)
+			if k := c.kindOf(tree); k != kind {
+				t.Errorf("%s: compiled as %s, bound as %s", label, k, kind)
 			}
 
 			scan := &Plan{Op: OpScan, Table: tbl.Name, Schema: tbl.Schema}
 			before := mExprCompiles.Value()
 			got, err := qe.projectChunk(&Plan{Op: OpProject, Exprs: []SQLExpr{x, x},
-				Schema: data.Schema{{Name: "v", Kind: kind}, {Name: "w", Kind: kind}}, Children: []*Plan{scan}}, in, qe.q)
+				Schema: data.Schema{{Name: "v", Kind: want.Kind}, {Name: "w", Kind: want.Kind}}, Children: []*Plan{scan}}, in, qe.q)
 			if err != nil {
 				return err
 			}
@@ -179,9 +179,9 @@ func TestExprEquivFixed(t *testing.T) {
 		// Each bound meets the value on its own: the float upper bound does
 		// not make 2^53 >= 2^53+1 compare (and hold) through float64.
 		{"a + 9007199254740982 BETWEEN 9007199254740993 AND 1e300", []data.Value{data.Bool(false), data.Bool(false), N, data.Bool(false)}},
-		// Int on some rows, float on others: the kind is per row, and as a
-		// root it materializes as float, not as the first THEN's int.
-		{"CASE WHEN a > 0 THEN 1 ELSE f END", []data.Value{I(1), F(2.5), F(0), I(1)}},
+		// An int branch meeting a float one is bound as a float: the CASE
+		// is float on every row, whichever branch the row takes.
+		{"CASE WHEN a > 0 THEN 1 ELSE f END", []data.Value{F(1), F(2.5), F(0), F(1)}},
 		{"CASE WHEN a IS NULL THEN NULL ELSE a * 2 END", []data.Value{I(20), I(-14), N, I(10)}},
 		{"CASE WHEN a > 0 THEN b END", []data.Value{I(3), N, N, N}},
 		{"CAST(f AS int) + CAST(b AS float)", []data.Value{F(4), F(2), F(4), N}},
@@ -198,6 +198,35 @@ func TestExprEquivFixed(t *testing.T) {
 			}
 		}
 		checkExprEquiv(t, tbl, x)
+	}
+}
+
+// TestMixedKindCaseRunsKernels: the binder casts a CASE's int branch to
+// the float its other branch has, so the CASE compiles to typed kernels
+// alone, with no generic instruction.
+func TestMixedKindCaseRunsKernels(t *testing.T) {
+	tbl := data.NewTable("m", data.Schema{{Name: "x", Kind: data.KindInt}, {Name: "f", Kind: data.KindFloat}})
+	_ = tbl.AppendRow(data.Int(1), data.Float(0.5))
+	eng := New("mixed", ModeColumnar, ffi.VectorInvoker{}, 0)
+	eng.Catalog.PutTable(tbl)
+	q, err := eng.Plan("SELECT CASE WHEN x > 0 THEN 1 ELSE f END, CASE WHEN x > 0 THEN x ELSE f END FROM m")
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := make([]data.Kind, len(q.Root.Schema))
+	for i, f := range q.Root.Schema {
+		if want[i] = f.Kind; f.Kind != data.KindFloat {
+			t.Errorf("%s: bound as %s, want float", q.Root.Exprs[i], f.Kind)
+		}
+	}
+	prog, err := eng.compile(tbl.Chunk(), q.Root.Exprs, want)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, in := range prog.instrs {
+		if in.op == opGeneric {
+			t.Errorf("generic instruction in the program for %s", in.node)
+		}
 	}
 }
 

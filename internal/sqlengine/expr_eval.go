@@ -60,15 +60,13 @@ func sqlBinOp(op string, a, b data.Value) (data.Value, error) {
 }
 
 // sqlArith is SQL arithmetic. Two ints (bools count as 0/1) compute in
-// exact int64; anything involving a float computes in float64; a numeric
-// string takes part through its parsed value.
+// exact int64; anything else computes in float64, a string through the
+// number it spells — so arithmetic over a string is float on every row,
+// as the binder types it, and NULL where the string is not a number.
 func sqlArith(op string, a, b data.Value) (data.Value, error) {
-	if a.Kind != data.KindFloat && b.Kind != data.KindFloat {
-		if ai, aok := asExactInt(a); aok {
-			if bi, bok := asExactInt(b); bok {
-				return intArith(op, ai, bi)
-			}
-		}
+	intLike := func(v data.Value) bool { return v.Kind == data.KindInt || v.Kind == data.KindBool }
+	if intLike(a) && intLike(b) {
+		return intArith(op, a.I, b.I)
 	}
 	af, aok := a.AsFloat()
 	bf, bok := b.AsFloat()
@@ -100,20 +98,6 @@ func sqlArith(op string, a, b data.Value) (data.Value, error) {
 		return data.Float(math.Mod(af, bf)), nil
 	}
 	return data.Null, fmt.Errorf("sql: unsupported arithmetic %q", op)
-}
-
-// asExactInt returns v as an int64 without a float round trip: ints and
-// bools directly, a string when it spells an integral number.
-func asExactInt(v data.Value) (int64, bool) {
-	switch v.Kind {
-	case data.KindInt, data.KindBool:
-		return v.I, true
-	case data.KindString:
-		if f, ok := parseNum(v.S); ok && f == math.Trunc(f) {
-			return int64(f), true
-		}
-	}
-	return 0, false
 }
 
 // intArith is int64 arithmetic; a zero divisor yields NULL.

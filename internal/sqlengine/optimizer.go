@@ -182,68 +182,29 @@ func sideOf(e SQLExpr, nl int) (side int, onlyOne bool) {
 // shiftCols rebinds column indexes by delta (for pushing into the right
 // join input).
 func shiftCols(e SQLExpr, delta int) SQLExpr {
-	out := cloneExpr(e)
-	walkExpr(out, func(x SQLExpr) bool {
+	return RewriteExpr(e, func(x SQLExpr) SQLExpr {
 		if cr, ok := x.(*ColRef); ok {
 			cr.Index += delta
 		}
-		return true
+		return x
 	})
-	return out
 }
 
 // substituteThroughProject rewrites a predicate over a Project's output
 // into one over its input, if every referenced output is expressible.
 func substituteThroughProject(pred SQLExpr, proj *Plan) (SQLExpr, bool) {
 	ok := true
-	var subst func(e SQLExpr) SQLExpr
-	subst = func(e SQLExpr) SQLExpr {
-		if cr, isRef := e.(*ColRef); isRef {
-			if cr.Index < 0 || cr.Index >= len(proj.Exprs) {
-				ok = false
-				return e
-			}
-			return cloneExpr(proj.Exprs[cr.Index])
+	out := RewriteExpr(pred, func(e SQLExpr) SQLExpr {
+		cr, isRef := e.(*ColRef)
+		if !isRef {
+			return e
 		}
-		out := cloneExpr(e)
-		switch x := out.(type) {
-		case *BinExpr:
-			x.L = subst(x.L)
-			x.R = subst(x.R)
-		case *UnaryExpr:
-			x.E = subst(x.E)
-		case *FuncExpr:
-			for i, a := range x.Args {
-				x.Args[i] = subst(a)
-			}
-		case *CaseExpr:
-			if x.Operand != nil {
-				x.Operand = subst(x.Operand)
-			}
-			for i := range x.Whens {
-				x.Whens[i] = subst(x.Whens[i])
-				x.Thens[i] = subst(x.Thens[i])
-			}
-			if x.Else != nil {
-				x.Else = subst(x.Else)
-			}
-		case *BetweenExpr:
-			x.E = subst(x.E)
-			x.Lo = subst(x.Lo)
-			x.Hi = subst(x.Hi)
-		case *InExpr:
-			x.E = subst(x.E)
-			for i := range x.List {
-				x.List[i] = subst(x.List[i])
-			}
-		case *IsNullExpr:
-			x.E = subst(x.E)
-		case *CastExpr:
-			x.E = subst(x.E)
+		if cr.Index < 0 || cr.Index >= len(proj.Exprs) {
+			ok = false
+			return e
 		}
-		return out
-	}
-	out := subst(pred)
+		return RewriteExpr(proj.Exprs[cr.Index], func(x SQLExpr) SQLExpr { return x })
+	})
 	return out, ok
 }
 

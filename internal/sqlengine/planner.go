@@ -10,13 +10,14 @@ import (
 
 // planner lowers parsed statements to logical plans.
 type planner struct {
-	cat  *Catalog
-	ctes map[string]*Plan // visible CTEs by lower-case name
+	cat    *Catalog
+	ctes   map[string]*Plan // visible CTEs by lower-case name
+	bodies map[string]*Plan // materialized CTEs' plans by lower-case name
 }
 
 // PlanSelect lowers a SelectStmt into an executable Query.
 func PlanSelect(cat *Catalog, st *SelectStmt) (*Query, error) {
-	pl := &planner{cat: cat, ctes: map[string]*Plan{}}
+	pl := &planner{cat: cat, ctes: map[string]*Plan{}, bodies: map[string]*Plan{}}
 	q := &Query{}
 	for _, cte := range st.CTEs {
 		sub, err := pl.planSelectStmt(cte.Query)
@@ -38,6 +39,7 @@ func PlanSelect(cat *Catalog, st *SelectStmt) (*Query, error) {
 		ref := &Plan{Op: OpCTERef, Table: cte.Name, Schema: sub.Schema,
 			Quals: qualsFor(cte.Name, len(sub.Schema)), EstRows: sub.EstRows}
 		pl.ctes[strings.ToLower(cte.Name)] = ref
+		pl.bodies[strings.ToLower(cte.Name)] = sub
 	}
 	// Plan the body with the CTEs already registered (strip them so the
 	// nested-WITH path doesn't re-plan them without the column renames).
@@ -95,6 +97,11 @@ func (pl *planner) planSelectStmt(st *SelectStmt) (*Plan, error) {
 		if len(rhs.Schema) != len(p.Schema) {
 			return nil, fmt.Errorf("sql: UNION arms have different arity (%d vs %d)", len(p.Schema), len(rhs.Schema))
 		}
+		kinds := make([]data.Kind, len(p.Schema))
+		for c := range kinds {
+			kinds[c] = fieldKind(joinKind(pl.armKind(p, c), pl.armKind(rhs, c)))
+		}
+		p, rhs = castArm(p, kinds), castArm(rhs, kinds)
 		all := st.UnionOp[i-1] == "UNION ALL"
 		p = &Plan{Op: OpUnion, Children: []*Plan{p, rhs}, Schema: p.Schema,
 			Quals: make([]string, len(p.Schema)), UnionAll: all,
@@ -105,23 +112,28 @@ func (pl *planner) planSelectStmt(st *SelectStmt) (*Plan, error) {
 		hidden := 0
 		origN := len(p.Schema)
 		for i, o := range st.OrderBy {
-			e := cloneExpr(o.Expr)
-			if lit, ok := e.(*Lit); ok && lit.Value.Kind == data.KindInt {
-				e = &ColRef{Index: int(lit.Value.I) - 1, Name: p.Schema[lit.Value.I-1].Name}
-			} else if err := pl.bindExpr(e, p); err != nil {
+			if lit, ok := o.Expr.(*Lit); ok && lit.Value.Kind == data.KindInt {
+				pos := lit.Value.I
+				if pos < 1 || pos > int64(origN) {
+					return nil, bindErrorf("ORDER BY position %d is not in the select list (1..%d)", pos, origN)
+				}
+				items[i] = OrderItem{Expr: &ColRef{Index: int(pos) - 1, Name: p.Schema[pos-1].Name}, Desc: o.Desc}
+				continue
+			}
+			e, _, err := pl.bindExpr(o.Expr, p)
+			if err != nil {
 				// Sort key not in the select list: compute it as a hidden
 				// column through the projection, sort, then drop it.
 				if p.Op != OpProject || len(p.Children) != 1 {
 					return nil, err
 				}
-				child := p.Children[0]
-				h := cloneExpr(o.Expr)
-				if err2 := pl.bindExpr(h, child); err2 != nil {
+				h, k, err2 := pl.bindExpr(o.Expr, p.Children[0])
+				if err2 != nil {
 					return nil, err
 				}
 				name := fmt.Sprintf("__ord%d", i)
 				p.Exprs = append(p.Exprs, h)
-				p.Schema = append(p.Schema, data.Field{Name: name, Kind: exprKind(pl.cat, h, child.Schema)})
+				p.Schema = append(p.Schema, data.Field{Name: name, Kind: fieldKind(k)})
 				p.Quals = append(p.Quals, "")
 				e = &ColRef{Name: name, Index: len(p.Schema) - 1}
 				hidden++
@@ -144,6 +156,33 @@ func (pl *planner) planSelectStmt(st *SelectStmt) (*Plan, error) {
 	return p, nil
 }
 
+// armKind is the kind column c of a UNION arm brings to the join:
+// KindNull when the arm computes NULL on every row of it.
+func (pl *planner) armKind(arm *Plan, c int) data.Kind {
+	if pl.allNull(arm, c) {
+		return data.KindNull
+	}
+	return arm.Schema[c].Kind
+}
+
+// castArm returns a UNION arm whose columns have the given kinds: the arm
+// itself, or a projection casting the columns whose kind differs.
+func castArm(arm *Plan, kinds []data.Kind) *Plan {
+	schema := append(data.Schema(nil), arm.Schema...)
+	exprs := identityExprs(arm.Schema)
+	cast := false
+	for c, k := range kinds {
+		if schema[c].Kind != k {
+			schema[c].Kind, exprs[c], cast = k, &CastExpr{E: exprs[c], Kind: k}, true
+		}
+	}
+	if !cast {
+		return arm
+	}
+	return &Plan{Op: OpProject, Children: []*Plan{arm}, Schema: schema,
+		Quals: arm.Quals, Exprs: exprs, EstRows: arm.EstRows}
+}
+
 func minF(a, b float64) float64 {
 	if a < b {
 		return a
@@ -160,8 +199,8 @@ func (pl *planner) planCore(core *SelectCore) (*Plan, error) {
 		return nil, err
 	}
 	if core.Where != nil {
-		pred := cloneExpr(core.Where)
-		if err := pl.bindExpr(pred, in); err != nil {
+		pred, _, err := pl.bindExpr(core.Where, in)
+		if err != nil {
 			return nil, err
 		}
 		in = &Plan{Op: OpFilter, Children: []*Plan{in}, Schema: in.Schema,
@@ -237,8 +276,8 @@ func (pl *planner) planFrom(core *SelectCore) (*Plan, error) {
 		j := crossJoin(p, rhs)
 		j.JoinKind = jc.Kind
 		if jc.On != nil {
-			on := cloneExpr(jc.On)
-			if err := pl.bindExpr(on, j); err != nil {
+			on, _, err := pl.bindExpr(jc.On, j)
+			if err != nil {
 				return nil, err
 			}
 			j.JoinOn = on
@@ -319,9 +358,9 @@ func (pl *planner) planTableFunc(fi FromItem) (*Plan, error) {
 			child = sub
 			continue
 		}
-		e := cloneExpr(a)
 		// Extra args must be constants (bound against nothing).
-		if err := pl.bindExpr(e, &Plan{Schema: data.Schema{}}); err != nil {
+		e, _, err := pl.bindExpr(a, &Plan{Schema: data.Schema{}})
+		if err != nil {
 			return nil, fmt.Errorf("sql: table function %s: non-constant argument: %w", u.Name, err)
 		}
 		extra = append(extra, e)
@@ -411,23 +450,23 @@ func (pl *planner) planExpand(items []SelectItem, in *Plan) (*Plan, []SelectItem
 		if i == expandIdx {
 			continue
 		}
-		e := cloneExpr(it.Expr)
-		if err := pl.bindExpr(e, in); err != nil {
+		e, k, err := pl.bindExpr(it.Expr, in)
+		if err != nil {
 			return nil, nil, err
 		}
 		preExprs = append(preExprs, e)
-		preSchema = append(preSchema, data.Field{Name: itemName(it, len(preSchema)), Kind: exprKind(pl.cat, e, in.Schema)})
+		preSchema = append(preSchema, data.Field{Name: itemName(it, len(preSchema)), Kind: fieldKind(k)})
 	}
 	nKeep := len(preExprs)
 	var tfArgs []SQLExpr
 	for ai, a := range f.Args {
-		e := cloneExpr(a)
-		if err := pl.bindExpr(e, in); err != nil {
+		e, k, err := pl.bindExpr(a, in)
+		if err != nil {
 			return nil, nil, err
 		}
 		preExprs = append(preExprs, e)
 		argName := fmt.Sprintf("__arg%d", ai)
-		preSchema = append(preSchema, data.Field{Name: argName, Kind: exprKind(pl.cat, e, in.Schema)})
+		preSchema = append(preSchema, data.Field{Name: argName, Kind: fieldKind(k)})
 		tfArgs = append(tfArgs, &ColRef{Name: argName, Index: nKeep + ai})
 	}
 	pre := &Plan{Op: OpProject, Children: []*Plan{in}, Schema: preSchema,
@@ -493,12 +532,12 @@ func (pl *planner) project(items []SelectItem, in *Plan) (*Plan, error) {
 	schema := make(data.Schema, len(items))
 	quals := make([]string, len(items))
 	for i, it := range items {
-		e := cloneExpr(it.Expr)
-		if err := pl.bindExpr(e, in); err != nil {
+		e, k, err := pl.bindExpr(it.Expr, in)
+		if err != nil {
 			return nil, err
 		}
 		exprs[i] = e
-		schema[i] = data.Field{Name: itemName(it, i), Kind: exprKind(pl.cat, e, in.Schema)}
+		schema[i] = data.Field{Name: itemName(it, i), Kind: fieldKind(k)}
 		// Plain column references keep their source qualifier so outer
 		// scopes can still address them as alias.column.
 		if cr, ok := e.(*ColRef); ok && cr.Index >= 0 && cr.Index < len(in.Quals) &&

@@ -30,23 +30,33 @@ func (pl *planner) containsAggregate(e SQLExpr) bool {
 // planAggregate lowers a core with aggregation:
 // Aggregate(keys, aggs) → [Filter having] → Project(items) → [Distinct].
 func (pl *planner) planAggregate(core *SelectCore, items []SelectItem, in *Plan) (*Plan, error) {
-	// Bind group-by keys; allow references to select-item aliases.
+	// Bind group-by keys; allow references to select-item aliases. The
+	// aggregate's output schema is the keys' kinds, then the aggregates'.
 	keys := make([]SQLExpr, len(core.GroupBy))
+	aliased := make([]SQLExpr, len(core.GroupBy))
+	schema := make(data.Schema, 0, len(keys))
 	for i, g := range core.GroupBy {
-		e := cloneExpr(g)
-		if cr, ok := e.(*ColRef); ok && cr.Table == "" {
+		aliased[i] = g
+		if cr, ok := g.(*ColRef); ok && cr.Table == "" {
 			if sub, ok2 := pl.aliasTarget(cr.Name, items); ok2 {
-				e = cloneExpr(sub)
+				aliased[i] = sub
 			}
 		}
-		if err := pl.bindExpr(e, in); err != nil {
+		e, k, err := pl.bindExpr(aliased[i], in)
+		if err != nil {
 			return nil, fmt.Errorf("group by: %w", err)
 		}
 		keys[i] = e
+		name := fmt.Sprintf("__key%d", i)
+		if cr, ok := e.(*ColRef); ok {
+			name = cr.Name
+		}
+		schema = append(schema, data.Field{Name: name, Kind: fieldKind(k)})
 	}
 
 	// Collect aggregate calls from items and HAVING, dedup by rendering.
 	var aggs []AggSpec
+	var aggKinds []data.Kind
 	aggIndex := map[string]int{}
 	collect := func(e SQLExpr) error {
 		var outerErr error
@@ -65,17 +75,14 @@ func (pl *planner) planAggregate(core *SelectCore, items []SelectItem, in *Plan)
 			if _, dup := aggIndex[key]; dup {
 				return false
 			}
-			spec := AggSpec{Name: strings.ToLower(f.Name), UDF: udf, Star: f.Star}
-			for _, a := range f.Args {
-				b := cloneExpr(a)
-				if err := pl.bindExpr(b, in); err != nil {
-					outerErr = err
-					return false
-				}
-				spec.Args = append(spec.Args, b)
+			bf, k, err := pl.bindExpr(f, in)
+			if err != nil {
+				outerErr = err
+				return false
 			}
 			aggIndex[key] = len(aggs)
-			aggs = append(aggs, spec)
+			aggs = append(aggs, AggSpec{Name: strings.ToLower(f.Name), UDF: udf, Star: f.Star, Args: bf.(*FuncExpr).Args})
+			aggKinds = append(aggKinds, k)
 			return false // don't descend into aggregate args again
 		})
 		return outerErr
@@ -91,17 +98,8 @@ func (pl *planner) planAggregate(core *SelectCore, items []SelectItem, in *Plan)
 		}
 	}
 
-	// Aggregate output schema: keys then aggs.
-	schema := make(data.Schema, 0, len(keys)+len(aggs))
-	for i, k := range keys {
-		name := fmt.Sprintf("__key%d", i)
-		if cr, ok := k.(*ColRef); ok {
-			name = cr.Name
-		}
-		schema = append(schema, data.Field{Name: name, Kind: exprKind(pl.cat, k, in.Schema)})
-	}
-	for i, a := range aggs {
-		schema = append(schema, data.Field{Name: fmt.Sprintf("__agg%d", i), Kind: pl.aggKind(a, in)})
+	for i, k := range aggKinds {
+		schema = append(schema, data.Field{Name: fmt.Sprintf("__agg%d", i), Kind: fieldKind(k)})
 	}
 	est := in.EstRows * groupSelectivity
 	if len(keys) == 0 {
@@ -111,14 +109,14 @@ func (pl *planner) planAggregate(core *SelectCore, items []SelectItem, in *Plan)
 		Quals: make([]string, len(schema)), GroupBy: keys, Aggs: aggs, EstRows: est}
 
 	// Rewrite items/HAVING over the aggregate output.
-	rw := &aggRewriter{pl: pl, in: in, keys: core.GroupBy, boundKeys: keys, aggIndex: aggIndex, nKeys: len(keys)}
+	rw := &aggRewriter{in: in, keys: core.GroupBy, aliased: aliased, boundKeys: keys, aggIndex: aggIndex, nKeys: len(keys)}
 	var p *Plan = agg
 	if core.Having != nil {
-		h, err := rw.rewrite(cloneExpr(core.Having))
+		h, err := rw.rewrite(core.Having)
 		if err != nil {
 			return nil, err
 		}
-		if err := pl.bindExpr(h, p); err != nil {
+		if h, _, err = pl.bindExpr(h, p); err != nil {
 			return nil, err
 		}
 		p = &Plan{Op: OpFilter, Children: []*Plan{p}, Schema: p.Schema,
@@ -127,15 +125,16 @@ func (pl *planner) planAggregate(core *SelectCore, items []SelectItem, in *Plan)
 	exprs := make([]SQLExpr, len(items))
 	outSchema := make(data.Schema, len(items))
 	for i, it := range items {
-		e, err := rw.rewrite(cloneExpr(it.Expr))
+		e, err := rw.rewrite(it.Expr)
 		if err != nil {
 			return nil, err
 		}
-		if err := pl.bindExpr(e, p); err != nil {
+		e, k, err := pl.bindExpr(e, p)
+		if err != nil {
 			return nil, err
 		}
 		exprs[i] = e
-		outSchema[i] = data.Field{Name: itemName(it, i), Kind: exprKind(pl.cat, e, p.Schema)}
+		outSchema[i] = data.Field{Name: itemName(it, i), Kind: fieldKind(k)}
 	}
 	out := &Plan{Op: OpProject, Children: []*Plan{p}, Schema: outSchema,
 		Quals: make([]string, len(outSchema)), Exprs: exprs, EstRows: p.EstRows}
@@ -165,18 +164,15 @@ func (pl *planner) aliasTarget(name string, items []SelectItem) (SQLExpr, bool) 
 // aggRewriter replaces aggregate calls and group-key expressions in a
 // post-aggregation expression with references to the aggregate output.
 type aggRewriter struct {
-	pl        *planner
 	in        *Plan
 	keys      []SQLExpr // unbound originals (for textual matching)
+	aliased   []SQLExpr // the same with select-list aliases resolved
 	boundKeys []SQLExpr
 	aggIndex  map[string]int
 	nKeys     int
 }
 
 func (rw *aggRewriter) rewrite(e SQLExpr) (SQLExpr, error) {
-	if e == nil {
-		return nil, nil
-	}
 	// Aggregate call → __aggN reference.
 	if f, ok := e.(*FuncExpr); ok {
 		if idx, ok := rw.aggIndex[f.String()]; ok {
@@ -185,7 +181,7 @@ func (rw *aggRewriter) rewrite(e SQLExpr) (SQLExpr, error) {
 	}
 	// Group key (textual match against either spelled form).
 	for i, k := range rw.keys {
-		if k.String() == e.String() || rw.boundKeys[i].String() == e.String() {
+		if k.String() == e.String() || rw.aliased[i].String() == e.String() {
 			name := fmt.Sprintf("__key%d", i)
 			if cr, ok := rw.boundKeys[i].(*ColRef); ok {
 				name = cr.Name
@@ -204,103 +200,15 @@ func (rw *aggRewriter) rewrite(e SQLExpr) (SQLExpr, error) {
 		return nil, fmt.Errorf("sql: column %s must appear in GROUP BY or an aggregate", cr)
 	}
 	// Recurse into children.
-	switch x := e.(type) {
-	case *Lit:
-		return x, nil
-	case *BinExpr:
-		l, err := rw.rewrite(x.L)
-		if err != nil {
-			return nil, err
+	var err error
+	out := mapChildren(e, func(c SQLExpr) SQLExpr {
+		r, cerr := rw.rewrite(c)
+		if err == nil {
+			err = cerr
 		}
-		r, err := rw.rewrite(x.R)
-		if err != nil {
-			return nil, err
-		}
-		return &BinExpr{Op: x.Op, L: l, R: r}, nil
-	case *UnaryExpr:
-		s, err := rw.rewrite(x.E)
-		if err != nil {
-			return nil, err
-		}
-		return &UnaryExpr{Op: x.Op, E: s}, nil
-	case *FuncExpr:
-		args := make([]SQLExpr, len(x.Args))
-		for i, a := range x.Args {
-			s, err := rw.rewrite(a)
-			if err != nil {
-				return nil, err
-			}
-			args[i] = s
-		}
-		return &FuncExpr{Name: x.Name, Args: args, Star: x.Star}, nil
-	case *CaseExpr:
-		out := &CaseExpr{}
-		var err error
-		if x.Operand != nil {
-			if out.Operand, err = rw.rewrite(x.Operand); err != nil {
-				return nil, err
-			}
-		}
-		for i := range x.Whens {
-			w, err := rw.rewrite(x.Whens[i])
-			if err != nil {
-				return nil, err
-			}
-			t, err := rw.rewrite(x.Thens[i])
-			if err != nil {
-				return nil, err
-			}
-			out.Whens = append(out.Whens, w)
-			out.Thens = append(out.Thens, t)
-		}
-		if x.Else != nil {
-			if out.Else, err = rw.rewrite(x.Else); err != nil {
-				return nil, err
-			}
-		}
-		return out, nil
-	case *BetweenExpr:
-		e1, err := rw.rewrite(x.E)
-		if err != nil {
-			return nil, err
-		}
-		lo, err := rw.rewrite(x.Lo)
-		if err != nil {
-			return nil, err
-		}
-		hi, err := rw.rewrite(x.Hi)
-		if err != nil {
-			return nil, err
-		}
-		return &BetweenExpr{E: e1, Lo: lo, Hi: hi, Not: x.Not}, nil
-	case *InExpr:
-		e1, err := rw.rewrite(x.E)
-		if err != nil {
-			return nil, err
-		}
-		list := make([]SQLExpr, len(x.List))
-		for i, it := range x.List {
-			s, err := rw.rewrite(it)
-			if err != nil {
-				return nil, err
-			}
-			list[i] = s
-		}
-		return &InExpr{E: e1, List: list, Not: x.Not}, nil
-	case *IsNullExpr:
-		s, err := rw.rewrite(x.E)
-		if err != nil {
-			return nil, err
-		}
-		return &IsNullExpr{E: s, Not: x.Not}, nil
-	case *CastExpr:
-		s, err := rw.rewrite(x.E)
-		if err != nil {
-			return nil, err
-		}
-		return &CastExpr{E: s, Kind: x.Kind}, nil
-	}
-	return e, nil
+		return r
+	})
+	return out, err
 }
 
 func tableOfKey(in *Plan, cr *ColRef) string {
@@ -308,22 +216,4 @@ func tableOfKey(in *Plan, cr *ColRef) string {
 		return in.Quals[cr.Index]
 	}
 	return cr.Table
-}
-
-// aggKind infers the output kind of an aggregate spec.
-func (pl *planner) aggKind(a AggSpec, in *Plan) data.Kind {
-	if a.UDF != nil {
-		return a.UDF.OutKind()
-	}
-	switch a.Name {
-	case "count":
-		return data.KindInt
-	case "avg", "median":
-		return data.KindFloat
-	default: // sum, min, max follow the argument
-		if len(a.Args) > 0 {
-			return exprKind(pl.cat, a.Args[0], in.Schema)
-		}
-		return data.KindFloat
-	}
 }

@@ -7,30 +7,274 @@ import (
 	"qfusor/internal/data"
 )
 
-// cloneExpr deep-copies an expression so binding never aliases the
-// parsed AST (plans may rebind the same source expression at different
-// schema levels).
-func cloneExpr(e SQLExpr) SQLExpr { return mapChildren(e, cloneExpr) }
+// BindError is a statement the binder rejects: it parses, but names a
+// column, an ORDER BY position or an argument kind the query cannot
+// have.
+type BindError struct{ Msg string }
 
-// bindExpr resolves every ColRef in e against the plan's schema.
-func (pl *planner) bindExpr(e SQLExpr, p *Plan) error {
-	var firstErr error
-	walkExpr(e, func(x SQLExpr) bool {
-		cr, ok := x.(*ColRef)
-		if !ok {
-			return true
+func (e *BindError) Error() string { return "sql: " + e.Msg }
+
+func bindErrorf(format string, args ...any) error {
+	return &BindError{Msg: fmt.Sprintf(format, args...)}
+}
+
+// bindExpr returns a copy of e with every column reference resolved
+// against p's schema, and the one static kind the copy has (KindNull:
+// NULL on every row). Wherever a row's value could otherwise differ from
+// the kind of its node, the copy carries a CAST: every CASE branch and
+// COALESCE/IFNULL argument is cast to its node's kind. (Arithmetic needs
+// none: sqlArith computes a string operand as a float, the kind KindOf
+// gives it.) Both evaluators, the fused traces and the inliner then
+// compute exactly the kinds KindOf assigns.
+func (pl *planner) bindExpr(e SQLExpr, p *Plan) (SQLExpr, data.Kind, error) {
+	b := &binder{typer: typer{pl.cat, p.Schema}, pl: pl, p: p}
+	out := b.bind(e)
+	return out, b.of(out), b.err
+}
+
+type binder struct {
+	typer
+	pl  *planner
+	p   *Plan
+	err error
+}
+
+func (b *binder) bind(e SQLExpr) SQLExpr {
+	if cr, ok := e.(*ColRef); ok {
+		c := *cr
+		if c.Index = resolveCol(b.p, cr); c.Index < 0 && b.err == nil {
+			b.err = bindErrorf("no such column: %s (schema %s)", cr, b.p.Schema)
 		}
-		idx := resolveCol(p, cr)
-		if idx < 0 {
-			if firstErr == nil {
-				firstErr = fmt.Errorf("sql: no such column: %s (schema %s)", cr, p.Schema)
+		return &c
+	}
+	x := mapChildren(e, b.bind)
+	k := b.of(x)
+	switch n := x.(type) {
+	case *CaseExpr:
+		for i := range n.Thens {
+			n.Thens[i] = b.cast(n.Thens[i], k)
+		}
+		if n.Else != nil {
+			n.Else = b.cast(n.Else, k)
+		}
+	case *FuncExpr:
+		if _, udf := b.cat.UDF(n.Name); udf {
+			break
+		}
+		switch strings.ToLower(n.Name) {
+		case "coalesce", "ifnull":
+			for i := range n.Args {
+				n.Args[i] = b.cast(n.Args[i], k)
 			}
+		case "sum", "avg":
+			if len(n.Args) == 0 || b.err != nil {
+				break
+			}
+			arg := n.Args[0]
+			if cr, ok := arg.(*ColRef); ok && b.pl.allNull(b.p, cr.Index) {
+				break
+			}
+			if ak := b.of(arg); !isNumber(ak) && ak != data.KindNull {
+				b.err = bindErrorf("%s over a %s argument: %s", n.Name, ak, arg)
+			}
+		}
+	}
+	return x
+}
+
+// cast returns x at kind k: as it is when it already has k or is NULL on
+// every row, a literal converted now, anything else under a CAST.
+func (b *binder) cast(x SQLExpr, k data.Kind) SQLExpr {
+	if have := b.of(x); have == k || have == data.KindNull {
+		return x
+	}
+	if lit, ok := x.(*Lit); ok {
+		return &Lit{Value: castValue(lit.Value, k)}
+	}
+	return &CastExpr{E: x, Kind: k}
+}
+
+// KindOf is the one typing rule: the static kind of node x, given the
+// kinds kid reports for its children. Column references are leaves whose
+// kind is their schema's; the caller resolves them. The binder and the
+// inliner apply it bottom-up (ExprKind), the expression compiler over the
+// kinds of its operand slots.
+//
+// Sibling numbers join as arithmetic combines them — bool ⊔ int is int,
+// either ⊔ float is float — and any other mix of scalar kinds is string;
+// a NULL literal (KindNull) takes its siblings' kind. Arithmetic over
+// ints (bools count as ints) is int, over anything else float. abs keeps an
+// int and makes anything else a float; round is float; nullif, min and
+// max follow their first argument, sum too (bools sum as ints); a UDF
+// has its declared kind.
+func KindOf(cat *Catalog, x SQLExpr, kid func(SQLExpr) data.Kind) data.Kind {
+	switch n := x.(type) {
+	case *Lit:
+		return n.Value.Kind
+	case *BinExpr:
+		switch {
+		case isArith(n.Op):
+			return arithKind(kid(n.L), kid(n.R))
+		case n.Op == "||":
+			return data.KindString
+		}
+		return data.KindBool // AND, OR, the comparisons, LIKE
+	case *UnaryExpr:
+		if n.Op == "NOT" {
+			return data.KindBool
+		}
+		return arithKind(data.KindInt, kid(n.E)) // 0 - e
+	case *CaseExpr:
+		k := data.KindNull // a missing ELSE is ELSE NULL
+		for _, t := range n.Thens {
+			k = joinKind(k, kid(t))
+		}
+		if n.Else != nil {
+			k = joinKind(k, kid(n.Else))
+		}
+		return k
+	case *BetweenExpr, *InExpr, *IsNullExpr:
+		return data.KindBool
+	case *CastExpr:
+		return n.Kind
+	case *FuncExpr:
+		if u, ok := cat.UDF(n.Name); ok {
+			return u.OutKind()
+		}
+		arg := data.KindNull
+		if len(n.Args) > 0 {
+			arg = kid(n.Args[0])
+		}
+		switch strings.ToLower(n.Name) {
+		case "count", "length", "instr":
+			return data.KindInt
+		case "avg", "median", "round":
+			return data.KindFloat
+		case "abs":
+			if arg == data.KindInt {
+				return data.KindInt
+			}
+			return data.KindFloat
+		case "sum":
+			if arg == data.KindFloat || arg == data.KindNull {
+				return arg
+			}
+			return data.KindInt
+		case "min", "max", "nullif":
+			return arg
+		case "coalesce", "ifnull":
+			k := data.KindNull
+			for _, a := range n.Args {
+				k = joinKind(k, kid(a))
+			}
+			return k
+		}
+	}
+	return data.KindString
+}
+
+// typer types bound expressions whose column references index in.
+type typer struct {
+	cat *Catalog
+	in  data.Schema
+}
+
+func (t typer) of(x SQLExpr) data.Kind {
+	if cr, ok := x.(*ColRef); ok {
+		if cr.Index >= 0 && cr.Index < len(t.in) {
+			return t.in[cr.Index].Kind
+		}
+		return data.KindString
+	}
+	return KindOf(t.cat, x, t.of)
+}
+
+// ExprKind is KindOf applied bottom-up to a bound expression whose column
+// references index in.
+func ExprKind(cat *Catalog, e SQLExpr, in data.Schema) data.Kind { return typer{cat, in}.of(e) }
+
+// joinKind is the kind two sibling values share. Numbers join the way
+// arithmetic combines them: a bool with an int is an int, either with a
+// float a float.
+func joinKind(a, b data.Kind) data.Kind {
+	switch {
+	case a == b || b == data.KindNull:
+		return a
+	case a == data.KindNull:
+		return b
+	case isNumber(a) && isNumber(b):
+		return arithKind(a, b)
+	}
+	return data.KindString
+}
+
+// arithKind is the kind of l (op) r for an arithmetic operator.
+func arithKind(l, r data.Kind) data.Kind {
+	intLike := func(k data.Kind) bool { return k == data.KindInt || k == data.KindBool || k == data.KindNull }
+	switch {
+	case l == data.KindNull && r == data.KindNull:
+		return data.KindNull
+	case intLike(l) && intLike(r):
+		return data.KindInt
+	}
+	return data.KindFloat
+}
+
+func isArith(op string) bool {
+	return op == "+" || op == "-" || op == "*" || op == "/" || op == "%"
+}
+
+// isNumber reports whether values of kind k compute as numbers (a bool
+// as 0/1).
+func isNumber(k data.Kind) bool {
+	return k == data.KindInt || k == data.KindFloat || k == data.KindBool
+}
+
+// fieldKind is the schema kind of a value of kind k: a column that is
+// NULL on every row is a string column.
+func fieldKind(k data.Kind) data.Kind {
+	if k == data.KindNull {
+		return data.KindString
+	}
+	return k
+}
+
+// allNull reports whether column i of p is NULL on every row: a NULL
+// literal some projection computes, passed on unchanged. fieldKind
+// stores such a column as a string column; where the rule lets a NULL
+// take its siblings' kind — a UNION arm, the argument of SUM or AVG —
+// the planner asks this instead of reading that kind.
+func (pl *planner) allNull(p *Plan, i int) bool {
+	switch p.Op {
+	case OpProject:
+		if i >= len(p.Exprs) {
 			return false
 		}
-		cr.Index = idx
-		return true
-	})
-	return firstErr
+		e := p.Exprs[i]
+		if c, ok := e.(*CastExpr); ok { // a cast NULL is NULL
+			e = c.E
+		}
+		switch x := e.(type) {
+		case *Lit:
+			return x.Value.IsNull()
+		case *ColRef:
+			return len(p.Children) == 1 && pl.allNull(p.Children[0], x.Index)
+		}
+	case OpFilter, OpSort, OpDistinct, OpLimit:
+		return pl.allNull(p.Children[0], i)
+	case OpUnion:
+		return pl.allNull(p.Children[0], i) && pl.allNull(p.Children[1], i)
+	case OpJoin:
+		if nl := len(p.Children[0].Schema); i >= nl {
+			return pl.allNull(p.Children[1], i-nl)
+		}
+		return pl.allNull(p.Children[0], i)
+	case OpCTERef:
+		if body, ok := pl.bodies[strings.ToLower(p.Table)]; ok {
+			return pl.allNull(body, i)
+		}
+	}
+	return false
 }
 
 // resolveCol finds the schema index of a column reference (-1 if absent).
@@ -45,77 +289,6 @@ func resolveCol(p *Plan, cr *ColRef) int {
 		return i
 	}
 	return -1
-}
-
-// exprKind infers the output kind of a bound expression.
-func exprKind(cat *Catalog, e SQLExpr, in data.Schema) data.Kind {
-	switch x := e.(type) {
-	case *ColRef:
-		if x.Index >= 0 && x.Index < len(in) {
-			return in[x.Index].Kind
-		}
-		return data.KindString
-	case *Lit:
-		if x.Value.Kind == data.KindNull {
-			return data.KindString
-		}
-		return x.Value.Kind
-	case *FuncExpr:
-		if u, ok := cat.UDF(x.Name); ok {
-			return u.OutKind()
-		}
-		switch strings.ToLower(x.Name) {
-		case "count", "length", "instr":
-			return data.KindInt
-		case "avg", "median", "round":
-			return data.KindFloat
-		case "sum", "min", "max", "abs", "coalesce", "ifnull", "nullif":
-			if len(x.Args) > 0 {
-				return exprKind(cat, x.Args[0], in)
-			}
-			return data.KindFloat
-		default:
-			return data.KindString
-		}
-	case *BinExpr:
-		switch x.Op {
-		case "AND", "OR", "=", "!=", "<", "<=", ">", ">=", "LIKE":
-			return data.KindBool
-		case "||":
-			return data.KindString
-		default:
-			lk := exprKind(cat, x.L, in)
-			rk := exprKind(cat, x.R, in)
-			if lk == data.KindFloat || rk == data.KindFloat {
-				return data.KindFloat
-			}
-			if lk == data.KindString || rk == data.KindString {
-				return data.KindString
-			}
-			return data.KindInt
-		}
-	case *UnaryExpr:
-		if x.Op == "NOT" {
-			return data.KindBool
-		}
-		return exprKind(cat, x.E, in)
-	case *CaseExpr:
-		for _, t := range x.Thens {
-			if lit, ok := t.(*Lit); ok && lit.Value.IsNull() {
-				continue
-			}
-			return exprKind(cat, t, in)
-		}
-		if x.Else != nil {
-			return exprKind(cat, x.Else, in)
-		}
-		return data.KindString
-	case *BetweenExpr, *InExpr, *IsNullExpr:
-		return data.KindBool
-	case *CastExpr:
-		return x.Kind
-	}
-	return data.KindString
 }
 
 // PlanStatement plans any supported statement kind into a Query plus a

@@ -375,6 +375,33 @@ func TestRowModeBlockingOperators(t *testing.T) {
 	}
 }
 
+// TestUpdateSetsFirstNull: a NULL written into a column that has held no
+// NULL yet creates the column's null mask instead of being dropped.
+func TestUpdateSetsFirstNull(t *testing.T) {
+	eng := plainEngine(t, sqlengine.ModeColumnar)
+	for _, sql := range []string{
+		"CREATE TABLE u (a int, s string)",
+		"INSERT INTO u VALUES (1, 'x'), (2, 'y')",
+		"UPDATE u SET a = NULL, s = NULL WHERE a = 1",
+	} {
+		if err := eng.Exec(sql); err != nil {
+			t.Fatalf("%s: %v", sql, err)
+		}
+	}
+	res, err := eng.Query("SELECT a, s FROM u ORDER BY a")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for c := range res.Cols {
+		if got := res.Cols[c].Get(0); !got.IsNull() {
+			t.Errorf("column %d: updated row reads %v, want NULL", c, got)
+		}
+	}
+	if res.Cols[0].Get(1).I != 2 || res.Cols[1].Get(1).S != "y" {
+		t.Errorf("untouched row changed: %v", res.Chunk().Row(1))
+	}
+}
+
 // TestDeleteAllAndReinsert: DELETE without WHERE truncates; the table
 // stays usable.
 func TestDeleteAllAndReinsert(t *testing.T) {
