@@ -2,6 +2,7 @@ package data
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 )
 
@@ -215,37 +216,63 @@ func (c *Column) AppendValue(v Value) {
 	}
 }
 
-// Take builds a new column containing the rows at the given indices.
-func (c *Column) Take(idx []int) *Column {
-	out := NewColumnCap(c.Name, c.Kind, len(idx))
-	hasNulls := c.Nulls != nil
-	if hasNulls {
-		out.Nulls = make([]bool, 0, len(idx))
-	}
-	switch c.Kind {
+// NewColumnLen creates a column of n zero rows, with an all-false null
+// mask when nullable: the exactly sized target of a gather or a concat.
+func NewColumnLen(name string, kind Kind, n int, nullable bool) *Column {
+	c := &Column{Name: name, Kind: kind}
+	switch kind {
 	case KindInt:
-		for _, i := range idx {
-			out.Ints = append(out.Ints, c.Ints[i])
-		}
+		c.Ints = make([]int64, n)
 	case KindFloat:
-		for _, i := range idx {
-			out.Floats = append(out.Floats, c.Floats[i])
-		}
+		c.Floats = make([]float64, n)
 	case KindBool:
-		for _, i := range idx {
-			out.Bools = append(out.Bools, c.Bools[i])
-		}
+		c.Bools = make([]bool, n)
 	default:
-		for _, i := range idx {
-			out.Strs = append(out.Strs, c.Strs[i])
-		}
+		c.Strs = make([]string, n)
 	}
-	if hasNulls {
-		for _, i := range idx {
-			out.Nulls = append(out.Nulls, c.Nulls[i])
-		}
+	if nullable {
+		c.Nulls = make([]bool, n)
 	}
+	return c
+}
+
+// Take builds a new column containing the rows at the given indices; an
+// index of -1 makes a NULL row (a LEFT join's unmatched side).
+func (c *Column) Take(idx []int) *Column {
+	out := NewColumnLen(c.Name, c.Kind, len(idx), c.Nulls != nil || slices.Contains(idx, -1))
+	c.TakeInto(out, 0, idx)
 	return out
+}
+
+// TakeInto gathers the rows at idx into rows [at, at+len(idx)) of dst,
+// which keeps its rows in the same slice as c: the one gather kernel.
+// An index of -1 makes a NULL row, and needs dst to have a null mask.
+func (c *Column) TakeInto(dst *Column, at int, idx []int) {
+	switch payload(c.Kind) {
+	case KindInt:
+		gather(dst.Ints[at:], c.Ints, idx)
+	case KindFloat:
+		gather(dst.Floats[at:], c.Floats, idx)
+	case KindBool:
+		gather(dst.Bools[at:], c.Bools, idx)
+	default:
+		gather(dst.Strs[at:], c.Strs, idx)
+	}
+	if dst.Nulls != nil {
+		nulls := dst.Nulls[at : at+len(idx)]
+		for k, i := range idx {
+			nulls[k] = i < 0 || c.IsNull(i)
+		}
+	}
+}
+
+func gather[T any](dst, src []T, idx []int) {
+	dst = dst[:len(idx)]
+	for k, i := range idx {
+		if i >= 0 {
+			dst[k] = src[i]
+		}
+	}
 }
 
 // Slice returns a view column over rows [lo, hi). The view shares
@@ -298,6 +325,48 @@ func (c *Column) AppendColumn(other *Column) {
 			}
 		}
 	}
+}
+
+// Concat joins the parts' rows, in order, into one chunk of the given
+// schema, sizing each column once. A part's column must keep its rows in
+// the same slice as its field's kind, as AppendColumn requires.
+func Concat(schema Schema, parts []*Chunk) *Chunk {
+	n := 0
+	for _, p := range parts {
+		n += p.NumRows()
+	}
+	out := &Chunk{Cols: make([]*Column, len(schema))}
+	for i, f := range schema {
+		nullable := false
+		for _, p := range parts {
+			src := p.Cols[i]
+			if payload(src.Kind) != payload(f.Kind) {
+				panic(fmt.Sprintf("data: cannot concat a %s column into a %s column", src.Kind, f.Kind))
+			}
+			nullable = nullable || src.Nulls != nil
+		}
+		col := NewColumnLen(f.Name, f.Kind, n, nullable)
+		at := 0
+		for _, p := range parts {
+			src := p.Cols[i]
+			switch payload(f.Kind) {
+			case KindInt:
+				copy(col.Ints[at:], src.Ints)
+			case KindFloat:
+				copy(col.Floats[at:], src.Floats)
+			case KindBool:
+				copy(col.Bools[at:], src.Bools)
+			default:
+				copy(col.Strs[at:], src.Strs)
+			}
+			if src.Nulls != nil {
+				copy(col.Nulls[at:], src.Nulls)
+			}
+			at += src.Len()
+		}
+		out.Cols[i] = col
+	}
+	return out
 }
 
 // payload names the slice a column of kind k keeps its rows in.

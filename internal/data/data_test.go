@@ -236,6 +236,87 @@ func TestColumnTakeSliceAppend(t *testing.T) {
 	}
 }
 
+// TestTakeGather: Take and TakeInto are one gather. An index of -1 makes
+// a NULL row, the source's null mask travels with its rows, and string
+// and list payloads gather like the scalar ones.
+func TestTakeGather(t *testing.T) {
+	ints := NewColumn("i", KindInt)
+	ints.AppendInt(7)
+	ints.AppendNull()
+	ints.AppendInt(9)
+	got := ints.Take([]int{2, -1, 1, 0})
+	if got.Len() != 4 || got.Ints[0] != 9 || got.Ints[3] != 7 {
+		t.Fatalf("ints: %v", got.Ints)
+	}
+	if fmt.Sprint(got.Nulls) != "[false true true false]" {
+		t.Fatalf("ints nulls: %v", got.Nulls)
+	}
+
+	strs := NewColumn("s", KindString)
+	strs.AppendStr("a")
+	strs.AppendStr("b")
+	if got := strs.Take([]int{1, 1, 0}); got.Nulls != nil || fmt.Sprint(got.Strs) != "[b b a]" {
+		t.Fatalf("no -1 and no source mask must leave no mask: %v %v", got.Strs, got.Nulls)
+	}
+	if got := strs.Take([]int{-1, 0}); !got.IsNull(0) || got.IsNull(1) || got.Strs[1] != "a" {
+		t.Fatalf("strings with -1: %v %v", got.Strs, got.Nulls)
+	}
+
+	list := NewColumn("l", KindList)
+	list.AppendValue(NewList([]Value{Int(1), Int(2)}))
+	list.AppendNull()
+	got = list.Take([]int{-1, 1, 0})
+	if got.Kind != KindList || !got.IsNull(0) || !got.IsNull(1) || !Equal(got.Get(2), list.Get(0)) {
+		t.Fatalf("list: %v %v", got.Strs, got.Nulls)
+	}
+
+	// TakeInto fills a range of a preallocated column and nothing else.
+	dst := NewColumnLen("d", KindInt, 5, true)
+	ints.TakeInto(dst, 2, []int{0, 1, -1})
+	if fmt.Sprint(dst.Ints) != "[0 0 7 0 0]" || fmt.Sprint(dst.Nulls) != "[false false false true true]" {
+		t.Fatalf("into: %v %v", dst.Ints, dst.Nulls)
+	}
+}
+
+// TestConcat: one exactly sized chunk of the parts' rows in order; a
+// part without a null mask contributes non-NULL rows, zero-row parts
+// contribute nothing, and a part whose rows live in another slice
+// panics as AppendColumn does.
+func TestConcat(t *testing.T) {
+	schema := Schema{{Name: "x", Kind: KindInt}, {Name: "s", Kind: KindString}}
+	part := func(rows ...Value) *Chunk {
+		tbl := NewTable("p", schema)
+		for i := 0; i+1 < len(rows); i += 2 {
+			if err := tbl.AppendRow(rows[i], rows[i+1]); err != nil {
+				t.Fatal(err)
+			}
+		}
+		return tbl.Chunk()
+	}
+	a := part(Int(1), Str("a"), Int(2), Str("b"))
+	b := part(Null, Str("c"))
+	out := Concat(schema, []*Chunk{a, part(), b, part()})
+	if out.NumRows() != 3 || cap(out.Cols[0].Ints) != 3 || cap(out.Cols[1].Strs) != 3 {
+		t.Fatalf("rows=%d caps=%d,%d", out.NumRows(), cap(out.Cols[0].Ints), cap(out.Cols[1].Strs))
+	}
+	if fmt.Sprint(out.Cols[0].Ints, out.Cols[0].Nulls) != "[1 2 0] [false false true]" {
+		t.Fatalf("ints: %v %v", out.Cols[0].Ints, out.Cols[0].Nulls)
+	}
+	if fmt.Sprint(out.Cols[1].Strs) != "[a b c]" || out.Cols[1].Nulls != nil || out.Cols[1].Name != "s" {
+		t.Fatalf("strings: %v %v", out.Cols[1].Strs, out.Cols[1].Nulls)
+	}
+	if empty := Concat(schema, []*Chunk{part()}); empty.NumRows() != 0 || len(empty.Cols) != 2 {
+		t.Fatalf("zero-row concat: %d rows, %d cols", empty.NumRows(), len(empty.Cols))
+	}
+	defer func() {
+		msg := fmt.Sprint(recover())
+		if !strings.Contains(msg, "float") || !strings.Contains(msg, "int") {
+			t.Errorf("panic %q does not name both kinds", msg)
+		}
+	}()
+	Concat(Schema{{Name: "f", Kind: KindFloat}, {Name: "s", Kind: KindString}}, []*Chunk{a})
+}
+
 // TestAppendColumnRefusesOtherPayload: appending a column whose rows live
 // in another slice panics with both kinds named, instead of appending
 // nothing; string, list and dict columns share Strs and append freely.

@@ -96,11 +96,7 @@ func (e *Engine) execColumnar(p *Plan, ectx *execCtx) (*data.Chunk, error) {
 		if err != nil {
 			return nil, err
 		}
-		out := data.EmptyChunk(p.Schema)
-		for i, c := range out.Cols {
-			c.AppendColumn(l.Cols[i])
-			c.AppendColumn(r.Cols[i])
-		}
+		out := data.Concat(p.Schema, []*data.Chunk{l, r})
 		if !p.UnionAll {
 			return e.distinctChunk(out, ectx), nil
 		}
@@ -236,11 +232,10 @@ func (e *Engine) expandChunk(p *Plan, in *data.Chunk) (*data.Chunk, error) {
 	}
 	out := data.EmptyChunk(p.Schema)
 	nKeep := len(p.KeepCols)
+	var rep []int // the input row of each output row
 	for i := 0; i < n; i++ {
 		for _, row := range perRow[i] {
-			for k, ci := range p.KeepCols {
-				out.Cols[k].AppendValue(in.Cols[ci].Get(i))
-			}
+			rep = append(rep, i)
 			for j := 0; j < len(out.Cols)-nKeep; j++ {
 				if j < len(row) {
 					out.Cols[nKeep+j].AppendValue(row[j])
@@ -250,11 +245,22 @@ func (e *Engine) expandChunk(p *Plan, in *data.Chunk) (*data.Chunk, error) {
 			}
 		}
 	}
+	for k, ci := range p.KeepCols {
+		out.Cols[k] = in.Cols[ci].Take(rep)
+		out.Cols[k].Name = p.Schema[k].Name
+	}
 	return out, nil
 }
 
-// joinChunk executes a join: hash join for equi predicates, else a
-// filtered cross product.
+// joinChunk executes a join one morsel of left rows at a time. A
+// morsel's candidate pairs — the build table's hits for an equi join,
+// every right row for a nested loop — pass through the residual's
+// compiled filter; a LEFT join then gives each left row left without a
+// pair one NULL-extended pair, and the output columns are typed gathers
+// of the (left row, right row) index lists. The build table is written
+// before the pool starts and only read afterwards, so probing needs no
+// locks; the morsels' parts concatenate in input order, so the output is
+// identical at any parallelism.
 func (e *Engine) joinChunk(p *Plan, ectx *execCtx) (*data.Chunk, error) {
 	l, err := e.execPlan(p.Children[0], ectx)
 	if err != nil {
@@ -266,56 +272,157 @@ func (e *Engine) joinChunk(p *Plan, ectx *execCtx) (*data.Chunk, error) {
 	}
 	nl := len(p.Children[0].Schema)
 	leftKeys, rightKeys, residual := splitEquiJoin(p.JoinOn, nl)
+	var build map[string][]int
 	if len(leftKeys) > 0 {
-		return e.hashJoin(p, l, r, leftKeys, rightKeys, residual, nl, ectx)
-	}
-	// Nested-loop (cross product with optional predicate).
-	out := data.EmptyChunk(p.Schema)
-	nL, nR := l.NumRows(), r.NumRows()
-	row := make([]data.Value, len(p.Schema))
-	for i := 0; i < nL; i++ {
-		for j := 0; j < nR; j++ {
-			for c := range l.Cols {
-				row[c] = l.Cols[c].Get(i)
-			}
-			for c := range r.Cols {
-				row[nl+c] = r.Cols[c].Get(j)
-			}
-			if p.JoinOn != nil {
-				v, err := e.evalRow(p.JoinOn, row)
-				if err != nil {
-					return nil, err
-				}
-				if !v.Truthy() {
-					continue
-				}
-			}
-			for c := range out.Cols {
-				out.Cols[c].AppendValue(row[c])
-			}
+		// Build phase (serial: the build side is the smaller input and the
+		// map write path would need sharding to parallelize safely).
+		build = make(map[string][]int)
+		var kb []byte
+		for j := 0; j < r.NumRows(); j++ {
+			kb = appendRowKey(kb[:0], r, rightKeys, j)
+			k := string(kb)
+			build[k] = append(build[k], j)
 		}
 	}
-	return out, nil
+	filter, err := e.joinFilter(l, r, residual)
+	if err != nil {
+		return nil, err
+	}
+	nL, nR := l.NumRows(), r.NumRows()
+	batch := e.morselSize()
+	parts := make([]*data.Chunk, len(e.morselsFor(nL)))
+	_, err = e.runMorsels(ectx, nL, func(_, m, lo, hi int) error {
+		var li, ri []int
+		var kb []byte
+		done := 0 // the pairs before done passed the residual
+		for i := lo; i < hi; i++ {
+			if build != nil {
+				kb = appendRowKey(kb[:0], l, leftKeys, i)
+				for _, j := range build[string(kb)] {
+					li, ri = append(li, i), append(ri, j)
+				}
+			} else {
+				for j := 0; j < nR; j++ {
+					li, ri = append(li, i), append(ri, j)
+				}
+			}
+			// The residual runs over batches of candidates, so a nested
+			// loop holds at most one batch and one left row's pairs beyond
+			// its output.
+			if filter != nil && (len(li)-done >= batch || i == hi-1) {
+				kept, err := filter(li[done:], ri[done:])
+				if err != nil {
+					return err
+				}
+				li, ri = li[:done+kept], ri[:done+kept]
+				done = len(li)
+			}
+		}
+		if p.JoinKind == "LEFT" {
+			li, ri = padLeft(li, ri, lo, hi)
+		}
+		cols := append(l.Take(li).Cols, r.Take(ri).Cols...)
+		for c, col := range cols {
+			col.Name = p.Schema[c].Name
+		}
+		parts[m] = data.NewChunk(cols...)
+		return nil
+	})
+	if err != nil {
+		return nil, err
+	}
+	return e.concat(ectx.span, p.Schema, parts), nil
+}
+
+// joinFilter compiles a join's residual predicate once, over just the
+// columns it reads. The filter it returns gathers those columns for a
+// list of candidate pairs, runs the program over them — each UDF
+// crossing on its own worker clone, as in every program — and compacts
+// the pairs in place to the ones the predicate holds for, returning how
+// many remain. A nil residual gives a nil filter.
+func (e *Engine) joinFilter(l, r *data.Chunk, residual SQLExpr) (func(li, ri []int) (int, error), error) {
+	if residual == nil {
+		return nil, nil
+	}
+	nl := len(l.Cols)
+	var reads []int // joined column index per slot of the gathered chunk
+	slotOf := map[int]int{}
+	pred := RewriteExpr(residual, func(x SQLExpr) SQLExpr {
+		if cr, ok := x.(*ColRef); ok {
+			s, seen := slotOf[cr.Index]
+			if !seen {
+				s = len(reads)
+				slotOf[cr.Index] = s
+				reads = append(reads, cr.Index)
+			}
+			cr.Index = s
+		}
+		return x
+	})
+	if len(reads) == 0 {
+		reads = []int{0} // a column, for the row count
+	}
+	src := make([]*data.Column, len(reads))
+	for s, x := range reads {
+		if x < nl {
+			src[s] = l.Cols[x]
+		} else {
+			src[s] = r.Cols[x-nl]
+		}
+	}
+	prog, err := e.compile(data.NewChunk(src...), []SQLExpr{pred}, []data.Kind{data.KindBool})
+	if err != nil {
+		return nil, err
+	}
+	return func(li, ri []int) (int, error) {
+		cand := make([]*data.Column, len(src))
+		for s, x := range reads {
+			if x < nl {
+				cand[s] = src[s].Take(li)
+			} else {
+				cand[s] = src[s].Take(ri)
+			}
+		}
+		cols, err := prog.run(data.NewChunk(cand...))
+		if err != nil {
+			return 0, err
+		}
+		keep := trueRows(cols[0])
+		for n, k := range keep {
+			li[n], ri[n] = li[k], ri[k]
+		}
+		return len(keep), nil
+	}, nil
+}
+
+// padLeft gives every left row in [lo, hi) that no pair names the pair
+// (i, -1), in left-row order: a LEFT join's NULL-extended rows. The pairs
+// come ordered by left row.
+func padLeft(li, ri []int, lo, hi int) ([]int, []int) {
+	pl := make([]int, 0, len(li)+hi-lo)
+	pr := make([]int, 0, len(li)+hi-lo)
+	x := 0
+	for i := lo; i < hi; i++ {
+		if x == len(li) || li[x] != i {
+			pl, pr = append(pl, i), append(pr, -1)
+			continue
+		}
+		for ; x < len(li) && li[x] == i; x++ {
+			pl, pr = append(pl, i), append(pr, ri[x])
+		}
+	}
+	return pl, pr
 }
 
 // splitEquiJoin extracts equi-key pairs (left col = right col) from a
-// join predicate; residual carries the remaining conjuncts.
-func splitEquiJoin(on SQLExpr, nl int) (leftKeys, rightKeys []int, residual []SQLExpr) {
+// join predicate; residual is the conjunction of the other conjuncts,
+// nil when there are none.
+func splitEquiJoin(on SQLExpr, nl int) (leftKeys, rightKeys []int, residual SQLExpr) {
 	if on == nil {
 		return nil, nil, nil
 	}
-	var conjuncts []SQLExpr
-	var split func(SQLExpr)
-	split = func(e SQLExpr) {
-		if b, ok := e.(*BinExpr); ok && b.Op == "AND" {
-			split(b.L)
-			split(b.R)
-			return
-		}
-		conjuncts = append(conjuncts, e)
-	}
-	split(on)
-	for _, c := range conjuncts {
+	var rest []SQLExpr
+	for _, c := range conjuncts(on) {
 		b, ok := c.(*BinExpr)
 		if ok && b.Op == "=" {
 			lc, lok := b.L.(*ColRef)
@@ -333,137 +440,9 @@ func splitEquiJoin(on SQLExpr, nl int) (leftKeys, rightKeys []int, residual []SQ
 				}
 			}
 		}
-		residual = append(residual, c)
+		rest = append(rest, c)
 	}
-	return leftKeys, rightKeys, residual
-}
-
-// hashJoin builds a shared table on the right side, probes it with
-// morsels of the left across the worker pool, and materializes the
-// matched rows in parallel. The build table is written once before the
-// pool starts and only read afterwards, so probing needs no locks;
-// per-morsel match lists concatenate in input order so the output is
-// byte-identical to the serial join.
-func (e *Engine) hashJoin(p *Plan, l, r *data.Chunk, leftKeys, rightKeys []int, residual []SQLExpr, nl int, ectx *execCtx) (*data.Chunk, error) {
-	sp := ectx.span
-	// Build phase (serial: the build side is the smaller input and the
-	// map write path would need sharding to parallelize safely).
-	build := make(map[string][]int)
-	nR := r.NumRows()
-	var kb []byte
-	for j := 0; j < nR; j++ {
-		kb = appendRowKey(kb[:0], r, rightKeys, j)
-		k := string(kb)
-		build[k] = append(build[k], j)
-	}
-
-	// Probe phase: morsels over the left input, thread-local match lists.
-	nL := l.NumRows()
-	probeSpans := e.morselsFor(nL)
-	type matches struct{ li, ri []int }
-	probes := make([]matches, len(probeSpans))
-	_, err := e.runMorsels(ectx, nL, func(_, m, lo, hi int) error {
-		var pm matches
-		var kb []byte
-		for i := lo; i < hi; i++ {
-			kb = appendRowKey(kb[:0], l, leftKeys, i)
-			hits := build[string(kb)]
-			for _, j := range hits {
-				pm.li = append(pm.li, i)
-				pm.ri = append(pm.ri, j)
-			}
-			if p.JoinKind == "LEFT" && len(hits) == 0 {
-				pm.li = append(pm.li, i)
-				pm.ri = append(pm.ri, -1)
-			}
-		}
-		probes[m] = pm
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	total := 0
-	for _, pm := range probes {
-		total += len(pm.li)
-	}
-	li := make([]int, 0, total)
-	ri := make([]int, 0, total)
-	for _, pm := range probes {
-		li = append(li, pm.li...)
-		ri = append(ri, pm.ri...)
-	}
-
-	// Materialization phase: morsels over the match list; each worker
-	// fills its own output chunk (and evaluates the residual predicate
-	// on its own rows), then the parts concatenate in order. A residual
-	// that calls a UDF runs it per row on the statement's clone, whose
-	// interpreter view belongs to one goroutine: that join materializes
-	// in one span.
-	serial := false
-	for _, pr := range residual {
-		serial = serial || exprHasUDF(pr, e.Catalog)
-	}
-	var outs []*data.Chunk
-	materialize := func(_, m, lo, hi int) error {
-		part := data.EmptyChunk(p.Schema)
-		row := make([]data.Value, len(p.Schema))
-		for x := lo; x < hi; x++ {
-			i, j := li[x], ri[x]
-			for c := range l.Cols {
-				row[c] = l.Cols[c].Get(i)
-			}
-			for c := range r.Cols {
-				if j < 0 {
-					row[nl+c] = data.Null
-				} else {
-					row[nl+c] = r.Cols[c].Get(j)
-				}
-			}
-			if len(residual) > 0 && j >= 0 {
-				pass := true
-				for _, pr := range residual {
-					v, err := e.evalRow(pr, row)
-					if err != nil {
-						return err
-					}
-					if !v.Truthy() {
-						pass = false
-						break
-					}
-				}
-				if !pass {
-					continue
-				}
-			}
-			for c := range part.Cols {
-				part.Cols[c].AppendValue(row[c])
-			}
-		}
-		outs[m] = part
-		return nil
-	}
-	if serial {
-		outs = make([]*data.Chunk, 1)
-		err = materialize(0, 0, 0, total)
-	} else {
-		outs = make([]*data.Chunk, len(e.morselsFor(total)))
-		_, err = e.runMorsels(ectx, total, materialize)
-	}
-	if err != nil {
-		return nil, err
-	}
-	if len(outs) == 1 {
-		return outs[0], nil
-	}
-	defer e.mergeTimer(sp)()
-	out := data.EmptyChunk(p.Schema)
-	for _, o := range outs {
-		for c := range out.Cols {
-			out.Cols[c].AppendColumn(o.Cols[c])
-		}
-	}
-	return out, nil
+	return leftKeys, rightKeys, andAll(rest)
 }
 
 // aggPartial is one worker's partial state for a native aggregate,
@@ -827,10 +806,11 @@ func (e *Engine) aggregateChunk(p *Plan, in *data.Chunk, ectx *execCtx) (*data.C
 				// Intermediate materialization: the morsels' results
 				// become one engine column.
 				at := argAt[ai] + i
-				argCols[i] = data.NewColumnCap("", prog.kinds[prog.roots[at]], n)
-				for _, mg := range morsels {
-					argCols[i].AppendColumn(mg.cols[at])
+				parts := make([]*data.Chunk, len(morsels))
+				for m, mg := range morsels {
+					parts[m] = data.NewChunk(mg.cols[at])
 				}
+				argCols[i] = e.concat(sp, data.Schema{{Kind: prog.kinds[prog.roots[at]]}}, parts).Cols[0]
 			}
 			results, err = e.Invoker.CallAggregate(ectx.clone(spec.UDF), argCols, n, groupIDs, g)
 			if err != nil {

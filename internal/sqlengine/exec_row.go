@@ -285,7 +285,7 @@ func (e *Engine) buildJoinIter(p *Plan, ectx *execCtx) (rowIter, error) {
 	nl := len(p.Children[0].Schema)
 	leftKeys, rightKeys, residual := splitEquiJoin(p.JoinOn, nl)
 	ji := &joinIter{eng: e, plan: p, left: left, right: right, nl: nl,
-		leftKeys: leftKeys, rightKeys: rightKeys, residual: residual}
+		leftKeys: leftKeys, residual: residual}
 	if len(leftKeys) > 0 {
 		ji.build = make(map[string][]int)
 		var kb []byte
@@ -299,61 +299,57 @@ func (e *Engine) buildJoinIter(p *Plan, ectx *execCtx) (rowIter, error) {
 }
 
 type joinIter struct {
-	eng       *Engine
-	plan      *Plan
-	left      rowIter
-	right     *data.Chunk
-	nl        int
-	leftKeys  []int
-	rightKeys []int
-	residual  []SQLExpr
-	build     map[string][]int
+	eng      *Engine
+	plan     *Plan
+	left     rowIter
+	right    *data.Chunk
+	nl       int
+	leftKeys []int
+	residual SQLExpr
+	build    map[string][]int
 
 	curLeft  []data.Value
 	matches  []int
 	matchPos int
+	pad      bool // LEFT: curLeft has no surviving match yet
 	keyBuf   []byte
 }
 
+// Next pulls the next joined row: curLeft with each candidate right row
+// the residual holds for — the build table's hits, or every right row
+// for a nested loop — and for a LEFT join, once the candidates are spent
+// without one, curLeft with NULLs.
 func (it *joinIter) Next() ([]data.Value, bool, error) {
 	for {
-		for it.matchPos >= len(it.matches) {
+		if it.matchPos == len(it.matches) {
+			if it.pad {
+				it.pad = false
+				return it.row(-1), true, nil
+			}
 			row, ok, err := it.left.Next()
 			if err != nil || !ok {
 				return nil, false, err
 			}
-			it.curLeft = row
-			it.matchPos = 0
+			it.curLeft, it.matchPos = row, 0
+			it.pad = it.plan.JoinKind == "LEFT"
 			if it.build != nil {
 				it.keyBuf = it.keyBuf[:0]
 				for _, ci := range it.leftKeys {
 					it.keyBuf = appendValueKey(it.keyBuf, row[ci])
 				}
 				it.matches = it.build[string(it.keyBuf)]
-				if len(it.matches) == 0 && it.plan.JoinKind == "LEFT" {
-					it.matches = []int{-1}
-				}
-			} else {
-				// Nested loop: all right rows are candidates.
-				it.matches = it.matches[:0]
-				for j := 0; j < it.right.NumRows(); j++ {
-					it.matches = append(it.matches, j)
+			} else if it.matches == nil {
+				it.matches = make([]int, it.right.NumRows())
+				for j := range it.matches {
+					it.matches[j] = j
 				}
 			}
+			continue
 		}
-		j := it.matches[it.matchPos]
+		out := it.row(it.matches[it.matchPos])
 		it.matchPos++
-		out := make([]data.Value, len(it.plan.Schema))
-		copy(out, it.curLeft)
-		for c := range it.right.Cols {
-			if j < 0 {
-				out[it.nl+c] = data.Null
-			} else {
-				out[it.nl+c] = it.right.Cols[c].Get(j)
-			}
-		}
-		if it.plan.JoinOn != nil && it.build == nil && j >= 0 {
-			v, err := it.eng.evalRow(it.plan.JoinOn, out)
+		if it.residual != nil {
+			v, err := it.eng.evalRow(it.residual, out)
 			if err != nil {
 				return nil, false, err
 			}
@@ -361,24 +357,23 @@ func (it *joinIter) Next() ([]data.Value, bool, error) {
 				continue
 			}
 		}
-		if len(it.residual) > 0 && j >= 0 {
-			pass := true
-			for _, pr := range it.residual {
-				v, err := it.eng.evalRow(pr, out)
-				if err != nil {
-					return nil, false, err
-				}
-				if !v.Truthy() {
-					pass = false
-					break
-				}
-			}
-			if !pass {
-				continue
-			}
-		}
+		it.pad = false
 		return out, true, nil
 	}
+}
+
+// row is curLeft joined with right row j; -1 extends it with NULLs.
+func (it *joinIter) row(j int) []data.Value {
+	out := make([]data.Value, len(it.plan.Schema))
+	copy(out, it.curLeft)
+	for c, col := range it.right.Cols {
+		if j < 0 {
+			out[it.nl+c] = data.Null
+		} else {
+			out[it.nl+c] = col.Get(j)
+		}
+	}
+	return out
 }
 
 func (it *joinIter) Close() { it.left.Close() }

@@ -234,7 +234,6 @@ func (e *Engine) mergeTimer(sp *obs.Span) func() {
 // order. The contract matches the serial path exactly: fn sees
 // contiguous slices of in and outputs one chunk per slice.
 func (e *Engine) runPartitioned(ectx *execCtx, in *data.Chunk, n int, fn func(*data.Chunk) (*data.Chunk, error)) (*data.Chunk, error) {
-	sp := ectx.span
 	spans := e.morselsFor(n)
 	if len(spans) == 1 && e.Workers() <= 1 {
 		// Serial single-batch fast path: no slicing, no concat.
@@ -252,45 +251,41 @@ func (e *Engine) runPartitioned(ectx *execCtx, in *data.Chunk, n int, fn func(*d
 	if err != nil {
 		return nil, err
 	}
-	if len(outs) == 1 {
-		return outs[0], nil
+	return e.concat(ectx.span, outs[0].Schema(), outs), nil
+}
+
+// concat joins the morsels' outputs in input order into one chunk of the
+// schema (a lone output is the result as it is).
+func (e *Engine) concat(sp *obs.Span, schema data.Schema, parts []*data.Chunk) *data.Chunk {
+	if len(parts) == 1 {
+		return parts[0]
 	}
 	defer e.mergeTimer(sp)()
-	merged := data.EmptyChunk(outs[0].Schema())
-	for _, o := range outs {
-		for i, c := range merged.Cols {
-			c.AppendColumn(o.Cols[i])
-		}
-	}
-	return merged, nil
+	return data.Concat(schema, parts)
 }
 
 // takeParallel materializes in.Take(idx) across the worker pool: each
-// worker gathers a contiguous range of idx into its own chunk and the
-// results concatenate in order (identical output to the serial Take).
+// worker gathers a contiguous range of idx straight into its rows of one
+// preallocated output (identical output to the serial Take).
 func (e *Engine) takeParallel(ectx *execCtx, in *data.Chunk, idx []int) *data.Chunk {
-	sp := ectx.span
 	if len(idx) < minParallelRows || e.Workers() <= 1 {
 		return in.Take(idx)
 	}
-	spans := morselPlan(len(idx), e.morselSize())
-	outs := make([]*data.Chunk, len(spans))
-	_, err := e.runMorsels(ectx, len(idx), func(_, m, lo, hi int) error {
-		outs[m] = in.Take(idx[lo:hi])
+	out := &data.Chunk{Cols: make([]*data.Column, len(in.Cols))}
+	for i, c := range in.Cols {
+		out.Cols[i] = data.NewColumnLen(c.Name, c.Kind, len(idx), c.Nulls != nil)
+	}
+	_, err := e.runMorsels(ectx, len(idx), func(_, _, lo, hi int) error {
+		for i, c := range in.Cols {
+			c.TakeInto(out.Cols[i], lo, idx[lo:hi])
+		}
 		return nil
 	})
 	if err != nil {
-		// An aborted drain leaves holes in outs; the serial gather is
+		// An aborted drain leaves holes in out; the serial gather is
 		// always correct, and a cancelled query stops at the caller's
 		// next context check anyway.
 		return in.Take(idx)
 	}
-	defer e.mergeTimer(sp)()
-	merged := data.EmptyChunk(in.Schema())
-	for _, o := range outs {
-		for i, c := range merged.Cols {
-			c.AppendColumn(o.Cols[i])
-		}
-	}
-	return merged
+	return out
 }

@@ -96,6 +96,9 @@ var morselQueries = []struct {
 	{"agg-two-keys", `SELECT grp, s, COUNT(*), SUM(v) FROM m WHERE v IS NOT NULL GROUP BY grp, s`, true},
 	{"join-inner", `SELECT m.id, m.grp, d.v FROM m JOIN d ON m.grp = d.grp AND m.s = d.s`, true},
 	{"join-left", `SELECT m.id, d.id FROM m LEFT JOIN d ON m.s = d.s`, true},
+	{"join-residual", `SELECT m.id, d.id, m.v, d.v FROM m JOIN d ON m.s = d.s AND m.v < d.v`, true},
+	{"join-left-residual", `SELECT m.id, d.id, d.f FROM m LEFT JOIN d ON m.grp = d.grp AND d.f > m.f + 900`, true},
+	{"join-nested-loop", `SELECT m.id, d.id FROM m JOIN d ON m.v > d.v + 1500 WHERE d.grp = 'g7'`, true},
 	{"sort-ties", `SELECT grp, v, id FROM m ORDER BY grp, v`, true},
 	{"sort-desc", `SELECT f, s, id FROM m ORDER BY f DESC, s, id`, true},
 	{"distinct", `SELECT DISTINCT grp, s FROM m`, true},

@@ -197,6 +197,47 @@ WHERE nums.i IS NOT NULL ORDER BY nums.i`)
 	}
 }
 
+// TestLeftJoinKeepsUnmatchedRows: a left row whose every candidate fails
+// the ON predicate — the residual of an equi join, or a non-equi ON's
+// nested loop — still comes out once, NULL-extended, in left-row order,
+// on the columnar and the row executor alike.
+func TestLeftJoinKeepsUnmatchedRows(t *testing.T) {
+	cases := []struct {
+		name, on string
+		want     []string // i:tag per row
+	}{
+		{"residual fails every match", "nums.i = side.i AND side.tag = 'zzz'",
+			[]string{"1:None", "2:None", "3:None", "4:None", "5:None"}},
+		{"residual keeps one match", "nums.i = side.i AND side.tag = 'three'",
+			[]string{"1:None", "2:None", "3:three", "4:None", "5:None"}},
+		{"non-equi", "nums.i < side.i",
+			[]string{"1:three", "2:three", "3:None", "4:None", "5:None"}},
+	}
+	for _, mode := range []sqlengine.ExecMode{sqlengine.ModeColumnar, sqlengine.ModeRow} {
+		eng := plainEngine(t, mode)
+		if err := eng.Exec("CREATE TABLE side (i int, tag string)"); err != nil {
+			t.Fatal(err)
+		}
+		if err := eng.Exec("INSERT INTO side VALUES (1, 'one'), (3, 'three')"); err != nil {
+			t.Fatal(err)
+		}
+		for _, c := range cases {
+			res, err := eng.Query("SELECT nums.i, side.tag FROM nums LEFT JOIN side ON " + c.on +
+				" WHERE nums.i IS NOT NULL")
+			if err != nil {
+				t.Fatalf("%s/%s: %v", mode, c.name, err)
+			}
+			got := make([]string, res.NumRows())
+			for r := range got {
+				got[r] = res.Cols[0].Get(r).String() + ":" + res.Cols[1].Get(r).String()
+			}
+			if fmt.Sprint(got) != fmt.Sprint(c.want) {
+				t.Errorf("%s/%s: got %v, want %v", mode, c.name, got, c.want)
+			}
+		}
+	}
+}
+
 // TestExecutorParityProperty: the columnar and row executors agree on
 // randomly generated filter/project/aggregate queries.
 func TestExecutorParityProperty(t *testing.T) {
