@@ -31,8 +31,8 @@ const (
 	// SQLite: tuple-at-a-time row execution with in-process per-tuple
 	// UDF calls.
 	SQLite Profile = "sqlite"
-	// Duck: vectorized pipelined chunks with in-process vectorized UDFs
-	// (DuckDB).
+	// Duck: the columnar executor split at ChunkSize, with in-process
+	// vectorized UDFs (DuckDB).
 	Duck Profile = "duckdb"
 	// Spark: partitioned parallel execution with per-batch UDF
 	// serialization (PySpark).

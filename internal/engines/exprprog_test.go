@@ -148,6 +148,48 @@ func TestMixedKindCaseAcrossProfiles(t *testing.T) {
 	}
 }
 
+// TestUDFDeclaredKindAcrossProfiles: a scalar UDF's value has the kind
+// it declares, whatever its body returns, on every profile: the row
+// executor's in-process call converts it as the other transports'
+// result columns do.
+func TestUDFDeclaredKindAcrossProfiles(t *testing.T) {
+	const lib = `
+@scalarudf
+def half(x: int) -> float:
+    return x // 2
+
+@scalarudf
+def third(x: int) -> int:
+    return x / 3
+`
+	ids := data.NewTable("ids", data.Schema{{Name: "id", Kind: data.KindInt}})
+	for i := 0; i < 5; i++ {
+		_ = ids.AppendRow(data.Int(int64(i)))
+	}
+	cases := []struct{ sql, want string }{
+		{"SELECT half(id) / 4 AS v FROM ids ORDER BY id", "0.0|\n0.0|\n0.25|\n0.25|\n0.5|\n"},
+		{"SELECT third(id) * 3 AS v FROM ids ORDER BY id", "0|\n0|\n0|\n3|\n3|\n"},
+		{"SELECT COUNT(*) AS c FROM ids WHERE third(id) = 1", "2|\n"},
+	}
+	for _, prof := range []Profile{Monet, SQLite, Postgres, Duck} {
+		in := Launch(Config{Profile: prof})
+		if err := in.Define(lib); err != nil {
+			t.Fatal(err)
+		}
+		in.Put(ids)
+		for _, c := range cases {
+			res, err := in.Query(c.sql)
+			if err != nil {
+				t.Fatalf("%s %s: %v", prof, c.sql, err)
+			}
+			if got := render(res); got != c.want {
+				t.Errorf("%s %s:\ngot:\n%swant:\n%s", prof, c.sql, got, c.want)
+			}
+		}
+		in.Close()
+	}
+}
+
 // The benchmark's inline_relational UDFs: straight-line bodies the
 // relational inliner turns into engine expressions.
 const inlineLib = `

@@ -167,7 +167,7 @@ func (e *Engine) updateRows(t *data.Table, colIdx []int, exprs []SQLExpr, where 
 		if err != nil {
 			return err
 		}
-		idx = trueRows(keep)
+		idx = trueRows(keep, 0)
 	}
 	if len(idx) == 0 {
 		return nil
@@ -238,7 +238,7 @@ func (e *Engine) execDelete(ctx context.Context, s *DeleteStmt) error {
 	if err != nil {
 		return err
 	}
-	idx := trueRows(keep)
+	idx := trueRows(keep, 0)
 	nt := data.NewTable(t.Name, t.Schema)
 	nt.Cols = ch.Take(idx).Cols
 	for i, c := range nt.Cols {

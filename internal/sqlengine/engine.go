@@ -30,8 +30,9 @@ const (
 	// ModeColumnar is operator-at-a-time with full intermediate
 	// materialization (MonetDB's model).
 	ModeColumnar ExecMode = iota
-	// ModeChunked is vectorized pipelined execution over fixed-size
-	// chunks (DuckDB's model).
+	// ModeChunked is the columnar executor with every operator's input
+	// split into ChunkSize batches, serial or not (DuckDB's vector
+	// size); each operator still materializes its full output.
 	ModeChunked
 	// ModeRow is tuple-at-a-time Volcano iteration (SQLite/PostgreSQL).
 	ModeRow
@@ -65,8 +66,7 @@ type Engine struct {
 	// core the runtime sees), 1 = legacy serial for A/B baselines.
 	Parallelism int
 	// MorselSize overrides the morsel row count (0 = defaultMorselSize).
-	// ModeChunked still follows ChunkSize so operator boundaries stay
-	// aligned with the pipeline's vector size.
+	// ModeChunked still splits at ChunkSize, its vector size.
 	MorselSize int
 	// stepBudget caps the PyLite statements one statement may execute
 	// before it is interrupted (runaway-UDF guard, fixed by New). 0 = no
@@ -584,6 +584,13 @@ func (e *Engine) callScalarUDFRow(u *ffi.UDF, args []data.Value) (data.Value, er
 		u.Stats.InRows.Add(1)
 		u.Stats.OutRows.Add(1)
 		u.Stats.WallNanos.Add(time.Since(start).Nanoseconds())
+		if k := u.OutKind(); v.Kind != k && !v.IsNull() {
+			// The value leaves as the declared kind, converted as every
+			// other transport's result column converts it.
+			c := data.NewColumn(u.Name, k)
+			c.AppendValue(v)
+			v = c.Get(0)
+		}
 		return v, nil
 	}
 }

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"sort"
 	"sync"
+	"sync/atomic"
 
 	"qfusor/internal/data"
 )
@@ -171,7 +172,7 @@ func (e *Engine) projectChunk(p *Plan, in *data.Chunk, ectx *execCtx) (*data.Chu
 	if err != nil {
 		return nil, err
 	}
-	return e.runPartitioned(ectx, in, in.NumRows(), func(part *data.Chunk) (*data.Chunk, error) {
+	return e.runPartitioned(ectx, in, in.NumRows(), func(_ int, part *data.Chunk) (*data.Chunk, error) {
 		cols, err := prog.run(part)
 		if err != nil {
 			return nil, err
@@ -188,28 +189,44 @@ func (e *Engine) projectChunk(p *Plan, in *data.Chunk, ectx *execCtx) (*data.Chu
 	})
 }
 
-// filterChunk keeps rows where the predicate holds.
+// filterChunk keeps rows where the predicate holds. Each morsel lists
+// its kept rows; the output is then gathered once, into columns sized for
+// every morsel's rows.
 func (e *Engine) filterChunk(pred SQLExpr, in *data.Chunk, ectx *execCtx) (*data.Chunk, error) {
 	prog, err := e.compile(in, []SQLExpr{pred}, []data.Kind{data.KindBool})
 	if err != nil {
 		return nil, err
 	}
-	return e.runPartitioned(ectx, in, in.NumRows(), func(part *data.Chunk) (*data.Chunk, error) {
+	keep, err := partitioned(e, ectx, in, in.NumRows(), func(lo int, part *data.Chunk) ([]int, error) {
 		cols, err := prog.run(part)
 		if err != nil {
 			return nil, err
 		}
-		return part.Take(trueRows(cols[0])), nil
+		return trueRows(cols[0], lo), nil
 	})
+	if err != nil {
+		return nil, err
+	}
+	cols, err := e.gather(ectx, take{cols: in.Cols, rows: keep})
+	if err != nil {
+		return nil, err
+	}
+	return &data.Chunk{Cols: cols}, nil
 }
 
 // trueRows lists the rows where a predicate's bool column holds (NULL
-// does not).
-func trueRows(keep *data.Column) []int {
-	idx := make([]int, 0, keep.Len()/2)
+// does not), numbered from lo, in a list of exactly their number.
+func trueRows(keep *data.Column, lo int) []int {
+	n := 0
 	for i, k := range keep.Bools {
 		if k && !keep.IsNull(i) {
-			idx = append(idx, i)
+			n++
+		}
+	}
+	idx := make([]int, 0, n)
+	for i, k := range keep.Bools {
+		if k && !keep.IsNull(i) {
+			idx = append(idx, lo+i)
 		}
 	}
 	return idx
@@ -255,11 +272,12 @@ func (e *Engine) expandChunk(p *Plan, in *data.Chunk) (*data.Chunk, error) {
 // joinChunk executes a join one morsel of left rows at a time. A
 // morsel's candidate pairs — the build table's hits for an equi join,
 // every right row for a nested loop — pass through the residual's
-// compiled filter; a LEFT join then gives each left row left without a
-// pair one NULL-extended pair, and the output columns are typed gathers
-// of the (left row, right row) index lists. The build table is written
-// before the pool starts and only read afterwards, so probing needs no
-// locks; the morsels' parts concatenate in input order, so the output is
+// compiled filter, and a LEFT join then gives each left row left without
+// a pair one NULL-extended pair. Once every morsel has its (left row,
+// right row) index lists, the output columns are gathered from them into
+// one preallocated chunk, each morsel into its own rows. The build table
+// is written before the pool starts and only read afterwards, so probing
+// needs no locks; the morsels' rows land in input order, so the output is
 // identical at any parallelism.
 func (e *Engine) joinChunk(p *Plan, ectx *execCtx) (*data.Chunk, error) {
 	l, err := e.execPlan(p.Children[0], ectx)
@@ -290,9 +308,12 @@ func (e *Engine) joinChunk(p *Plan, ectx *execCtx) (*data.Chunk, error) {
 	}
 	nL, nR := l.NumRows(), r.NumRows()
 	batch := e.morselSize()
-	parts := make([]*data.Chunk, len(e.morselsFor(nL)))
+	k := len(e.morselsFor(nL))
+	lrows, rrows := make([][]int, k), make([][]int, k)
+	var padded atomic.Bool // some left row has no pair: the right columns get a null mask
 	_, err = e.runMorsels(ectx, nL, func(_, m, lo, hi int) error {
-		var li, ri []int
+		// Sized for one pair per left row, a key join's usual yield.
+		li, ri := make([]int, 0, hi-lo), make([]int, 0, hi-lo)
 		var kb []byte
 		done := 0 // the pairs before done passed the residual
 		for i := lo; i < hi; i++ {
@@ -319,19 +340,25 @@ func (e *Engine) joinChunk(p *Plan, ectx *execCtx) (*data.Chunk, error) {
 			}
 		}
 		if p.JoinKind == "LEFT" {
-			li, ri = padLeft(li, ri, lo, hi)
+			var pad bool
+			if li, ri, pad = padLeft(li, ri, lo, hi); pad {
+				padded.Store(true)
+			}
 		}
-		cols := append(l.Take(li).Cols, r.Take(ri).Cols...)
-		for c, col := range cols {
-			col.Name = p.Schema[c].Name
-		}
-		parts[m] = data.NewChunk(cols...)
+		lrows[m], rrows[m] = li, ri
 		return nil
 	})
 	if err != nil {
 		return nil, err
 	}
-	return e.concat(ectx.span, p.Schema, parts), nil
+	cols, err := e.gather(ectx, take{cols: l.Cols, rows: lrows}, take{cols: r.Cols, rows: rrows, nulls: padded.Load()})
+	if err != nil {
+		return nil, err
+	}
+	for c, col := range cols {
+		col.Name = p.Schema[c].Name
+	}
+	return &data.Chunk{Cols: cols}, nil
 }
 
 // joinFilter compiles a join's residual predicate once, over just the
@@ -387,7 +414,7 @@ func (e *Engine) joinFilter(l, r *data.Chunk, residual SQLExpr) (func(li, ri []i
 		if err != nil {
 			return 0, err
 		}
-		keep := trueRows(cols[0])
+		keep := trueRows(cols[0], 0)
 		for n, k := range keep {
 			li[n], ri[n] = li[k], ri[k]
 		}
@@ -397,8 +424,8 @@ func (e *Engine) joinFilter(l, r *data.Chunk, residual SQLExpr) (func(li, ri []i
 
 // padLeft gives every left row in [lo, hi) that no pair names the pair
 // (i, -1), in left-row order: a LEFT join's NULL-extended rows. The pairs
-// come ordered by left row.
-func padLeft(li, ri []int, lo, hi int) ([]int, []int) {
+// come ordered by left row; padded reports whether any row got one.
+func padLeft(li, ri []int, lo, hi int) (_, _ []int, padded bool) {
 	pl := make([]int, 0, len(li)+hi-lo)
 	pr := make([]int, 0, len(li)+hi-lo)
 	x := 0
@@ -411,7 +438,7 @@ func padLeft(li, ri []int, lo, hi int) ([]int, []int) {
 			pl, pr = append(pl, i), append(pr, ri[x])
 		}
 	}
-	return pl, pr
+	return pl, pr, len(pl) > len(li)
 }
 
 // splitEquiJoin extracts equi-key pairs (left col = right col) from a
@@ -842,7 +869,7 @@ func (e *Engine) sortChunk(p *Plan, in *data.Chunk, ectx *execCtx) (*data.Chunk,
 	if err != nil {
 		return nil, err
 	}
-	keys, err := e.runPartitioned(ectx, in, n, func(part *data.Chunk) (*data.Chunk, error) {
+	keys, err := e.runPartitioned(ectx, in, n, func(_ int, part *data.Chunk) (*data.Chunk, error) {
 		cols, err := prog.run(part)
 		return data.NewChunk(cols...), err
 	})

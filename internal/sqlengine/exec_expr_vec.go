@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"strconv"
+	"sync"
 
 	"qfusor/internal/data"
 	"qfusor/internal/ffi"
@@ -39,7 +40,11 @@ type exprProg struct {
 	consts []*data.Column // per slot: a literal's one-row column, else nil
 	instrs []instr
 	roots  []int // result slot per compiled expression
-	shared int   // subtree evaluations that register reuse avoids per run
+	shared int32 // subtree evaluations that register reuse avoids per run
+
+	started bool // a run has begun: the next ones keep scratch
+	mu      sync.Mutex
+	idle    [][]scratch // scratch that finished runs returned
 }
 
 type opcode uint8
@@ -364,23 +369,79 @@ func (p *exprProg) callUDF(u *ffi.UDF, args []*data.Column, n int, kind data.Kin
 }
 
 // vec is an operand at run time: a column, and the mask that indexes it
-// (-1: one row per input row; 0: a one-row constant).
+// (-1: one row per input row; 0: a one-row constant). kept marks a
+// recycled slot's column, whose storage the next morsel overwrites.
 type vec struct {
 	*data.Column
 	mask int
+	kept bool
 }
 
+// A frame holds one run's slots. A program keeps the scratch its runs
+// return for its next runs (one set per worker), and from its second run
+// on a non-root slot that a typed kernel writes is kept: the kernel
+// reuses the slot's storage from the previous morsel. A root leaves the
+// run, so it gets fresh storage and never shares a kept slot's mask.
 type frame struct {
 	p    *exprProg
 	cols []*data.Column
 	n    int
+	bufs []scratch // per slot; nil on the program's first run
+	tmp  scratch   // fresh storage, emptied for each use
+}
+
+// scratch is the storage one slot keeps between runs.
+type scratch struct {
+	col    data.Column // a kept slot's result: its payload is owned, its mask may be shared
+	nulls  []bool      // an owned null mask
+	truths []bool      // the slot read as a predicate
+	which  []uint8     // CASE: the branch each row takes
+	kept   bool        // the slot is a non-root kernel result, recycled as col
+}
+
+// scratch takes the scratch a finished run returned, or makes a set; a
+// program's first run gets none, so a program that runs once makes none.
+func (p *exprProg) scratch() []scratch {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	if k := len(p.idle); k > 0 {
+		bufs := p.idle[k-1]
+		p.idle = p.idle[:k-1]
+		return bufs
+	}
+	if !p.started {
+		p.started = true
+		return nil
+	}
+	bufs := make([]scratch, len(p.kinds))
+	for _, in := range p.instrs {
+		bufs[in.out].kept = in.op != opGeneric && in.op != opUDF
+	}
+	for _, s := range p.roots {
+		bufs[s].kept = false
+	}
+	return bufs
+}
+
+// buf is slot s's scratch, or fresh storage on the program's first run.
+func (f *frame) buf(s int) *scratch {
+	if f.bufs == nil {
+		return f.fresh()
+	}
+	return &f.bufs[s]
+}
+
+// fresh is empty scratch, whose storage leaves with what it holds.
+func (f *frame) fresh() *scratch {
+	f.tmp = scratch{}
+	return &f.tmp
 }
 
 func (f *frame) at(s int) vec {
 	if f.p.consts[s] != nil {
 		return vec{Column: f.cols[s]}
 	}
-	return vec{Column: f.cols[s], mask: -1}
+	return vec{Column: f.cols[s], mask: -1, kept: f.bufs != nil && f.bufs[s].kept}
 }
 
 // full returns slot s as a column of n rows (a constant is broadcast).
@@ -395,8 +456,15 @@ func (f *frame) full(s int) *data.Column {
 // compiled expression. A result may be a column of ch itself, or share
 // storage with one: results are read-only.
 func (p *exprProg) run(ch *data.Chunk) ([]*data.Column, error) {
-	f := &frame{p: p, cols: append([]*data.Column(nil), p.consts...), n: ch.NumRows()}
+	f := &frame{p: p, cols: append([]*data.Column(nil), p.consts...), n: ch.NumRows(), bufs: p.scratch()}
 	copy(f.cols, ch.Cols)
+	if f.bufs != nil {
+		defer func() { // back to the program, for the next morsel
+			p.mu.Lock()
+			p.idle = append(p.idle, f.bufs)
+			p.mu.Unlock()
+		}()
+	}
 	for i := range p.instrs {
 		in := &p.instrs[i]
 		col, err := p.exec(in, f)
@@ -415,7 +483,16 @@ func (p *exprProg) run(ch *data.Chunk) ([]*data.Column, error) {
 
 func (p *exprProg) exec(in *instr, f *frame) (*data.Column, error) {
 	n := f.n
-	out := &data.Column{Kind: p.kinds[in.out]}
+	// A kept slot's kernel writes over its column from the previous
+	// morsel; own is where it builds a null mask of its own.
+	var out *data.Column
+	own := f.fresh()
+	if f.bufs != nil && f.bufs[in.out].kept {
+		own, out = &f.bufs[in.out], &f.bufs[in.out].col
+	} else {
+		out = &data.Column{}
+	}
+	out.Kind = p.kinds[in.out]
 	var a, b vec
 	if len(in.args) > 0 {
 		a = f.at(in.args[0])
@@ -425,26 +502,29 @@ func (p *exprProg) exec(in *instr, f *frame) (*data.Column, error) {
 	}
 	switch in.op {
 	case opArith:
-		out.Nulls = orNulls(n, a, b)
+		out.Nulls = orNulls(own, n, a, b)
+		if in.sym == "/" || in.sym == "%" {
+			out.Nulls = own.mask(n, out.Nulls) // a zero divisor makes its row NULL
+		}
 		if out.Kind == data.KindInt {
-			out.Ints, out.Nulls = arith(in.sym, a.Ints, b.Ints, a.mask, b.mask, n, out.Nulls, func(x, y int64) int64 { return x % y })
+			out.Ints = arith(in.sym, out.Ints, a.Ints, b.Ints, a.mask, b.mask, n, out.Nulls, func(x, y int64) int64 { return x % y })
 		} else {
-			out.Floats, out.Nulls = arith(in.sym, a.Floats, b.Floats, a.mask, b.mask, n, out.Nulls, math.Mod)
+			out.Floats = arith(in.sym, out.Floats, a.Floats, b.Floats, a.mask, b.mask, n, out.Nulls, math.Mod)
 		}
 	case opCompare:
-		out.Nulls = orNulls(n, a, b)
+		out.Nulls = orNulls(own, n, a, b)
 		switch a.Kind {
 		case data.KindInt:
-			out.Bools = compare(in.sym, a.Ints, b.Ints, a.mask, b.mask, n)
+			out.Bools = compare(in.sym, out.Bools, a.Ints, b.Ints, a.mask, b.mask, n)
 		case data.KindFloat:
-			out.Bools = compare(in.sym, a.Floats, b.Floats, a.mask, b.mask, n)
+			out.Bools = compare(in.sym, out.Bools, a.Floats, b.Floats, a.mask, b.mask, n)
 		default:
-			out.Bools = compare(in.sym, a.Strs, b.Strs, a.mask, b.mask, n)
+			out.Bools = compare(in.sym, out.Bools, a.Strs, b.Strs, a.mask, b.mask, n)
 		}
 	case opLogic:
-		at, am := truths(a)
-		bt, bm := truths(b)
-		out.Bools = make([]bool, n)
+		at, am := truths(a, f.buf(in.args[0]))
+		bt, bm := truths(b, f.buf(in.args[1]))
+		out.Bools = grow(out.Bools, n)
 		for i := range out.Bools {
 			if in.sym == "AND" {
 				out.Bools[i] = at[i&am] && bt[i&bm]
@@ -453,8 +533,8 @@ func (p *exprProg) exec(in *instr, f *frame) (*data.Column, error) {
 			}
 		}
 	case opNot:
-		at, am := truths(a)
-		out.Bools = make([]bool, n)
+		at, am := truths(a, f.buf(in.args[0]))
+		out.Bools = grow(out.Bools, n)
 		for i := range out.Bools {
 			out.Bools[i] = !at[i&am]
 		}
@@ -463,7 +543,9 @@ func (p *exprProg) exec(in *instr, f *frame) (*data.Column, error) {
 		// full (the row executor short-circuits instead); which[i] is the
 		// first WHEN that holds for row i, nb standing for ELSE.
 		nb := len(in.args) / 2
-		which := make([]uint8, n)
+		sc := f.buf(in.out)
+		sc.which = grow(sc.which, n)
+		which := sc.which
 		for i := range which {
 			which[i] = uint8(nb)
 		}
@@ -471,7 +553,7 @@ func (p *exprProg) exec(in *instr, f *frame) (*data.Column, error) {
 		branches[nb] = f.at(in.args[2*nb])
 		for j := nb - 1; j >= 0; j-- {
 			branches[j] = f.at(in.args[2*j+1])
-			wt, wm := truths(f.at(in.args[2*j]))
+			wt, wm := truths(f.at(in.args[2*j]), f.buf(in.args[2*j]))
 			for i := range which {
 				if wt[i&wm] {
 					which[i] = uint8(j)
@@ -480,37 +562,38 @@ func (p *exprProg) exec(in *instr, f *frame) (*data.Column, error) {
 		}
 		switch out.Kind {
 		case data.KindInt:
-			out.Ints = pick(which, branches, func(c *data.Column) []int64 { return c.Ints })
+			out.Ints = pick(out.Ints, which, branches, func(c *data.Column) []int64 { return c.Ints })
 		case data.KindFloat:
-			out.Floats = pick(which, branches, func(c *data.Column) []float64 { return c.Floats })
+			out.Floats = pick(out.Floats, which, branches, func(c *data.Column) []float64 { return c.Floats })
 		case data.KindBool:
-			out.Bools = pick(which, branches, func(c *data.Column) []bool { return c.Bools })
+			out.Bools = pick(out.Bools, which, branches, func(c *data.Column) []bool { return c.Bools })
 		default:
-			out.Strs = pick(which, branches, func(c *data.Column) []string { return c.Strs })
+			out.Strs = pick(out.Strs, which, branches, func(c *data.Column) []string { return c.Strs })
 		}
+		out.Nulls = nil
 		for _, br := range branches {
 			if br.Nulls != nil {
-				out.Nulls = pick(which, branches, func(c *data.Column) []bool { return c.Nulls })
+				out.Nulls = pick(own.mask(n, nil), which, branches, func(c *data.Column) []bool { return c.Nulls })
 				break
 			}
 		}
 	case opBetween:
-		out.Nulls = orNulls(n, a, b)
-		out.Bools = make([]bool, n)
+		out.Nulls = orNulls(own, n, a, b)
+		out.Bools = grow(out.Bools, n)
 		for i := range out.Bools {
 			out.Bools[i] = (a.Bools[i] && b.Bools[i]) != in.not
 		}
 	case opIsNull:
-		out.Bools = make([]bool, n)
+		out.Bools = grow(out.Bools, n)
 		for i := range out.Bools {
 			out.Bools[i] = a.IsNull(i&a.mask) != in.not
 		}
 	case opCast:
-		out.Nulls = orNulls(n, a)
+		out.Nulls = orNulls(own, n, a)
 		if out.Kind == data.KindFloat {
-			out.Floats = convert[int64, float64](a.Ints, a.mask, n)
+			out.Floats = convert(out.Floats, a.Ints, a.mask, n)
 		} else {
-			out.Ints = convert[float64, int64](a.Floats, a.mask, n)
+			out.Ints = convert(out.Ints, a.Floats, a.mask, n)
 		}
 	case opUDF:
 		args := make([]*data.Column, len(in.args))
@@ -541,20 +624,44 @@ func (p *exprProg) exec(in *instr, f *frame) (*data.Column, error) {
 
 // ---- kernels ----
 
+// Every kernel writes its n result rows into dst, the storage its slot
+// had on the previous morsel (nil for fresh storage), and returns it.
+
+// grow returns s resized to n rows, in its own storage when that holds n.
+func grow[T any](s []T, n int) []T {
+	if cap(s) < n {
+		return make([]T, n)
+	}
+	return s[:n]
+}
+
+// mask returns n rows of a null mask that the result owns, in sc's
+// storage, copied from src (all false when src is nil).
+func (sc *scratch) mask(n int, src []bool) []bool {
+	if sc.nulls = grow(sc.nulls, n); src == nil {
+		clear(sc.nulls)
+	} else {
+		copy(sc.nulls, src)
+	}
+	return sc.nulls
+}
+
 // orNulls is the null mask of a NULL-strict result: the union of the
 // operands' masks, nil when none has one. A lone mask is shared, not
-// copied — slots are read-only.
-func orNulls(n int, vs ...vec) []bool {
+// copied — slots are read-only — unless it is a kept slot's and the
+// result is not (own is fresh): a root must not change when the next
+// morsel overwrites the slot.
+func orNulls(own *scratch, n int, vs ...vec) []bool {
 	var out []bool
-	owned := false
+	built := false
 	for _, v := range vs {
 		switch {
 		case v.Nulls == nil:
-		case out == nil && v.mask != 0:
+		case out == nil && v.mask != 0 && (own.kept || !v.kept):
 			out = v.Nulls
 		default:
-			if !owned {
-				out, owned = append(make([]bool, 0, n), out...)[:n], true
+			if !built {
+				out, built = own.mask(n, out), true
 			}
 			for i := range out {
 				out[i] = out[i] || v.Nulls[i&v.mask]
@@ -565,24 +672,23 @@ func orNulls(n int, vs ...vec) []bool {
 }
 
 // truths reads a bool operand (or the NULL literal) as predicates do:
-// NULL is false.
-func truths(v vec) ([]bool, int) {
+// NULL is false. sc is the operand slot's scratch.
+func truths(v vec, sc *scratch) ([]bool, int) {
 	if v.Nulls == nil {
 		return v.Bools, v.mask
 	}
-	t := make([]bool, len(v.Nulls))
+	sc.truths = grow(sc.truths, len(v.Nulls))
 	for i, null := range v.Nulls {
-		t[i] = !null && v.Bools[i]
+		sc.truths[i] = !null && v.Bools[i]
 	}
-	return t, v.mask
+	return sc.truths, v.mask
 }
 
 // arith is the typed specialization of sqlArith: int64 or float64
-// arithmetic with the operator hoisted out of the row loop; a zero
-// divisor makes the row NULL. nulls is the operands' mask (possibly
-// shared) and comes back extended by those rows.
-func arith[T int64 | float64](sym string, a, b []T, am, bm, n int, nulls []bool, mod func(T, T) T) ([]T, []bool) {
-	out := make([]T, n)
+// arithmetic with the operator hoisted out of the row loop. For / and %,
+// nulls is the result's own mask, and a zero divisor makes its row NULL.
+func arith[T int64 | float64](sym string, dst, a, b []T, am, bm, n int, nulls []bool, mod func(T, T) T) []T {
+	out := grow(dst, n)
 	switch sym {
 	case "+":
 		for i := range out {
@@ -597,11 +703,10 @@ func arith[T int64 | float64](sym string, a, b []T, am, bm, n int, nulls []bool,
 			out[i] = a[i&am] * b[i&bm]
 		}
 	default:
-		nulls = append(make([]bool, 0, n), nulls...)[:n]
 		for i := range out {
 			switch d := b[i&bm]; {
 			case d == 0:
-				nulls[i] = true
+				out[i], nulls[i] = 0, true
 			case sym == "/":
 				out[i] = a[i&am] / d
 			default:
@@ -609,12 +714,12 @@ func arith[T int64 | float64](sym string, a, b []T, am, bm, n int, nulls []bool,
 			}
 		}
 	}
-	return out, nulls
+	return out
 }
 
 // convert is CAST between the numeric kinds (a float truncates).
-func convert[A, B int64 | float64](a []A, am, n int) []B {
-	out := make([]B, n)
+func convert[A, B int64 | float64](dst []B, a []A, am, n int) []B {
+	out := grow(dst, n)
 	for i := range out {
 		out[i] = B(a[i&am])
 	}
@@ -624,8 +729,8 @@ func convert[A, B int64 | float64](a []A, am, n int) []B {
 // compare is the typed specialization of sqlBinOp's comparisons. <= and
 // >= are written as negations so that a NaN operand answers as it does
 // through data.Compare, which orders NaN equal to everything.
-func compare[T int64 | float64 | string](sym string, a, b []T, am, bm, n int) []bool {
-	out := make([]bool, n)
+func compare[T int64 | float64 | string](sym string, dst []bool, a, b []T, am, bm, n int) []bool {
+	out := grow(dst, n)
 	switch sym {
 	case "=":
 		for i := range out {
@@ -655,16 +760,20 @@ func compare[T int64 | float64 | string](sym string, a, b []T, am, bm, n int) []
 	return out
 }
 
-// pick gathers, per row, the payload of the branch the row took.
-func pick[T any](which []uint8, branches []vec, payload func(*data.Column) []T) []T {
+// pick gathers, per row, the payload of the branch the row took (the
+// zero value from a NULL literal's empty payload).
+func pick[T any](dst []T, which []uint8, branches []vec, payload func(*data.Column) []T) []T {
 	src := make([][]T, len(branches))
 	for j, br := range branches {
 		src[j] = payload(br.Column)
 	}
-	out := make([]T, len(which))
+	out := grow(dst, len(which))
+	var zero T
 	for i, w := range which {
 		if s := src[w]; len(s) > 0 {
 			out[i] = s[i&branches[w].mask]
+		} else {
+			out[i] = zero
 		}
 	}
 	return out

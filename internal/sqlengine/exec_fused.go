@@ -84,7 +84,7 @@ func (e *Engine) runFused(p *Plan, in *data.Chunk, ectx *execCtx) (*data.Chunk, 
 		// one clone of u (own pylite interpreter view, own Stats, folded
 		// back into u when the span is done) and one crossing; morselsFor
 		// is what keeps Parallelism 1 operator-at-a-time.
-		return e.runPartitioned(ectx, data.NewChunk(args...), n, func(part *data.Chunk) (*data.Chunk, error) {
+		return e.runPartitioned(ectx, data.NewChunk(args...), n, func(_ int, part *data.Chunk) (*data.Chunk, error) {
 			cu := u.WorkerClone()
 			defer u.AbsorbWorker(cu)
 			cols, err := ffi.CallFusedVector(cu, part.Cols, part.NumRows(), names, kinds)

@@ -185,6 +185,14 @@ func TestExprEquivFixed(t *testing.T) {
 		{"CASE WHEN a IS NULL THEN NULL ELSE a * 2 END", []data.Value{I(20), I(-14), N, I(10)}},
 		{"CASE WHEN a > 0 THEN b END", []data.Value{I(3), N, N, N}},
 		{"CAST(f AS int) + CAST(b AS float)", []data.Value{F(4), F(2), F(4), N}},
+		// A result over a recycled intermediate that owns its null mask
+		// (the union of a's and b's) must not share that mask.
+		{"(a + b) * 2", []data.Value{I(26), I(-14), N, N}},
+		// Zero divisors extend a mask shared from a, at the root and below it.
+		{"(a * 2) / (id - 1)", []data.Value{I(-20), N, N, I(5)}},
+		{"(a * 2) / (id - 1) + 1", []data.Value{I(-19), N, N, I(6)}},
+		// A CASE with a NULL branch, under arithmetic.
+		{"(CASE WHEN a > 0 THEN NULL ELSE b END) + 1", []data.Value{N, I(1), I(5), N}},
 	}
 	for _, c := range cases {
 		q, err := eng.Plan("SELECT " + c.sql + " FROM t")

@@ -1,6 +1,7 @@
 package sqlengine
 
 import (
+	"context"
 	"runtime"
 	"sync"
 	"sync/atomic"
@@ -33,8 +34,7 @@ var (
 )
 
 // defaultMorselSize is the fixed morsel row count for columnar mode;
-// ModeChunked reuses the engine's ChunkSize so operator boundaries stay
-// aligned with the pipeline's vector size.
+// ModeChunked splits at the engine's ChunkSize instead.
 const defaultMorselSize = 2048
 
 // minParallelRows is the input size below which the scheduling overhead
@@ -99,54 +99,56 @@ func morselPlan(n, size int) []morselSpan {
 }
 
 // runMorsels drives fn over the morsels of [0, n) with the engine's
-// worker pool: workers claim morsels from a shared atomic counter until
-// the input is drained. fn receives (worker, morsel index, lo, hi) and
-// must only touch worker- or morsel-local state. The returned worker
+// worker pool (see drive). fn receives (worker, morsel index, lo, hi)
+// and must only touch worker- or morsel-local state. The returned worker
 // count is 1 when the input ran serially (small input or Parallelism 1).
 // Per-morsel counts and worker utilization are recorded on the query
 // span (nil-safe) and the engine-wide metrics.
-//
-// Every worker checks the query context before claiming a morsel, so a
-// cancelled query stops within one morsel; and every fn call runs under
-// panic recovery, so one poisoned morsel fails its query instead of
-// killing the pool (or the process).
 func (e *Engine) runMorsels(ectx *execCtx, n int, fn func(worker, m, lo, hi int) error) (int, error) {
 	sp := ectx.span
-	ctx := ectx.ctx
-	// runFn is the guarded worker body: chaos hook, then fn, with any
-	// panic converted to this morsel's error.
-	runFn := func(w, m, lo, hi int) (err error) {
-		defer resilience.Recover(&err)
-		if faultinject.Armed() {
-			if ferr := faultinject.Fire(FaultMorsel); ferr != nil {
-				return ferr
-			}
-		}
-		return fn(w, m, lo, hi)
-	}
 	spans := e.morselsFor(n)
-	workers := e.Workers()
-	if workers > len(spans) {
-		workers = len(spans)
+	wall := time.Now()
+	workers, busy, err := e.drive(ectx.ctx, spans, n < minParallelRows, fn)
+	elapsed := time.Since(wall).Nanoseconds()
+	mMorsels.Add(int64(len(spans)))
+	mMorselRows.Add(int64(n))
+	ectx.led.AddMorsels(len(spans))
+	sp.AddInt("morsels", int64(len(spans)))
+	if workers > 1 {
+		mParallelOps.Inc()
+		sp.SetInt("workers", int64(workers))
+		if elapsed > 0 {
+			// Utilization in permille: busy worker-nanos over wall * workers.
+			sp.SetInt("worker_util_pm", busy*1000/(elapsed*int64(workers)))
+		}
 	}
-	if workers <= 1 || n < minParallelRows {
-		for m, s := range spans {
+	return workers, err
+}
+
+// drive runs task(worker, m, lo, hi) for every span m: on the calling
+// goroutine when serial is set or the pool has one worker, else on up to
+// Workers goroutines that claim spans from a shared atomic counter. It
+// returns the worker count and, when over 1, the busy worker-nanos.
+// Every worker checks ctx before claiming a span, so a cancelled query
+// stops within one span; and every task runs guarded, so one poisoned
+// morsel fails its query instead of killing the pool (or the process).
+func (e *Engine) drive(ctx context.Context, spans []morselSpan, serial bool, task func(worker, m, lo, hi int) error) (int, int64, error) {
+	k := len(spans)
+	workers := min(e.Workers(), k)
+	if workers <= 1 || serial {
+		for m := 0; m < k; m++ {
 			if err := ctx.Err(); err != nil {
-				return 1, err
+				return 1, 0, err
 			}
 			start := time.Now()
-			if err := runFn(0, m, s.lo, s.hi); err != nil {
-				return 1, err
+			if err := guarded(task, 0, m, spans[m]); err != nil {
+				return 1, 0, err
 			}
 			mMorselNanos.Observe(float64(time.Since(start).Nanoseconds()))
 		}
-		mMorsels.Add(int64(len(spans)))
-		mMorselRows.Add(int64(n))
-		ectx.led.AddMorsels(len(spans))
-		sp.AddInt("morsels", int64(len(spans)))
-		// A deadline that expired while the last morsel ran still counts:
+		// A deadline that expired while the last span ran still counts:
 		// context semantics win over an answer the caller gave up on.
-		return 1, ctx.Err()
+		return 1, 0, ctx.Err()
 	}
 
 	var (
@@ -154,7 +156,7 @@ func (e *Engine) runMorsels(ectx *execCtx, n int, fn func(worker, m, lo, hi int)
 		wg    sync.WaitGroup
 		errMu sync.Mutex
 		first error
-		busy  = make([]int64, workers)
+		busy  atomic.Int64 // worker-nanos
 	)
 	fail := func(err error) {
 		errMu.Lock()
@@ -163,14 +165,13 @@ func (e *Engine) runMorsels(ectx *execCtx, n int, fn func(worker, m, lo, hi int)
 		}
 		errMu.Unlock()
 	}
-	wall := time.Now()
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
 			for {
 				m := int(next.Add(1)) - 1
-				if m >= len(spans) {
+				if m >= k {
 					return
 				}
 				errMu.Lock()
@@ -184,9 +185,9 @@ func (e *Engine) runMorsels(ectx *execCtx, n int, fn func(worker, m, lo, hi int)
 					return
 				}
 				start := time.Now()
-				err := runFn(w, m, spans[m].lo, spans[m].hi)
+				err := guarded(task, w, m, spans[m])
 				d := time.Since(start).Nanoseconds()
-				busy[w] += d
+				busy.Add(d)
 				mMorselNanos.Observe(float64(d))
 				if err != nil {
 					fail(err)
@@ -200,22 +201,19 @@ func (e *Engine) runMorsels(ectx *execCtx, n int, fn func(worker, m, lo, hi int)
 		// See the serial path: report a deadline that expired mid-drain.
 		first = ctx.Err()
 	}
-	elapsed := time.Since(wall).Nanoseconds()
-	mParallelOps.Inc()
-	mMorsels.Add(int64(len(spans)))
-	mMorselRows.Add(int64(n))
-	ectx.led.AddMorsels(len(spans))
-	sp.AddInt("morsels", int64(len(spans)))
-	sp.SetInt("workers", int64(workers))
-	if elapsed > 0 {
-		var total int64
-		for _, b := range busy {
-			total += b
+	return workers, busy.Load(), first
+}
+
+// guarded runs task over span m of worker w: the chaos hook, then task,
+// with any panic converted to the span's error.
+func guarded(task func(worker, m, lo, hi int) error, w, m int, s morselSpan) (err error) {
+	defer resilience.Recover(&err)
+	if faultinject.Armed() {
+		if ferr := faultinject.Fire(FaultMorsel); ferr != nil {
+			return ferr
 		}
-		// Utilization in permille: busy worker-nanos over wall * workers.
-		sp.SetInt("worker_util_pm", total*1000/(elapsed*int64(workers)))
 	}
-	return workers, first
+	return task(w, m, s.lo, s.hi)
 }
 
 // mergeTimer records barrier-merge time on the span and the engine-wide
@@ -232,26 +230,33 @@ func (e *Engine) mergeTimer(sp *obs.Span) func() {
 // runPartitioned executes fn over row ranges of in — morsels driven by
 // the worker pool — and concatenates the partial outputs in input
 // order. The contract matches the serial path exactly: fn sees
-// contiguous slices of in and outputs one chunk per slice.
-func (e *Engine) runPartitioned(ectx *execCtx, in *data.Chunk, n int, fn func(*data.Chunk) (*data.Chunk, error)) (*data.Chunk, error) {
-	spans := e.morselsFor(n)
-	if len(spans) == 1 && e.Workers() <= 1 {
-		// Serial single-batch fast path: no slicing, no concat.
-		return fn(in)
-	}
-	outs := make([]*data.Chunk, len(spans))
-	_, err := e.runMorsels(ectx, n, func(_, m, lo, hi int) error {
-		out, err := fn(in.Slice(lo, hi))
-		if err != nil {
-			return err
-		}
-		outs[m] = out
-		return nil
-	})
+// contiguous slices of in (and the row each starts at) and outputs one
+// chunk per slice.
+func (e *Engine) runPartitioned(ectx *execCtx, in *data.Chunk, n int, fn func(lo int, part *data.Chunk) (*data.Chunk, error)) (*data.Chunk, error) {
+	outs, err := partitioned(e, ectx, in, n, fn)
 	if err != nil {
 		return nil, err
 	}
 	return e.concat(ectx.span, outs[0].Schema(), outs), nil
+}
+
+// partitioned runs fn over the morsels of in's first n rows and returns
+// its results in input order. fn sees each morsel as a view of in and the
+// row the view starts at. A serial single batch runs fn over in itself:
+// no slicing and no morsel accounting.
+func partitioned[T any](e *Engine, ectx *execCtx, in *data.Chunk, n int, fn func(lo int, part *data.Chunk) (T, error)) ([]T, error) {
+	spans := e.morselsFor(n)
+	outs := make([]T, len(spans))
+	if len(spans) == 1 && e.Workers() <= 1 {
+		var err error
+		outs[0], err = fn(0, in)
+		return outs, err
+	}
+	_, err := e.runMorsels(ectx, n, func(_, m, lo, hi int) (err error) {
+		outs[m], err = fn(lo, in.Slice(lo, hi))
+		return err
+	})
+	return outs, err
 }
 
 // concat joins the morsels' outputs in input order into one chunk of the
@@ -265,27 +270,74 @@ func (e *Engine) concat(sp *obs.Span, schema data.Schema, parts []*data.Chunk) *
 }
 
 // takeParallel materializes in.Take(idx) across the worker pool: each
-// worker gathers a contiguous range of idx straight into its rows of one
-// preallocated output (identical output to the serial Take).
+// morsel of idx gathers into its rows of one preallocated output
+// (identical output to the serial Take).
 func (e *Engine) takeParallel(ectx *execCtx, in *data.Chunk, idx []int) *data.Chunk {
 	if len(idx) < minParallelRows || e.Workers() <= 1 {
 		return in.Take(idx)
 	}
-	out := &data.Chunk{Cols: make([]*data.Column, len(in.Cols))}
-	for i, c := range in.Cols {
-		out.Cols[i] = data.NewColumnLen(c.Name, c.Kind, len(idx), c.Nulls != nil)
+	var rows [][]int
+	for _, s := range e.morselsFor(len(idx)) {
+		rows = append(rows, idx[s.lo:s.hi])
 	}
-	_, err := e.runMorsels(ectx, len(idx), func(_, _, lo, hi int) error {
-		for i, c := range in.Cols {
-			c.TakeInto(out.Cols[i], lo, idx[lo:hi])
-		}
-		return nil
-	})
+	cols, err := e.gather(ectx, take{cols: in.Cols, rows: rows})
 	if err != nil {
-		// An aborted drain leaves holes in out; the serial gather is
-		// always correct, and a cancelled query stops at the caller's
+		// An aborted drain leaves holes in the output; the serial gather
+		// is always correct, and a cancelled query stops at the caller's
 		// next context check anyway.
 		return in.Take(idx)
 	}
-	return out
+	return &data.Chunk{Cols: cols}
+}
+
+// take is one source of a gathered output: morsel m keeps the rows
+// rows[m] of cols, in order. A row of -1 is NULL, and nulls says whether
+// any row is.
+type take struct {
+	cols  []*data.Column
+	rows  [][]int
+	nulls bool
+}
+
+// gather materializes an operator's output once its morsels have chosen
+// their rows: every output column is allocated once, at its final size,
+// and each morsel gathers its rows into its own range of it (TakeInto),
+// on the worker pool. The columns come in the takes' order and keep
+// their sources' names; one has a null mask when its source has one or
+// its take has NULL rows, so the output is identical at any parallelism.
+func (e *Engine) gather(ectx *execCtx, takes ...take) ([]*data.Column, error) {
+	at := make([]int, len(takes[0].rows)+1) // morsel m's first output row
+	for m, rows := range takes[0].rows {
+		at[m+1] = at[m] + len(rows)
+	}
+	n, width := at[len(at)-1], 0
+	for _, t := range takes {
+		width += len(t.cols)
+	}
+	out := make([]*data.Column, 0, width)
+	for _, t := range takes {
+		for _, c := range t.cols {
+			out = append(out, data.NewColumnLen(c.Name, c.Kind, n, c.Nulls != nil || t.nulls))
+		}
+	}
+	if len(at) == 2 {
+		gatherMorsel(out, takes, 0, 0) // one morsel: gather in place
+		return out, nil
+	}
+	ts := append([]take(nil), takes...) // the pool's copy, so takes stays with the caller
+	_, _, err := e.drive(ectx.ctx, make([]morselSpan, len(at)-1), n < minParallelRows, func(_, m, _, _ int) error {
+		gatherMorsel(out, ts, m, at[m])
+		return nil
+	})
+	return out, err
+}
+
+// gatherMorsel gathers morsel m's rows of every take into out from row at.
+func gatherMorsel(out []*data.Column, takes []take, m, at int) {
+	for _, t := range takes {
+		for i, c := range t.cols {
+			c.TakeInto(out[i], at, t.rows[m])
+		}
+		out = out[len(t.cols):]
+	}
 }

@@ -66,6 +66,15 @@ func newMorselEngine(mode sqlengine.ExecMode, par int, seed int64, rows int) *sq
 	return eng
 }
 
+// maskLine lists which of a result's columns carry a null mask.
+func maskLine(t *data.Table) string {
+	var b strings.Builder
+	for _, c := range t.Cols {
+		fmt.Fprintf(&b, "%s:%t|", c.Name, c.Nulls != nil)
+	}
+	return b.String()
+}
+
 // rowLines renders a result as one formatted line per row.
 func rowLines(t *data.Table) []string {
 	lines := make([]string, t.NumRows())
@@ -104,6 +113,8 @@ var morselQueries = []struct {
 	{"distinct", `SELECT DISTINCT grp, s FROM m`, true},
 	{"filter-project", `SELECT id, v * 2, f FROM m WHERE v > 0 AND f IS NOT NULL`, true},
 	{"having", `SELECT grp, COUNT(*) FROM m GROUP BY grp HAVING COUNT(*) > 10 ORDER BY grp`, true},
+	{"filter-masked", `SELECT id, v, f FROM m WHERE f > 0`, true},
+	{"join-left-unmasked", `SELECT m.id, m.v, d.id, d.grp FROM m LEFT JOIN d ON m.id = d.id`, true},
 }
 
 // TestMorselParallelismEquivalence sweeps seeds × worker counts and
@@ -126,7 +137,7 @@ func TestMorselParallelismEquivalence(t *testing.T) {
 				if res.NumRows() == 0 {
 					t.Fatalf("%s/%s serial: empty result (bad generator)", mode, q.name)
 				}
-				want[q.name] = rowLines(res)
+				want[q.name] = append(rowLines(res), maskLine(res))
 			}
 			for _, par := range []int{2, 3, 8} {
 				eng := newMorselEngine(mode, par, seed, rows)
@@ -135,7 +146,7 @@ func TestMorselParallelismEquivalence(t *testing.T) {
 					if err != nil {
 						t.Fatalf("%s/%s par=%d: %v", mode, q.name, par, err)
 					}
-					got := rowLines(res)
+					got := append(rowLines(res), maskLine(res))
 					exp := append([]string(nil), want[q.name]...)
 					if !q.ordered {
 						sort.Strings(got)
