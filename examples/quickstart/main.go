@@ -79,7 +79,7 @@ ORDER BY team`
 	if err != nil {
 		log.Fatal(err)
 	}
-	fmt.Println("rewritten plan and generated wrapper:")
+	fmt.Println("rewritten plan and the fused wrapper (its trace, rendered):")
 	fmt.Println(plan)
 }
 

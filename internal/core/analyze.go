@@ -58,7 +58,7 @@ type UDFUsage struct {
 	Name  string
 	Fused bool
 	// Tier is the execution tier a fused wrapper was planned onto
-	// ("vm" or "closure"; empty for source UDFs and PyLite wrappers).
+	// ("vm" or "closure"; empty for source UDFs).
 	Tier    string
 	Calls   int64
 	RowsIn  int64

@@ -208,69 +208,49 @@ func randBoolExpr(r *rand.Rand, depth int) sqlengine.SQLExpr {
 		L: randNumExpr(r, depth), R: randNumExpr(r, depth)}
 }
 
-// TestTranslateMatchesEvalPure: the SQL→PyLite translation of offloaded
-// relational expressions computes the same values as the engine's pure
-// evaluator — the semantic-preservation invariant of §5.3.2.
+// TestTranslateMatchesEvalPure: lowering an offloaded relational
+// expression into trace registers (constants hoisted into registers,
+// fields renamed to registers) computes the same values as the engine's
+// pure evaluator over the original — the semantic-preservation
+// invariant of §5.3.2.
 func TestTranslateMatchesEvalPure(t *testing.T) {
 	reg := NewRegistry(0)
-	rt := reg.RT
+	host := &ffi.UDF{Name: "w", Kind: ffi.Table, RT: reg.RT, Fused: true}
 	f := func(seed int64, a, b int8) bool {
 		r := rand.New(rand.NewSource(seed))
 		e := randSQLExpr(r, 3)
-
-		// Engine side: EvalPure over a register row.
-		regBound, err := (&QFusor{}).rebindToRegs(e, map[string]int{"f0": 0, "f1": 1})
-		if err != nil {
-			return false
-		}
 		row := []data.Value{data.Int(int64(a)), data.Int(int64(b))}
-		want, werr := sqlengine.EvalPure(regBound, row)
 
-		// UDF side: translate to PyLite and execute.
-		pb := &pyBuilder{indent: 1}
-		pb.colVar = func(cr *sqlengine.ColRef) (string, error) {
-			if cr.Table == fieldTable {
-				if cr.Name == "f0" {
-					return "a", nil
-				}
-				return "b", nil
+		// Engine side: EvalPure over the fields as a row.
+		direct := sqlengine.RewriteExpr(e, func(x sqlengine.SQLExpr) sqlengine.SQLExpr {
+			if f, ok := asFieldRef(x); ok {
+				return &sqlengine.ColRef{Name: f, Index: int(f[1] - '0')}
 			}
-			return "", fmt.Errorf("unexpected ref")
-		}
-		expr, terr := translateExpr(e, pb)
-		if terr != nil {
-			t.Logf("translate: %v for %s", terr, e)
+			return x
+		})
+		want, werr := sqlengine.EvalPure(direct, row)
+
+		// Trace side: the lowered expression run as a one-output trace.
+		tg := newTraceGen(sqlengine.NewCatalog(), 2, func(cr *sqlengine.ColRef) (int, error) {
+			return int(cr.Name[1] - '0'), nil
+		})
+		out, err := tg.lower(e)
+		if err != nil {
+			t.Logf("lower: %v for %s", err, e)
 			return false
 		}
-		src := "def f(a, b):\n" + pb.b.String() + "    return " + expr + "\n"
-		fname := fmt.Sprintf("f_%d", seed&0xffff)
-		src = "def " + fname + src[5:]
-		if err := rt.Exec(src); err != nil {
-			t.Logf("exec: %v\n%s", err, src)
-			return false
+		tg.t.OutRegs = []int{out}
+		kind := want.Kind
+		if kind == data.KindNull {
+			kind = data.KindInt
 		}
-		fnv, _ := rt.Global(fname)
-		got, gerr := rt.Call(fnv, row)
+		cols, gerr := ffi.RunTraceVector(host, tg.t, []*data.Column{intColumn(a), intColumn(b)}, 1,
+			[]string{"o"}, []data.Kind{kind})
 		if werr != nil || gerr != nil {
-			// Errors should agree (both nil in this grammar).
 			return (werr == nil) == (gerr == nil)
 		}
-		// SQL FALSE/NULL vs Python False: compare truthiness for bools,
-		// numerics numerically.
-		if want.IsNull() && got.IsNull() {
-			return true
-		}
-		wf, wok := want.AsFloat()
-		gf, gok := got.AsFloat()
-		if wok && gok {
-			if wf != gf {
-				t.Logf("mismatch: sql=%v py=%v\nexpr: %s\n%s", want, got, e, src)
-				return false
-			}
-			return true
-		}
-		if want.String() != got.String() {
-			t.Logf("mismatch: sql=%v py=%v\nexpr: %s\n%s", want, got, e, src)
+		if got := cols[0].Get(0); got.Kind != want.Kind || got.String() != want.String() {
+			t.Logf("mismatch: eval=%v trace=%v\nexpr: %s\n%s", want, got, e, tg.t.Render("f"))
 			return false
 		}
 		return true
@@ -278,6 +258,12 @@ func TestTranslateMatchesEvalPure(t *testing.T) {
 	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
 		t.Error(err)
 	}
+}
+
+func intColumn(v int8) *data.Column {
+	c := data.NewColumn("c", data.KindInt)
+	c.AppendValue(data.Int(int64(v)))
+	return c
 }
 
 // TestCostMonotonicity: the Table 1 inequality decision is monotone —
@@ -305,21 +291,25 @@ func TestCostMonotonicity(t *testing.T) {
 // offloaded predicates (matching the engine).
 func TestNullSemanticsInOffloadedFilters(t *testing.T) {
 	reg := NewRegistry(0)
-	rt := reg.RT
-	src := `
-def nulltest(x):
-    return __qf_lt(x, 5) or __qf_eq(x, None)
-`
-	if err := rt.Exec(src); err != nil {
+	host := &ffi.UDF{Name: "w", Kind: ffi.Table, RT: reg.RT, Fused: true}
+	x := fieldRefExpr("x")
+	pred := &sqlengine.BinExpr{Op: "OR",
+		L: &sqlengine.BinExpr{Op: "<", L: x, R: &sqlengine.Lit{Value: data.Int(5)}},
+		R: &sqlengine.BinExpr{Op: "=", L: x, R: &sqlengine.Lit{Value: data.Null}}}
+	tg := newTraceGen(sqlengine.NewCatalog(), 1, func(*sqlengine.ColRef) (int, error) { return 0, nil })
+	if err := tg.filter(pred); err != nil {
 		t.Fatal(err)
 	}
-	fnv, _ := rt.Global("nulltest")
-	got, err := rt.Call(fnv, []data.Value{data.Null})
+	tg.t.OutRegs = []int{0}
+	in := data.NewColumn("x", data.KindInt)
+	in.AppendValue(data.Null)
+	in.AppendValue(data.Int(3))
+	cols, err := ffi.RunTraceVector(host, tg.t, []*data.Column{in}, 2, []string{"x"}, []data.Kind{data.KindInt})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got.Truthy() {
-		t.Fatal("NULL < 5 or NULL = NULL must be false under SQL semantics")
+	if cols[0].Len() != 1 || cols[0].Get(0).I != 3 {
+		t.Fatalf("kept %d rows; NULL < 5 or NULL = NULL must be false under SQL semantics", cols[0].Len())
 	}
 }
 

@@ -3,6 +3,7 @@ package core
 import (
 	"sort"
 
+	"qfusor/internal/ffi"
 	"qfusor/internal/sqlengine"
 )
 
@@ -185,17 +186,17 @@ func fusibleOrReorderable(u, v *DFGNode, cat *sqlengine.Catalog) bool {
 }
 
 // nodeFusible reports whether a single operator may participate in a
-// fused section at all.
+// fused section at all. Fused wrappers never nest in another section.
 func nodeFusible(n *DFGNode, cat *sqlengine.Catalog) bool {
 	switch n.Kind {
 	case KUDFScalar, KUDFAggregate, KUDFTable:
-		return true
+		return !n.UDF.Fused
 	case KRelExpr, KRelFilter:
-		return n.Expr == nil || translatable(n.Expr, cat)
+		return n.Expr == nil || traceable(n.Expr, cat)
 	case KRelAggNative:
 		switch n.Name {
 		case "sum", "count", "min", "max", "avg":
-			return n.Expr == nil || translatable(n.Expr, cat)
+			return n.Expr == nil || traceable(n.Expr, cat)
 		}
 		return false // blocking aggregates (median) stay engine-side
 	case KRelGroupBy:
@@ -204,6 +205,31 @@ func nodeFusible(n *DFGNode, cat *sqlengine.Catalog) bool {
 		return true
 	}
 	return false
+}
+
+// traceable reports whether a trace can compute e: every node one the
+// engine evaluates (its builtin scalars included) or a scalar UDF call,
+// which becomes a TCall.
+func traceable(e sqlengine.SQLExpr, cat *sqlengine.Catalog) bool {
+	ok := true
+	sqlengine.WalkExpr(e, func(x sqlengine.SQLExpr) bool {
+		switch f := x.(type) {
+		case *sqlengine.FuncExpr:
+			if u, isUDF := cat.UDF(f.Name); isUDF {
+				ok = u.Kind == ffi.Scalar && !u.Fused
+			} else {
+				ok = sqlengine.IsNativeScalar(f.Name)
+			}
+		case *sqlengine.ColRef, *sqlengine.Lit, *sqlengine.BinExpr,
+			*sqlengine.UnaryExpr, *sqlengine.CaseExpr, *sqlengine.BetweenExpr,
+			*sqlengine.InExpr, *sqlengine.IsNullExpr, *sqlengine.CastExpr:
+			// fine
+		default:
+			ok = false
+		}
+		return ok
+	})
+	return ok
 }
 
 // closeSection computes the closure of a candidate section over its
@@ -346,7 +372,7 @@ func (g *DFG) sectionCost(cm *CostModel, sec []int) float64 {
 	// here. Selection compares F(S) against per-node singles that have no
 	// measured counterpart, so scaling only the fused side would let one
 	// noisy run flip fusion decisions — and a flipped plan generates a
-	// different wrapper source, defeating the compile cache. Calibration
+	// different wrapper, defeating the compile cache. Calibration
 	// refines the *prediction* recorded for each realized section (see
 	// realizeSections), which is what converges toward measured cost.
 	return cm.Fused(nodes, len(extIn), maxInt(1, len(extOut)), entryRows) * selAdjust(sel)

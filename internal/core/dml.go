@@ -39,25 +39,18 @@ func (qf *QFusor) ExecDML(eng *sqlengine.Engine, sql string) error {
 	return eng.ExecUpdate(up)
 }
 
-// fuseUnboundExpr binds an expression against the target table's schema,
-// applies scalar-chain fusion, and unbinds the result (ExecUpdate
-// rebinds it).
+// fuseUnboundExpr binds an expression against the target table as the
+// UPDATE will — implicit casts included, so a fused chain computes the
+// kinds the native UPDATE does — and applies scalar-chain fusion.
+// ExecUpdate binds the result again, a no-op on a bound expression.
 func (qf *QFusor) fuseUnboundExpr(eng *sqlengine.Engine, table string, e sqlengine.SQLExpr, rep *Report) (sqlengine.SQLExpr, error) {
 	t, ok := eng.Catalog.Table(table)
 	if !ok {
 		return nil, fmt.Errorf("core: no such table %s", table)
 	}
-	bound := sqlengine.RewriteExpr(e, func(x sqlengine.SQLExpr) sqlengine.SQLExpr {
-		if cr, isRef := x.(*sqlengine.ColRef); isRef {
-			cp := *cr
-			cp.Index = t.Schema.IndexOf(cr.Name)
-			return &cp
-		}
-		return x
-	})
-	fused, err := qf.fuseExprChains(bound, t.Schema, rep)
+	bound, err := sqlengine.BindExpr(eng.Catalog, t, e)
 	if err != nil {
 		return nil, err
 	}
-	return fused, nil
+	return qf.fuseExprChains(bound, t.Schema, rep)
 }

@@ -2,7 +2,6 @@ package core
 
 import (
 	"fmt"
-	"strings"
 
 	"qfusor/internal/data"
 	"qfusor/internal/ffi"
@@ -51,14 +50,14 @@ func (qf *QFusor) fuseExprChains(e sqlengine.SQLExpr, childSchema data.Schema, r
 	// Try the whole subtree when rooted at a UDF call.
 	if f, ok := e.(*sqlengine.FuncExpr); ok {
 		if u, isUDF := qf.catalog().UDF(f.Name); isUDF && u.Kind == ffi.Scalar {
-			if qf.scalarChainEligible(e) && countScalarUDFs(e, qf.catalog()) >= 2 {
+			if traceable(e, qf.catalog()) && countScalarUDFs(e, qf.catalog()) >= 2 {
 				return qf.emitScalarWrapper(e, childSchema, rep)
 			}
 		}
 	}
 	// Otherwise recurse into children.
 	var outerErr error
-	out := sqlengine.RewriteExpr(e, func(x sqlengine.SQLExpr) sqlengine.SQLExpr { return x })
+	out := copyExpr(e)
 	rewriteChildren(out, func(child sqlengine.SQLExpr) sqlengine.SQLExpr {
 		ne, err := qf.fuseExprChains(child, childSchema, rep)
 		if err != nil {
@@ -109,37 +108,6 @@ func rewriteChildren(e sqlengine.SQLExpr, fn func(sqlengine.SQLExpr) sqlengine.S
 	}
 }
 
-// scalarChainEligible: the subtree contains only scalar UDFs, native
-// helpers, literals and column refs.
-func (qf *QFusor) scalarChainEligible(e sqlengine.SQLExpr) bool {
-	ok := true
-	sqlengine.WalkExpr(e, func(x sqlengine.SQLExpr) bool {
-		switch f := x.(type) {
-		case *sqlengine.FuncExpr:
-			if u, isUDF := qf.catalog().UDF(f.Name); isUDF {
-				if u.Kind != ffi.Scalar {
-					ok = false
-					return false
-				}
-				return true
-			}
-			if _, native := nativeHelper[strings.ToLower(f.Name)]; !native {
-				ok = false
-				return false
-			}
-		case *sqlengine.ColRef, *sqlengine.Lit, *sqlengine.BinExpr,
-			*sqlengine.UnaryExpr, *sqlengine.CaseExpr, *sqlengine.BetweenExpr,
-			*sqlengine.InExpr, *sqlengine.IsNullExpr, *sqlengine.CastExpr:
-			// fine
-		default:
-			ok = false
-			return false
-		}
-		return true
-	})
-	return ok
-}
-
 func countScalarUDFs(e sqlengine.SQLExpr, cat *sqlengine.Catalog) int {
 	n := 0
 	sqlengine.WalkExpr(e, func(x sqlengine.SQLExpr) bool {
@@ -153,8 +121,9 @@ func countScalarUDFs(e sqlengine.SQLExpr, cat *sqlengine.Catalog) int {
 	return n
 }
 
-// emitScalarWrapper generates the TF1 wrapper for a scalar subtree and
-// returns the replacement call expression.
+// emitScalarWrapper lowers a scalar subtree to a trace with one output
+// register — the TF1 wrapper — and returns the call expression that
+// replaces the subtree.
 func (qf *QFusor) emitScalarWrapper(e sqlengine.SQLExpr, childSchema data.Schema, rep *Report) (sqlengine.SQLExpr, error) {
 	// Collect distinct input columns in first-use order.
 	var cols []*sqlengine.ColRef
@@ -168,40 +137,17 @@ func (qf *QFusor) emitScalarWrapper(e sqlengine.SQLExpr, childSchema data.Schema
 		}
 		return true
 	})
-	name := qf.nextName()
-	pb := &pyBuilder{indent: 2}
-	pb.colVar = func(cr *sqlengine.ColRef) (string, error) {
-		pi, ok := seen[cr.Index]
-		if !ok {
-			return "", fmt.Errorf("core: unseen column %s", cr)
+	tg := newTraceGen(qf.catalog(), len(cols), func(cr *sqlengine.ColRef) (int, error) {
+		if r, ok := seen[cr.Index]; ok {
+			return r, nil
 		}
-		return fmt.Sprintf("__b%d", pi), nil
-	}
-	expr, err := translateExpr(e, pb)
+		return 0, fmt.Errorf("core: unseen column %s", cr)
+	})
+	out, err := tg.lower(e)
 	if err != nil {
 		return nil, err
 	}
-	var src strings.Builder
-	params := make([]string, 0, len(cols)+1)
-	for i := range cols {
-		params = append(params, fmt.Sprintf("__b%dcol", i))
-	}
-	params = append(params, "__n")
-	fmt.Fprintf(&src, "def %s(%s):\n", name, strings.Join(params, ", "))
-	src.WriteString("    __o0 = []\n")
-	src.WriteString("    __i = 0\n")
-	src.WriteString("    while __i < __n:\n")
-	for i := range cols {
-		fmt.Fprintf(&src, "        __b%d = __b%dcol[__i]\n", i, i)
-	}
-	src.WriteString("        __i = __i + 1\n")
-	for _, l := range strings.Split(strings.TrimRight(pb.b.String(), "\n"), "\n") {
-		if l != "" {
-			fmt.Fprintf(&src, "%s\n", l)
-		}
-	}
-	fmt.Fprintf(&src, "        __o0.append(%s)\n", expr)
-	src.WriteString("    return [__o0]\n")
+	tg.t.OutRegs = []int{out}
 
 	outKind := data.KindString
 	if f, ok := e.(*sqlengine.FuncExpr); ok {
@@ -216,7 +162,7 @@ func (qf *QFusor) emitScalarWrapper(e sqlengine.SQLExpr, childSchema data.Schema
 			inKinds[i] = childSchema[cr.Index].Kind
 		}
 	}
-	u, cached, err := qf.registerWrapper(name, src.String(), ffi.Scalar, inKinds, []string{name}, []data.Kind{outKind})
+	u, cached, err := qf.registerWrapper(tg.t, ffi.Scalar, inKinds, nil, []data.Kind{outKind})
 	if err != nil {
 		return nil, err
 	}
@@ -226,17 +172,14 @@ func (qf *QFusor) emitScalarWrapper(e sqlengine.SQLExpr, childSchema data.Schema
 	// The engine must resolve the wrapper by name during execution.
 	qf.catalog().PutUDF(u)
 	rep.Sections++
-	rep.Sources = append(rep.Sources, src.String())
+	rep.Sources = append(rep.Sources, u.Trace().Render(u.Name))
 	rep.Wrappers = append(rep.Wrappers, u.Name)
-	// Scalar-chain wrappers have no trace, so they always run closure-tier.
-	rep.Tiers = append(rep.Tiers, "closure")
+	rep.Tiers = append(rep.Tiers, qf.applyTier(u, 1, len(cols)))
 
 	args := make([]sqlengine.SQLExpr, len(cols))
 	for i, cr := range cols {
 		cp := *cr
 		args[i] = &cp
 	}
-	// A cache hit returns a previously registered wrapper: the call must
-	// use its name, not the freshly allocated one.
 	return &sqlengine.FuncExpr{Name: u.Name, Args: args}, nil
 }

@@ -1,19 +1,20 @@
 package core_test
 
 // Differential fuzz harness for the plan-decision cache and the fused
-// execution tiers: every generated UDF-bearing query is executed five
+// execution tiers: every generated UDF-bearing query is executed six
 // ways — engine-native (no fusion), fused on the closure tier, fused on
 // the VM tier (cold, warm from the plan cache, and with every third UDF
 // call force-bailed to the closure tier), relationally inlined
-// (tier=inlined), and inlined-with-forced-opaque-fallback (the inline
-// pass classifies but every site falls back to the fusion ladder) —
-// and all arms must be bit-identical. The generator is a tiny grammar
-// over the test UDFs: opaque ones (scalar slug, expand pieces,
-// aggregate longest) and guarded inlinable ones (clip, shout, score)
-// whose bodies exercise CASE-producing conditionals, string builtins
-// and NULL-guard refinements. Any byte string maps to a valid
-// deterministic query; go test runs the seed corpus, `go test -fuzz
-// FuzzDiff` explores beyond it.
+// (tier=inlined), inlined-with-forced-opaque-fallback (the inline
+// pass classifies but every site falls back to the fusion ladder), and
+// scalar-chain fusion only (the YeSQL mode) — and all arms must be
+// bit-identical. The generator is a tiny grammar over the test UDFs:
+// opaque ones (scalar slug, expand pieces, aggregate longest, table
+// words) and guarded inlinable ones (clip, shout, score) whose bodies
+// exercise CASE-producing conditionals, string builtins and NULL-guard
+// refinements. Any byte string maps to a valid deterministic query; go
+// test runs the seed corpus, `go test -fuzz FuzzDiff` explores beyond
+// it.
 
 import (
 	"fmt"
@@ -58,6 +59,13 @@ class longest:
     def final(self):
         return self.best
 
+@tableudf
+def words(rows):
+    for r in rows:
+        for w in r[1].split(" "):
+            if w != "":
+                yield [r[0], w]
+
 @scalarudf
 def clip(x: int) -> int:
     if x is None:
@@ -84,6 +92,14 @@ func diffDB(t *testing.T) *engines.Instance {
 	diffOnce.Do(func() {
 		in := engines.Launch(engines.Config{Profile: engines.Monet, JIT: true})
 		if err := in.Define(diffUDFs); err != nil {
+			diffErr = err
+			return
+		}
+		// words yields (id, word) rows, named like the notes columns so
+		// every notes scalar applies to its output.
+		if err := in.Register(core.UDFSpec{Name: "words", Kind: ffi.Table,
+			Out:      []data.Kind{data.KindInt, data.KindString},
+			OutNames: []string{"id", "title"}}); err != nil {
 			diffErr = err
 			return
 		}
@@ -125,6 +141,9 @@ var (
 		"slug(title)",
 		"slug(slug(title))",
 		"slug(slug(slug(title)))",
+		// Engine arithmetic inside a chain: integer division and a
+		// modulo with negative operands.
+		"slug(slug(title) || ((id - 4) % 3) || (id / 4))",
 	}
 	diffPreds = []string{
 		"",
@@ -151,12 +170,16 @@ var (
 )
 
 const (
-	diffNumShapes = 8
+	diffNumShapes = 9
 	// DiffSeedSpace is the exhaustive seed count TestDiffSeeds covers:
-	// shapes 0-5 draw from the notes dimensions, shapes 6-7 from the
-	// vals (inline-tier) dimensions.
-	diffSeedSpace = 6*3*4 + 2*5*4
+	// shapes 0-5 and 8 draw from the notes dimensions, shapes 6-7 from
+	// the vals (inline-tier) dimensions.
+	diffSeedSpace = 7*4*4 + 2*5*4
 )
+
+// diffInlineShape reports whether a shape draws from the vals
+// dimensions.
+func diffInlineShape(shape int) bool { return shape == 6 || shape == 7 }
 
 // buildDiffQuery maps fuzz bytes to a deterministic UDF query. Missing
 // bytes read as zero, so short inputs are valid too.
@@ -189,6 +212,10 @@ func buildDiffQuery(dat []byte) string {
 	case 6:
 		// Inline-tier projection over NULL-bearing columns.
 		return fmt.Sprintf("SELECT k, %s AS a FROM vals%s ORDER BY k", vscalar, vpred)
+	case 8:
+		// A FROM-position table UDF at the bottom of the section: it is
+		// the source of the fused trace.
+		return fmt.Sprintf("SELECT id, %s AS s FROM words((SELECT id, title FROM notes%s)) AS w ORDER BY id, s", scalar, pred)
 	default:
 		// Inlinable scalar feeding an opaque aggregate: the argument
 		// inlines while the aggregate stays on the fusion ladder.
@@ -223,11 +250,11 @@ func renderTable(t *data.Table) string {
 	return b.String()
 }
 
-// runDiff executes one differential check, five ways: native, fused on
+// runDiff executes one differential check, six ways: native, fused on
 // the closure tier, fused on the VM tier (cold, warm from the plan
-// cache, and with forced per-call bailouts), relationally inlined, and
-// inlined with the forced-opaque fallback hook. All arms must agree
-// exactly.
+// cache, and with forced per-call bailouts), relationally inlined,
+// inlined with the forced-opaque fallback hook, and scalar-chain fusion
+// only. All arms must agree exactly.
 func runDiff(t *testing.T, dat []byte) {
 	in := diffDB(t)
 	sql := buildDiffQuery(dat)
@@ -235,6 +262,7 @@ func runDiff(t *testing.T, dat []byte) {
 	defer diffMu.Unlock()
 	defer func() {
 		in.QF.Opts.Tier = "auto"
+		in.QF.Opts.ScalarOnly = false
 		ffi.SetVMBailEvery(0)
 		core.SetInlineForceOpaque(false)
 	}()
@@ -275,12 +303,21 @@ func runDiff(t *testing.T, dat []byte) {
 	fop, ferr := in.QueryFused(sql)
 	core.SetInlineForceOpaque(false)
 
-	if nerr != nil || cloErr != nil || cerr != nil || werr != nil || berr != nil || ierr != nil || ferr != nil {
-		if nerr != nil && cloErr != nil && cerr != nil && werr != nil && berr != nil && ierr != nil && ferr != nil {
+	// Arm 8: scalar-chain fusion only (the YeSQL mode) — every chain of
+	// two or more scalar UDFs becomes one wrapper; the plan keeps its
+	// shape.
+	in.QF.Opts.Tier = "auto"
+	in.QF.Opts.ScalarOnly = true
+	in.QF.PlanCache.Purge()
+	yes, yerr := in.QueryFused(sql)
+	in.QF.Opts.ScalarOnly = false
+
+	if nerr != nil || cloErr != nil || cerr != nil || werr != nil || berr != nil || ierr != nil || ferr != nil || yerr != nil {
+		if nerr != nil && cloErr != nil && cerr != nil && werr != nil && berr != nil && ierr != nil && ferr != nil && yerr != nil {
 			return // all arms agree the query fails
 		}
-		t.Fatalf("error disagreement for %q:\n native:        %v\n closure:       %v\n vm-cold:       %v\n vm-warm:       %v\n vm-bailout:    %v\n inlined:       %v\n inline-opaque: %v",
-			sql, nerr, cloErr, cerr, werr, berr, ierr, ferr)
+		t.Fatalf("error disagreement for %q:\n native:        %v\n closure:       %v\n vm-cold:       %v\n vm-warm:       %v\n vm-bailout:    %v\n inlined:       %v\n inline-opaque: %v\n scalar-only:   %v",
+			sql, nerr, cloErr, cerr, werr, berr, ierr, ferr, yerr)
 	}
 	want := renderTable(nat)
 	if got := renderTable(clo); got != want {
@@ -301,6 +338,9 @@ func runDiff(t *testing.T, dat []byte) {
 	if got := renderTable(fop); got != want {
 		t.Fatalf("inline-forced-opaque mismatch for %q:\ngot:\n%s\nwant:\n%s", sql, got, want)
 	}
+	if got := renderTable(yes); got != want {
+		t.Fatalf("scalar-only mismatch for %q:\ngot:\n%s\nwant:\n%s", sql, got, want)
+	}
 	s1 := in.QF.PlanCache.Stats()
 	if s1.Hits <= s0.Hits {
 		t.Fatalf("warm run of %q was not served from the plan cache (stats %+v -> %+v)",
@@ -316,6 +356,8 @@ func FuzzDiff(f *testing.F) {
 		{2, 1, 3}, {3, 2, 0}, {3, 0, 1}, {4, 1, 2}, {4, 2, 3},
 		{6, 0, 0}, {6, 1, 2}, {6, 2, 3}, {6, 3, 1}, {6, 4, 2},
 		{7, 0, 0}, {7, 2, 2}, {7, 4, 3},
+		{0, 3, 0}, {0, 3, 1}, {1, 3, 2}, {2, 3, 3}, {5, 3, 0},
+		{8, 0, 0}, {8, 1, 1}, {8, 2, 2}, {8, 3, 3},
 	} {
 		f.Add(seed)
 	}
@@ -332,7 +374,7 @@ func TestDiffSeeds(t *testing.T) {
 	n := 0
 	for shape := 0; shape < diffNumShapes; shape++ {
 		nsc, npr := len(diffScalars), len(diffPreds)
-		if shape >= 6 {
+		if diffInlineShape(shape) {
 			nsc, npr = len(diffVScalars), len(diffVPreds)
 		}
 		for sc := 0; sc < nsc; sc++ {

@@ -76,7 +76,8 @@ type Report struct {
 	// CodeGen is the time for query + fused-UDF code generation and
 	// registration.
 	CodeGen time.Duration
-	// Sections fused and wrapper sources produced.
+	// Sections fused, and each wrapper's trace rendered as Python-like
+	// pseudo-source (ffi.Trace.Render).
 	Sections int
 	Sources  []string
 	// Wrappers names the fused wrappers this query used (fresh or
@@ -152,15 +153,15 @@ type QFusor struct {
 // pointer. Sharing matters for the serving plane: every session's
 // optimizer — whatever its tier pin or technique switches — must see
 // one pool of compiled wrappers (a wrapper's cache key is its
-// normalized source, identical across variants) and one name sequence
+// rendered trace, identical across variants) and one name sequence
 // (two variants generating "__qf_fused7" for different sections would
 // collide in the shared registry/catalog). udfEpoch fencing lives here
 // too: a flush by any variant protects all of them.
 type wrapperCache struct {
 	mu      sync.Mutex
 	seq     int
-	cache   map[string]*ffi.UDF // wrapper source hash -> registered UDF
-	wrapKey map[string]string   // wrapper name -> source hash (breaker key)
+	cache   map[string]*ffi.UDF // wrapper key (wrapperKey) -> registered UDF
+	wrapKey map[string]string   // wrapper name -> wrapper key (breaker key)
 	// udfEpoch is the catalog UDF generation the compile cache was
 	// built against (see sync).
 	udfEpoch int64
@@ -190,7 +191,7 @@ func (wc *wrapperCache) sync(cat *sqlengine.Catalog) {
 	wc.mu.Unlock()
 }
 
-// lookup returns the cached wrapper for a source hash, refreshing the
+// lookup returns the cached wrapper for a wrapper key, refreshing the
 // name→hash mapping on a hit.
 func (wc *wrapperCache) lookup(key string) (*ffi.UDF, bool) {
 	wc.mu.Lock()
@@ -209,7 +210,7 @@ func (wc *wrapperCache) setKey(name, key string) {
 	wc.mu.Unlock()
 }
 
-// store caches a compiled wrapper under its source hash.
+// store caches a compiled wrapper under its wrapper key.
 func (wc *wrapperCache) store(key string, u *ffi.UDF) {
 	wc.mu.Lock()
 	wc.cache[key] = u
@@ -249,7 +250,7 @@ func New(reg *Registry) *QFusor {
 // wrapper name sequence). This is how the serving plane gives each
 // session a pinned tier or technique switches without forking any
 // cache: the plan cache already partitions entries by options
-// fingerprint, wrapper sources hash identically across variants, and
+// fingerprint, wrapper traces hash identically across variants, and
 // epoch fencing on the shared structures protects all variants at
 // once.
 func (qf *QFusor) Variant(opts Options) *QFusor {
@@ -290,17 +291,14 @@ func (qf *QFusor) catalog() *sqlengine.Catalog {
 	return qf.cat
 }
 
-// registerWrapper compiles + registers a fused wrapper, consulting the
-// compile cache. The wrapper is complete (kind and input kinds set)
-// before it is published: other queries read it from the cache and the
-// catalog at once.
-func (qf *QFusor) registerWrapper(name, src string, kind ffi.UDFKind, inKinds []data.Kind, outNames []string, outKinds []data.Kind) (*ffi.UDF, bool, error) {
-	// Cache key: the source with the wrapper's own name normalized out.
-	normalized := replaceName(src, name, "__qf_wrapper")
-	h := sha256.Sum256([]byte(normalized))
-	key := hex.EncodeToString(h[:16])
+// registerWrapper registers a fused wrapper — a trace under a fresh
+// name — or returns the equal one from the compile cache. The wrapper
+// is complete (trace, kind and input kinds set) before it is published:
+// other queries read it from the cache and the catalog at once.
+func (qf *QFusor) registerWrapper(tr *ffi.Trace, kind ffi.UDFKind, inKinds []data.Kind, outNames []string, outKinds []data.Kind) (*ffi.UDF, bool, error) {
+	key := wrapperKey(tr, kind, inKinds, outKinds)
 	if qf.Breaker != nil && !qf.Breaker.Allow("wrapper:"+key) {
-		// This wrapper (by normalized source, so across queries) has been
+		// This wrapper (by what it computes, so across queries) has been
 		// failing at execution time: stop emitting it so the plan stays
 		// native until the breaker's cooldown probe.
 		return nil, false, fmt.Errorf("core: fused wrapper suppressed (circuit open)")
@@ -311,11 +309,9 @@ func (qf *QFusor) registerWrapper(name, src string, kind ffi.UDFKind, inKinds []
 			return u, true, nil
 		}
 	}
-	u, err := ffi.NewFusedUDF(qf.Reg.RT, name, src, kind, outNames, outKinds)
-	if err != nil {
-		return nil, false, err
-	}
-	u.InKinds = inKinds
+	u := &ffi.UDF{Name: qf.nextName(), Kind: kind, InKinds: inKinds,
+		OutNames: outNames, OutKinds: outKinds, RT: qf.Reg.RT, Fused: true}
+	u.SetTrace(tr)
 	mCacheMiss.Inc()
 	qf.wc.setKey(u.Name, key)
 	qf.Reg.RegisterFused(u)
@@ -330,25 +326,13 @@ func (qf *QFusor) registerWrapper(name, src string, kind ffi.UDFKind, inKinds []
 	return u, false, nil
 }
 
-func replaceName(src, old, nw string) string {
-	out := ""
-	for {
-		i := indexOfStr(src, old)
-		if i < 0 {
-			return out + src
-		}
-		out += src[:i] + nw
-		src = src[i+len(old):]
-	}
-}
-
-func indexOfStr(s, sub string) int {
-	for i := 0; i+len(sub) <= len(s); i++ {
-		if s[i:i+len(sub)] == sub {
-			return i
-		}
-	}
-	return -1
+// wrapperKey is a wrapper's identity for the compile cache and the
+// circuit breaker: the hash of its rendered trace (under one fixed
+// name), its kind and its input and output kinds.
+func wrapperKey(tr *ffi.Trace, kind ffi.UDFKind, inKinds, outKinds []data.Kind) string {
+	h := sha256.New()
+	fmt.Fprintf(h, "%s\n%v %v %v", tr.Render("__qf_wrapper"), kind, inKinds, outKinds)
+	return hex.EncodeToString(h.Sum(nil)[:16])
 }
 
 // Process runs the QFusor pipeline on a SQL query against an engine:
@@ -547,10 +531,10 @@ func (qf *QFusor) ProcessTraced(eng *sqlengine.Engine, sql string, root *obs.Spa
 }
 
 // syncUDFEpoch flushes the wrapper compile cache when any source UDF
-// was (re-)defined or dropped since the last Process. A compiled fused
-// wrapper bakes the bodies of the UDFs it fuses, and its cache key is
-// the generated wrapper source — which names the UDFs but does not
-// change with their bodies — so a redefinition would otherwise keep
+// was (re-)defined or dropped since the last Process. A fused wrapper's
+// trace holds the UDFs it fuses as resolved when it was generated, and
+// its cache key is the rendered trace — which names the UDFs but does
+// not change with their bodies — so a redefinition would otherwise keep
 // serving code compiled against the old definition. (Plan-cache entries
 // retire separately through the general catalog epoch.) wrapKey stays:
 // stale name→hash mappings only feed breaker bookkeeping for wrappers

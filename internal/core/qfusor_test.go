@@ -1,12 +1,15 @@
 package core_test
 
 import (
+	"errors"
 	"fmt"
+	"strings"
 	"testing"
 
 	"qfusor/internal/core"
 	"qfusor/internal/data"
 	"qfusor/internal/ffi"
+	"qfusor/internal/pylite"
 	"qfusor/internal/sqlengine"
 )
 
@@ -74,6 +77,21 @@ class strjoin:
 def explode(s: str) -> str:
     for w in s.split(" "):
         yield w
+
+@tableudf
+def splitall(rows) -> str:
+    for r in rows:
+        for w in r.split(" "):
+            yield w
+
+@tableudf
+def splitboom(rows) -> str:
+    n = 0
+    for r in rows:
+        n = n + 1
+        if n == 3:
+            raise ValueError("third row")
+        yield r
 `
 	if err := reg.Define(src); err != nil {
 		t.Fatal(err)
@@ -231,13 +249,103 @@ GROUP BY city`)
 	}
 }
 
+// TestScalarOnlyModeYeSQL: scalar-chain fusion (the YeSQL mode) equals
+// native, including relational operators inside a chain — integer
+// division, a float's rendering and a truncated modulo are the engine's,
+// not the UDF language's.
 func TestScalarOnlyModeYeSQL(t *testing.T) {
+	for _, sql := range []string{
+		"SELECT upname(firstword(name)), addten(age) FROM people WHERE age > 20",
+		"SELECT upname(firstword(name) || (age / 4)) FROM people",
+		"SELECT upname(firstword(name) || (age * 1.0)) FROM people",
+		"SELECT upname(firstword(name) || (-7 % 3)) FROM people",
+	} {
+		t.Run(sql, func(t *testing.T) {
+			eng, qf := buildEngine(t)
+			qf.Opts = core.Options{Fusion: true, ScalarOnly: true, Cache: true}
+			rep := assertSameResult(t, eng, qf, sql)
+			if rep.Sections == 0 {
+				t.Fatal("scalar-only fused nothing")
+			}
+		})
+	}
+}
+
+// TestExecDMLFusedUpdateMatchesNative: an UPDATE whose SET expression
+// fuses into a scalar-chain wrapper writes exactly what the native
+// UPDATE writes — integer division, and a CASE the binder makes float.
+func TestExecDMLFusedUpdateMatchesNative(t *testing.T) {
+	for _, upd := range []string{
+		"UPDATE people SET name = upname(firstword(name) || (age / 4))",
+		"UPDATE people SET name = upname(firstword(name) || CASE WHEN age > 30 THEN 1 ELSE 2.5 END)",
+	} {
+		t.Run(upd, func(t *testing.T) {
+			nat, _ := buildEngine(t)
+			if err := nat.Exec(upd); err != nil {
+				t.Fatal(err)
+			}
+			eng, qf := buildEngine(t)
+			if err := qf.ExecDML(eng, upd); err != nil {
+				t.Fatal(err)
+			}
+			if qf.LastReport().Sections == 0 {
+				t.Fatal("UPDATE fused nothing")
+			}
+			const sel = "SELECT id, name FROM people ORDER BY id"
+			want, err := nat.Query(sel)
+			if err != nil {
+				t.Fatal(err)
+			}
+			got, err := eng.Query(sel)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for i := 0; i < want.NumRows(); i++ {
+				if w, g := want.Cols[1].Get(i).String(), got.Cols[1].Get(i).String(); w != g {
+					t.Fatalf("row %d: native %q, fused %q", i, w, g)
+				}
+			}
+		})
+	}
+}
+
+// TestTableUDFBottomSection: a FROM-position table UDF is the source of
+// its section's trace — one call per batch over an input generator —
+// and the section stays on the closure tier.
+func TestTableUDFBottomSection(t *testing.T) {
 	eng, qf := buildEngine(t)
-	qf.Opts = core.Options{Fusion: true, ScalarOnly: true, Cache: true}
-	rep := assertSameResult(t, eng, qf,
-		"SELECT upname(firstword(name)), addten(age) FROM people WHERE age > 20")
-	if rep.Sections == 0 {
-		t.Fatal("scalar-only fused nothing")
+	rep := assertSameResult(t, eng, qf, "SELECT upname(c0) FROM splitall((SELECT name FROM people))")
+	if rep.Sections != 1 {
+		t.Fatalf("sections = %d, want 1", rep.Sections)
+	}
+	u, ok := eng.Catalog.UDF(rep.Wrappers[0])
+	if !ok || u.Trace() == nil {
+		t.Fatalf("wrapper %s has no trace", rep.Wrappers[0])
+	}
+	if rep.Tiers[0] != "closure" {
+		t.Fatalf("tier = %s, want closure", rep.Tiers[0])
+	}
+}
+
+// TestTableUDFBottomErrorNamesUDF: a table UDF that raises mid-stream
+// fails the fused query with the Python exception, attributed to the
+// table UDF rather than to the wrapper around it.
+func TestTableUDFBottomErrorNamesUDF(t *testing.T) {
+	eng, qf := buildEngine(t)
+	q, rep, err := qf.Process(eng, "SELECT upname(c0) FROM splitboom((SELECT name FROM people))")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rep.Sections != 1 {
+		t.Fatalf("sections = %d, want 1", rep.Sections)
+	}
+	_, err = eng.Execute(q)
+	var pe *pylite.PyError
+	if !errors.As(err, &pe) || pe.Type != "ValueError" {
+		t.Fatalf("want a ValueError, got %v", err)
+	}
+	if !strings.Contains(err.Error(), "udf splitboom") {
+		t.Fatalf("error does not name the table UDF: %v", err)
 	}
 }
 
@@ -274,6 +382,72 @@ func TestWrapperCacheHitsAcrossQueries(t *testing.T) {
 	}
 	if _, err := eng.Execute(q); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestWrapperCacheKeys: the wrapper compile cache and the circuit
+// breaker key a wrapper by what it computes. The same section twice is
+// one wrapper; sections that differ only in a literal's value, in a
+// literal's kind or in the UDF they call are distinct wrappers with
+// distinct breaker keys — for sections and for scalar chains alike.
+func TestWrapperCacheKeys(t *testing.T) {
+	modes := []struct {
+		name string
+		opts core.Options
+	}{
+		{"sections", core.DefaultOptions()},
+		{"scalar-chains", core.Options{Fusion: true, ScalarOnly: true, Cache: true}},
+	}
+	cases := []struct {
+		name string
+		a, b string
+		same bool
+	}{
+		{"same query",
+			"SELECT upname(firstword(name) || 'x') FROM people",
+			"SELECT upname(firstword(name) || 'x') FROM people", true},
+		{"literal value",
+			"SELECT upname(firstword(name) || 'x') FROM people",
+			"SELECT upname(firstword(name) || 'y') FROM people", false},
+		{"literal kind",
+			"SELECT upname(firstword(name) || (age * 1)) FROM people",
+			"SELECT upname(firstword(name) || (age * 1.0)) FROM people", false},
+		{"called UDF",
+			"SELECT upname(firstword(name)) FROM people",
+			"SELECT upname(cleandate(name)) FROM people", false},
+	}
+	for _, m := range modes {
+		for _, c := range cases {
+			t.Run(m.name+"/"+c.name, func(t *testing.T) {
+				eng, qf := buildEngine(t)
+				qf.Opts = m.opts
+				qf.Opts.PlanCache = false
+				_, ra, err := qf.Process(eng, c.a)
+				if err != nil {
+					t.Fatal(err)
+				}
+				_, rb, err := qf.Process(eng, c.b)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if len(ra.Wrappers) != 1 || len(rb.Wrappers) != 1 {
+					t.Fatalf("wrappers %v and %v, want one each", ra.Wrappers, rb.Wrappers)
+				}
+				ka, kb := qf.BreakerKeysOf(ra.Wrappers), qf.BreakerKeysOf(rb.Wrappers)
+				if len(ka) != 1 || len(kb) != 1 {
+					t.Fatalf("breaker keys %v and %v, want one each", ka, kb)
+				}
+				if got := ra.Wrappers[0] == rb.Wrappers[0]; got != c.same {
+					t.Fatalf("same wrapper = %v, want %v (%s vs %s)", got, c.same, ra.Wrappers[0], rb.Wrappers[0])
+				}
+				if got := ka[0] == kb[0]; got != c.same {
+					t.Fatalf("same breaker key = %v, want %v (%s vs %s)", got, c.same, ka[0], kb[0])
+				}
+				if hit := rb.CacheHits == 1; hit != c.same {
+					t.Fatalf("second query cache hits = %d, want hit=%v", rb.CacheHits, c.same)
+				}
+			})
+		}
 	}
 }
 

@@ -48,11 +48,6 @@ type Registry struct {
 func NewRegistry(hotThreshold int) *Registry {
 	rt := pylite.NewInterp()
 	rt.HotThreshold = hotThreshold
-	if err := rt.Exec(helperSource); err != nil {
-		// The helper module is a compile-time constant; failing to load
-		// it is a programming error.
-		panic(fmt.Sprintf("core: helper module: %v", err))
-	}
 	return &Registry{RT: rt, udfs: make(map[string]*ffi.UDF)}
 }
 

@@ -84,9 +84,9 @@ WHERE a.id = b.id AND upname(a.name) != 'X'`)
 	}
 }
 
-// TestFusedWrapperSourcesAreValidPyLite: every generated wrapper parses
-// and compiles in a fresh runtime (the registration mechanism's
-// contract).
+// TestFusedWrapperSourcesAreValidPyLite: every wrapper trace renders as
+// Python-like pseudo-source that parses and defines in a fresh runtime
+// (the printer's contract: EXPLAIN shows the paper's generated wrapper).
 func TestFusedWrapperSourcesAreValidPyLite(t *testing.T) {
 	eng, qf := buildEngine(t)
 	queries := []string{

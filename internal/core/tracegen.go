@@ -9,106 +9,176 @@ import (
 	"qfusor/internal/sqlengine"
 )
 
-// buildTrace compiles a fused section into a native execution trace
-// (ffi.Trace): the final JIT tier, where the loop and all glue are
-// native and only the UDF bodies themselves execute in the UDF runtime.
-// Returns nil when the section's shape needs the PyLite wrapper
-// (FROM-position table UDFs).
-func (qf *QFusor) buildTrace(seg *Segment, g *DFG, inSec map[int]bool, lo, hi int, inputs []int) (*ffi.Trace, error) {
-	if seg.Chain[lo].Op == sqlengine.OpTableFunc {
-		return nil, nil
-	}
-	below := fieldsBelow(g, lo)
-	t := &ffi.Trace{NumIn: len(inputs)}
-	regOf := map[string]int{}
-	for pi, ci := range inputs {
-		if ci < len(below) {
-			regOf[below[ci]] = pi
-		}
-	}
-	nextReg := len(inputs)
-	newReg := func() int {
-		r := nextReg
-		nextReg++
-		return r
-	}
-	constReg := func(v data.Value) int {
-		r := newReg()
-		t.Consts = append(t.Consts, v)
-		t.ConstRegs = append(t.ConstRegs, r)
-		return r
-	}
+// traceGen lowers a fused section or a scalar-UDF chain to its
+// ffi.Trace — the one form a fused wrapper takes: the loop and all glue
+// are native, only the UDF bodies execute in the UDF runtime, and every
+// relational operator runs on the engine's own evaluator. Registers
+// [0, NumIn) hold the inputs, the rest constants and op results.
+type traceGen struct {
+	cat *sqlengine.Catalog
+	t   *ffi.Trace
+	// col resolves a column reference — a DFG field placeholder in a
+	// section, a child-schema column in a scalar chain — to its register.
+	col func(cr *sqlengine.ColRef) (int, error)
+}
 
-	// exprReg lowers an expression (with fieldRef placeholders) to a
-	// register, emitting ops as needed.
-	var exprReg func(e sqlengine.SQLExpr) (int, error)
-	evalClosure := func(e sqlengine.SQLExpr) (func([]data.Value) (data.Value, error), error) {
-		bound, err := qf.rebindToRegs(e, regOf)
-		if err != nil {
-			return nil, err
+func newTraceGen(cat *sqlengine.Catalog, numIn int, col func(*sqlengine.ColRef) (int, error)) *traceGen {
+	return &traceGen{cat: cat, t: &ffi.Trace{NumIn: numIn, NumRegs: numIn}, col: col}
+}
+
+func (tg *traceGen) reg() int {
+	r := tg.t.NumRegs
+	tg.t.NumRegs++
+	return r
+}
+
+// lower is the one expression-to-register routine: a column is its
+// register, a literal a constant register, a scalar UDF call a TCall
+// over its lowered arguments, and anything else one TExpr that the
+// engine's evaluator computes over registers (UDF calls inside it are
+// lowered to TCalls first).
+func (tg *traceGen) lower(e sqlengine.SQLExpr) (int, error) {
+	switch x := e.(type) {
+	case *sqlengine.ColRef:
+		return tg.col(x)
+	case *sqlengine.Lit:
+		r := tg.reg()
+		tg.t.Consts = append(tg.t.Consts, x.Value)
+		tg.t.ConstRegs = append(tg.t.ConstRegs, r)
+		return r, nil
+	case *sqlengine.FuncExpr:
+		if u := tg.scalarUDF(x); u != nil {
+			return tg.call(u, x.Args)
 		}
-		return func(regs []data.Value) (data.Value, error) {
-			return sqlengine.EvalPure(bound, regs)
-		}, nil
 	}
-	exprReg = func(e sqlengine.SQLExpr) (int, error) {
-		if f, ok := asFieldRef(e); ok {
-			r, ok := regOf[f]
-			if !ok {
-				return 0, fmt.Errorf("core: trace: field %s unavailable", f)
-			}
-			return r, nil
-		}
-		if lit, ok := e.(*sqlengine.Lit); ok {
-			return constReg(lit.Value), nil
-		}
-		eval, err := evalClosure(e)
+	bound, err := tg.operands(copyExpr(e))
+	if err != nil {
+		return 0, err
+	}
+	r := tg.reg()
+	tg.t.Ops = append(tg.t.Ops, evalOp(ffi.TExpr, r, bound))
+	return r, nil
+}
+
+// filter lowers a predicate to a TFilter.
+func (tg *traceGen) filter(e sqlengine.SQLExpr) error {
+	bound, err := tg.operands(copyExpr(e))
+	if err != nil {
+		return err
+	}
+	tg.t.Ops = append(tg.t.Ops, evalOp(ffi.TFilter, 0, bound))
+	return nil
+}
+
+// call lowers a scalar UDF call: its arguments, then a TCall that holds
+// the UDF resolved now (and its compiled body), never a name.
+func (tg *traceGen) call(u *ffi.UDF, args []sqlengine.SQLExpr) (int, error) {
+	argRegs := make([]int, len(args))
+	for i, a := range args {
+		r, err := tg.lower(a)
 		if err != nil {
 			return 0, err
 		}
-		r := newReg()
-		t.Ops = append(t.Ops, ffi.TraceOp{Kind: ffi.TExpr, Dst: r, Eval: eval})
-		return r, nil
+		argRegs[i] = r
 	}
-
-	emitValue := func(nd *DFGNode) error {
-		switch nd.Kind {
-		case KUDFScalar:
-			call, ok := nd.Expr.(*sqlengine.FuncExpr)
-			if !ok {
-				return fmt.Errorf("core: trace: scalar UDF node without call expr")
-			}
-			argRegs := make([]int, len(call.Args))
-			for i, a := range call.Args {
-				r, err := exprReg(a)
-				if err != nil {
-					return err
-				}
-				argRegs[i] = r
-			}
-			compileUDF(nd.UDF)
-			dst := newReg()
-			op := ffi.TraceOp{Kind: ffi.TCall, Dst: dst, Args: argRegs, UDF: nd.UDF}
-			if nd.UDF.GoFn == nil {
-				if fv, ok := nd.UDF.Fn.P.(*pylite.FuncValue); ok {
-					op.Compiled = fv.Compiled()
-					op.Prog = fv.Bytecode()
-				}
-			}
-			t.Ops = append(t.Ops, op)
-			regOf[nd.Out[0]] = dst
-		case KRelExpr:
-			r, err := exprReg(nd.Expr)
-			if err != nil {
-				return err
-			}
-			regOf[nd.Out[0]] = r
+	compileUDF(u)
+	op := ffi.TraceOp{Kind: ffi.TCall, Dst: tg.reg(), Args: argRegs, UDF: u}
+	if u.GoFn == nil {
+		if fv, ok := u.Fn.P.(*pylite.FuncValue); ok {
+			op.Compiled = fv.Compiled()
+			op.Prog = fv.Bytecode()
 		}
-		return nil
+	}
+	tg.t.Ops = append(tg.t.Ops, op)
+	return op.Dst, nil
+}
+
+// operands rewrites e in place for EvalPure: columns and scalar UDF
+// calls become register references, the calls lowered first.
+func (tg *traceGen) operands(e sqlengine.SQLExpr) (sqlengine.SQLExpr, error) {
+	switch x := e.(type) {
+	case *sqlengine.ColRef:
+		r, err := tg.col(x)
+		return regRef(r), err
+	case *sqlengine.FuncExpr:
+		if u := tg.scalarUDF(x); u != nil {
+			r, err := tg.call(u, x.Args)
+			return regRef(r), err
+		}
+	}
+	var err error
+	rewriteChildren(e, func(c sqlengine.SQLExpr) sqlengine.SQLExpr {
+		nc, cerr := tg.operands(c)
+		if err == nil {
+			err = cerr
+		}
+		return nc
+	})
+	return e, err
+}
+
+// scalarUDF returns the scalar UDF f calls, nil when f is a builtin.
+func (tg *traceGen) scalarUDF(f *sqlengine.FuncExpr) *ffi.UDF {
+	if u, ok := tg.cat.UDF(f.Name); ok && u.Kind == ffi.Scalar {
+		return u
+	}
+	return nil
+}
+
+// regRef names register r for EvalPure (its index) and Render (its name).
+func regRef(r int) *sqlengine.ColRef {
+	return &sqlengine.ColRef{Name: fmt.Sprintf("r%d", r), Index: r}
+}
+
+// evalOp is a TExpr or TFilter computing bound with SQL semantics.
+func evalOp(kind ffi.TraceOpKind, dst int, bound sqlengine.SQLExpr) ffi.TraceOp {
+	return ffi.TraceOp{Kind: kind, Dst: dst, Text: bound.String(),
+		Eval: func(regs []data.Value) (data.Value, error) {
+			return sqlengine.EvalPure(bound, regs)
+		}}
+}
+
+func copyExpr(e sqlengine.SQLExpr) sqlengine.SQLExpr {
+	return sqlengine.RewriteExpr(e, func(x sqlengine.SQLExpr) sqlengine.SQLExpr { return x })
+}
+
+// buildTrace lowers a fused section — the section nodes covering plan
+// indexes [lo..hi] of seg — to its trace. It returns the child columns
+// the trace reads (its inputs, in register order).
+func (qf *QFusor) buildTrace(seg *Segment, g *DFG, inSec map[int]bool, lo, hi int) (*ffi.Trace, []int, error) {
+	below := fieldsBelow(g, lo)
+	inputs := sectionInputs(seg, g, inSec, lo, hi)
+	regOf := map[string]int{}
+	for r, ci := range inputs {
+		regOf[below[ci]] = r
+	}
+	tg := newTraceGen(qf.catalog(), len(inputs), func(cr *sqlengine.ColRef) (int, error) {
+		if r, ok := regOf[cr.Name]; ok && cr.Table == fieldTable {
+			return r, nil
+		}
+		return 0, fmt.Errorf("core: trace: field %s unavailable", cr.Name)
+	})
+	t := tg.t
+	fieldRegs := func(fields []string) ([]int, error) {
+		regs := make([]int, len(fields))
+		for i, f := range fields {
+			r, err := tg.col(fieldRefExpr(f))
+			if err != nil {
+				return nil, err
+			}
+			regs[i] = r
+		}
+		return regs, nil
+	}
+	newRegs := func(fields []string) []int {
+		regs := make([]int, len(fields))
+		for i, f := range fields {
+			regs[i] = tg.reg()
+			regOf[f] = regs[i]
+		}
+		return regs
 	}
 
-	top := seg.Chain[hi]
-	isAgg := top.Op == sqlengine.OpAggregate
 	for pi := lo; pi <= hi; pi++ {
 		p := seg.Chain[pi]
 		// Value-producing nodes first (ID order = dependency order).
@@ -116,102 +186,83 @@ func (qf *QFusor) buildTrace(seg *Segment, g *DFG, inSec map[int]bool, lo, hi in
 			if nd.PlanIdx != pi || !inSec[id] {
 				continue
 			}
-			if nd.Kind == KUDFScalar || nd.Kind == KRelExpr {
-				if err := emitValue(nd); err != nil {
-					return nil, err
+			var r int
+			var err error
+			switch nd.Kind {
+			case KUDFScalar:
+				call, ok := nd.Expr.(*sqlengine.FuncExpr)
+				if !ok {
+					return nil, nil, fmt.Errorf("core: trace: scalar UDF node without call expr")
 				}
+				r, err = tg.call(nd.UDF, call.Args)
+			case KRelExpr:
+				r, err = tg.lower(nd.Expr)
+			default:
+				continue
 			}
+			if err != nil {
+				return nil, nil, err
+			}
+			regOf[nd.Out[0]] = r
 		}
 		switch p.Op {
 		case sqlengine.OpProject:
 			// nothing structural
 		case sqlengine.OpFilter:
-			var fn *DFGNode
-			for id, nd := range g.Nodes {
-				if nd.PlanIdx == pi && nd.Kind == KRelFilter && inSec[id] {
-					fn = nd
-					break
+			if fn := sectionNode(g, inSec, pi, KRelFilter); fn != nil {
+				if err := tg.filter(fn.Expr); err != nil {
+					return nil, nil, err
 				}
 			}
-			if fn != nil {
-				eval, err := evalClosure(fn.Expr)
+		case sqlengine.OpTableFunc:
+			nd := sectionNode(g, inSec, pi, KUDFTable)
+			if pi != lo || nd == nil {
+				return nil, nil, fmt.Errorf("core: trace: table UDF not at section bottom")
+			}
+			for _, a := range p.TFArgs {
+				v, err := sqlengine.EvalPure(a, nil)
 				if err != nil {
-					return nil, err
+					return nil, nil, err
 				}
-				t.Ops = append(t.Ops, ffi.TraceOp{Kind: ffi.TFilter, Eval: eval})
+				t.SourceArgs = append(t.SourceArgs, v)
 			}
+			t.Source = nd.UDF
+			t.SourceDsts = newRegs(nd.Out)
 		case sqlengine.OpExpand:
-			var nd *DFGNode
-			for id, m := range g.Nodes {
-				if m.PlanIdx == pi && m.Kind == KUDFTable && inSec[id] {
-					nd = m
-					break
-				}
-			}
+			nd := sectionNode(g, inSec, pi, KUDFTable)
 			if nd == nil {
-				return nil, fmt.Errorf("core: trace: expand node missing")
+				return nil, nil, fmt.Errorf("core: trace: expand node missing")
 			}
-			argRegs := make([]int, len(nd.In))
-			for i, f := range nd.In {
-				r, ok := regOf[f]
-				if !ok {
-					return nil, fmt.Errorf("core: trace: expand input %s unavailable", f)
-				}
-				argRegs[i] = r
+			args, err := fieldRegs(nd.In)
+			if err != nil {
+				return nil, nil, err
 			}
-			dsts := make([]int, len(nd.Out))
-			for i, f := range nd.Out {
-				d := newReg()
-				dsts[i] = d
-				regOf[f] = d
-			}
-			t.Ops = append(t.Ops, ffi.TraceOp{Kind: ffi.TExpand, Args: argRegs, Dsts: dsts, UDF: nd.UDF})
+			t.Ops = append(t.Ops, ffi.TraceOp{Kind: ffi.TExpand, Args: args, Dsts: newRegs(nd.Out), UDF: nd.UDF})
 		case sqlengine.OpDistinct:
-			regs := make([]int, 0, len(g.PlanFields[pi]))
-			for _, f := range g.PlanFields[pi] {
-				r, ok := regOf[f]
-				if !ok {
-					return nil, fmt.Errorf("core: trace: distinct field %s unavailable", f)
-				}
-				regs = append(regs, r)
+			regs, err := fieldRegs(g.PlanFields[pi])
+			if err != nil {
+				return nil, nil, err
 			}
 			t.DistinctRegs = regs
 		case sqlengine.OpAggregate:
 			// Group keys resolve against the aggregate's input (plan
 			// pi-1): either wrapper inputs or span-computed registers.
 			for _, k := range p.GroupBy {
-				if cr, ok := k.(*sqlengine.ColRef); ok && cr.Table != fieldTable {
-					f := fieldAt(g, pi-1, cr.Index)
-					r, found := regOf[f]
-					if !found {
-						return nil, fmt.Errorf("core: trace: group key field %s unavailable", f)
-					}
-					t.KeyRegs = append(t.KeyRegs, r)
-					continue
-				}
-				bound, err := qf.rebindPlanExpr(k, g, pi-1, regOf)
+				r, err := tg.lower(planToFields(k, g, pi-1))
 				if err != nil {
-					return nil, err
+					return nil, nil, err
 				}
-				r := newReg()
-				t.Ops = append(t.Ops, ffi.TraceOp{Kind: ffi.TExpr, Dst: r,
-					Eval: func(regs []data.Value) (data.Value, error) {
-						return sqlengine.EvalPure(bound, regs)
-					}})
 				t.KeyRegs = append(t.KeyRegs, r)
 			}
 			for id, nd := range g.Nodes {
-				if nd.PlanIdx != pi || !inSec[id] {
-					continue
-				}
-				if nd.Kind != KRelAggNative && nd.Kind != KUDFAggregate {
+				if nd.PlanIdx != pi || !inSec[id] || (nd.Kind != KRelAggNative && nd.Kind != KUDFAggregate) {
 					continue
 				}
 				spec := ffi.TraceAgg{ArgReg: -1}
 				if nd.Expr != nil {
-					r, err := exprReg(nd.Expr)
+					r, err := tg.lower(nd.Expr)
 					if err != nil {
-						return nil, err
+						return nil, nil, err
 					}
 					spec.ArgReg = r
 				}
@@ -225,61 +276,75 @@ func (qf *QFusor) buildTrace(seg *Segment, g *DFG, inSec map[int]bool, lo, hi in
 				t.Aggs = append(t.Aggs, spec)
 			}
 		default:
-			return nil, fmt.Errorf("core: trace: unsupported operator %s", p.Op)
+			return nil, nil, fmt.Errorf("core: trace: unsupported operator %s", p.Op)
 		}
 	}
 
-	if !isAgg {
+	if seg.Chain[hi].Op != sqlengine.OpAggregate {
+		regs, err := fieldRegs(g.PlanFields[hi])
+		if err != nil {
+			return nil, nil, err
+		}
+		t.OutRegs = regs
+	}
+	return t, inputs, nil
+}
+
+// sectionInputs lists the child columns a section reads, in column
+// order: each below-section field that a member node reads (a table UDF
+// at the bottom reads them all) or an output passes through.
+func sectionInputs(seg *Segment, g *DFG, inSec map[int]bool, lo, hi int) []int {
+	below := fieldsBelow(g, lo)
+	used := make([]bool, len(below))
+	pos := map[string]int{}
+	for i, f := range below {
+		pos[f] = i
+	}
+	use := func(f string) {
+		if ci, ok := pos[f]; ok {
+			used[ci] = true
+		}
+	}
+	for id, nd := range g.Nodes {
+		if inSec[id] {
+			for _, f := range nd.In {
+				use(f)
+			}
+		}
+	}
+	if seg.Chain[hi].Op != sqlengine.OpAggregate {
 		for _, f := range g.PlanFields[hi] {
-			r, ok := regOf[f]
-			if !ok {
-				return nil, fmt.Errorf("core: trace: output field %s unavailable", f)
-			}
-			t.OutRegs = append(t.OutRegs, r)
+			use(f)
 		}
 	}
-	t.NumRegs = nextReg
-	return t, nil
+	var inputs []int
+	for ci, u := range used {
+		if u {
+			inputs = append(inputs, ci)
+		}
+	}
+	return inputs
 }
 
-// rebindPlanExpr rewrites a plan-bound expression (column indexes into
-// chain[srcIdx]'s schema) into register-indexed form.
-func (qf *QFusor) rebindPlanExpr(e sqlengine.SQLExpr, g *DFG, srcIdx int, regOf map[string]int) (sqlengine.SQLExpr, error) {
-	var err error
-	out := sqlengine.RewriteExpr(e, func(x sqlengine.SQLExpr) sqlengine.SQLExpr {
-		cr, ok := x.(*sqlengine.ColRef)
-		if !ok || cr.Table == fieldTable {
-			return x
+// sectionNode returns the section node of the given kind at plan pi.
+func sectionNode(g *DFG, inSec map[int]bool, pi int, kind OpKind) *DFGNode {
+	for id, nd := range g.Nodes {
+		if nd.PlanIdx == pi && nd.Kind == kind && inSec[id] {
+			return nd
 		}
-		f := fieldAt(g, srcIdx, cr.Index)
-		r, found := regOf[f]
-		if !found {
-			err = fmt.Errorf("core: trace: field %s unavailable", f)
-			return x
-		}
-		cp := *cr
-		cp.Index = r
-		return &cp
-	})
-	return out, err
+	}
+	return nil
 }
 
-// rebindToRegs substitutes field placeholders with register-indexed
-// column refs for EvalPure.
-func (qf *QFusor) rebindToRegs(e sqlengine.SQLExpr, regOf map[string]int) (sqlengine.SQLExpr, error) {
-	var err error
-	out := sqlengine.RewriteExpr(e, func(x sqlengine.SQLExpr) sqlengine.SQLExpr {
-		if f, ok := asFieldRef(x); ok {
-			r, found := regOf[f]
-			if !found {
-				err = fmt.Errorf("core: trace: field %s unavailable", f)
-				return x
-			}
-			return &sqlengine.ColRef{Name: f, Index: r}
+// planToFields rewrites a plan-bound expression (column indexes into
+// chain[srcIdx]'s schema) onto DFG field placeholders.
+func planToFields(e sqlengine.SQLExpr, g *DFG, srcIdx int) sqlengine.SQLExpr {
+	return sqlengine.RewriteExpr(e, func(x sqlengine.SQLExpr) sqlengine.SQLExpr {
+		if cr, ok := x.(*sqlengine.ColRef); ok && cr.Table != fieldTable {
+			return fieldRefExpr(fieldAt(g, srcIdx, cr.Index))
 		}
 		return x
 	})
-	return out, err
 }
 
 // compileUDF eagerly compiles a UDF body so trace calls hit the

@@ -33,8 +33,7 @@ var (
 	mBytesOut     = obs.Default.Counter("ffi.boundary.bytes_out")
 	mIPCTrips     = obs.Default.Counter("ffi.ipc.roundtrips")
 	mIPCBytes     = obs.Default.Counter("ffi.ipc.bytes")
-	mTraceRows    = obs.Default.Counter("ffi.trace.rows")          // rows through compiled (JIT) traces
-	mInterpRows   = obs.Default.Counter("ffi.wrapper.interp_rows") // rows through PyLite fused wrappers
+	mTraceRows    = obs.Default.Counter("ffi.trace.rows") // rows through compiled (JIT) traces
 )
 
 // UDFKind classifies a UDF per the paper's design specifications (§4.2).
@@ -179,9 +178,9 @@ type UDF struct {
 	InKinds  []data.Kind
 	OutKinds []data.Kind // one entry for scalar/aggregate, N for table/expand
 	OutNames []string
-	Source   string
 
-	// Fn is the function object (or class object for aggregates) inside RT.
+	// Fn is the function object (or class object for aggregates) inside
+	// RT; fused wrappers have none (their trace is the function).
 	Fn data.Value
 	// RT is the PyLite runtime the UDF lives in.
 	RT *pylite.Interp
@@ -194,11 +193,8 @@ type UDF struct {
 
 	// Fused marks wrappers synthesized by the fusion optimizer.
 	Fused bool
-	// trace is the wrapper's fully compiled form (native loop); when
-	// set, the fused call paths execute it instead of the PyLite source.
-	// It is published lazily by the optimizer while queries that got the
-	// same wrapper from the compile cache may already be executing it,
-	// hence the atomic holder (use Trace/SetTrace).
+	// trace is a fused wrapper's body (native loop), set before the
+	// optimizer publishes the wrapper (use Trace/SetTrace).
 	trace atomic.Pointer[Trace]
 	// vmprog is the trace lowered onto the vectorized bytecode VM; when
 	// set, the fused vector path executes it instead of the closure-tier
@@ -253,7 +249,7 @@ func (u *UDF) cloneOn(rt *pylite.Interp, led *obs.ResourceLedger) *UDF {
 	c := &UDF{
 		Name: u.Name, Kind: u.Kind, Params: u.Params,
 		InKinds: u.InKinds, OutKinds: u.OutKinds, OutNames: u.OutNames,
-		Source: u.Source, Fn: u.Fn, RT: rt, GoFn: u.GoFn, GoAgg: u.GoAgg,
+		Fn: u.Fn, RT: rt, GoFn: u.GoFn, GoAgg: u.GoAgg,
 		Fused: u.Fused, EstCost: u.EstCost, led: led,
 	}
 	c.trace.Store(u.trace.Load())
@@ -262,13 +258,10 @@ func (u *UDF) cloneOn(rt *pylite.Interp, led *obs.ResourceLedger) *UDF {
 	return c
 }
 
-// Trace returns the wrapper's compiled native form (nil until the
-// optimizer publishes one with SetTrace).
+// Trace returns a fused wrapper's trace (nil for every other UDF).
 func (u *UDF) Trace() *Trace { return u.trace.Load() }
 
-// SetTrace publishes the compiled native form. Concurrent compiles of
-// the same cached wrapper are benign: both traces come from the same
-// normalized source, so last-write-wins hands every reader a valid one.
+// SetTrace publishes a fused wrapper's trace.
 func (u *UDF) SetTrace(t *Trace) { u.trace.Store(t) }
 
 // VMProg returns the wrapper's VM-tier program, or nil when the

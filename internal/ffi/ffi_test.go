@@ -232,21 +232,16 @@ func TestGoFnNativeUDF(t *testing.T) {
 	}
 }
 
+// TestFusedWrapperVectorConvention: a fused wrapper is its trace — one
+// call per batch over whole input columns returns whole output
+// columns — and a wrapper without one is refused, never interpreted.
 func TestFusedWrapperVectorConvention(t *testing.T) {
 	rt := testRuntime(t)
-	src := `
-def wrapper(col, __n):
-    out = []
-    i = 0
-    while i < __n:
-        out.append(double(col[i]))
-        i = i + 1
-    return [out]
-`
-	u, err := NewFusedUDF(rt, "wrapper", src, Table, []string{"d"}, []data.Kind{data.KindInt})
-	if err != nil {
-		t.Fatal(err)
-	}
+	dbl := udfOf(t, rt, "double", Scalar, []data.Kind{data.KindInt}, []data.Kind{data.KindInt})
+	u := &UDF{Name: "wrapper", Kind: Table, RT: rt, Fused: true}
+	u.SetTrace(&Trace{NumRegs: 2, NumIn: 1,
+		Ops:     []TraceOp{{Kind: TCall, Dst: 1, Args: []int{0}, UDF: dbl}},
+		OutRegs: []int{1}})
 	cols, err := CallFusedVector(u, []*data.Column{intCol(3, 4)}, 2, []string{"d"}, []data.Kind{data.KindInt})
 	if err != nil {
 		t.Fatal(err)
@@ -254,9 +249,9 @@ def wrapper(col, __n):
 	if cols[0].Ints[0] != 6 || cols[0].Ints[1] != 8 {
 		t.Fatalf("got %v", cols[0].Ints)
 	}
-	// Fused wrappers must be compiled at registration (the hot loop).
-	if fv, ok := u.Fn.P.(*pylite.FuncValue); !ok || fv.Compiled() == nil {
-		t.Fatal("wrapper not JIT-compiled at registration")
+	bare := &UDF{Name: "bare", Kind: Table, RT: rt, Fused: true}
+	if _, err := CallFusedVector(bare, []*data.Column{intCol(3)}, 1, []string{"d"}, []data.Kind{data.KindInt}); err == nil {
+		t.Fatal("a fused wrapper without a trace ran")
 	}
 }
 
@@ -467,5 +462,37 @@ func TestBoundaryRoundTripProperty(t *testing.T) {
 				t.Fatalf("%s row %d: %v vs %v", c.Name, i, c.Get(i), back.Get(i))
 			}
 		}
+	}
+}
+
+// TestTraceRender: a trace prints as the Python-like wrapper it runs,
+// deterministically, with constants in their own kinds — what the
+// optimizer hashes to key its wrapper cache.
+func TestTraceRender(t *testing.T) {
+	rt := testRuntime(t)
+	dbl := udfOf(t, rt, "double", Scalar, []data.Kind{data.KindInt}, []data.Kind{data.KindInt})
+	tr := &Trace{NumRegs: 5, NumIn: 1,
+		Consts: []data.Value{data.Int(1)}, ConstRegs: []int{1},
+		Ops: []TraceOp{
+			{Kind: TCall, Dst: 2, Args: []int{0}, UDF: dbl},
+			{Kind: TFilter, Text: "(r2 > r1)"},
+			{Kind: TExpr, Dst: 3, Text: "(r2 || 'x')"},
+		},
+		OutRegs: []int{3, 0}}
+	want := `def w(c0):
+    r1 = 1
+    for r0 in rows(c0):
+        r2 = double(r0)
+        if not sql("(r2 > r1)"):
+            continue
+        r3 = sql("(r2 || 'x')")
+        yield r3, r0
+`
+	if got := tr.Render("w"); got != want {
+		t.Fatalf("render:\n%s\nwant:\n%s", got, want)
+	}
+	tr.Consts[0] = data.Float(1)
+	if got := tr.Render("w"); got == want {
+		t.Fatal("an int and a float constant render alike")
 	}
 }

@@ -2,27 +2,36 @@ package ffi
 
 import (
 	"fmt"
+	"strings"
 	"time"
 
 	"qfusor/internal/data"
 	"qfusor/internal/pylite"
 )
 
-// Trace is the fully JIT-compiled form of a fused wrapper: the loop
-// itself is native (a Go-level trace of register ops), each UDF call
-// dispatches straight to its compiled body, and outputs append directly
+// Trace is a fused wrapper: the one form the fusion code generator
+// lowers a section (or a scalar-UDF chain) to, registered as is. The
+// loop itself is native (a Go-level trace of register ops), each UDF
+// call dispatches straight to its compiled body, relational operators
+// run with the engine's own SQL semantics, and outputs append directly
 // into engine columns. This models what the paper's tracing JIT
-// produces once the generated wrapper's hot loop has been traced — no
-// per-iteration interpretation remains.
-//
-// The PyLite wrapper source is still generated and registered (it is
-// the artifact the registration mechanism stores); the trace is its
-// compiled form.
+// produces once the generated wrapper's hot loop has been traced (§5.3)
+// — no per-iteration interpretation remains. Render prints it as the
+// Python-like wrapper the paper shows.
 type Trace struct {
 	// NumRegs is the register file size; inputs land in regs [0..k).
 	NumRegs int
-	// NumIn is the number of input registers (one per input column).
+	// NumIn is the number of input columns; without a Source each row's
+	// values load into registers [0, NumIn).
 	NumIn int
+	// Source, when set, is a FROM-position table UDF that drives the
+	// row loop instead: it is called once per batch with a generator
+	// over the input rows (the paper's inp_datagen) followed by
+	// SourceArgs, and every row it yields binds SourceDsts before Ops
+	// run.
+	Source     *UDF
+	SourceArgs []data.Value
+	SourceDsts []int
 	// Consts preloads constant registers: regs[ConstRegs[i]] = Consts[i].
 	Consts    []data.Value
 	ConstRegs []int
@@ -52,7 +61,7 @@ const (
 	// TFilter skips the row (or expanded row) unless Eval is truthy.
 	TFilter
 	// TExpand drains a generator UDF: for each yielded row, binds Dsts
-	// and runs Body.
+	// and runs the ops after it.
 	TExpand
 )
 
@@ -72,9 +81,12 @@ type TraceOp struct {
 	// Eval computes a relational expression over the register file
 	// (built by the fusion code generator with SQL NULL semantics).
 	Eval func(regs []data.Value) (data.Value, error)
-	// Expand payload.
+	// Text is the SQL expression Eval computes, its operands named by
+	// register (r3): what Render prints for TExpr and TFilter.
+	Text string
+	// Dsts are the registers a TExpand binds per yielded row; the ops
+	// after it run once per binding.
 	Dsts []int
-	Body []TraceOp
 }
 
 // TraceAgg is one aggregate computation of an aggregating trace.
@@ -123,17 +135,80 @@ func RunTraceVector(u *UDF, t *Trace, args []*data.Column, n int, outNames []str
 		outRows++
 		return nil
 	}
-	for i := 0; i < n; i++ {
-		for j, c := range args {
-			regs[j] = CrossIn(c, i)
-		}
-		if err := runOps(u, t.Ops, regs, emit); err != nil {
-			return nil, err
-		}
+	if err := t.drive(u, args, n, regs, CrossIn, func(regs []data.Value) error {
+		return runOps(u, t.Ops, regs, emit)
+	}); err != nil {
+		return nil, err
 	}
 	mTraceRows.Add(int64(n))
 	u.record(n, outRows, time.Since(start), 0)
 	return outs, nil
+}
+
+// drive runs body once per row: once per input row with registers
+// [0, NumIn) loaded from args, or — when the trace has a Source — once
+// per row the source yields from a single call over all n input rows.
+func (t *Trace) drive(u *UDF, args []*data.Column, n int, regs []data.Value, load func(*data.Column, int) data.Value, body func([]data.Value) error) error {
+	if t.Source == nil {
+		for i := 0; i < n; i++ {
+			for j, c := range args {
+				regs[j] = load(c, i)
+			}
+			if err := body(regs); err != nil {
+				return err
+			}
+		}
+		return nil
+	}
+	in := inputRows(args, n)
+	defer in.Close()
+	gv, err := u.RT.Call(t.Source.Fn, append([]data.Value{data.Object(in)}, t.SourceArgs...))
+	if err != nil {
+		return wrapUDFErr(t.Source, err)
+	}
+	return eachRow(t.Source, gv, func(v data.Value) error {
+		bindRow(regs, t.SourceDsts, v)
+		return body(regs)
+	})
+}
+
+// eachRow feeds every row a generator UDF's result yields (or, for a
+// plain iterable, every item) to fn. An exception inside the UDF is
+// attributed to it.
+func eachRow(src *UDF, gv data.Value, fn func(data.Value) error) error {
+	if g, ok := gv.P.(*pylite.Generator); gv.Kind == data.KindObject && ok {
+		defer g.Close()
+		for {
+			v, more, err := g.Next()
+			if err != nil {
+				return wrapUDFErr(src, err)
+			}
+			if !more {
+				return nil
+			}
+			if err := fn(v); err != nil {
+				return err
+			}
+		}
+	}
+	return pylite.Iterate(gv, fn)
+}
+
+// bindRow binds one yielded row to its registers: several take a
+// list's items, anything else is a one-value row; registers past the
+// row's end are NULL, as in the engine's own expand.
+func bindRow(regs []data.Value, dsts []int, v data.Value) {
+	items := []data.Value{v}
+	if l := v.List(); l != nil && len(dsts) > 1 {
+		items = l.Items
+	}
+	for i, d := range dsts {
+		if i < len(items) {
+			regs[d] = items[i]
+		} else {
+			regs[d] = data.Null
+		}
+	}
 }
 
 // runOps executes an op list for one (possibly expanded) row; emit is
@@ -186,42 +261,10 @@ func runOps(u *UDF, ops []TraceOp, regs []data.Value, emit func([]data.Value) er
 				return wrapUDFErr(op.UDF, err)
 			}
 			rest := ops[oi+1:]
-			bind := func(v data.Value) error {
-				if len(op.Dsts) == 1 {
-					regs[op.Dsts[0]] = v
-				} else if l := v.List(); l != nil {
-					for i, d := range op.Dsts {
-						if i < len(l.Items) {
-							regs[d] = l.Items[i]
-						} else {
-							regs[d] = data.Null
-						}
-					}
-				} else {
-					regs[op.Dsts[0]] = v
-				}
+			return eachRow(op.UDF, gv, func(v data.Value) error {
+				bindRow(regs, op.Dsts, v)
 				return runOps(u, rest, regs, emit)
-			}
-			if g, ok := gv.P.(*pylite.Generator); gv.Kind == data.KindObject && ok {
-				for {
-					v, more, err := g.Next()
-					if err != nil {
-						g.Close()
-						return wrapUDFErr(op.UDF, err)
-					}
-					if !more {
-						return nil
-					}
-					if err := bind(v); err != nil {
-						g.Close()
-						return err
-					}
-				}
-			}
-			if err := pylite.Iterate(gv, bind); err != nil {
-				return err
-			}
-			return nil
+			})
 		}
 	}
 	return emit(regs)
@@ -475,22 +518,13 @@ func RunTraceAggPartial(u *UDF, t *Trace, args []*data.Column, n int) (*TraceAgg
 		}
 		return nil
 	}
-	for i := 0; i < n; i++ {
-		var err error
-		if vp != nil {
-			for j, c := range args {
-				regs[j] = vmColLoad(c, i)
-			}
-			err = runOpsVM(u, vp, t.Ops, regs, &bails, emit)
-		} else {
-			for j, c := range args {
-				regs[j] = CrossIn(c, i)
-			}
-			err = runOps(u, t.Ops, regs, emit)
-		}
-		if err != nil {
-			return nil, err
-		}
+	load, body := CrossIn, func(regs []data.Value) error { return runOps(u, t.Ops, regs, emit) }
+	if vp != nil {
+		load = vmColLoad
+		body = func(regs []data.Value) error { return runOpsVM(u, vp, t.Ops, regs, &bails, emit) }
+	}
+	if err := t.drive(u, args, n, regs, load, body); err != nil {
+		return nil, err
 	}
 	if stepErr != nil {
 		return nil, stepErr
@@ -567,4 +601,102 @@ func FinalizeTraceAggPartials(u *UDF, t *Trace, parts []*TraceAggPartial, outNam
 	}
 	u.recordMerge(g, time.Since(start))
 	return outs, nil
+}
+
+// Render prints the trace as Python-like pseudo-source: the fused
+// wrapper of the paper's code generator (§5.3), written from the trace
+// that runs. Inputs are positional (c0, c1, ...) and registers are
+// r<N>; TExpr and TFilter operands print as sql("<expression>"), the
+// engine evaluating them. The text is deterministic and parses as
+// PyLite; the optimizer keys its wrapper cache and circuit breaker by
+// its hash, so two traces print alike only when they compute alike.
+func (t *Trace) Render(name string) string {
+	var b strings.Builder
+	params := make([]string, t.NumIn)
+	for i := range params {
+		params[i] = fmt.Sprintf("c%d", i)
+	}
+	fmt.Fprintf(&b, "def %s(%s):\n", name, strings.Join(params, ", "))
+	for i, r := range t.ConstRegs {
+		fmt.Fprintf(&b, "    r%d = %s\n", r, t.Consts[i].Repr())
+	}
+	if len(t.Aggs) > 0 {
+		b.WriteString("    groups = {}\n")
+	}
+	if t.DistinctRegs != nil {
+		b.WriteString("    seen = set()\n")
+	}
+	if t.Source != nil {
+		args := []string{fmt.Sprintf("rows(%s)", strings.Join(params, ", "))}
+		for _, v := range t.SourceArgs {
+			args = append(args, v.Repr())
+		}
+		fmt.Fprintf(&b, "    for %s in %s(%s):\n", regList(t.SourceDsts), t.Source.Name, strings.Join(args, ", "))
+	} else {
+		in := make([]int, t.NumIn)
+		for i := range in {
+			in[i] = i
+		}
+		fmt.Fprintf(&b, "    for %s in rows(%s):\n", regList(in), strings.Join(params, ", "))
+	}
+	t.renderOps(&b, t.Ops, 2)
+	if len(t.Aggs) > 0 {
+		b.WriteString("    return groups\n")
+	}
+	return b.String()
+}
+
+// renderOps prints an op list at the given indent depth, then the row's
+// end: the distinct check and the row's yield, or its group step.
+func (t *Trace) renderOps(b *strings.Builder, ops []TraceOp, depth int) {
+	ind := strings.Repeat("    ", depth)
+	for oi, op := range ops {
+		switch op.Kind {
+		case TCall:
+			fmt.Fprintf(b, "%sr%d = %s(%s)\n", ind, op.Dst, op.UDF.Name, regList(op.Args))
+		case TExpr:
+			fmt.Fprintf(b, "%sr%d = sql(%s)\n", ind, op.Dst, data.Str(op.Text).Repr())
+		case TFilter:
+			fmt.Fprintf(b, "%sif not sql(%s):\n%s    continue\n", ind, data.Str(op.Text).Repr(), ind)
+		case TExpand:
+			fmt.Fprintf(b, "%sfor %s in %s(%s):\n", ind, regList(op.Dsts), op.UDF.Name, regList(op.Args))
+			t.renderOps(b, ops[oi+1:], depth+1)
+			return
+		}
+	}
+	if t.DistinctRegs != nil {
+		key := "[" + regList(t.DistinctRegs) + "]"
+		fmt.Fprintf(b, "%sif %s in seen:\n%s    continue\n%sseen.add(%s)\n", ind, key, ind, ind, key)
+	}
+	if len(t.Aggs) == 0 {
+		fmt.Fprintf(b, "%syield %s\n", ind, regList(t.OutRegs))
+		return
+	}
+	keys := ""
+	if len(t.KeyRegs) > 0 {
+		keys = regList(t.KeyRegs)
+	}
+	fmt.Fprintf(b, "%sg = group(groups, [%s])\n", ind, keys)
+	for _, a := range t.Aggs {
+		var args []string
+		if a.Kind == "udf" {
+			args = append(args, a.UDF.Name)
+		}
+		if a.ArgReg >= 0 {
+			args = append(args, fmt.Sprintf("r%d", a.ArgReg))
+		}
+		fmt.Fprintf(b, "%sg.%s(%s)\n", ind, a.Kind, strings.Join(args, ", "))
+	}
+}
+
+// regList prints registers as a comma-separated list (_ for none).
+func regList(regs []int) string {
+	if len(regs) == 0 {
+		return "_"
+	}
+	parts := make([]string, len(regs))
+	for i, r := range regs {
+		parts[i] = fmt.Sprintf("r%d", r)
+	}
+	return strings.Join(parts, ", ")
 }

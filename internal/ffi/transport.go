@@ -230,18 +230,14 @@ func drainRows(u *UDF, args []data.Value) ([][]data.Value, error) {
 	return rows, nil
 }
 
-// callTableCommon feeds the chunk's rows through a table UDF via a lazy
-// input generator (the paper's inp_datagen) and materializes the output.
-func callTableCommon(u *UDF, input *data.Chunk, extra []data.Value) (*data.Chunk, error) {
-	if err := fireBoundary(Table); err != nil {
-		return nil, err
-	}
-	start := time.Now()
-	n := input.NumRows()
-	inGen := pylite.GoGenerator(func(yield func(data.Value) error) error {
-		row := make([]data.Value, len(input.Cols))
+// inputRows is the lazy input generator a table UDF consumes (the
+// paper's inp_datagen): one value per row of cols, a list when there are
+// several columns.
+func inputRows(cols []*data.Column, n int) *pylite.Generator {
+	return pylite.GoGenerator(func(yield func(data.Value) error) error {
+		row := make([]data.Value, len(cols))
 		for i := 0; i < n; i++ {
-			for j, c := range input.Cols {
+			for j, c := range cols {
 				row[j] = c.Get(i)
 			}
 			var v data.Value
@@ -256,6 +252,17 @@ func callTableCommon(u *UDF, input *data.Chunk, extra []data.Value) (*data.Chunk
 		}
 		return nil
 	})
+}
+
+// callTableCommon feeds the chunk's rows through a table UDF via a lazy
+// input generator and materializes the output.
+func callTableCommon(u *UDF, input *data.Chunk, extra []data.Value) (*data.Chunk, error) {
+	if err := fireBoundary(Table); err != nil {
+		return nil, err
+	}
+	start := time.Now()
+	n := input.NumRows()
+	inGen := inputRows(input.Cols, n)
 	args := append([]data.Value{data.Object(inGen)}, extra...)
 	gv, err := u.RT.Call(u.Fn, args)
 	if err != nil {

@@ -97,12 +97,12 @@ func bytecodeFor(u *UDF) *pylite.Program {
 // (in the agg runners' emit step), so the scalar prefix lowers exactly
 // like a non-aggregating trace. It returns nil when the trace is
 // ineligible: distinct-folding traces keep their closure form (the VM
-// row loop has no dedup step), as do expanding traces (generator
-// frames) and any TCall whose UDF body is outside the bytecode subset.
-// A nil result is permanent for this trace (the caller caches the
-// decision on the wrapper).
+// row loop has no dedup step), as do expanding traces and traces with
+// a source table UDF (generator frames) and any TCall whose UDF body is
+// outside the bytecode subset. A nil result is permanent for this trace
+// (the caller caches the decision on the wrapper).
 func CompileTraceVM(t *Trace) *VMProgram {
-	if t == nil || len(t.DistinctRegs) > 0 {
+	if t == nil || len(t.DistinctRegs) > 0 || t.Source != nil {
 		return nil
 	}
 	vp := &VMProgram{

@@ -187,20 +187,6 @@ func TestColRowsRaggedTyped(t *testing.T) {
 	}
 }
 
-func TestUnpackFusedResultRaggedTyped(t *testing.T) {
-	u := &UDF{Name: "wrap"}
-	res := data.NewList([]data.Value{
-		data.NewList([]data.Value{data.Str("a"), data.Str("b")}),
-		data.NewList([]data.Value{data.Str("c")}),
-	})
-	_, _, err := unpackFusedResult(u, res, []string{"x", "y"},
-		[]data.Kind{data.KindString, data.KindString})
-	var lm *LengthMismatchError
-	if !errors.As(err, &lm) {
-		t.Fatalf("err = %v, want *LengthMismatchError", err)
-	}
-}
-
 // BenchmarkVMDispatch compares one fused section's execution tiers over
 // a 2048-row morsel: the closure trace loop (per-row CrossIn boxing +
 // compiled-closure call frames) against the register VM (unboxed column

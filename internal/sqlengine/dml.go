@@ -106,6 +106,19 @@ func (e *Engine) insertValues(t *data.Table, rows [][]SQLExpr) error {
 	return nil
 }
 
+// BindExpr binds e against the rows of table t — the scope of an
+// UPDATE's SET and WHERE expressions — as ExecUpdate binds them.
+func BindExpr(cat *Catalog, t *data.Table, e SQLExpr) (SQLExpr, error) {
+	pl := &planner{cat: cat, ctes: map[string]*Plan{}}
+	out, _, err := pl.bindExpr(e, tableScan(t))
+	return out, err
+}
+
+func tableScan(t *data.Table) *Plan {
+	return &Plan{Op: OpScan, Table: t.Name, Schema: t.Schema,
+		Quals: qualsFor(t.Name, len(t.Schema)), EstRows: float64(t.NumRows())}
+}
+
 // ExecUpdate applies an UPDATE (exposed separately so QFusor can rewrite
 // the SET/WHERE expressions before execution).
 func (e *Engine) ExecUpdate(s *UpdateStmt) error {
@@ -122,8 +135,7 @@ func (e *Engine) execUpdate(ctx context.Context, s *UpdateStmt) error {
 	// UPDATE rewrites column cells in place (no PutTable): bump the
 	// epoch explicitly so cached plan decisions over this table retire.
 	defer e.Catalog.BumpEpoch()
-	scan := &Plan{Op: OpScan, Table: t.Name, Schema: t.Schema,
-		Quals: qualsFor(t.Name, len(t.Schema)), EstRows: float64(t.NumRows())}
+	scan := tableScan(t)
 	pl := &planner{cat: e.Catalog, ctes: map[string]*Plan{}}
 
 	colIdx := make([]int, len(s.Cols))

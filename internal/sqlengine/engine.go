@@ -361,10 +361,8 @@ func annotateOpSpan(sp *obs.Span, p *Plan) {
 				sp.SetAttr("section", "fused")
 				if p.UDF.VMProg() != nil {
 					sp.SetAttr("tier", "vm")
-				} else if p.UDF.Trace() != nil {
-					sp.SetAttr("tier", "jit-trace")
 				} else {
-					sp.SetAttr("tier", "pylite")
+					sp.SetAttr("tier", "jit-trace")
 				}
 			}
 		}

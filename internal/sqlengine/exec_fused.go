@@ -94,13 +94,9 @@ func (e *Engine) runFused(p *Plan, in *data.Chunk, ectx *execCtx) (*data.Chunk, 
 			return data.NewChunk(cols...), nil
 		})
 	}
-	// OpFusedAgg: grouping happens inside the wrapper's compiled trace
-	// (after fused filters) via the native group-by export. The optimizer
-	// only emits the node for a traced wrapper (core/codegen.go).
+	// OpFusedAgg: grouping happens inside the wrapper's trace (after
+	// fused filters) via the native group-by export.
 	tr := u.Trace()
-	if tr == nil {
-		return nil, fmt.Errorf("sql: aggregating fused wrapper %s has no compiled trace", u.Name)
-	}
 	// Decomposable aggregates (including avg and UDF aggregates with a
 	// merge hook) run as per-worker partial states over morsels, merged
 	// at the barrier.

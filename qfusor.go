@@ -487,7 +487,7 @@ func (db *DB) QueryNativeContext(ctx context.Context, sql string) (*Table, error
 }
 
 // Explain returns the engine's plan for sql after QFusor's rewrite,
-// plus the generated fused-wrapper sources.
+// plus each fused wrapper's trace rendered as Python-like pseudo-source.
 func (db *DB) Explain(sql string) (string, error) {
 	q, rep, err := db.in.QF.Process(db.in.Eng, sql)
 	if err != nil {
