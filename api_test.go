@@ -137,6 +137,20 @@ func TestPublicAPIOptions(t *testing.T) {
 	}
 }
 
+// TestOpenRejectsUnknownTier: a tier pin outside vm, closure, inline
+// and auto is an error, not a silent auto.
+func TestOpenRejectsUnknownTier(t *testing.T) {
+	if db, err := qfusor.Open(qfusor.MonetDB, qfusor.WithTier("bogus")); err == nil {
+		db.Close()
+		t.Fatal("Open accepted tier \"bogus\"")
+	}
+	db, err := qfusor.Open(qfusor.MonetDB, qfusor.WithTier("closure"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	db.Close()
+}
+
 func TestPublicAPIOtherProfiles(t *testing.T) {
 	for _, p := range []qfusor.Profile{qfusor.SQLite, qfusor.PostgreSQL, qfusor.DuckDB} {
 		t.Run(string(p), func(t *testing.T) {

@@ -22,6 +22,7 @@ import (
 	"strings"
 
 	"qfusor/internal/bench"
+	"qfusor/internal/core"
 	"qfusor/internal/faultinject"
 	"qfusor/internal/obs"
 	"qfusor/internal/obshttp"
@@ -79,7 +80,7 @@ func main() {
 	obsOut := flag.String("obs", "", "write results + metrics snapshot as JSON to this file (e.g. BENCH_obs.json)")
 	parallelism := flag.Int("parallelism", 0, "executor workers for experiments that don't pin their own: 0 = auto (one per core), 1 = serial")
 	morsel := flag.Int("morsel", 0, "morsel row count for experiments that don't pin their own (0 = engine default, 2048)")
-	tier := flag.String("tier", "", "fused-section execution tier for experiments that don't pin their own: vm | closure | inline | auto/empty (cost model decides)")
+	tier := flag.String("tier", "", "fused-section execution tier for experiments that don't pin their own: vm | closure | inline | auto/empty (inline where the cost model says so, else vm)")
 	timeout := flag.Duration("timeout", 0, "per-query deadline (0 = none); an expired query fails its experiment instead of wedging the run")
 	httpAddr := flag.String("http", "", "serve diagnostics while the run is live (/metrics, /debug/queries, /debug/trace/<id>); empty = off")
 	plancache := flag.Bool("plancache", true, "enable the plan-decision cache on launched instances (the plancache experiment manages its own arms)")
@@ -151,13 +152,12 @@ func main() {
 	r.QueryTimeout = *timeout
 	r.PlanCacheOff = !*plancache
 	r.MorselSize = *morsel
-	switch *tier {
-	case "", "auto", "vm", "closure", "inline":
-		r.Tier = *tier
-	default:
-		fmt.Fprintf(os.Stderr, "invalid -tier %q (want vm, closure, inline or auto)\n", *tier)
+	t, err := core.ParseTier(*tier)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "-tier:", err)
 		os.Exit(2)
 	}
+	r.Tier = t
 
 	if *list {
 		var names []string

@@ -57,7 +57,7 @@ type Runner struct {
 	MorselSize int
 	// Tier pins the fused-section execution tier on launched instances
 	// that don't pin their own ("vm" | "closure" | ""/auto).
-	Tier string
+	Tier core.Tier
 }
 
 // launch builds an instance, applying the runner's default parallelism

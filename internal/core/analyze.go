@@ -57,9 +57,9 @@ type Analysis struct {
 type UDFUsage struct {
 	Name  string
 	Fused bool
-	// Tier is the execution tier a fused wrapper was planned onto
-	// ("vm" or "closure"; empty for source UDFs).
-	Tier    string
+	// Tier is the execution tier a fused wrapper runs on (empty for
+	// source UDFs).
+	Tier    Tier
 	Calls   int64
 	RowsIn  int64
 	RowsOut int64
@@ -105,7 +105,7 @@ func (qf *QFusor) QueryAnalyzeCtx(ctx context.Context, eng *sqlengine.Engine, sq
 		win := p.Snapshot().Diff(prof0)
 		a.HotLines = &win
 	}
-	tierOf := map[string]string{}
+	tierOf := map[string]Tier{}
 	for i, w := range r.rep.Wrappers {
 		if i < len(r.rep.Tiers) {
 			tierOf[w] = r.rep.Tiers[i]
@@ -155,7 +155,7 @@ func (a *Analysis) Render() string {
 			if u.Fused {
 				tag = " [fused]"
 				if u.Tier != "" {
-					tag = " [fused tier=" + u.Tier + "]"
+					tag = " [fused tier=" + string(u.Tier) + "]"
 				}
 			}
 			fmt.Fprintf(&b, "  %-22s calls=%d rows_in=%d rows_out=%d wall=%s wrapper=%s body=%s%s\n",

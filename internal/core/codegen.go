@@ -26,9 +26,8 @@ type fusedResult struct {
 	// was reused from the compile cache rather than freshly generated.
 	Wrapper string
 	Cached  bool
-	// Tier is the execution tier the wrapper was planned onto:
-	// "vm" (vectorized bytecode VM) or "closure" (compiled trace loop).
-	Tier string
+	// Tier is the execution tier the wrapper runs on.
+	Tier Tier
 }
 
 // generateSection lowers a discovered section into fused wrapper(s)
@@ -202,8 +201,6 @@ func (qf *QFusor) emitWrapper(seg *Segment, g *DFG, inSec map[int]bool, lo, hi i
 	if err != nil {
 		return nil, err
 	}
-	tier := qf.applyTier(u, top.EstRows, len(inputs))
-
 	// Plan node.
 	node := &sqlengine.Plan{
 		Schema:  top.Schema,
@@ -238,36 +235,7 @@ func (qf *QFusor) emitWrapper(seg *Segment, g *DFG, inSec map[int]bool, lo, hi i
 		node.Op = sqlengine.OpFused
 	}
 	return &fusedResult{Nodes: []*sqlengine.Plan{node}, Sources: []string{u.Trace().Render(u.Name)},
-		SpanLo: lo, SpanHi: hi, Wrapper: u.Name, Cached: cached, Tier: tier}, nil
-}
-
-// applyTier selects the execution tier for a fused wrapper and
-// publishes the decision on the UDF (epoch-fenced for free: a UDF
-// redefinition produces fresh FuncValues, whose bytecode caches start
-// empty, and flushes the wrapper compile cache via syncUDFEpoch).
-// Options.Tier "closure" pins the closure tier; "vm" forces the VM
-// whenever the trace lowers; ""/"auto" asks the cost model whether the
-// per-row boundary saving is positive (it is for any real section, so
-// auto takes the VM wherever eligible — ineligible shapes keep the
-// closure tier silently). Returns the tier chosen: "vm" or "closure".
-func (qf *QFusor) applyTier(u *ffi.UDF, rows float64, extIn int) string {
-	if qf.Opts.Tier == "closure" {
-		u.SetVMTierOff(true)
-		return "closure"
-	}
-	u.SetVMTierOff(false)
-	if vp := u.VMProg(); vp != nil {
-		return "vm" // cached wrapper, already lowered
-	}
-	vp := ffi.CompileTraceVM(u.Trace())
-	if vp == nil {
-		return "closure"
-	}
-	if qf.Opts.Tier != "vm" && qf.CM.VMAdvantage(rows, extIn) <= 0 {
-		return "closure"
-	}
-	u.SetVMProg(vp)
-	return "vm"
+		SpanLo: lo, SpanHi: hi, Wrapper: u.Name, Cached: cached, Tier: wrapperTier(u)}, nil
 }
 
 // rebindKeys maps the aggregate's group keys onto the fused node's

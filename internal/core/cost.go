@@ -31,14 +31,6 @@ type CostModel struct {
 	// one morsel never partition, so their cost is unchanged.
 	MorselRows float64
 
-	// WVMIn / WVMOut: per-tuple boundary cost when a fused section runs
-	// on the vectorized VM tier — column values load unboxed into
-	// registers (no clone, no per-call frame) and outputs append without
-	// marshalling, so both sit well below WIn/WOut. The gap is the VM
-	// tier's modeled advantage.
-	WVMIn  float64
-	WVMOut float64
-
 	// Drift is the per-section calibration store fed by measured fused
 	// execution costs (see drift.go); each realized section's recorded
 	// prediction is scaled by the learned factor so repeated queries
@@ -106,24 +98,8 @@ func DefaultCostModel() *CostModel {
 		CrossCost:  200,
 		ScaleEff:   0.7,
 		MorselRows: 2048,
-		WVMIn:      12,
-		WVMOut:     18,
 		Drift:      NewDriftCal(),
 	}
-}
-
-// VMAdvantage models the per-section saving (in nanoseconds) of
-// running a fused section on the VM tier instead of the closure tier:
-// every row's input conversions drop from WIn to WVMIn per external
-// input and its output conversion from WOut to WVMOut. Positive means
-// the VM tier wins (§5.2 extended with the tier term). Bailing rows
-// erode the saving at run time; selection stays optimistic and the
-// tier metrics expose the reality.
-func (cm *CostModel) VMAdvantage(rows float64, extIn int) float64 {
-	if rows < 1 {
-		rows = 1
-	}
-	return rows * ((cm.WIn-cm.WVMIn)*float64(max(1, extIn)) + (cm.WOut - cm.WVMOut))
 }
 
 // InlineAdvantage models the per-site saving (in nanoseconds) of

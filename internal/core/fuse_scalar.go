@@ -174,7 +174,7 @@ func (qf *QFusor) emitScalarWrapper(e sqlengine.SQLExpr, childSchema data.Schema
 	rep.Sections++
 	rep.Sources = append(rep.Sources, u.Trace().Render(u.Name))
 	rep.Wrappers = append(rep.Wrappers, u.Name)
-	rep.Tiers = append(rep.Tiers, qf.applyTier(u, 1, len(cols)))
+	rep.Tiers = append(rep.Tiers, wrapperTier(u))
 
 	args := make([]sqlengine.SQLExpr, len(cols))
 	for i, cr := range cols {

@@ -835,12 +835,12 @@ func (tr *inlTranslator) call(env inlEnv, x *pylite.Call) (inlVal, error) {
 // the cost model; ""/"auto" applies the §5.2 InlineAdvantage term per
 // site.
 func (qf *QFusor) inlinePass(eng *sqlengine.Engine, q *sqlengine.Query, rep *Report) bool {
-	if qf.Opts.Tier == "vm" || qf.Opts.Tier == "closure" {
+	if qf.Opts.Tier == TierVM || qf.Opts.Tier == TierClosure {
 		return false
 	}
 	cat := eng.Catalog
 	qf.ic.sync(cat)
-	force := qf.Opts.Tier == "inline"
+	force := qf.Opts.Tier == TierInline
 	st := &inlineState{decisions: map[string]*InlineDecision{}}
 
 	plans := make([]*sqlengine.Plan, 0, len(q.CTEs)+1)
@@ -860,7 +860,7 @@ func (qf *QFusor) inlinePass(eng *sqlengine.Engine, q *sqlengine.Query, rep *Rep
 			// Report.Tiers flows (\analyze, flight records, plan cache).
 			// breakerKeys skips them — inlined sites have nothing to trip.
 			rep.Wrappers = append(rep.Wrappers, "inline:"+name)
-			rep.Tiers = append(rep.Tiers, "inlined")
+			rep.Tiers = append(rep.Tiers, TierInlined)
 		}
 	}
 	if st.sites == 0 {

@@ -9,6 +9,7 @@ import (
 	"fmt"
 	"testing"
 
+	"qfusor/internal/core"
 	"qfusor/internal/engines"
 )
 
@@ -47,7 +48,7 @@ func tierBenchDB(b *testing.B) *engines.Instance {
 	return in
 }
 
-func benchTier(b *testing.B, tier string) {
+func benchTier(b *testing.B, tier core.Tier) {
 	in := tierBenchDB(b)
 	in.QF.Opts.Tier = tier
 	const sql = "SELECT n, sboost(sboost(n)) AS v FROM stbl ORDER BY n"

@@ -88,7 +88,7 @@ type PlanEntry struct {
 	// wrapper was planned onto ("vm", "closure", or "inlined" for the
 	// pseudo-wrapper entries of inlined UDFs) — so a cache hit's
 	// \analyze output and ledger attribution match a fresh plan's.
-	Tiers []string `json:"tiers,omitempty"`
+	Tiers []Tier `json:"tiers,omitempty"`
 	// Inlined replays the relational-inlining decisions of the miss that
 	// created the entry (tier=inlined call sites are baked into Query).
 	Inlined []InlineDecision `json:"inlined,omitempty"`
@@ -368,9 +368,9 @@ func optionsFingerprint(o Options) string {
 	// Tier pinning changes which execution tier a cached plan's wrappers
 	// carry, so forced tiers get their own cache partitions ("auto"/""
 	// stays unmarked — the default decision).
-	flag(o.Tier == "vm", 'V')
-	flag(o.Tier == "closure", 'v')
-	flag(o.Tier == "inline", 'I')
+	flag(o.Tier == TierVM, 'V')
+	flag(o.Tier == TierClosure, 'v')
+	flag(o.Tier == TierInline, 'I')
 	return b.String()
 }
 

@@ -51,21 +51,15 @@ type Options struct {
 	// rewrite, going straight to execution (epoch- and breaker-
 	// invalidated; see plancache.go).
 	PlanCache bool
-	// Tier pins the execution tier of fused sections: "vm" forces the
-	// vectorized bytecode VM whenever a section is eligible, "closure"
-	// forces the closure-compiled trace loop, "inline" forces relational
-	// inlining of every inlinable UDF call site (opaque UDFs still fall
-	// through to the fusion ladder), and ""/"auto" lets the cost model's
-	// InlineAdvantage and VMAdvantage terms decide (§5.2 extended).
-	// Ineligible sections always run the closure tier regardless; a
-	// "vm"/"closure" pin disables the inlining pass.
-	Tier string
+	// Tier pins the execution tier (see Tier for each value). Sections
+	// whose trace does not lower onto the VM always run the closure tier.
+	Tier Tier
 }
 
 // DefaultOptions enables the full QFusor pipeline.
 func DefaultOptions() Options {
 	return Options{Fusion: true, Offload: true, Reorder: true, AggFusion: true,
-		Cache: true, PlanCache: true, Tier: "auto"}
+		Cache: true, PlanCache: true, Tier: TierAuto}
 }
 
 // Report carries the per-query optimizer measurements (Fig. 4 bottom).
@@ -84,9 +78,8 @@ type Report struct {
 	// cached) — the units the circuit breaker tracks.
 	Wrappers []string
 	// Tiers is aligned with Wrappers: the execution tier each wrapper
-	// was planned onto ("vm" for the vectorized bytecode VM, "closure"
-	// for the compiled trace loop).
-	Tiers []string
+	// runs on (TierVM or TierClosure; TierInlined for an inlined site).
+	Tiers []Tier
 	// CacheHits counts wrappers reused from the compile cache (the
 	// wrapper-level cache; the plan-level outcome is PlanCache).
 	CacheHits int
@@ -296,7 +289,8 @@ func (qf *QFusor) catalog() *sqlengine.Catalog {
 // is complete (trace, kind and input kinds set) before it is published:
 // other queries read it from the cache and the catalog at once.
 func (qf *QFusor) registerWrapper(tr *ffi.Trace, kind ffi.UDFKind, inKinds []data.Kind, outNames []string, outKinds []data.Kind) (*ffi.UDF, bool, error) {
-	key := wrapperKey(tr, kind, inKinds, outKinds)
+	closure := qf.Opts.Tier == TierClosure
+	key := wrapperKey(tr, kind, inKinds, outKinds, closure)
 	if qf.Breaker != nil && !qf.Breaker.Allow("wrapper:"+key) {
 		// This wrapper (by what it computes, so across queries) has been
 		// failing at execution time: stop emitting it so the plan stays
@@ -311,7 +305,8 @@ func (qf *QFusor) registerWrapper(tr *ffi.Trace, kind ffi.UDFKind, inKinds []dat
 	}
 	u := &ffi.UDF{Name: qf.nextName(), Kind: kind, InKinds: inKinds,
 		OutNames: outNames, OutKinds: outKinds, RT: qf.Reg.RT, Fused: true}
-	u.SetTrace(tr)
+	// The tier is fixed here, once: the published trace never changes.
+	u.SetTrace(ffi.Lower(tr, !closure))
 	mCacheMiss.Inc()
 	qf.wc.setKey(u.Name, key)
 	qf.Reg.RegisterFused(u)
@@ -328,10 +323,15 @@ func (qf *QFusor) registerWrapper(tr *ffi.Trace, kind ffi.UDFKind, inKinds []dat
 
 // wrapperKey is a wrapper's identity for the compile cache and the
 // circuit breaker: the hash of its rendered trace (under one fixed
-// name), its kind and its input and output kinds.
-func wrapperKey(tr *ffi.Trace, kind ffi.UDFKind, inKinds, outKinds []data.Kind) string {
+// name), its kind, its input and output kinds, and the closure pin —
+// a closure-pinned session lowers its own wrappers, so it never changes
+// the tier of another session's.
+func wrapperKey(tr *ffi.Trace, kind ffi.UDFKind, inKinds, outKinds []data.Kind, closure bool) string {
 	h := sha256.New()
 	fmt.Fprintf(h, "%s\n%v %v %v", tr.Render("__qf_wrapper"), kind, inKinds, outKinds)
+	if closure {
+		fmt.Fprint(h, "\nclosure")
+	}
 	return hex.EncodeToString(h.Sum(nil)[:16])
 }
 
@@ -706,11 +706,7 @@ func (qf *QFusor) realizeSections(seg *Segment, g *DFG, secs []*Section, rep *Re
 		rep.Sections++
 		rep.Sources = append(rep.Sources, res.Sources...)
 		rep.Wrappers = append(rep.Wrappers, res.Wrapper)
-		tier := res.Tier
-		if tier == "" {
-			tier = "closure"
-		}
-		rep.Tiers = append(rep.Tiers, tier)
+		rep.Tiers = append(rep.Tiers, res.Tier)
 		if key := sectionKeyOf(g, s.Nodes); key != "" {
 			// The calibrated prediction: the raw F(S) estimate scaled by
 			// the section's learned factor. Repeated queries converge

@@ -86,7 +86,6 @@ func (tg *traceGen) call(u *ffi.UDF, args []sqlengine.SQLExpr) (int, error) {
 	if u.GoFn == nil {
 		if fv, ok := u.Fn.P.(*pylite.FuncValue); ok {
 			op.Compiled = fv.Compiled()
-			op.Prog = fv.Bytecode()
 		}
 	}
 	tg.t.Ops = append(tg.t.Ops, op)

@@ -4,12 +4,14 @@ import (
 	"strings"
 	"testing"
 
+	"qfusor/internal/core"
 	"qfusor/internal/engines"
+	"qfusor/internal/workload"
 )
 
 // launchVMTier builds a fresh Monet instance pinned to the given tier
 // with a tiny table and a chainable scalar UDF.
-func launchVMTier(t *testing.T, tier string) *engines.Instance {
+func launchVMTier(t *testing.T, tier core.Tier) *engines.Instance {
 	t.Helper()
 	in := engines.Launch(engines.Config{Profile: engines.Monet, JIT: true, Tier: tier})
 	if err := in.Define("@scalarudf\ndef mark(s: str) -> str:\n    return s.strip() + \"!\"\n"); err != nil {
@@ -31,13 +33,12 @@ func launchVMTier(t *testing.T, tier string) *engines.Instance {
 func TestVMTierSelection(t *testing.T) {
 	const sql = "SELECT id, mark(mark(title)) AS m FROM vt ORDER BY id"
 	for _, tc := range []struct {
-		tier string
-		want string
-		span string // op-span tier attr: the closure tier renders as jit-trace
+		tier core.Tier
+		want core.Tier
 	}{
-		{"vm", "vm", "vm"},
-		{"auto", "vm", "vm"},
-		{"closure", "closure", "jit-trace"},
+		{core.TierVM, core.TierVM},
+		{core.TierAuto, core.TierVM},
+		{core.TierClosure, core.TierClosure},
 	} {
 		in := launchVMTier(t, tc.tier)
 		a, err := in.QueryAnalyze(sql)
@@ -47,8 +48,8 @@ func TestVMTierSelection(t *testing.T) {
 		if len(a.Report.Tiers) != 1 || a.Report.Tiers[0] != tc.want {
 			t.Errorf("tier=%s: Report.Tiers = %v, want [%s]", tc.tier, a.Report.Tiers, tc.want)
 		}
-		if got := a.Root.Render(); !strings.Contains(got, "tier="+tc.span) {
-			t.Errorf("tier=%s: span tree missing tier=%s:\n%s", tc.tier, tc.span, got)
+		if got := a.Root.Render(); !strings.Contains(got, "tier="+string(tc.want)) {
+			t.Errorf("tier=%s: span tree missing tier=%s:\n%s", tc.tier, tc.want, got)
 		}
 		if got := a.Result.Cols[1].Get(0).String(); got != "a!!" {
 			t.Errorf("tier=%s: result = %q, want %q", tc.tier, got, "a!!")
@@ -88,5 +89,47 @@ func TestVMTierRedefinition(t *testing.T) {
 	// Still on the VM tier after the re-plan.
 	if rep := in.QF.LastReport(); len(rep.Tiers) != 1 || rep.Tiers[0] != "vm" {
 		t.Fatalf("post-redefinition Tiers = %v, want [vm]", rep.Tiers)
+	}
+}
+
+// TestTierPinKeepsSharedWrappersTier: a closure-pinned session view of
+// an instance lowers wrappers of its own, so it never changes the tier
+// of the wrappers another session runs — not even those the other
+// session replays from the plan cache — and Report.Tiers names the tier
+// that ran.
+func TestTierPinKeepsSharedWrappersTier(t *testing.T) {
+	in := engines.Launch(engines.Config{Profile: engines.Monet, JIT: true})
+	defer in.Close()
+	if err := workload.InstallUDFBench(in); err != nil {
+		t.Fatal(err)
+	}
+	ub := workload.GenUDFBench(workload.Tiny)
+	in.Put(ub.Pubs)
+	in.Put(ub.Artifacts)
+	closure := in.SessionView(core.TierClosure, 0, 0)
+
+	for i, step := range []struct {
+		in   *engines.Instance
+		tier core.Tier
+	}{{in, core.TierVM}, {closure, core.TierClosure}, {in, core.TierVM}} {
+		a, err := step.in.QueryAnalyze(workload.Q1)
+		if err != nil {
+			t.Fatalf("run %d: %v", i, err)
+		}
+		if len(a.Report.Tiers) == 0 {
+			t.Fatalf("run %d: no fused wrapper", i)
+		}
+		for _, got := range a.Report.Tiers {
+			if got != step.tier {
+				t.Errorf("run %d: Report.Tiers = %v, want all %s", i, a.Report.Tiers, step.tier)
+			}
+		}
+		vmRows := a.Metrics.Counters["qfusor.vm.rows"]
+		if (vmRows > 0) != (step.tier == core.TierVM) {
+			t.Errorf("run %d (%s): qfusor.vm.rows moved by %d", i, step.tier, vmRows)
+		}
+		if i == 2 && a.Report.PlanCache != "hit" {
+			t.Errorf("run %d: plan cache %q, want a hit", i, a.Report.PlanCache)
+		}
 	}
 }

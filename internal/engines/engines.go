@@ -69,10 +69,9 @@ type Config struct {
 	// MorselSize overrides the executor's morsel row count (0 keeps the
 	// engine default; ModeChunked profiles follow their ChunkSize).
 	MorselSize int
-	// Tier pins the fused-section execution tier: "vm", "closure",
-	// "inline" (force relational inlining of inlinable UDF call sites),
-	// or ""/"auto" for the cost-model decision (core.Options.Tier).
-	Tier string
+	// Tier pins the execution tier (core.Options.Tier); "" keeps the
+	// default, core.TierAuto.
+	Tier core.Tier
 }
 
 // Instance is a launched engine: the SQL engine, its UDF registry and a
@@ -166,7 +165,7 @@ func Launch(cfg Config) *Instance {
 // use concurrently with the base instance and with each other: the
 // plan cache partitions entries by options fingerprint and worker
 // count, and generated wrapper names come from the shared sequence.
-func (in *Instance) SessionView(tier string, parallelism, morsel int) *Instance {
+func (in *Instance) SessionView(tier core.Tier, parallelism, morsel int) *Instance {
 	if tier == "" && parallelism <= 0 && morsel <= 0 {
 		return in
 	}

@@ -196,14 +196,6 @@ type UDF struct {
 	// trace is a fused wrapper's body (native loop), set before the
 	// optimizer publishes the wrapper (use Trace/SetTrace).
 	trace atomic.Pointer[Trace]
-	// vmprog is the trace lowered onto the vectorized bytecode VM; when
-	// set, the fused vector path executes it instead of the closure-tier
-	// trace loop (use VMProg/SetVMProg). Published under the same
-	// concurrency rules as trace.
-	vmprog atomic.Pointer[VMProgram]
-	// vmTierOff, when set, pins the wrapper to the closure tier even if
-	// a VM program was compiled (Options.Tier == "closure").
-	vmTierOff atomic.Bool
 	// EstCost optionally carries developer-supplied cost metadata
 	// (CREATE FUNCTION ... COST n), in nanoseconds per row.
 	EstCost float64
@@ -216,13 +208,13 @@ type UDF struct {
 }
 
 // QueryClone returns the instance of the UDF one query executes on: it
-// shares the function object, the compiled trace, the VM program and
-// all metadata, but runs on its own interpreter view — constructed with
-// the query's interrupt — carries the query's ledger, and accumulates
-// its own Stats. Queries never execute on the catalog's UDF: whatever a
-// query can mutate (step budget, VM argument scratch, counters) lives
-// on its clones. The caller folds the clone back with AbsorbWorker when
-// the query ends; its Stats are then the query's exact usage of u.
+// shares the function object, the lowered trace and all metadata, but
+// runs on its own interpreter view — constructed with the query's
+// interrupt — carries the query's ledger, and accumulates its own Stats.
+// Queries never execute on the catalog's UDF: whatever a query can
+// mutate (step budget, VM argument scratch, counters) lives on its
+// clones. The caller folds the clone back with AbsorbWorker when the
+// query ends; its Stats are then the query's exact usage of u.
 func (u *UDF) QueryClone(in *pylite.Interrupt, led *obs.ResourceLedger) *UDF {
 	var rt *pylite.Interp
 	if u.RT != nil {
@@ -253,8 +245,6 @@ func (u *UDF) cloneOn(rt *pylite.Interp, led *obs.ResourceLedger) *UDF {
 		Fused: u.Fused, EstCost: u.EstCost, led: led,
 	}
 	c.trace.Store(u.trace.Load())
-	c.vmprog.Store(u.vmprog.Load())
-	c.vmTierOff.Store(u.vmTierOff.Load())
 	return c
 }
 
@@ -263,23 +253,6 @@ func (u *UDF) Trace() *Trace { return u.trace.Load() }
 
 // SetTrace publishes a fused wrapper's trace.
 func (u *UDF) SetTrace(t *Trace) { u.trace.Store(t) }
-
-// VMProg returns the wrapper's VM-tier program, or nil when the
-// wrapper runs on the closure tier (ineligible, not selected, or
-// pinned off).
-func (u *UDF) VMProg() *VMProgram {
-	if u.vmTierOff.Load() {
-		return nil
-	}
-	return u.vmprog.Load()
-}
-
-// SetVMProg publishes (or with nil, withdraws) the VM-tier program.
-func (u *UDF) SetVMProg(vp *VMProgram) { u.vmprog.Store(vp) }
-
-// SetVMTierOff pins the wrapper to the closure tier regardless of any
-// compiled VM program (the -tier=closure override).
-func (u *UDF) SetVMTierOff(off bool) { u.vmTierOff.Store(off) }
 
 // AbsorbWorker folds a clone's learned statistics (UDF stats and
 // interpreter counters) back into u.
@@ -336,15 +309,6 @@ func CrossIn(c *data.Column, i int) data.Value {
 		v.S = strings.Clone(v.S)
 	}
 	return v
-}
-
-// CrossOut writes one UDF-environment value back into an engine column,
-// marshalling string bytes.
-func CrossOut(col *data.Column, v data.Value) {
-	if v.Kind == data.KindString {
-		v.S = strings.Clone(v.S)
-	}
-	col.AppendValue(v)
 }
 
 // BoxColumn converts an engine column into boxed UDF values; for complex

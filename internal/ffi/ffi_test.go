@@ -239,9 +239,9 @@ func TestFusedWrapperVectorConvention(t *testing.T) {
 	rt := testRuntime(t)
 	dbl := udfOf(t, rt, "double", Scalar, []data.Kind{data.KindInt}, []data.Kind{data.KindInt})
 	u := &UDF{Name: "wrapper", Kind: Table, RT: rt, Fused: true}
-	u.SetTrace(&Trace{NumRegs: 2, NumIn: 1,
+	u.SetTrace(Lower(&Trace{NumRegs: 2, NumIn: 1,
 		Ops:     []TraceOp{{Kind: TCall, Dst: 1, Args: []int{0}, UDF: dbl}},
-		OutRegs: []int{1}})
+		OutRegs: []int{1}}, false))
 	cols, err := CallFusedVector(u, []*data.Column{intCol(3, 4)}, 2, []string{"d"}, []data.Kind{data.KindInt})
 	if err != nil {
 		t.Fatal(err)
@@ -275,6 +275,7 @@ func TestTraceVectorExecution(t *testing.T) {
 		},
 		OutRegs: []int{2},
 	}
+	tr = Lower(tr, false)
 	u.SetTrace(tr)
 	cols, err := RunTraceVector(u, tr, []*data.Column{intCol(1, 3, 5)}, 3,
 		[]string{"o"}, []data.Kind{data.KindInt})
@@ -304,7 +305,7 @@ func TestTraceAggGroupsAfterFilter(t *testing.T) {
 	}
 	vals := intCol(5, 20, 30, 7)
 	keys := strCol("a", "a", "b", "b")
-	cols, err := RunTraceAgg(u, tr, []*data.Column{vals, keys}, 4,
+	cols, err := RunTraceAgg(u, Lower(tr, false), []*data.Column{vals, keys}, 4,
 		[]string{"k", "n", "s"},
 		[]data.Kind{data.KindString, data.KindInt, data.KindInt})
 	if err != nil {
@@ -347,7 +348,7 @@ func TestTraceErrorPropagation(t *testing.T) {
 	tr := &Trace{NumRegs: 2, NumIn: 1,
 		Ops:     []TraceOp{{Kind: TCall, Dst: 1, Args: []int{0}, UDF: u}},
 		OutRegs: []int{1}}
-	_, err := RunTraceVector(host, tr, []*data.Column{intCol(1, 5, 9)}, 3,
+	_, err := RunTraceVector(host, Lower(tr, false), []*data.Column{intCol(1, 5, 9)}, 3,
 		[]string{"o"}, []data.Kind{data.KindInt})
 	if err == nil || !contains(err.Error(), "explode5") || !contains(err.Error(), "five") {
 		t.Fatalf("err = %v", err)
@@ -378,6 +379,7 @@ func TestTraceAggPartialsEqualSingleShot(t *testing.T) {
 			{Kind: "max", ArgReg: 0},
 			{Kind: "avg", ArgReg: 0},
 		}}
+	tr = Lower(tr, false)
 	if !tr.PartialMergeable() {
 		t.Fatal("count/sum/min/max/avg should merge as partial states")
 	}

@@ -38,17 +38,7 @@ func CallFusedVector(u *UDF, args []*data.Column, n int, outNames []string, outK
 	if tr == nil {
 		return nil, fmt.Errorf("ffi: fused wrapper %s has no trace", u.Name)
 	}
-	// Tier dispatch: the vectorized VM program when one is published,
-	// the closure-tier trace loop otherwise. Aggregating traces never
-	// land here (they route through RunTraceAgg, which has its own VM
-	// dispatch) — the guard keeps a misrouted one off the row-emitting
-	// VM loop.
-	var cols []*data.Column
-	if vp := u.VMProg(); vp != nil && len(tr.Aggs) == 0 {
-		cols, _, err = RunTraceVectorVM(u, vp, tr, args, n, outNames, outKinds)
-	} else {
-		cols, err = RunTraceVector(u, tr, args, n, outNames, outKinds)
-	}
+	cols, err := RunTraceVector(u, tr, args, n, outNames, outKinds)
 	if err != nil {
 		return nil, err
 	}

@@ -12,14 +12,16 @@ import (
 // Trace is a fused wrapper: the one form the fusion code generator
 // lowers a section (or a scalar-UDF chain) to, registered as is. The
 // loop itself is native (a Go-level trace of register ops), each UDF
-// call dispatches straight to its compiled body, relational operators
+// call dispatches straight to the target Lower fixed for it (its VM
+// program or its compiled body), relational operators
 // run with the engine's own SQL semantics, and outputs append directly
 // into engine columns. This models what the paper's tracing JIT
 // produces once the generated wrapper's hot loop has been traced (§5.3)
 // — no per-iteration interpretation remains. Render prints it as the
 // Python-like wrapper the paper shows.
 type Trace struct {
-	// NumRegs is the register file size; inputs land in regs [0..k).
+	// NumRegs is the number of value registers; inputs land in regs
+	// [0..k). Lower lays the call windows out above them.
 	NumRegs int
 	// NumIn is the number of input columns; without a Source each row's
 	// values load into registers [0, NumIn).
@@ -48,6 +50,17 @@ type Trace struct {
 	// Aggs, when non-empty, makes the trace aggregating: OutRegs is
 	// ignored and key columns + one column per agg spec are produced.
 	Aggs []TraceAgg
+	// VM marks a trace Lower put on the bytecode VM tier: every TCall
+	// runs its register program or its native GoFn, and the trace's rows
+	// count toward the VM tier's metrics.
+	VM bool
+	// Linked, when set, is the whole-row program of a VM trace made of
+	// nothing but program calls (see link): the row loop runs it in place
+	// of the op list.
+	Linked *pylite.Program
+	// frame is the register-file size: NumRegs plus every call's window
+	// (set by Lower; only a lowered trace runs).
+	frame int
 }
 
 // TraceOpKind enumerates trace operations.
@@ -74,10 +87,13 @@ type TraceOp struct {
 	// Compiled, when set, is the UDF's compiled body invoked directly
 	// (the trace's inlined call — no dynamic dispatch).
 	Compiled *pylite.CompiledFunc
-	// Prog, when set, is the UDF's register-bytecode program: the
-	// vectorized VM driver (vm.go) executes it in a register window per
-	// row, falling back to Compiled/Invoke on bail.
+	// Prog, when set (by Lower), is the UDF's register-bytecode program,
+	// run in the call's window, falling back to Compiled/the UDF on bail.
 	Prog *pylite.Program
+	// Base is where the call's register window starts (TCall, TExpand;
+	// set by Lower): its arguments are staged there, and its program runs
+	// there.
+	Base int
 	// Eval computes a relational expression over the register file
 	// (built by the fusion code generator with SQL NULL semantics).
 	Eval func(regs []data.Value) (data.Value, error)
@@ -102,16 +118,13 @@ type TraceAgg struct {
 	UDF *UDF
 }
 
-// RunTraceVector executes a non-aggregating trace over n input rows.
+// RunTraceVector executes a non-aggregating lowered trace over n input
+// rows, on whichever tier Lower fixed for each call.
 func RunTraceVector(u *UDF, t *Trace, args []*data.Column, n int, outNames []string, outKinds []data.Kind) ([]*data.Column, error) {
 	start := time.Now()
 	outs := make([]*data.Column, len(outKinds))
 	for i := range outs {
 		outs[i] = data.NewColumnCap(outNames[i], outKinds[i], n)
-	}
-	regs := make([]data.Value, t.NumRegs)
-	for i, r := range t.ConstRegs {
-		regs[r] = t.Consts[i]
 	}
 	var seen map[string]bool
 	if t.DistinctRegs != nil {
@@ -130,36 +143,57 @@ func RunTraceVector(u *UDF, t *Trace, args []*data.Column, n int, outNames []str
 			seen[key] = true
 		}
 		for i, r := range t.OutRegs {
-			CrossOut(outs[i], regs[r])
+			outs[i].AppendValue(regs[r])
 		}
 		outRows++
 		return nil
 	}
-	if err := t.drive(u, args, n, regs, CrossIn, func(regs []data.Value) error {
-		return runOps(u, t.Ops, regs, emit)
-	}); err != nil {
+	if err := t.drive(u, args, n, emit); err != nil {
 		return nil, err
 	}
-	mTraceRows.Add(int64(n))
 	u.record(n, outRows, time.Since(start), 0)
 	return outs, nil
 }
 
-// drive runs body once per row: once per input row with registers
-// [0, NumIn) loaded from args, or — when the trace has a Source — once
-// per row the source yields from a single call over all n input rows.
-func (t *Trace) drive(u *UDF, args []*data.Column, n int, regs []data.Value, load func(*data.Column, int) data.Value, body func([]data.Value) error) error {
+// drive runs the trace body once per row, on one register file for the
+// whole morsel: once per input row with registers [0, NumIn) loaded
+// from args, or — when the trace has a Source — once per row the source
+// yields from a single call over all n input rows. It then counts the
+// morsel's rows, and on the VM tier its bailed calls.
+func (t *Trace) drive(u *UDF, args []*data.Column, n int, emit func([]data.Value) error) error {
+	if t.frame < t.NumRegs {
+		return fmt.Errorf("ffi: trace of %s run before Lower", u.Name)
+	}
+	regs := make([]data.Value, t.frame)
+	for i, r := range t.ConstRegs {
+		regs[r] = t.Consts[i]
+	}
+	bails := 0
 	if t.Source == nil {
 		for i := 0; i < n; i++ {
 			for j, c := range args {
-				regs[j] = load(c, i)
+				regs[j] = vmColLoad(c, i)
 			}
-			if err := body(regs); err != nil {
+			if err := t.row(u, regs, &bails, emit); err != nil {
 				return err
 			}
 		}
-		return nil
+	} else if err := t.driveSource(u, args, n, regs, &bails, emit); err != nil {
+		return err
 	}
+	mTraceRows.Add(int64(n))
+	if t.VM {
+		mVMMorsels.Inc()
+		mVMRows.Add(int64(n))
+		mVMBailRows.Add(int64(bails))
+		u.led.VMObserve(n, bails)
+	}
+	return nil
+}
+
+// driveSource calls the trace's source table UDF once over all n input
+// rows and runs the trace body on every row it yields.
+func (t *Trace) driveSource(u *UDF, args []*data.Column, n int, regs []data.Value, bails *int, emit func([]data.Value) error) error {
 	in := inputRows(args, n)
 	defer in.Close()
 	gv, err := u.RT.Call(t.Source.Fn, append([]data.Value{data.Object(in)}, t.SourceArgs...))
@@ -168,7 +202,7 @@ func (t *Trace) drive(u *UDF, args []*data.Column, n int, regs []data.Value, loa
 	}
 	return eachRow(t.Source, gv, func(v data.Value) error {
 		bindRow(regs, t.SourceDsts, v)
-		return body(regs)
+		return t.row(u, regs, bails, emit)
 	})
 }
 
@@ -211,30 +245,18 @@ func bindRow(regs []data.Value, dsts []int, v data.Value) {
 	}
 }
 
-// runOps executes an op list for one (possibly expanded) row; emit is
-// called at the end of the chain.
-func runOps(u *UDF, ops []TraceOp, regs []data.Value, emit func([]data.Value) error) error {
+// runOps is the row loop: it executes an op list for one (possibly
+// expanded) row, each TCall on the target Lower fixed (see call); emit is
+// called at the end of the chain. bails accumulates the row's bailed VM
+// calls.
+func runOps(u *UDF, ops []TraceOp, regs []data.Value, bails *int, emit func([]data.Value) error) error {
 	for oi := range ops {
 		op := &ops[oi]
 		switch op.Kind {
 		case TCall:
-			callArgs := make([]data.Value, len(op.Args))
-			for i, a := range op.Args {
-				callArgs[i] = regs[a]
-			}
-			// Fused UDFs run on the host wrapper's runtime view — the
-			// clone's own, bound to its query — whether compiled, interpreted
-			// or (below) expanding; their catalog UDF's root runtime is
-			// never entered.
-			var v data.Value
-			var err error
-			if op.Compiled != nil {
-				v, err = op.Compiled.Call(u.RT, callArgs, nil)
-			} else {
-				v, err = op.UDF.invokeOn(u.RT, callArgs)
-			}
+			v, err := op.call(u, regs, bails)
 			if err != nil {
-				return wrapUDFErr(op.UDF, err)
+				return err
 			}
 			regs[op.Dst] = v
 		case TExpr:
@@ -252,18 +274,16 @@ func runOps(u *UDF, ops []TraceOp, regs []data.Value, emit func([]data.Value) er
 				return nil // row dropped
 			}
 		case TExpand:
-			callArgs := make([]data.Value, len(op.Args))
-			for i, a := range op.Args {
-				callArgs[i] = regs[a]
-			}
-			gv, err := u.RT.Call(op.UDF.Fn, callArgs)
+			// Like every fused call, the generator runs on the host
+			// wrapper's runtime view.
+			gv, err := u.RT.Call(op.UDF.Fn, op.stage(regs))
 			if err != nil {
 				return wrapUDFErr(op.UDF, err)
 			}
 			rest := ops[oi+1:]
 			return eachRow(op.UDF, gv, func(v data.Value) error {
 				bindRow(regs, op.Dsts, v)
-				return runOps(u, rest, regs, emit)
+				return runOps(u, rest, regs, bails, emit)
 			})
 		}
 	}
@@ -460,27 +480,17 @@ type TraceAggPartial struct {
 	states  [][]aggState
 }
 
-// RunTraceAggPartial executes an aggregating trace over one partition,
-// returning the live partial states instead of finalized columns. The
-// scalar prefix of each row runs on the VM tier when the wrapper clone u
-// carries a VM program; grouping and accumulation are tier-independent.
-// The crossing and its input rows are recorded on u's stats here; the
+// RunTraceAggPartial executes an aggregating lowered trace over one
+// partition, returning the live partial states instead of finalized
+// columns. Each row's scalar prefix runs through the same row loop as
+// RunTraceVector; grouping and accumulation are tier-independent. The
+// crossing and its input rows are recorded on u's stats here; the
 // finalize step adds the output groups.
 func RunTraceAggPartial(u *UDF, t *Trace, args []*data.Column, n int) (*TraceAggPartial, error) {
 	start := time.Now()
 	pt := &TraceAggPartial{}
 	groupIdx := map[string]int{}
-	vp := u.VMProg()
-	nRegs := t.NumRegs
-	if vp != nil {
-		nRegs = vp.NumRegs
-	}
-	regs := make([]data.Value, nRegs)
-	for i, r := range t.ConstRegs {
-		regs[r] = t.Consts[i]
-	}
 	var stepErr error
-	bails := 0
 	emit := func(regs []data.Value) error {
 		var kb []byte
 		for _, r := range t.KeyRegs {
@@ -518,24 +528,12 @@ func RunTraceAggPartial(u *UDF, t *Trace, args []*data.Column, n int) (*TraceAgg
 		}
 		return nil
 	}
-	load, body := CrossIn, func(regs []data.Value) error { return runOps(u, t.Ops, regs, emit) }
-	if vp != nil {
-		load = vmColLoad
-		body = func(regs []data.Value) error { return runOpsVM(u, vp, t.Ops, regs, &bails, emit) }
-	}
-	if err := t.drive(u, args, n, regs, load, body); err != nil {
+	if err := t.drive(u, args, n, emit); err != nil {
 		return nil, err
 	}
 	if stepErr != nil {
 		return nil, stepErr
 	}
-	if vp != nil {
-		mVMMorsels.Inc()
-		mVMRows.Add(int64(n))
-		mVMBailRows.Add(int64(bails))
-		u.led.VMObserve(n, bails)
-	}
-	mTraceRows.Add(int64(n))
 	u.record(n, 0, time.Since(start), 0)
 	return pt, nil
 }

@@ -4,20 +4,18 @@ import (
 	"errors"
 	"fmt"
 	"sync/atomic"
-	"time"
 
 	"qfusor/internal/data"
 	"qfusor/internal/obs"
 	"qfusor/internal/pylite"
 )
 
-// Vectorized VM tier: instead of dispatching each TCall through a
-// closure-compiled function (closure dispatch per node, a frame per
-// call, boxed CrossIn with string marshalling), the section's UDFs run
-// as register bytecode in windows of one flat register file that lives
-// for the whole morsel. Column values load unboxed straight into registers —
-// no per-row string clone, no per-call allocation — and a row only
-// pays boxing when it genuinely needs the closure tier (a bail).
+// Vectorized VM tier: instead of dispatching each TCall to its
+// closure-compiled body (closure dispatch per node, a frame per call),
+// the section's UDFs run as register bytecode in windows of the trace's
+// register file, which lives for the whole morsel. A row only pays the
+// compiled body when it genuinely needs it (a bail). Which tier a call
+// runs on is fixed by Lower; the one row loop (runOps) serves both.
 var (
 	mVMPrograms = obs.Default.Counter("qfusor.vm.programs")
 	mVMMorsels  = obs.Default.Counter("qfusor.vm.morsels")
@@ -41,28 +39,6 @@ func SetVMBailEvery(n int) {
 func forcedBail() bool {
 	n := vmBailEvery.Load()
 	return n > 0 && vmBailTick.Add(1)%n == 0
-}
-
-// VMProgram is a trace lowered onto the bytecode VM: one register
-// program per TCall (nil entries are native-Go UDFs invoked directly),
-// each executing in its own register window above the trace's own
-// registers.
-type VMProgram struct {
-	// Progs is aligned with Trace.Ops; nil for non-TCall ops and for
-	// TCalls served by a native GoFn.
-	Progs []*pylite.Program
-	// Base is each op's register-window base offset (TCalls with a
-	// program only).
-	Base []int
-	// NumRegs is the full register-file size: the trace's registers
-	// followed by every call window.
-	NumRegs int
-	// Linked, when non-nil, is the whole-row program: every TCall of
-	// the trace spliced into one instruction stream (LinkPrograms), so
-	// a row costs a single RunVM entry instead of one per call. Only
-	// all-TCall traces link; a bail anywhere re-runs the entire row on
-	// the closure tier.
-	Linked *pylite.Program
 }
 
 // bytecodeFor returns the UDF's cached register program, compiling on
@@ -92,24 +68,54 @@ func bytecodeFor(u *UDF) *pylite.Program {
 	return p
 }
 
-// CompileTraceVM lowers a compiled trace onto the VM tier. Aggregating
-// traces qualify: grouping and accumulation happen outside the op list
-// (in the agg runners' emit step), so the scalar prefix lowers exactly
-// like a non-aggregating trace. It returns nil when the trace is
-// ineligible: distinct-folding traces keep their closure form (the VM
-// row loop has no dedup step), as do expanding traces and traces with
-// a source table UDF (generator frames) and any TCall whose UDF body is
-// outside the bytecode subset. A nil result is permanent for this trace
-// (the caller caches the decision on the wrapper).
-func CompileTraceVM(t *Trace) *VMProgram {
-	if t == nil || len(t.DistinctRegs) > 0 || t.Source != nil {
+// Lower fixes each call's target and register window and returns the
+// trace a wrapper runs; t itself is left as it is. Every TCall and
+// TExpand gets its own window above t's registers to stage its
+// arguments in. With vm set and the trace eligible (vmPrograms), the
+// result has VM set: each TCall runs its register program in a window
+// sized for it (bailing to the compiled body) or its native GoFn, and an
+// all-program trace also gets its Linked whole-row program.
+func Lower(t *Trace, vm bool) *Trace {
+	lt := *t
+	lt.Ops = append([]TraceOp(nil), t.Ops...)
+	var progs []*pylite.Program
+	if vm {
+		progs = vmPrograms(t)
+	}
+	lt.VM, lt.Linked, lt.frame = progs != nil, nil, t.NumRegs
+	for oi := range lt.Ops {
+		op := &lt.Ops[oi]
+		op.Prog = nil
+		if op.Kind != TCall && op.Kind != TExpand {
+			continue
+		}
+		width := len(op.Args)
+		if progs != nil && progs[oi] != nil {
+			op.Prog = progs[oi]
+			width = op.Prog.NumRegs
+		}
+		op.Base = lt.frame
+		lt.frame += width
+	}
+	if lt.VM {
+		lt.Linked = link(&lt)
+	}
+	return &lt
+}
+
+// vmPrograms returns each op's register program (nil entries for native
+// GoFn calls and non-call ops), or nil when the trace does not lower
+// onto the VM tier. Aggregating traces qualify: grouping and
+// accumulation happen outside the op list, so their scalar prefix
+// lowers like any other. Distinct-folding, source-driven and expanding
+// traces keep their compiled bodies, as does any trace with a TCall
+// whose body is outside the bytecode subset or whose arity the program
+// does not accept, and a trace with no call at all.
+func vmPrograms(t *Trace) []*pylite.Program {
+	if len(t.DistinctRegs) > 0 || t.Source != nil {
 		return nil
 	}
-	vp := &VMProgram{
-		Progs:   make([]*pylite.Program, len(t.Ops)),
-		Base:    make([]int, len(t.Ops)),
-		NumRegs: t.NumRegs,
-	}
+	progs := make([]*pylite.Program, len(t.Ops))
 	calls := 0
 	for oi := range t.Ops {
 		op := &t.Ops[oi]
@@ -119,56 +125,43 @@ func CompileTraceVM(t *Trace) *VMProgram {
 			if op.UDF != nil && op.UDF.GoFn != nil {
 				continue // native UDF: direct call, no program needed
 			}
-			prog := op.Prog
-			if prog == nil {
-				prog = bytecodeFor(op.UDF)
-			}
-			if prog == nil {
-				return nil
-			}
+			prog := bytecodeFor(op.UDF)
 			// The trace calls with exactly len(op.Args) positionals; the
 			// program must accept that arity (defaults fill the rest).
-			if len(op.Args) < prog.Required || len(op.Args) > prog.NumParams {
+			if prog == nil || len(op.Args) < prog.Required || len(op.Args) > prog.NumParams {
 				return nil
 			}
-			vp.Progs[oi] = prog
-			vp.Base[oi] = vp.NumRegs
-			vp.NumRegs += prog.NumRegs
-		case TExpr, TFilter:
-			// Pure register ops: same closures run under either tier.
-		default:
-			return nil // TExpand needs generator frames
+			progs[oi] = prog
+		case TExpand:
+			return nil
 		}
 	}
 	if calls == 0 {
-		return nil // nothing to accelerate
+		return nil
 	}
-	// When the trace is nothing but VM-lowered calls, splice their
-	// programs into one whole-row instruction stream: per-call entry
-	// overhead (cancellation poll, clear pass, window staging) collapses
-	// to one occurrence per row. Traces with interleaved TExpr/TFilter
-	// closures or native GoFn calls keep per-call dispatch.
-	linkable := true
+	return progs
+}
+
+// link splices the calls of a lowered trace made of nothing but program
+// calls into one whole-row instruction stream: per-call entry overhead
+// (cancellation poll, clear pass, window staging) collapses to one
+// occurrence per row. Traces with TExpr/TFilter ops or GoFn calls keep
+// per-call dispatch (nil).
+func link(t *Trace) *pylite.Program {
+	parts := make([]pylite.LinkPart, len(t.Ops))
 	for oi := range t.Ops {
-		if t.Ops[oi].Kind != TCall || vp.Progs[oi] == nil {
-			linkable = false
-			break
+		op := &t.Ops[oi]
+		if op.Kind != TCall || op.Prog == nil {
+			return nil
 		}
+		parts[oi] = pylite.LinkPart{Prog: op.Prog, Base: op.Base, Args: op.Args, Dst: op.Dst}
 	}
-	if linkable {
-		parts := make([]pylite.LinkPart, len(t.Ops))
-		for oi := range t.Ops {
-			op := &t.Ops[oi]
-			parts[oi] = pylite.LinkPart{Prog: vp.Progs[oi], Base: vp.Base[oi], Args: op.Args, Dst: op.Dst}
-		}
-		vp.Linked = pylite.LinkPrograms(parts, vp.NumRegs)
-	}
-	return vp
+	return pylite.LinkPrograms(parts, t.frame)
 }
 
 // vmColLoad loads one column value into a register without the
 // boundary marshalling CrossIn models: scalar kinds construct the
-// value in place (no string clone — registers never mutate string
+// value in place (no string clone — neither tier mutates string
 // payloads), complex kinds fall back to the boxing path.
 func vmColLoad(c *data.Column, i int) data.Value {
 	if c.IsNull(i) {
@@ -187,208 +180,93 @@ func vmColLoad(c *data.Column, i int) data.Value {
 	return CrossIn(c, i)
 }
 
-// RunTraceVectorVM executes a non-aggregating trace over n rows on the
-// VM tier. Rows whose UDF programs bail (or fail) re-run per-row on
-// the closure tier — bit-identical results either way, since a bailing
-// program has made no observable change. Only an interrupt aborts the
-// morsel. Returns the output columns plus the number of bailed calls.
-func RunTraceVectorVM(u *UDF, vp *VMProgram, t *Trace, args []*data.Column, n int, outNames []string, outKinds []data.Kind) ([]*data.Column, int, error) {
-	start := time.Now()
-	outs := make([]*data.Column, len(outKinds))
-	for i := range outs {
-		outs[i] = data.NewColumnCap(outNames[i], outKinds[i], n)
+// row runs the trace body for one loaded row and emits it: through the
+// linked whole-row program when there is one, else through runOps. On a
+// bail of the linked program — or any error but an interrupt — the
+// whole row re-runs on the compiled bodies: every op is a TCall, bodies
+// write nothing below their own window until their return lands, and
+// completed calls are deterministic, so the re-run reproduces the same
+// destinations (or the same authoritative error). bails counts one per
+// re-routed row.
+func (t *Trace) row(u *UDF, regs []data.Value, bails *int, emit func([]data.Value) error) error {
+	if t.Linked == nil {
+		return runOps(u, t.Ops, regs, bails, emit)
 	}
-	regs := make([]data.Value, vp.NumRegs)
-	for i, r := range t.ConstRegs {
-		regs[r] = t.Consts[i]
-	}
-	outRows := 0
-	bails := 0
-	var intr *pylite.InterruptError
-rows:
-	for i := 0; i < n; i++ {
-		for j, c := range args {
-			regs[j] = vmColLoad(c, i)
-		}
-		if vp.Linked != nil {
-			if err := vmRunLinked(u, vp, t.Ops, regs, &bails); err != nil {
-				return nil, bails, err
-			}
-			for oi, r := range t.OutRegs {
-				outs[oi].AppendValue(regs[r])
-			}
-			outRows++
-			continue rows
-		}
-		for oi := range t.Ops {
-			op := &t.Ops[oi]
-			switch op.Kind {
-			case TCall:
-				v, err := vmCallOp(u, vp, op, oi, regs)
-				if err != nil {
-					if errors.As(err, &intr) {
-						return nil, bails, err
-					}
-					// Bail or runtime error: this row belongs to the closure
-					// tier. The re-run reproduces the same result or the same
-					// (authoritative) error.
-					bails++
-					v, err = closureCallOp(u, op, regs)
-					if err != nil {
-						return nil, bails, wrapUDFErr(op.UDF, err)
-					}
-				}
-				regs[op.Dst] = v
-			case TExpr:
-				v, err := op.Eval(regs)
-				if err != nil {
-					return nil, bails, err
-				}
-				regs[op.Dst] = v
-			case TFilter:
-				v, err := op.Eval(regs)
-				if err != nil {
-					return nil, bails, err
-				}
-				if !v.Truthy() {
-					continue rows
-				}
-			}
-		}
-		for oi, r := range t.OutRegs {
-			outs[oi].AppendValue(regs[r])
-		}
-		outRows++
-	}
-	mVMMorsels.Inc()
-	mVMRows.Add(int64(n))
-	mVMBailRows.Add(int64(bails))
-	u.led.VMObserve(n, bails)
-	u.record(n, outRows, time.Since(start), 0)
-	return outs, bails, nil
-}
-
-// runOpsVM executes one row's op list with TCalls dispatched through
-// the VM tier, bailing per-call to the closure tier; emit is called at
-// the end of the chain (the agg runners step group states there). ops
-// must be the trace's full op list — vmCallOp indexes vp.Progs by op
-// position. bails accumulates the row's bailed calls. A TExpand hands
-// the rest of the row to the closure-tier runOps outright; it cannot
-// occur in a VM-lowered trace (CompileTraceVM rejects it) but the
-// fallback keeps this loop total.
-func runOpsVM(u *UDF, vp *VMProgram, ops []TraceOp, regs []data.Value, bails *int, emit func([]data.Value) error) error {
-	if vp.Linked != nil {
-		if err := vmRunLinked(u, vp, ops, regs, bails); err != nil {
-			return err
-		}
-		return emit(regs)
-	}
-	var intr *pylite.InterruptError
-	for oi := range ops {
-		op := &ops[oi]
-		switch op.Kind {
-		case TCall:
-			v, err := vmCallOp(u, vp, op, oi, regs)
-			if err != nil {
-				if errors.As(err, &intr) {
-					return err
-				}
-				// Bail or runtime error: this call belongs to the closure
-				// tier. The re-run reproduces the same result or the same
-				// (authoritative) error.
-				*bails++
-				v, err = closureCallOp(u, op, regs)
-				if err != nil {
-					return wrapUDFErr(op.UDF, err)
-				}
-			}
-			regs[op.Dst] = v
-		case TExpr:
-			v, err := op.Eval(regs)
-			if err != nil {
-				return err
-			}
-			regs[op.Dst] = v
-		case TFilter:
-			v, err := op.Eval(regs)
-			if err != nil {
-				return err
-			}
-			if !v.Truthy() {
-				return nil // row dropped
-			}
-		default:
-			return runOps(u, ops[oi:], regs, emit)
-		}
-	}
-	return emit(regs)
-}
-
-// vmRunLinked executes one row's entire op chain through the linked
-// whole-row program. On a bail — or any non-interrupt error — the full
-// row re-runs on the closure tier: the link condition guarantees every
-// op is a TCall, bodies write nothing below their own window until
-// their return lands, and completed calls are deterministic, so the
-// re-run reproduces the same destinations (or the same authoritative
-// error). bails counts one per re-routed row.
-func vmRunLinked(u *UDF, vp *VMProgram, ops []TraceOp, regs []data.Value, bails *int) error {
 	if !forcedBail() {
-		_, err := vp.Linked.RunVM(u.RT, regs)
+		_, err := t.Linked.RunVM(u.RT, regs)
 		if err == nil {
-			return nil
+			return emit(regs)
 		}
-		var intr *pylite.InterruptError
-		if errors.As(err, &intr) {
+		if isInterrupt(err) {
 			return err
 		}
 	}
 	*bails++
-	for oi := range ops {
-		op := &ops[oi]
-		v, err := closureCallOp(u, op, regs)
+	for oi := range t.Ops {
+		op := &t.Ops[oi]
+		v, err := op.callBody(u, regs)
 		if err != nil {
 			return wrapUDFErr(op.UDF, err)
 		}
 		regs[op.Dst] = v
 	}
-	return nil
+	return emit(regs)
 }
 
-// vmCallOp runs one TCall on the VM tier inside its register window.
-func vmCallOp(u *UDF, vp *VMProgram, op *TraceOp, oi int, regs []data.Value) (data.Value, error) {
-	prog := vp.Progs[oi]
-	if prog == nil {
-		// Native GoFn UDF: no VM program, direct dispatch.
-		callArgs := make([]data.Value, len(op.Args))
-		for i, a := range op.Args {
-			callArgs[i] = regs[a]
+// call runs one TCall on the target Lower fixed: its VM program in its
+// window, or else its compiled body or the UDF itself (GoFn,
+// interpreter). A program that bails — or fails — re-runs the call on
+// the compiled body, which reproduces the same result or the same
+// (authoritative) error; only an interrupt aborts at once.
+func (op *TraceOp) call(u *UDF, regs []data.Value, bails *int) (data.Value, error) {
+	if p := op.Prog; p != nil {
+		win := regs[op.Base : op.Base+p.NumRegs]
+		op.stage(regs)
+		for i := len(op.Args); i < p.NumParams; i++ {
+			win[i] = p.Defaults[i]
 		}
-		return op.UDF.invokeOn(u.RT, callArgs)
+		if !forcedBail() {
+			v, err := p.RunVM(u.RT, win)
+			if err == nil || isInterrupt(err) {
+				return v, err
+			}
+		}
+		*bails++
 	}
-	if forcedBail() {
-		return data.Null, &pylite.BailError{Reason: "forced (test)"}
+	v, err := op.callBody(u, regs)
+	if err != nil {
+		return data.Null, wrapUDFErr(op.UDF, err)
 	}
-	win := regs[vp.Base[oi] : vp.Base[oi]+prog.NumRegs]
-	for i, a := range op.Args {
-		win[i] = regs[a]
-	}
-	for i := len(op.Args); i < prog.NumParams; i++ {
-		win[i] = prog.Defaults[i]
-	}
-	return prog.RunVM(u.RT, win)
+	return v, nil
 }
 
-// closureCallOp re-runs one TCall on the closure tier — the bail
-// target, identical to runOps' TCall dispatch.
-func closureCallOp(u *UDF, op *TraceOp, regs []data.Value) (data.Value, error) {
-	callArgs := make([]data.Value, len(op.Args))
-	for i, a := range op.Args {
-		callArgs[i] = regs[a]
-	}
+// callBody runs one TCall off the VM: the compiled body when the UDF has
+// one, else the UDF itself. Fused UDFs run on the host wrapper's runtime
+// view — the clone's own, bound to its query — never on their catalog
+// UDF's root runtime.
+func (op *TraceOp) callBody(u *UDF, regs []data.Value) (data.Value, error) {
+	args := op.stage(regs)
 	if op.Compiled != nil {
-		return op.Compiled.Call(u.RT, callArgs, nil)
+		return op.Compiled.Call(u.RT, args, nil)
 	}
-	return op.UDF.invokeOn(u.RT, callArgs)
+	return op.UDF.invokeOn(u.RT, args)
+}
+
+// stage copies a call's arguments into the start of its window and
+// returns them. Callees keep no reference to the slice (parameters and
+// varargs are copied into frame slots), so the window is reused every
+// row.
+func (op *TraceOp) stage(regs []data.Value) []data.Value {
+	args := regs[op.Base : op.Base+len(op.Args)]
+	for i, a := range op.Args {
+		args[i] = regs[a]
+	}
+	return args
+}
+
+func isInterrupt(err error) bool {
+	var intr *pylite.InterruptError
+	return errors.As(err, &intr)
 }
 
 // LengthMismatchError is returned when a fused wrapper yields a column

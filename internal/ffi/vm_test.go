@@ -10,8 +10,8 @@ import (
 )
 
 // traceFixture builds a fused-style trace over the shout UDF (string in,
-// string out) with a filter and a post-expression, plus its VM lowering.
-func traceFixture(t testing.TB) (*UDF, *Trace, *VMProgram) {
+// string out) with a filter and a post-expression.
+func traceFixture(t testing.TB) (*UDF, *Trace) {
 	rt := pylite.NewInterp()
 	if err := rt.Exec("def shout(s):\n    return s.upper() + \"!\"\n"); err != nil {
 		t.Fatal(err)
@@ -33,64 +33,12 @@ func traceFixture(t testing.TB) (*UDF, *Trace, *VMProgram) {
 		},
 		OutRegs: []int{1},
 	}
-	u.SetTrace(tr)
-	vp := CompileTraceVM(tr)
-	if vp == nil {
-		t.Fatal("trace should lower onto the VM tier")
-	}
-	return u, tr, vp
-}
-
-func TestRunTraceVectorVMParity(t *testing.T) {
-	u, tr, vp := traceFixture(t)
-	in := strCol("a", "ada", "grace", "x", "turing")
-	want, err := RunTraceVector(u, tr, []*data.Column{in}, 5, []string{"o"}, []data.Kind{data.KindString})
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, bails, err := RunTraceVectorVM(u, vp, tr, []*data.Column{in}, 5, []string{"o"}, []data.Kind{data.KindString})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if bails != 0 {
-		t.Fatalf("unexpected bails: %d", bails)
-	}
-	if got[0].Len() != want[0].Len() {
-		t.Fatalf("rows: got %d want %d", got[0].Len(), want[0].Len())
-	}
-	for i := 0; i < want[0].Len(); i++ {
-		if got[0].Strs[i] != want[0].Strs[i] {
-			t.Fatalf("row %d: got %q want %q", i, got[0].Strs[i], want[0].Strs[i])
-		}
-	}
-}
-
-func TestRunTraceVectorVMForcedBailParity(t *testing.T) {
-	u, tr, vp := traceFixture(t)
-	in := strCol("a", "ada", "grace", "x", "turing")
-	want, err := RunTraceVector(u, tr, []*data.Column{in}, 5, []string{"o"}, []data.Kind{data.KindString})
-	if err != nil {
-		t.Fatal(err)
-	}
-	SetVMBailEvery(2)
-	defer SetVMBailEvery(0)
-	got, bails, err := RunTraceVectorVM(u, vp, tr, []*data.Column{in}, 5, []string{"o"}, []data.Kind{data.KindString})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if bails == 0 {
-		t.Fatal("forced bailouts did not fire")
-	}
-	for i := 0; i < want[0].Len(); i++ {
-		if got[0].Strs[i] != want[0].Strs[i] {
-			t.Fatalf("row %d: got %q want %q", i, got[0].Strs[i], want[0].Strs[i])
-		}
-	}
+	return u, tr
 }
 
 // linkedFixture builds an all-TCall trace (two chained scalar UDFs)
 // whose VM lowering splices into one whole-row linked program.
-func linkedFixture(t testing.TB) (*UDF, *Trace, *VMProgram) {
+func linkedFixture(t testing.TB) (*UDF, *Trace) {
 	rt := pylite.NewInterp()
 	src := "def shout(s):\n    return s.upper() + \"!\"\n\ndef clip(s):\n    return s[:5].lower()\n"
 	if err := rt.Exec(src); err != nil {
@@ -115,30 +63,45 @@ func linkedFixture(t testing.TB) (*UDF, *Trace, *VMProgram) {
 		},
 		OutRegs: []int{2},
 	}
-	u.SetTrace(tr)
-	vp := CompileTraceVM(tr)
-	if vp == nil {
-		t.Fatal("trace should lower onto the VM tier")
-	}
-	if vp.Linked == nil {
-		t.Fatal("all-TCall trace should link into a whole-row program")
-	}
-	return u, tr, vp
+	return u, tr
 }
 
-func TestLinkedTraceParity(t *testing.T) {
-	u, tr, vp := linkedFixture(t)
-	in := strCol("Ada Lovelace", "x", "Grace Hopper", "Turing")
-	want, err := RunTraceVector(u, tr, []*data.Column{in}, 4, []string{"o"}, []data.Kind{data.KindString})
+// lowerBoth lowers tr for both tiers, checking the VM lowering took.
+func lowerBoth(t testing.TB, tr *Trace, linked bool) (closure, vm *Trace) {
+	closure, vm = Lower(tr, false), Lower(tr, true)
+	if closure.VM || !vm.VM {
+		t.Fatalf("VM flags: closure %v, vm %v", closure.VM, vm.VM)
+	}
+	if (vm.Linked != nil) != linked {
+		t.Fatalf("linked program = %v, want linked %v", vm.Linked != nil, linked)
+	}
+	return closure, vm
+}
+
+// checkTierParity runs the same trace lowered without and with the VM
+// over in, every bailEvery-th VM call forced to bail (0: none), and
+// requires identical columns and VM bails exactly when forced.
+func checkTierParity(t *testing.T, u *UDF, tr *Trace, linked bool, in *data.Column, bailEvery int) {
+	t.Helper()
+	closure, vm := lowerBoth(t, tr, linked)
+	n := in.Len()
+	names, kinds := []string{"o"}, []data.Kind{data.KindString}
+	want, err := RunTraceVector(u, closure, []*data.Column{in}, n, names, kinds)
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, bails, err := RunTraceVectorVM(u, vp, tr, []*data.Column{in}, 4, []string{"o"}, []data.Kind{data.KindString})
+	SetVMBailEvery(bailEvery)
+	defer SetVMBailEvery(0)
+	before := mVMBailRows.Value()
+	got, err := RunTraceVector(u, vm, []*data.Column{in}, n, names, kinds)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if bails != 0 {
-		t.Fatalf("unexpected bails: %d", bails)
+	if bails := mVMBailRows.Value() - before; (bails > 0) != (bailEvery > 0) {
+		t.Fatalf("bails = %d with bailEvery = %d", bails, bailEvery)
+	}
+	if got[0].Len() != want[0].Len() {
+		t.Fatalf("rows: got %d want %d", got[0].Len(), want[0].Len())
 	}
 	for i := 0; i < want[0].Len(); i++ {
 		if got[0].Strs[i] != want[0].Strs[i] {
@@ -147,25 +110,107 @@ func TestLinkedTraceParity(t *testing.T) {
 	}
 }
 
+func TestRunTraceVectorVMParity(t *testing.T) {
+	u, tr := traceFixture(t)
+	checkTierParity(t, u, tr, false, strCol("a", "ada", "grace", "x", "turing"), 0)
+}
+
+func TestRunTraceVectorVMForcedBailParity(t *testing.T) {
+	u, tr := traceFixture(t)
+	checkTierParity(t, u, tr, false, strCol("a", "ada", "grace", "x", "turing"), 2)
+}
+
+func TestLinkedTraceParity(t *testing.T) {
+	u, tr := linkedFixture(t)
+	checkTierParity(t, u, tr, true, strCol("Ada Lovelace", "x", "Grace Hopper", "Turing"), 0)
+}
+
 func TestLinkedTraceForcedBailParity(t *testing.T) {
-	u, tr, vp := linkedFixture(t)
-	in := strCol("Ada Lovelace", "x", "Grace Hopper", "Turing")
-	want, err := RunTraceVector(u, tr, []*data.Column{in}, 4, []string{"o"}, []data.Kind{data.KindString})
+	u, tr := linkedFixture(t)
+	checkTierParity(t, u, tr, true, strCol("Ada Lovelace", "x", "Grace Hopper", "Turing"), 2)
+}
+
+// TestLowerLeavesTraceUnchanged: lowering returns a new trace; the one
+// it was given (the optimizer's, shared by every tier) keeps no program
+// and, having no call windows, refuses to run.
+func TestLowerLeavesTraceUnchanged(t *testing.T) {
+	u, tr := linkedFixture(t)
+	Lower(tr, true)
+	if tr.VM || tr.Linked != nil || tr.Ops[0].Prog != nil || tr.frame != 0 {
+		t.Fatal("Lower changed the trace it was given")
+	}
+	if _, err := RunTraceVector(u, tr, []*data.Column{strCol("a")}, 1, []string{"o"}, []data.Kind{data.KindString}); err == nil {
+		t.Fatal("a trace ran before Lower")
+	}
+}
+
+// TestTraceCallArgsNoAlloc: a call stages its arguments in its register
+// window, so a closure-tier morsel allocates a fixed amount however many
+// rows and calls it runs.
+func TestTraceCallArgsNoAlloc(t *testing.T) {
+	rt := pylite.NewInterp()
+	if err := rt.Exec("def inc(x):\n    return x + 1\n"); err != nil {
+		t.Fatal(err)
+	}
+	fn, _ := rt.Global("inc")
+	fv := fn.P.(*pylite.FuncValue)
+	c, err := pylite.Compile(fv)
 	if err != nil {
 		t.Fatal(err)
 	}
-	SetVMBailEvery(2)
-	defer SetVMBailEvery(0)
-	got, bails, err := RunTraceVectorVM(u, vp, tr, []*data.Column{in}, 4, []string{"o"}, []data.Kind{data.KindString})
+	inc := &UDF{Name: "inc", Kind: Scalar, Fn: fn, RT: rt}
+	u := &UDF{Name: "wrap", Kind: Table, RT: rt, Fused: true}
+	tr := Lower(&Trace{NumRegs: 3, NumIn: 1,
+		Ops: []TraceOp{
+			{Kind: TCall, Dst: 1, Args: []int{0}, UDF: inc, Compiled: c},
+			{Kind: TCall, Dst: 2, Args: []int{1}, UDF: inc, Compiled: c},
+		},
+		OutRegs: []int{2}}, false)
+	const n = 2048
+	in := data.NewColumnCap("x", data.KindInt, n)
+	for i := 0; i < n; i++ {
+		in.AppendInt(int64(i))
+	}
+	names, kinds := []string{"o"}, []data.Kind{data.KindInt}
+	var out []*data.Column
+	allocs := testing.AllocsPerRun(5, func() {
+		if out, err = RunTraceVector(u, tr, []*data.Column{in}, n, names, kinds); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if out[0].Ints[n-1] != n+1 {
+		t.Fatalf("last row = %d, want %d", out[0].Ints[n-1], n+1)
+	}
+	if allocs > 64 {
+		t.Fatalf("%v allocations for %d rows × 2 calls: calls allocate per row", allocs, n)
+	}
+}
+
+// TestTraceVarargsAcrossRows: a UDF returning its *args list hands back
+// a copy, never its reused argument window — group keys it produced on
+// earlier rows keep their values after later rows ran.
+func TestTraceVarargsAcrossRows(t *testing.T) {
+	rt := pylite.NewInterp()
+	if err := rt.Exec("def pack(*args):\n    return args\n"); err != nil {
+		t.Fatal(err)
+	}
+	fn, _ := rt.Global("pack")
+	pack := &UDF{Name: "pack", Kind: Scalar, Fn: fn, RT: rt}
+	op := TraceOp{Kind: TCall, Dst: 1, Args: []int{0, 0}, UDF: pack}
+	if c, err := pylite.Compile(fn.P.(*pylite.FuncValue)); err == nil {
+		op.Compiled = c
+	}
+	u := &UDF{Name: "wrap", Kind: Aggregate, RT: rt, Fused: true}
+	tr := Lower(&Trace{NumRegs: 2, NumIn: 1, Ops: []TraceOp{op}, KeyRegs: []int{1},
+		Aggs: []TraceAgg{{Kind: "count", Star: true, ArgReg: -1}}}, false)
+	cols, err := RunTraceAgg(u, tr, []*data.Column{intCol(1, 2, 3)}, 3,
+		[]string{"k", "n"}, []data.Kind{data.KindList, data.KindInt})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if bails == 0 {
-		t.Fatal("forced bailouts did not fire")
-	}
-	for i := 0; i < want[0].Len(); i++ {
-		if got[0].Strs[i] != want[0].Strs[i] {
-			t.Fatalf("row %d: got %q want %q", i, got[0].Strs[i], want[0].Strs[i])
+	for i, want := range []string{"[1, 1]", "[2, 2]", "[3, 3]"} {
+		if got := cols[0].Get(i).Repr(); got != want {
+			t.Fatalf("group %d key = %s, want %s", i, got, want)
 		}
 	}
 }
@@ -187,35 +232,36 @@ func TestColRowsRaggedTyped(t *testing.T) {
 	}
 }
 
-// BenchmarkVMDispatch compares one fused section's execution tiers over
-// a 2048-row morsel: the closure trace loop (per-row CrossIn boxing +
-// compiled-closure call frames) against the register VM (unboxed column
-// loads, one register file per morsel).
-func BenchmarkVMDispatch(b *testing.B) {
-	u, tr, vp := traceFixture(b)
+// benchTiers runs one trace over a 2048-row string morsel lowered for
+// each tier.
+func benchTiers(b *testing.B, u *UDF, tr *Trace, vmName string) {
 	const n = 2048
 	in := data.NewColumnCap("s", data.KindString, n)
 	for i := 0; i < n; i++ {
 		in.AppendStr(fmt.Sprintf("value-%d", i))
 	}
 	outNames, outKinds := []string{"o"}, []data.Kind{data.KindString}
+	for _, arm := range []struct {
+		name string
+		tr   *Trace
+	}{{"closure", Lower(tr, false)}, {vmName, Lower(tr, true)}} {
+		b.Run(arm.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if _, err := RunTraceVector(u, arm.tr, []*data.Column{in}, n, outNames, outKinds); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}
 
-	b.Run("closure", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			if _, err := RunTraceVector(u, tr, []*data.Column{in}, n, outNames, outKinds); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-	b.Run("vm", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			if _, _, err := RunTraceVectorVM(u, vp, tr, []*data.Column{in}, n, outNames, outKinds); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
+// BenchmarkVMDispatch compares one fused section's execution tiers:
+// compiled-closure call frames against register programs run in their
+// windows of the morsel's register file.
+func BenchmarkVMDispatch(b *testing.B) {
+	u, tr := traceFixture(b)
+	benchTiers(b, u, tr, "vm")
 }
 
 // BenchmarkVMDispatchLinked compares the tiers on an all-TCall trace
@@ -223,28 +269,6 @@ func BenchmarkVMDispatch(b *testing.B) {
 // programs into one whole-row instruction stream: one RunVM entry, one
 // cancellation poll, one clear pass per row.
 func BenchmarkVMDispatchLinked(b *testing.B) {
-	u, tr, vp := linkedFixture(b)
-	const n = 2048
-	in := data.NewColumnCap("s", data.KindString, n)
-	for i := 0; i < n; i++ {
-		in.AppendStr(fmt.Sprintf("value-%d", i))
-	}
-	outNames, outKinds := []string{"o"}, []data.Kind{data.KindString}
-
-	b.Run("closure", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			if _, err := RunTraceVector(u, tr, []*data.Column{in}, n, outNames, outKinds); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-	b.Run("vm-linked", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			if _, _, err := RunTraceVectorVM(u, vp, tr, []*data.Column{in}, n, outNames, outKinds); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
+	u, tr := linkedFixture(b)
+	benchTiers(b, u, tr, "vm-linked")
 }

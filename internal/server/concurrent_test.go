@@ -16,6 +16,7 @@ import (
 	"testing"
 	"time"
 
+	"qfusor/internal/core"
 	"qfusor/internal/data"
 	"qfusor/internal/engines"
 	"qfusor/internal/resilience"
@@ -88,7 +89,7 @@ type execFn func(sql string, native bool, timeout time.Duration) (rows string, c
 // through and, for the deadline reproducer, caller 1's deadline.
 type reproducer struct {
 	name     string
-	tier     string
+	tier     core.Tier
 	texts    []string
 	deadline time.Duration
 }

@@ -80,8 +80,9 @@ func (s *Server) handleSessionOpen(w http.ResponseWriter, r *http.Request) {
 		writeErr(w, http.StatusBadRequest, err.Error())
 		return
 	}
-	if req.Tier != "" && req.Tier != "vm" && req.Tier != "closure" && req.Tier != "inline" && req.Tier != "auto" {
-		writeErr(w, http.StatusBadRequest, fmt.Sprintf("unknown tier %q (vm|closure|inline|auto)", req.Tier))
+	tier, err := core.ParseTier(req.Tier)
+	if err != nil {
+		writeErr(w, http.StatusBadRequest, err.Error())
 		return
 	}
 	if s.adm.Draining() {
@@ -90,9 +91,8 @@ func (s *Server) handleSessionOpen(w http.ResponseWriter, r *http.Request) {
 		})
 		return
 	}
-	tier := req.Tier
-	if tier == "auto" {
-		tier = ""
+	if tier == core.TierAuto {
+		tier = "" // keep the engine default
 	}
 	ss, err := s.sessions.open(s.inst, SessionOptions{
 		Tenant:      req.Tenant,

@@ -5,6 +5,7 @@ import (
 	"sync"
 	"time"
 
+	"qfusor/internal/core"
 	"qfusor/internal/engines"
 )
 
@@ -21,9 +22,8 @@ type SessionOptions struct {
 	Tenant string `json:"tenant,omitempty"`
 	// Timeout bounds each query from this session (0 = server default).
 	Timeout time.Duration `json:"timeout,omitempty"`
-	// Tier pins the fused-section execution tier ("vm", "closure",
-	// "inline", "" = engine default).
-	Tier string `json:"tier,omitempty"`
+	// Tier pins the execution tier ("" = engine default).
+	Tier core.Tier `json:"tier,omitempty"`
 	// Parallelism overrides the engine worker count (0 = engine
 	// default).
 	Parallelism int `json:"parallelism,omitempty"`
@@ -89,7 +89,7 @@ func (ss *session) snapshot() sessionInfo {
 type sessionInfo struct {
 	ID       string    `json:"id"`
 	Tenant   string    `json:"tenant,omitempty"`
-	Tier     string    `json:"tier,omitempty"`
+	Tier     core.Tier `json:"tier,omitempty"`
 	Par      int       `json:"parallelism,omitempty"`
 	Timeout  string    `json:"timeout"`
 	Prepared int       `json:"prepared"`

@@ -359,10 +359,10 @@ func annotateOpSpan(sp *obs.Span, p *Plan) {
 			sp.SetAttr("udf", p.UDF.Name)
 			if p.UDF.Fused {
 				sp.SetAttr("section", "fused")
-				if p.UDF.VMProg() != nil {
+				if tr := p.UDF.Trace(); tr != nil && tr.VM {
 					sp.SetAttr("tier", "vm")
 				} else {
-					sp.SetAttr("tier", "jit-trace")
+					sp.SetAttr("tier", "closure")
 				}
 			}
 		}

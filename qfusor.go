@@ -205,10 +205,11 @@ func WithMorselSize(n int) Option {
 // vectorized bytecode VM wherever a section is eligible, "closure"
 // forces the closure-compiled trace loop, "inline" forces relational
 // inlining of every inlinable UDF call site (opaque UDFs still run the
-// fusion ladder), and "auto" (the default) lets the cost model decide.
-// Ineligible sections always run the closure tier.
+// fusion ladder), and "auto" (the default) inlines where the cost model
+// says so and otherwise runs like "vm". Ineligible sections always run
+// the closure tier. Open rejects any other value.
 func WithTier(tier string) Option {
-	return func(c *engines.Config) { c.Tier = tier }
+	return func(c *engines.Config) { c.Tier = core.Tier(tier) }
 }
 
 // PlanCacheStats summarizes the plan-decision cache: live size,
@@ -255,6 +256,9 @@ func Open(profile Profile, opts ...Option) (*DB, error) {
 	cfg := engines.Config{Profile: profile, JIT: true}
 	for _, o := range opts {
 		o(&cfg)
+	}
+	if _, err := core.ParseTier(string(cfg.Tier)); err != nil {
+		return nil, err
 	}
 	return &DB{in: engines.Launch(cfg)}, nil
 }
