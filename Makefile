@@ -45,17 +45,21 @@ chaos:
 
 
 
-## fuzz-smoke: bounded runs of the three fuzzers. FuzzDiff — native vs
+## fuzz-smoke: bounded runs of the four fuzzers. FuzzDiff — native vs
 ## fused-cold vs fused-warm (plan-cache hit) must stay bit-identical on
 ## every generated query; 30s is enough for tens of thousands of execs.
 ## FuzzExprEquiv — a compiled expression program must equal the row
 ## evaluator row by row at every morsel size and parallelism.
 ## FuzzJSONLoads — the single-pass JSON decoder must equal the
 ## encoding/json path it replaced, trailing data aside.
+## FuzzDecodeChunk — any bytes decode to a chunk or fail with
+## ErrCorruptChunk, never panic or over-allocate, and every decoded
+## chunk round-trips through the encoder unchanged.
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzDiff -fuzztime 30s ./internal/core
 	$(GO) test -run '^$$' -fuzz FuzzExprEquiv -fuzztime 30s ./internal/sqlengine
 	$(GO) test -run '^$$' -fuzz FuzzJSONLoads -fuzztime 30s ./internal/data
+	$(GO) test -run '^$$' -fuzz FuzzDecodeChunk -fuzztime 30s ./internal/data
 
 ## obs-smoke: end-to-end diagnostics-plane check — starts the embedded
 ## HTTP server against a live engine and validates /metrics exposition,

@@ -1,7 +1,6 @@
 package ffi
 
 import (
-	"bytes"
 	"errors"
 	"fmt"
 	"sync"
@@ -50,11 +49,12 @@ const (
 )
 
 // ProcessInvoker models PostgreSQL's out-of-process UDF execution: every
-// batch of arguments is serialized into a wire buffer, shipped to a
-// worker ("the pl/python process"), deserialized there, executed, and
-// the results make the same trip back. The serialization is real work
-// (the binary chunk codec), so the inter-process overhead the paper
-// measures shows up as genuine CPU time here.
+// batch of arguments is encoded into one message, shipped to a worker
+// ("the pl/python process"), decoded there, executed, and the results
+// make the same trip back in a fresh message. A crossing therefore costs
+// the chunk codec's work on the payload, both ways, plus two channel
+// hand-offs: genuine CPU time in proportion to the bytes shipped, with
+// no buffer whose size is independent of the payload.
 //
 // The worker pool is supervised: a worker that panics or is killed
 // mid-request fails that request with ErrWorkerCrashed (the host
@@ -211,7 +211,7 @@ func crashError(v any) error {
 
 // serve decodes, executes and re-encodes one request.
 func (p *ProcessInvoker) serve(inner *VectorInvoker, r procRequest) procResponse {
-	ch, err := data.DecodeChunk(bytes.NewReader(r.payload))
+	ch, err := data.ParseChunk(r.payload)
 	if err != nil {
 		return procResponse{err: fmt.Errorf("ffi: worker decode: %w", err)}
 	}
@@ -261,27 +261,19 @@ func (p *ProcessInvoker) serve(inner *VectorInvoker, r procRequest) procResponse
 		}
 		out = data.NewChunk(cols...)
 	}
-	var buf bytes.Buffer
-	if err := data.EncodeChunk(&buf, out); err != nil {
-		return procResponse{err: fmt.Errorf("ffi: worker encode: %w", err)}
-	}
-	return procResponse{payload: buf.Bytes()}
+	return procResponse{payload: data.AppendChunk(nil, out)}
 }
 
-// roundTrip serializes a chunk to the worker pool and decodes the
-// reply, honouring Close and CallTimeout on both the dispatch and the
-// wait.
-func (p *ProcessInvoker) roundTrip(r procRequest, in *data.Chunk) (*data.Chunk, error) {
+// roundTrip ships one encoded message to the worker pool and decodes
+// the reply, honouring Close and CallTimeout on both the dispatch and
+// the wait. The payload is never written after encoding: the worker
+// only reads it, and a retry resends the same bytes.
+func (p *ProcessInvoker) roundTrip(r procRequest) (*data.Chunk, error) {
 	if faultinject.Armed() {
 		if err := faultinject.Fire(FaultProcTransport); err != nil {
 			return nil, err
 		}
 	}
-	var buf bytes.Buffer
-	if err := data.EncodeChunk(&buf, in); err != nil {
-		return nil, fmt.Errorf("ffi: encode request: %w", err)
-	}
-	r.payload = buf.Bytes()
 	r.resp = make(chan procResponse, 1)
 
 	var timeout <-chan time.Time
@@ -310,7 +302,7 @@ func (p *ProcessInvoker) roundTrip(r procRequest, in *data.Chunk) (*data.Chunk, 
 	if resp.err != nil {
 		return nil, resp.err
 	}
-	out, err := data.DecodeChunk(bytes.NewReader(resp.payload))
+	out, err := data.ParseChunk(resp.payload)
 	if err != nil {
 		return nil, fmt.Errorf("ffi: decode response: %w", err)
 	}
@@ -328,14 +320,15 @@ func retryable(err error) bool {
 // scalar UDFs are pure, so a batch lost to a worker crash or timeout is
 // safely re-dispatched to the respawned worker.
 func (p *ProcessInvoker) scalarTrip(u *UDF, batch []*data.Column) (*data.Chunk, error) {
-	res, err := p.roundTrip(procRequest{kind: Scalar, udf: u}, data.NewChunk(batch...))
+	msg := procRequest{kind: Scalar, udf: u, payload: data.AppendChunk(nil, data.NewChunk(batch...))}
+	res, err := p.roundTrip(msg)
 	for attempt := 0; err != nil && retryable(err) && attempt < p.MaxRetries; attempt++ {
 		// Full jitter: a worker crash typically kills every in-flight
 		// batch at once, and deterministic backoff would march all their
 		// retries onto the freshly respawned worker in lockstep.
 		time.Sleep(resilience.BackoffFullJitter(attempt, procRetryBase, procRetryMax))
 		mProcRetries.Inc()
-		res, err = p.roundTrip(procRequest{kind: Scalar, udf: u}, data.NewChunk(batch...))
+		res, err = p.roundTrip(msg)
 	}
 	return res, err
 }
@@ -374,35 +367,25 @@ func (p *ProcessInvoker) CallScalar(u *UDF, args []*data.Column, n int) (*data.C
 
 // CallAggregate implements Invoker (one message, group ids attached).
 func (p *ProcessInvoker) CallAggregate(u *UDF, args []*data.Column, n int, groupIDs []int, g int) ([]data.Value, error) {
-	res, err := p.roundTrip(procRequest{kind: Aggregate, udf: u, groupIDs: groupIDs, groups: g},
-		data.NewChunk(args...))
+	res, err := p.roundTrip(procRequest{kind: Aggregate, udf: u, groupIDs: groupIDs, groups: g,
+		payload: data.AppendChunk(nil, data.NewChunk(args...))})
 	if err != nil {
 		return nil, err
 	}
 	return BoxColumn(res.Cols[0], res.NumRows()), nil
 }
 
-// CallExpand implements Invoker. The expansion happens worker-side; the
-// per-input-row grouping is rebuilt from a row-id column.
+// CallExpand implements Invoker. The expansion happens worker-side, one
+// input row per message, mirroring Postgres's per-call set-returning
+// function protocol.
 func (p *ProcessInvoker) CallExpand(u *UDF, args []*data.Column, n int) ([][][]data.Value, error) {
-	// Run row-at-a-time through the worker, mirroring Postgres's per-call
-	// set-returning function protocol.
-	var inner procExpander = p
-	return inner.expandRows(u, args, n)
-}
-
-type procExpander interface {
-	expandRows(u *UDF, args []*data.Column, n int) ([][][]data.Value, error)
-}
-
-func (p *ProcessInvoker) expandRows(u *UDF, args []*data.Column, n int) ([][][]data.Value, error) {
 	out := make([][][]data.Value, n)
 	for i := 0; i < n; i++ {
 		batch := make([]*data.Column, len(args))
 		for j, c := range args {
 			batch[j] = c.Slice(i, i+1)
 		}
-		res, err := p.roundTrip(procRequest{kind: Expand, udf: u}, data.NewChunk(batch...))
+		res, err := p.roundTrip(procRequest{kind: Expand, udf: u, payload: data.AppendChunk(nil, data.NewChunk(batch...))})
 		if err != nil {
 			return nil, err
 		}
@@ -418,5 +401,5 @@ func (p *ProcessInvoker) expandRows(u *UDF, args []*data.Column, n int) ([][][]d
 
 // CallTable implements Invoker.
 func (p *ProcessInvoker) CallTable(u *UDF, input *data.Chunk, extra []data.Value) (*data.Chunk, error) {
-	return p.roundTrip(procRequest{kind: Table, udf: u, extra: extra}, input)
+	return p.roundTrip(procRequest{kind: Table, udf: u, extra: extra, payload: data.AppendChunk(nil, input)})
 }

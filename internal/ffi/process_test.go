@@ -2,6 +2,7 @@ package ffi
 
 import (
 	"errors"
+	"runtime"
 	"testing"
 	"time"
 
@@ -135,5 +136,38 @@ func TestProcessInvokerNoRetryOnUDFError(t *testing.T) {
 	}
 	if fires != 1 {
 		t.Fatalf("UDF-side error fired %d times (retried?)", fires)
+	}
+}
+
+// TestProcessTripAllocation: a crossing allocates in proportion to its
+// payload, with no fixed-size codec buffer. A one-row trip's messages
+// are tens of bytes, so the whole trip stays under 4 KiB.
+func TestProcessTripAllocation(t *testing.T) {
+	rt := testRuntime(t)
+	if err := rt.Exec("def ident(x):\n    return x\n"); err != nil {
+		t.Fatal(err)
+	}
+	u := udfOf(t, rt, "ident", Scalar, []data.Kind{data.KindInt}, []data.Kind{data.KindInt})
+	p := NewProcessInvoker(256)
+	t.Cleanup(p.Close)
+	args := []*data.Column{intCol(42)}
+	call := func() {
+		out, err := p.CallScalar(u, args, 1)
+		if err != nil || out.Ints[0] != 42 {
+			t.Fatalf("ident(42) = %v, %v", out, err)
+		}
+	}
+	for i := 0; i < 10; i++ { // past the JIT threshold
+		call()
+	}
+	const trips = 1000
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < trips; i++ {
+		call()
+	}
+	runtime.ReadMemStats(&after)
+	if per := (after.TotalAlloc - before.TotalAlloc) / trips; per >= 4<<10 {
+		t.Fatalf("a one-row trip allocates %d B, want < 4 KiB", per)
 	}
 }

@@ -59,3 +59,7 @@ go test -run '^$' -fuzz FuzzExprEquiv -fuzztime "${FUZZTIME:-30s}" ./internal/sq
 # same sorted keys, same error outcome; only trailing data (which the
 # decoder rejects, like CPython) may differ.
 go test -run '^$' -fuzz FuzzJSONLoads -fuzztime "${FUZZTIME:-30s}" ./internal/data
+# Chunk decoder fuzz smoke: arbitrary bytes must decode to a chunk or
+# fail with ErrCorruptChunk (never panic or allocate for a forged
+# count), and every decoded chunk must round-trip through the encoder.
+go test -run '^$' -fuzz FuzzDecodeChunk -fuzztime "${FUZZTIME:-30s}" ./internal/data
