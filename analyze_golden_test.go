@@ -13,16 +13,14 @@ import (
 
 var updateGolden = flag.Bool("update", false, "rewrite golden files under testdata/")
 
-// Normalization for EXPLAIN ANALYZE goldens: durations, measured costs
-// and calibration factors vary run to run; structure (span tree, phase
-// names, section/wrapper listings, row counts, the summary labels) must
-// not.
+// Normalization for EXPLAIN ANALYZE goldens: durations and measured
+// costs vary run to run; structure (span tree, phase names,
+// section/wrapper listings, row counts, the summary labels) must not.
 var (
 	reDur       = regexp.MustCompile(`\b[0-9]+(?:\.[0-9]+)?(?:ns|µs|ms|s)\b`)
 	rePredicted = regexp.MustCompile(`predicted [0-9]+(?:\.[0-9]+)?`)
 	reActual    = regexp.MustCompile(`actual [0-9]+(?:\.[0-9]+)?`)
-	reDrift     = regexp.MustCompile(`drift [0-9]+(?:\.[0-9]+)?%`)
-	reCalib     = regexp.MustCompile(`calibration [0-9]+(?:\.[0-9]+)?`)
+	reErr       = regexp.MustCompile(`error [0-9]+(?:\.[0-9]+)?%`)
 	reTier      = regexp.MustCompile(`tier=[a-z-]+`)
 	// Which operator spans carry a morsels= attribute (and its value)
 	// depends on the worker count, which follows GOMAXPROCS.
@@ -32,8 +30,7 @@ var (
 func normalizeAnalyze(s string) string {
 	s = rePredicted.ReplaceAllString(s, "predicted N")
 	s = reActual.ReplaceAllString(s, "actual N")
-	s = reDrift.ReplaceAllString(s, "drift N%")
-	s = reCalib.ReplaceAllString(s, "calibration N")
+	s = reErr.ReplaceAllString(s, "error N%")
 	s = reDur.ReplaceAllString(s, "DUR")
 	s = reTier.ReplaceAllString(s, "tier=T")
 	s = reMorsels.ReplaceAllString(s, "")

@@ -48,7 +48,7 @@ func obsSmoke(w io.Writer) error {
 	db.SetSlowQueryThreshold(0) // every query lands in the slow log
 
 	// Repeated runs: the second and later executions exercise the wrapper
-	// cache and feed the drift calibration with measured section costs.
+	// and plan caches.
 	const runs = 4
 	for i := 0; i < runs; i++ {
 		if _, err := db.Query("SELECT smokeup(name), n FROM smoketbl WHERE n >= 1"); err != nil {
@@ -78,7 +78,6 @@ func obsSmoke(w io.Writer) error {
 		"engine_morsels",
 		"engine_morsel_rows",
 		"ffi_proc_live_workers",
-		"qfusor_drift_observations",
 		"obs_flight_recorded",
 		"pylite_profile_samples",
 		`qfusor_regressions{kind="latency"}`,
@@ -91,19 +90,14 @@ func obsSmoke(w io.Writer) error {
 			return fmt.Errorf("/metrics missing required series %s", name)
 		}
 	}
-	if samples["qfusor_drift_observations"] < 1 {
-		return fmt.Errorf("drift loop never observed a section cost")
-	}
-	driftSeries := 0
+	// Label values must come from fixed sets: a per-section label grows
+	// one series per distinct UDF chain ever fused.
 	for k := range samples {
-		if strings.HasPrefix(k, "qfusor_drift_calibration_milli{section=") {
-			driftSeries++
+		if strings.Contains(k, "section=") {
+			return fmt.Errorf("/metrics series %s carries an unbounded section label", k)
 		}
 	}
-	if driftSeries == 0 {
-		return fmt.Errorf("/metrics has no per-section drift calibration gauge")
-	}
-	fmt.Fprintf(w, "obs-smoke: /metrics ok (%d samples, %d drift sections)\n", len(samples), driftSeries)
+	fmt.Fprintf(w, "obs-smoke: /metrics ok (%d samples)\n", len(samples))
 
 	// /debug/queries: the flight recorder saw every run, and at least one
 	// record carries a trace.

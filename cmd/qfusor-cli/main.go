@@ -2,7 +2,8 @@
 // pick an engine profile, optionally preload a paper workload, then
 // type SQL (UDF queries run through the QFusor pipeline).
 //
-// Meta commands (a leading "." works the same as "\"):
+// Meta commands (a leading "." works the same as "\"; any other line
+// starting with either is rejected as an unknown meta command):
 //
 //	\native <sql>   run without fusion
 //	\explain <sql>  show the rewritten plan + fused wrappers
@@ -21,6 +22,7 @@ package main
 import (
 	"bufio"
 	"context"
+	"errors"
 	"flag"
 	"fmt"
 	"os"
@@ -134,84 +136,68 @@ func main() {
 	prompt()
 	for sc.Scan() {
 		line := sc.Text()
-		trimmed := strings.TrimSpace(line)
-		// Dot-prefixed meta commands (SQLite style) are aliases.
-		if strings.HasPrefix(trimmed, ".") {
-			trimmed = "\\" + trimmed[1:]
+		cmd, arg, isMeta, err := parseMeta(line)
+		if err != nil {
+			fmt.Println("error:", err)
+			prompt()
+			continue
 		}
-		switch {
-		case trimmed == "\\quit" || trimmed == "\\q":
-			return
-		case trimmed == "\\metrics":
-			fmt.Print(qfusor.Metrics().Text())
-			prompt()
-			continue
-		case trimmed == "\\plancache":
-			st := db.PlanCacheStats()
-			fmt.Printf("plan cache: size=%d/%d hits=%d misses=%d evictions=%d invalidations=%d\n",
-				st.Size, st.Cap, st.Hits, st.Misses, st.Evictions, st.Invalidations)
-			prompt()
-			continue
-		case trimmed == "\\resources":
-			showResources(db)
-			prompt()
-			continue
-		case trimmed == "\\trace on" || trimmed == "\\trace off":
-			traceOn = trimmed == "\\trace on"
-			fmt.Printf("tracing %s\n", map[bool]string{true: "on", false: "off"}[traceOn])
-			prompt()
-			continue
-		case strings.HasPrefix(trimmed, "\\analyze "):
-			analyze(db, strings.TrimSuffix(strings.TrimPrefix(trimmed, "\\analyze "), ";"))
-			prompt()
-			continue
-		case trimmed == "\\tables":
-			listTables(db)
-			prompt()
-			continue
-		case trimmed == "\\udfs":
-			listUDFs(db)
-			prompt()
-			continue
-		case trimmed == "\\def":
-			src := readUntil(sc, "\\end")
-			if err := db.Define(src); err != nil {
-				fmt.Println("error:", err)
-			} else {
-				fmt.Println("ok")
-			}
-			prompt()
-			continue
-		case strings.HasPrefix(trimmed, "\\rewrite "):
-			out, executable, err := db.RewriteSQL(strings.TrimPrefix(trimmed, "\\rewrite "))
-			if err != nil {
-				fmt.Println("error:", err)
-			} else {
-				fmt.Println(out)
-				if !executable {
-					fmt.Println("-- (display only: not re-submittable in this dialect)")
+		if isMeta {
+			switch cmd {
+			case "quit", "q":
+				return
+			case "metrics":
+				fmt.Print(qfusor.Metrics().Text())
+			case "plancache":
+				st := db.PlanCacheStats()
+				fmt.Printf("plan cache: size=%d/%d hits=%d misses=%d evictions=%d invalidations=%d\n",
+					st.Size, st.Cap, st.Hits, st.Misses, st.Evictions, st.Invalidations)
+			case "resources":
+				showResources(db)
+			case "trace on", "trace off":
+				traceOn = cmd == "trace on"
+				fmt.Printf("tracing %s\n", map[bool]string{true: "on", false: "off"}[traceOn])
+			case "analyze":
+				analyze(db, strings.TrimSuffix(arg, ";"))
+			case "tables":
+				listTables(db)
+			case "udfs":
+				listUDFs(db)
+			case "def":
+				src := readUntil(sc, "\\end")
+				if err := db.Define(src); err != nil {
+					fmt.Println("error:", err)
+				} else {
+					fmt.Println("ok")
 				}
+			case "rewrite":
+				out, executable, err := db.RewriteSQL(arg)
+				if err != nil {
+					fmt.Println("error:", err)
+				} else {
+					fmt.Println(out)
+					if !executable {
+						fmt.Println("-- (display only: not re-submittable in this dialect)")
+					}
+				}
+			case "explain":
+				out, err := db.Explain(arg)
+				if err != nil {
+					fmt.Println("error:", err)
+				} else {
+					fmt.Println(out)
+				}
+			case "native":
+				runOne(func(sql string) (*qfusor.Table, error) {
+					ctx, cancel := queryCtx()
+					defer cancel()
+					return db.QueryNativeContext(ctx, sql)
+				}, arg)
 			}
-			prompt()
-			continue
-		case strings.HasPrefix(trimmed, "\\explain "):
-			out, err := db.Explain(strings.TrimPrefix(trimmed, "\\explain "))
-			if err != nil {
-				fmt.Println("error:", err)
-			} else {
-				fmt.Println(out)
-			}
-			prompt()
-			continue
-		case strings.HasPrefix(trimmed, "\\native "):
-			runOne(func(sql string) (*qfusor.Table, error) {
-				ctx, cancel := queryCtx()
-				defer cancel()
-				return db.QueryNativeContext(ctx, sql)
-			}, strings.TrimPrefix(trimmed, "\\native "))
 			prompt()
 			continue
 		}
+		trimmed := strings.TrimSpace(line)
 		buf.WriteString(line)
 		buf.WriteByte('\n')
 		if strings.HasSuffix(trimmed, ";") || trimmed == "" {
@@ -223,6 +209,41 @@ func main() {
 			prompt()
 		}
 	}
+}
+
+// metaCommands maps each meta command to whether it takes the rest of
+// the line as its argument. "trace on" and "trace off" are whole
+// commands.
+var metaCommands = map[string]bool{
+	"quit": false, "q": false, "metrics": false, "plancache": false, "resources": false,
+	"trace on": false, "trace off": false, "tables": false, "udfs": false, "def": false,
+	"analyze": true, "rewrite": true, "explain": true, "native": true,
+}
+
+// errUnknownMeta rejects a meta-command line that names no command: it
+// never reaches the SQL buffer, where it would corrupt the next
+// statement.
+var errUnknownMeta = errors.New("unknown meta command")
+
+// parseMeta splits a shell line into a meta command and its argument.
+// isMeta reports a leading "\" or "." (the SQLite-style alias). err is
+// errUnknownMeta when such a line names no command, passes an argument
+// to a command that takes none, or omits a required one.
+func parseMeta(line string) (cmd, arg string, isMeta bool, err error) {
+	t := strings.TrimSpace(line)
+	if !strings.HasPrefix(t, "\\") && !strings.HasPrefix(t, ".") {
+		return "", "", false, nil
+	}
+	t = t[1:]
+	if takesArg, ok := metaCommands[t]; ok && !takesArg {
+		return t, "", true, nil
+	}
+	cmd, arg, _ = strings.Cut(t, " ")
+	arg = strings.TrimSpace(arg)
+	if !metaCommands[cmd] || arg == "" {
+		return "", "", true, errUnknownMeta
+	}
+	return cmd, arg, true, nil
 }
 
 // traceOn makes every SELECT run through EXPLAIN ANALYZE (\trace on).

@@ -3,6 +3,7 @@ package core
 import (
 	"context"
 	"fmt"
+	"math"
 	"sort"
 	"strings"
 	"time"
@@ -178,7 +179,13 @@ func (a *Analysis) Render() string {
 	}
 	if len(a.Report.SectionCosts) > 0 {
 		b.WriteString("\nCost-model drift (predicted vs measured per fused section):\n")
-		renderDrift(&b, a.Report.SectionCosts)
+		for _, sc := range a.Report.SectionCosts {
+			fmt.Fprintf(&b, "  section %s (wrapper %s): predicted %.0fns", sc.Key, sc.Wrapper, sc.Predicted)
+			if sc.Actual > 0 {
+				fmt.Fprintf(&b, ", actual %.0fns, error %.1f%%", sc.Actual, math.Abs(sc.Predicted/sc.Actual-1)*100)
+			}
+			b.WriteByte('\n')
+		}
 	}
 	if a.Resources != nil && a.Resources.VMRows > 0 {
 		fmt.Fprintf(&b, "\nVM tier: rows=%d bail_rows=%d\n",

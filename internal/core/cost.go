@@ -31,14 +31,6 @@ type CostModel struct {
 	// one morsel never partition, so their cost is unchanged.
 	MorselRows float64
 
-	// Drift is the per-section calibration store fed by measured fused
-	// execution costs (see drift.go); each realized section's recorded
-	// prediction is scaled by the learned factor so repeated queries
-	// converge on reality. Nil disables calibration (factor 1.0
-	// everywhere). A pointer keeps the struct copyable — copies share
-	// the learned state, like CRel.
-	Drift *DriftCal
-
 	// workers is the executor parallelism last reported via SetWorkers
 	// (0 until a query runs, which keeps costs identical to the serial
 	// model — important for tests and cold estimates). Accessed
@@ -98,7 +90,6 @@ func DefaultCostModel() *CostModel {
 		CrossCost:  200,
 		ScaleEff:   0.7,
 		MorselRows: 2048,
-		Drift:      NewDriftCal(),
 	}
 }
 

@@ -2,6 +2,7 @@ package core
 
 import (
 	"sort"
+	"strings"
 
 	"qfusor/internal/ffi"
 	"qfusor/internal/sqlengine"
@@ -368,14 +369,22 @@ func (g *DFG) sectionCost(cm *CostModel, sec []int) float64 {
 			sel *= n.Sel
 		}
 	}
-	// Note: the drift calibration (cm.Drift) is deliberately NOT applied
-	// here. Selection compares F(S) against per-node singles that have no
-	// measured counterpart, so scaling only the fused side would let one
-	// noisy run flip fusion decisions — and a flipped plan generates a
-	// different wrapper, defeating the compile cache. Calibration
-	// refines the *prediction* recorded for each realized section (see
-	// realizeSections), which is what converges toward measured cost.
 	return cm.Fused(nodes, len(extIn), maxInt(1, len(extOut)), entryRows) * selAdjust(sel)
+}
+
+// sectionKeyOf labels a section by the UDFs it fuses, sorted and
+// joined with "+" ("" when it fuses none). Relational riders are left
+// out, so the label is the same whatever filters ride along.
+func sectionKeyOf(g *DFG, nodes []int) string {
+	var names []string
+	for _, id := range nodes {
+		nd := g.Nodes[id]
+		if nd.Kind.IsUDF() {
+			names = append(names, strings.ToLower(nd.Name))
+		}
+	}
+	sort.Strings(names)
+	return strings.Join(names, "+")
 }
 
 // selAdjust keeps the fused estimate monotone in output cardinality.

@@ -18,11 +18,10 @@ import (
 // rewrite — is pure in (SQL text, catalog contents, engine profile,
 // option switches). For repeated queries, the entire optimization
 // outcome can therefore be memoized: the rewritten executable plan, the
-// wrappers it calls, and the cost-model inputs each fused section
-// recorded. A hit skips every front-end phase and goes straight to
-// execution.
+// wrappers it calls, and the cost estimate of each fused section. A hit
+// skips every front-end phase and goes straight to execution.
 //
-// Soundness comes from three invalidation channels:
+// Soundness comes from two invalidation channels:
 //
 //  1. Catalog epoch: every DDL/DML/UDF-(re)registration bumps
 //     sqlengine.Catalog's epoch; an entry stores the epoch it was
@@ -31,12 +30,6 @@ import (
 //     an open circuit is never served — the resilient path decided this
 //     plan shape is failing, so it must re-plan (which suppresses the
 //     failing wrapper). Fused-path failures also evict eagerly.
-//  3. Drift stays out: per-section cost calibration (DriftCal) is
-//     deliberately not part of the key or the cached value — a hit
-//     recomputes its predicted costs from the live calibration factors,
-//     so the drift loop keeps converging across cached executions
-//     without ever flipping a cached decision (see sectionCost's note
-//     on selection stability).
 
 // Plan-cache metrics (obs.Default). hits/misses split the lookup
 // outcomes; evictions counts capacity-driven removals; invalidations
@@ -54,17 +47,6 @@ var (
 // configured. Entries are whole optimized plans, so a few hundred is
 // plenty for realistic repeated-query working sets.
 const DefaultPlanCacheCap = 256
-
-// SectionSeed is the cost-model input a cached plan re-seeds its Report
-// from on every hit: the section's stable identity plus the *raw*
-// (uncalibrated) F(S) estimate. The calibrated prediction is recomputed
-// per hit from the live drift factor, keeping the §5.2 feedback loop
-// running across cached executions.
-type SectionSeed struct {
-	Wrapper string  `json:"wrapper"`
-	Key     string  `json:"key"`
-	RawCost float64 `json:"raw_cost_nanos"`
-}
 
 // PlanEntry is one memoized optimization outcome.
 type PlanEntry struct {
@@ -95,8 +77,9 @@ type PlanEntry struct {
 	// WrapperKeys are the breaker keys ("wrapper:<hash>") of Wrappers;
 	// an open circuit on any of them disqualifies the entry.
 	WrapperKeys []string `json:"-"`
-	// Seeds carry the cost-model inputs (see SectionSeed).
-	Seeds []SectionSeed `json:"seeds,omitempty"`
+	// SectionCosts holds each section's predicted cost; Actual stays 0
+	// here (a hit's Report gets a copy that execution fills).
+	SectionCosts []SectionCost `json:"section_costs,omitempty"`
 	// Hits counts how often this entry was served.
 	Hits int64 `json:"hits"`
 	// Created / LastUsed timestamp the entry for /debug/plancache.
@@ -350,8 +333,8 @@ func normalizeSQL(sql string) string {
 }
 
 // optionsFingerprint encodes the technique switches that shape plan
-// decisions. The drift calibration and the plan cache's own toggle stay
-// out — neither changes what the optimizer would decide.
+// decisions. The plan cache's own toggle stays out — it does not change
+// what the optimizer would decide.
 func optionsFingerprint(o Options) string {
 	var b strings.Builder
 	flag := func(on bool, c byte) {

@@ -5,6 +5,7 @@ import (
 	"crypto/sha256"
 	"encoding/hex"
 	"fmt"
+	"slices"
 	"strings"
 	"sync"
 	"time"
@@ -88,10 +89,9 @@ type Report struct {
 	// "off" (disabled by Options.PlanCache), or "" when the query never
 	// entered the fusion front-end (no UDFs, or Fusion off).
 	PlanCache string
-	// SectionCosts carries each fused section's predicted vs measured
-	// cost and the calibration factor in effect — the §5.2 drift loop's
-	// per-query record. Actual stays 0 until the query executed fused.
-	SectionCosts []SectionDrift
+	// SectionCosts carries each fused section's predicted (raw F(S))
+	// vs measured cost. Actual stays 0 until the query executed fused.
+	SectionCosts []SectionCost
 	// Fallback reports that the optimized path was abandoned and the
 	// result came from the engine's native plan; FallbackReason says
 	// why (the fused-path error, or "circuit breaker open").
@@ -102,6 +102,16 @@ type Report struct {
 	// how many call sites were substituted. Sites with tier=inlined
 	// never cross the FFI boundary.
 	Inlined []InlineDecision
+}
+
+// SectionCost is one fused section's cost record on a query's Report:
+// the cost model's raw F(S) estimate from discovery, and the measured
+// cost after execution. Key lists the section's UDFs for display.
+type SectionCost struct {
+	Wrapper   string  `json:"wrapper"`
+	Key       string  `json:"key"`
+	Predicted float64 `json:"predicted_nanos"`
+	Actual    float64 `json:"actual_nanos,omitempty"`
 }
 
 // QFusor is the pluggable optimizer: it connects to an engine, probes
@@ -238,14 +248,13 @@ func New(reg *Registry) *QFusor {
 
 // Variant returns a QFusor that runs with its own Options but shares
 // every cross-session structure with qf: the UDF registry, the cost
-// model (and its drift calibration), the circuit breaker, the
-// plan-decision cache, and the wrapper compile cache (including the
-// wrapper name sequence). This is how the serving plane gives each
-// session a pinned tier or technique switches without forking any
-// cache: the plan cache already partitions entries by options
-// fingerprint, wrapper traces hash identically across variants, and
-// epoch fencing on the shared structures protects all variants at
-// once.
+// model, the circuit breaker, the plan-decision cache, and the wrapper
+// compile cache (including the wrapper name sequence). This is how the
+// serving plane gives each session a pinned tier or technique switches
+// without forking any cache: the plan cache already partitions entries
+// by options fingerprint, wrapper traces hash identically across
+// variants, and epoch fencing on the shared structures protects all
+// variants at once.
 func (qf *QFusor) Variant(opts Options) *QFusor {
 	return &QFusor{Reg: qf.Reg, CM: qf.CM, Opts: opts,
 		Breaker: qf.Breaker, PlanCache: qf.PlanCache, wc: qf.wc, ic: qf.ic}
@@ -564,18 +573,18 @@ func (qf *QFusor) entryAdmitted(ent *PlanEntry) bool {
 	return true
 }
 
-// reportFromEntry reconstructs a per-query Report from a cache hit. The
-// section cost predictions are re-derived from the live drift
-// calibration (deliberately outside the cache key), so the §5.2
-// feedback loop keeps converging across cached executions.
+// reportFromEntry reconstructs a per-query Report from a cache hit.
+// SectionCosts is copied: execution writes Actual into the Report's
+// copy, never into the entry that concurrent hits read.
 func (qf *QFusor) reportFromEntry(ent *PlanEntry) *Report {
 	rep := &Report{
-		Sections:  ent.Sections,
-		Sources:   ent.Sources,
-		Wrappers:  ent.Wrappers,
-		Tiers:     ent.Tiers,
-		Inlined:   ent.Inlined,
-		PlanCache: "hit",
+		Sections:     ent.Sections,
+		Sources:      ent.Sources,
+		Wrappers:     ent.Wrappers,
+		Tiers:        ent.Tiers,
+		Inlined:      ent.Inlined,
+		SectionCosts: slices.Clone(ent.SectionCosts),
+		PlanCache:    "hit",
 	}
 	// Only real compiled wrappers count as compile-cache reuse; the
 	// "inline:*" pseudo-entries replay an inlining decision, not a
@@ -585,40 +594,26 @@ func (qf *QFusor) reportFromEntry(ent *PlanEntry) *Report {
 			rep.CacheHits++
 		}
 	}
-	for _, s := range ent.Seeds {
-		f := qf.CM.Drift.Factor(s.Key)
-		rep.SectionCosts = append(rep.SectionCosts, SectionDrift{
-			Wrapper:     s.Wrapper,
-			Key:         s.Key,
-			Predicted:   s.RawCost * f,
-			Calibration: f,
-		})
-	}
 	return rep
 }
 
-// newPlanEntry packages a fresh optimization outcome for the cache.
+// newPlanEntry packages a fresh optimization outcome for the cache. The
+// entry keeps its own copy of SectionCosts, since the miss's execution
+// goes on to fill Actual in rep's.
 func (qf *QFusor) newPlanEntry(key string, epoch int64, sql string, q *sqlengine.Query, rep *Report) *PlanEntry {
-	ent := &PlanEntry{
-		SQL:      normalizeSQL(sql),
-		Key:      key,
-		Epoch:    epoch,
-		Query:    q,
-		Sections: rep.Sections,
-		Sources:  rep.Sources,
-		Wrappers: rep.Wrappers,
-		Tiers:    rep.Tiers,
-		Inlined:  rep.Inlined,
+	return &PlanEntry{
+		SQL:          normalizeSQL(sql),
+		Key:          key,
+		Epoch:        epoch,
+		Query:        q,
+		Sections:     rep.Sections,
+		Sources:      rep.Sources,
+		Wrappers:     rep.Wrappers,
+		Tiers:        rep.Tiers,
+		Inlined:      rep.Inlined,
+		WrapperKeys:  qf.wc.breakerKeys(rep.Wrappers),
+		SectionCosts: slices.Clone(rep.SectionCosts),
 	}
-	ent.WrapperKeys = qf.wc.breakerKeys(rep.Wrappers)
-	for _, sd := range rep.SectionCosts {
-		raw := sd.Predicted
-		if sd.Calibration > 0 {
-			raw = sd.Predicted / sd.Calibration
-		}
-		ent.Seeds = append(ent.Seeds, SectionSeed{Wrapper: sd.Wrapper, Key: sd.Key, RawCost: raw})
-	}
-	return ent
 }
 
 // filterSections applies the option gates to discovered sections.
@@ -708,17 +703,7 @@ func (qf *QFusor) realizeSections(seg *Segment, g *DFG, secs []*Section, rep *Re
 		rep.Wrappers = append(rep.Wrappers, res.Wrapper)
 		rep.Tiers = append(rep.Tiers, res.Tier)
 		if key := sectionKeyOf(g, s.Nodes); key != "" {
-			// The calibrated prediction: the raw F(S) estimate scaled by
-			// the section's learned factor. Repeated queries converge
-			// because each execution's measured cost feeds the factor
-			// (observeSectionCosts) while the plan itself stays stable.
-			f := qf.CM.Drift.Factor(key)
-			rep.SectionCosts = append(rep.SectionCosts, SectionDrift{
-				Wrapper:     res.Wrapper,
-				Key:         key,
-				Predicted:   s.Cost * f,
-				Calibration: f,
-			})
+			rep.SectionCosts = append(rep.SectionCosts, SectionCost{Wrapper: res.Wrapper, Key: key, Predicted: s.Cost})
 		}
 		mSections.Inc()
 	}

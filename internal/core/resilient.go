@@ -283,10 +283,10 @@ func (qf *QFusor) queryResilient(ctx context.Context, eng *sqlengine.Engine, sql
 }
 
 // queryFusedOnce runs one attempt of the optimized path (Process +
-// execute) with panic containment, and — on success — closes the §5.2
-// drift loop by recording each fused section's measured cost against
-// its prediction. The Report is returned even on failure so the caller
-// knows which wrappers were involved.
+// execute) with panic containment, and — on success — records each
+// fused section's measured cost next to its prediction. The Report is
+// returned even on failure so the caller knows which wrappers were
+// involved.
 func (qf *QFusor) queryFusedOnce(ctx context.Context, eng *sqlengine.Engine, sql string, root *obs.Span) (r queryRun, err error) {
 	defer resilience.Recover(&err)
 	led := obs.LedgerFromContext(ctx)
@@ -300,9 +300,25 @@ func (qf *QFusor) queryFusedOnce(ctx context.Context, eng *sqlengine.Engine, sql
 	sp.End()
 	led.MarkPhase("execute")
 	if err == nil {
-		qf.observeSectionCosts(r.rep, r.udfs)
+		observeSectionCosts(r.rep, r.udfs)
 	}
 	return r, err
+}
+
+// observeSectionCosts fills each section's measured cost: its wrapper's
+// wall plus boundary-conversion time in this query. The Usage comes
+// from the query's own clone of the wrapper (morsel workers fold into it
+// at the barrier), so concurrent queries sharing the wrapper never leak
+// into each other's measurement.
+func observeSectionCosts(rep *Report, used []ffi.Usage) {
+	for i := range rep.SectionCosts {
+		sc := &rep.SectionCosts[i]
+		for _, u := range used {
+			if u.Name == sc.Wrapper && u.WallNanos+u.WrapNanos > 0 {
+				sc.Actual = float64(u.WallNanos + u.WrapNanos)
+			}
+		}
+	}
 }
 
 // execNative plans and executes sql without any QFusor rewrite, with

@@ -151,7 +151,7 @@ func (s StatsSnapshot) IsZero() bool { return s == StatsSnapshot{} }
 // Usage is one UDF's exact work inside one query: the Stats of the
 // per-query clone the query executed on, read when the clone is absorbed
 // back into the catalog UDF. It is the only source of per-query UDF
-// attribution (resource ledger rows, EXPLAIN ANALYZE, cost-model drift).
+// attribution (resource ledger rows, EXPLAIN ANALYZE, section costs).
 type Usage struct {
 	Name  string
 	Fused bool

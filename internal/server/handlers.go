@@ -44,14 +44,29 @@ func writeAdmissionErr(w http.ResponseWriter, ae *resilience.AdmissionError) {
 	writeJSON(w, ae.Code, errorBody{Error: ae.Error(), Reason: ae.Reason, Tenant: ae.Tenant})
 }
 
-// decodeBody decodes a JSON request body with unknown-field rejection.
-func decodeBody(r *http.Request, v any) error {
-	dec := json.NewDecoder(r.Body)
+// maxBodyBytes caps every request body. UDF source is the largest thing
+// a client sends (the paper workloads' whole library is under 10 KB),
+// so 1 MiB leaves ample room while bounding what one request can make
+// the server read.
+const maxBodyBytes = 1 << 20
+
+// decodeBody decodes a JSON request body of at most maxBodyBytes with
+// unknown-field rejection. On failure it writes the error response (413
+// for an oversized body, 400 otherwise) and returns false.
+func decodeBody(w http.ResponseWriter, r *http.Request, v any) bool {
+	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBodyBytes))
 	dec.DisallowUnknownFields()
-	if err := dec.Decode(v); err != nil {
-		return fmt.Errorf("bad request body: %w", err)
+	err := dec.Decode(v)
+	if err == nil {
+		return true
 	}
-	return nil
+	code := http.StatusBadRequest
+	var tooBig *http.MaxBytesError
+	if errors.As(err, &tooBig) {
+		code = http.StatusRequestEntityTooLarge
+	}
+	writeErr(w, code, "bad request body: "+err.Error())
+	return false
 }
 
 // ---- sessions ----
@@ -76,8 +91,7 @@ func (s *Server) handleSessionOpen(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var req sessionOpenRequest
-	if err := decodeBody(r, &req); err != nil {
-		writeErr(w, http.StatusBadRequest, err.Error())
+	if !decodeBody(w, r, &req) {
 		return
 	}
 	tier, err := core.ParseTier(req.Tier)
@@ -127,8 +141,7 @@ type prepareRequest struct {
 func (s *Server) handlePrepare(w http.ResponseWriter, r *http.Request) {
 	mRequests.Inc()
 	var req prepareRequest
-	if err := decodeBody(r, &req); err != nil {
-		writeErr(w, http.StatusBadRequest, err.Error())
+	if !decodeBody(w, r, &req) {
 		return
 	}
 	if req.Name == "" || req.SQL == "" {
@@ -277,8 +290,7 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var req queryRequest
-	if err := decodeBody(r, &req); err != nil {
-		writeErr(w, http.StatusBadRequest, err.Error())
+	if !decodeBody(w, r, &req) {
 		return
 	}
 	if req.Mode != "" && req.Mode != "fused" && req.Mode != "native" && req.Mode != "analyze" {
@@ -376,8 +388,7 @@ func (s *Server) handleExec(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var req execRequest
-	if err := decodeBody(r, &req); err != nil {
-		writeErr(w, http.StatusBadRequest, err.Error())
+	if !decodeBody(w, r, &req) {
 		return
 	}
 	if req.SQL == "" {
@@ -425,8 +436,7 @@ func (s *Server) handleDefine(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var req defineRequest
-	if err := decodeBody(r, &req); err != nil {
-		writeErr(w, http.StatusBadRequest, err.Error())
+	if !decodeBody(w, r, &req) {
 		return
 	}
 	if req.Source == "" {

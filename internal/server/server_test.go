@@ -317,6 +317,29 @@ func TestQueryModes(t *testing.T) {
 	}
 }
 
+// TestOversizedBodyRejected: a request body over the 1 MiB cap gets a
+// 413 with the JSON error envelope, and the server keeps serving.
+func TestOversizedBodyRejected(t *testing.T) {
+	_, base, _ := startServer(t, server.Config{})
+	big := strings.Repeat("x", 1<<20)
+	for path, body := range map[string]map[string]any{
+		"/v1/query":  {"sql": "SELECT 1 -- " + big},
+		"/v1/define": {"source": "# " + big},
+	} {
+		status, resp := postJSON(t, base+path, body)
+		if status != http.StatusRequestEntityTooLarge {
+			t.Fatalf("%s: status %d, want 413: %.200s", path, status, resp)
+		}
+		if q := decodeQuery(t, resp); !strings.Contains(q.Error, "too large") {
+			t.Fatalf("%s: error body %q does not say the body is too large", path, q.Error)
+		}
+	}
+	status, resp := postJSON(t, base+"/v1/query", map[string]any{"sql": diffSQL})
+	if status != http.StatusOK {
+		t.Fatalf("query after oversized bodies: %d %s", status, resp)
+	}
+}
+
 // TestAdmissionOverloadHTTP: a burst beyond capacity gets a mix of 200s
 // and typed 503s over real HTTP, admitted queries never wait past the
 // queue timeout (plus scheduling slack), and the census adds up.

@@ -474,7 +474,7 @@ func (q *execCtx) clone(u *ffi.UDF) *ffi.UDF {
 }
 
 // close ends the statement: each clone is absorbed into its catalog UDF
-// (the cost model and the drift loop keep learning) and its Stats become
+// (the cost model keeps learning from its Stats) and its Stats become
 // the statement's usage of that UDF — the ledger's UDF rows and the
 // returned list.
 func (q *execCtx) close() []ffi.Usage {
