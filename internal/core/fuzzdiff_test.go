@@ -170,11 +170,11 @@ var (
 )
 
 const (
-	diffNumShapes = 9
+	diffNumShapes = 11
 	// DiffSeedSpace is the exhaustive seed count TestDiffSeeds covers:
-	// shapes 0-5 and 8 draw from the notes dimensions, shapes 6-7 from
-	// the vals (inline-tier) dimensions.
-	diffSeedSpace = 7*4*4 + 2*5*4
+	// shapes 0-5 and 8-10 draw from the notes dimensions, shapes 6-7
+	// from the vals (inline-tier) dimensions.
+	diffSeedSpace = 9*4*4 + 2*5*4
 )
 
 // diffInlineShape reports whether a shape draws from the vals
@@ -216,6 +216,14 @@ func buildDiffQuery(dat []byte) string {
 		// A FROM-position table UDF at the bottom of the section: it is
 		// the source of the fused trace.
 		return fmt.Sprintf("SELECT id, %s AS s FROM words((SELECT id, title FROM notes%s)) AS w ORDER BY id, s", scalar, pred)
+	case 9:
+		// A join above the section reads two of its four columns: the
+		// section's input and the DFG come from a pruned plan.
+		return fmt.Sprintf("SELECT x.id, x.s FROM (SELECT id, %s AS s FROM notes%s) AS x JOIN notes AS m ON x.id = m.id ORDER BY x.id", scalar, pred)
+	case 10:
+		// The same join read by nothing but COUNT(*): the dead UDF output
+		// is still evaluated.
+		return fmt.Sprintf("SELECT COUNT(*) AS n FROM (SELECT id, %s AS s FROM notes%s) AS x JOIN notes AS m ON x.id = m.id", scalar, pred)
 	default:
 		// Inlinable scalar feeding an opaque aggregate: the argument
 		// inlines while the aggregate stays on the fusion ladder.
@@ -358,6 +366,7 @@ func FuzzDiff(f *testing.F) {
 		{7, 0, 0}, {7, 2, 2}, {7, 4, 3},
 		{0, 3, 0}, {0, 3, 1}, {1, 3, 2}, {2, 3, 3}, {5, 3, 0},
 		{8, 0, 0}, {8, 1, 1}, {8, 2, 2}, {8, 3, 3},
+		{9, 0, 0}, {9, 1, 3}, {9, 3, 1}, {10, 0, 0}, {10, 2, 3}, {10, 3, 2},
 	} {
 		f.Add(seed)
 	}

@@ -2,6 +2,7 @@ package sqlengine
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -21,17 +22,17 @@ func (e *Engine) execColumnar(p *Plan, ectx *execCtx) (*data.Chunk, error) {
 		t, ok := e.Catalog.Table(p.Table)
 		if !ok {
 			if ch, ok := ectx.ctes[lower(p.Table)]; ok {
-				return ch, nil
+				return p.emit(ch), nil
 			}
 			return nil, errNoSuchTable(p.Table)
 		}
-		return t.Chunk(), nil
+		return p.emit(t.Chunk()), nil
 	case OpCTERef:
 		ch, ok := ectx.ctes[lower(p.Table)]
 		if !ok {
 			return nil, fmt.Errorf("sql: CTE %s not materialized", p.Table)
 		}
-		return ch, nil
+		return p.emit(ch), nil
 	case OpProject:
 		if len(p.Children) == 0 {
 			// FROM-less SELECT: one dummy row. The planner's placeholder
@@ -172,20 +173,28 @@ func (e *Engine) projectChunk(p *Plan, in *data.Chunk, ectx *execCtx) (*data.Chu
 	if err != nil {
 		return nil, err
 	}
-	return e.runPartitioned(ectx, in, in.NumRows(), func(_ int, part *data.Chunk) (*data.Chunk, error) {
-		cols, err := prog.run(part)
-		if err != nil {
-			return nil, err
-		}
+	rename := func(cols []*data.Column) *data.Chunk {
 		for i, c := range cols {
-			if prog.roots[i] < len(part.Cols) {
+			if prog.roots[i] < len(in.Cols) {
 				mZeroCopyCols.Inc() // a column reference of matching kind passes through
 			}
 			cp := *c // the result may be the input's own column
 			cp.Name = p.Schema[i].Name
 			cols[i] = &cp
 		}
-		return data.NewChunk(cols...), nil
+		return data.NewChunk(cols...)
+	}
+	// Column references alone compute nothing: the input's columns are
+	// the output, with no morsels to run and none to concatenate.
+	if len(prog.roots) > 0 && !slices.ContainsFunc(prog.roots, func(r int) bool { return r >= len(in.Cols) }) {
+		return rename(choose(in.Cols, prog.roots)), nil
+	}
+	return e.runPartitioned(ectx, in, in.NumRows(), func(_ int, part *data.Chunk) (*data.Chunk, error) {
+		cols, err := prog.run(part)
+		if err != nil {
+			return nil, err
+		}
+		return rename(cols), nil
 	})
 }
 
@@ -351,7 +360,14 @@ func (e *Engine) joinChunk(p *Plan, ectx *execCtx) (*data.Chunk, error) {
 	if err != nil {
 		return nil, err
 	}
-	cols, err := e.gather(ectx, take{cols: l.Cols, rows: lrows}, take{cols: r.Cols, rows: rrows, nulls: padded.Load()})
+	// Only the parent's columns are gathered. KeepCols ascend, so the
+	// left side's come first.
+	keep := p.emit(data.NewChunk(append(l.Cols[:nl:nl], r.Cols...)...)).Cols
+	split := nl
+	if p.KeepCols != nil {
+		split = sort.SearchInts(p.KeepCols, nl)
+	}
+	cols, err := e.gather(ectx, take{cols: keep[:split], rows: lrows}, take{cols: keep[split:], rows: rrows, nulls: padded.Load()})
 	if err != nil {
 		return nil, err
 	}

@@ -54,17 +54,17 @@ func (e *Engine) buildRowIter(p *Plan, ectx *execCtx) (rowIter, error) {
 		t, ok := e.Catalog.Table(p.Table)
 		if !ok {
 			if ch, ok := ectx.ctes[lower(p.Table)]; ok {
-				return &chunkIter{ch: ch}, nil
+				return &chunkIter{ch: p.emit(ch)}, nil
 			}
 			return nil, errNoSuchTable(p.Table)
 		}
-		return &chunkIter{ch: t.Chunk()}, nil
+		return &chunkIter{ch: p.emit(t.Chunk())}, nil
 	case OpCTERef:
 		ch, ok := ectx.ctes[lower(p.Table)]
 		if !ok {
 			return nil, fmt.Errorf("sql: CTE %s not materialized", p.Table)
 		}
-		return &chunkIter{ch: ch}, nil
+		return &chunkIter{ch: p.emit(ch)}, nil
 	case OpProject:
 		if len(p.Children) == 0 {
 			return &projectIter{eng: e, plan: p, child: &chunkIter{ch: oneRowChunk()}}, nil
@@ -313,6 +313,7 @@ type joinIter struct {
 	matchPos int
 	pad      bool // LEFT: curLeft has no surviving match yet
 	keyBuf   []byte
+	full     []data.Value // the joined row before KeepCols
 }
 
 // Next pulls the next joined row: curLeft with each candidate right row
@@ -324,7 +325,7 @@ func (it *joinIter) Next() ([]data.Value, bool, error) {
 		if it.matchPos == len(it.matches) {
 			if it.pad {
 				it.pad = false
-				return it.row(-1), true, nil
+				return it.emit(it.row(-1)), true, nil
 			}
 			row, ok, err := it.left.Next()
 			if err != nil || !ok {
@@ -358,13 +359,18 @@ func (it *joinIter) Next() ([]data.Value, bool, error) {
 			}
 		}
 		it.pad = false
-		return out, true, nil
+		return it.emit(out), true, nil
 	}
 }
 
-// row is curLeft joined with right row j; -1 extends it with NULLs.
+// row is curLeft joined with right row j; -1 extends it with NULLs. A
+// join that emits a subset of its columns (KeepCols) builds the row in
+// a buffer of its own, reused row after row.
 func (it *joinIter) row(j int) []data.Value {
-	out := make([]data.Value, len(it.plan.Schema))
+	if it.full == nil || it.plan.KeepCols == nil {
+		it.full = make([]data.Value, it.nl+len(it.right.Cols))
+	}
+	out := it.full
 	copy(out, it.curLeft)
 	for c, col := range it.right.Cols {
 		if j < 0 {
@@ -374,6 +380,14 @@ func (it *joinIter) row(j int) []data.Value {
 		}
 	}
 	return out
+}
+
+// emit is the joined row's output: its KeepCols, or the row itself.
+func (it *joinIter) emit(row []data.Value) []data.Value {
+	if it.plan.KeepCols == nil {
+		return row
+	}
+	return choose(row, it.plan.KeepCols)
 }
 
 func (it *joinIter) Close() { it.left.Close() }

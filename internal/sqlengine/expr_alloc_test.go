@@ -13,7 +13,8 @@ import (
 // not what it computes. The expression programs' intermediate slots
 // reuse their storage from morsel to morsel, and a filter gathers its
 // kept rows once into a preallocated output, so each query below
-// allocates within a small multiple of one input column's payload.
+// allocates within a small multiple of one input column's payload. A
+// projection that only renames columns copies none.
 func TestOperatorAllocationBound(t *testing.T) {
 	const rows = 100000
 	tbl := data.NewTable("t", data.Schema{{Name: "n", Kind: data.KindInt}, {Name: "m", Kind: data.KindInt}})
@@ -35,6 +36,8 @@ func TestOperatorAllocationBound(t *testing.T) {
 		{"SELECT SUM(CASE WHEN n IS NULL THEN NULL ELSE (n*37+11)*3 - n END) FROM t", 4},
 		{"SELECT n, (n*37+11)*3 - n + m FROM t", 5},
 		{"SELECT n, m FROM t WHERE (n*37+11)*3 - n > 5 AND m + 1 > 2", 7},
+		// Bare column references return the input's columns themselves.
+		{"SELECT m, n FROM t", 0.1},
 	} {
 		if _, err := eng.Query(c.sql); err != nil {
 			t.Fatal(err)
@@ -49,7 +52,7 @@ func TestOperatorAllocationBound(t *testing.T) {
 		ratio := float64(after.TotalAlloc-before.TotalAlloc) / column
 		t.Logf("%s: allocated %.2f× a column", c.sql, ratio)
 		if ratio > c.bound {
-			t.Errorf("%s: allocated %.2f× a column, want at most %.0f×", c.sql, ratio, c.bound)
+			t.Errorf("%s: allocated %.2f× a column, want at most %g×", c.sql, ratio, c.bound)
 		}
 	}
 }

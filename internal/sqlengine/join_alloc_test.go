@@ -14,7 +14,8 @@ import (
 // of its result's payload. Each morsel lists its (left row, right row)
 // pairs, and the output columns are typed gathers from those lists into
 // one preallocated chunk — no boxed value, no append-grown column per
-// output cell, and no per-morsel part copied a second time.
+// output cell, and no per-morsel part copied a second time. A join whose
+// parent reads few of its columns gathers only those.
 func TestJoinAllocationBound(t *testing.T) {
 	f := data.NewTable("f", data.Schema{
 		{Name: "k", Kind: data.KindInt},
@@ -28,29 +29,42 @@ func TestJoinAllocationBound(t *testing.T) {
 	for i := 0; i < 1000; i++ {
 		_ = d.AppendRow(data.Int(int64(i)), data.Float(float64(i)/2))
 	}
-	const sql = "SELECT f.n, f.s, d.w FROM f JOIN d ON f.k = d.k"
-	for _, par := range []int{1, 2} {
-		eng := sqlengine.New("alloc", sqlengine.ModeColumnar, ffi.VectorInvoker{}, 0)
-		eng.Parallelism = par
-		eng.Catalog.PutTable(f)
-		eng.Catalog.PutTable(d)
-		if _, err := eng.Query(sql); err != nil {
-			t.Fatal(err)
-		}
-		var before, after runtime.MemStats
-		runtime.ReadMemStats(&before)
-		res, err := eng.Query(sql)
-		runtime.ReadMemStats(&after)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if res.NumRows() != 50000 {
-			t.Fatalf("par=%d: %d rows, want 50000", par, res.NumRows())
-		}
-		ratio := float64(after.TotalAlloc-before.TotalAlloc) / float64(payloadBytes(res))
-		t.Logf("par=%d: allocated %.1f× the result's payload", par, ratio)
-		if ratio > 4 {
-			t.Errorf("par=%d: allocated %.1f× the result's payload, want at most 4×", par, ratio)
+	const column = 8 * 50000 // one int column of the join's result
+	for _, c := range []struct {
+		sql     string
+		max     float64
+		ofInput bool // bounded by one int column, not the result's payload
+	}{
+		{"SELECT f.n, f.s, d.w FROM f JOIN d ON f.k = d.k", 4, false},
+		// The parent reads one column, so the join gathers one: its keys
+		// are hashed and probed, not materialized. The rest is the pair
+		// lists and the aggregate's group ids.
+		{"SELECT SUM(f.n) FROM f JOIN d ON f.k = d.k", 6, true},
+	} {
+		for _, par := range []int{1, 2} {
+			eng := sqlengine.New("alloc", sqlengine.ModeColumnar, ffi.VectorInvoker{}, 0)
+			eng.Parallelism = par
+			eng.Catalog.PutTable(f)
+			eng.Catalog.PutTable(d)
+			if _, err := eng.Query(c.sql); err != nil {
+				t.Fatal(err)
+			}
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			res, err := eng.Query(c.sql)
+			runtime.ReadMemStats(&after)
+			if err != nil {
+				t.Fatal(err)
+			}
+			unit, of := float64(payloadBytes(res)), "the result's payload"
+			if c.ofInput {
+				unit, of = column, "one int column"
+			}
+			ratio := float64(after.TotalAlloc-before.TotalAlloc) / unit
+			t.Logf("%s par=%d: allocated %.1f× %s", c.sql, par, ratio, of)
+			if ratio > c.max {
+				t.Errorf("%s par=%d: allocated %.1f× %s, want at most %g×", c.sql, par, ratio, of, c.max)
+			}
 		}
 	}
 }

@@ -1,16 +1,16 @@
 package sqlengine
 
-import (
-	"strings"
-)
-
-// Optimize applies the engine's rule-based rewrites in place:
+// Optimize applies the engine's four rule-based rewrites in place, in
+// this order:
 //
 //  1. equi-join extraction: Filter over a cross Join moves equality
 //     conjuncts into the join condition (enabling the hash join);
 //  2. filter pushdown through Project (substituting projected
 //     expressions) and into Join sides;
-//  3. row-estimate recomputation.
+//  3. required-column pruning (prune.go): every node emits only the
+//     columns its parent reads, and a projection drops its dead outputs
+//     that call no function;
+//  4. row-estimate recomputation.
 //
 // QFusor's fusion optimizer runs after this, on the optimized plan —
 // exactly the paper's "probe the optimizer with EXPLAIN" flow.
@@ -19,6 +19,7 @@ func Optimize(q *Query, cat *Catalog) {
 		q.CTEs[i].Plan = optimizeNode(q.CTEs[i].Plan, cat)
 	}
 	q.Root = optimizeNode(q.Root, cat)
+	pruneColumns(q)
 	for _, cte := range q.CTEs {
 		recomputeEstimates(cte.Plan, cat)
 	}
@@ -275,25 +276,4 @@ func recomputeEstimates(p *Plan, cat *Catalog) {
 	if p.EstRows < 1 {
 		p.EstRows = 1
 	}
-}
-
-// FindScans returns the base tables referenced by the query (used by
-// experiments to size workloads).
-func (q *Query) FindScans() []string {
-	var out []string
-	seen := map[string]bool{}
-	visit := func(p *Plan) {
-		if p.Op == OpScan {
-			k := strings.ToLower(p.Table)
-			if !seen[k] {
-				seen[k] = true
-				out = append(out, p.Table)
-			}
-		}
-	}
-	for _, cte := range q.CTEs {
-		cte.Plan.Walk(visit)
-	}
-	q.Root.Walk(visit)
-	return out
 }

@@ -106,8 +106,10 @@ type Plan struct {
 	UnionAll  bool
 	UDF       *ffi.UDF  // TableFunc / Expand
 	TFArgs    []SQLExpr // extra scalar args of the UDF
-	// KeepCols are the child column indexes replicated next to Expand
-	// output.
+	// KeepCols are the input columns this node emits, nil for all of
+	// them: the child columns replicated next to Expand output, the
+	// source columns of a Scan or CTERef, or the columns of a join's
+	// left ++ right (set by column pruning, prune.go).
 	KeepCols []int
 
 	// NoPartition marks fused nodes whose wrapper carries cross-row
@@ -116,6 +118,15 @@ type Plan struct {
 
 	// EstRows is the optimizer's row estimate for this node's output.
 	EstRows float64
+}
+
+// emit returns the columns a Scan, CTERef or join emits from its
+// source columns: KeepCols' column headers, shared with the source.
+func (p *Plan) emit(src *data.Chunk) *data.Chunk {
+	if p.KeepCols == nil {
+		return src
+	}
+	return &data.Chunk{Cols: choose(src.Cols, p.KeepCols)}
 }
 
 // Query is a complete executable query: CTE definitions plus the root.
@@ -200,6 +211,9 @@ func explainNode(b *strings.Builder, p *Plan, depth int) {
 		if p.UnionAll {
 			b.WriteString(" ALL")
 		}
+	}
+	if p.KeepCols != nil && p.Op != OpExpand { // the columns pruning kept
+		fmt.Fprintf(b, " [%s]", strings.Join(p.Schema.Names(), ", "))
 	}
 	fmt.Fprintf(b, "  (rows≈%.0f)\n", p.EstRows)
 	for _, c := range p.Children {

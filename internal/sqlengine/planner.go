@@ -13,6 +13,9 @@ type planner struct {
 	cat    *Catalog
 	ctes   map[string]*Plan // visible CTEs by lower-case name
 	bodies map[string]*Plan // materialized CTEs' plans by lower-case name
+	// aggOut maps an aggregate query's output projection to the rewriter
+	// its select items went through, so ORDER BY keys go through it too.
+	aggOut map[*Plan]*aggRewriter
 }
 
 // PlanSelect lowers a SelectStmt into an executable Query.
@@ -127,7 +130,16 @@ func (pl *planner) planSelectStmt(st *SelectStmt) (*Plan, error) {
 				if p.Op != OpProject || len(p.Children) != 1 {
 					return nil, err
 				}
-				h, k, err2 := pl.bindExpr(o.Expr, p.Children[0])
+				// An aggregate query's key reads the aggregate's output,
+				// as its select items do.
+				key := o.Expr
+				if rw, ok := pl.aggOut[p]; ok {
+					var rerr error
+					if key, rerr = rw.rewrite(key); rerr != nil {
+						return nil, rerr
+					}
+				}
+				h, k, err2 := pl.bindExpr(key, p.Children[0])
 				if err2 != nil {
 					return nil, err
 				}

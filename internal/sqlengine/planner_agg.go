@@ -138,6 +138,10 @@ func (pl *planner) planAggregate(core *SelectCore, items []SelectItem, in *Plan)
 	}
 	out := &Plan{Op: OpProject, Children: []*Plan{p}, Schema: outSchema,
 		Quals: make([]string, len(outSchema)), Exprs: exprs, EstRows: p.EstRows}
+	if pl.aggOut == nil {
+		pl.aggOut = map[*Plan]*aggRewriter{}
+	}
+	pl.aggOut[out] = rw
 	if core.Distinct {
 		return &Plan{Op: OpDistinct, Children: []*Plan{out}, Schema: out.Schema,
 			Quals: out.Quals, EstRows: out.EstRows * distinctSelectivity}, nil

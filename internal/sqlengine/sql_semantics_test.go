@@ -462,3 +462,31 @@ func TestDeleteAllAndReinsert(t *testing.T) {
 		t.Fatalf("got %v", vs[0])
 	}
 }
+
+// TestAggregateOrderByKeyOrAggregate: an aggregate query orders by a
+// qualified group key or by an aggregate it selects. Both keys read the
+// aggregate's output, as the select items do.
+func TestAggregateOrderByKeyOrAggregate(t *testing.T) {
+	cases := []struct{ sql, want string }{
+		{"SELECT p.city, COUNT(*) AS n FROM people AS p GROUP BY p.city ORDER BY p.city",
+			"[athens:2 berlin:2 paris:2]"},
+		{"SELECT p.city, SUM(p.age) AS s FROM people AS p GROUP BY p.city ORDER BY SUM(p.age)",
+			"[paris:60 athens:79 berlin:80]"},
+	}
+	for _, mode := range []sqlengine.ExecMode{sqlengine.ModeColumnar, sqlengine.ModeRow, sqlengine.ModeChunked} {
+		eng := newTestEngine(t, mode, ffi.VectorInvoker{})
+		for _, c := range cases {
+			res, err := eng.Query(c.sql)
+			if err != nil {
+				t.Fatalf("%s: %s: %v", mode, c.sql, err)
+			}
+			got := make([]string, res.NumRows())
+			for r := range got {
+				got[r] = res.Cols[0].Get(r).String() + ":" + res.Cols[1].Get(r).String()
+			}
+			if fmt.Sprint(got) != c.want {
+				t.Errorf("%s: %s: got %v, want %s", mode, c.sql, got, c.want)
+			}
+		}
+	}
+}
