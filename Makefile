@@ -12,14 +12,17 @@ build:
 vet:
 	$(GO) vet ./...
 
-## lint: static gates — go vet plus a gofmt diff check (fails listing
-## any file that is not gofmt-clean).
+## lint: static gates — go vet, a gofmt diff check (fails listing
+## any file that is not gofmt-clean), and the bind-once check: only the
+## planner, the catalog and UDF registration may resolve a function name
+## through Catalog.UDF (scripts/udflookup).
 lint:
 	$(GO) vet ./...
 	@unformatted=$$(gofmt -l .); \
 	if [ -n "$$unformatted" ]; then \
 		echo "gofmt needed on:"; echo "$$unformatted"; exit 1; \
 	fi
+	$(GO) run ./scripts/udflookup
 
 test:
 	$(GO) test ./...

@@ -183,6 +183,24 @@ func TestTablesAndUDFListing(t *testing.T) {
 	}
 }
 
+// TestUDFListOmitsFusedWrappers: a fused query's wrappers belong to its
+// plan, so the UDF listing (the CLI's \udfs) shows only what was
+// defined.
+func TestUDFListOmitsFusedWrappers(t *testing.T) {
+	db := openTestDB(t, qfusor.MonetDB)
+	if _, err := db.Query("SELECT slug(title) AS s FROM notes WHERE slug(title) != 'zzz'"); err != nil {
+		t.Fatal(err)
+	}
+	if db.LastReport().Sections == 0 {
+		t.Fatal("query fused nothing")
+	}
+	for _, u := range db.UDFList() {
+		if strings.HasPrefix(u, "__qf_") {
+			t.Fatalf("UDF listing holds fused wrapper %s", u)
+		}
+	}
+}
+
 // TestRewriteSQLPath1 exercises the paper's rewrite path 1: the fused
 // query rendered as SQL, re-submitted to the engine, produces the same
 // result as direct plan execution.

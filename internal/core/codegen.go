@@ -41,7 +41,7 @@ func (qf *QFusor) generateSection(seg *Segment, g *DFG, sec *Section) (*fusedRes
 	lo, hi := spanOf(g, inSec)
 	top := seg.Chain[hi]
 
-	if top.Op == sqlengine.OpAggregate && keysHaveUDF(top, qf.catalog()) {
+	if top.Op == sqlengine.OpAggregate && keysHaveUDF(top) {
 		// Group keys calling UDFs are not resolvable to trace registers;
 		// shrink the section below the aggregate (the keys then run
 		// through the engine's vectorized UDF path).
@@ -80,27 +80,13 @@ func (qf *QFusor) generateShrunk(seg *Segment, g *DFG, sec *Section, hi int) (*f
 }
 
 // keysHaveUDF reports whether any group key calls a UDF.
-func keysHaveUDF(p *sqlengine.Plan, cat *sqlengine.Catalog) bool {
+func keysHaveUDF(p *sqlengine.Plan) bool {
 	for _, k := range p.GroupBy {
-		if exprCallsUDF(k, cat) {
+		if countUDFCalls(k) > 0 {
 			return true
 		}
 	}
 	return false
-}
-
-func exprCallsUDF(e sqlengine.SQLExpr, cat *sqlengine.Catalog) bool {
-	found := false
-	sqlengine.WalkExpr(e, func(x sqlengine.SQLExpr) bool {
-		if f, ok := x.(*sqlengine.FuncExpr); ok {
-			if _, ok := cat.UDF(f.Name); ok {
-				found = true
-				return false
-			}
-		}
-		return true
-	})
-	return found
 }
 
 func fieldAt(g *DFG, pi, col int) string {

@@ -167,8 +167,8 @@ func fieldName(pi, c int) string { return fmt.Sprintf("p%d.c%d", pi, c) }
 
 // BuildDFG extracts the fine-grained operator nodes of a segment and
 // connects them per the Bernstein condition (Algorithm 1).
-func BuildDFG(seg *Segment, cat *sqlengine.Catalog) (*DFG, error) {
-	b := &dfgBuilder{cat: cat}
+func BuildDFG(seg *Segment) (*DFG, error) {
+	b := &dfgBuilder{}
 	// Base fields: the segment child's columns, addressed as p-1.cN.
 	var curFields []string
 	if seg.Base != nil {
@@ -193,7 +193,6 @@ func BuildDFG(seg *Segment, cat *sqlengine.Catalog) (*DFG, error) {
 }
 
 type dfgBuilder struct {
-	cat   *sqlengine.Catalog
 	nodes []*DFGNode
 	tmpN  int
 	// cse memoizes scalar UDF calls on identical inputs within the
@@ -387,7 +386,7 @@ func (b *dfgBuilder) decomposeUDFCalls(pi int, e sqlengine.SQLExpr, in []string,
 			fields[f] = true
 			return fieldRefExpr(f), nil
 		case *sqlengine.FuncExpr:
-			if u, ok := b.cat.UDF(ex.Name); ok && u.Kind == ffi.Scalar {
+			if u := scalarUDF(ex); u != nil {
 				// Argument subtrees first (producing their own nodes).
 				var argFields []string
 				var argExprs []sqlengine.SQLExpr
@@ -418,7 +417,7 @@ func (b *dfgBuilder) decomposeUDFCalls(pi int, e sqlengine.SQLExpr, in []string,
 				out := b.tmp()
 				nd := b.add(&DFGNode{Kind: KUDFScalar, Name: u.Name, UDF: u,
 					In: argFields, Out: []string{out}, PlanIdx: pi,
-					Expr: &sqlengine.FuncExpr{Name: ex.Name, Args: argExprs},
+					Expr: &sqlengine.FuncExpr{Name: ex.Name, Args: argExprs, UDF: u},
 					Rows: rows, Sel: 1, Uses: 1})
 				if canCSE {
 					b.cse[key] = nd.ID
@@ -435,7 +434,7 @@ func (b *dfgBuilder) decomposeUDFCalls(pi int, e sqlengine.SQLExpr, in []string,
 				}
 				args[i] = ra
 			}
-			return &sqlengine.FuncExpr{Name: ex.Name, Args: args, Star: ex.Star}, nil
+			return &sqlengine.FuncExpr{Name: ex.Name, Args: args, Star: ex.Star, UDF: ex.UDF}, nil
 		case *sqlengine.Lit:
 			return ex, nil
 		case *sqlengine.BinExpr:

@@ -51,7 +51,7 @@ def ex(s: str) -> str:
 	if len(segs) == 0 {
 		t.Fatal("no segments")
 	}
-	g, err := BuildDFG(segs[0], eng.Catalog)
+	g, err := BuildDFG(segs[0])
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -102,8 +102,8 @@ func TestDFGTopoOrderAcyclic(t *testing.T) {
 // TestSectionsNonOverlappingAndOrdered: Algorithm 2's output sections
 // never share nodes, and each section lists nodes in topological order.
 func TestSectionsNonOverlappingAndOrdered(t *testing.T) {
-	eng, _, g := dfgFixture(t, "SELECT ex(u2(u1(a))) AS w, u1(b) AS y FROM t")
-	secs := DiscoverSections(g, DefaultCostModel(), eng.Catalog)
+	_, _, g := dfgFixture(t, "SELECT ex(u2(u1(a))) AS w, u1(b) AS y FROM t")
+	secs := DiscoverSections(g, DefaultCostModel())
 	seen := map[int]bool{}
 	for _, s := range secs {
 		last := -1
@@ -231,7 +231,7 @@ func TestTranslateMatchesEvalPure(t *testing.T) {
 		want, werr := sqlengine.EvalPure(direct, row)
 
 		// Trace side: the lowered expression run as a one-output trace.
-		tg := newTraceGen(sqlengine.NewCatalog(), 2, func(cr *sqlengine.ColRef) (int, error) {
+		tg := newTraceGen(2, func(cr *sqlengine.ColRef) (int, error) {
 			return int(cr.Name[1] - '0'), nil
 		})
 		out, err := tg.lower(e)
@@ -296,7 +296,7 @@ func TestNullSemanticsInOffloadedFilters(t *testing.T) {
 	pred := &sqlengine.BinExpr{Op: "OR",
 		L: &sqlengine.BinExpr{Op: "<", L: x, R: &sqlengine.Lit{Value: data.Int(5)}},
 		R: &sqlengine.BinExpr{Op: "=", L: x, R: &sqlengine.Lit{Value: data.Null}}}
-	tg := newTraceGen(sqlengine.NewCatalog(), 1, func(*sqlengine.ColRef) (int, error) { return 0, nil })
+	tg := newTraceGen(1, func(*sqlengine.ColRef) (int, error) { return 0, nil })
 	if err := tg.filter(pred); err != nil {
 		t.Fatal(err)
 	}

@@ -31,7 +31,7 @@ func (s *Section) Gain() float64 { return s.SingleCost - s.Cost }
 // validates them (closure over their plan span, fusibility of every
 // member), permutes reorderable relational operators out (F3), and
 // finally selects maximal non-overlapping sections.
-func DiscoverSections(g *DFG, cm *CostModel, cat *sqlengine.Catalog) []*Section {
+func DiscoverSections(g *DFG, cm *CostModel) []*Section {
 	n := len(g.Nodes)
 	dp := make([]float64, n)
 	secs := make([][]int, n)
@@ -52,11 +52,11 @@ func DiscoverSections(g *DFG, cm *CostModel, cat *sqlengine.Catalog) []*Section 
 		reord[v] = nil
 		bestGain := 0.0
 		for _, u := range g.Pred[v] {
-			if !fusibleOrReorderable(g.Nodes[u], g.Nodes[v], cat) {
+			if !fusibleOrReorderable(g.Nodes[u], g.Nodes[v]) {
 				continue
 			}
 			cand := append(append([]int(nil), secs[u]...), v)
-			closed, moved, valid := closeSection(g, cand, cat)
+			closed, moved, valid := closeSection(g, cand)
 			if !valid {
 				continue
 			}
@@ -103,12 +103,12 @@ func DiscoverSections(g *DFG, cm *CostModel, cat *sqlengine.Catalog) []*Section 
 	}
 	byPlan := map[int][]int{}
 	for id, nd := range g.Nodes {
-		if nodeFusible(nd, cat) {
+		if nodeFusible(nd) {
 			byPlan[nd.PlanIdx] = append(byPlan[nd.PlanIdx], id)
 		}
 	}
 	for _, ids := range byPlan {
-		closed, moved, ok := closeSection(g, ids, cat)
+		closed, moved, ok := closeSection(g, ids)
 		if ok {
 			addCand(closed, moved)
 		}
@@ -182,22 +182,22 @@ func heuristicAccept(g *DFG, nodes []int) bool {
 
 // fusibleOrReorderable implements the fusion-case check of Algorithm 2
 // line 9 for an edge u → v.
-func fusibleOrReorderable(u, v *DFGNode, cat *sqlengine.Catalog) bool {
-	return nodeFusible(u, cat) && nodeFusible(v, cat)
+func fusibleOrReorderable(u, v *DFGNode) bool {
+	return nodeFusible(u) && nodeFusible(v)
 }
 
 // nodeFusible reports whether a single operator may participate in a
 // fused section at all. Fused wrappers never nest in another section.
-func nodeFusible(n *DFGNode, cat *sqlengine.Catalog) bool {
+func nodeFusible(n *DFGNode) bool {
 	switch n.Kind {
 	case KUDFScalar, KUDFAggregate, KUDFTable:
 		return !n.UDF.Fused
 	case KRelExpr, KRelFilter:
-		return n.Expr == nil || traceable(n.Expr, cat)
+		return n.Expr == nil || traceable(n.Expr)
 	case KRelAggNative:
 		switch n.Name {
 		case "sum", "count", "min", "max", "avg":
-			return n.Expr == nil || traceable(n.Expr, cat)
+			return n.Expr == nil || traceable(n.Expr)
 		}
 		return false // blocking aggregates (median) stay engine-side
 	case KRelGroupBy:
@@ -211,12 +211,12 @@ func nodeFusible(n *DFGNode, cat *sqlengine.Catalog) bool {
 // traceable reports whether a trace can compute e: every node one the
 // engine evaluates (its builtin scalars included) or a scalar UDF call,
 // which becomes a TCall.
-func traceable(e sqlengine.SQLExpr, cat *sqlengine.Catalog) bool {
+func traceable(e sqlengine.SQLExpr) bool {
 	ok := true
 	sqlengine.WalkExpr(e, func(x sqlengine.SQLExpr) bool {
 		switch f := x.(type) {
 		case *sqlengine.FuncExpr:
-			if u, isUDF := cat.UDF(f.Name); isUDF {
+			if u := f.UDF; u != nil {
 				ok = u.Kind == ffi.Scalar && !u.Fused
 			} else {
 				ok = sqlengine.IsNativeScalar(f.Name)
@@ -239,7 +239,7 @@ func traceable(e sqlengine.SQLExpr, cat *sqlengine.Catalog) bool {
 // be reorderable out of it (fields disjoint from every section member —
 // the conservative F3 rule). Returns the closed section (topo order),
 // the moved-out nodes, and validity.
-func closeSection(g *DFG, cand []int, cat *sqlengine.Catalog) (closed, moved []int, ok bool) {
+func closeSection(g *DFG, cand []int) (closed, moved []int, ok bool) {
 	inSec := map[int]bool{}
 	for _, v := range cand {
 		inSec[v] = true
@@ -258,7 +258,7 @@ func closeSection(g *DFG, cand []int, cat *sqlengine.Catalog) (closed, moved []i
 			if nd.Kind == KRelFilter && disjointFromSection(g, nd, inSec) {
 				continue
 			}
-			if !nodeFusible(nd, cat) {
+			if !nodeFusible(nd) {
 				return nil, nil, false
 			}
 			inSec[id] = true
@@ -404,8 +404,8 @@ func maxInt(a, b int) int {
 
 // InspectSection is a diagnostic helper: it closes a candidate node set
 // and reports its fused cost versus the sum of unfused singles.
-func InspectSection(g *DFG, cm *CostModel, cat *sqlengine.Catalog, cand []int) (cost, single float64, closed []int, valid bool) {
-	closed, _, valid = closeSection(g, cand, cat)
+func InspectSection(g *DFG, cm *CostModel, cand []int) (cost, single float64, closed []int, valid bool) {
+	closed, _, valid = closeSection(g, cand)
 	if !valid {
 		return 0, 0, nil, false
 	}

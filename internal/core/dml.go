@@ -11,7 +11,6 @@ import (
 // into wrapper UDFs before execution (§4.2.5 — the capability the paper
 // notes is missing from the SOTA comparators).
 func (qf *QFusor) ExecDML(eng *sqlengine.Engine, sql string) error {
-	qf.setCatalog(eng.Catalog)
 	st, err := sqlengine.ParseSQL(sql)
 	if err != nil {
 		return err

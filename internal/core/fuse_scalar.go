@@ -48,12 +48,8 @@ func (qf *QFusor) fuseExprChains(e sqlengine.SQLExpr, childSchema data.Schema, r
 		return nil, nil
 	}
 	// Try the whole subtree when rooted at a UDF call.
-	if f, ok := e.(*sqlengine.FuncExpr); ok {
-		if u, isUDF := qf.catalog().UDF(f.Name); isUDF && u.Kind == ffi.Scalar {
-			if traceable(e, qf.catalog()) && countScalarUDFs(e, qf.catalog()) >= 2 {
-				return qf.emitScalarWrapper(e, childSchema, rep)
-			}
-		}
+	if f, ok := e.(*sqlengine.FuncExpr); ok && scalarUDF(f) != nil && traceable(e) && countUDFCalls(e) >= 2 {
+		return qf.emitScalarWrapper(e, childSchema, rep)
 	}
 	// Otherwise recurse into children.
 	var outerErr error
@@ -108,13 +104,11 @@ func rewriteChildren(e sqlengine.SQLExpr, fn func(sqlengine.SQLExpr) sqlengine.S
 	}
 }
 
-func countScalarUDFs(e sqlengine.SQLExpr, cat *sqlengine.Catalog) int {
+func countUDFCalls(e sqlengine.SQLExpr) int {
 	n := 0
 	sqlengine.WalkExpr(e, func(x sqlengine.SQLExpr) bool {
-		if f, ok := x.(*sqlengine.FuncExpr); ok {
-			if _, isUDF := cat.UDF(f.Name); isUDF {
-				n++
-			}
+		if f, ok := x.(*sqlengine.FuncExpr); ok && f.UDF != nil {
+			n++
 		}
 		return true
 	})
@@ -137,7 +131,7 @@ func (qf *QFusor) emitScalarWrapper(e sqlengine.SQLExpr, childSchema data.Schema
 		}
 		return true
 	})
-	tg := newTraceGen(qf.catalog(), len(cols), func(cr *sqlengine.ColRef) (int, error) {
+	tg := newTraceGen(len(cols), func(cr *sqlengine.ColRef) (int, error) {
 		if r, ok := seen[cr.Index]; ok {
 			return r, nil
 		}
@@ -149,12 +143,7 @@ func (qf *QFusor) emitScalarWrapper(e sqlengine.SQLExpr, childSchema data.Schema
 	}
 	tg.t.OutRegs = []int{out}
 
-	outKind := data.KindString
-	if f, ok := e.(*sqlengine.FuncExpr); ok {
-		if u, isUDF := qf.catalog().UDF(f.Name); isUDF {
-			outKind = u.OutKind()
-		}
-	}
+	outKind := e.(*sqlengine.FuncExpr).UDF.OutKind()
 	inKinds := make([]data.Kind, len(cols))
 	for i, cr := range cols {
 		inKinds[i] = data.KindString
@@ -169,8 +158,6 @@ func (qf *QFusor) emitScalarWrapper(e sqlengine.SQLExpr, childSchema data.Schema
 	if cached {
 		rep.CacheHits++
 	}
-	// The engine must resolve the wrapper by name during execution.
-	qf.catalog().PutUDF(u)
 	rep.Sections++
 	rep.Sources = append(rep.Sources, u.Trace().Render(u.Name))
 	rep.Wrappers = append(rep.Wrappers, u.Name)
@@ -181,5 +168,5 @@ func (qf *QFusor) emitScalarWrapper(e sqlengine.SQLExpr, childSchema data.Schema
 		cp := *cr
 		args[i] = &cp
 	}
-	return &sqlengine.FuncExpr{Name: u.Name, Args: args}, nil
+	return &sqlengine.FuncExpr{Name: u.Name, Args: args, UDF: u}, nil
 }

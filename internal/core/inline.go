@@ -838,8 +838,7 @@ func (qf *QFusor) inlinePass(eng *sqlengine.Engine, q *sqlengine.Query, rep *Rep
 	if qf.Opts.Tier == TierVM || qf.Opts.Tier == TierClosure {
 		return false
 	}
-	cat := eng.Catalog
-	qf.ic.sync(cat)
+	qf.ic.sync(eng.Catalog)
 	force := qf.Opts.Tier == TierInline
 	st := &inlineState{decisions: map[string]*InlineDecision{}}
 
@@ -849,7 +848,7 @@ func (qf *QFusor) inlinePass(eng *sqlengine.Engine, q *sqlengine.Query, rep *Rep
 	}
 	plans = append(plans, q.Root)
 	for _, pr := range plans {
-		pr.Walk(func(p *sqlengine.Plan) { qf.inlineNode(p, cat, force, st) })
+		pr.Walk(func(p *sqlengine.Plan) { qf.inlineNode(p, force, st) })
 	}
 
 	for _, name := range st.order {
@@ -868,7 +867,7 @@ func (qf *QFusor) inlinePass(eng *sqlengine.Engine, q *sqlengine.Query, rep *Rep
 	}
 	mInlineQueries.Inc()
 	mInlineSites.Add(int64(st.sites))
-	if q.HasUDF(cat) {
+	if q.HasUDF() {
 		return false
 	}
 	mInlineFull.Inc()
@@ -898,7 +897,7 @@ func (st *inlineState) decision(name string, info *inlineInfo) *InlineDecision {
 // inlineNode rewrites one plan node's expression slots in place. The
 // input schema (concatenated child schemas) types column references for
 // the argument-kind check.
-func (qf *QFusor) inlineNode(p *sqlengine.Plan, cat *sqlengine.Catalog, force bool, st *inlineState) {
+func (qf *QFusor) inlineNode(p *sqlengine.Plan, force bool, st *inlineState) {
 	var in data.Schema
 	for _, c := range p.Children {
 		in = append(in, c.Schema...)
@@ -908,7 +907,7 @@ func (qf *QFusor) inlineNode(p *sqlengine.Plan, cat *sqlengine.Catalog, force bo
 			return nil
 		}
 		return sqlengine.RewriteExpr(e, func(x sqlengine.SQLExpr) sqlengine.SQLExpr {
-			return qf.inlineSite(x, in, p.EstRows, cat, force, st)
+			return qf.inlineSite(x, in, p.EstRows, force, st)
 		})
 	}
 	for i := range p.Exprs {
@@ -940,15 +939,12 @@ func (qf *QFusor) inlineNode(p *sqlengine.Plan, cat *sqlengine.Catalog, force bo
 // inlineSite substitutes one UDF call when every gate passes:
 // classification, the forced-fallback hook, argument arity and kinds,
 // and (in auto tier) the cost model.
-func (qf *QFusor) inlineSite(x sqlengine.SQLExpr, in data.Schema, est float64, cat *sqlengine.Catalog, force bool, st *inlineState) sqlengine.SQLExpr {
+func (qf *QFusor) inlineSite(x sqlengine.SQLExpr, in data.Schema, est float64, force bool, st *inlineState) sqlengine.SQLExpr {
 	f, ok := x.(*sqlengine.FuncExpr)
-	if !ok || f.Star {
+	if !ok || f.Star || f.UDF == nil {
 		return x
 	}
-	u, ok := cat.UDF(f.Name)
-	if !ok {
-		return x
-	}
+	u := f.UDF
 	info := qf.ic.classify(u)
 	d := st.decision(u.Name, info)
 	if info.template == nil || inlineForceOpaque.Load() {
@@ -960,7 +956,7 @@ func (qf *QFusor) inlineSite(x sqlengine.SQLExpr, in data.Schema, est float64, c
 	// Argument kinds must match the kinds the template was typed under
 	// (NULL literals are fine — the guards carry them).
 	for i, a := range f.Args {
-		if k := sqlengine.ExprKind(cat, a, in); k != data.KindNull && k != u.InKinds[i] {
+		if k := sqlengine.ExprKind(a, in); k != data.KindNull && k != u.InKinds[i] {
 			return x
 		}
 	}
@@ -976,7 +972,7 @@ func (qf *QFusor) inlineSite(x sqlengine.SQLExpr, in data.Schema, est float64, c
 	})
 	// The substitution stands in for a call the binder typed with the
 	// UDF's declared kind: it must compute that kind (or only NULLs).
-	if k := sqlengine.ExprKind(cat, out, in); k != data.KindNull && k != u.OutKind() {
+	if k := sqlengine.ExprKind(out, in); k != data.KindNull && k != u.OutKind() {
 		return x
 	}
 	d.Sites++

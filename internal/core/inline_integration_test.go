@@ -78,7 +78,7 @@ func TestInlinedQueryZeroFFI(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if q.HasUDF(in.Eng.Catalog) {
+	if q.HasUDF() {
 		t.Fatalf("rewritten query still references UDFs:\n%s", q.Explain())
 	}
 	sites := 0

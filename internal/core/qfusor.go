@@ -143,9 +143,7 @@ type QFusor struct {
 	// epoch-fenced on UDF redefinition like wc — see inline.go.
 	ic *inlineCache
 
-	mu  sync.Mutex
-	cat *sqlengine.Catalog
-
+	mu sync.Mutex
 	// lastReport is the most recent Process measurement (guarded by mu;
 	// read through LastReport).
 	lastReport Report
@@ -157,13 +155,12 @@ type QFusor struct {
 // optimizer — whatever its tier pin or technique switches — must see
 // one pool of compiled wrappers (a wrapper's cache key is its
 // rendered trace, identical across variants) and one name sequence
-// (two variants generating "__qf_fused7" for different sections would
-// collide in the shared registry/catalog). udfEpoch fencing lives here
-// too: a flush by any variant protects all of them.
+// (wrapper names key the breaker bookkeeping in wrapKey). udfEpoch
+// fencing lives here too: a flush by any variant protects all of them.
 type wrapperCache struct {
 	mu      sync.Mutex
 	seq     int
-	cache   map[string]*ffi.UDF // wrapper key (wrapperKey) -> registered UDF
+	cache   map[string]*ffi.UDF // wrapper key (wrapperKey) -> wrapper
 	wrapKey map[string]string   // wrapper name -> wrapper key (breaker key)
 	// udfEpoch is the catalog UDF generation the compile cache was
 	// built against (see sync).
@@ -279,24 +276,12 @@ func (qf *QFusor) setReport(rep Report) {
 	qf.mu.Unlock()
 }
 
-func (qf *QFusor) setCatalog(c *sqlengine.Catalog) {
-	qf.mu.Lock()
-	qf.cat = c
-	qf.mu.Unlock()
-}
-
-// catalog returns the engine catalog of the current Process call (nil
-// before the first one).
-func (qf *QFusor) catalog() *sqlengine.Catalog {
-	qf.mu.Lock()
-	defer qf.mu.Unlock()
-	return qf.cat
-}
-
-// registerWrapper registers a fused wrapper — a trace under a fresh
-// name — or returns the equal one from the compile cache. The wrapper
-// is complete (trace, kind and input kinds set) before it is published:
-// other queries read it from the cache and the catalog at once.
+// registerWrapper builds a fused wrapper — a trace under a fresh name —
+// or returns the equal one from the compile cache. The wrapper is a
+// plan product, not a catalog entry: the plan node or call that uses it
+// holds it (only RewriteSQL publishes it, for path 1). It is complete
+// (trace, kind and input kinds set) before it is cached: other queries
+// read it from the cache at once.
 func (qf *QFusor) registerWrapper(tr *ffi.Trace, kind ffi.UDFKind, inKinds []data.Kind, outNames []string, outKinds []data.Kind) (*ffi.UDF, bool, error) {
 	closure := qf.Opts.Tier == TierClosure
 	key := wrapperKey(tr, kind, inKinds, outKinds, closure)
@@ -318,12 +303,6 @@ func (qf *QFusor) registerWrapper(tr *ffi.Trace, kind ffi.UDFKind, inKinds []dat
 	u.SetTrace(ffi.Lower(tr, !closure))
 	mCacheMiss.Inc()
 	qf.wc.setKey(u.Name, key)
-	qf.Reg.RegisterFused(u)
-	if cat := qf.catalog(); cat != nil {
-		// CREATE FUNCTION: the rewritten SQL of path 1 calls the wrapper
-		// as a table function, so the engine must resolve it by name.
-		cat.PutUDF(u)
-	}
 	if qf.Opts.Cache {
 		qf.wc.store(key, u)
 	}
@@ -358,7 +337,6 @@ func (qf *QFusor) Process(eng *sqlengine.Engine, sql string) (*sqlengine.Query, 
 // counters. A nil root (what Process passes) costs one pointer compare
 // per hook.
 func (qf *QFusor) ProcessTraced(eng *sqlengine.Engine, sql string, root *obs.Span) (*sqlengine.Query, *Report, error) {
-	qf.setCatalog(eng.Catalog)
 	qf.syncUDFEpoch(eng.Catalog)
 	qf.CM.SetWorkers(eng.Workers())
 	mProcessed.Inc()
@@ -395,7 +373,7 @@ func (qf *QFusor) ProcessTraced(eng *sqlengine.Engine, sql string, root *obs.Spa
 		return nil, nil, err
 	}
 	rep := &Report{}
-	if !q.HasUDF(eng.Catalog) || !qf.Opts.Fusion {
+	if !q.HasUDF() || !qf.Opts.Fusion {
 		sp.SetAttr("fusion", "skipped")
 		qf.setReport(*rep)
 		return q, rep, nil
@@ -443,7 +421,7 @@ func (qf *QFusor) ProcessTraced(eng *sqlengine.Engine, sql string, root *obs.Spa
 	roots = append(roots, q.Root)
 	for _, pr := range roots {
 		for _, seg := range FindSegments(pr) {
-			g, err := BuildDFG(seg, eng.Catalog)
+			g, err := BuildDFG(seg)
 			if err != nil {
 				continue // untranslatable segment: leave it to the engine
 			}
@@ -461,7 +439,7 @@ func (qf *QFusor) ProcessTraced(eng *sqlengine.Engine, sql string, root *obs.Spa
 			kept = append(kept, j)
 			continue
 		}
-		secs := DiscoverSections(j.g, qf.CM, eng.Catalog)
+		secs := DiscoverSections(j.g, qf.CM)
 		secs = qf.filterSections(j.g, secs)
 		if len(secs) > 0 {
 			j.secs = secs
@@ -773,12 +751,26 @@ func estOf(p *sqlengine.Plan) float64 {
 
 // RewriteSQL runs the pipeline and renders the rewritten plan as SQL
 // (path 1 of §5.4). executable reports whether the SQL can be
-// re-submitted to this engine.
+// re-submitted to this engine. Path 1 is the one consumer that calls a
+// fused wrapper by name, so the wrappers of the rendered query are
+// published to the engine's catalog (CREATE FUNCTION) here and only
+// here; path 2 hands the plan, which holds its wrappers, to the executor.
 func (qf *QFusor) RewriteSQL(eng *sqlengine.Engine, sql string) (out string, executable bool, err error) {
 	q, _, err := qf.Process(eng, sql)
 	if err != nil {
 		return "", false, err
 	}
+	publish := func(p *sqlengine.Plan) {
+		for _, u := range p.UDFCalls() {
+			if u.Fused {
+				eng.Catalog.PutUDF(u)
+			}
+		}
+	}
+	for _, cte := range q.CTEs {
+		cte.Plan.Walk(publish)
+	}
+	q.Root.Walk(publish)
 	out, executable = RenderSQL(q)
 	return out, executable, nil
 }

@@ -314,12 +314,22 @@ func TestExecDMLFusedUpdateMatchesNative(t *testing.T) {
 // and the section stays on the closure tier.
 func TestTableUDFBottomSection(t *testing.T) {
 	eng, qf := buildEngine(t)
-	rep := assertSameResult(t, eng, qf, "SELECT upname(c0) FROM splitall((SELECT name FROM people))")
+	sql := "SELECT upname(c0) FROM splitall((SELECT name FROM people))"
+	rep := assertSameResult(t, eng, qf, sql)
 	if rep.Sections != 1 {
 		t.Fatalf("sections = %d, want 1", rep.Sections)
 	}
-	u, ok := eng.Catalog.UDF(rep.Wrappers[0])
-	if !ok || u.Trace() == nil {
+	q, _, err := qf.Process(eng, sql)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var u *ffi.UDF
+	q.Root.Walk(func(p *sqlengine.Plan) {
+		if p.UDF != nil && p.UDF.Name == rep.Wrappers[0] {
+			u = p.UDF
+		}
+	})
+	if u == nil || u.Trace() == nil {
 		t.Fatalf("wrapper %s has no trace", rep.Wrappers[0])
 	}
 	if rep.Tiers[0] != "closure" {

@@ -39,7 +39,6 @@ type Registry struct {
 
 	mu   sync.Mutex
 	udfs map[string]*ffi.UDF
-	srcs []string
 }
 
 // NewRegistry creates a registry whose runtime JIT-compiles functions
@@ -62,9 +61,6 @@ func (r *Registry) Define(src string) error {
 	if err := r.RT.RunModule(mod); err != nil {
 		return err
 	}
-	r.mu.Lock()
-	r.srcs = append(r.srcs, src)
-	r.mu.Unlock()
 	// Auto-registration from decorators + annotations.
 	for _, st := range mod.Body {
 		spec, ok := specFromDecorators(st)
@@ -159,14 +155,6 @@ func (r *Registry) Register(spec UDFSpec) (*ffi.UDF, error) {
 	return u, nil
 }
 
-// RegisterFused registers a fusion-generated wrapper (not exposed via
-// decorators; called by the code generator).
-func (r *Registry) RegisterFused(u *ffi.UDF) {
-	r.mu.Lock()
-	r.udfs[strings.ToLower(u.Name)] = u
-	r.mu.Unlock()
-}
-
 // UDF returns a registered UDF.
 func (r *Registry) UDF(name string) (*ffi.UDF, bool) {
 	r.mu.Lock()
@@ -194,44 +182,4 @@ func (r *Registry) Attach(eng *sqlengine.Engine) {
 	for _, u := range r.udfs {
 		eng.Catalog.PutUDF(u)
 	}
-}
-
-// Sources returns the module sources defined so far (used to clone a
-// registry for another engine instance).
-func (r *Registry) Sources() []string {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return append([]string(nil), r.srcs...)
-}
-
-// Clone builds a fresh registry (own runtime, own stats) with the same
-// sources and specs — each engine instance gets an isolated UDF
-// environment, like separate database processes would.
-func (r *Registry) Clone(hotThreshold int) (*Registry, error) {
-	nr := NewRegistry(hotThreshold)
-	for _, src := range r.Sources() {
-		if err := nr.Define(src); err != nil {
-			return nil, err
-		}
-	}
-	// Re-register manually registered specs that decorators didn't cover.
-	r.mu.Lock()
-	specs := make([]UDFSpec, 0, len(r.udfs))
-	for _, u := range r.udfs {
-		if u.Fused {
-			continue
-		}
-		specs = append(specs, UDFSpec{Name: u.Name, Kind: u.Kind, In: u.InKinds,
-			Out: u.OutKinds, OutNames: u.OutNames, Params: u.Params, Cost: u.EstCost})
-	}
-	r.mu.Unlock()
-	for _, spec := range specs {
-		if _, ok := nr.UDF(spec.Name); ok {
-			continue
-		}
-		if _, err := nr.Register(spec); err != nil {
-			return nil, err
-		}
-	}
-	return nr, nil
 }

@@ -33,11 +33,11 @@ func TestDriftVisibleInAnalysis(t *testing.T) {
 	}
 	var raw []float64
 	for _, seg := range core.FindSegments(q.Root) {
-		g, err := core.BuildDFG(seg, eng.Catalog)
+		g, err := core.BuildDFG(seg)
 		if err != nil {
 			continue
 		}
-		for _, s := range core.DiscoverSections(g, qf.CM, eng.Catalog) {
+		for _, s := range core.DiscoverSections(g, qf.CM) {
 			raw = append(raw, s.Cost)
 		}
 	}

@@ -15,15 +15,14 @@ import (
 // relational operator runs on the engine's own evaluator. Registers
 // [0, NumIn) hold the inputs, the rest constants and op results.
 type traceGen struct {
-	cat *sqlengine.Catalog
-	t   *ffi.Trace
+	t *ffi.Trace
 	// col resolves a column reference — a DFG field placeholder in a
 	// section, a child-schema column in a scalar chain — to its register.
 	col func(cr *sqlengine.ColRef) (int, error)
 }
 
-func newTraceGen(cat *sqlengine.Catalog, numIn int, col func(*sqlengine.ColRef) (int, error)) *traceGen {
-	return &traceGen{cat: cat, t: &ffi.Trace{NumIn: numIn, NumRegs: numIn}, col: col}
+func newTraceGen(numIn int, col func(*sqlengine.ColRef) (int, error)) *traceGen {
+	return &traceGen{t: &ffi.Trace{NumIn: numIn, NumRegs: numIn}, col: col}
 }
 
 func (tg *traceGen) reg() int {
@@ -47,7 +46,7 @@ func (tg *traceGen) lower(e sqlengine.SQLExpr) (int, error) {
 		tg.t.ConstRegs = append(tg.t.ConstRegs, r)
 		return r, nil
 	case *sqlengine.FuncExpr:
-		if u := tg.scalarUDF(x); u != nil {
+		if u := scalarUDF(x); u != nil {
 			return tg.call(u, x.Args)
 		}
 	}
@@ -71,7 +70,7 @@ func (tg *traceGen) filter(e sqlengine.SQLExpr) error {
 }
 
 // call lowers a scalar UDF call: its arguments, then a TCall that holds
-// the UDF resolved now (and its compiled body), never a name.
+// the UDF the planner bound (and its compiled body), never a name.
 func (tg *traceGen) call(u *ffi.UDF, args []sqlengine.SQLExpr) (int, error) {
 	argRegs := make([]int, len(args))
 	for i, a := range args {
@@ -100,7 +99,7 @@ func (tg *traceGen) operands(e sqlengine.SQLExpr) (sqlengine.SQLExpr, error) {
 		r, err := tg.col(x)
 		return regRef(r), err
 	case *sqlengine.FuncExpr:
-		if u := tg.scalarUDF(x); u != nil {
+		if u := scalarUDF(x); u != nil {
 			r, err := tg.call(u, x.Args)
 			return regRef(r), err
 		}
@@ -117,9 +116,9 @@ func (tg *traceGen) operands(e sqlengine.SQLExpr) (sqlengine.SQLExpr, error) {
 }
 
 // scalarUDF returns the scalar UDF f calls, nil when f is a builtin.
-func (tg *traceGen) scalarUDF(f *sqlengine.FuncExpr) *ffi.UDF {
-	if u, ok := tg.cat.UDF(f.Name); ok && u.Kind == ffi.Scalar {
-		return u
+func scalarUDF(f *sqlengine.FuncExpr) *ffi.UDF {
+	if f.UDF != nil && f.UDF.Kind == ffi.Scalar {
+		return f.UDF
 	}
 	return nil
 }
@@ -151,7 +150,7 @@ func (qf *QFusor) buildTrace(seg *Segment, g *DFG, inSec map[int]bool, lo, hi in
 	for r, ci := range inputs {
 		regOf[below[ci]] = r
 	}
-	tg := newTraceGen(qf.catalog(), len(inputs), func(cr *sqlengine.ColRef) (int, error) {
+	tg := newTraceGen(len(inputs), func(cr *sqlengine.ColRef) (int, error) {
 		if r, ok := regOf[cr.Name]; ok && cr.Table == fieldTable {
 			return r, nil
 		}

@@ -249,7 +249,7 @@ func TestInlinedExpressionAllocatesColumns(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if q.HasUDF(in.Eng.Catalog) {
+	if q.HasUDF() {
 		t.Fatalf("query was not inlined:\n%s", q.Explain())
 	}
 	const runs = 5

@@ -98,9 +98,10 @@ func (c *Catalog) Tables() []string {
 // PutUDF registers a UDF (the CREATE FUNCTION step of the registration
 // mechanism). Registering or re-registering a user UDF bumps the
 // catalog epoch — cached plans may embed the old definition. Fused
-// wrappers are exempt: they are *products* of planning, registered
-// mid-pipeline, and bumping for them would invalidate the very plan
-// entry being built (the cache could then never hit).
+// wrappers arrive here only through rewrite path 1 (core's RewriteSQL),
+// whose re-submitted SQL calls them by name; they are exempt: they are
+// *products* of planning, and bumping for them would invalidate the very
+// plan entry being rendered (the cache could then never hit).
 func (c *Catalog) PutUDF(u *ffi.UDF) {
 	c.mu.Lock()
 	c.udfs[strings.ToLower(u.Name)] = u

@@ -86,14 +86,21 @@ func (e *Engine) execInsert(ctx context.Context, s *InsertStmt) error {
 }
 
 // insertValues evaluates INSERT … VALUES rows and appends them to t.
+// The rows bind like a select list without FROM, with one planner for
+// the statement: every call of a name runs the same UDF.
 func (e *Engine) insertValues(t *data.Table, rows [][]SQLExpr) error {
+	pl, none := &planner{cat: e.Catalog}, &Plan{}
 	for _, row := range rows {
 		if len(row) != len(t.Cols) {
 			return fmt.Errorf("sql: INSERT arity mismatch: %d values for %d columns", len(row), len(t.Cols))
 		}
 		vals := make([]data.Value, len(row))
 		for i, ex := range row {
-			v, err := e.evalRow(ex, nil)
+			bound, _, err := pl.bindExpr(ex, none)
+			if err != nil {
+				return err
+			}
+			v, err := e.evalRow(bound, nil)
 			if err != nil {
 				return err
 			}

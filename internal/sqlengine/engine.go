@@ -409,8 +409,8 @@ type execCtx struct {
 	// budget is the engine's UDF step budget, drawn on by all clones.
 	budget int64
 
-	// clones is copy-on-write: the row executor resolves a UDF per row,
-	// from every morsel worker, so a hit reads the current list without a
+	// clones is copy-on-write: the row executor looks up a call's clone
+	// per row, from every morsel worker, so a hit reads the current list without a
 	// lock; mu serializes the derivation of a new clone.
 	clones atomic.Pointer[[]scopedUDF]
 	mu     sync.Mutex
@@ -423,8 +423,8 @@ type scopedUDF struct{ src, clone *ffi.UDF }
 // statement runs fn as one statement of the engine, on a per-query view:
 // the engine's settings plus a fresh execCtx. It is the only place a
 // view gets its execCtx and the only way into execPlan and the
-// expression evaluators — queries and DML alike — so no UDF is ever
-// resolved outside a statement. When fn returns, the statement's clones
+// expression evaluators — queries and DML alike — so no UDF ever runs
+// outside a statement. When fn returns, the statement's clones
 // are absorbed and their Stats returned (see close).
 func (e *Engine) statement(ctx context.Context, root *obs.Span, fn func(qe *Engine) error) (used []ffi.Usage, err error) {
 	if ctx == nil {
@@ -493,25 +493,6 @@ func (q *execCtx) close() []ffi.Usage {
 		used = append(used, ffi.Usage{Name: c.src.Name, Fused: c.src.Fused, StatsSnapshot: st})
 	}
 	return used
-}
-
-// udf resolves a function name to the running statement's clone of the
-// catalog UDF. A statement resolves a name once: every later call of
-// that name runs the same definition, even when the UDF is redefined
-// meanwhile (and the per-row lookup never touches the catalog's lock).
-func (e *Engine) udf(name string) (*ffi.UDF, bool) {
-	if p := e.q.clones.Load(); p != nil {
-		for _, c := range *p {
-			if strings.EqualFold(c.src.Name, name) {
-				return c.clone, true
-			}
-		}
-	}
-	u, ok := e.Catalog.UDF(name)
-	if !ok {
-		return nil, false
-	}
-	return e.q.clone(u), true
 }
 
 // callScalarUDFRow invokes a scalar UDF for a single row through the

@@ -345,7 +345,7 @@ func TestExplainOutput(t *testing.T) {
 			t.Fatalf("explain missing %q:\n%s", want, s)
 		}
 	}
-	if !q.HasUDF(eng.Catalog) {
+	if !q.HasUDF() {
 		t.Fatal("HasUDF = false")
 	}
 }

@@ -215,8 +215,8 @@ func (c *compiler) expr(x SQLExpr) (SQLExpr, error) {
 			return c.expr(&BinExpr{Op: "-", L: &Lit{Value: data.Int(0)}, R: ex.E})
 		}
 	case *FuncExpr:
-		if u, ok := c.p.e.udf(ex.Name); ok && u.Kind == ffi.Scalar {
-			return c.call(u, ex)
+		if ex.UDF != nil && ex.UDF.Kind == ffi.Scalar {
+			return c.call(c.p.e.q.clone(ex.UDF), ex)
 		}
 	case *StarExpr, nil:
 		return nil, fmt.Errorf("sql: cannot vectorize %T", x)
@@ -265,7 +265,7 @@ func (c *compiler) node(sh SQLExpr) SQLExpr {
 		c.p.shared++
 		return ref(s)
 	}
-	kind := KindOf(c.p.e.Catalog, sh, c.kindOf)
+	kind := KindOf(sh, c.kindOf)
 	var in instr // the generic instruction unless a kernel fits
 	switch x := sh.(type) {
 	case *BinExpr:

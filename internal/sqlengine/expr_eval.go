@@ -388,19 +388,6 @@ func (e *Engine) evalRow(x SQLExpr, row []data.Value) (data.Value, error) {
 		}
 		return sqlBinOp("-", data.Int(0), v)
 	case *FuncExpr:
-		if e != nil {
-			if u, ok := e.udf(ex.Name); ok {
-				args := make([]data.Value, len(ex.Args))
-				for i, a := range ex.Args {
-					v, err := e.evalRow(a, row)
-					if err != nil {
-						return data.Null, err
-					}
-					args[i] = v
-				}
-				return e.callScalarUDFRow(u, args)
-			}
-		}
 		args := make([]data.Value, len(ex.Args))
 		for i, a := range ex.Args {
 			v, err := e.evalRow(a, row)
@@ -408,6 +395,9 @@ func (e *Engine) evalRow(x SQLExpr, row []data.Value) (data.Value, error) {
 				return data.Null, err
 			}
 			args[i] = v
+		}
+		if e != nil && ex.UDF != nil {
+			return e.callScalarUDFRow(e.q.clone(ex.UDF), args)
 		}
 		return evalNativeScalar(ex.Name, args)
 	case *CaseExpr:

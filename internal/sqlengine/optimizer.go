@@ -16,9 +16,9 @@ package sqlengine
 // exactly the paper's "probe the optimizer with EXPLAIN" flow.
 func Optimize(q *Query, cat *Catalog) {
 	for i := range q.CTEs {
-		q.CTEs[i].Plan = optimizeNode(q.CTEs[i].Plan, cat)
+		q.CTEs[i].Plan = optimizeNode(q.CTEs[i].Plan)
 	}
-	q.Root = optimizeNode(q.Root, cat)
+	q.Root = optimizeNode(q.Root)
 	pruneColumns(q)
 	for _, cte := range q.CTEs {
 		recomputeEstimates(cte.Plan, cat)
@@ -26,14 +26,14 @@ func Optimize(q *Query, cat *Catalog) {
 	recomputeEstimates(q.Root, cat)
 }
 
-func optimizeNode(p *Plan, cat *Catalog) *Plan {
+func optimizeNode(p *Plan) *Plan {
 	for i, c := range p.Children {
-		p.Children[i] = optimizeNode(c, cat)
+		p.Children[i] = optimizeNode(c)
 	}
 	if p.Op == OpFilter {
 		p = extractJoinKeys(p)
 		if p.Op == OpFilter {
-			p = pushFilterDown(p, cat)
+			p = pushFilterDown(p)
 		}
 	}
 	return p
@@ -95,7 +95,7 @@ func andAll(es []SQLExpr) SQLExpr {
 // Predicates containing UDF calls are NOT pushed below a Project that
 // computes their inputs via UDFs — that decision belongs to QFusor's
 // fusion optimizer, which sees UDFs as first-class operators.
-func pushFilterDown(f *Plan, cat *Catalog) *Plan {
+func pushFilterDown(f *Plan) *Plan {
 	child := f.Children[0]
 	switch child.Op {
 	case OpProject:
@@ -109,13 +109,13 @@ func pushFilterDown(f *Plan, cat *Catalog) *Plan {
 		}
 		// Don't reorder a predicate below a UDF-computing projection if
 		// the substituted predicate would re-evaluate a UDF.
-		if exprHasUDF(sub, cat) && !exprHasUDF(pred, cat) {
+		if exprHasUDF(sub) && !exprHasUDF(pred) {
 			return f
 		}
 		newFilter := &Plan{Op: OpFilter, Children: []*Plan{child.Children[0]},
 			Schema: child.Children[0].Schema, Quals: child.Children[0].Quals,
 			Exprs: []SQLExpr{sub}}
-		newFilter = pushFilterDown(newFilter, cat)
+		newFilter = pushFilterDown(newFilter)
 		child.Children[0] = newFilter
 		return child
 	case OpFilter:
@@ -209,17 +209,14 @@ func substituteThroughProject(pred SQLExpr, proj *Plan) (SQLExpr, bool) {
 	return out, ok
 }
 
-// exprHasUDF reports whether e calls any registered UDF.
-func exprHasUDF(e SQLExpr, cat *Catalog) bool {
+// exprHasUDF reports whether e calls any UDF.
+func exprHasUDF(e SQLExpr) bool {
 	found := false
 	walkExpr(e, func(x SQLExpr) bool {
-		if f, ok := x.(*FuncExpr); ok {
-			if _, ok := cat.UDF(f.Name); ok {
-				found = true
-				return false
-			}
+		if f, ok := x.(*FuncExpr); ok && f.UDF != nil {
+			found = true
 		}
-		return true
+		return !found
 	})
 	return found
 }

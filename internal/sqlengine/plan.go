@@ -230,18 +230,15 @@ func (p *Plan) Walk(fn func(*Plan)) {
 }
 
 // UDFCalls returns the UDFs referenced anywhere in this node's
-// expressions (not descending into children). The catalog resolves
-// function names.
-func (p *Plan) UDFCalls(cat *Catalog) []*ffi.UDF {
+// expressions (not descending into children), as the planner bound them.
+func (p *Plan) UDFCalls() []*ffi.UDF {
 	var out []*ffi.UDF
 	seen := map[string]bool{}
 	collect := func(e SQLExpr) {
 		walkExpr(e, func(x SQLExpr) bool {
-			if f, ok := x.(*FuncExpr); ok {
-				if u, ok := cat.UDF(f.Name); ok && !seen[u.Name] {
-					seen[u.Name] = true
-					out = append(out, u)
-				}
+			if f, ok := x.(*FuncExpr); ok && f.UDF != nil && !seen[f.UDF.Name] {
+				seen[f.UDF.Name] = true
+				out = append(out, f.UDF)
 			}
 			return true
 		})
@@ -274,10 +271,10 @@ func (p *Plan) UDFCalls(cat *Catalog) []*ffi.UDF {
 }
 
 // HasUDF reports whether any operator in the tree references a UDF.
-func (q *Query) HasUDF(cat *Catalog) bool {
+func (q *Query) HasUDF() bool {
 	found := false
 	check := func(p *Plan) {
-		if len(p.UDFCalls(cat)) > 0 {
+		if len(p.UDFCalls()) > 0 {
 			found = true
 		}
 	}

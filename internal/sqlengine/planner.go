@@ -16,6 +16,27 @@ type planner struct {
 	// aggOut maps an aggregate query's output projection to the rewriter
 	// its select items went through, so ORDER BY keys go through it too.
 	aggOut map[*Plan]*aggRewriter
+	// udfs memoizes name resolution (nil: a builtin) for the statement
+	// being planned: CTEs, derived tables, aggregates, table functions
+	// and expands all see one definition per name.
+	udfs map[string]*ffi.UDF
+}
+
+// udf resolves a function name to its UDF, nil for a builtin. It is the
+// one catalog lookup of a name per statement: the planner stores the
+// result on the call (FuncExpr.UDF, Plan.UDF, AggSpec.UDF), and the
+// optimizer, QFusor and both evaluators read it from there.
+func (pl *planner) udf(name string) *ffi.UDF {
+	key := strings.ToLower(name)
+	if u, ok := pl.udfs[key]; ok {
+		return u
+	}
+	u, _ := pl.cat.UDF(name)
+	if pl.udfs == nil {
+		pl.udfs = map[string]*ffi.UDF{}
+	}
+	pl.udfs[key] = u
+	return u
 }
 
 // PlanSelect lowers a SelectStmt into an executable Query.
@@ -349,8 +370,8 @@ func (pl *planner) planFromItem(fi FromItem) (*Plan, error) {
 
 // planTableFunc lowers a table UDF in FROM position.
 func (pl *planner) planTableFunc(fi FromItem) (*Plan, error) {
-	u, ok := pl.cat.UDF(fi.Func.Name)
-	if !ok {
+	u := pl.udf(fi.Func.Name)
+	if u == nil {
 		return nil, fmt.Errorf("sql: no such table function: %s", fi.Func.Name)
 	}
 	if u.Kind != ffi.Table && u.Kind != ffi.Expand {
@@ -440,8 +461,8 @@ func (pl *planner) planExpand(items []SelectItem, in *Plan) (*Plan, []SelectItem
 		if !ok {
 			continue
 		}
-		u, ok := pl.cat.UDF(f.Name)
-		if !ok || (u.Kind != ffi.Expand && u.Kind != ffi.Table) {
+		u := pl.udf(f.Name)
+		if u == nil || (u.Kind != ffi.Expand && u.Kind != ffi.Table) {
 			continue
 		}
 		if expandIdx >= 0 {

@@ -17,7 +17,7 @@ func (pl *planner) containsAggregate(e SQLExpr) bool {
 				found = true
 				return false
 			}
-			if u, ok := pl.cat.UDF(f.Name); ok && u.Kind == ffi.Aggregate {
+			if u := pl.udf(f.Name); u != nil && u.Kind == ffi.Aggregate {
 				found = true
 				return false
 			}
@@ -66,7 +66,7 @@ func (pl *planner) planAggregate(core *SelectCore, items []SelectItem, in *Plan)
 				return true
 			}
 			var udf *ffi.UDF
-			if u, ok := pl.cat.UDF(f.Name); ok && u.Kind == ffi.Aggregate {
+			if u := pl.udf(f.Name); u != nil && u.Kind == ffi.Aggregate {
 				udf = u
 			} else if !IsNativeAggregate(f.Name) {
 				return true

@@ -19,15 +19,16 @@ func bindErrorf(format string, args ...any) error {
 }
 
 // bindExpr returns a copy of e with every column reference resolved
-// against p's schema, and the one static kind the copy has (KindNull:
-// NULL on every row). Wherever a row's value could otherwise differ from
-// the kind of its node, the copy carries a CAST: every CASE branch and
-// COALESCE/IFNULL argument is cast to its node's kind. (Arithmetic needs
-// none: sqlArith computes a string operand as a float, the kind KindOf
-// gives it.) Both evaluators, the fused traces and the inliner then
-// compute exactly the kinds KindOf assigns.
+// against p's schema and every call bound to its UDF (FuncExpr.UDF; a
+// call that already holds one keeps it), and the one static kind the
+// copy has (KindNull: NULL on every row). Wherever a row's value could
+// otherwise differ from the kind of its node, the copy carries a CAST:
+// every CASE branch and COALESCE/IFNULL argument is cast to its node's
+// kind. (Arithmetic needs none: sqlArith computes a string operand as a
+// float, the kind KindOf gives it.) Both evaluators, the fused traces and
+// the inliner then compute exactly the kinds KindOf assigns.
 func (pl *planner) bindExpr(e SQLExpr, p *Plan) (SQLExpr, data.Kind, error) {
-	b := &binder{typer: typer{pl.cat, p.Schema}, pl: pl, p: p}
+	b := &binder{typer: typer{p.Schema}, pl: pl, p: p}
 	out := b.bind(e)
 	return out, b.of(out), b.err
 }
@@ -48,6 +49,9 @@ func (b *binder) bind(e SQLExpr) SQLExpr {
 		return &c
 	}
 	x := mapChildren(e, b.bind)
+	if f, ok := x.(*FuncExpr); ok && f.UDF == nil {
+		f.UDF = b.pl.udf(f.Name)
+	}
 	k := b.of(x)
 	switch n := x.(type) {
 	case *CaseExpr:
@@ -58,7 +62,7 @@ func (b *binder) bind(e SQLExpr) SQLExpr {
 			n.Else = b.cast(n.Else, k)
 		}
 	case *FuncExpr:
-		if _, udf := b.cat.UDF(n.Name); udf {
+		if n.UDF != nil {
 			break
 		}
 		switch strings.ToLower(n.Name) {
@@ -107,7 +111,7 @@ func (b *binder) cast(x SQLExpr, k data.Kind) SQLExpr {
 // int and makes anything else a float; round is float; nullif, min and
 // max follow their first argument, sum too (bools sum as ints); a UDF
 // has its declared kind.
-func KindOf(cat *Catalog, x SQLExpr, kid func(SQLExpr) data.Kind) data.Kind {
+func KindOf(x SQLExpr, kid func(SQLExpr) data.Kind) data.Kind {
 	switch n := x.(type) {
 	case *Lit:
 		return n.Value.Kind
@@ -138,8 +142,8 @@ func KindOf(cat *Catalog, x SQLExpr, kid func(SQLExpr) data.Kind) data.Kind {
 	case *CastExpr:
 		return n.Kind
 	case *FuncExpr:
-		if u, ok := cat.UDF(n.Name); ok {
-			return u.OutKind()
+		if n.UDF != nil {
+			return n.UDF.OutKind()
 		}
 		arg := data.KindNull
 		if len(n.Args) > 0 {
@@ -174,10 +178,7 @@ func KindOf(cat *Catalog, x SQLExpr, kid func(SQLExpr) data.Kind) data.Kind {
 }
 
 // typer types bound expressions whose column references index in.
-type typer struct {
-	cat *Catalog
-	in  data.Schema
-}
+type typer struct{ in data.Schema }
 
 func (t typer) of(x SQLExpr) data.Kind {
 	if cr, ok := x.(*ColRef); ok {
@@ -186,12 +187,12 @@ func (t typer) of(x SQLExpr) data.Kind {
 		}
 		return data.KindString
 	}
-	return KindOf(t.cat, x, t.of)
+	return KindOf(x, t.of)
 }
 
 // ExprKind is KindOf applied bottom-up to a bound expression whose column
 // references index in.
-func ExprKind(cat *Catalog, e SQLExpr, in data.Schema) data.Kind { return typer{cat, in}.of(e) }
+func ExprKind(e SQLExpr, in data.Schema) data.Kind { return typer{in}.of(e) }
 
 // joinKind is the kind two sibling values share. Numbers join the way
 // arithmetic combines them: a bool with an int is an int, either with a

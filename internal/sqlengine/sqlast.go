@@ -5,6 +5,7 @@ import (
 	"strings"
 
 	"qfusor/internal/data"
+	"qfusor/internal/ffi"
 )
 
 // Statement is any parsed SQL statement.
@@ -160,10 +161,14 @@ func (l *Lit) String() string {
 }
 
 // FuncExpr is a function call: native scalar, native aggregate, or UDF.
+// UDF is the function the planner bound the name to (nil for a builtin);
+// every later consumer reads it, so a statement never resolves a name
+// twice.
 type FuncExpr struct {
 	Name string
 	Args []SQLExpr
-	Star bool // COUNT(*)
+	Star bool     // COUNT(*)
+	UDF  *ffi.UDF // set by the binder
 }
 
 func (*FuncExpr) exprNode() {}
@@ -336,7 +341,7 @@ func mapChildren(e SQLExpr, fn func(SQLExpr) SQLExpr) SQLExpr {
 		c := *x
 		return &c
 	case *FuncExpr:
-		return &FuncExpr{Name: x.Name, Star: x.Star, Args: each(x.Args)}
+		return &FuncExpr{Name: x.Name, Star: x.Star, Args: each(x.Args), UDF: x.UDF}
 	case *BinExpr:
 		return &BinExpr{Op: x.Op, L: fn(x.L), R: fn(x.R)}
 	case *UnaryExpr:

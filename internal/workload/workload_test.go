@@ -1,6 +1,7 @@
 package workload_test
 
 import (
+	"context"
 	"testing"
 	"time"
 
@@ -82,6 +83,52 @@ func TestAllQueriesFusedParity(t *testing.T) {
 				t.Fatalf("%s returned no rows — dataset too sparse for a meaningful test", id)
 			}
 		})
+	}
+}
+
+// TestFusedWrappersStayOutOfCatalog: fused wrappers are plan products,
+// not catalog or registry entries, so neither grows with the queries
+// run. Ten passes of Q1–Q18 with the wrapper compile cache and the plan
+// cache off (every pass generates every wrapper afresh), then three
+// cycles of redefining every UDF and running a pass, leave both sizes as
+// installed.
+func TestFusedWrappersStayOutOfCatalog(t *testing.T) {
+	in := setup(t)
+	in.QF.Opts.Cache = false
+	in.QF.Opts.PlanCache = false
+	sizes := func() [2]int { return [2]int{len(in.Eng.Catalog.UDFs()), len(in.Reg.UDFs())} }
+	want := sizes()
+	pass := func() {
+		t.Helper()
+		sections := 0
+		for id, sql := range workload.AllQueries() {
+			_, rep, err := in.QueryFusedReportedCtx(context.Background(), sql)
+			if err != nil {
+				t.Fatalf("%s: %v", id, err)
+			}
+			sections += rep.Sections
+		}
+		if sections == 0 {
+			t.Fatal("a pass of Q1–Q18 fused nothing")
+		}
+	}
+	for i := 0; i < 10; i++ {
+		pass()
+	}
+	if got := sizes(); got != want {
+		t.Fatalf("after 10 passes: catalog %d and registry %d UDFs, installed %d and %d", got[0], got[1], want[0], want[1])
+	}
+	for i := 0; i < 3; i++ {
+		for _, install := range []func(*engines.Instance) error{
+			workload.InstallUDFBench, workload.InstallZillow, workload.InstallWeld, workload.InstallUDO} {
+			if err := install(in); err != nil {
+				t.Fatal(err)
+			}
+		}
+		pass()
+	}
+	if got := sizes(); got != want {
+		t.Fatalf("after 3 redefinitions: catalog %d and registry %d UDFs, installed %d and %d", got[0], got[1], want[0], want[1])
 	}
 }
 

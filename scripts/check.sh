@@ -14,6 +14,10 @@ if [ -n "$unformatted" ]; then
     echo "gofmt needed on: $unformatted" >&2
     exit 1
 fi
+# Bind-once gate: the planner resolves each function name once per
+# statement; no other non-test code may look a UDF up by name through
+# Catalog.UDF (the catalog and UDF registration aside).
+go run ./scripts/udflookup
 GOMAXPROCS=8 go test -race ./...
 # Chaos sweep: fire every registered fault point and require graceful
 # degradation (native-identical result or typed QueryError, no crash).
