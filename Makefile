@@ -13,9 +13,11 @@ vet:
 	$(GO) vet ./...
 
 ## lint: static gates — go vet, a gofmt diff check (fails listing
-## any file that is not gofmt-clean), and the bind-once check: only the
-## planner, the catalog and UDF registration may resolve a function name
-## through Catalog.UDF (scripts/udflookup).
+## any file that is not gofmt-clean), and the call-site table of
+## scripts/udflookup: only the planner, the catalog and UDF registration
+## may resolve a function name through Catalog.UDF, and outside
+## internal/ffi only Engine.callUDF chooses between ffi.CallFusedVector
+## and (ffi.Invoker).CallScalar (runFused also runs fused operators).
 lint:
 	$(GO) vet ./...
 	@unformatted=$$(gofmt -l .); \
@@ -50,7 +52,9 @@ chaos:
 
 ## fuzz-smoke: bounded runs of the four fuzzers. FuzzDiff — native vs
 ## fused-cold vs fused-warm (plan-cache hit) must stay bit-identical on
-## every generated query; 30s is enough for tens of thousands of execs.
+## every generated query on the monetdb, sqlite and postgresql profiles,
+## with no fused arm falling back to native; 30s is enough for
+## thousands of execs.
 ## FuzzExprEquiv — a compiled expression program must equal the row
 ## evaluator row by row at every morsel size and parallelism.
 ## FuzzJSONLoads — the single-pass JSON decoder must equal the

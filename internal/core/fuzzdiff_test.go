@@ -14,9 +14,15 @@ package core_test
 // exercise CASE-producing conditionals, string builtins and NULL-guard
 // refinements. Any byte string maps to a valid deterministic query; go
 // test runs the seed corpus, `go test -fuzz FuzzDiff` explores beyond
-// it.
+// it. Every query runs on three engine profiles, each with a fixture of
+// its own: monetdb (columnar executor, vectorized transport), sqlite
+// (row executor, per-tuple calls) and postgresql (row executor, process
+// transport). A fused arm that fell back to the native plan fails the
+// check: the arms must agree because the fused plan ran, not because
+// it was abandoned.
 
 import (
+	"context"
 	"fmt"
 	"strings"
 	"sync"
@@ -28,16 +34,29 @@ import (
 	"qfusor/internal/ffi"
 )
 
-// diffFixture is the process-wide instance the harness queries. Shared
-// across fuzz iterations (launching an engine per input would dominate
-// runtime); diffMu serializes iterations so purge/lookup accounting
-// stays coherent. Never closed — Monet is in-process.
+// diffFixture is one profile's process-wide instance the harness
+// queries. Shared across fuzz iterations (launching an engine per input
+// would dominate runtime); diffMu serializes iterations so purge/lookup
+// accounting stays coherent. Never closed: the process transport's
+// workers are goroutines, so they end with the test binary.
+type diffFixture struct {
+	once sync.Once
+	inst *engines.Instance
+	err  error
+}
+
 var (
-	diffOnce sync.Once
-	diffInst *engines.Instance
-	diffErr  error
-	diffMu   sync.Mutex
+	// diffProfiles is the oracle's profile axis.
+	diffProfiles = []engines.Profile{engines.Monet, engines.SQLite, engines.Postgres}
+	diffFixtures = map[engines.Profile]*diffFixture{}
+	diffMu       sync.Mutex
 )
+
+func init() {
+	for _, p := range diffProfiles {
+		diffFixtures[p] = &diffFixture{}
+	}
+}
 
 const diffUDFs = `
 @scalarudf
@@ -87,51 +106,51 @@ def score(x: int) -> float:
     return round(x * 7 / 2, 1)
 `
 
-func diffDB(t *testing.T) *engines.Instance {
+// diffDB returns the profile's fixture, launching it on first use.
+func diffDB(t *testing.T, prof engines.Profile) *engines.Instance {
 	t.Helper()
-	diffOnce.Do(func() {
-		in := engines.Launch(engines.Config{Profile: engines.Monet, JIT: true})
-		if err := in.Define(diffUDFs); err != nil {
-			diffErr = err
-			return
-		}
-		// words yields (id, word) rows, named like the notes columns so
-		// every notes scalar applies to its output.
-		if err := in.Register(core.UDFSpec{Name: "words", Kind: ffi.Table,
-			Out:      []data.Kind{data.KindInt, data.KindString},
-			OutNames: []string{"id", "title"}}); err != nil {
-			diffErr = err
-			return
-		}
-		if err := in.Eng.Exec("CREATE TABLE notes (id int, title string)"); err != nil {
-			diffErr = err
-			return
-		}
-		if err := in.Eng.Exec(`INSERT INTO notes VALUES
-			(1, '  Hello World  '), (2, 'Go Databases'), (3, 'Query Fusion Rocks'),
-			(4, 'a'), (5, 'UDF queries in SQL engines'), (6, 'Plan Cache Hit')`); err != nil {
-			diffErr = err
-			return
-		}
-		// vals carries NULLs in both value columns so the inlined arms'
-		// NULL-guard CASE translations face real NULL inputs.
-		if err := in.Eng.Exec("CREATE TABLE vals (k int, v int, s string)"); err != nil {
-			diffErr = err
-			return
-		}
-		if err := in.Eng.Exec(`INSERT INTO vals VALUES
-			(1, 1, '  alpha  '), (2, NULL, 'beta'), (3, -4, NULL),
-			(4, 7, '  Gamma Ray'), (5, 0, ''), (6, 42, ' mixed Case '),
-			(7, 3, 'BETA')`); err != nil {
-			diffErr = err
-			return
-		}
-		diffInst = in
-	})
-	if diffErr != nil {
-		t.Fatalf("diff fixture: %v", diffErr)
+	fx := diffFixtures[prof]
+	fx.once.Do(func() { fx.inst, fx.err = newDiffDB(prof) })
+	if fx.err != nil {
+		t.Fatalf("diff fixture %s: %v", prof, fx.err)
 	}
-	return diffInst
+	return fx.inst
+}
+
+// newDiffDB launches one profile's fixture: the test UDFs and the notes
+// and vals tables.
+func newDiffDB(prof engines.Profile) (*engines.Instance, error) {
+	in := engines.Launch(engines.Config{Profile: prof, JIT: true})
+	if err := in.Define(diffUDFs); err != nil {
+		return nil, err
+	}
+	// words yields (id, word) rows, named like the notes columns so
+	// every notes scalar applies to its output.
+	if err := in.Register(core.UDFSpec{Name: "words", Kind: ffi.Table,
+		Out:      []data.Kind{data.KindInt, data.KindString},
+		OutNames: []string{"id", "title"}}); err != nil {
+		return nil, err
+	}
+	if err := in.Eng.Exec("CREATE TABLE notes (id int, title string)"); err != nil {
+		return nil, err
+	}
+	if err := in.Eng.Exec(`INSERT INTO notes VALUES
+		(1, '  Hello World  '), (2, 'Go Databases'), (3, 'Query Fusion Rocks'),
+		(4, 'a'), (5, 'UDF queries in SQL engines'), (6, 'Plan Cache Hit')`); err != nil {
+		return nil, err
+	}
+	// vals carries NULLs in both value columns so the inlined arms'
+	// NULL-guard CASE translations face real NULL inputs.
+	if err := in.Eng.Exec("CREATE TABLE vals (k int, v int, s string)"); err != nil {
+		return nil, err
+	}
+	if err := in.Eng.Exec(`INSERT INTO vals VALUES
+		(1, 1, '  alpha  '), (2, NULL, 'beta'), (3, -4, NULL),
+		(4, 7, '  Gamma Ray'), (5, 0, ''), (6, 42, ' mixed Case '),
+		(7, 3, 'BETA')`); err != nil {
+		return nil, err
+	}
+	return in, nil
 }
 
 // Grammar dimensions. Every combination is a valid query, so arbitrary
@@ -262,10 +281,19 @@ func renderTable(t *data.Table) string {
 // the closure tier, fused on the VM tier (cold, warm from the plan
 // cache, and with forced per-call bailouts), relationally inlined,
 // inlined with the forced-opaque fallback hook, and scalar-chain fusion
-// only. All arms must agree exactly.
-func runDiff(t *testing.T, dat []byte) {
-	in := diffDB(t)
+// only, on one profile's fixture. All arms must agree exactly, and no
+// fused arm may fall back to the native plan.
+func runDiff(t *testing.T, prof engines.Profile, dat []byte) {
+	in := diffDB(t, prof)
 	sql := buildDiffQuery(dat)
+	var fellBack []string
+	queryFused := func(arm string) (*data.Table, error) {
+		res, rep, err := in.QueryFusedReportedCtx(context.Background(), sql)
+		if rep != nil && rep.Fallback {
+			fellBack = append(fellBack, fmt.Sprintf("%s: %s", arm, rep.FallbackReason))
+		}
+		return res, err
+	}
 	diffMu.Lock()
 	defer diffMu.Unlock()
 	defer func() {
@@ -280,20 +308,20 @@ func runDiff(t *testing.T, dat []byte) {
 	// Arm 2: closure tier pinned.
 	in.QF.Opts.Tier = "closure"
 	in.QF.PlanCache.Purge()
-	clo, cloErr := in.QueryFused(sql)
+	clo, cloErr := queryFused("closure")
 
 	// Arms 3+4: VM tier pinned, cold then warm (plan-cache hit).
 	in.QF.Opts.Tier = "vm"
 	in.QF.PlanCache.Purge()
 	s0 := in.QF.PlanCache.Stats()
-	cold, cerr := in.QueryFused(sql)
-	warm, werr := in.QueryFused(sql)
+	cold, cerr := queryFused("vm-cold")
+	warm, werr := queryFused("vm-warm")
 
 	// Arm 5: VM tier with every 3rd VM call force-bailed to the closure
 	// tier — exercises the bailout protocol on rows that would stay on
 	// the VM otherwise.
 	ffi.SetVMBailEvery(3)
-	bailed, berr := in.QueryFused(sql)
+	bailed, berr := queryFused("vm-bailout")
 	ffi.SetVMBailEvery(0)
 
 	// Arm 6: relational inlining forced past the cost model — inlinable
@@ -301,14 +329,14 @@ func runDiff(t *testing.T, dat []byte) {
 	// queries skip fusion discovery entirely (tier=inlined).
 	in.QF.Opts.Tier = "inline"
 	in.QF.PlanCache.Purge()
-	inl, ierr := in.QueryFused(sql)
+	inl, ierr := queryFused("inlined")
 
 	// Arm 7: the forced-opaque fallback hook — the inline pass still
 	// classifies every UDF but applies no substitution, so the query
 	// takes the VM/closure ladder it would have taken pre-inlining.
 	core.SetInlineForceOpaque(true)
 	in.QF.PlanCache.Purge()
-	fop, ferr := in.QueryFused(sql)
+	fop, ferr := queryFused("inline-opaque")
 	core.SetInlineForceOpaque(false)
 
 	// Arm 8: scalar-chain fusion only (the YeSQL mode) — every chain of
@@ -317,47 +345,51 @@ func runDiff(t *testing.T, dat []byte) {
 	in.QF.Opts.Tier = "auto"
 	in.QF.Opts.ScalarOnly = true
 	in.QF.PlanCache.Purge()
-	yes, yerr := in.QueryFused(sql)
+	yes, yerr := queryFused("scalar-only")
 	in.QF.Opts.ScalarOnly = false
 
 	if nerr != nil || cloErr != nil || cerr != nil || werr != nil || berr != nil || ierr != nil || ferr != nil || yerr != nil {
 		if nerr != nil && cloErr != nil && cerr != nil && werr != nil && berr != nil && ierr != nil && ferr != nil && yerr != nil {
 			return // all arms agree the query fails
 		}
-		t.Fatalf("error disagreement for %q:\n native:        %v\n closure:       %v\n vm-cold:       %v\n vm-warm:       %v\n vm-bailout:    %v\n inlined:       %v\n inline-opaque: %v\n scalar-only:   %v",
-			sql, nerr, cloErr, cerr, werr, berr, ierr, ferr, yerr)
+		t.Fatalf("%s: error disagreement for %q:\n native:        %v\n closure:       %v\n vm-cold:       %v\n vm-warm:       %v\n vm-bailout:    %v\n inlined:       %v\n inline-opaque: %v\n scalar-only:   %v",
+			prof, sql, nerr, cloErr, cerr, werr, berr, ierr, ferr, yerr)
+	}
+	if len(fellBack) > 0 {
+		t.Fatalf("%s: fused arms of %q fell back to native:\n %s", prof, sql, strings.Join(fellBack, "\n "))
 	}
 	want := renderTable(nat)
 	if got := renderTable(clo); got != want {
-		t.Fatalf("fused-closure mismatch for %q:\ngot:\n%s\nwant:\n%s", sql, got, want)
+		t.Fatalf("%s: fused-closure mismatch for %q:\ngot:\n%s\nwant:\n%s", prof, sql, got, want)
 	}
 	if got := renderTable(cold); got != want {
-		t.Fatalf("fused-vm-cold mismatch for %q:\ngot:\n%s\nwant:\n%s", sql, got, want)
+		t.Fatalf("%s: fused-vm-cold mismatch for %q:\ngot:\n%s\nwant:\n%s", prof, sql, got, want)
 	}
 	if got := renderTable(warm); got != want {
-		t.Fatalf("fused-vm-warm mismatch for %q:\ngot:\n%s\nwant:\n%s", sql, got, want)
+		t.Fatalf("%s: fused-vm-warm mismatch for %q:\ngot:\n%s\nwant:\n%s", prof, sql, got, want)
 	}
 	if got := renderTable(bailed); got != want {
-		t.Fatalf("fused-vm-bailout mismatch for %q:\ngot:\n%s\nwant:\n%s", sql, got, want)
+		t.Fatalf("%s: fused-vm-bailout mismatch for %q:\ngot:\n%s\nwant:\n%s", prof, sql, got, want)
 	}
 	if got := renderTable(inl); got != want {
-		t.Fatalf("inlined mismatch for %q:\ngot:\n%s\nwant:\n%s", sql, got, want)
+		t.Fatalf("%s: inlined mismatch for %q:\ngot:\n%s\nwant:\n%s", prof, sql, got, want)
 	}
 	if got := renderTable(fop); got != want {
-		t.Fatalf("inline-forced-opaque mismatch for %q:\ngot:\n%s\nwant:\n%s", sql, got, want)
+		t.Fatalf("%s: inline-forced-opaque mismatch for %q:\ngot:\n%s\nwant:\n%s", prof, sql, got, want)
 	}
 	if got := renderTable(yes); got != want {
-		t.Fatalf("scalar-only mismatch for %q:\ngot:\n%s\nwant:\n%s", sql, got, want)
+		t.Fatalf("%s: scalar-only mismatch for %q:\ngot:\n%s\nwant:\n%s", prof, sql, got, want)
 	}
 	s1 := in.QF.PlanCache.Stats()
 	if s1.Hits <= s0.Hits {
-		t.Fatalf("warm run of %q was not served from the plan cache (stats %+v -> %+v)",
-			sql, s0, s1)
+		t.Fatalf("%s: warm run of %q was not served from the plan cache (stats %+v -> %+v)",
+			prof, sql, s0, s1)
 	}
 }
 
-// FuzzDiff is the fuzz entry point. The seed corpus spans every shape
-// and most predicate/scalar combinations; fuzzing mutates beyond it.
+// FuzzDiff is the fuzz entry point: every input runs on every profile.
+// The seed corpus spans every shape and most predicate/scalar
+// combinations; fuzzing mutates beyond it.
 func FuzzDiff(f *testing.F) {
 	for _, seed := range [][]byte{
 		{0, 0, 0}, {0, 2, 3}, {1, 1, 0}, {1, 2, 1}, {2, 0, 2},
@@ -371,30 +403,36 @@ func FuzzDiff(f *testing.F) {
 		f.Add(seed)
 	}
 	f.Fuzz(func(t *testing.T, dat []byte) {
-		runDiff(t, dat)
+		for _, prof := range diffProfiles {
+			runDiff(t, prof, dat)
+		}
 	})
 }
 
 // TestDiffSeeds exhaustively covers the generator's whole space (every
 // shape x scalar x predicate, with shapes 6-7 drawing from the
-// inline-tier dimensions), so plain `go test` already checks every
-// distinct query without the fuzz engine.
+// inline-tier dimensions) on every profile, so plain `go test` already
+// checks every distinct query without the fuzz engine.
 func TestDiffSeeds(t *testing.T) {
-	n := 0
-	for shape := 0; shape < diffNumShapes; shape++ {
-		nsc, npr := len(diffScalars), len(diffPreds)
-		if diffInlineShape(shape) {
-			nsc, npr = len(diffVScalars), len(diffVPreds)
-		}
-		for sc := 0; sc < nsc; sc++ {
-			for pr := 0; pr < npr; pr++ {
-				runDiff(t, []byte{byte(shape), byte(sc), byte(pr)})
-				n++
+	for _, prof := range diffProfiles {
+		t.Run(string(prof), func(t *testing.T) {
+			n := 0
+			for shape := 0; shape < diffNumShapes; shape++ {
+				nsc, npr := len(diffScalars), len(diffPreds)
+				if diffInlineShape(shape) {
+					nsc, npr = len(diffVScalars), len(diffVPreds)
+				}
+				for sc := 0; sc < nsc; sc++ {
+					for pr := 0; pr < npr; pr++ {
+						runDiff(t, prof, []byte{byte(shape), byte(sc), byte(pr)})
+						n++
+					}
+				}
 			}
-		}
-	}
-	if n != diffSeedSpace {
-		t.Fatalf("covered %d seeds, want %d", n, diffSeedSpace)
+			if n != diffSeedSpace {
+				t.Fatalf("covered %d seeds, want %d", n, diffSeedSpace)
+			}
+		})
 	}
 }
 
@@ -403,7 +441,7 @@ func TestDiffSeeds(t *testing.T) {
 // *sqlengine.Query, so any plan-tree mutation by an executor — or any
 // unsynchronized cache bookkeeping — trips the detector.
 func TestDiffWarmConcurrent(t *testing.T) {
-	in := diffDB(t)
+	in := diffDB(t, engines.Monet)
 	const sql = "SELECT id, slug(slug(title)) AS s FROM notes ORDER BY id"
 	diffMu.Lock()
 	defer diffMu.Unlock()

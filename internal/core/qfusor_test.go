@@ -472,11 +472,18 @@ func TestReportTimingsPopulated(t *testing.T) {
 	}
 }
 
+// TestFusedAcrossEngineModes runs one fused query on the columnar
+// executor, on it with every input split at DuckDB's vector size
+// ("chunked"), and on the row executor.
 func TestFusedAcrossEngineModes(t *testing.T) {
-	for _, mode := range []sqlengine.ExecMode{sqlengine.ModeColumnar, sqlengine.ModeChunked, sqlengine.ModeRow} {
-		t.Run(fmt.Sprint(mode), func(t *testing.T) {
+	for _, x := range []struct {
+		name   string
+		mode   sqlengine.ExecMode
+		morsel int
+	}{{"columnar", sqlengine.ModeColumnar, 0}, {"chunked", sqlengine.ModeColumnar, 2048}, {"row", sqlengine.ModeRow, 0}} {
+		t.Run(x.name, func(t *testing.T) {
 			eng, qf := buildEngine(t)
-			eng.Mode = mode
+			eng.Mode, eng.MorselSize = x.mode, x.morsel
 			assertSameResult(t, eng, qf,
 				"SELECT city, SUM(addten(age)) FROM people WHERE upname(city) != 'XXX' GROUP BY city")
 		})

@@ -31,14 +31,18 @@ const (
 	// SQLite: tuple-at-a-time row execution with in-process per-tuple
 	// UDF calls.
 	SQLite Profile = "sqlite"
-	// Duck: the columnar executor split at ChunkSize, with in-process
-	// vectorized UDFs (DuckDB).
+	// Duck: the columnar executor at morsel size 2 048 (DuckDB's vector
+	// size), with in-process vectorized UDFs. It runs operator-at-a-time
+	// like Monet and is not pipelined: every operator still materializes
+	// its whole output.
 	Duck Profile = "duckdb"
-	// Spark: partitioned parallel execution with per-batch UDF
-	// serialization (PySpark).
+	// Spark: the columnar executor at morsel size 2 048, with per-batch
+	// UDF serialization to one transport worker per executor worker
+	// (PySpark).
 	Spark Profile = "pyspark"
-	// DBX: the commercial analytics database — parallel vectorized
-	// execution, no UDF JIT, per-batch context switches.
+	// DBX: the commercial analytics database. It has Monet's executor and
+	// transport; its "no UDF JIT, 4 workers" come only from the Config
+	// the paper experiments launch it with (internal/bench).
 	DBX Profile = "dbx"
 )
 
@@ -66,8 +70,10 @@ type Config struct {
 	// capacity (core.DefaultPlanCacheCap), > 0 sets an explicit entry
 	// cap, < 0 disables plan-decision caching entirely.
 	PlanCacheSize int
-	// MorselSize overrides the executor's morsel row count (0 keeps the
-	// engine default; ModeChunked profiles follow their ChunkSize).
+	// MorselSize overrides the executor's morsel row count: every
+	// partitionable input splits at it, serial or not (0 keeps the
+	// profile's default: 2 048 for Duck and Spark, for the rest a
+	// 2 048-row split only when the pool runs in parallel).
 	MorselSize int
 	// Tier pins the execution tier (core.Options.Tier); "" keeps the
 	// default, core.TierAuto.
@@ -85,6 +91,10 @@ type Instance struct {
 	cfg  Config
 	proc *ffi.ProcessInvoker
 }
+
+// vectorSize is the morsel size of the vectorized profiles (Duck and
+// Spark) when the Config sets none.
+const vectorSize = 2048
 
 // workersFor resolves a Config.Parallelism value to a concrete worker
 // count (0 = auto, mirroring sqlengine.Engine.Workers).
@@ -111,7 +121,7 @@ func Launch(cfg Config) *Instance {
 	case Monet:
 		mode, inv = sqlengine.ModeColumnar, ffi.VectorInvoker{}
 	case Duck:
-		mode, inv = sqlengine.ModeChunked, ffi.VectorInvoker{}
+		mode, inv = sqlengine.ModeColumnar, ffi.VectorInvoker{}
 	case SQLite:
 		mode, inv = sqlengine.ModeRow, ffi.TupleInvoker{}
 	case Postgres:
@@ -129,7 +139,7 @@ func Launch(cfg Config) *Instance {
 		// One transport worker per executor worker so parallel morsels
 		// never queue behind a single serialization loop.
 		proc = ffi.NewProcessInvokerN(batch, workersFor(cfg.Parallelism))
-		mode, inv = sqlengine.ModeChunked, proc
+		mode, inv = sqlengine.ModeColumnar, proc
 	case DBX:
 		mode, inv = sqlengine.ModeColumnar, ffi.VectorInvoker{}
 	default:
@@ -143,6 +153,9 @@ func Launch(cfg Config) *Instance {
 	// legacy serial executor for A/B baselines.
 	eng.Parallelism = cfg.Parallelism
 	eng.MorselSize = cfg.MorselSize
+	if eng.MorselSize == 0 && (cfg.Profile == Duck || cfg.Profile == Spark) {
+		eng.MorselSize = vectorSize
+	}
 	inst := &Instance{Name: string(cfg.Profile), Eng: eng, Reg: reg,
 		QF: core.New(reg), cfg: cfg, proc: proc}
 	switch {

@@ -42,10 +42,15 @@ func fireBoundary(k UDFKind) error {
 //
 //   - VectorInvoker  — in-process, one foreign call per column batch
 //     (MonetDB-style vectorized UDFs)
-//   - TupleInvoker   — in-process, one foreign call per row
-//     (SQLite-style tuple-at-a-time C UDFs)
+//   - TupleInvoker   — in-process, one foreign call per row for scalar
+//     UDFs (SQLite-style tuple-at-a-time C UDFs); VectorInvoker's
+//     aggregate, expand and table calls
 //   - ProcessInvoker — out-of-process: every batch is serialized to a
 //     worker and results serialized back (PostgreSQL pl/python style)
+//
+// A fused wrapper never goes through an Invoker: the engine runs it in
+// process as its trace (CallFusedVector) on every profile, and decides
+// so in one place (the SQL engine's Engine.callUDF).
 type Invoker interface {
 	// Name identifies the transport in EXPLAIN output and experiments.
 	Name() string
@@ -327,9 +332,11 @@ func wrapUDFErr(u *UDF, err error) error {
 // TupleInvoker
 // ---------------------------------------------------------------------
 
-// TupleInvoker crosses the boundary once per row: every call re-boxes
-// its arguments and unboxes its result (SQLite's model).
-type TupleInvoker struct{}
+// TupleInvoker crosses the boundary once per row: every scalar call
+// re-boxes its arguments and unboxes its result (SQLite's model). Its
+// aggregate, expand and table calls are VectorInvoker's, which already
+// step the UDF once per row.
+type TupleInvoker struct{ VectorInvoker }
 
 // Name implements Invoker.
 func (TupleInvoker) Name() string { return "tuple" }
@@ -361,70 +368,25 @@ func (TupleInvoker) CallScalar(u *UDF, args []*data.Column, n int) (*data.Column
 	return out, nil
 }
 
-// CallAggregate implements Invoker.
-func (TupleInvoker) CallAggregate(u *UDF, args []*data.Column, n int, groupIDs []int, g int) ([]data.Value, error) {
-	if err := fireBoundary(Aggregate); err != nil {
-		return nil, err
+// InvokeRow is one in-process call of a scalar UDF over one row of
+// engine values, the tuple-at-a-time executor's call: it fires the
+// scalar boundary hook, records the crossing, and returns the result as
+// the declared kind, converted as a transport's result column converts
+// it.
+func (u *UDF) InvokeRow(args []data.Value) (data.Value, error) {
+	if err := fireBoundary(Scalar); err != nil {
+		return data.Null, err
 	}
 	start := time.Now()
-	states := make([]AggState, g)
-	for i := range states {
-		st, err := NewAggState(u)
-		if err != nil {
-			return nil, err
-		}
-		states[i] = st
+	v, err := u.Invoke(args)
+	if err != nil {
+		return data.Null, wrapUDFErr(u, err)
 	}
-	row := make([]data.Value, len(args))
-	for i := 0; i < n; i++ {
-		for j, c := range args {
-			row[j] = c.Get(i)
-		}
-		gid := 0
-		if groupIDs != nil {
-			gid = groupIDs[i]
-		}
-		if err := states[gid].Step(append([]data.Value(nil), row...)); err != nil {
-			return nil, wrapUDFErr(u, err)
-		}
+	if k := u.OutKind(); v.Kind != k && !v.IsNull() {
+		c := data.NewColumnCap(u.Name, k, 1)
+		c.AppendValue(v)
+		v = c.Get(0)
 	}
-	out := make([]data.Value, g)
-	for i, st := range states {
-		v, err := st.Final()
-		if err != nil {
-			return nil, wrapUDFErr(u, err)
-		}
-		out[i] = v
-	}
-	u.record(n, g, time.Since(start), 0)
-	return out, nil
-}
-
-// CallExpand implements Invoker.
-func (TupleInvoker) CallExpand(u *UDF, args []*data.Column, n int) ([][][]data.Value, error) {
-	if err := fireBoundary(Expand); err != nil {
-		return nil, err
-	}
-	start := time.Now()
-	out := make([][][]data.Value, n)
-	total := 0
-	row := make([]data.Value, len(args))
-	for i := 0; i < n; i++ {
-		for j, c := range args {
-			row[j] = c.Get(i)
-		}
-		rows, err := drainRows(u, append([]data.Value(nil), row...))
-		if err != nil {
-			return nil, err
-		}
-		out[i] = rows
-		total += len(rows)
-	}
-	u.record(n, total, time.Since(start), 0)
-	return out, nil
-}
-
-// CallTable implements Invoker.
-func (TupleInvoker) CallTable(u *UDF, input *data.Chunk, extra []data.Value) (*data.Chunk, error) {
-	return callTableCommon(u, input, extra)
+	u.record(1, 1, time.Since(start), 0)
+	return v, nil
 }

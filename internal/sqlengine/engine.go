@@ -28,12 +28,9 @@ type ExecMode int
 
 const (
 	// ModeColumnar is operator-at-a-time with full intermediate
-	// materialization (MonetDB's model).
+	// materialization (MonetDB's model); MorselSize sets how its
+	// operators split their inputs.
 	ModeColumnar ExecMode = iota
-	// ModeChunked is the columnar executor with every operator's input
-	// split into ChunkSize batches, serial or not (DuckDB's vector
-	// size); each operator still materializes its full output.
-	ModeChunked
 	// ModeRow is tuple-at-a-time Volcano iteration (SQLite/PostgreSQL).
 	ModeRow
 )
@@ -43,8 +40,6 @@ func (m ExecMode) String() string {
 	switch m {
 	case ModeColumnar:
 		return "columnar"
-	case ModeChunked:
-		return "chunked"
 	case ModeRow:
 		return "row"
 	}
@@ -59,14 +54,13 @@ type Engine struct {
 	Catalog *Catalog
 	Invoker ffi.Invoker
 	Mode    ExecMode
-	// ChunkSize bounds vectorized batch size in ModeChunked.
-	ChunkSize int
 	// Parallelism is the number of worker goroutines for partitionable
 	// and blocking operators (morsel-driven execution): 0 = auto (every
 	// core the runtime sees), 1 = legacy serial for A/B baselines.
 	Parallelism int
-	// MorselSize overrides the morsel row count (0 = defaultMorselSize).
-	// ModeChunked still splits at ChunkSize, its vector size.
+	// MorselSize, when set, is the row count every partitionable input
+	// splits at, serial or not (DuckDB's vector size is 2 048). 0 splits
+	// at defaultMorselSize, and only when the pool runs in parallel.
 	MorselSize int
 	// stepBudget caps the PyLite statements one statement may execute
 	// before it is interrupted (runaway-UDF guard, fixed by New). 0 = no
@@ -100,7 +94,6 @@ func New(name string, mode ExecMode, inv ffi.Invoker, stepBudget int64) *Engine 
 		Catalog:     NewCatalog(),
 		Invoker:     inv,
 		Mode:        mode,
-		ChunkSize:   2048,
 		Parallelism: 0, // auto: runtime.GOMAXPROCS(0) workers (see Workers)
 		stepBudget:  stepBudget,
 	}
@@ -128,7 +121,6 @@ func (e *Engine) View(parallelism, morsel int) *Engine {
 		Catalog:     e.Catalog,
 		Invoker:     e.Invoker,
 		Mode:        e.Mode,
-		ChunkSize:   e.ChunkSize,
 		Parallelism: parallelism,
 		MorselSize:  morsel,
 		stepBudget:  e.stepBudget,
@@ -495,81 +487,48 @@ func (q *execCtx) close() []ffi.Usage {
 	return used
 }
 
-// callScalarUDFRow invokes a scalar UDF for a single row through the
-// engine's transport.
-func (e *Engine) callScalarUDFRow(u *ffi.UDF, args []data.Value) (data.Value, error) {
-	switch inv := e.Invoker.(type) {
-	case *ffi.ProcessInvoker:
-		// One-row IPC round trip (PostgreSQL's per-call protocol).
-		cols := make([]*data.Column, len(args))
-		for i, a := range args {
-			k := a.Kind
-			if i < len(u.InKinds) {
-				k = u.InKinds[i]
-			}
-			if k == data.KindNull {
-				k = data.KindString
-			}
-			c := data.NewColumn(fmt.Sprintf("a%d", i), k)
-			c.AppendValue(a)
-			cols[i] = c
-		}
-		switch u.Kind {
-		case ffi.Scalar:
-			out, err := inv.CallScalar(u, cols, 1)
-			if err != nil {
-				return data.Null, err
-			}
-			return out.Get(0), nil
-		default:
-			return data.Null, fmt.Errorf("sql: %s UDF in scalar position", u.Kind)
-		}
-	default:
-		if u.Kind != ffi.Scalar {
-			return data.Null, fmt.Errorf("sql: %s UDF in scalar position", u.Kind)
-		}
-		if u.Fused {
-			// Tuple engines call fused wrappers per row (one-element
-			// vectors), keeping the per-tuple crossing but still fusing
-			// the UDF pipeline inside.
-			cols := make([]*data.Column, len(args))
-			for i, a := range args {
-				k := a.Kind
-				if i < len(u.InKinds) {
-					k = u.InKinds[i]
-				}
-				if k == data.KindNull {
-					k = data.KindString
-				}
-				c := data.NewColumn(fmt.Sprintf("a%d", i), k)
-				c.AppendValue(a)
-				cols[i] = c
-			}
-			out, err := ffi.CallFusedVector(u, cols, 1, []string{u.Name}, []data.Kind{u.OutKind()})
-			if err != nil {
-				return data.Null, err
-			}
-			if out[0].Len() == 0 {
-				return data.Null, nil
-			}
-			return out[0].Get(0), nil
-		}
-		start := time.Now()
-		v, err := u.Invoke(args)
+// callUDF is the one place the engine decides how a scalar UDF call
+// crosses: a fused wrapper runs in process as its trace
+// (ffi.CallFusedVector) on every profile, any other UDF through the
+// engine's transport. u is a statement's clone or a worker clone of one.
+func (e *Engine) callUDF(u *ffi.UDF, args []*data.Column, n int) (*data.Column, error) {
+	if u.Fused {
+		cols, err := ffi.CallFusedVector(u, args, n, []string{u.Name}, []data.Kind{u.OutKind()})
 		if err != nil {
-			return data.Null, fmt.Errorf("udf %s: %w", u.Name, err)
+			return nil, err
 		}
-		u.Stats.Calls.Add(1)
-		u.Stats.InRows.Add(1)
-		u.Stats.OutRows.Add(1)
-		u.Stats.WallNanos.Add(time.Since(start).Nanoseconds())
-		if k := u.OutKind(); v.Kind != k && !v.IsNull() {
-			// The value leaves as the declared kind, converted as every
-			// other transport's result column converts it.
-			c := data.NewColumn(u.Name, k)
-			c.AppendValue(v)
-			v = c.Get(0)
-		}
-		return v, nil
+		return cols[0], nil
 	}
+	return e.Invoker.CallScalar(u, args, n)
+}
+
+// callScalarUDFRow invokes a scalar UDF for a single row (the row
+// executor's per-tuple call). A plain UDF on an in-process transport is
+// called on the row itself; a fused wrapper, or any UDF on the process
+// transport (PostgreSQL's per-call protocol), gets the row as one-row
+// columns through callUDF.
+func (e *Engine) callScalarUDFRow(u *ffi.UDF, args []data.Value) (data.Value, error) {
+	if u.Kind != ffi.Scalar {
+		return data.Null, fmt.Errorf("sql: %s UDF in scalar position", u.Kind)
+	}
+	if _, ipc := e.Invoker.(*ffi.ProcessInvoker); !ipc && !u.Fused {
+		return u.InvokeRow(args)
+	}
+	cols := make([]*data.Column, len(args))
+	for i, a := range args {
+		k := a.Kind
+		if i < len(u.InKinds) {
+			k = u.InKinds[i]
+		}
+		if k == data.KindNull {
+			k = data.KindString
+		}
+		cols[i] = data.NewColumn(fmt.Sprintf("a%d", i), k)
+		cols[i].AppendValue(a)
+	}
+	out, err := e.callUDF(u, cols, 1)
+	if err != nil || out.Len() == 0 {
+		return data.Null, err
+	}
+	return out.Get(0), nil
 }

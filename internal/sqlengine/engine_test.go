@@ -100,33 +100,46 @@ def ntags(xs: list) -> int:
 	return eng
 }
 
+// engineConfig is one executor/transport configuration tests run
+// under; morsel is the engine's MorselSize (0 = default).
+type engineConfig struct {
+	mode   sqlengine.ExecMode
+	inv    func() ffi.Invoker
+	morsel int
+}
+
 // modes returns the executor/transport configurations tests run under.
-func modes() map[string]func() (sqlengine.ExecMode, ffi.Invoker) {
-	return map[string]func() (sqlengine.ExecMode, ffi.Invoker){
-		"columnar-vector": func() (sqlengine.ExecMode, ffi.Invoker) {
-			return sqlengine.ModeColumnar, ffi.VectorInvoker{}
-		},
-		"chunked-vector": func() (sqlengine.ExecMode, ffi.Invoker) {
-			return sqlengine.ModeChunked, ffi.VectorInvoker{}
-		},
-		"row-tuple": func() (sqlengine.ExecMode, ffi.Invoker) {
-			return sqlengine.ModeRow, ffi.TupleInvoker{}
-		},
-		"row-process": func() (sqlengine.ExecMode, ffi.Invoker) {
-			return sqlengine.ModeRow, ffi.NewProcessInvoker(64)
-		},
+// chunked-vector is the columnar executor with every input split at
+// DuckDB's vector size, serial or not.
+func modes() map[string]engineConfig {
+	vector := func() ffi.Invoker { return ffi.VectorInvoker{} }
+	return map[string]engineConfig{
+		"columnar-vector": {sqlengine.ModeColumnar, vector, 0},
+		"chunked-vector":  {sqlengine.ModeColumnar, vector, 2048},
+		"row-tuple":       {sqlengine.ModeRow, func() ffi.Invoker { return ffi.TupleInvoker{} }, 0},
+		"row-process":     {sqlengine.ModeRow, func() ffi.Invoker { return ffi.NewProcessInvoker(64) }, 0},
 	}
 }
 
+// executors are the executor shapes a test runs under with one
+// transport: columnar, row, and columnar with every input split at
+// DuckDB's vector size ("chunked").
+var executors = []struct {
+	name   string
+	mode   sqlengine.ExecMode
+	morsel int
+}{{"columnar", sqlengine.ModeColumnar, 0}, {"row", sqlengine.ModeRow, 0}, {"chunked", sqlengine.ModeColumnar, 2048}}
+
 // runAllModes executes fn once per engine configuration.
 func runAllModes(t *testing.T, fn func(t *testing.T, eng *sqlengine.Engine)) {
-	for name, mk := range modes() {
+	for name, cfg := range modes() {
 		t.Run(name, func(t *testing.T) {
-			mode, inv := mk()
+			inv := cfg.inv()
 			if p, ok := inv.(*ffi.ProcessInvoker); ok {
 				defer p.Close()
 			}
-			eng := newTestEngine(t, mode, inv)
+			eng := newTestEngine(t, cfg.mode, inv)
+			eng.MorselSize = cfg.morsel
 			fn(t, eng)
 		})
 	}

@@ -12,8 +12,8 @@ import (
 
 // execColumnar is the vectorized operator-at-a-time executor: every
 // operator materializes its full output before the parent runs
-// (MonetDB's model; ModeChunked splits UDF batches but keeps the same
-// operator boundaries). Operators that scan full inputs run
+// (MonetDB's model; an explicit MorselSize splits UDF batches but keeps
+// the same operator boundaries). Operators that scan full inputs run
 // morsel-parallel over the engine's worker pool (see morsel.go); the
 // blocking ones keep per-worker partial state and merge at the barrier.
 func (e *Engine) execColumnar(p *Plan, ectx *execCtx) (*data.Chunk, error) {
@@ -160,8 +160,7 @@ func oneRowChunk() *data.Chunk {
 }
 
 // projectChunk evaluates the projection expressions over the chunk,
-// split into morsels (ModeChunked batches double as morsels) and driven
-// by the worker pool. The expressions compile into one program, so a
+// split into morsels and driven by the worker pool. The expressions compile into one program, so a
 // subtree repeated between output columns (or within one, as relational
 // inlining produces) evaluates once per morsel.
 func (e *Engine) projectChunk(p *Plan, in *data.Chunk, ectx *execCtx) (*data.Chunk, error) {

@@ -347,25 +347,16 @@ func (c *compiler) toFloat(t SQLExpr) SQLExpr {
 
 // ---- run ----
 
-// callUDF is the one real crossing: arguments are engine columns, the
-// transport boxes them, runs the UDF and unboxes its results. It runs on
-// a clone of the statement's UDF, folded back when it returns: the
-// program may run on several morsel workers at once, and a clone's
-// interpreter view belongs to one goroutine (one span, one clone, one
-// crossing, like a fused section's).
-func (p *exprProg) callUDF(u *ffi.UDF, args []*data.Column, n int, kind data.Kind) (*data.Column, error) {
+// callUDF is the one real crossing: arguments are engine columns, and
+// Engine.callUDF runs the UDF over them. It runs on a clone of the
+// statement's UDF, folded back when it returns: the program may run on
+// several morsel workers at once, and a clone's interpreter view belongs
+// to one goroutine (one span, one clone, one crossing, like a fused
+// section's).
+func (p *exprProg) callUDF(u *ffi.UDF, args []*data.Column, n int) (*data.Column, error) {
 	cu := u.WorkerClone()
 	defer u.AbsorbWorker(cu)
-	if u.Fused {
-		// Fused wrapper: one boundary crossing, the loop runs inside
-		// the UDF runtime as a single trace.
-		cols, err := ffi.CallFusedVector(cu, args, n, []string{u.Name}, []data.Kind{kind})
-		if err != nil {
-			return nil, err
-		}
-		return cols[0], nil
-	}
-	return p.e.Invoker.CallScalar(cu, args, n)
+	return p.e.callUDF(cu, args, n)
 }
 
 // vec is an operand at run time: a column, and the mask that indexes it
@@ -600,7 +591,7 @@ func (p *exprProg) exec(in *instr, f *frame) (*data.Column, error) {
 		for i, s := range in.args {
 			args[i] = f.full(s)
 		}
-		return p.callUDF(in.udf, args, n, out.Kind)
+		return p.callUDF(in.udf, args, n)
 	default:
 		out = data.NewColumnCap("", out.Kind, n)
 		ops := make([]vec, len(in.args))

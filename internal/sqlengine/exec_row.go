@@ -7,8 +7,9 @@ import (
 )
 
 // execRowPlan runs the plan through the Volcano-style tuple-at-a-time
-// executor (SQLite/PostgreSQL model): every operator pulls one row at a
-// time, every UDF call crosses the boundary per tuple.
+// executor (SQLite/PostgreSQL model): scan, project, filter, expand and
+// LIMIT pull one row at a time, so a UDF they call crosses the boundary
+// per tuple and only for the rows a LIMIT takes.
 func (e *Engine) execRowPlan(p *Plan, ectx *execCtx) (*data.Chunk, error) {
 	it, err := e.buildRowIter(p, ectx)
 	if err != nil {
@@ -80,11 +81,10 @@ func (e *Engine) buildRowIter(p *Plan, ectx *execCtx) (rowIter, error) {
 			return nil, err
 		}
 		return &filterIter{eng: e, pred: p.Exprs[0], child: child}, nil
-	case OpJoin:
-		return e.buildJoinIter(p, ectx)
-	case OpAggregate, OpSort, OpDistinct, OpUnion, OpTableFunc:
+	case OpJoin, OpAggregate, OpSort, OpDistinct, OpUnion, OpTableFunc:
 		// Blocking (or engine-side) operators are the columnar ones: they
-		// drain the child through execPlan, then rows stream out.
+		// drain their children through execPlan, so a UDF below them keeps
+		// its per-tuple crossing, then rows stream out.
 		ch, err := e.execColumnar(p, ectx)
 		if err != nil {
 			return nil, err
@@ -269,125 +269,3 @@ func (it *expandIter) Next() ([]data.Value, bool, error) {
 }
 
 func (it *expandIter) Close() { it.child.Close() }
-
-// buildJoinIter builds a hash join (materializing the right side) or a
-// nested loop for non-equi predicates.
-func (e *Engine) buildJoinIter(p *Plan, ectx *execCtx) (rowIter, error) {
-	left, err := e.buildRowIter(p.Children[0], ectx)
-	if err != nil {
-		return nil, err
-	}
-	right, err := e.execPlan(p.Children[1], ectx)
-	if err != nil {
-		left.Close()
-		return nil, err
-	}
-	nl := len(p.Children[0].Schema)
-	leftKeys, rightKeys, residual := splitEquiJoin(p.JoinOn, nl)
-	ji := &joinIter{eng: e, plan: p, left: left, right: right, nl: nl,
-		leftKeys: leftKeys, residual: residual}
-	if len(leftKeys) > 0 {
-		ji.build = make(map[string][]int)
-		var kb []byte
-		for j := 0; j < right.NumRows(); j++ {
-			kb = appendRowKey(kb[:0], right, rightKeys, j)
-			k := string(kb)
-			ji.build[k] = append(ji.build[k], j)
-		}
-	}
-	return ji, nil
-}
-
-type joinIter struct {
-	eng      *Engine
-	plan     *Plan
-	left     rowIter
-	right    *data.Chunk
-	nl       int
-	leftKeys []int
-	residual SQLExpr
-	build    map[string][]int
-
-	curLeft  []data.Value
-	matches  []int
-	matchPos int
-	pad      bool // LEFT: curLeft has no surviving match yet
-	keyBuf   []byte
-	full     []data.Value // the joined row before KeepCols
-}
-
-// Next pulls the next joined row: curLeft with each candidate right row
-// the residual holds for — the build table's hits, or every right row
-// for a nested loop — and for a LEFT join, once the candidates are spent
-// without one, curLeft with NULLs.
-func (it *joinIter) Next() ([]data.Value, bool, error) {
-	for {
-		if it.matchPos == len(it.matches) {
-			if it.pad {
-				it.pad = false
-				return it.emit(it.row(-1)), true, nil
-			}
-			row, ok, err := it.left.Next()
-			if err != nil || !ok {
-				return nil, false, err
-			}
-			it.curLeft, it.matchPos = row, 0
-			it.pad = it.plan.JoinKind == "LEFT"
-			if it.build != nil {
-				it.keyBuf = it.keyBuf[:0]
-				for _, ci := range it.leftKeys {
-					it.keyBuf = appendValueKey(it.keyBuf, row[ci])
-				}
-				it.matches = it.build[string(it.keyBuf)]
-			} else if it.matches == nil {
-				it.matches = make([]int, it.right.NumRows())
-				for j := range it.matches {
-					it.matches[j] = j
-				}
-			}
-			continue
-		}
-		out := it.row(it.matches[it.matchPos])
-		it.matchPos++
-		if it.residual != nil {
-			v, err := it.eng.evalRow(it.residual, out)
-			if err != nil {
-				return nil, false, err
-			}
-			if !v.Truthy() {
-				continue
-			}
-		}
-		it.pad = false
-		return it.emit(out), true, nil
-	}
-}
-
-// row is curLeft joined with right row j; -1 extends it with NULLs. A
-// join that emits a subset of its columns (KeepCols) builds the row in
-// a buffer of its own, reused row after row.
-func (it *joinIter) row(j int) []data.Value {
-	if it.full == nil || it.plan.KeepCols == nil {
-		it.full = make([]data.Value, it.nl+len(it.right.Cols))
-	}
-	out := it.full
-	copy(out, it.curLeft)
-	for c, col := range it.right.Cols {
-		if j < 0 {
-			out[it.nl+c] = data.Null
-		} else {
-			out[it.nl+c] = col.Get(j)
-		}
-	}
-	return out
-}
-
-// emit is the joined row's output: its KeepCols, or the row itself.
-func (it *joinIter) emit(row []data.Value) []data.Value {
-	if it.plan.KeepCols == nil {
-		return row
-	}
-	return choose(row, it.plan.KeepCols)
-}
-
-func (it *joinIter) Close() { it.left.Close() }

@@ -21,13 +21,13 @@ import (
 )
 
 // equivConfigs are the executor shapes every expression runs under:
-// morsel sizes 1, 7 and 2048 at Parallelism 1 (ModeChunked splits even
-// a serial run) and 8 (columnar morsels over the worker pool).
+// morsel sizes 1, 7 and 2048 at Parallelism 1 (an explicit MorselSize
+// splits even a serial run) and 8 (morsels over the worker pool).
 func equivConfigs() []*Engine {
 	var out []*Engine
 	for _, size := range []int{1, 7, 2048} {
-		serial := New("equiv", ModeChunked, ffi.VectorInvoker{}, 0)
-		serial.Parallelism, serial.ChunkSize = 1, size
+		serial := New("equiv", ModeColumnar, ffi.VectorInvoker{}, 0)
+		serial.Parallelism, serial.MorselSize = 1, size
 		par := New("equiv", ModeColumnar, ffi.VectorInvoker{}, 0)
 		par.Parallelism, par.MorselSize = 8, size
 		out = append(out, serial, par)

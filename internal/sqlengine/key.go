@@ -20,33 +20,6 @@ import (
 // integral floats normalized to ints so 1 and 1.0 land in one bucket
 // across mixed-kind key columns.
 
-// appendValueKey appends v's canonical key encoding to b.
-func appendValueKey(b []byte, v data.Value) []byte {
-	switch v.Kind {
-	case data.KindNull:
-		return append(b, 'n')
-	case data.KindBool, data.KindInt:
-		b = append(b, 'i')
-		return strconv.AppendInt(b, v.I, 10)
-	case data.KindFloat:
-		if v.F == math.Trunc(v.F) && math.Abs(v.F) < 1e15 {
-			b = append(b, 'i')
-			return strconv.AppendInt(b, int64(v.F), 10)
-		}
-		b = append(b, 'f')
-		return strconv.AppendFloat(b, v.F, 'g', -1, 64)
-	case data.KindString:
-		b = append(b, 's')
-		b = strconv.AppendInt(b, int64(len(v.S)), 10)
-		b = append(b, ':')
-		return append(b, v.S...)
-	default:
-		// Complex values (lists/dicts/objects) fall back to the boxed
-		// canonical encoding; they never sit on the hot path.
-		return append(b, v.Key()...)
-	}
-}
-
 // appendColKey appends the key encoding of row i of column c without
 // boxing the value: the unboxed storage feeds strconv.Append* directly.
 func appendColKey(b []byte, c *data.Column, i int) []byte {

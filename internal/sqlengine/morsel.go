@@ -33,8 +33,8 @@ var (
 	mMorselNanos = obs.Default.Histogram("engine.morsel_nanos")
 )
 
-// defaultMorselSize is the fixed morsel row count for columnar mode;
-// ModeChunked splits at the engine's ChunkSize instead.
+// defaultMorselSize is the morsel row count of an engine whose
+// MorselSize is 0.
 const defaultMorselSize = 2048
 
 // minParallelRows is the input size below which the scheduling overhead
@@ -50,13 +50,9 @@ func (e *Engine) Workers() int {
 	return runtime.GOMAXPROCS(0)
 }
 
-// morselSize returns the fixed morsel row count for this engine:
-// ModeChunked follows ChunkSize, any explicit MorselSize wins next,
-// and defaultMorselSize covers the rest.
+// morselSize returns the engine's morsel row count: MorselSize when
+// set, defaultMorselSize otherwise.
 func (e *Engine) morselSize() int {
-	if e.Mode == ModeChunked && e.ChunkSize > 0 {
-		return e.ChunkSize
-	}
 	if e.MorselSize > 0 {
 		return e.MorselSize
 	}
@@ -66,14 +62,15 @@ func (e *Engine) morselSize() int {
 // morselSpan is one claimed input range.
 type morselSpan struct{ lo, hi int }
 
-// morselsFor fixes the split of n rows for this engine: fixed-size
-// morsels when the pool can run them, one batch for a serial columnar
-// engine (operator-at-a-time semantics — Parallelism 1 is the legacy
-// serial A/B baseline and must keep its single-crossing structure).
-// ModeChunked always splits at ChunkSize, serial or not.
+// morselsFor fixes the split of n rows for this engine. An explicit
+// MorselSize splits every input at that size, serial or not. Without
+// one, the input splits at defaultMorselSize only when the pool can
+// run the morsels; otherwise it is one batch (operator-at-a-time
+// semantics: Parallelism 1 is the serial A/B baseline and keeps its
+// single-crossing structure).
 func (e *Engine) morselsFor(n int) []morselSpan {
 	size := e.morselSize()
-	if e.Mode != ModeChunked && (e.Workers() <= 1 || n < minParallelRows) {
+	if e.MorselSize <= 0 && (e.Workers() <= 1 || n < minParallelRows) {
 		size = n
 	}
 	return morselPlan(n, size)

@@ -57,10 +57,10 @@ func genMorselTable(name string, seed int64, rows int) *data.Table {
 }
 
 // newMorselEngine builds an engine over two randomized tables at the
-// given parallelism.
-func newMorselEngine(mode sqlengine.ExecMode, par int, seed int64, rows int) *sqlengine.Engine {
-	eng := sqlengine.New("morsel-test", mode, ffi.VectorInvoker{}, 0)
-	eng.Parallelism = par
+// given morsel size (0 = default) and parallelism.
+func newMorselEngine(morsel, par int, seed int64, rows int) *sqlengine.Engine {
+	eng := sqlengine.New("morsel-test", sqlengine.ModeColumnar, ffi.VectorInvoker{}, 0)
+	eng.Parallelism, eng.MorselSize = par, morsel
 	eng.Catalog.PutTable(genMorselTable("m", seed, rows))
 	eng.Catalog.PutTable(genMorselTable("d", seed+1000, rows/4))
 	return eng
@@ -125,26 +125,28 @@ func TestMorselParallelismEquivalence(t *testing.T) {
 		seeds = seeds[:1]
 	}
 	rows := 5000 // several 2048-row morsels
-	for _, mode := range []sqlengine.ExecMode{sqlengine.ModeColumnar, sqlengine.ModeChunked} {
+	// Morsel size 0 splits only when parallel; 2048 splits the serial run
+	// too.
+	for _, morsel := range []int{0, 2048} {
 		for _, seed := range seeds {
 			want := map[string][]string{}
-			ser := newMorselEngine(mode, 1, seed, rows)
+			ser := newMorselEngine(morsel, 1, seed, rows)
 			for _, q := range morselQueries {
 				res, err := ser.Query(q.sql)
 				if err != nil {
-					t.Fatalf("%s/%s serial: %v", mode, q.name, err)
+					t.Fatalf("morsel=%d/%s serial: %v", morsel, q.name, err)
 				}
 				if res.NumRows() == 0 {
-					t.Fatalf("%s/%s serial: empty result (bad generator)", mode, q.name)
+					t.Fatalf("morsel=%d/%s serial: empty result (bad generator)", morsel, q.name)
 				}
 				want[q.name] = append(rowLines(res), maskLine(res))
 			}
 			for _, par := range []int{2, 3, 8} {
-				eng := newMorselEngine(mode, par, seed, rows)
+				eng := newMorselEngine(morsel, par, seed, rows)
 				for _, q := range morselQueries {
 					res, err := eng.Query(q.sql)
 					if err != nil {
-						t.Fatalf("%s/%s par=%d: %v", mode, q.name, par, err)
+						t.Fatalf("morsel=%d/%s par=%d: %v", morsel, q.name, par, err)
 					}
 					got := append(rowLines(res), maskLine(res))
 					exp := append([]string(nil), want[q.name]...)
@@ -153,13 +155,13 @@ func TestMorselParallelismEquivalence(t *testing.T) {
 						sort.Strings(exp)
 					}
 					if len(got) != len(exp) {
-						t.Fatalf("%s/%s seed=%d par=%d: %d rows, serial has %d",
-							mode, q.name, seed, par, len(got), len(exp))
+						t.Fatalf("morsel=%d/%s seed=%d par=%d: %d rows, serial has %d",
+							morsel, q.name, seed, par, len(got), len(exp))
 					}
 					for i := range got {
 						if got[i] != exp[i] {
-							t.Fatalf("%s/%s seed=%d par=%d: row %d differs\n got: %s\nwant: %s",
-								mode, q.name, seed, par, i, got[i], exp[i])
+							t.Fatalf("morsel=%d/%s seed=%d par=%d: row %d differs\n got: %s\nwant: %s",
+								morsel, q.name, seed, par, i, got[i], exp[i])
 						}
 					}
 				}
@@ -179,14 +181,14 @@ func TestMorselMergeFuzz(t *testing.T) {
 	}
 	for seed := int64(100); seed < 100+nSeeds; seed++ {
 		rows := 200 + int(seed%7)*700 // 200 .. 4400: serial gate, 1 morsel, many morsels
-		ser := newMorselEngine(sqlengine.ModeColumnar, 1, seed, rows)
+		ser := newMorselEngine(0, 1, seed, rows)
 		want, err := ser.Query(sql)
 		if err != nil {
 			t.Fatal(err)
 		}
 		wl := rowLines(want)
 		for _, par := range []int{2, 8} {
-			eng := newMorselEngine(sqlengine.ModeColumnar, par, seed, rows)
+			eng := newMorselEngine(0, par, seed, rows)
 			got, err := eng.Query(sql)
 			if err != nil {
 				t.Fatalf("seed=%d par=%d: %v", seed, par, err)

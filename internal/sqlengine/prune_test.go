@@ -6,7 +6,6 @@ import (
 	"testing"
 
 	"qfusor/internal/ffi"
-	"qfusor/internal/sqlengine"
 )
 
 // TestPrunedPlansReturnTheRows: queries whose nodes read fewer columns
@@ -41,8 +40,9 @@ func TestPrunedPlansReturnTheRows(t *testing.T) {
 			"SELECT COUNT(*) FROM (SELECT id, addten(age) AS a FROM people) AS x",
 			"6"},
 	}
-	for _, mode := range []sqlengine.ExecMode{sqlengine.ModeColumnar, sqlengine.ModeRow, sqlengine.ModeChunked} {
-		eng := newTestEngine(t, mode, ffi.VectorInvoker{})
+	for _, x := range executors {
+		eng := newTestEngine(t, x.mode, ffi.VectorInvoker{})
+		eng.MorselSize = x.morsel
 		if err := eng.Exec("CREATE TABLE cities (city string, country string, pop int)"); err != nil {
 			t.Fatal(err)
 		}
@@ -52,7 +52,7 @@ func TestPrunedPlansReturnTheRows(t *testing.T) {
 		for _, c := range cases {
 			res, err := eng.Query(c.sql)
 			if err != nil {
-				t.Fatalf("%s/%s: %v", mode, c.name, err)
+				t.Fatalf("%s/%s: %v", x.name, c.name, err)
 			}
 			rows := make([]string, res.NumRows())
 			for r := range rows {
@@ -66,7 +66,7 @@ func TestPrunedPlansReturnTheRows(t *testing.T) {
 				rows[r] = strings.Join(cells, "|")
 			}
 			if got := strings.Join(rows, " "); got != c.want {
-				t.Errorf("%s/%s: got %q, want %q", mode, c.name, got, c.want)
+				t.Errorf("%s/%s: got %q, want %q", x.name, c.name, got, c.want)
 			}
 		}
 	}
@@ -78,23 +78,24 @@ func TestPrunedPlansReturnTheRows(t *testing.T) {
 // output crosses the boundary exactly as one that reads it, and fails
 // where that one fails.
 func TestDeadUDFOutputIsCalled(t *testing.T) {
-	for _, mode := range []sqlengine.ExecMode{sqlengine.ModeColumnar, sqlengine.ModeRow, sqlengine.ModeChunked} {
-		eng := newTestEngine(t, mode, ffi.VectorInvoker{})
+	for _, x := range executors {
+		eng := newTestEngine(t, x.mode, ffi.VectorInvoker{})
+		eng.MorselSize = x.morsel
 		u, _ := eng.Catalog.UDF("addten")
 		usage := func(sql string) string {
 			calls, rows := u.Stats.Calls.Load(), u.Stats.InRows.Load()
 			if _, err := eng.Query(sql); err != nil {
-				t.Fatalf("%s: %s: %v", mode, sql, err)
+				t.Fatalf("%s: %s: %v", x.name, sql, err)
 			}
 			return fmt.Sprintf("%d calls over %d rows", u.Stats.Calls.Load()-calls, u.Stats.InRows.Load()-rows)
 		}
 		dead := usage("SELECT COUNT(*) FROM (SELECT id, addten(age) AS a FROM people) AS x")
 		read := usage("SELECT COUNT(a) FROM (SELECT id, addten(age) AS a FROM people) AS x")
 		if dead != read || strings.HasPrefix(dead, "0 calls") {
-			t.Errorf("%s: dead output made %s, read output %s", mode, dead, read)
+			t.Errorf("%s: dead output made %s, read output %s", x.name, dead, read)
 		}
 		if _, err := eng.Query("SELECT COUNT(*) FROM (SELECT id, nosuchfn(age) AS a FROM people) AS x"); err == nil {
-			t.Errorf("%s: a dead call of an unknown function raised no error", mode)
+			t.Errorf("%s: a dead call of an unknown function raised no error", x.name)
 		}
 	}
 }

@@ -326,10 +326,12 @@ func TestInsertFromSelect(t *testing.T) {
 	}
 }
 
+// TestChunkedModeMatchesColumnar: a serial engine that splits every
+// input into 2-row morsels answers as the unsplit one does.
 func TestChunkedModeMatchesColumnar(t *testing.T) {
 	a := plainEngine(t, sqlengine.ModeColumnar)
-	b := plainEngine(t, sqlengine.ModeChunked)
-	b.ChunkSize = 2 // force many chunks
+	b := plainEngine(t, sqlengine.ModeColumnar)
+	b.MorselSize = 2 // force many morsels
 	for _, sql := range []string{
 		"SELECT i + 1 FROM nums WHERE i IS NOT NULL ORDER BY i",
 		"SELECT s, COUNT(*) FROM nums GROUP BY s ORDER BY s",
@@ -473,19 +475,20 @@ func TestAggregateOrderByKeyOrAggregate(t *testing.T) {
 		{"SELECT p.city, SUM(p.age) AS s FROM people AS p GROUP BY p.city ORDER BY SUM(p.age)",
 			"[paris:60 athens:79 berlin:80]"},
 	}
-	for _, mode := range []sqlengine.ExecMode{sqlengine.ModeColumnar, sqlengine.ModeRow, sqlengine.ModeChunked} {
-		eng := newTestEngine(t, mode, ffi.VectorInvoker{})
+	for _, x := range executors {
+		eng := newTestEngine(t, x.mode, ffi.VectorInvoker{})
+		eng.MorselSize = x.morsel
 		for _, c := range cases {
 			res, err := eng.Query(c.sql)
 			if err != nil {
-				t.Fatalf("%s: %s: %v", mode, c.sql, err)
+				t.Fatalf("%s: %s: %v", x.name, c.sql, err)
 			}
 			got := make([]string, res.NumRows())
 			for r := range got {
 				got[r] = res.Cols[0].Get(r).String() + ":" + res.Cols[1].Get(r).String()
 			}
 			if fmt.Sprint(got) != c.want {
-				t.Errorf("%s: %s: got %v, want %s", mode, c.sql, got, c.want)
+				t.Errorf("%s: %s: got %v, want %s", x.name, c.sql, got, c.want)
 			}
 		}
 	}

@@ -189,10 +189,11 @@ func WithPlanCacheSize(n int) Option {
 	}
 }
 
-// WithMorselSize overrides the executor's morsel row count (n <= 0
-// keeps the engine default, 2048; chunked profiles keep their vector
-// size). Smaller morsels lower cancellation latency and scheduling
-// granularity, larger ones amortize per-morsel overhead.
+// WithMorselSize overrides the executor's morsel row count: every
+// partitionable input then splits at n rows, serial or not (n <= 0
+// keeps the profile's default, 2048). Smaller morsels lower
+// cancellation latency and scheduling granularity, larger ones amortize
+// per-morsel overhead.
 func WithMorselSize(n int) Option {
 	return func(c *engines.Config) {
 		if n > 0 {

@@ -14,9 +14,12 @@ if [ -n "$unformatted" ]; then
     echo "gofmt needed on: $unformatted" >&2
     exit 1
 fi
-# Bind-once gate: the planner resolves each function name once per
-# statement; no other non-test code may look a UDF up by name through
-# Catalog.UDF (the catalog and UDF registration aside).
+# Call-site gate (scripts/udflookup): the planner resolves each function
+# name once per statement, so no other non-test code may look a UDF up
+# by name through Catalog.UDF (the catalog and UDF registration aside);
+# and outside internal/ffi only Engine.callUDF chooses between running a
+# fused wrapper (ffi.CallFusedVector) and the transport
+# ((ffi.Invoker).CallScalar).
 go run ./scripts/udflookup
 GOMAXPROCS=8 go test -race ./...
 # Chaos sweep: fire every registered fault point and require graceful
@@ -49,9 +52,10 @@ go run ./cmd/qfusor-bench -serve-smoke
 # the qfusor.inline.* counters must appear in valid Prometheus form.
 go run ./cmd/qfusor-bench -inline-smoke
 # Differential fuzz smoke: a bounded run of the native vs fused-cold vs
-# fused-warm (plan-cache hit) equivalence fuzzer; any mismatch is a
-# plan-cache or fusion correctness bug. FUZZTIME can be shortened for
-# fast local iteration.
+# fused-warm (plan-cache hit) equivalence fuzzer on the monetdb, sqlite
+# and postgresql profiles; any mismatch, or a fused arm that fell back
+# to native, is a plan-cache or fusion correctness bug. FUZZTIME can be
+# shortened for fast local iteration.
 go test -run '^$' -fuzz FuzzDiff -fuzztime "${FUZZTIME:-30s}" ./internal/core
 # Expression-equivalence fuzz smoke: seeded random expressions over
 # random columns; the compiled columnar program must equal evalRow row

@@ -1,10 +1,19 @@
-// Command udflookup fails when non-test code resolves a function name to
-// a UDF through sqlengine's Catalog.UDF outside the places allowed to:
-// the planner (internal/sqlengine/planner*.go), the catalog itself and UDF
-// registration. The planner binds every call once per statement
-// (FuncExpr.UDF, Plan.UDF, AggSpec.UDF); everything after it reads the
-// bound pointer, so a second lookup is a second, possibly different,
-// definition within one statement.
+// Command udflookup fails when non-test code calls a checked function
+// from a place not allowed to call it. Each checked function is one row
+// of rules:
+//
+//   - (*sqlengine.Catalog).UDF resolves a function name to a UDF. Only
+//     the planner (internal/sqlengine/planner*.go), the catalog itself
+//     and UDF registration may. The planner binds every call once per
+//     statement (FuncExpr.UDF, Plan.UDF, AggSpec.UDF); everything after
+//     it reads the bound pointer, so a second lookup is a second,
+//     possibly different, definition within one statement.
+//   - ffi.CallFusedVector and (ffi.Invoker).CallScalar are the two ways
+//     a scalar UDF call crosses: a fused wrapper in process, any other
+//     UDF through the profile's transport. Outside internal/ffi, the
+//     choice between them is made only in sqlengine's Engine.callUDF;
+//     runFused runs a fused plan operator, which is a wrapper by
+//     construction.
 //
 // Run from the module root:
 //
@@ -29,25 +38,58 @@ import (
 	"strings"
 )
 
-// module is this module's path; lookup is the method whose calls are
-// checked.
-const (
-	module = "qfusor"
-	lookup = "(*" + module + "/internal/sqlengine.Catalog).UDF"
-)
+// module is this module's path.
+const module = "qfusor"
 
-// allowed reports whether a file (slash path from the module root) may
-// call it.
-func allowed(file string) bool {
-	if m, _ := filepath.Match("internal/sqlengine/planner*.go", file); m {
-		return true
-	}
-	switch file {
-	case "internal/sqlengine/catalog.go",
-		"internal/workload/goudfs.go": // InstallNativeUDFs registers Go twins
-		return true
+// rule is one checked function: its types.Func.FullName, where calls of
+// it may be, and what an offending line says. A place is a slash path
+// from the module root (a filepath.Match pattern), optionally followed
+// by ":name", the function or method the call must sit in.
+type rule struct {
+	fn    string
+	where []string
+	msg   string
+}
+
+var rules = []rule{
+	{
+		fn:    "(*" + module + "/internal/sqlengine.Catalog).UDF",
+		where: []string{"internal/sqlengine/planner*.go", "internal/sqlengine/catalog.go", "internal/workload/goudfs.go"},
+		msg:   "resolves a UDF by name through Catalog.UDF; read the planner-bound FuncExpr.UDF/Plan.UDF instead",
+	},
+	{
+		fn:    module + "/internal/ffi.CallFusedVector",
+		where: []string{"internal/ffi/*.go", "internal/sqlengine/engine.go:callUDF", "internal/sqlengine/exec_fused.go:runFused"},
+		msg:   "runs a fused wrapper directly; call Engine.callUDF, the one place that decides fused dispatch",
+	},
+	{
+		fn:    "(" + module + "/internal/ffi.Invoker).CallScalar",
+		where: []string{"internal/ffi/*.go", "internal/sqlengine/engine.go:callUDF"},
+		msg:   "calls a scalar UDF through the transport directly; call Engine.callUDF, the one place that decides fused dispatch",
+	},
+}
+
+// allowed reports whether a call of r's function in fn (the enclosing
+// function's name, "" at package level) of file may be.
+func (r rule) allowed(file, fn string) bool {
+	for _, w := range r.where {
+		pat, in, scoped := strings.Cut(w, ":")
+		if m, _ := filepath.Match(pat, file); m && (!scoped || in == fn) {
+			return true
+		}
 	}
 	return false
+}
+
+// enclosing names the function or method declaration of f that holds
+// pos ("" when none does).
+func enclosing(f *ast.File, pos token.Pos) string {
+	for _, d := range f.Decls {
+		if fd, ok := d.(*ast.FuncDecl); ok && fd.Pos() <= pos && pos < fd.End() {
+			return fd.Name.Name
+		}
+	}
+	return ""
 }
 
 func main() {
@@ -77,6 +119,7 @@ func main() {
 	var bad []string
 	for dir, files := range dirs {
 		var parsed []*ast.File
+		byName := map[string]*ast.File{}
 		for _, f := range files {
 			af, err := parser.ParseFile(fset, f, nil, 0)
 			if err != nil {
@@ -84,21 +127,29 @@ func main() {
 				os.Exit(2)
 			}
 			parsed = append(parsed, af)
+			byName[f] = af
 		}
-		info := &types.Info{Selections: map[*ast.SelectorExpr]*types.Selection{}}
+		// Uses holds every identifier that denotes a function: a package
+		// function's name and a selected method's alike.
+		info := &types.Info{Uses: map[*ast.Ident]types.Object{}}
 		conf := types.Config{Importer: imp}
 		if _, err := conf.Check(path.Join(module, filepath.ToSlash(dir)), fset, parsed, info); err != nil {
 			fmt.Fprintln(os.Stderr, "udflookup:", err)
 			os.Exit(2)
 		}
-		for sel, s := range info.Selections {
-			fn, ok := s.Obj().(*types.Func)
-			if !ok || fn.FullName() != lookup {
+		for id, obj := range info.Uses {
+			fn, ok := obj.(*types.Func)
+			if !ok {
 				continue
 			}
-			pos := fset.Position(sel.Sel.Pos())
-			if !allowed(filepath.ToSlash(pos.Filename)) {
-				bad = append(bad, fmt.Sprintf("%s: resolves a UDF by name through Catalog.UDF; read the planner-bound FuncExpr.UDF/Plan.UDF instead", pos))
+			for _, r := range rules {
+				if fn.FullName() != r.fn {
+					continue
+				}
+				pos := fset.Position(id.Pos())
+				if !r.allowed(filepath.ToSlash(pos.Filename), enclosing(byName[pos.Filename], id.Pos())) {
+					bad = append(bad, fmt.Sprintf("%s: %s", pos, r.msg))
+				}
 			}
 		}
 	}
