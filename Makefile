@@ -56,7 +56,9 @@ chaos:
 ## with no fused arm falling back to native; 30s is enough for
 ## thousands of execs.
 ## FuzzExprEquiv — a compiled expression program must equal the row
-## evaluator row by row at every morsel size and parallelism.
+## evaluator row by row at every morsel size and parallelism, and an
+## expression as a GROUP BY key and as a SUM, MIN, MAX and COUNT
+## argument must aggregate as the serial single-batch run does.
 ## FuzzJSONLoads — the single-pass JSON decoder must equal the
 ## encoding/json path it replaced, trailing data aside.
 ## FuzzDecodeChunk — any bytes decode to a chunk or fail with

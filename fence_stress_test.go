@@ -109,11 +109,16 @@ func TestPlanCacheEpochFenceStress(t *testing.T) {
 	var mu sync.Mutex
 	var failures []string
 	sawV1, sawV2 := 0, 0
+	// Each worker runs iters queries, and goes on until two redefinitions
+	// have landed, so that the churn overlaps the queries however the
+	// scheduler orders the goroutines; the deadline bounds a redefinition
+	// loop that never lands.
+	deadline := time.Now().Add(10 * time.Second)
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
-			for i := 0; i < iters; i++ {
+			for i := 0; i < iters || flips.Load() < 2 && time.Now().Before(deadline); i++ {
 				res, err := db.Query(fenceSQL)
 				if err != nil {
 					// A query racing the redefinition window may fail with a

@@ -266,6 +266,29 @@ func (c *Column) TakeInto(dst *Column, at int, idx []int) {
 	}
 }
 
+// CopyInto writes all of c's rows into rows [at, at+c.Len()) of dst,
+// which keeps its rows in the same slice as c and needs a null mask when
+// c has one.
+func (c *Column) CopyInto(dst *Column, at int) {
+	n := c.Len()
+	switch payload(c.Kind) {
+	case KindInt:
+		copy(dst.Ints[at:], c.Ints)
+	case KindFloat:
+		copy(dst.Floats[at:], c.Floats)
+	case KindBool:
+		copy(dst.Bools[at:], c.Bools)
+	default:
+		copy(dst.Strs[at:], c.Strs)
+	}
+	switch {
+	case c.Nulls != nil:
+		copy(dst.Nulls[at:at+n], c.Nulls)
+	case dst.Nulls != nil:
+		clear(dst.Nulls[at : at+n])
+	}
+}
+
 func gather[T any](dst, src []T, idx []int) {
 	dst = dst[:len(idx)]
 	for k, i := range idx {

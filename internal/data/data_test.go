@@ -276,6 +276,56 @@ func TestTakeGather(t *testing.T) {
 	if fmt.Sprint(dst.Ints) != "[0 0 7 0 0]" || fmt.Sprint(dst.Nulls) != "[false false false true true]" {
 		t.Fatalf("into: %v %v", dst.Ints, dst.Nulls)
 	}
+	// CopyInto writes a whole column at an offset; a source without a
+	// mask writes non-NULL rows.
+	ints.CopyInto(dst, 0)
+	strs.CopyInto(NewColumnLen("s", KindString, 2, false), 0)
+	nomask := NewColumnLen("n", KindInt, 1, false)
+	nomask.Ints[0] = 4
+	nomask.CopyInto(dst, 4)
+	if fmt.Sprint(dst.Ints) != "[7 0 9 0 4]" || fmt.Sprint(dst.Nulls) != "[false true false true false]" {
+		t.Fatalf("copy into: %v %v", dst.Ints, dst.Nulls)
+	}
+}
+
+// TestOutranksIsOrderFree: a MIN or MAX fold under Outranks gives one
+// answer whatever order its values come in, NaN among them, so morsel
+// partials merge to the serial answer. A NaN wins only a group of NaNs.
+func TestOutranksIsOrderFree(t *testing.T) {
+	nan := Float(math.NaN())
+	fold := func(vs []Value, max bool) Value {
+		best := Null
+		for _, v := range vs {
+			if v.IsNull() {
+				continue // an empty partial
+			}
+			if best.IsNull() || Outranks(v, best, max) {
+				best = v
+			}
+		}
+		return best
+	}
+	r := rand.New(rand.NewSource(1))
+	vs := []Value{Float(1), nan, Float(5), Float(-2), nan, Int(3)}
+	for i := 0; i < 200; i++ {
+		r.Shuffle(len(vs), func(a, b int) { vs[a], vs[b] = vs[b], vs[a] })
+		split := r.Intn(len(vs) + 1)
+		for _, c := range []struct {
+			max  bool
+			want float64
+		}{{false, -2}, {true, 5}} {
+			whole := fold(vs, c.max)
+			merged := fold([]Value{fold(vs[:split], c.max), fold(vs[split:], c.max)}, c.max)
+			for _, got := range []Value{whole, merged} {
+				if f, _ := got.AsFloat(); f != c.want {
+					t.Fatalf("%v split at %d, max=%v: got %v, want %v", vs, split, c.max, got, c.want)
+				}
+			}
+		}
+	}
+	if got := fold([]Value{nan, nan}, true); !got.isNaN() {
+		t.Errorf("MAX of NaNs: got %v, want NaN", got)
+	}
 }
 
 // TestConcat: one exactly sized chunk of the parts' rows in order; a

@@ -303,6 +303,22 @@ func Equal(a, b Value) bool {
 	return false
 }
 
+// Outranks reports whether v takes the seat cur holds in a MIN (max
+// false) or MAX fold, neither being NULL: when it is strictly better. A
+// NaN, which Compare orders equal to everything, loses to every other
+// value, so MIN and MAX skip it unless nothing else arrives; the fold's
+// answer then does not depend on the order of its values, and partial
+// folds merge to the serial answer.
+func Outranks(v, cur Value, max bool) bool {
+	if vn, cn := v.isNaN(), cur.isNaN(); vn || cn {
+		return cn && !vn
+	}
+	c, ok := Compare(v, cur)
+	return ok && c != 0 && (c > 0) == max
+}
+
+func (v Value) isNaN() bool { return v.Kind == KindFloat && math.IsNaN(v.F) }
+
 // Compare orders two values: -1, 0, +1. Numerics compare numerically;
 // strings lexicographically; lists elementwise; NULL sorts first. Returns
 // false when the kinds are not comparable.

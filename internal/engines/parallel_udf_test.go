@@ -62,3 +62,59 @@ def tag(s: str) -> str:
 		in.Close()
 	}
 }
+
+// TestUDFAggregateAcrossMorsels: a PyLite aggregate UDF over a computed
+// argument, grouped by a string key that is NULL in some rows, answers
+// at MorselSize 7 and Parallelism 8 as the serial run does. Each morsel
+// writes the argument and its group ids at its own offset of one
+// full-length column and id vector, and the UDF folds its rows in input
+// order, so a value or an id at the wrong offset changes the answer.
+func TestUDFAggregateAcrossMorsels(t *testing.T) {
+	const src = `
+@aggregateudf
+class ordhash:
+    def init(self):
+        self.h = 7
+    def step(self, v):
+        if v is None:
+            self.h = (self.h * 31 + 1) % 1000003
+            return
+        self.h = (self.h * 31 + int(v)) % 1000003
+    def final(self):
+        return self.h
+`
+	tbl := data.NewTable("t", data.Schema{{Name: "g", Kind: data.KindString}, {Name: "n", Kind: data.KindInt}, {Name: "s", Kind: data.KindString}})
+	for i := 0; i < 3000; i++ {
+		g := data.Str(fmt.Sprintf("g%d", i%13))
+		if i%11 == 0 {
+			g = data.Null
+		}
+		_ = tbl.AppendRow(g, data.Int(int64(i)), data.Str(fmt.Sprint(i*7%1000)))
+	}
+	// The CASE is a typed string kernel, so at MorselSize 7 its result is
+	// a recycled slot from the second morsel on.
+	const q = "SELECT g, ordhash(CASE WHEN n % 5 = 0 THEN NULL ELSE s END) AS h, COUNT(*) AS c FROM t GROUP BY g"
+	var want string
+	for _, cfg := range []Config{{Profile: Monet, Parallelism: 1}, {Profile: Monet, Parallelism: 8, MorselSize: 7}} {
+		cfg.JIT = true
+		in := Launch(cfg)
+		in.Put(tbl)
+		if err := in.Define(src); err != nil {
+			t.Fatal(err)
+		}
+		res, err := in.Query(q)
+		in.Close()
+		if err != nil {
+			t.Fatalf("par=%d size=%d: %v", cfg.Parallelism, cfg.MorselSize, err)
+		}
+		got := render(res)
+		if want == "" {
+			if res.NumRows() != 14 {
+				t.Fatalf("%s: %d groups, want 14 (13 keys and NULL)", q, res.NumRows())
+			}
+			want = got
+		} else if got != want {
+			t.Errorf("par=%d size=%d: rows differ from the serial run:\n%s\nwant:\n%s", cfg.Parallelism, cfg.MorselSize, got, want)
+		}
+	}
+}

@@ -350,8 +350,7 @@ func stepAggState(st *aggState, spec *TraceAgg, v data.Value) error {
 			st.any = true
 			return nil
 		}
-		c, ok := data.Compare(v, st.best)
-		if ok && ((spec.Kind == "min" && c < 0) || (spec.Kind == "max" && c > 0)) {
+		if data.Outranks(v, st.best, spec.Kind == "max") {
 			st.best = v
 		}
 	case "udf":
@@ -363,9 +362,10 @@ func stepAggState(st *aggState, spec *TraceAgg, v data.Value) error {
 // mergeAggState folds one partition's accumulator (src) into dst. The
 // rules: count adds; sum/avg add both sum forms and the non-null count
 // (avg finalizes from the merged ratio — partial averages are never
-// averaged); min/max compare the partial winners, keeping the earlier
-// partition's on incomparable ties like the serial fold keeps the first
-// seen; UDF states merge through the decomposable-aggregate hook.
+// averaged); min/max keep the partial winner that outranks the other
+// (data.Outranks, under which a NaN loses to every value), the earlier
+// partition's on a tie, as the serial fold keeps the first seen; UDF
+// states merge through the decomposable-aggregate hook.
 func mergeAggState(dst, src *aggState, spec *TraceAgg) error {
 	switch spec.Kind {
 	case "count":
@@ -390,8 +390,7 @@ func mergeAggState(dst, src *aggState, spec *TraceAgg) error {
 			dst.any = true
 			return nil
 		}
-		c, ok := data.Compare(src.best, dst.best)
-		if ok && ((spec.Kind == "min" && c < 0) || (spec.Kind == "max" && c > 0)) {
+		if data.Outranks(src.best, dst.best, spec.Kind == "max") {
 			dst.best = src.best
 		}
 	case "udf":

@@ -198,19 +198,17 @@ func (e *Engine) projectChunk(p *Plan, in *data.Chunk, ectx *execCtx) (*data.Chu
 }
 
 // filterChunk keeps rows where the predicate holds. Each morsel lists
-// its kept rows; the output is then gathered once, into columns sized for
-// every morsel's rows.
+// its kept rows from the predicate's column, which it borrows, so the
+// column is recycled from morsel to morsel; the output is then gathered
+// once, into columns sized for every morsel's rows.
 func (e *Engine) filterChunk(pred SQLExpr, in *data.Chunk, ectx *execCtx) (*data.Chunk, error) {
 	prog, err := e.compile(in, []SQLExpr{pred}, []data.Kind{data.KindBool})
 	if err != nil {
 		return nil, err
 	}
-	keep, err := partitioned(e, ectx, in, in.NumRows(), func(lo int, part *data.Chunk) ([]int, error) {
-		cols, err := prog.run(part)
-		if err != nil {
-			return nil, err
-		}
-		return trueRows(cols[0], lo), nil
+	keep, err := partitioned(e, ectx, in, in.NumRows(), func(lo int, part *data.Chunk) (keep []int, err error) {
+		err = prog.use(part, func(cols []*data.Column) error { keep = trueRows(cols[0], lo); return nil })
+		return keep, err
 	})
 	if err != nil {
 		return nil, err
@@ -425,11 +423,10 @@ func (e *Engine) joinFilter(l, r *data.Chunk, residual SQLExpr) (func(li, ri []i
 				cand[s] = src[s].Take(ri)
 			}
 		}
-		cols, err := prog.run(data.NewChunk(cand...))
-		if err != nil {
+		var keep []int
+		if err := prog.use(data.NewChunk(cand...), func(cols []*data.Column) error { keep = trueRows(cols[0], 0); return nil }); err != nil {
 			return 0, err
 		}
-		keep := trueRows(cols[0], 0)
 		for n, k := range keep {
 			li[n], ri[n] = li[k], ri[k]
 		}
@@ -562,20 +559,11 @@ func sumInto[T int64 | float64](pt *aggPartial, vals []T, nulls []bool, gids []i
 	}
 }
 
-// foldBest applies the min/max comparison rule: first non-null wins the
-// seat, later values replace it only when comparable and strictly
-// better (identical to the serial fold, so the merge at the barrier
-// keeps the earliest-morsel winner on incomparable ties).
+// foldBest applies the min/max rule: the first non-null value takes the
+// seat, and a later one replaces it when it outranks it (data.Outranks),
+// a rule under which the merge at the barrier gives the serial answer.
 func foldBest(name string, best []data.Value, gid int, v data.Value) {
-	if best[gid].IsNull() {
-		best[gid] = v
-		return
-	}
-	c, ok := data.Compare(v, best[gid])
-	if !ok {
-		return
-	}
-	if (name == "min" && c < 0) || (name == "max" && c > 0) {
+	if best[gid].IsNull() || data.Outranks(v, best[gid], name == "max") {
 		best[gid] = v
 	}
 }
@@ -671,26 +659,27 @@ func newGlobalPartial(spec AggSpec, g int) *aggPartial {
 	return pt
 }
 
-// aggregateChunk groups the input and folds native and UDF aggregates.
-// It runs morsel-parallel: each worker builds a thread-local hash table
-// over its morsels (group keys via the separator-safe byte encoding)
-// and folds native partials with morsel-local group ids; the barrier
-// merges the local tables in morsel order — which reproduces the serial
-// first-occurrence group order exactly — then merges the partials
-// through the local→global id maps. UDF aggregates keep the single
-// invoker call over the merged global group vector: the generic path
-// cannot assume the aggregate is decomposable (decomposable traced
-// aggregates take the partial path in exec_fused.go instead).
+// aggregateChunk groups the input and folds native and UDF aggregates in
+// one morsel-parallel loop, which borrows the program's results and keeps
+// only group state: a thread-local hash table (keys in the separator-safe
+// byte encoding) with a copy of each new group's key values, native
+// partials over morsel-local group ids, which go into a buffer per
+// worker. The barrier merges the local tables in morsel order — which
+// reproduces the serial first-occurrence group order exactly — then the
+// partials through the local→global id maps. A UDF aggregate, which may
+// not be decomposable (decomposable traced ones take the partial path in
+// exec_fused.go), runs once over full-length group ids and computed
+// arguments, which the loop writes at each morsel's offset.
 func (e *Engine) aggregateChunk(p *Plan, in *data.Chunk, ectx *execCtx) (*data.Chunk, error) {
-	sp := ectx.span
 	n := in.NumRows()
 	spans := e.morselsFor(n)
+	nk := len(p.GroupBy)
+	lent := len(spans) > 1 // the program lends recycled scratch, not fresh columns
 
 	type morselGroups struct {
-		cols     []*data.Column // the node's evaluated expressions, morsel rows
-		localGID []int          // morsel row -> local group id
 		keys     []string       // local group id -> encoded key
-		firstRow []int          // local group id -> morsel-local first row
+		keyCols  []*data.Column // the group-by keys' values
+		firstRow []int          // local group id -> its first row in keyCols
 		parts    []*aggPartial  // per agg spec; nil for UDF aggs
 	}
 	morsels := make([]*morselGroups, len(spans))
@@ -701,8 +690,13 @@ func (e *Engine) aggregateChunk(p *Plan, in *data.Chunk, ectx *execCtx) (*data.C
 	exprs := append([]SQLExpr(nil), p.GroupBy...)
 	want := make([]data.Kind, len(exprs))
 	argAt := make([]int, len(p.Aggs))
+	var udfAt []int    // the program results that are UDF aggregates' computed arguments
+	var groupIDs []int // a UDF aggregate's full-length group ids
 	for ai, spec := range p.Aggs {
 		argAt[ai] = len(exprs)
+		if spec.UDF != nil && groupIDs == nil {
+			groupIDs = make([]int, n)
+		}
 		for i, a := range spec.Args {
 			kind := data.KindNull
 			if _, isCol := a.(*ColRef); spec.UDF != nil && !isCol {
@@ -710,6 +704,7 @@ func (e *Engine) aggregateChunk(p *Plan, in *data.Chunk, ectx *execCtx) (*data.C
 				if i < len(spec.UDF.InKinds) {
 					kind = spec.UDF.InKinds[i]
 				}
+				udfAt = append(udfAt, len(exprs))
 			}
 			exprs, want = append(exprs, a), append(want, kind)
 		}
@@ -719,51 +714,85 @@ func (e *Engine) aggregateChunk(p *Plan, in *data.Chunk, ectx *execCtx) (*data.C
 		return nil, err
 	}
 
-	_, err = e.runMorsels(ectx, n, func(_, m, lo, hi int) error {
-		cols, err := prog.run(in.Slice(lo, hi))
-		if err != nil {
-			return err
+	var udfArgs []*data.Column // a UDF aggregate's full-length computed arguments
+	if groupIDs != nil {
+		udfArgs = make([]*data.Column, len(exprs))
+	}
+	for _, at := range udfAt {
+		if lent {
+			udfArgs[at] = data.NewColumnLen("", prog.kinds[prog.roots[at]], n, true)
 		}
-		mg := &morselGroups{cols: cols, localGID: make([]int, hi-lo)}
-		if len(p.GroupBy) > 0 {
-			seen := make(map[string]int)
-			var kb []byte
-			for i := 0; i < hi-lo; i++ {
-				kb = kb[:0]
-				for _, kc := range cols[:len(p.GroupBy)] {
-					kb = appendColKey(kb, kc, i)
+	}
+	gidBufs := make([][]int, min(e.Workers(), len(spans))) // per worker: morsel row -> local group id
+	seens := make([]map[string]int, len(gidBufs))          // per worker: encoded key -> local group id
+
+	_, err = e.runMorsels(ectx, n, func(w, m, lo, hi int) error {
+		return prog.use(in.Slice(lo, hi), func(cols []*data.Column) error {
+			mg := &morselGroups{keyCols: cols[:nk]}
+			gidBufs[w] = grow(gidBufs[w], hi-lo)
+			gids := gidBufs[w]
+			if nk > 0 {
+				seen := make(map[string]int) // one morsel's table, which may live on the stack
+				if lent {                    // many: each worker refills one table
+					if seens[w] == nil {
+						seens[w] = make(map[string]int)
+					}
+					seen = seens[w]
+					clear(seen)
 				}
-				gid, ok := seen[string(kb)]
-				if !ok {
-					gid = len(mg.keys)
-					k := string(kb)
-					seen[k] = gid
-					mg.keys = append(mg.keys, k)
-					mg.firstRow = append(mg.firstRow, i)
+				var kb []byte
+				for i := range gids {
+					kb = kb[:0]
+					for _, kc := range cols[:nk] {
+						kb = appendColKey(kb, kc, i)
+					}
+					gid, ok := seen[string(kb)]
+					if !ok {
+						gid = len(mg.keys)
+						k := string(kb)
+						seen[k] = gid
+						mg.keys = append(mg.keys, k)
+						mg.firstRow = append(mg.firstRow, i)
+					}
+					gids[i] = gid
 				}
-				mg.localGID[i] = gid
+				if lent { // copy each group's first row out of the scratch, group lg to row lg
+					mg.keyCols = (&data.Chunk{Cols: cols[:nk]}).Take(mg.firstRow).Cols
+					for lg := range mg.firstRow {
+						mg.firstRow[lg] = lg
+					}
+				}
+			} else if hi > lo {
+				// Global aggregate: every row is in group 0, the ids' zero value.
+				mg.keys, mg.firstRow = []string{""}, []int{0}
 			}
-		} else if hi > lo {
-			// Global aggregate: every row folds into one group.
-			mg.keys = []string{""}
-			mg.firstRow = []int{0}
-		}
-		mg.parts = make([]*aggPartial, len(p.Aggs))
-		for ai, spec := range p.Aggs {
-			if spec.UDF != nil {
-				continue
+			mg.parts = make([]*aggPartial, len(p.Aggs))
+			for ai, spec := range p.Aggs {
+				if spec.UDF != nil {
+					continue
+				}
+				mg.parts[ai] = &aggPartial{}
+				var arg *data.Column // nil for COUNT(*)
+				if len(spec.Args) > 0 {
+					arg = cols[argAt[ai]]
+				}
+				if err := foldNative(mg.parts[ai], spec, arg, gids, len(mg.keys)); err != nil {
+					return err
+				}
 			}
-			mg.parts[ai] = &aggPartial{}
-			var arg *data.Column // nil for COUNT(*)
-			if len(spec.Args) > 0 {
-				arg = cols[argAt[ai]]
+			if groupIDs != nil {
+				copy(groupIDs[lo:], gids)
 			}
-			if err := foldNative(mg.parts[ai], spec, arg, mg.localGID, len(mg.keys)); err != nil {
-				return err
+			for _, at := range udfAt {
+				if lent {
+					cols[at].CopyInto(udfArgs[at], lo)
+				} else {
+					udfArgs[at] = cols[at]
+				}
 			}
-		}
-		morsels[m] = mg
-		return nil
+			morsels[m] = mg
+			return nil
+		})
 	})
 	if err != nil {
 		return nil, err
@@ -772,7 +801,7 @@ func (e *Engine) aggregateChunk(p *Plan, in *data.Chunk, ectx *execCtx) (*data.C
 	// Barrier: merge local group tables in morsel order so global group
 	// ids follow first occurrence over the whole input, like the serial
 	// scan did.
-	endMerge := e.mergeTimer(sp)
+	endMerge := e.mergeTimer(ectx.span)
 	globalIdx := make(map[string]int)
 	type groupRef struct{ m, row int }
 	var groups []groupRef
@@ -807,20 +836,12 @@ func (e *Engine) aggregateChunk(p *Plan, in *data.Chunk, ectx *execCtx) (*data.C
 		}
 	}
 
-	// UDF aggregates need the full-length global group vector.
-	var groupIDs []int
-	needGID := false
-	for _, spec := range p.Aggs {
-		if spec.UDF != nil {
-			needGID = true
-		}
-	}
-	if needGID {
-		groupIDs = make([]int, n)
-		for m, mg := range morsels {
-			lo := spans[m].lo
-			for r, lg := range mg.localGID {
-				groupIDs[lo+r] = l2g[m][lg]
+	// The UDF aggregates' group ids become global, in place.
+	if groupIDs != nil {
+		for m, s := range spans {
+			ids := groupIDs[s.lo:s.hi]
+			for r, lg := range ids {
+				ids[r] = l2g[m][lg]
 			}
 		}
 	}
@@ -831,7 +852,7 @@ func (e *Engine) aggregateChunk(p *Plan, in *data.Chunk, ectx *execCtx) (*data.C
 	for ki := range p.GroupBy {
 		col := out.Cols[ki]
 		for _, ref := range groups {
-			col.AppendValue(morsels[ref.m].cols[ki].Get(ref.row))
+			col.AppendValue(morsels[ref.m].keyCols[ki].Get(ref.row))
 		}
 	}
 	// Aggregate columns.
@@ -841,18 +862,12 @@ func (e *Engine) aggregateChunk(p *Plan, in *data.Chunk, ectx *execCtx) (*data.C
 		if spec.UDF != nil {
 			argCols := make([]*data.Column, len(spec.Args))
 			for i, a := range spec.Args {
+				argCols[i] = udfArgs[argAt[ai]+i]
 				if cr, ok := a.(*ColRef); ok {
 					argCols[i] = in.Cols[cr.Index]
-					continue
+				} else if lent && !slices.Contains(argCols[i].Nulls, true) {
+					argCols[i].Nulls = nil // the column was made nullable for any morsel
 				}
-				// Intermediate materialization: the morsels' results
-				// become one engine column.
-				at := argAt[ai] + i
-				parts := make([]*data.Chunk, len(morsels))
-				for m, mg := range morsels {
-					parts[m] = data.NewChunk(mg.cols[at])
-				}
-				argCols[i] = e.concat(sp, data.Schema{{Kind: prog.kinds[prog.roots[at]]}}, parts).Cols[0]
 			}
 			results, err = e.Invoker.CallAggregate(ectx.clone(spec.UDF), argCols, n, groupIDs, g)
 			if err != nil {

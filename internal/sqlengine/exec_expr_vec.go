@@ -19,7 +19,8 @@ var (
 // The columnar executors evaluate expressions as one compiled register
 // program per plan node. compile runs once per node per statement, over
 // the node's bound expressions and its input's column kinds; run then
-// evaluates the program over each morsel and returns typed columns.
+// evaluates the program over each morsel and returns typed columns, or
+// use lends them to a consumer that reads them only inside the morsel.
 //
 // A frame slot holds a column: the input chunk's columns come first,
 // each literal is a one-row constant column (never n copies), and every
@@ -370,14 +371,16 @@ type vec struct {
 
 // A frame holds one run's slots. A program keeps the scratch its runs
 // return for its next runs (one set per worker), and from its second run
-// on a non-root slot that a typed kernel writes is kept: the kernel
-// reuses the slot's storage from the previous morsel. A root leaves the
-// run, so it gets fresh storage and never shares a kept slot's mask.
+// on a slot that a typed kernel writes is kept: the kernel reuses the
+// slot's storage from the previous morsel. A root is kept only when the
+// run lends it (use); one that leaves the run (run) gets fresh storage
+// and never shares a kept slot's mask.
 type frame struct {
 	p    *exprProg
 	cols []*data.Column
 	n    int
 	bufs []scratch // per slot; nil on the program's first run
+	lend bool      // the roots are kept too: they live until the consumer returns
 	tmp  scratch   // fresh storage, emptied for each use
 }
 
@@ -387,7 +390,8 @@ type scratch struct {
 	nulls  []bool      // an owned null mask
 	truths []bool      // the slot read as a predicate
 	which  []uint8     // CASE: the branch each row takes
-	kept   bool        // the slot is a non-root kernel result, recycled as col
+	kernel bool        // a typed kernel writes the slot
+	root   bool        // the slot is a compiled expression's result
 }
 
 // scratch takes the scratch a finished run returned, or makes a set; a
@@ -406,12 +410,17 @@ func (p *exprProg) scratch() []scratch {
 	}
 	bufs := make([]scratch, len(p.kinds))
 	for _, in := range p.instrs {
-		bufs[in.out].kept = in.op != opGeneric && in.op != opUDF
+		bufs[in.out].kernel = in.op != opGeneric && in.op != opUDF
 	}
 	for _, s := range p.roots {
-		bufs[s].kept = false
+		bufs[s].root = true
 	}
 	return bufs
+}
+
+// kept reports whether slot s's kernel writes over its previous storage.
+func (f *frame) kept(s int) bool {
+	return f.bufs != nil && f.bufs[s].kernel && (f.lend || !f.bufs[s].root)
 }
 
 // buf is slot s's scratch, or fresh storage on the program's first run.
@@ -432,7 +441,7 @@ func (f *frame) at(s int) vec {
 	if f.p.consts[s] != nil {
 		return vec{Column: f.cols[s]}
 	}
-	return vec{Column: f.cols[s], mask: -1, kept: f.bufs != nil && f.bufs[s].kept}
+	return vec{Column: f.cols[s], mask: -1, kept: f.kept(s)}
 }
 
 // full returns slot s as a column of n rows (a constant is broadcast).
@@ -444,10 +453,24 @@ func (f *frame) full(s int) *data.Column {
 }
 
 // run evaluates the program over one morsel and returns one column per
-// compiled expression. A result may be a column of ch itself, or share
-// storage with one: results are read-only.
-func (p *exprProg) run(ch *data.Chunk) ([]*data.Column, error) {
-	f := &frame{p: p, cols: append([]*data.Column(nil), p.consts...), n: ch.NumRows(), bufs: p.scratch()}
+// compiled expression, which outlives the run. A result may be a column
+// of ch itself, or share storage with one: results are read-only.
+func (p *exprProg) run(ch *data.Chunk) (outs []*data.Column, err error) {
+	err = p.eval(ch, false, func(cols []*data.Column) error { outs = cols; return nil })
+	return outs, err
+}
+
+// use is run lending the results to fn, valid only until fn returns: a
+// kernel-written root is kept scratch from the program's second run on,
+// and a consumer copies what it keeps. A program that runs once lends
+// fresh columns.
+func (p *exprProg) use(ch *data.Chunk, fn func(cols []*data.Column) error) error {
+	return p.eval(ch, true, fn)
+}
+
+// eval is run and use: lend keeps the roots as scratch, returned after fn.
+func (p *exprProg) eval(ch *data.Chunk, lend bool, fn func(cols []*data.Column) error) error {
+	f := &frame{p: p, cols: append([]*data.Column(nil), p.consts...), n: ch.NumRows(), bufs: p.scratch(), lend: lend}
 	copy(f.cols, ch.Cols)
 	if f.bufs != nil {
 		defer func() { // back to the program, for the next morsel
@@ -460,7 +483,7 @@ func (p *exprProg) run(ch *data.Chunk) ([]*data.Column, error) {
 		in := &p.instrs[i]
 		col, err := p.exec(in, f)
 		if err != nil {
-			return nil, err
+			return err
 		}
 		f.cols[in.out] = col
 	}
@@ -469,7 +492,7 @@ func (p *exprProg) run(ch *data.Chunk) ([]*data.Column, error) {
 	for i, s := range p.roots {
 		outs[i] = f.full(s)
 	}
-	return outs, nil
+	return fn(outs)
 }
 
 func (p *exprProg) exec(in *instr, f *frame) (*data.Column, error) {
@@ -478,7 +501,7 @@ func (p *exprProg) exec(in *instr, f *frame) (*data.Column, error) {
 	// morsel; own is where it builds a null mask of its own.
 	var out *data.Column
 	own := f.fresh()
-	if f.bufs != nil && f.bufs[in.out].kept {
+	if f.kept(in.out) {
 		own, out = &f.bufs[in.out], &f.bufs[in.out].col
 	} else {
 		out = &data.Column{}
@@ -640,15 +663,16 @@ func (sc *scratch) mask(n int, src []bool) []bool {
 // orNulls is the null mask of a NULL-strict result: the union of the
 // operands' masks, nil when none has one. A lone mask is shared, not
 // copied — slots are read-only — unless it is a kept slot's and the
-// result is not (own is fresh): a root must not change when the next
-// morsel overwrites the slot.
+// result is not (own is fresh, so not a kernel slot's): a root that
+// leaves the run must not change when the next morsel overwrites the
+// slot.
 func orNulls(own *scratch, n int, vs ...vec) []bool {
 	var out []bool
 	built := false
 	for _, v := range vs {
 		switch {
 		case v.Nulls == nil:
-		case out == nil && v.mask != 0 && (own.kept || !v.kept):
+		case out == nil && v.mask != 0 && (own.kernel || !v.kept):
 			out = v.Nulls
 		default:
 			if !built {

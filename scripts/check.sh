@@ -59,8 +59,10 @@ go run ./cmd/qfusor-bench -inline-smoke
 go test -run '^$' -fuzz FuzzDiff -fuzztime "${FUZZTIME:-30s}" ./internal/core
 # Expression-equivalence fuzz smoke: seeded random expressions over
 # random columns; the compiled columnar program must equal evalRow row
-# by row at every morsel size and parallelism (the seeded table of the
-# same check, TestExprEquivalence, already ran under -race above).
+# by row at every morsel size and parallelism, and each expression as a
+# GROUP BY key and as a SUM, MIN, MAX and COUNT argument must aggregate
+# as the serial single-batch run does (the seeded table of the same
+# check, TestExprEquivalence, already ran under -race above).
 go test -run '^$' -fuzz FuzzExprEquiv -fuzztime "${FUZZTIME:-30s}" ./internal/sqlengine
 # JSON decoder fuzz smoke: json.loads' single-pass decoder against the
 # encoding/json path it replaced — same values, same int/float split,
