@@ -17,7 +17,10 @@ vet:
 ## scripts/udflookup: only the planner, the catalog and UDF registration
 ## may resolve a function name through Catalog.UDF, and outside
 ## internal/ffi only Engine.callUDF chooses between ffi.CallFusedVector
-## and (ffi.Invoker).CallScalar (runFused also runs fused operators).
+## and (ffi.Invoker).CallScalar (runFused also runs fused operators);
+## outside the PyLite runtime only ffi's eachRow iterates a generator
+## UDF's rows ((*pylite.Generator).Next, pylite.Iterate, pylite.ValueIter;
+## the UDO baseline in internal/bench/systems.go aside).
 lint:
 	$(GO) vet ./...
 	@unformatted=$$(gofmt -l .); \

@@ -2,6 +2,7 @@ package bench
 
 import (
 	"io"
+	"slices"
 	"strings"
 	"testing"
 
@@ -43,19 +44,29 @@ func TestEveryExperimentRuns(t *testing.T) {
 }
 
 // TestFig6bShape: fused execution must beat non-fused on the
-// PostgreSQL profile (IPC elimination) at every selectivity.
+// PostgreSQL profile (IPC elimination) at every selectivity. One cold
+// sample per arm is noise on a loaded machine, so the experiment runs
+// fig6bRuns times and the arms compare by their per-label medians.
 func TestFig6bShape(t *testing.T) {
 	if testing.Short() {
 		t.Skip("timing test")
 	}
+	const fig6bRuns = 7
 	r := quickRunner()
-	res, err := r.Fig6bOffload()
-	if err != nil {
-		t.Fatal(err)
+	samples := map[string][]float64{}
+	for range fig6bRuns {
+		res, err := r.Fig6bOffload()
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, row := range res.Rows {
+			samples[row.Label] = append(samples[row.Label], row.Metrics["time_ms"])
+		}
 	}
 	byLabel := map[string]float64{}
-	for _, row := range res.Rows {
-		byLabel[row.Label] = row.Metrics["time_ms"]
+	for label, ms := range samples {
+		slices.Sort(ms)
+		byLabel[label] = ms[len(ms)/2]
 	}
 	for label, v := range byLabel {
 		if !strings.HasPrefix(label, "postgresql/") || !strings.HasSuffix(label, "/fused") {

@@ -251,11 +251,9 @@ func (b *dfgBuilder) addPlanNode(pi int, p *sqlengine.Plan, in []string) ([]stri
 			}
 			argFields = append(argFields, in[cr.Index])
 		}
-		nKeep := len(p.KeepCols)
+		nKeep := p.ExpandKeep()
 		out := make([]string, len(p.Schema))
-		for i, ci := range p.KeepCols {
-			out[i] = in[ci]
-		}
+		copy(out, in[:nKeep])
 		var udfOut []string
 		for i := nKeep; i < len(p.Schema); i++ {
 			f := b.tmp()

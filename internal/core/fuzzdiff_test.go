@@ -85,6 +85,25 @@ def words(rows):
             if w != "":
                 yield [r[0], w]
 
+@tableudf
+def tshape(rows):
+    for r in rows:
+        if r[0] % 3 == 0:
+            yield [r[1], r[0]]
+        elif r[0] % 3 == 1:
+            yield [r[1]]
+        else:
+            yield r[1]
+
+@expandudf
+def eshape(k: int, s: str):
+    if k % 3 == 0:
+        yield [s, k]
+    elif k % 3 == 1:
+        yield [s]
+    else:
+        yield s
+
 @scalarudf
 def clip(x: int) -> int:
     if x is None:
@@ -129,6 +148,19 @@ func newDiffDB(prof engines.Profile) (*engines.Instance, error) {
 	if err := in.Register(core.UDFSpec{Name: "words", Kind: ffi.Table,
 		Out:      []data.Kind{data.KindInt, data.KindString},
 		OutNames: []string{"id", "title"}}); err != nil {
+		return nil, err
+	}
+	// tshape and eshape have two output columns and yield, by key, a
+	// full list, a short list or a scalar: the row rule's three cases.
+	if err := in.Register(core.UDFSpec{Name: "tshape", Kind: ffi.Table,
+		Out:      []data.Kind{data.KindString, data.KindInt},
+		OutNames: []string{"title", "id"}}); err != nil {
+		return nil, err
+	}
+	if err := in.Register(core.UDFSpec{Name: "eshape", Kind: ffi.Expand,
+		In:       []data.Kind{data.KindInt, data.KindString},
+		Out:      []data.Kind{data.KindString, data.KindInt},
+		OutNames: []string{"p", "n"}}); err != nil {
 		return nil, err
 	}
 	if err := in.Eng.Exec("CREATE TABLE notes (id int, title string)"); err != nil {
@@ -189,11 +221,11 @@ var (
 )
 
 const (
-	diffNumShapes = 11
+	diffNumShapes = 13
 	// DiffSeedSpace is the exhaustive seed count TestDiffSeeds covers:
-	// shapes 0-5 and 8-10 draw from the notes dimensions, shapes 6-7
+	// shapes 0-5 and 8-12 draw from the notes dimensions, shapes 6-7
 	// from the vals (inline-tier) dimensions.
-	diffSeedSpace = 9*4*4 + 2*5*4
+	diffSeedSpace = 11*4*4 + 2*5*4
 )
 
 // diffInlineShape reports whether a shape draws from the vals
@@ -243,6 +275,14 @@ func buildDiffQuery(dat []byte) string {
 		// The same join read by nothing but COUNT(*): the dead UDF output
 		// is still evaluated.
 		return fmt.Sprintf("SELECT COUNT(*) AS n FROM (SELECT id, %s AS s FROM notes%s) AS x JOIN notes AS m ON x.id = m.id", scalar, pred)
+	case 11:
+		// A two-column table UDF whose rows are full lists, short lists
+		// and scalars: id is NULL where a row has no second item, and
+		// reads 0 here, so no scalar meets a NULL.
+		return fmt.Sprintf("SELECT id, %s AS s FROM (SELECT title, coalesce(id, 0) AS id FROM tshape((SELECT id, title FROM notes%s)) AS t0) AS t ORDER BY id, s", scalar, pred)
+	case 12:
+		// The same three row shapes from a two-column expand UDF.
+		return fmt.Sprintf("SELECT p FROM (SELECT eshape(id, %s) AS p FROM notes%s) AS x ORDER BY p", scalar, pred)
 	default:
 		// Inlinable scalar feeding an opaque aggregate: the argument
 		// inlines while the aggregate stays on the fusion ladder.
@@ -399,6 +439,7 @@ func FuzzDiff(f *testing.F) {
 		{0, 3, 0}, {0, 3, 1}, {1, 3, 2}, {2, 3, 3}, {5, 3, 0},
 		{8, 0, 0}, {8, 1, 1}, {8, 2, 2}, {8, 3, 3},
 		{9, 0, 0}, {9, 1, 3}, {9, 3, 1}, {10, 0, 0}, {10, 2, 3}, {10, 3, 2},
+		{11, 0, 0}, {11, 3, 1}, {12, 0, 0}, {12, 3, 2},
 	} {
 		f.Add(seed)
 	}

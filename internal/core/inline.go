@@ -105,8 +105,8 @@ func newInlineCache() *inlineCache {
 	return &inlineCache{info: make(map[string]*inlineInfo)}
 }
 
-// sync flushes cached classifications when any UDF was (re-)defined or
-// dropped since the last query.
+// sync flushes cached classifications when any UDF was (re-)defined
+// since the last query.
 func (ic *inlineCache) sync(cat *sqlengine.Catalog) {
 	e := cat.UDFEpoch()
 	ic.mu.Lock()

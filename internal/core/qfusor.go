@@ -180,7 +180,7 @@ func (wc *wrapperCache) nextName() string {
 }
 
 // sync flushes the compile cache when any source UDF was (re-)defined
-// or dropped since the last call — see QFusor.syncUDFEpoch for why.
+// since the last call — see QFusor.syncUDFEpoch for why.
 func (wc *wrapperCache) sync(cat *sqlengine.Catalog) {
 	e := cat.UDFEpoch()
 	wc.mu.Lock()
@@ -518,7 +518,7 @@ func (qf *QFusor) ProcessTraced(eng *sqlengine.Engine, sql string, root *obs.Spa
 }
 
 // syncUDFEpoch flushes the wrapper compile cache when any source UDF
-// was (re-)defined or dropped since the last Process. A fused wrapper's
+// was (re-)defined since the last Process. A fused wrapper's
 // trace holds the UDFs it fuses as resolved when it was generated, and
 // its cache key is the rendered trace — which names the UDFs but does
 // not change with their bodies — so a redefinition would otherwise keep

@@ -84,17 +84,18 @@ func (r *sqlRenderer) render(p *sqlengine.Plan) string {
 			p.UDF.Name, inner, extras, r.alias())
 	case sqlengine.OpExpand:
 		// Expand UDFs appear in SELECT position.
-		keeps := make([]string, 0, len(p.KeepCols)+1)
+		nKeep := p.ExpandKeep()
+		keeps := make([]string, 0, nKeep+1)
 		child := p.Children[0]
-		for _, ci := range p.KeepCols {
-			keeps = append(keeps, child.Schema[ci].Name)
+		for _, f := range child.Schema[:nKeep] {
+			keeps = append(keeps, f.Name)
 		}
 		args := make([]string, len(p.TFArgs))
 		for i, a := range p.TFArgs {
 			args[i] = exprSQL(a)
 		}
 		keeps = append(keeps, fmt.Sprintf("%s(%s) AS %s",
-			p.UDF.Name, strings.Join(args, ", "), p.Schema[len(p.KeepCols)].Name))
+			p.UDF.Name, strings.Join(args, ", "), p.Schema[nKeep].Name))
 		return fmt.Sprintf("SELECT %s FROM (%s) AS %s",
 			strings.Join(keeps, ", "), r.render(child), r.alias())
 	case sqlengine.OpAggregate:

@@ -1,6 +1,7 @@
 package ffi
 
 import (
+	"fmt"
 	"testing"
 
 	"qfusor/internal/data"
@@ -141,16 +142,13 @@ func TestCallExpandPerRow(t *testing.T) {
 	u := udfOf(t, rt, "words", Expand, []data.Kind{data.KindString}, []data.Kind{data.KindString})
 	in := strCol("a b", "xyz", "")
 	for name, inv := range invokers(t) {
-		rows, err := inv.CallExpand(u, []*data.Column{in}, 3)
+		out, parent, err := inv.CallExpand(u, []*data.Column{in}, 3)
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
-		if len(rows[0]) != 2 || rows[0][1][0].S != "b" {
-			t.Fatalf("%s: row0 = %v", name, rows[0])
-		}
-		if len(rows[1]) != 1 || len(rows[2]) != 1 {
-			// splitting "" yields one empty token (Python semantics)
-			t.Fatalf("%s: rows = %v / %v", name, rows[1], rows[2])
+		// splitting "" yields one empty token (Python semantics)
+		if got := fmt.Sprint(out.Cols[0].Strs, parent); got != "[a b xyz ] [0 0 1 2]" {
+			t.Fatalf("%s: rows, parents = %s", name, got)
 		}
 	}
 }
@@ -205,7 +203,7 @@ func TestUDFErrorIsSurfaced(t *testing.T) {
 func TestStatsAreLearned(t *testing.T) {
 	rt := testRuntime(t)
 	u := udfOf(t, rt, "words", Expand, []data.Kind{data.KindString}, []data.Kind{data.KindString})
-	if _, err := (VectorInvoker{}).CallExpand(u, []*data.Column{strCol("a b c", "x y")}, 2); err != nil {
+	if _, _, err := (VectorInvoker{}).CallExpand(u, []*data.Column{strCol("a b c", "x y")}, 2); err != nil {
 		t.Fatal(err)
 	}
 	if u.Stats.InRows.Load() != 2 || u.Stats.OutRows.Load() != 5 {

@@ -236,30 +236,13 @@ func (p *ProcessInvoker) serve(inner *VectorInvoker, r procRequest) procResponse
 			return procResponse{err: cerr}
 		}
 	case Expand:
-		perRow, cerr := inner.CallExpand(r.udf, ch.Cols, ch.NumRows())
+		// The host sends one input row per message, so the parent map
+		// is all zeros and stays worker-side.
+		var cerr error
+		out, _, cerr = inner.CallExpand(r.udf, ch.Cols, ch.NumRows())
 		if cerr != nil {
 			return procResponse{err: cerr}
 		}
-		cols := make([]*data.Column, len(r.udf.OutKinds))
-		for i, k := range r.udf.OutKinds {
-			name := fmt.Sprintf("c%d", i)
-			if i < len(r.udf.OutNames) {
-				name = r.udf.OutNames[i]
-			}
-			cols[i] = data.NewColumn(name, k)
-		}
-		for _, rows := range perRow {
-			for _, row := range rows {
-				for i, c := range cols {
-					if i < len(row) {
-						c.AppendValue(row[i])
-					} else {
-						c.AppendNull()
-					}
-				}
-			}
-		}
-		out = data.NewChunk(cols...)
 	}
 	return procResponse{payload: data.AppendChunk(nil, out)}
 }
@@ -377,9 +360,10 @@ func (p *ProcessInvoker) CallAggregate(u *UDF, args []*data.Column, n int, group
 
 // CallExpand implements Invoker. The expansion happens worker-side, one
 // input row per message, mirroring Postgres's per-call set-returning
-// function protocol.
-func (p *ProcessInvoker) CallExpand(u *UDF, args []*data.Column, n int) ([][][]data.Value, error) {
-	out := make([][][]data.Value, n)
+// function protocol; the replies concatenate into the output columns.
+func (p *ProcessInvoker) CallExpand(u *UDF, args []*data.Column, n int) (*data.Chunk, []int, error) {
+	out := outColumns(u)
+	var parent []int
 	for i := 0; i < n; i++ {
 		batch := make([]*data.Column, len(args))
 		for j, c := range args {
@@ -387,16 +371,16 @@ func (p *ProcessInvoker) CallExpand(u *UDF, args []*data.Column, n int) ([][][]d
 		}
 		res, err := p.roundTrip(procRequest{kind: Expand, udf: u, payload: data.AppendChunk(nil, data.NewChunk(batch...))})
 		if err != nil {
-			return nil, err
+			return nil, nil, err
 		}
-		m := res.NumRows()
-		rows := make([][]data.Value, m)
-		for r := 0; r < m; r++ {
-			rows[r] = res.Row(r)
+		for j, c := range out {
+			c.AppendColumn(res.Cols[j])
 		}
-		out[i] = rows
+		for m := res.NumRows(); m > 0; m-- {
+			parent = append(parent, i)
+		}
 	}
-	return out, nil
+	return data.NewChunk(out...), parent, nil
 }
 
 // CallTable implements Invoker.

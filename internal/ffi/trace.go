@@ -207,41 +207,50 @@ func (t *Trace) driveSource(u *UDF, args []*data.Column, n int, regs []data.Valu
 }
 
 // eachRow feeds every row a generator UDF's result yields (or, for a
-// plain iterable, every item) to fn. An exception inside the UDF is
-// attributed to it.
+// plain iterable, every item) to fn: the one loop over a UDF's rows. An
+// exception inside the UDF is attributed to it; fn's errors pass as
+// they are.
 func eachRow(src *UDF, gv data.Value, fn func(data.Value) error) error {
-	if g, ok := gv.P.(*pylite.Generator); gv.Kind == data.KindObject && ok {
-		defer g.Close()
-		for {
-			v, more, err := g.Next()
-			if err != nil {
-				return wrapUDFErr(src, err)
-			}
-			if !more {
-				return nil
-			}
-			if err := fn(v); err != nil {
-				return err
-			}
+	it, err := pylite.ValueIter(gv)
+	if err != nil {
+		return wrapUDFErr(src, err)
+	}
+	defer it.Close()
+	for {
+		v, more, err := it.Next()
+		if err != nil {
+			return wrapUDFErr(src, err)
+		}
+		if !more {
+			return nil
+		}
+		if err := fn(v); err != nil {
+			return err
 		}
 	}
-	return pylite.Iterate(gv, fn)
 }
 
-// bindRow binds one yielded row to its registers: several take a
-// list's items, anything else is a one-value row; registers past the
-// row's end are NULL, as in the engine's own expand.
-func bindRow(regs []data.Value, dsts []int, v data.Value) {
-	items := []data.Value{v}
-	if l := v.List(); l != nil && len(dsts) > 1 {
-		items = l.Items
-	}
-	for i, d := range dsts {
-		if i < len(items) {
-			regs[d] = items[i]
-		} else {
-			regs[d] = data.Null
+// rowCell is the row rule, the one place a yielded value becomes a row:
+// it returns column i of the row v makes for a UDF with width output
+// columns. With several columns a list's items fill them in order;
+// anything else is a one-value row. Columns past the row's end are NULL.
+func rowCell(v data.Value, width, i int) data.Value {
+	if l := v.List(); l != nil && width > 1 {
+		if i < len(l.Items) {
+			return l.Items[i]
 		}
+		return data.Null
+	}
+	if i == 0 {
+		return v
+	}
+	return data.Null
+}
+
+// bindRow binds one yielded row to its registers under the row rule.
+func bindRow(regs []data.Value, dsts []int, v data.Value) {
+	for i, d := range dsts {
+		regs[d] = rowCell(v, len(dsts), i)
 	}
 }
 
@@ -294,7 +303,7 @@ func runOps(u *UDF, ops []TraceOp, regs []data.Value, bails *int, emit func([]da
 type aggState struct {
 	count int64
 	sum   float64
-	sumI  int64
+	sumI  data.IntSum // exact; the result while every value is an int
 	isInt bool
 	any   bool
 	best  data.Value
@@ -338,7 +347,7 @@ func stepAggState(st *aggState, spec *TraceAgg, v data.Value) error {
 			st.isInt = false
 		}
 		st.sum += f
-		st.sumI += v.I
+		st.sumI.Add(v.I)
 		st.count++
 		st.any = true
 	case "min", "max":
@@ -375,7 +384,7 @@ func mergeAggState(dst, src *aggState, spec *TraceAgg) error {
 			return nil
 		}
 		dst.sum += src.sum
-		dst.sumI += src.sumI
+		dst.sumI.Merge(src.sumI)
 		dst.count += src.count
 		if !src.isInt {
 			dst.isInt = false
@@ -412,10 +421,14 @@ func finalizeAggValue(st *aggState, spec *TraceAgg) (data.Value, error) {
 		if !st.any {
 			return data.Null, nil
 		}
-		if st.isInt {
-			return data.Int(st.sumI), nil
+		if !st.isInt {
+			return data.Float(st.sum), nil
 		}
-		return data.Float(st.sum), nil
+		v, err := st.sumI.Int()
+		if err != nil {
+			return data.Null, fmt.Errorf("SUM: %w", err)
+		}
+		return data.Int(v), nil
 	case "avg":
 		if !st.any || st.count == 0 {
 			return data.Null, nil

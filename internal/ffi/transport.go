@@ -59,9 +59,11 @@ type Invoker interface {
 	// CallAggregate folds a scalar column set into per-group results.
 	// groupIDs[i] gives the group of row i; g is the group count.
 	CallAggregate(u *UDF, args []*data.Column, n int, groupIDs []int, g int) ([]data.Value, error)
-	// CallExpand applies an expand UDF row-by-row; out[i] holds the rows
-	// produced by input row i.
-	CallExpand(u *UDF, args []*data.Column, n int) ([][][]data.Value, error)
+	// CallExpand calls an expand UDF once per row of n rows of argument
+	// columns. The rows the calls yield come back in input order as one
+	// chunk of the UDF's output columns; parent[j] is the input row that
+	// yielded output row j.
+	CallExpand(u *UDF, args []*data.Column, n int) (out *data.Chunk, parent []int, err error)
 	// CallTable feeds an input chunk through a table UDF.
 	CallTable(u *UDF, input *data.Chunk, extra []data.Value) (*data.Chunk, error)
 }
@@ -158,10 +160,11 @@ func (VectorInvoker) CallAggregate(u *UDF, args []*data.Column, n int, groupIDs 
 	return out, nil
 }
 
-// CallExpand implements Invoker.
-func (VectorInvoker) CallExpand(u *UDF, args []*data.Column, n int) ([][][]data.Value, error) {
+// CallExpand implements Invoker: each row's generator drains straight
+// into the output columns.
+func (VectorInvoker) CallExpand(u *UDF, args []*data.Column, n int) (*data.Chunk, []int, error) {
 	if err := fireBoundary(Expand); err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	start := time.Now()
 	var wrap time.Duration
@@ -172,67 +175,74 @@ func (VectorInvoker) CallExpand(u *UDF, args []*data.Column, n int) ([][][]data.
 	}
 	wrap += time.Since(ws)
 
-	out := make([][][]data.Value, n)
-	total := 0
+	out := outColumns(u)
+	var parent []int
 	row := make([]data.Value, len(args))
 	for i := 0; i < n; i++ {
 		for j := range boxed {
 			row[j] = boxed[j][i]
 		}
-		rows, err := drainRows(u, row)
+		m, err := drain(u, row, out)
 		if err != nil {
-			return nil, err
+			return nil, nil, err
 		}
-		out[i] = rows
-		total += len(rows)
+		for ; m > 0; m-- {
+			parent = append(parent, i)
+		}
 	}
-	u.record(n, total, time.Since(start), wrap)
-	return out, nil
+	u.record(n, len(parent), time.Since(start), wrap)
+	return data.NewChunk(out...), parent, nil
 }
 
-// CallTable implements Invoker.
+// CallTable implements Invoker: the UDF consumes the chunk's rows as one
+// lazy input generator and drains into the output columns.
 func (VectorInvoker) CallTable(u *UDF, input *data.Chunk, extra []data.Value) (*data.Chunk, error) {
-	return callTableCommon(u, input, extra)
+	if err := fireBoundary(Table); err != nil {
+		return nil, err
+	}
+	start := time.Now()
+	n := input.NumRows()
+	in := inputRows(input.Cols, n)
+	defer in.Close()
+	out := outColumns(u)
+	m, err := drain(u, append([]data.Value{data.Object(in)}, extra...), out)
+	if err != nil {
+		return nil, err
+	}
+	u.record(n, m, time.Since(start), 0)
+	return data.NewChunk(out...), nil
 }
 
-// drainRows calls a generator UDF for one input row and collects the
-// yielded rows.
-func drainRows(u *UDF, args []data.Value) ([][]data.Value, error) {
+// drain calls a generator UDF once and appends every row it yields to
+// out, its output columns, under the row rule; it returns the number of
+// rows.
+func drain(u *UDF, args []data.Value, out []*data.Column) (rows int, err error) {
 	gv, err := u.RT.Call(u.Fn, args)
 	if err != nil {
-		return nil, wrapUDFErr(u, err)
+		return 0, wrapUDFErr(u, err)
 	}
-	var rows [][]data.Value
-	appendRow := func(v data.Value) {
-		if l := v.List(); l != nil && len(u.OutKinds) > 1 {
-			rows = append(rows, append([]data.Value(nil), l.Items...))
-		} else {
-			rows = append(rows, []data.Value{v})
+	err = eachRow(u, gv, func(v data.Value) error {
+		for i, c := range out {
+			c.AppendValue(rowCell(v, len(out), i))
 		}
-	}
-	if gv.Kind == data.KindObject {
-		if g, ok := gv.P.(*pylite.Generator); ok {
-			defer g.Close()
-			for {
-				v, more, err := g.Next()
-				if err != nil {
-					return nil, wrapUDFErr(u, err)
-				}
-				if !more {
-					return rows, nil
-				}
-				appendRow(v)
-			}
-		}
-	}
-	// Non-generator result: a list of rows.
-	if err := pylite.Iterate(gv, func(v data.Value) error {
-		appendRow(v)
+		rows++
 		return nil
-	}); err != nil {
-		return nil, wrapUDFErr(u, err)
+	})
+	return rows, err
+}
+
+// outColumns makes a generator UDF's empty output columns, one per
+// declared output kind, named by OutNames (c<i> past their end).
+func outColumns(u *UDF) []*data.Column {
+	cols := make([]*data.Column, len(u.OutKinds))
+	for i, k := range u.OutKinds {
+		name := fmt.Sprintf("c%d", i)
+		if i < len(u.OutNames) {
+			name = u.OutNames[i]
+		}
+		cols[i] = data.NewColumn(name, k)
 	}
-	return rows, nil
+	return cols
 }
 
 // inputRows is the lazy input generator a table UDF consumes (the
@@ -257,68 +267,6 @@ func inputRows(cols []*data.Column, n int) *pylite.Generator {
 		}
 		return nil
 	})
-}
-
-// callTableCommon feeds the chunk's rows through a table UDF via a lazy
-// input generator and materializes the output.
-func callTableCommon(u *UDF, input *data.Chunk, extra []data.Value) (*data.Chunk, error) {
-	if err := fireBoundary(Table); err != nil {
-		return nil, err
-	}
-	start := time.Now()
-	n := input.NumRows()
-	inGen := inputRows(input.Cols, n)
-	args := append([]data.Value{data.Object(inGen)}, extra...)
-	gv, err := u.RT.Call(u.Fn, args)
-	if err != nil {
-		inGen.Close()
-		return nil, wrapUDFErr(u, err)
-	}
-	outCols := make([]*data.Column, len(u.OutKinds))
-	for i, k := range u.OutKinds {
-		name := fmt.Sprintf("c%d", i)
-		if i < len(u.OutNames) {
-			name = u.OutNames[i]
-		}
-		outCols[i] = data.NewColumn(name, k)
-	}
-	outRows := 0
-	emit := func(v data.Value) {
-		if len(outCols) == 1 {
-			outCols[0].AppendValue(v)
-		} else {
-			l := v.List()
-			for i, c := range outCols {
-				if l != nil && i < len(l.Items) {
-					c.AppendValue(l.Items[i])
-				} else {
-					c.AppendNull()
-				}
-			}
-		}
-		outRows++
-	}
-	if g, ok := gv.P.(*pylite.Generator); gv.Kind == data.KindObject && ok {
-		defer g.Close()
-		for {
-			v, more, err := g.Next()
-			if err != nil {
-				return nil, wrapUDFErr(u, err)
-			}
-			if !more {
-				break
-			}
-			emit(v)
-		}
-	} else if err := pylite.Iterate(gv, func(v data.Value) error {
-		emit(v)
-		return nil
-	}); err != nil {
-		return nil, wrapUDFErr(u, err)
-	}
-	inGen.Close()
-	u.record(n, outRows, time.Since(start), 0)
-	return data.NewChunk(outCols...), nil
 }
 
 func wrapUDFErr(u *UDF, err error) error {

@@ -55,7 +55,7 @@ func (c *Catalog) Epoch() int64 { return c.epoch.Load() }
 func (c *Catalog) BumpEpoch() int64 { return c.epoch.Add(1) }
 
 // UDFEpoch returns the generation counter of UDF definitions only. It
-// moves when a non-fused UDF is (re-)registered or dropped — exactly
+// moves when a non-fused UDF is (re-)registered — exactly
 // the events that make previously compiled fused wrappers (which inline
 // the source UDFs' bodies) stale.
 func (c *Catalog) UDFEpoch() int64 { return c.udfEpoch.Load() }
@@ -118,15 +118,6 @@ func (c *Catalog) UDF(name string) (*ffi.UDF, bool) {
 	defer c.mu.RUnlock()
 	u, ok := c.udfs[strings.ToLower(name)]
 	return u, ok
-}
-
-// DropUDF removes a UDF registration.
-func (c *Catalog) DropUDF(name string) {
-	c.mu.Lock()
-	delete(c.udfs, strings.ToLower(name))
-	c.mu.Unlock()
-	c.epoch.Add(1)
-	c.udfEpoch.Add(1)
 }
 
 // UDFs returns all registered UDFs.

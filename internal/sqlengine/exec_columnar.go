@@ -238,9 +238,11 @@ func trueRows(keep *data.Column, lo int) []int {
 	return idx
 }
 
-// expandChunk applies an expand UDF per row, replicating kept columns.
+// expandChunk calls an expand UDF on every input row. Its output
+// columns come back from the transport as they are, and the kept
+// columns before them are replicated by its parent map, once per row a
+// call yielded.
 func (e *Engine) expandChunk(p *Plan, in *data.Chunk) (*data.Chunk, error) {
-	n := in.NumRows()
 	argCols := make([]*data.Column, len(p.TFArgs))
 	for i, a := range p.TFArgs {
 		cr, ok := a.(*ColRef)
@@ -249,28 +251,14 @@ func (e *Engine) expandChunk(p *Plan, in *data.Chunk) (*data.Chunk, error) {
 		}
 		argCols[i] = in.Cols[cr.Index]
 	}
-	perRow, err := e.Invoker.CallExpand(e.q.clone(p.UDF), argCols, n)
+	res, parent, err := e.Invoker.CallExpand(e.q.clone(p.UDF), argCols, in.NumRows())
 	if err != nil {
 		return nil, err
 	}
-	out := data.EmptyChunk(p.Schema)
-	nKeep := len(p.KeepCols)
-	var rep []int // the input row of each output row
-	for i := 0; i < n; i++ {
-		for _, row := range perRow[i] {
-			rep = append(rep, i)
-			for j := 0; j < len(out.Cols)-nKeep; j++ {
-				if j < len(row) {
-					out.Cols[nKeep+j].AppendValue(row[j])
-				} else {
-					out.Cols[nKeep+j].AppendNull()
-				}
-			}
-		}
-	}
-	for k, ci := range p.KeepCols {
-		out.Cols[k] = in.Cols[ci].Take(rep)
-		out.Cols[k].Name = p.Schema[k].Name
+	out := (&data.Chunk{Cols: in.Cols[:p.ExpandKeep()]}).Take(parent)
+	out.Cols = append(out.Cols, res.Cols...)
+	for i, c := range out.Cols {
+		c.Name = p.Schema[i].Name
 	}
 	return out, nil
 }
@@ -489,64 +477,74 @@ func splitEquiJoin(on SQLExpr, nl int) (leftKeys, rightKeys []int, residual SQLE
 // count adds; sum/avg add sums and non-null counts (avg finalizes from
 // the merged ratio, never from partial averages); min/max compare the
 // partial winners; median concatenates the gathered inputs (blocking —
-// it has no decomposition and must see every value).
+// it has no decomposition and must see every value). A SUM of a
+// non-float argument sums exactly in isums, and sums stays nil.
 type aggPartial struct {
 	counts []int64
 	sums   []float64
+	isums  []data.IntSum
 	scount []int64
-	allInt bool
 	best   []data.Value
 	vals   [][]float64
 }
 
-// foldNative folds one native aggregate over a morsel into pt, using
-// morsel-local group ids (one per row). arg is the aggregate's evaluated
-// argument column, nil for COUNT(*).
-func foldNative(pt *aggPartial, spec AggSpec, arg *data.Column, gids []int, g int) error {
-	pt.allInt = true
+// foldNative folds one native aggregate over a morsel into a new
+// partial, using morsel-local group ids (one per row). arg is the
+// aggregate's evaluated argument column, nil for COUNT(*).
+func foldNative(spec AggSpec, arg *data.Column, gids []int, g int) (*aggPartial, error) {
+	k := data.KindNull
+	if arg != nil {
+		k = arg.Kind
+	}
+	pt := newPartial(spec, g, k)
 	switch spec.Name {
 	case "count":
-		pt.counts = make([]int64, g)
 		for i, gid := range gids {
 			if arg == nil || !arg.IsNull(i) {
 				pt.counts[gid]++
 			}
 		}
 	case "sum", "avg":
-		pt.sums = make([]float64, g)
-		pt.scount = make([]int64, g)
-		pt.allInt = arg.Kind != data.KindFloat
-		switch arg.Kind {
-		case data.KindInt:
+		switch {
+		case arg.Kind == data.KindInt && pt.isums != nil:
+			for i, gid := range gids {
+				if arg.Nulls == nil || !arg.Nulls[i] {
+					pt.isums[gid].Add(arg.Ints[i])
+					pt.scount[gid]++
+				}
+			}
+		case arg.Kind == data.KindInt:
 			sumInto(pt, arg.Ints, arg.Nulls, gids)
-		case data.KindFloat:
+		case arg.Kind == data.KindFloat:
 			sumInto(pt, arg.Floats, arg.Nulls, gids)
 		default:
 			for i, gid := range gids {
-				if f, ok := arg.Get(i).AsFloat(); ok {
+				v := arg.Get(i)
+				if f, ok := v.AsFloat(); ok && pt.isums != nil {
+					pt.isums[gid].Add(v.I)
+					pt.scount[gid]++
+				} else if ok {
 					pt.sums[gid] += f
 					pt.scount[gid]++
 				}
 			}
 		}
 	case "min", "max":
-		pt.best = make([]data.Value, g)
 		for i, gid := range gids {
 			if !arg.IsNull(i) {
 				foldBest(spec.Name, pt.best, gid, arg.Get(i))
 			}
 		}
 	case "median":
-		pt.vals = make([][]float64, g)
 		for i, gid := range gids {
 			if f, ok := arg.Get(i).AsFloat(); ok {
 				pt.vals[gid] = append(pt.vals[gid], f)
 			}
 		}
 	default:
-		return fmt.Errorf("sql: unknown aggregate %s", spec.Name)
+		return nil, fmt.Errorf("sql: unknown aggregate %s", spec.Name)
 	}
-	return nil
+	return pt, nil
 }
 
 // sumInto adds the non-NULL rows of a numeric column into their groups.
@@ -571,18 +569,19 @@ func foldBest(name string, best []data.Value, gid int, v data.Value) {
 // mergeNative folds src (one morsel's partial, local group ids) into
 // dst (global group ids) through the local→global id map.
 func mergeNative(dst, src *aggPartial, spec AggSpec, l2g []int) {
-	if !src.allInt {
-		dst.allInt = false
-	}
 	switch spec.Name {
 	case "count":
 		for lg, c := range src.counts {
 			dst.counts[l2g[lg]] += c
 		}
 	case "sum", "avg":
-		for lg, s := range src.sums {
-			dst.sums[l2g[lg]] += s
-			dst.scount[l2g[lg]] += src.scount[lg]
+		for lg, c := range src.scount {
+			if src.isums != nil {
+				dst.isums[l2g[lg]].Merge(src.isums[lg])
+			} else {
+				dst.sums[l2g[lg]] += src.sums[lg]
+			}
+			dst.scount[l2g[lg]] += c
 		}
 	case "min", "max":
 		for lg, v := range src.best {
@@ -599,8 +598,8 @@ func mergeNative(dst, src *aggPartial, spec AggSpec, l2g []int) {
 }
 
 // finalizeNative turns a merged partial into the per-group output
-// values.
-func finalizeNative(spec AggSpec, pt *aggPartial, g int) []data.Value {
+// values. An exact sum outside int64 is an error.
+func finalizeNative(spec AggSpec, pt *aggPartial, g int) ([]data.Value, error) {
 	out := make([]data.Value, g)
 	switch spec.Name {
 	case "count":
@@ -609,15 +608,18 @@ func finalizeNative(spec AggSpec, pt *aggPartial, g int) []data.Value {
 		}
 	case "sum", "avg":
 		for i := 0; i < g; i++ {
-			if pt.scount[i] == 0 {
+			switch {
+			case pt.scount[i] == 0:
 				out[i] = data.Null
-				continue
-			}
-			if spec.Name == "avg" {
+			case spec.Name == "avg":
 				out[i] = data.Float(pt.sums[i] / float64(pt.scount[i]))
-			} else if pt.allInt {
-				out[i] = data.Int(int64(pt.sums[i]))
-			} else {
+			case pt.isums != nil:
+				v, err := pt.isums[i].Int()
+				if err != nil {
+					return nil, fmt.Errorf("SUM: %w", err)
+				}
+				out[i] = data.Int(v)
+			default:
 				out[i] = data.Float(pt.sums[i])
 			}
 		}
@@ -638,19 +640,23 @@ func finalizeNative(spec AggSpec, pt *aggPartial, g int) []data.Value {
 			}
 		}
 	}
-	return out
+	return out, nil
 }
 
-// newGlobalPartial allocates the merged partial for a spec with g
-// global groups.
-func newGlobalPartial(spec AggSpec, g int) *aggPartial {
-	pt := &aggPartial{allInt: true}
+// newPartial allocates the partial state of a spec over g groups and
+// an argument of kind k: a morsel's, or the merged one.
+func newPartial(spec AggSpec, g int, k data.Kind) *aggPartial {
+	pt := &aggPartial{}
 	switch spec.Name {
 	case "count":
 		pt.counts = make([]int64, g)
 	case "sum", "avg":
-		pt.sums = make([]float64, g)
 		pt.scount = make([]int64, g)
+		if spec.Name == "sum" && k != data.KindFloat {
+			pt.isums = make([]data.IntSum, g)
+		} else {
+			pt.sums = make([]float64, g)
+		}
 	case "min", "max":
 		pt.best = make([]data.Value, g)
 	case "median":
@@ -771,12 +777,12 @@ func (e *Engine) aggregateChunk(p *Plan, in *data.Chunk, ectx *execCtx) (*data.C
 				if spec.UDF != nil {
 					continue
 				}
-				mg.parts[ai] = &aggPartial{}
 				var arg *data.Column // nil for COUNT(*)
 				if len(spec.Args) > 0 {
 					arg = cols[argAt[ai]]
 				}
-				if err := foldNative(mg.parts[ai], spec, arg, gids, len(mg.keys)); err != nil {
+				var err error
+				if mg.parts[ai], err = foldNative(spec, arg, gids, len(mg.keys)); err != nil {
 					return err
 				}
 			}
@@ -830,7 +836,11 @@ func (e *Engine) aggregateChunk(p *Plan, in *data.Chunk, ectx *execCtx) (*data.C
 		if spec.UDF != nil {
 			continue
 		}
-		merged[ai] = newGlobalPartial(spec, g)
+		k := data.KindNull
+		if len(spec.Args) > 0 {
+			k = prog.kinds[prog.roots[argAt[ai]]]
+		}
+		merged[ai] = newPartial(spec, g, k)
 		for m, mg := range morsels {
 			mergeNative(merged[ai], mg.parts[ai], spec, l2g[m])
 		}
@@ -874,7 +884,9 @@ func (e *Engine) aggregateChunk(p *Plan, in *data.Chunk, ectx *execCtx) (*data.C
 				return nil, err
 			}
 		} else {
-			results = finalizeNative(spec, merged[ai], g)
+			if results, err = finalizeNative(spec, merged[ai], g); err != nil {
+				return nil, err
+			}
 		}
 		for _, v := range results {
 			col.AppendValue(v)

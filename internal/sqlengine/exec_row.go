@@ -213,59 +213,34 @@ func (it *limitIter) Next() ([]data.Value, bool, error) {
 
 func (it *limitIter) Close() { it.child.Close() }
 
-// expandIter applies an expand UDF per input row, buffering its output.
+// expandIter expands one input row at a time through expandChunk,
+// then streams the rows it yielded.
 type expandIter struct {
 	eng   *Engine
 	plan  *Plan
 	child rowIter
 
-	buf [][]data.Value
+	buf *data.Chunk
 	pos int
 }
 
 func (it *expandIter) Next() ([]data.Value, bool, error) {
-	for it.pos >= len(it.buf) {
+	for it.buf == nil || it.pos >= it.buf.NumRows() {
 		in, ok, err := it.child.Next()
 		if err != nil || !ok {
 			return nil, false, err
 		}
-		args := make([]*data.Column, len(it.plan.TFArgs))
-		for i, a := range it.plan.TFArgs {
-			cr, ok := a.(*ColRef)
-			if !ok {
-				return nil, false, fmt.Errorf("sql: expand arg must be a column ref")
-			}
-			kind := data.KindString
-			if i < len(it.plan.UDF.InKinds) {
-				kind = it.plan.UDF.InKinds[i]
-			}
-			c := data.NewColumn(fmt.Sprintf("a%d", i), kind)
-			c.AppendValue(in[cr.Index])
-			args[i] = c
+		row := data.EmptyChunk(it.plan.Children[0].Schema)
+		for i, c := range row.Cols {
+			c.AppendValue(in[i])
 		}
-		perRow, err := it.eng.Invoker.CallExpand(it.eng.q.clone(it.plan.UDF), args, 1)
-		if err != nil {
+		if it.buf, err = it.eng.expandChunk(it.plan, row); err != nil {
 			return nil, false, err
 		}
-		it.buf = it.buf[:0]
 		it.pos = 0
-		nKeep := len(it.plan.KeepCols)
-		for _, row := range perRow[0] {
-			out := make([]data.Value, len(it.plan.Schema))
-			for k, ci := range it.plan.KeepCols {
-				out[k] = in[ci]
-			}
-			for j := 0; j < len(it.plan.Schema)-nKeep; j++ {
-				if j < len(row) {
-					out[nKeep+j] = row[j]
-				}
-			}
-			it.buf = append(it.buf, out)
-		}
 	}
-	row := it.buf[it.pos]
 	it.pos++
-	return row, true, nil
+	return it.buf.Row(it.pos - 1), true, nil
 }
 
 func (it *expandIter) Close() { it.child.Close() }

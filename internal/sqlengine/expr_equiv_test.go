@@ -11,6 +11,7 @@ package sqlengine
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"math"
 	"math/rand"
@@ -81,12 +82,14 @@ func checkExprEquiv(t *testing.T, tbl *data.Table, x SQLExpr) {
 	}
 	aggs := aggregateArm(tbl, x, kind)
 	serial := make([]*data.Chunk, len(aggs)) // the reference: one batch, no pool
+	serialErr := make([]error, len(aggs))    // an int SUM's overflow, the one error an aggregate may raise
 	ref := New("equiv", ModeColumnar, ffi.VectorInvoker{}, 0)
 	ref.Parallelism = 1
 	ref.Catalog.PutTable(tbl)
-	if _, err := ref.statement(context.Background(), nil, func(qe *Engine) (err error) {
+	if _, err := ref.statement(context.Background(), nil, func(qe *Engine) error {
 		for a, agg := range aggs {
-			if serial[a], err = qe.aggregateChunk(agg, in, qe.q); err != nil {
+			serial[a], serialErr[a] = qe.aggregateChunk(agg, in, qe.q)
+			if err := serialErr[a]; err != nil && !errors.Is(err, data.ErrIntOverflow) {
 				return err
 			}
 		}
@@ -148,6 +151,12 @@ func checkExprEquiv(t *testing.T, tbl *data.Table, x SQLExpr) {
 
 			for a, agg := range aggs {
 				got, err := qe.aggregateChunk(agg, in, qe.q)
+				if errors.Is(err, data.ErrIntOverflow) != errors.Is(serialErr[a], data.ErrIntOverflow) {
+					t.Fatalf("%s: aggregate %s: error %v, serially %v: an int SUM overflows in every config or in none", label, agg.Schema, err, serialErr[a])
+				}
+				if serialErr[a] != nil {
+					continue
+				}
 				if err != nil {
 					return err
 				}
@@ -189,15 +198,13 @@ func aggregateArm(tbl *data.Table, x SQLExpr, kind data.Kind) []*Plan {
 }
 
 // checkSameAggregate holds an aggregate's result to the serial
-// single-batch run's, cell by cell. A SUM may differ by rounding alone:
-// float addition does not associate, a native SUM adds in float64
-// whatever its argument's kind, and the morsels' partial sums add in
+// single-batch run's, cell by cell. An int SUM is exact, so it is
+// compared exactly too. A float SUM may differ by rounding alone: float
+// addition does not associate, and the morsels' partial sums add in
 // another order. The bound is the error of n-term summation, n·2⁻⁵²
 // times mag, the sum of the argument's finite magnitudes (an infinite or
 // NaN row makes its group's sum the same in every order, unless the
-// finite rows overflow, which mag does too). An int SUM whose magnitudes
-// reach 2⁶² may overflow int64 at an order-dependent point and is not
-// compared.
+// finite rows overflow, which mag does too).
 func checkSameAggregate(t *testing.T, label string, agg *Plan, got, want *data.Chunk, n int, mag float64) {
 	t.Helper()
 	if got.NumRows() != want.NumRows() {
@@ -211,11 +218,8 @@ func checkSameAggregate(t *testing.T, label string, agg *Plan, got, want *data.C
 			if sameValue(g, w) {
 				continue
 			}
-			if sum && !g.IsNull() && !w.IsNull() {
-				gf, _ := g.AsFloat()
-				wf, _ := w.AsFloat()
-				if math.IsInf(mag, 0) || col.Kind == data.KindInt && mag >= 1<<62 ||
-					math.Abs(gf-wf) <= float64(n)*0x1p-52*mag {
+			if sum && col.Kind == data.KindFloat && !g.IsNull() && !w.IsNull() {
+				if math.IsInf(mag, 0) || math.Abs(g.F-w.F) <= float64(n)*0x1p-52*mag {
 					continue
 				}
 			}

@@ -107,9 +107,8 @@ type Plan struct {
 	UDF       *ffi.UDF  // TableFunc / Expand
 	TFArgs    []SQLExpr // extra scalar args of the UDF
 	// KeepCols are the input columns this node emits, nil for all of
-	// them: the child columns replicated next to Expand output, the
-	// source columns of a Scan or CTERef, or the columns of a join's
-	// left ++ right (set by column pruning, prune.go).
+	// them: the source columns of a Scan or CTERef, or the columns of a
+	// join's left ++ right (set by column pruning, prune.go).
 	KeepCols []int
 
 	// NoPartition marks fused nodes whose wrapper carries cross-row
@@ -119,6 +118,11 @@ type Plan struct {
 	// EstRows is the optimizer's row estimate for this node's output.
 	EstRows float64
 }
+
+// ExpandKeep is the number of input columns an OpExpand node replicates
+// next to its UDF's output: the leading columns of its child, the
+// pre-projection, which end where the UDF's arguments begin.
+func (p *Plan) ExpandKeep() int { return len(p.Schema) - len(p.UDF.OutKinds) }
 
 // emit returns the columns a Scan, CTERef or join emits from its
 // source columns: KeepCols' column headers, shared with the source.
@@ -212,7 +216,7 @@ func explainNode(b *strings.Builder, p *Plan, depth int) {
 			b.WriteString(" ALL")
 		}
 	}
-	if p.KeepCols != nil && p.Op != OpExpand { // the columns pruning kept
+	if p.KeepCols != nil { // the columns pruning kept
 		fmt.Fprintf(b, " [%s]", strings.Join(p.Schema.Names(), ", "))
 	}
 	fmt.Fprintf(b, "  (rows≈%.0f)\n", p.EstRows)

@@ -505,10 +505,6 @@ func (pl *planner) planExpand(items []SelectItem, in *Plan) (*Plan, []SelectItem
 	pre := &Plan{Op: OpProject, Children: []*Plan{in}, Schema: preSchema,
 		Quals: make([]string, len(preSchema)), Exprs: preExprs, EstRows: in.EstRows}
 
-	keep := make([]int, nKeep)
-	for i := range keep {
-		keep[i] = i
-	}
 	outName := itemName(items[expandIdx], 0)
 	var expSchema data.Schema
 	expSchema = append(expSchema, preSchema[:nKeep]...)
@@ -529,7 +525,7 @@ func (pl *planner) planExpand(items []SelectItem, in *Plan) (*Plan, []SelectItem
 	}
 	exp := &Plan{Op: OpExpand, Children: []*Plan{pre}, Schema: expSchema,
 		Quals: make([]string, len(expSchema)), UDF: expandUDF, TFArgs: tfArgs,
-		KeepCols: keep, EstRows: pre.EstRows * sel}
+		EstRows: pre.EstRows * sel}
 
 	// Rewrite items to refs into the expand output, restoring order.
 	newItems := make([]SelectItem, len(items))

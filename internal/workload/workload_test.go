@@ -2,11 +2,13 @@ package workload_test
 
 import (
 	"context"
+	"errors"
 	"testing"
 	"time"
 
 	"qfusor/internal/data"
 	"qfusor/internal/engines"
+	"qfusor/internal/resilience"
 	"qfusor/internal/workload"
 )
 
@@ -197,3 +199,25 @@ func timeQuery(t *testing.T, fn func() error) int64 {
 }
 
 func nowNanos() int64 { return time.Now().UnixNano() }
+
+// TestSumOverflowErrorsInBothArms: an int SUM whose total leaves int64
+// raises data.ErrIntOverflow natively and in the fused trace alike.
+func TestSumOverflowErrorsInBothArms(t *testing.T) {
+	in := setup(t)
+	const sql = "SELECT SUM(length(lower(title)) * 1000000000000000) AS s FROM artifacts"
+	if res, err := in.Query(sql); !errors.Is(err, data.ErrIntOverflow) {
+		t.Fatalf("native: %v (%v), want an integer overflow", err, res)
+	}
+	// The fused attempt and the native rerun both fail: the error joins
+	// the two causes, and each must be the overflow.
+	res, rep, err := in.QueryFusedReportedCtx(context.Background(), sql)
+	var qe *resilience.QueryError
+	if !errors.As(err, &qe) || qe.Stage != "fallback" || rep.Sections == 0 {
+		t.Fatalf("fused: %v (%v, %d sections), want the fused plan and its native rerun to fail", err, res, rep.Sections)
+	}
+	for _, cause := range qe.Err.(interface{ Unwrap() []error }).Unwrap() {
+		if !errors.Is(cause, data.ErrIntOverflow) {
+			t.Errorf("fused: cause %v, want an integer overflow", cause)
+		}
+	}
+}

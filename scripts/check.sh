@@ -19,7 +19,10 @@ fi
 # by name through Catalog.UDF (the catalog and UDF registration aside);
 # and outside internal/ffi only Engine.callUDF chooses between running a
 # fused wrapper (ffi.CallFusedVector) and the transport
-# ((ffi.Invoker).CallScalar).
+# ((ffi.Invoker).CallScalar); and outside the PyLite runtime only ffi's
+# eachRow iterates a generator UDF's rows ((*pylite.Generator).Next,
+# pylite.Iterate, pylite.ValueIter; the UDO baseline in
+# internal/bench/systems.go aside).
 go run ./scripts/udflookup
 GOMAXPROCS=8 go test -race ./...
 # Chaos sweep: fire every registered fault point and require graceful

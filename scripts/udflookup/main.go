@@ -14,6 +14,11 @@
 //     choice between them is made only in sqlengine's Engine.callUDF;
 //     runFused runs a fused plan operator, which is a wrapper by
 //     construction.
+//   - (*pylite.Generator).Next, pylite.Iterate and pylite.ValueIter walk
+//     the rows a generator UDF yields. Outside the PyLite runtime, only
+//     ffi's eachRow may, the one loop every table and expand UDF drains
+//     through on every transport and in every fused trace, and
+//     internal/bench/systems.go, whose UDO baseline iterates for itself.
 //
 // Run from the module root:
 //
@@ -51,6 +56,12 @@ type rule struct {
 	msg   string
 }
 
+// drainRule is where a UDF's yielded rows may be iterated.
+var drainRule = rule{
+	where: []string{"internal/pylite/*.go", "internal/ffi/trace.go:eachRow", "internal/bench/systems.go"},
+	msg:   "iterates a UDF's yielded rows; drain through ffi's eachRow, the one generator loop",
+}
+
 var rules = []rule{
 	{
 		fn:    "(*" + module + "/internal/sqlengine.Catalog).UDF",
@@ -67,6 +78,15 @@ var rules = []rule{
 		where: []string{"internal/ffi/*.go", "internal/sqlengine/engine.go:callUDF"},
 		msg:   "calls a scalar UDF through the transport directly; call Engine.callUDF, the one place that decides fused dispatch",
 	},
+	drainRule.of("(*" + module + "/internal/pylite.Generator).Next"),
+	drainRule.of(module + "/internal/pylite.Iterate"),
+	drainRule.of(module + "/internal/pylite.ValueIter"),
+}
+
+// of is r checking the function fn.
+func (r rule) of(fn string) rule {
+	r.fn = fn
+	return r
 }
 
 // allowed reports whether a call of r's function in fn (the enclosing
