@@ -18,6 +18,8 @@ vet:
 ## may resolve a function name through Catalog.UDF, and outside
 ## internal/ffi only Engine.callUDF chooses between ffi.CallFusedVector
 ## and (ffi.Invoker).CallScalar (runFused also runs fused operators);
+## only the transports in internal/ffi/transport.go run a scalar UDF's
+## body ((*ffi.UDF).Invoke), so no executor calls a UDF around them;
 ## outside the PyLite runtime only ffi's eachRow iterates a generator
 ## UDF's rows ((*pylite.Generator).Next, pylite.Iterate, pylite.ValueIter;
 ## the UDO baseline in internal/bench/systems.go aside).

@@ -281,8 +281,9 @@ func buildDiffQuery(dat []byte) string {
 		// reads 0 here, so no scalar meets a NULL.
 		return fmt.Sprintf("SELECT id, %s AS s FROM (SELECT title, coalesce(id, 0) AS id FROM tshape((SELECT id, title FROM notes%s)) AS t0) AS t ORDER BY id, s", scalar, pred)
 	case 12:
-		// The same three row shapes from a two-column expand UDF.
-		return fmt.Sprintf("SELECT p FROM (SELECT eshape(id, %s) AS p FROM notes%s) AS x ORDER BY p", scalar, pred)
+		// The same three row shapes from a two-column expand UDF, which
+		// exposes both of its columns.
+		return fmt.Sprintf("SELECT p, n FROM (SELECT eshape(id, %s) AS e FROM notes%s) AS x ORDER BY p, n", scalar, pred)
 	default:
 		// Inlinable scalar feeding an opaque aggregate: the argument
 		// inlines while the aggregate stays on the fusion ladder.

@@ -25,10 +25,11 @@ const (
 	// Monet: vectorized operator-at-a-time columnar execution with
 	// in-process vectorized UDFs (MonetDB).
 	Monet Profile = "monetdb"
-	// Postgres: tuple-at-a-time row execution with out-of-process UDFs
+	// Postgres: the columnar executor in ModeRow (a UDF in a projection,
+	// filter or expand is called once per row) with out-of-process UDFs
 	// (PostgreSQL pl/python): every batch is serialized to a worker.
 	Postgres Profile = "postgresql"
-	// SQLite: tuple-at-a-time row execution with in-process per-tuple
+	// SQLite: the columnar executor in ModeRow with in-process per-tuple
 	// UDF calls.
 	SQLite Profile = "sqlite"
 	// Duck: the columnar executor at morsel size 2 048 (DuckDB's vector

@@ -76,7 +76,8 @@ func rowMultiset(t *data.Table) []string {
 // an expand UDF that yield a full list, a short list and a scalar give
 // the same rows natively and fused, on the vector, tuple and process
 // transports — a scalar is a one-value row and missing columns are NULL.
-// The fused arm must run the generator inside its trace.
+// The fused arm must run the generator inside its trace. A select-list
+// expand UDF exposes every output column, under its declared name.
 func TestGeneratorRowRule(t *testing.T) {
 	cases := []struct {
 		udf, sql string
@@ -84,8 +85,8 @@ func TestGeneratorRowRule(t *testing.T) {
 	}{
 		{"tshape", "SELECT up(a) AS x, b FROM tshape((SELECT k, s FROM w)) AS t",
 			[]string{`"AB CD"|1|`, `"EF"|None|`, `"GH"|None|`}},
-		{"eshape", "SELECT k, up(e) AS x FROM (SELECT k, eshape(k, s) AS e FROM w) AS t",
-			[]string{`1|"AB CD"|`, `2|"EF"|`, `3|"GH"|`}},
+		{"eshape", "SELECT k, up(a) AS x, b FROM (SELECT k, eshape(k, s) AS e FROM w) AS t",
+			[]string{`1|"AB CD"|1|`, `2|"EF"|None|`, `3|"GH"|None|`}},
 	}
 	for _, prof := range []Profile{Monet, SQLite, Postgres} {
 		in := rowRuleDB(t, prof)

@@ -315,26 +315,3 @@ func (TupleInvoker) CallScalar(u *UDF, args []*data.Column, n int) (*data.Column
 	u.record(n, n, time.Since(start), wrap)
 	return out, nil
 }
-
-// InvokeRow is one in-process call of a scalar UDF over one row of
-// engine values, the tuple-at-a-time executor's call: it fires the
-// scalar boundary hook, records the crossing, and returns the result as
-// the declared kind, converted as a transport's result column converts
-// it.
-func (u *UDF) InvokeRow(args []data.Value) (data.Value, error) {
-	if err := fireBoundary(Scalar); err != nil {
-		return data.Null, err
-	}
-	start := time.Now()
-	v, err := u.Invoke(args)
-	if err != nil {
-		return data.Null, wrapUDFErr(u, err)
-	}
-	if k := u.OutKind(); v.Kind != k && !v.IsNull() {
-		c := data.NewColumnCap(u.Name, k, 1)
-		c.AppendValue(v)
-		v = c.Get(0)
-	}
-	u.record(1, 1, time.Since(start), 0)
-	return v, nil
-}

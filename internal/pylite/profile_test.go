@@ -1,6 +1,8 @@
 package pylite
 
 import (
+	"math"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -170,7 +172,9 @@ func TestProfilerConcurrentWorkers(t *testing.T) {
 // and enabled at the default interval the workload must stay within 25%
 // of baseline (the acceptance target is <5%; the CI bound is generous
 // because shared hosts jitter, while the benchmark below measures the
-// real number).
+// real number). Off and on runs alternate, their order flipping each
+// round, so a host that speeds up or slows down mid-test weighs on both
+// arms; the guard reads the median of the per-round ratios.
 func TestProfilerOverheadGuard(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race-detector atomic instrumentation invalidates overhead ratios")
@@ -179,29 +183,41 @@ func TestProfilerOverheadGuard(t *testing.T) {
 		t.Fatal("profiler leaked from another test")
 	}
 	it := profInterp(t, 0)
-	run := func() time.Duration {
-		best := time.Duration(1<<63 - 1)
-		for trial := 0; trial < 5; trial++ {
+	// run times the workload as the best of three back-to-back calls, so
+	// one preempted call does not decide a round.
+	run := func(profile bool) time.Duration {
+		if profile {
+			defer StartProfiler(DefaultProfileInterval).Stop()
+		}
+		best := time.Duration(math.MaxInt64)
+		for range 3 {
 			start := time.Now()
 			callHotloop(t, it, 20000)
-			if d := time.Since(start); d < best {
-				best = d
-			}
+			best = min(best, time.Since(start))
 		}
 		return best
 	}
-	callHotloop(t, it, 20000) // warm up
-	off := run()
-	p := StartProfiler(DefaultProfileInterval)
-	on := run()
-	p.Stop()
-	if off == 0 {
-		t.Skip("workload too fast to time")
+	run(false) // warm up
+	const rounds = 9
+	ratios := make([]float64, rounds)
+	for r := range ratios {
+		var off, on time.Duration
+		if r%2 == 0 {
+			off, on = run(false), run(true)
+		} else {
+			on, off = run(true), run(false)
+		}
+		if off == 0 {
+			t.Skip("workload too fast to time")
+		}
+		ratios[r] = float64(on) / float64(off)
 	}
-	ratio := float64(on) / float64(off)
-	t.Logf("profiler overhead: off=%v on=%v ratio=%.3f", off, on, ratio)
+	sorted := slices.Clone(ratios)
+	slices.Sort(sorted)
+	ratio := sorted[rounds/2]
+	t.Logf("profiler overhead: median ratio %.3f over rounds %.3f", ratio, ratios)
 	if ratio > 1.25 {
-		t.Fatalf("profiler overhead ratio %.3f exceeds guard (off=%v on=%v)", ratio, off, on)
+		t.Fatalf("profiler overhead median ratio %.3f exceeds guard (rounds %.3f)", ratio, ratios)
 	}
 }
 

@@ -100,7 +100,7 @@ func (e *Engine) insertValues(t *data.Table, rows [][]SQLExpr) error {
 			if err != nil {
 				return err
 			}
-			v, err := e.evalRow(bound, nil)
+			v, err := e.evalConst(bound)
 			if err != nil {
 				return err
 			}

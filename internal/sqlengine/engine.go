@@ -31,7 +31,9 @@ const (
 	// materialization (MonetDB's model); MorselSize sets how its
 	// operators split their inputs.
 	ModeColumnar ExecMode = iota
-	// ModeRow is tuple-at-a-time Volcano iteration (SQLite/PostgreSQL).
+	// ModeRow is tuple-at-a-time UDF crossing (SQLite/PostgreSQL): the
+	// same operators, but a projection, filter or expand that calls a
+	// UDF runs one row per morsel, so each call crosses per tuple.
 	ModeRow
 )
 
@@ -229,10 +231,9 @@ func (e *Engine) ExecuteCtx(ctx context.Context, q *Query) (*data.Table, error) 
 // span per plan operator (rows in/out, wall time) off root when a tracer
 // is attached; a nil root is the zero-overhead fast path Execute takes.
 // The context is checked at every plan-operator entry, every morsel
-// claim, every PyLite statement and (for the row executor) every few
-// hundred rows, so cancellation lands within one morsel/step budget
-// rather than at query end. used is the exact per-UDF work of this
-// execution — partial work included when err is non-nil.
+// claim and every PyLite statement, so cancellation lands within one
+// morsel/step budget rather than at query end. used is the exact per-UDF
+// work of this execution — partial work included when err is non-nil.
 func (e *Engine) ExecuteTracedCtx(ctx context.Context, q *Query, root *obs.Span) (*data.Table, []ffi.Usage, error) {
 	start := time.Now()
 	var ch *data.Chunk
@@ -287,11 +288,16 @@ func (e *Engine) execQuery(q *Query) (*data.Chunk, error) {
 	return ch, nil
 }
 
-// execPlan runs one plan node through the physical executor for this
-// engine's mode, wrapping it in a per-operator span when the query is
-// traced. Child executions recurse through here, so the span tree
-// mirrors the plan tree. With no tracer the hook is one nil check.
+// execPlan runs one plan node through the executor, wrapping it in a
+// per-operator span when the query is traced. Child executions recurse
+// through here, so the span tree mirrors the plan tree.
 func (e *Engine) execPlan(p *Plan, ectx *execCtx) (*data.Chunk, error) {
+	return e.observe(p, ectx, func() (*data.Chunk, error) { return e.execColumnar(p, ectx) })
+}
+
+// observe runs op, an execution of plan node p, under the node's span
+// and resource-ledger entry. With no tracer the hook is one nil check.
+func (e *Engine) observe(p *Plan, ectx *execCtx, op func() (*data.Chunk, error)) (*data.Chunk, error) {
 	if err := ectx.ctx.Err(); err != nil {
 		return nil, err
 	}
@@ -304,13 +310,13 @@ func (e *Engine) execPlan(p *Plan, ectx *execCtx) (*data.Chunk, error) {
 		err error
 	)
 	if ectx.span == nil {
-		ch, err = e.execPlanNode(p, ectx)
+		ch, err = op()
 	} else {
 		parent := ectx.span
 		sp := parent.Child("op:" + p.Op.String())
 		annotateOpSpan(sp, p)
 		ectx.span = sp
-		ch, err = e.execPlanNode(p, ectx)
+		ch, err = op()
 		ectx.span = parent
 		sp.End()
 		if ch != nil {
@@ -362,17 +368,6 @@ func annotateOpSpan(sp *obs.Span, p *Plan) {
 	sp.SetInt("est_rows", int64(p.EstRows))
 }
 
-// execPlanNode dispatches to the physical executor for this engine's
-// mode.
-func (e *Engine) execPlanNode(p *Plan, ectx *execCtx) (*data.Chunk, error) {
-	switch e.Mode {
-	case ModeRow:
-		return e.execRowPlan(p, ectx)
-	default:
-		return e.execColumnar(p, ectx)
-	}
-}
-
 // execCtx is the one object that carries a running statement's state:
 // the executors' bookkeeping (CTE results, cancellation context, current
 // span, resource ledger) and the statement's UDF state. Every UDF the
@@ -401,8 +396,7 @@ type execCtx struct {
 	// budget is the engine's UDF step budget, drawn on by all clones.
 	budget int64
 
-	// clones is copy-on-write: the row executor looks up a call's clone
-	// per row, from every morsel worker, so a hit reads the current list without a
+	// clones is copy-on-write, so a hit reads the current list without a
 	// lock; mu serializes the derivation of a new clone.
 	clones atomic.Pointer[[]scopedUDF]
 	mu     sync.Mutex
@@ -500,35 +494,4 @@ func (e *Engine) callUDF(u *ffi.UDF, args []*data.Column, n int) (*data.Column, 
 		return cols[0], nil
 	}
 	return e.Invoker.CallScalar(u, args, n)
-}
-
-// callScalarUDFRow invokes a scalar UDF for a single row (the row
-// executor's per-tuple call). A plain UDF on an in-process transport is
-// called on the row itself; a fused wrapper, or any UDF on the process
-// transport (PostgreSQL's per-call protocol), gets the row as one-row
-// columns through callUDF.
-func (e *Engine) callScalarUDFRow(u *ffi.UDF, args []data.Value) (data.Value, error) {
-	if u.Kind != ffi.Scalar {
-		return data.Null, fmt.Errorf("sql: %s UDF in scalar position", u.Kind)
-	}
-	if _, ipc := e.Invoker.(*ffi.ProcessInvoker); !ipc && !u.Fused {
-		return u.InvokeRow(args)
-	}
-	cols := make([]*data.Column, len(args))
-	for i, a := range args {
-		k := a.Kind
-		if i < len(u.InKinds) {
-			k = u.InKinds[i]
-		}
-		if k == data.KindNull {
-			k = data.KindString
-		}
-		cols[i] = data.NewColumn(fmt.Sprintf("a%d", i), k)
-		cols[i].AppendValue(a)
-	}
-	out, err := e.callUDF(u, cols, 1)
-	if err != nil || out.Len() == 0 {
-		return data.Null, err
-	}
-	return out.Get(0), nil
 }

@@ -2,6 +2,7 @@ package sqlengine
 
 import (
 	"fmt"
+	"math"
 	"slices"
 	"sort"
 	"sync"
@@ -10,12 +11,16 @@ import (
 	"qfusor/internal/data"
 )
 
-// execColumnar is the vectorized operator-at-a-time executor: every
-// operator materializes its full output before the parent runs
-// (MonetDB's model; an explicit MorselSize splits UDF batches but keeps
-// the same operator boundaries). Operators that scan full inputs run
-// morsel-parallel over the engine's worker pool (see morsel.go); the
-// blocking ones keep per-worker partial state and merge at the barrier.
+// execColumnar is the executor of every profile, vectorized and
+// operator-at-a-time: every operator materializes its full output before
+// the parent runs (MonetDB's model; an explicit MorselSize splits UDF
+// batches but keeps the same operator boundaries). Operators that scan
+// full inputs run morsel-parallel over the engine's worker pool (see
+// morsel.go); the blocking ones keep per-worker partial state and merge
+// at the barrier. Two rules make tuple-at-a-time a parameter of the same
+// loop: under ModeRow a projection, filter or expand that calls a UDF
+// runs one-row morsels (rowSpans), and a LIMIT stops the row-wise chain
+// below it early on every profile (limitChunk).
 func (e *Engine) execColumnar(p *Plan, ectx *execCtx) (*data.Chunk, error) {
 	switch p.Op {
 	case OpScan:
@@ -33,7 +38,7 @@ func (e *Engine) execColumnar(p *Plan, ectx *execCtx) (*data.Chunk, error) {
 			return nil, fmt.Errorf("sql: CTE %s not materialized", p.Table)
 		}
 		return p.emit(ch), nil
-	case OpProject:
+	case OpProject, OpFilter, OpExpand:
 		if len(p.Children) == 0 {
 			// FROM-less SELECT: one dummy row. The planner's placeholder
 			// node has no expressions — keep the dummy row so a parent
@@ -41,19 +46,13 @@ func (e *Engine) execColumnar(p *Plan, ectx *execCtx) (*data.Chunk, error) {
 			if len(p.Exprs) == 0 {
 				return oneRowChunk(), nil
 			}
-			return e.projectChunk(p, oneRowChunk(), ectx)
+			return e.rowWise(p, oneRowChunk(), ectx)
 		}
 		in, err := e.execPlan(p.Children[0], ectx)
 		if err != nil {
 			return nil, err
 		}
-		return e.projectChunk(p, in, ectx)
-	case OpFilter:
-		in, err := e.execPlan(p.Children[0], ectx)
-		if err != nil {
-			return nil, err
-		}
-		return e.filterChunk(p.Exprs[0], in, ectx)
+		return e.rowWise(p, in, ectx)
 	case OpJoin:
 		return e.joinChunk(p, ectx)
 	case OpAggregate:
@@ -75,20 +74,7 @@ func (e *Engine) execColumnar(p *Plan, ectx *execCtx) (*data.Chunk, error) {
 		}
 		return e.distinctChunk(in, ectx), nil
 	case OpLimit:
-		in, err := e.execPlan(p.Children[0], ectx)
-		if err != nil {
-			return nil, err
-		}
-		lo := int(p.OffsetN)
-		hi := lo + int(p.LimitN)
-		n := in.NumRows()
-		if lo > n {
-			lo = n
-		}
-		if hi > n {
-			hi = n
-		}
-		return in.Slice(lo, hi), nil
+		return e.limitChunk(p, ectx)
 	case OpUnion:
 		l, err := e.execPlan(p.Children[0], ectx)
 		if err != nil {
@@ -115,7 +101,7 @@ func (e *Engine) execColumnar(p *Plan, ectx *execCtx) (*data.Chunk, error) {
 		}
 		extra := make([]data.Value, len(p.TFArgs))
 		for i, a := range p.TFArgs {
-			v, err := e.evalRow(a, nil)
+			v, err := e.evalConst(a)
 			if err != nil {
 				return nil, err
 			}
@@ -131,16 +117,65 @@ func (e *Engine) execColumnar(p *Plan, ectx *execCtx) (*data.Chunk, error) {
 			}
 		}
 		return out, nil
-	case OpExpand:
-		in, err := e.execPlan(p.Children[0], ectx)
-		if err != nil {
-			return nil, err
-		}
-		return e.expandChunk(p, in)
 	case OpFused, OpFusedAgg:
 		return e.execFusedColumnar(p, ectx)
 	}
 	return nil, fmt.Errorf("sql: columnar executor: unsupported op %s", p.Op)
+}
+
+// rowWise applies a row-wise operator — a projection, filter or expand —
+// to its input.
+func (e *Engine) rowWise(p *Plan, in *data.Chunk, ectx *execCtx) (*data.Chunk, error) {
+	switch p.Op {
+	case OpProject:
+		return e.projectChunk(p, in, ectx)
+	case OpFilter:
+		return e.filterChunk(p.Exprs[0], in, ectx)
+	}
+	return e.expandChunk(p, in, ectx)
+}
+
+// limitChunk takes rows [OFFSET, OFFSET+LIMIT) of its child. Above a
+// chain of row-wise operators it stops the chain early: the chain's
+// source runs in full, the chain first on its first OFFSET+LIMIT rows,
+// then on windows that double each time, and only while rows are
+// missing. A projection's UDF thus runs on exactly the rows the LIMIT
+// takes, and each window's operators get spans of their own.
+func (e *Engine) limitChunk(p *Plan, ectx *execCtx) (*data.Chunk, error) {
+	var chain []*Plan // top down
+	src := p.Children[0]
+	for (src.Op == OpProject || src.Op == OpFilter || src.Op == OpExpand) && len(src.Children) > 0 {
+		chain = append(chain, src)
+		src = src.Children[0]
+	}
+	need := p.OffsetN + p.LimitN
+	if need < p.OffsetN { // overflow: no bound
+		need = math.MaxInt64
+	}
+	in, err := e.execPlan(src, ectx)
+	if err != nil {
+		return nil, err
+	}
+	if len(chain) > 0 {
+		var parts []*data.Chunk
+		got, n := 0, in.NumRows()
+		for at, w := 0, int(min(need, int64(n))); ; at, w = at+w, 2*w {
+			part := in.Slice(at, min(at+w, n))
+			for i := len(chain) - 1; i >= 0; i-- {
+				op, win := chain[i], part
+				if part, err = e.observe(op, ectx, func() (*data.Chunk, error) { return e.rowWise(op, win, ectx) }); err != nil {
+					return nil, err
+				}
+			}
+			parts = append(parts, part)
+			if got += part.NumRows(); int64(got) >= need || at+w >= n {
+				break
+			}
+		}
+		in = e.concat(ectx.span, parts[0].Schema(), parts)
+	}
+	n := int64(in.NumRows())
+	return in.Slice(int(min(p.OffsetN, n)), int(min(need, n))), nil
 }
 
 func lower(s string) string {
@@ -188,7 +223,7 @@ func (e *Engine) projectChunk(p *Plan, in *data.Chunk, ectx *execCtx) (*data.Chu
 	if len(prog.roots) > 0 && !slices.ContainsFunc(prog.roots, func(r int) bool { return r >= len(in.Cols) }) {
 		return rename(choose(in.Cols, prog.roots)), nil
 	}
-	return e.runPartitioned(ectx, in, in.NumRows(), func(_ int, part *data.Chunk) (*data.Chunk, error) {
+	return e.runPartitioned(ectx, in, e.rowSpans(in.NumRows(), prog.crosses()), func(_ int, part *data.Chunk) (*data.Chunk, error) {
 		cols, err := prog.run(part)
 		if err != nil {
 			return nil, err
@@ -206,7 +241,7 @@ func (e *Engine) filterChunk(pred SQLExpr, in *data.Chunk, ectx *execCtx) (*data
 	if err != nil {
 		return nil, err
 	}
-	keep, err := partitioned(e, ectx, in, in.NumRows(), func(lo int, part *data.Chunk) (keep []int, err error) {
+	keep, err := partitioned(e, ectx, in, e.rowSpans(in.NumRows(), prog.crosses()), func(lo int, part *data.Chunk) (keep []int, err error) {
 		err = prog.use(part, func(cols []*data.Column) error { keep = trueRows(cols[0], lo); return nil })
 		return keep, err
 	})
@@ -238,29 +273,42 @@ func trueRows(keep *data.Column, lo int) []int {
 	return idx
 }
 
-// expandChunk calls an expand UDF on every input row. Its output
-// columns come back from the transport as they are, and the kept
-// columns before them are replicated by its parent map, once per row a
-// call yielded.
-func (e *Engine) expandChunk(p *Plan, in *data.Chunk) (*data.Chunk, error) {
-	argCols := make([]*data.Column, len(p.TFArgs))
-	for i, a := range p.TFArgs {
-		cr, ok := a.(*ColRef)
-		if !ok {
-			return nil, fmt.Errorf("sql: expand arg must be a column ref")
+// expandChunk calls an expand UDF on every input row: in one crossing
+// over the whole input, or under ModeRow in one per row. A call's output
+// columns come back from the transport as they are, and the kept columns
+// before them are replicated by its parent map, once per row the call
+// yielded. An empty input makes no call.
+func (e *Engine) expandChunk(p *Plan, in *data.Chunk, ectx *execCtx) (*data.Chunk, error) {
+	u := ectx.clone(p.UDF)
+	spans := []morselSpan{{0, in.NumRows()}}
+	if e.Mode == ModeRow {
+		spans = morselPlan(in.NumRows(), 1)
+	}
+	return e.runPartitioned(ectx, in, spans, func(_ int, part *data.Chunk) (*data.Chunk, error) {
+		if part.NumRows() == 0 {
+			return data.EmptyChunk(p.Schema), nil
 		}
-		argCols[i] = in.Cols[cr.Index]
-	}
-	res, parent, err := e.Invoker.CallExpand(e.q.clone(p.UDF), argCols, in.NumRows())
-	if err != nil {
-		return nil, err
-	}
-	out := (&data.Chunk{Cols: in.Cols[:p.ExpandKeep()]}).Take(parent)
-	out.Cols = append(out.Cols, res.Cols...)
-	for i, c := range out.Cols {
-		c.Name = p.Schema[i].Name
-	}
-	return out, nil
+		argCols := make([]*data.Column, len(p.TFArgs))
+		for i, a := range p.TFArgs {
+			cr, ok := a.(*ColRef)
+			if !ok {
+				return nil, fmt.Errorf("sql: expand arg must be a column ref")
+			}
+			argCols[i] = part.Cols[cr.Index]
+		}
+		cu := u.WorkerClone()
+		defer u.AbsorbWorker(cu)
+		res, parent, err := e.Invoker.CallExpand(cu, argCols, part.NumRows())
+		if err != nil {
+			return nil, err
+		}
+		out := (&data.Chunk{Cols: part.Cols[:p.ExpandKeep()]}).Take(parent)
+		out.Cols = append(out.Cols, res.Cols...)
+		for i, c := range out.Cols {
+			c.Name = p.Schema[i].Name
+		}
+		return out, nil
+	})
 }
 
 // joinChunk executes a join one morsel of left rows at a time. A
@@ -302,10 +350,10 @@ func (e *Engine) joinChunk(p *Plan, ectx *execCtx) (*data.Chunk, error) {
 	}
 	nL, nR := l.NumRows(), r.NumRows()
 	batch := e.morselSize()
-	k := len(e.morselsFor(nL))
-	lrows, rrows := make([][]int, k), make([][]int, k)
+	spans := e.morselsFor(nL)
+	lrows, rrows := make([][]int, len(spans)), make([][]int, len(spans))
 	var padded atomic.Bool // some left row has no pair: the right columns get a null mask
-	_, err = e.runMorsels(ectx, nL, func(_, m, lo, hi int) error {
+	_, err = e.runMorsels(ectx, spans, func(_, m, lo, hi int) error {
 		// Sized for one pair per left row, a key join's usual yield.
 		li, ri := make([]int, 0, hi-lo), make([]int, 0, hi-lo)
 		var kb []byte
@@ -732,7 +780,7 @@ func (e *Engine) aggregateChunk(p *Plan, in *data.Chunk, ectx *execCtx) (*data.C
 	gidBufs := make([][]int, min(e.Workers(), len(spans))) // per worker: morsel row -> local group id
 	seens := make([]map[string]int, len(gidBufs))          // per worker: encoded key -> local group id
 
-	_, err = e.runMorsels(ectx, n, func(w, m, lo, hi int) error {
+	_, err = e.runMorsels(ectx, spans, func(w, m, lo, hi int) error {
 		return prog.use(in.Slice(lo, hi), func(cols []*data.Column) error {
 			mg := &morselGroups{keyCols: cols[:nk]}
 			gidBufs[w] = grow(gidBufs[w], hi-lo)
@@ -911,7 +959,7 @@ func (e *Engine) sortChunk(p *Plan, in *data.Chunk, ectx *execCtx) (*data.Chunk,
 	if err != nil {
 		return nil, err
 	}
-	keys, err := e.runPartitioned(ectx, in, n, func(_ int, part *data.Chunk) (*data.Chunk, error) {
+	keys, err := e.runPartitioned(ectx, in, e.morselsFor(n), func(_ int, part *data.Chunk) (*data.Chunk, error) {
 		cols, err := prog.run(part)
 		return data.NewChunk(cols...), err
 	})
@@ -1060,7 +1108,7 @@ func (e *Engine) distinctChunk(in *data.Chunk, ectx *execCtx) *data.Chunk {
 		rows []int
 	}
 	parts := make([]dedup, len(spans))
-	_, _ = e.runMorsels(ectx, n, func(_, m, lo, hi int) error {
+	_, _ = e.runMorsels(ectx, spans, func(_, m, lo, hi int) error {
 		seen := make(map[string]bool)
 		var d dedup
 		var kb []byte

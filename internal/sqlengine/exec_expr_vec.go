@@ -3,8 +3,10 @@ package sqlengine
 import (
 	"fmt"
 	"math"
+	"slices"
 	"strconv"
 	"sync"
+	"sync/atomic"
 
 	"qfusor/internal/data"
 	"qfusor/internal/ffi"
@@ -43,7 +45,8 @@ type exprProg struct {
 	roots  []int // result slot per compiled expression
 	shared int32 // subtree evaluations that register reuse avoids per run
 
-	started bool // a run has begun: the next ones keep scratch
+	started bool         // a run has begun: the next ones keep scratch
+	running atomic.Int32 // runs in progress
 	mu      sync.Mutex
 	idle    [][]scratch // scratch that finished runs returned
 }
@@ -121,6 +124,22 @@ func (e *Engine) evalVec(x SQLExpr, ch *data.Chunk, want data.Kind) (*data.Colum
 		return nil, err
 	}
 	return cols[0], nil
+}
+
+// evalConst evaluates a constant expression — an INSERT … VALUES cell, a
+// table function's extra argument — as a program over one row, so a UDF
+// in it crosses as every call does.
+func (e *Engine) evalConst(x SQLExpr) (data.Value, error) {
+	col, err := e.evalVec(x, oneRowChunk(), data.KindNull)
+	if err != nil {
+		return data.Null, err
+	}
+	return col.Get(0), nil
+}
+
+// crosses reports whether the program calls a UDF.
+func (p *exprProg) crosses() bool {
+	return slices.ContainsFunc(p.instrs, func(in instr) bool { return in.op == opUDF })
 }
 
 // ref is slot s as an expression; the name is what keys render.
@@ -349,15 +368,27 @@ func (c *compiler) toFloat(t SQLExpr) SQLExpr {
 // ---- run ----
 
 // callUDF is the one real crossing: arguments are engine columns, and
-// Engine.callUDF runs the UDF over them. It runs on a clone of the
-// statement's UDF, folded back when it returns: the program may run on
-// several morsel workers at once, and a clone's interpreter view belongs
-// to one goroutine (one span, one clone, one crossing, like a fused
-// section's).
-func (p *exprProg) callUDF(u *ffi.UDF, args []*data.Column, n int) (*data.Column, error) {
-	cu := u.WorkerClone()
-	defer u.AbsorbWorker(cu)
-	return p.e.callUDF(cu, args, n)
+// Engine.callUDF runs the UDF over them. A run that has the program to
+// itself calls the statement's UDF u; one beside other runs calls a clone
+// of u, folded back when it returns (one span, one clone, one crossing,
+// like a fused section's): the program may run on several morsel
+// workers at once, and a clone's interpreter view belongs to one
+// goroutine. Operators run one at a time, so only the one run alone
+// touches u.
+func (p *exprProg) callUDF(in *instr, f *frame) (*data.Column, error) {
+	args := make([]*data.Column, len(in.args))
+	for i, s := range in.args {
+		args[i] = f.full(s)
+	}
+	if f.n == 0 { // no rows, no crossing
+		return data.NewColumn(in.udf.Name, p.kinds[in.out]), nil
+	}
+	u := in.udf
+	if !f.alone {
+		u = u.WorkerClone()
+		defer in.udf.AbsorbWorker(u)
+	}
+	return p.e.callUDF(u, args, f.n)
 }
 
 // vec is an operand at run time: a column, and the mask that indexes it
@@ -376,12 +407,13 @@ type vec struct {
 // run lends it (use); one that leaves the run (run) gets fresh storage
 // and never shares a kept slot's mask.
 type frame struct {
-	p    *exprProg
-	cols []*data.Column
-	n    int
-	bufs []scratch // per slot; nil on the program's first run
-	lend bool      // the roots are kept too: they live until the consumer returns
-	tmp  scratch   // fresh storage, emptied for each use
+	p     *exprProg
+	cols  []*data.Column
+	n     int
+	bufs  []scratch // per slot; nil on the program's first run
+	lend  bool      // the roots are kept too: they live until the consumer returns
+	alone bool      // no other run of the program is in progress
+	tmp   scratch   // fresh storage, emptied for each use
 }
 
 // scratch is the storage one slot keeps between runs.
@@ -472,6 +504,8 @@ func (p *exprProg) use(ch *data.Chunk, fn func(cols []*data.Column) error) error
 func (p *exprProg) eval(ch *data.Chunk, lend bool, fn func(cols []*data.Column) error) error {
 	f := &frame{p: p, cols: append([]*data.Column(nil), p.consts...), n: ch.NumRows(), bufs: p.scratch(), lend: lend}
 	copy(f.cols, ch.Cols)
+	f.alone = p.running.Add(1) == 1
+	defer p.running.Add(-1)
 	if f.bufs != nil {
 		defer func() { // back to the program, for the next morsel
 			p.mu.Lock()
@@ -496,6 +530,9 @@ func (p *exprProg) eval(ch *data.Chunk, lend bool, fn func(cols []*data.Column) 
 }
 
 func (p *exprProg) exec(in *instr, f *frame) (*data.Column, error) {
+	if in.op == opUDF {
+		return p.callUDF(in, f)
+	}
 	n := f.n
 	// A kept slot's kernel writes over its column from the previous
 	// morsel; own is where it builds a null mask of its own.
@@ -554,8 +591,8 @@ func (p *exprProg) exec(in *instr, f *frame) (*data.Column, error) {
 		}
 	case opCase:
 		// Operator-at-a-time CASE: every branch is already evaluated in
-		// full (the row executor short-circuits instead); which[i] is the
-		// first WHEN that holds for row i, nb standing for ELSE.
+		// full (evalRow short-circuits instead); which[i] is the first
+		// WHEN that holds for row i, nb standing for ELSE.
 		nb := len(in.args) / 2
 		sc := f.buf(in.out)
 		sc.which = grow(sc.which, n)
@@ -609,12 +646,6 @@ func (p *exprProg) exec(in *instr, f *frame) (*data.Column, error) {
 		} else {
 			out.Ints = convert(out.Ints, a.Floats, a.mask, n)
 		}
-	case opUDF:
-		args := make([]*data.Column, len(in.args))
-		for i, s := range in.args {
-			args[i] = f.full(s)
-		}
-		return p.callUDF(in.udf, args, n)
 	default:
 		out = data.NewColumnCap("", out.Kind, n)
 		ops := make([]vec, len(in.args))

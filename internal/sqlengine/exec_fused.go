@@ -84,7 +84,7 @@ func (e *Engine) runFused(p *Plan, in *data.Chunk, ectx *execCtx) (*data.Chunk, 
 		// one clone of u (own pylite interpreter view, own Stats, folded
 		// back into u when the span is done) and one crossing; morselsFor
 		// is what keeps Parallelism 1 operator-at-a-time.
-		return e.runPartitioned(ectx, data.NewChunk(args...), n, func(_ int, part *data.Chunk) (*data.Chunk, error) {
+		return e.runPartitioned(ectx, data.NewChunk(args...), e.morselsFor(n), func(_ int, part *data.Chunk) (*data.Chunk, error) {
 			cu := u.WorkerClone()
 			defer u.AbsorbWorker(cu)
 			cols, err := ffi.CallFusedVector(cu, part.Cols, part.NumRows(), names, kinds)
@@ -115,8 +115,9 @@ func (e *Engine) runFused(p *Plan, in *data.Chunk, ectx *execCtx) (*data.Chunk, 
 // the barrier (partial aggregation + merge, §5.3.2 applied in parallel).
 func (e *Engine) runTraceAggMorsels(u *ffi.UDF, tr *ffi.Trace, args []*data.Column, n int, names []string, kinds []data.Kind, ectx *execCtx) (*data.Chunk, error) {
 	argChunk := data.NewChunk(args...)
-	parts := make([]*ffi.TraceAggPartial, len(e.morselsFor(n)))
-	_, err := e.runMorsels(ectx, n, func(_, m, lo, hi int) (err error) {
+	spans := e.morselsFor(n)
+	parts := make([]*ffi.TraceAggPartial, len(spans))
+	_, err := e.runMorsels(ectx, spans, func(_, m, lo, hi int) (err error) {
 		cu := u.WorkerClone()
 		defer u.AbsorbWorker(cu)
 		parts[m], err = ffi.RunTraceAggPartial(cu, tr, argChunk.Slice(lo, hi).Cols, hi-lo)

@@ -319,18 +319,14 @@ func evalNativeScalar(name string, args []data.Value) (data.Value, error) {
 // EvalPure evaluates a UDF-free bound expression over a row with SQL
 // semantics (used by QFusor's compiled traces for offloaded relational
 // expressions).
-func EvalPure(x SQLExpr, row []data.Value) (data.Value, error) {
-	return (*Engine)(nil).evalRow(x, row)
-}
+func EvalPure(x SQLExpr, row []data.Value) (data.Value, error) { return evalRow(x, row) }
 
-// evalRow evaluates a bound expression against one boxed row; UDF calls
-// go through the engine's invoker row path. It is the one definition of
-// SQL scalar semantics: the columnar executors' compiled programs
-// (exec_expr_vec.go) specialize it into typed kernels and call it for
-// everything else. The row executor keeps evaluating through it tuple
-// by tuple on purpose — the sqlite and postgres profiles model exactly
-// that cost.
-func (e *Engine) evalRow(x SQLExpr, row []data.Value) (data.Value, error) {
+// evalRow evaluates a UDF-free bound expression against one boxed row.
+// It is the one definition of SQL scalar semantics: the compiled
+// programs (exec_expr_vec.go) specialize it into typed kernels and call
+// it for everything else. A UDF call is never evaluated here: a program
+// compiles it to a crossing of its own.
+func evalRow(x SQLExpr, row []data.Value) (data.Value, error) {
 	switch ex := x.(type) {
 	case *ColRef:
 		if ex.Index < 0 || ex.Index >= len(row) {
@@ -340,46 +336,46 @@ func (e *Engine) evalRow(x SQLExpr, row []data.Value) (data.Value, error) {
 	case *Lit:
 		return ex.Value, nil
 	case *BinExpr:
-		// Tuple-at-a-time engines short-circuit AND/OR.
+		// AND/OR short-circuit.
 		if ex.Op == "AND" {
-			l, err := e.evalRow(ex.L, row)
+			l, err := evalRow(ex.L, row)
 			if err != nil {
 				return data.Null, err
 			}
 			if !l.Truthy() {
 				return data.Bool(false), nil
 			}
-			r, err := e.evalRow(ex.R, row)
+			r, err := evalRow(ex.R, row)
 			if err != nil {
 				return data.Null, err
 			}
 			return data.Bool(r.Truthy()), nil
 		}
 		if ex.Op == "OR" {
-			l, err := e.evalRow(ex.L, row)
+			l, err := evalRow(ex.L, row)
 			if err != nil {
 				return data.Null, err
 			}
 			if l.Truthy() {
 				return data.Bool(true), nil
 			}
-			r, err := e.evalRow(ex.R, row)
+			r, err := evalRow(ex.R, row)
 			if err != nil {
 				return data.Null, err
 			}
 			return data.Bool(r.Truthy()), nil
 		}
-		l, err := e.evalRow(ex.L, row)
+		l, err := evalRow(ex.L, row)
 		if err != nil {
 			return data.Null, err
 		}
-		r, err := e.evalRow(ex.R, row)
+		r, err := evalRow(ex.R, row)
 		if err != nil {
 			return data.Null, err
 		}
 		return sqlBinOp(ex.Op, l, r)
 	case *UnaryExpr:
-		v, err := e.evalRow(ex.E, row)
+		v, err := evalRow(ex.E, row)
 		if err != nil {
 			return data.Null, err
 		}
@@ -388,29 +384,29 @@ func (e *Engine) evalRow(x SQLExpr, row []data.Value) (data.Value, error) {
 		}
 		return sqlBinOp("-", data.Int(0), v)
 	case *FuncExpr:
+		if ex.UDF != nil {
+			return data.Null, fmt.Errorf("sql: %s UDF %s in a row expression", ex.UDF.Kind, ex.Name)
+		}
 		args := make([]data.Value, len(ex.Args))
 		for i, a := range ex.Args {
-			v, err := e.evalRow(a, row)
+			v, err := evalRow(a, row)
 			if err != nil {
 				return data.Null, err
 			}
 			args[i] = v
 		}
-		if e != nil && ex.UDF != nil {
-			return e.callScalarUDFRow(e.q.clone(ex.UDF), args)
-		}
 		return evalNativeScalar(ex.Name, args)
 	case *CaseExpr:
 		var operand data.Value
 		if ex.Operand != nil {
-			v, err := e.evalRow(ex.Operand, row)
+			v, err := evalRow(ex.Operand, row)
 			if err != nil {
 				return data.Null, err
 			}
 			operand = v
 		}
 		for i := range ex.Whens {
-			w, err := e.evalRow(ex.Whens[i], row)
+			w, err := evalRow(ex.Whens[i], row)
 			if err != nil {
 				return data.Null, err
 			}
@@ -421,23 +417,23 @@ func (e *Engine) evalRow(x SQLExpr, row []data.Value) (data.Value, error) {
 				match = w.Truthy()
 			}
 			if match {
-				return e.evalRow(ex.Thens[i], row)
+				return evalRow(ex.Thens[i], row)
 			}
 		}
 		if ex.Else != nil {
-			return e.evalRow(ex.Else, row)
+			return evalRow(ex.Else, row)
 		}
 		return data.Null, nil
 	case *BetweenExpr:
-		v, err := e.evalRow(ex.E, row)
+		v, err := evalRow(ex.E, row)
 		if err != nil {
 			return data.Null, err
 		}
-		lo, err := e.evalRow(ex.Lo, row)
+		lo, err := evalRow(ex.Lo, row)
 		if err != nil {
 			return data.Null, err
 		}
-		hi, err := e.evalRow(ex.Hi, row)
+		hi, err := evalRow(ex.Hi, row)
 		if err != nil {
 			return data.Null, err
 		}
@@ -452,13 +448,13 @@ func (e *Engine) evalRow(x SQLExpr, row []data.Value) (data.Value, error) {
 		}
 		return data.Bool(res), nil
 	case *InExpr:
-		v, err := e.evalRow(ex.E, row)
+		v, err := evalRow(ex.E, row)
 		if err != nil {
 			return data.Null, err
 		}
 		found := false
 		for _, item := range ex.List {
-			iv, err := e.evalRow(item, row)
+			iv, err := evalRow(item, row)
 			if err != nil {
 				return data.Null, err
 			}
@@ -472,7 +468,7 @@ func (e *Engine) evalRow(x SQLExpr, row []data.Value) (data.Value, error) {
 		}
 		return data.Bool(found), nil
 	case *IsNullExpr:
-		v, err := e.evalRow(ex.E, row)
+		v, err := evalRow(ex.E, row)
 		if err != nil {
 			return data.Null, err
 		}
@@ -482,7 +478,7 @@ func (e *Engine) evalRow(x SQLExpr, row []data.Value) (data.Value, error) {
 		}
 		return data.Bool(isNull), nil
 	case *CastExpr:
-		v, err := e.evalRow(ex.E, row)
+		v, err := evalRow(ex.E, row)
 		if err != nil {
 			return data.Null, err
 		}

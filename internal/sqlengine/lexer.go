@@ -1,6 +1,6 @@
 // Package sqlengine is the SQL database substrate: a lexer, parser,
-// logical planner with a rule-based optimizer, and two physical
-// executors (vectorized columnar and tuple-at-a-time), with a UDF
+// logical planner with a rule-based optimizer, and one vectorized
+// executor whose ModeRow crosses to a UDF once per row, with a UDF
 // registry bridged through the ffi package. The engine profiles in
 // package engines configure it to mimic the execution models of the
 // systems the paper evaluates.

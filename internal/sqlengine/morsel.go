@@ -76,6 +76,17 @@ func (e *Engine) morselsFor(n int) []morselSpan {
 	return morselPlan(n, size)
 }
 
+// rowSpans fixes the split of a projection's or filter's n input rows.
+// Under ModeRow one that calls a UDF runs one row per morsel, so every
+// call crosses the boundary for one tuple (SQLite's per-row C call,
+// PostgreSQL's round trip per row); any other splits as morselsFor does.
+func (e *Engine) rowSpans(n int, crosses bool) []morselSpan {
+	if e.Mode == ModeRow && crosses {
+		return morselPlan(n, 1)
+	}
+	return e.morselsFor(n)
+}
+
 // morselPlan fixes the split of n rows into morsels of the given size.
 func morselPlan(n, size int) []morselSpan {
 	if size <= 0 {
@@ -95,15 +106,15 @@ func morselPlan(n, size int) []morselSpan {
 	return spans
 }
 
-// runMorsels drives fn over the morsels of [0, n) with the engine's
-// worker pool (see drive). fn receives (worker, morsel index, lo, hi)
+// runMorsels drives fn over spans, the morsels of [0, n), with the
+// engine's worker pool (see drive). fn receives (worker, morsel index, lo, hi)
 // and must only touch worker- or morsel-local state. The returned worker
 // count is 1 when the input ran serially (small input or Parallelism 1).
 // Per-morsel counts and worker utilization are recorded on the query
 // span (nil-safe) and the engine-wide metrics.
-func (e *Engine) runMorsels(ectx *execCtx, n int, fn func(worker, m, lo, hi int) error) (int, error) {
+func (e *Engine) runMorsels(ectx *execCtx, spans []morselSpan, fn func(worker, m, lo, hi int) error) (int, error) {
 	sp := ectx.span
-	spans := e.morselsFor(n)
+	n := spans[len(spans)-1].hi
 	wall := time.Now()
 	workers, busy, err := e.drive(ectx.ctx, spans, n < minParallelRows, fn)
 	elapsed := time.Since(wall).Nanoseconds()
@@ -224,32 +235,31 @@ func (e *Engine) mergeTimer(sp *obs.Span) func() {
 	}
 }
 
-// runPartitioned executes fn over row ranges of in — morsels driven by
-// the worker pool — and concatenates the partial outputs in input
-// order. The contract matches the serial path exactly: fn sees
+// runPartitioned executes fn over row ranges of in — spans, morsels
+// driven by the worker pool — and concatenates the partial outputs in
+// input order. The contract matches the serial path exactly: fn sees
 // contiguous slices of in (and the row each starts at) and outputs one
 // chunk per slice.
-func (e *Engine) runPartitioned(ectx *execCtx, in *data.Chunk, n int, fn func(lo int, part *data.Chunk) (*data.Chunk, error)) (*data.Chunk, error) {
-	outs, err := partitioned(e, ectx, in, n, fn)
+func (e *Engine) runPartitioned(ectx *execCtx, in *data.Chunk, spans []morselSpan, fn func(lo int, part *data.Chunk) (*data.Chunk, error)) (*data.Chunk, error) {
+	outs, err := partitioned(e, ectx, in, spans, fn)
 	if err != nil {
 		return nil, err
 	}
 	return e.concat(ectx.span, outs[0].Schema(), outs), nil
 }
 
-// partitioned runs fn over the morsels of in's first n rows and returns
-// its results in input order. fn sees each morsel as a view of in and the
+// partitioned runs fn over spans, the morsels of in, and returns its
+// results in input order. fn sees each morsel as a view of in and the
 // row the view starts at. A serial single batch runs fn over in itself:
 // no slicing and no morsel accounting.
-func partitioned[T any](e *Engine, ectx *execCtx, in *data.Chunk, n int, fn func(lo int, part *data.Chunk) (T, error)) ([]T, error) {
-	spans := e.morselsFor(n)
+func partitioned[T any](e *Engine, ectx *execCtx, in *data.Chunk, spans []morselSpan, fn func(lo int, part *data.Chunk) (T, error)) ([]T, error) {
 	outs := make([]T, len(spans))
 	if len(spans) == 1 && e.Workers() <= 1 {
 		var err error
 		outs[0], err = fn(0, in)
 		return outs, err
 	}
-	_, err := e.runMorsels(ectx, n, func(_, m, lo, hi int) (err error) {
+	_, err := e.runMorsels(ectx, spans, func(_, m, lo, hi int) (err error) {
 		outs[m], err = fn(lo, in.Slice(lo, hi))
 		return err
 	})

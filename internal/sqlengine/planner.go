@@ -527,15 +527,18 @@ func (pl *planner) planExpand(items []SelectItem, in *Plan) (*Plan, []SelectItem
 		Quals: make([]string, len(expSchema)), UDF: expandUDF, TFArgs: tfArgs,
 		EstRows: pre.EstRows * sel}
 
-	// Rewrite items to refs into the expand output, restoring order.
-	newItems := make([]SelectItem, len(items))
+	// Rewrite items to refs into the expand output, restoring order: the
+	// UDF's item becomes every output column, under its expSchema name.
+	newItems := make([]SelectItem, 0, len(expSchema))
 	ki := 0
 	for i, it := range items {
 		if i == expandIdx {
-			newItems[i] = SelectItem{Expr: &ColRef{Name: expSchema[nKeep].Name, Index: nKeep}, Alias: itemName(it, i)}
+			for j := nKeep; j < len(expSchema); j++ {
+				newItems = append(newItems, SelectItem{Expr: &ColRef{Name: expSchema[j].Name, Index: j}, Alias: expSchema[j].Name})
+			}
 			continue
 		}
-		newItems[i] = SelectItem{Expr: &ColRef{Name: expSchema[ki].Name, Index: ki}, Alias: itemName(it, i)}
+		newItems = append(newItems, SelectItem{Expr: &ColRef{Name: expSchema[ki].Name, Index: ki}, Alias: itemName(it, i)})
 		ki++
 	}
 	return exp, newItems, nil

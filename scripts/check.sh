@@ -19,7 +19,9 @@ fi
 # by name through Catalog.UDF (the catalog and UDF registration aside);
 # and outside internal/ffi only Engine.callUDF chooses between running a
 # fused wrapper (ffi.CallFusedVector) and the transport
-# ((ffi.Invoker).CallScalar); and outside the PyLite runtime only ffi's
+# ((ffi.Invoker).CallScalar); only the transports in
+# internal/ffi/transport.go run a scalar UDF's body ((*ffi.UDF).Invoke),
+# so no executor calls a UDF around them; and outside the PyLite runtime only ffi's
 # eachRow iterates a generator UDF's rows ((*pylite.Generator).Next,
 # pylite.Iterate, pylite.ValueIter; the UDO baseline in
 # internal/bench/systems.go aside).

@@ -14,6 +14,10 @@
 //     choice between them is made only in sqlengine's Engine.callUDF;
 //     runFused runs a fused plan operator, which is a wrapper by
 //     construction.
+//   - (*ffi.UDF).Invoke runs a scalar UDF's body on one row. Only the
+//     transports in internal/ffi/transport.go may call it: they fire the
+//     boundary's fault hook and record the crossing in ffi.udf.*, so no
+//     executor again calls a UDF around its transport.
 //   - (*pylite.Generator).Next, pylite.Iterate and pylite.ValueIter walk
 //     the rows a generator UDF yields. Outside the PyLite runtime, only
 //     ffi's eachRow may, the one loop every table and expand UDF drains
@@ -77,6 +81,11 @@ var rules = []rule{
 		fn:    "(" + module + "/internal/ffi.Invoker).CallScalar",
 		where: []string{"internal/ffi/*.go", "internal/sqlengine/engine.go:callUDF"},
 		msg:   "calls a scalar UDF through the transport directly; call Engine.callUDF, the one place that decides fused dispatch",
+	},
+	{
+		fn:    "(*" + module + "/internal/ffi.UDF).Invoke",
+		where: []string{"internal/ffi/transport.go"},
+		msg:   "runs a UDF's body around its transport; call through Engine.callUDF and the profile's Invoker",
 	},
 	drainRule.of("(*" + module + "/internal/pylite.Generator).Next"),
 	drainRule.of(module + "/internal/pylite.Iterate"),
