@@ -17,7 +17,9 @@ vet:
 ## scripts/udflookup: only the planner, the catalog and UDF registration
 ## may resolve a function name through Catalog.UDF, and outside
 ## internal/ffi only Engine.callUDF chooses between ffi.CallFusedVector
-## and (ffi.Invoker).CallScalar (runFused also runs fused operators);
+## and (ffi.Invoker).CallScalar (fusedMorsel also runs fused operators),
+## and only Engine.callAggregate folds a UDF aggregate through a
+## transport's CallAggregate (a fused aggregate's fold stays in process);
 ## only the transports in internal/ffi/transport.go run a scalar UDF's
 ## body ((*ffi.UDF).Invoke), so no executor calls a UDF around them;
 ## outside the PyLite runtime only ffi's eachRow iterates a generator

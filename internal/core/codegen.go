@@ -172,28 +172,26 @@ func (qf *QFusor) emitWrapper(seg *Segment, g *DFG, inSec map[int]bool, lo, hi i
 		return nil, err
 	}
 	top := seg.Chain[hi]
-	isAgg := top.Op == sqlengine.OpAggregate
-	kind := ffi.Table
-	if isAgg {
-		kind = ffi.Aggregate
+	node := &sqlengine.Plan{
+		Op:      sqlengine.OpFused,
+		Schema:  top.Schema,
+		Quals:   top.Quals,
+		EstRows: top.EstRows,
 	}
-	// Aggregating traces output keys + aggregates: the full schema, like
-	// every other section.
+	outNames := top.Schema.Names()
 	outKinds := make([]data.Kind, len(top.Schema))
 	for i, f := range top.Schema {
 		outKinds[i] = f.Kind
 	}
-	u, cached, err := qf.registerWrapper(tr, kind, nil, top.Schema.Names(), outKinds)
+	if top.Op == sqlengine.OpAggregate {
+		node.Op = sqlengine.OpFusedAgg
+		outNames, outKinds, node.GroupBy, node.Aggs = aggOutputs(top, childSchemaOf(seg, hi))
+	}
+	u, cached, err := qf.registerWrapper(tr, ffi.Table, nil, outNames, outKinds)
 	if err != nil {
 		return nil, err
 	}
-	// Plan node.
-	node := &sqlengine.Plan{
-		Schema:  top.Schema,
-		Quals:   top.Quals,
-		UDF:     u,
-		EstRows: top.EstRows,
-	}
+	node.UDF = u
 	for pi := lo; pi <= hi; pi++ {
 		switch seg.Chain[pi].Op {
 		case sqlengine.OpDistinct, sqlengine.OpTableFunc:
@@ -210,54 +208,41 @@ func (qf *QFusor) emitWrapper(seg *Segment, g *DFG, inSec map[int]bool, lo, hi i
 		}
 		node.TFArgs = append(node.TFArgs, &sqlengine.ColRef{Name: name, Index: ci})
 	}
-	if isAgg {
-		node.Op = sqlengine.OpFusedAgg
-		keys, err := qf.rebindKeys(top, g, lo, hi)
-		if err != nil {
-			return nil, err
-		}
-		node.GroupBy = keys
-	} else {
-		node.Op = sqlengine.OpFused
-	}
 	return &fusedResult{Nodes: []*sqlengine.Plan{node}, Sources: []string{u.Trace().Render(u.Name)},
 		SpanLo: lo, SpanHi: hi, Wrapper: u.Name, Cached: cached, Tier: wrapperTier(u)}, nil
 }
 
-// rebindKeys maps the aggregate's group keys onto the fused node's
-// input (child) columns. hi is the aggregate's plan index.
-func (qf *QFusor) rebindKeys(top *sqlengine.Plan, g *DFG, lo, hi int) ([]sqlengine.SQLExpr, error) {
-	below := fieldsBelow(g, lo)
-	pos := map[string]int{}
-	for i, f := range below {
-		pos[f] = i
-	}
-	srcIdx := hi - 1
-	var out []sqlengine.SQLExpr
-	for _, k := range top.GroupBy {
-		var err error
-		nk := sqlengine.RewriteExpr(k, func(x sqlengine.SQLExpr) sqlengine.SQLExpr {
-			cr, ok := x.(*sqlengine.ColRef)
-			if !ok || cr.Table == fieldTable {
-				return x
-			}
-			f := fieldAt(g, srcIdx, cr.Index)
-			ni, found := pos[f]
-			if !found {
-				err = fmt.Errorf("core: group key field %s not below fused section", f)
-				return x
-			}
-			cp := *cr
-			cp.Index = ni
-			return &cp
-		})
-		if err != nil {
-			// Keys computed inside the span: keep the original expression
-			// (the compiled trace does the grouping; GroupBy is
-			// explain-only for traced aggregates).
-			nk = k
+// aggOutputs describes the wrapper of a section that ends in the
+// aggregate top, whose input schema is in: it yields the group keys,
+// then each aggregate's argument (buildTrace lowers them in that order),
+// each at the kind the engine's aggregate would compute it at — a UDF
+// aggregate's computed argument at the declared parameter kind. It also
+// returns the fused node's group-by and aggregates over those columns.
+func aggOutputs(top *sqlengine.Plan, in data.Schema) (names []string, kinds []data.Kind, keys []sqlengine.SQLExpr, aggs []sqlengine.AggSpec) {
+	out := func(name string, k data.Kind) sqlengine.SQLExpr {
+		if k == data.KindNull { // NULL on every row: a string column
+			k = data.KindString
 		}
-		out = append(out, nk)
+		names, kinds = append(names, name), append(kinds, k)
+		return &sqlengine.ColRef{Name: name, Index: len(names) - 1}
 	}
-	return out, nil
+	for i := range top.GroupBy {
+		keys = append(keys, out(top.Schema[i].Name, top.Schema[i].Kind))
+	}
+	for i, spec := range top.Aggs {
+		agg := sqlengine.AggSpec{Name: spec.Name, UDF: spec.UDF, Star: spec.Star}
+		if len(spec.Args) > 0 {
+			a := spec.Args[0]
+			k := sqlengine.ExprKind(a, in)
+			if _, isCol := a.(*sqlengine.ColRef); spec.UDF != nil && !isCol {
+				k = data.KindString
+				if len(spec.UDF.InKinds) > 0 {
+					k = spec.UDF.InKinds[0]
+				}
+			}
+			agg.Args = []sqlengine.SQLExpr{out(fmt.Sprintf("__arg%d", i), k)}
+		}
+		aggs = append(aggs, agg)
+	}
+	return names, kinds, keys, aggs
 }

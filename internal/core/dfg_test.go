@@ -244,7 +244,7 @@ func TestTranslateMatchesEvalPure(t *testing.T) {
 		if kind == data.KindNull {
 			kind = data.KindInt
 		}
-		cols, gerr := ffi.RunTraceVector(host, ffi.Lower(tg.t, false), []*data.Column{intColumn(a), intColumn(b)}, 1,
+		cols, _, gerr := ffi.RunTraceVector(host, ffi.Lower(tg.t, false), []*data.Column{intColumn(a), intColumn(b)}, 1,
 			[]string{"o"}, []data.Kind{kind})
 		if werr != nil || gerr != nil {
 			return (werr == nil) == (gerr == nil)
@@ -304,7 +304,7 @@ func TestNullSemanticsInOffloadedFilters(t *testing.T) {
 	in := data.NewColumn("x", data.KindInt)
 	in.AppendValue(data.Null)
 	in.AppendValue(data.Int(3))
-	cols, err := ffi.RunTraceVector(host, ffi.Lower(tg.t, false), []*data.Column{in}, 2, []string{"x"}, []data.Kind{data.KindInt})
+	cols, _, err := ffi.RunTraceVector(host, ffi.Lower(tg.t, false), []*data.Column{in}, 2, []string{"x"}, []data.Kind{data.KindInt})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -255,8 +255,9 @@ func buildDiffQuery(dat []byte) string {
 	case 3:
 		return fmt.Sprintf("SELECT longest(p) AS l FROM (SELECT pieces(%s) AS p FROM notes%s) AS x", scalar, pred)
 	case 4:
-		// Grouped aggregation over a UDF key: the trace carries KeyRegs
-		// and both a native and a UDF aggregate — the VM-tier agg path.
+		// Grouped aggregation over a UDF key: the trace yields the key and
+		// the aggregates' arguments, and the engine folds a native and a
+		// UDF aggregate over them — the VM-tier fused-aggregate path.
 		return fmt.Sprintf("SELECT s, COUNT(*) AS n, longest(s) AS l FROM (SELECT %s AS s FROM notes%s) AS x GROUP BY s ORDER BY s", scalar, pred)
 	case 5:
 		return fmt.Sprintf("SELECT id, %s AS a, slug(title) AS b FROM notes%s ORDER BY id", scalar, pred)

@@ -70,8 +70,10 @@ func (r *sqlRenderer) render(p *sqlengine.Plan) string {
 				strings.Join(cols, ", "), inner, r.alias())
 		}
 		if p.Op == sqlengine.OpFusedAgg {
-			// Keys are computed engine-side; the table-function call form
-			// cannot carry them — display only.
+			// The wrapper yields the group keys and aggregate arguments
+			// that the engine's aggregate folds in the same loop; the
+			// table-function call form cannot carry that fold — display
+			// only.
 			r.executable = false
 		}
 		extras := ""

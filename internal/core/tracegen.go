@@ -243,35 +243,26 @@ func (qf *QFusor) buildTrace(seg *Segment, g *DFG, inSec map[int]bool, lo, hi in
 			}
 			t.DistinctRegs = regs
 		case sqlengine.OpAggregate:
-			// Group keys resolve against the aggregate's input (plan
-			// pi-1): either wrapper inputs or span-computed registers.
+			// The trace yields the aggregate's input rows (see
+			// aggOutputs): the group keys, which resolve against plan
+			// pi-1 (wrapper inputs or span-computed registers), then each
+			// aggregate's argument; COUNT(*) has none.
 			for _, k := range p.GroupBy {
 				r, err := tg.lower(planToFields(k, g, pi-1))
 				if err != nil {
 					return nil, nil, err
 				}
-				t.KeyRegs = append(t.KeyRegs, r)
+				t.OutRegs = append(t.OutRegs, r)
 			}
 			for id, nd := range g.Nodes {
-				if nd.PlanIdx != pi || !inSec[id] || (nd.Kind != KRelAggNative && nd.Kind != KUDFAggregate) {
+				if nd.PlanIdx != pi || !inSec[id] || nd.Expr == nil || (nd.Kind != KRelAggNative && nd.Kind != KUDFAggregate) {
 					continue
 				}
-				spec := ffi.TraceAgg{ArgReg: -1}
-				if nd.Expr != nil {
-					r, err := tg.lower(nd.Expr)
-					if err != nil {
-						return nil, nil, err
-					}
-					spec.ArgReg = r
+				r, err := tg.lower(nd.Expr)
+				if err != nil {
+					return nil, nil, err
 				}
-				if nd.Kind == KUDFAggregate {
-					spec.Kind = "udf"
-					spec.UDF = nd.UDF
-				} else {
-					spec.Kind = nd.Name
-					spec.Star = nd.Expr == nil && nd.Name == "count"
-				}
-				t.Aggs = append(t.Aggs, spec)
+				t.OutRegs = append(t.OutRegs, r)
 			}
 		default:
 			return nil, nil, fmt.Errorf("core: trace: unsupported operator %s", p.Op)

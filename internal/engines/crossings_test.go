@@ -6,6 +6,7 @@ import (
 
 	"qfusor/internal/engines"
 	"qfusor/internal/obs"
+	"qfusor/internal/sqlengine"
 	"qfusor/internal/workload"
 )
 
@@ -14,7 +15,9 @@ import (
 // per row (one IPC round trip per row on PostgreSQL), under a LIMIT only
 // for the rows the LIMIT takes, and below a join still per row; a UDF as
 // a GROUP BY key crosses in the transport's batches (⌈n/256⌉ round trips
-// on PostgreSQL); a fused paper query runs in process, with no round trip.
+// on PostgreSQL); a fused paper query runs in process, with no round trip,
+// and so does a fused aggregate's UDF aggregate (Q5, Q7), which the
+// engine folds at the barrier.
 func TestRowProfileCrossings(t *testing.T) {
 	calls, trips := obs.Default.Counter("ffi.udf.calls"), obs.Default.Counter("ffi.ipc.roundtrips")
 	ub := workload.GenUDFBench(workload.Tiny)
@@ -60,16 +63,30 @@ func TestRowProfileCrossings(t *testing.T) {
 			t.Errorf("%s: GROUP BY f(x) over %d rows made %d calls, want one per morsel", prof, pubs, dc)
 		}
 
-		t0 := trips.Value()
-		_, rep, err := in.QueryFusedReportedCtx(context.Background(), workload.AllQueries()["Q1"])
-		if err != nil {
-			t.Fatalf("%s: Q1: %v", prof, err)
-		}
-		if rep.Fallback || len(rep.Sources) == 0 {
-			t.Errorf("%s: Q1 did not run fused (fallback %q)", prof, rep.FallbackReason)
-		}
-		if d := trips.Value() - t0; d != 0 {
-			t.Errorf("%s: fused Q1 made %d round trips, want 0", prof, d)
+		for _, id := range []string{"Q1", "Q5", "Q7"} {
+			sql := workload.AllQueries()[id]
+			if id != "Q1" {
+				q, _, err := in.QF.Process(in.Eng, sql)
+				if err != nil {
+					t.Fatalf("%s: %s: %v", prof, id, err)
+				}
+				fusedAgg := false
+				q.Root.Walk(func(p *sqlengine.Plan) { fusedAgg = fusedAgg || p.Op == sqlengine.OpFusedAgg })
+				if !fusedAgg {
+					t.Errorf("%s: %s has no FusedAgg:\n%s", prof, id, q.Explain())
+				}
+			}
+			t0 := trips.Value()
+			_, rep, err := in.QueryFusedReportedCtx(context.Background(), sql)
+			if err != nil {
+				t.Fatalf("%s: %s: %v", prof, id, err)
+			}
+			if rep.Fallback || len(rep.Sources) == 0 {
+				t.Errorf("%s: %s did not run fused (fallback %q)", prof, id, rep.FallbackReason)
+			}
+			if d := trips.Value() - t0; d != 0 {
+				t.Errorf("%s: fused %s made %d round trips, want 0", prof, id, d)
+			}
 		}
 		in.Close()
 	}

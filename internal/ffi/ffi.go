@@ -188,8 +188,6 @@ type UDF struct {
 	// "C UDF" path: in-process, no interpreter, no JIT needed). It takes
 	// precedence over Fn.
 	GoFn func(args []data.Value) (data.Value, error)
-	// GoAgg, when set, constructs a native aggregate state.
-	GoAgg func() AggState
 
 	// Fused marks wrappers synthesized by the fusion optimizer.
 	Fused bool
@@ -241,7 +239,7 @@ func (u *UDF) cloneOn(rt *pylite.Interp, led *obs.ResourceLedger) *UDF {
 	c := &UDF{
 		Name: u.Name, Kind: u.Kind, Params: u.Params,
 		InKinds: u.InKinds, OutKinds: u.OutKinds, OutNames: u.OutNames,
-		Fn: u.Fn, RT: rt, GoFn: u.GoFn, GoAgg: u.GoAgg,
+		Fn: u.Fn, RT: rt, GoFn: u.GoFn,
 		Fused: u.Fused, EstCost: u.EstCost, led: led,
 	}
 	c.trace.Store(u.trace.Load())
@@ -288,15 +286,6 @@ func (u *UDF) record(inRows, outRows int, wall, wrap time.Duration) {
 	mUDFWallNanos.Add(wall.Nanoseconds())
 	mUDFWrapNanos.Add(wrap.Nanoseconds())
 	mUDFCallNanos.Observe(float64(wall.Nanoseconds()))
-}
-
-// recordMerge adds a barrier merge's output rows and time to the
-// crossings its partials already recorded — the merge is not a call.
-func (u *UDF) recordMerge(outRows int, wall time.Duration) {
-	u.Stats.OutRows.Add(int64(outRows))
-	u.Stats.WallNanos.Add(wall.Nanoseconds())
-	mUDFRowsOut.Add(int64(outRows))
-	mUDFWallNanos.Add(wall.Nanoseconds())
 }
 
 // CrossIn boxes one engine value into the UDF environment. String
@@ -349,40 +338,11 @@ type AggState interface {
 	Final() (data.Value, error)
 }
 
-// AggStateMerger marks an aggregate state as decomposable: states
-// folded over disjoint partitions combine with Merge into the state the
-// serial fold would have produced. Native (GoAgg) aggregates implement
-// the interface directly; PyLite aggregate classes opt in by defining a
-// merge(self, other) method.
-type AggStateMerger interface {
-	AggState
-	Merge(other AggState) error
-}
-
-// DecomposableAgg reports whether the UDF's aggregate state supports
-// partial merge — the property the DFG analysis needs before letting an
-// aggregating section run as per-worker partials.
-func DecomposableAgg(u *UDF) bool {
-	if u == nil || u.Kind != Aggregate {
-		return false
-	}
-	if u.GoAgg != nil {
-		_, ok := u.GoAgg().(AggStateMerger)
-		return ok
-	}
-	cls, ok := u.Fn.P.(*pylite.Class)
-	if u.Fn.Kind != data.KindObject || !ok {
-		return false
-	}
-	return cls.Methods["merge"] != nil
-}
-
 type pyAggState struct {
-	rt    *pylite.Interp
-	self  data.Value
-	step  data.Value
-	fin   data.Value
-	merge data.Value // bound merge method; Null when the class has none
+	rt   *pylite.Interp
+	self data.Value
+	step data.Value
+	fin  data.Value
 }
 
 // Invoke calls the UDF's scalar implementation: the native ("C") path
@@ -406,18 +366,10 @@ func (u *UDF) invokeOn(rt *pylite.Interp, args []data.Value) (v data.Value, err 
 
 // NewAggState instantiates the UDF's aggregate class and calls init.
 func NewAggState(u *UDF) (AggState, error) {
-	return newAggStateOn(u.RT, u)
-}
-
-// newAggStateOn is NewAggState with the state living on a given runtime
-// view (see invokeOn).
-func newAggStateOn(rt *pylite.Interp, u *UDF) (AggState, error) {
 	if u.Kind != Aggregate {
 		return nil, fmt.Errorf("ffi: %s is not an aggregate UDF", u.Name)
 	}
-	if u.GoAgg != nil {
-		return u.GoAgg(), nil
-	}
+	rt := u.RT
 	self, err := rt.Call(u.Fn, nil)
 	if err != nil {
 		return nil, fmt.Errorf("ffi: instantiate %s: %w", u.Name, err)
@@ -437,11 +389,7 @@ func newAggStateOn(rt *pylite.Interp, u *UDF) (AggState, error) {
 	if err != nil {
 		return nil, fmt.Errorf("ffi: %s has no final method", u.Name)
 	}
-	st := &pyAggState{rt: rt, self: self, step: stepFn, fin: finFn}
-	if mergeFn, err := pyAttr(ctx, self, "merge"); err == nil {
-		st.merge = mergeFn
-	}
-	return st, nil
+	return &pyAggState{rt: rt, self: self, step: stepFn, fin: finFn}, nil
 }
 
 func pyAttr(ctx *pylite.Ctx, obj data.Value, name string) (data.Value, error) {
@@ -463,19 +411,4 @@ func (a *pyAggState) Step(args []data.Value) error {
 
 func (a *pyAggState) Final() (data.Value, error) {
 	return a.rt.Call(a.fin, nil)
-}
-
-// Merge implements AggStateMerger for PyLite aggregates with a
-// merge(self, other) method: the other partial's instance crosses into
-// the call so the class can fold its fields.
-func (a *pyAggState) Merge(other AggState) error {
-	o, ok := other.(*pyAggState)
-	if !ok {
-		return fmt.Errorf("ffi: cannot merge mismatched aggregate states")
-	}
-	if a.merge.IsNull() {
-		return fmt.Errorf("ffi: aggregate has no merge method")
-	}
-	_, err := a.rt.Call(a.merge, []data.Value{o.self})
-	return err
 }

@@ -240,7 +240,7 @@ func TestFusedWrapperVectorConvention(t *testing.T) {
 	u.SetTrace(Lower(&Trace{NumRegs: 2, NumIn: 1,
 		Ops:     []TraceOp{{Kind: TCall, Dst: 1, Args: []int{0}, UDF: dbl}},
 		OutRegs: []int{1}}, false))
-	cols, err := CallFusedVector(u, []*data.Column{intCol(3, 4)}, 2, []string{"d"}, []data.Kind{data.KindInt})
+	cols, _, err := CallFusedVector(u, []*data.Column{intCol(3, 4)}, 2, []string{"d"}, []data.Kind{data.KindInt})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -248,7 +248,7 @@ func TestFusedWrapperVectorConvention(t *testing.T) {
 		t.Fatalf("got %v", cols[0].Ints)
 	}
 	bare := &UDF{Name: "bare", Kind: Table, RT: rt, Fused: true}
-	if _, err := CallFusedVector(bare, []*data.Column{intCol(3)}, 1, []string{"d"}, []data.Kind{data.KindInt}); err == nil {
+	if _, _, err := CallFusedVector(bare, []*data.Column{intCol(3)}, 1, []string{"d"}, []data.Kind{data.KindInt}); err == nil {
 		t.Fatal("a fused wrapper without a trace ran")
 	}
 }
@@ -275,7 +275,7 @@ func TestTraceVectorExecution(t *testing.T) {
 	}
 	tr = Lower(tr, false)
 	u.SetTrace(tr)
-	cols, err := RunTraceVector(u, tr, []*data.Column{intCol(1, 3, 5)}, 3,
+	cols, _, err := RunTraceVector(u, tr, []*data.Column{intCol(1, 3, 5)}, 3,
 		[]string{"o"}, []data.Kind{data.KindInt})
 	if err != nil {
 		t.Fatal(err)
@@ -286,10 +286,13 @@ func TestTraceVectorExecution(t *testing.T) {
 	}
 }
 
-func TestTraceAggGroupsAfterFilter(t *testing.T) {
+// TestAggregatingTraceYieldsRowsAfterFilter: an aggregating section's
+// trace groups nothing: it yields each surviving row's group key and
+// aggregate argument, and the engine's aggregate folds them (checked end
+// to end by TestFusedAggMatchesEngineAggregate in internal/engines).
+func TestAggregatingTraceYieldsRowsAfterFilter(t *testing.T) {
 	rt := testRuntime(t)
-	fn, _ := rt.Global("double")
-	u := &UDF{Name: "ta", Kind: Aggregate, Fn: fn, RT: rt, Fused: true}
+	u := &UDF{Name: "ta", Kind: Table, RT: rt, Fused: true}
 	tr := &Trace{
 		NumRegs: 2, NumIn: 2, // reg0 = value, reg1 = key
 		Ops: []TraceOp{
@@ -298,24 +301,22 @@ func TestTraceAggGroupsAfterFilter(t *testing.T) {
 				return data.Bool(v > 10), nil
 			}},
 		},
-		KeyRegs: []int{1},
-		Aggs:    []TraceAgg{{Kind: "count", Star: true, ArgReg: -1}, {Kind: "sum", ArgReg: 0}},
+		OutRegs: []int{1, 0},
 	}
 	vals := intCol(5, 20, 30, 7)
 	keys := strCol("a", "a", "b", "b")
-	cols, err := RunTraceAgg(u, Lower(tr, false), []*data.Column{vals, keys}, 4,
-		[]string{"k", "n", "s"},
-		[]data.Kind{data.KindString, data.KindInt, data.KindInt})
+	cols, rows, err := RunTraceVector(u, Lower(tr, false), []*data.Column{vals, keys}, 4,
+		[]string{"k", "v"}, []data.Kind{data.KindString, data.KindInt})
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Filter keeps 20(a), 30(b): two groups, each count 1.
-	if cols[0].Len() != 2 {
-		t.Fatalf("groups = %d, want 2 (fully filtered groups must vanish)", cols[0].Len())
+	// The filter keeps 20(a) and 30(b).
+	if rows != 2 || cols[0].Len() != 2 || cols[0].Strs[0] != "a" || cols[0].Strs[1] != "b" ||
+		cols[1].Ints[0] != 20 || cols[1].Ints[1] != 30 {
+		t.Fatalf("rows = %d, keys %v, values %v", rows, cols[0].Strs, cols[1].Ints)
 	}
-	sum := cols[2].Ints[0] + cols[2].Ints[1]
-	if sum != 50 {
-		t.Fatalf("sums = %v", cols[2].Ints)
+	if got := u.Stats.OutRows.Load(); got != 2 {
+		t.Fatalf("rows_out = %d, want the 2 rows the trace yielded", got)
 	}
 }
 
@@ -346,7 +347,7 @@ func TestTraceErrorPropagation(t *testing.T) {
 	tr := &Trace{NumRegs: 2, NumIn: 1,
 		Ops:     []TraceOp{{Kind: TCall, Dst: 1, Args: []int{0}, UDF: u}},
 		OutRegs: []int{1}}
-	_, err := RunTraceVector(host, Lower(tr, false), []*data.Column{intCol(1, 5, 9)}, 3,
+	_, _, err := RunTraceVector(host, Lower(tr, false), []*data.Column{intCol(1, 5, 9)}, 3,
 		[]string{"o"}, []data.Kind{data.KindInt})
 	if err == nil || !contains(err.Error(), "explode5") || !contains(err.Error(), "five") {
 		t.Fatalf("err = %v", err)
@@ -362,56 +363,50 @@ func contains(s, sub string) bool {
 	return false
 }
 
-// TestTraceAggPartialsEqualSingleShot: per-partition partial states
-// merged at the barrier equal the one-partition run (which is the same
-// code with one part), avg included — live states keep sum and count.
-func TestTraceAggPartialsEqualSingleShot(t *testing.T) {
+// TestTraceRowsSplitAcrossMorsels: a wrapper run per morsel yields, in
+// morsel order, the rows one run over the whole input yields — what lets
+// the engine's aggregate fold a fused section's morsels and merge them
+// at the barrier (TestParallelFusedAggMatchesSerial checks the answer).
+func TestTraceRowsSplitAcrossMorsels(t *testing.T) {
 	rt := testRuntime(t)
 	fn, _ := rt.Global("double")
-	u := &UDF{Name: "m", Kind: Aggregate, Fn: fn, RT: rt, Fused: true}
-	tr := &Trace{NumRegs: 2, NumIn: 2, KeyRegs: []int{1},
-		Aggs: []TraceAgg{
-			{Kind: "count", Star: true, ArgReg: -1},
-			{Kind: "sum", ArgReg: 0},
-			{Kind: "min", ArgReg: 0},
-			{Kind: "max", ArgReg: 0},
-			{Kind: "avg", ArgReg: 0},
-		}}
-	tr = Lower(tr, false)
-	if !tr.PartialMergeable() {
-		t.Fatal("count/sum/min/max/avg should merge as partial states")
-	}
+	dbl := &UDF{Name: "double", Kind: Scalar, Fn: fn, RT: rt}
+	u := &UDF{Name: "m", Kind: Table, RT: rt, Fused: true}
+	tr := Lower(&Trace{NumRegs: 3, NumIn: 2,
+		Ops: []TraceOp{
+			{Kind: TCall, Dst: 2, Args: []int{0}, UDF: dbl},
+			{Kind: TFilter, Eval: func(regs []data.Value) (data.Value, error) {
+				v, _ := regs[0].AsInt()
+				return data.Bool(v != 4), nil
+			}},
+		},
+		OutRegs: []int{1, 2}}, false)
 	vals := intCol(1, 2, 3, 4, 5, 6, 7, 8)
 	keys := strCol("a", "b", "a", "b", "a", "b", "a", "b")
-	names := []string{"k", "n", "s", "mn", "mx", "av"}
-	kinds := []data.Kind{data.KindString, data.KindInt, data.KindInt, data.KindInt, data.KindInt, data.KindFloat}
-	whole, err := RunTraceAgg(u, tr, []*data.Column{vals, keys}, 8, names, kinds)
+	names, kinds := []string{"k", "d"}, []data.Kind{data.KindString, data.KindInt}
+	whole, n, err := RunTraceVector(u, tr, []*data.Column{vals, keys}, 8, names, kinds)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := u.Stats.Calls.Load(); got != 1 {
-		t.Fatalf("a one-partition run is one crossing, recorded %d", got)
+	if got := u.Stats.Calls.Load(); got != 1 || n != 7 {
+		t.Fatalf("one run over the whole input: %d crossings, %d rows; want 1 and 7", got, n)
 	}
-	lo, err := RunTraceAggPartial(u.WorkerClone(), tr, []*data.Column{vals.Slice(0, 5), keys.Slice(0, 5)}, 5)
-	if err != nil {
-		t.Fatal(err)
-	}
-	hi, err := RunTraceAggPartial(u.WorkerClone(), tr, []*data.Column{vals.Slice(5, 8), keys.Slice(5, 8)}, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	merged, err := FinalizeTraceAggPartials(u, tr, []*TraceAggPartial{lo, hi}, names, kinds)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for c := range whole {
-		if whole[c].Len() != merged[c].Len() {
-			t.Fatalf("col %d: %d vs %d groups", c, whole[c].Len(), merged[c].Len())
+	var parts []string
+	for _, s := range [][2]int{{0, 5}, {5, 8}} {
+		cols, _, err := RunTraceVector(u.WorkerClone(), tr, []*data.Column{vals.Slice(s[0], s[1]), keys.Slice(s[0], s[1])}, s[1]-s[0], names, kinds)
+		if err != nil {
+			t.Fatal(err)
 		}
-		for r := 0; r < whole[c].Len(); r++ {
-			if w, m := whole[c].Get(r), merged[c].Get(r); w.Key() != m.Key() {
-				t.Fatalf("col %s row %d: single-shot %v, merged %v", names[c], r, w, m)
-			}
+		for r := 0; r < cols[0].Len(); r++ {
+			parts = append(parts, cols[0].Get(r).Repr()+cols[1].Get(r).Repr())
+		}
+	}
+	if len(parts) != n {
+		t.Fatalf("morsels yielded %d rows, the whole input %d", len(parts), n)
+	}
+	for r, p := range parts {
+		if w := whole[0].Get(r).Repr() + whole[1].Get(r).Repr(); w != p {
+			t.Fatalf("row %d: whole %s, morsels %s", r, w, p)
 		}
 	}
 }

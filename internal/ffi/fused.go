@@ -19,33 +19,35 @@ var FaultFused = faultinject.Register("ffi.fused")
 // them to its source table UDF), runs the fused operators without
 // leaving the loop, and appends the surviving rows to the output
 // columns. One boundary crossing per batch, no intermediate engine
-// columns, no (de)serialization between the fused operators.
-// Aggregating traces group inside the loop and run through RunTraceAgg
-// and its partial form instead.
+// columns, no (de)serialization between the fused operators. An
+// aggregating section's wrapper is no different: it yields its group
+// keys and aggregate arguments, and the engine's own aggregate folds
+// them (the paper's call back into the engine for group-by, §5.3.2).
 
 // CallFusedVector invokes a fused wrapper over n rows of input columns,
-// returning its output columns with the given names/kinds. u is a
-// query's clone of the wrapper (QueryClone / WorkerClone): the crossing
-// is attributed through its Stats and the ledger it carries.
-func CallFusedVector(u *UDF, args []*data.Column, n int, outNames []string, outKinds []data.Kind) (_ []*data.Column, err error) {
+// returning its output columns with the given names/kinds and the
+// number of rows it yielded. u is a query's clone of the wrapper
+// (QueryClone / WorkerClone): the crossing is attributed through its
+// Stats and the ledger it carries.
+func CallFusedVector(u *UDF, args []*data.Column, n int, outNames []string, outKinds []data.Kind) (_ []*data.Column, rows int, err error) {
 	defer resilience.Recover(&err)
 	if faultinject.Armed() {
 		if err := faultinject.Fire(FaultFused); err != nil {
-			return nil, err
+			return nil, 0, err
 		}
 	}
 	tr := u.Trace()
 	if tr == nil {
-		return nil, fmt.Errorf("ffi: fused wrapper %s has no trace", u.Name)
+		return nil, 0, fmt.Errorf("ffi: fused wrapper %s has no trace", u.Name)
 	}
-	cols, err := RunTraceVector(u, tr, args, n, outNames, outKinds)
+	cols, rows, err := RunTraceVector(u, tr, args, n, outNames, outKinds)
 	if err != nil {
-		return nil, err
+		return nil, 0, err
 	}
 	if _, err := colRows(u, cols); err != nil {
-		return nil, err
+		return nil, 0, err
 	}
-	return cols, nil
+	return cols, rows, nil
 }
 
 // colRows returns the row count of a column-set result (0 when empty).

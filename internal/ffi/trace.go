@@ -39,17 +39,12 @@ type Trace struct {
 	ConstRegs []int
 	// Ops is the loop body.
 	Ops []TraceOp
-	// OutRegs lists the registers emitted per output column (non-agg).
+	// OutRegs lists the registers each row yields, one per output
+	// column. An aggregating section's trace yields its group keys, then
+	// each aggregate's argument: the engine's aggregate folds them.
 	OutRegs []int
 	// Distinct, when non-nil, dedups output rows on these registers.
 	DistinctRegs []int
-	// KeyRegs are the group-by key registers of an aggregating trace;
-	// grouping runs inside the trace via the exported native group-by
-	// (§5.3.2), after any fused filters.
-	KeyRegs []int
-	// Aggs, when non-empty, makes the trace aggregating: OutRegs is
-	// ignored and key columns + one column per agg spec are produced.
-	Aggs []TraceAgg
 	// VM marks a trace Lower put on the bytecode VM tier: every TCall
 	// runs its register program or its native GoFn, and the trace's rows
 	// count toward the VM tier's metrics.
@@ -105,22 +100,11 @@ type TraceOp struct {
 	Dsts []int
 }
 
-// TraceAgg is one aggregate computation of an aggregating trace.
-type TraceAgg struct {
-	// Kind: "count", "sum", "avg", "min", "max", or "udf".
-	Kind string
-	// Star marks COUNT(*).
-	Star bool
-	// ArgReg is the register holding the (per-row) argument value; -1
-	// for COUNT(*).
-	ArgReg int
-	// UDF for Kind == "udf".
-	UDF *UDF
-}
-
-// RunTraceVector executes a non-aggregating lowered trace over n input
-// rows, on whichever tier Lower fixed for each call.
-func RunTraceVector(u *UDF, t *Trace, args []*data.Column, n int, outNames []string, outKinds []data.Kind) ([]*data.Column, error) {
+// RunTraceVector executes a lowered trace over n input rows, on
+// whichever tier Lower fixed for each call, and returns its output
+// columns and the number of rows it yielded (a trace may yield rows of
+// no column: a global COUNT(*) needs only their count).
+func RunTraceVector(u *UDF, t *Trace, args []*data.Column, n int, outNames []string, outKinds []data.Kind) ([]*data.Column, int, error) {
 	start := time.Now()
 	outs := make([]*data.Column, len(outKinds))
 	for i := range outs {
@@ -149,10 +133,10 @@ func RunTraceVector(u *UDF, t *Trace, args []*data.Column, n int, outNames []str
 		return nil
 	}
 	if err := t.drive(u, args, n, emit); err != nil {
-		return nil, err
+		return nil, 0, err
 	}
 	u.record(n, outRows, time.Since(start), 0)
-	return outs, nil
+	return outs, outRows, nil
 }
 
 // drive runs the trace body once per row, on one register file for the
@@ -299,320 +283,6 @@ func runOps(u *UDF, ops []TraceOp, regs []data.Value, bails *int, emit func([]da
 	return emit(regs)
 }
 
-// aggState is the native per-group accumulator of an aggregating trace.
-type aggState struct {
-	count int64
-	sum   float64
-	sumI  data.IntSum // exact; the result while every value is an int
-	isInt bool
-	any   bool
-	best  data.Value
-	udf   AggState
-}
-
-// newAggStates allocates one fresh accumulator per aggregate spec; UDF
-// aggregate states live on the host wrapper's runtime view rt.
-func newAggStates(rt *pylite.Interp, t *Trace) ([]aggState, error) {
-	sts := make([]aggState, len(t.Aggs))
-	for ai, spec := range t.Aggs {
-		if spec.Kind == "udf" {
-			st, err := newAggStateOn(rt, spec.UDF)
-			if err != nil {
-				return nil, err
-			}
-			sts[ai].udf = st
-		} else {
-			sts[ai].isInt = true
-		}
-	}
-	return sts, nil
-}
-
-// stepAggState folds one row's value into an accumulator.
-func stepAggState(st *aggState, spec *TraceAgg, v data.Value) error {
-	switch spec.Kind {
-	case "count":
-		if spec.Star || !v.IsNull() {
-			st.count++
-		}
-	case "sum", "avg":
-		if v.IsNull() {
-			return nil
-		}
-		f, ok := v.AsFloat()
-		if !ok {
-			return nil
-		}
-		if v.Kind == data.KindFloat {
-			st.isInt = false
-		}
-		st.sum += f
-		st.sumI.Add(v.I)
-		st.count++
-		st.any = true
-	case "min", "max":
-		if v.IsNull() {
-			return nil
-		}
-		if !st.any {
-			st.best = v
-			st.any = true
-			return nil
-		}
-		if data.Outranks(v, st.best, spec.Kind == "max") {
-			st.best = v
-		}
-	case "udf":
-		return st.udf.Step([]data.Value{v})
-	}
-	return nil
-}
-
-// mergeAggState folds one partition's accumulator (src) into dst. The
-// rules: count adds; sum/avg add both sum forms and the non-null count
-// (avg finalizes from the merged ratio — partial averages are never
-// averaged); min/max keep the partial winner that outranks the other
-// (data.Outranks, under which a NaN loses to every value), the earlier
-// partition's on a tie, as the serial fold keeps the first seen; UDF
-// states merge through the decomposable-aggregate hook.
-func mergeAggState(dst, src *aggState, spec *TraceAgg) error {
-	switch spec.Kind {
-	case "count":
-		dst.count += src.count
-	case "sum", "avg":
-		if !src.any {
-			return nil
-		}
-		dst.sum += src.sum
-		dst.sumI.Merge(src.sumI)
-		dst.count += src.count
-		if !src.isInt {
-			dst.isInt = false
-		}
-		dst.any = true
-	case "min", "max":
-		if !src.any {
-			return nil
-		}
-		if !dst.any {
-			dst.best = src.best
-			dst.any = true
-			return nil
-		}
-		if data.Outranks(src.best, dst.best, spec.Kind == "max") {
-			dst.best = src.best
-		}
-	case "udf":
-		m, ok := dst.udf.(AggStateMerger)
-		if !ok {
-			return fmt.Errorf("ffi: aggregate %s is not decomposable", spec.UDF.Name)
-		}
-		return m.Merge(src.udf)
-	}
-	return nil
-}
-
-// finalizeAggValue turns an accumulator into the group's output value.
-func finalizeAggValue(st *aggState, spec *TraceAgg) (data.Value, error) {
-	switch spec.Kind {
-	case "count":
-		return data.Int(st.count), nil
-	case "sum":
-		if !st.any {
-			return data.Null, nil
-		}
-		if !st.isInt {
-			return data.Float(st.sum), nil
-		}
-		v, err := st.sumI.Int()
-		if err != nil {
-			return data.Null, fmt.Errorf("SUM: %w", err)
-		}
-		return data.Int(v), nil
-	case "avg":
-		if !st.any || st.count == 0 {
-			return data.Null, nil
-		}
-		return data.Float(st.sum / float64(st.count)), nil
-	case "min", "max":
-		if !st.any {
-			return data.Null, nil
-		}
-		return st.best, nil
-	case "udf":
-		return st.udf.Final()
-	}
-	return data.Null, fmt.Errorf("ffi: unknown trace aggregate %s", spec.Kind)
-}
-
-// RunTraceAgg executes an aggregating trace. Group assignment happens
-// inside the trace, after fused filters, via the native hash group-by —
-// the reproduction of invoking the engine's exported grouping functions
-// from within the JIT (§5.3.2). Output columns are the group keys (in
-// first-seen order) followed by the aggregates. It is the one-partition
-// case of the partial runner: nothing is merged, so it serves every
-// aggregate kind, mergeable or not.
-func RunTraceAgg(u *UDF, t *Trace, args []*data.Column, n int, outNames []string, outKinds []data.Kind) ([]*data.Column, error) {
-	pt, err := RunTraceAggPartial(u, t, args, n)
-	if err != nil {
-		return nil, err
-	}
-	return FinalizeTraceAggPartials(u, t, []*TraceAggPartial{pt}, outNames, outKinds)
-}
-
-// PartialMergeable reports whether the trace's aggregates can run as
-// per-worker partial states merged at the barrier: live states keep the
-// sum/count decomposition for avg, and UDF aggregates qualify when
-// their state is decomposable (a merge hook exists).
-func (t *Trace) PartialMergeable() bool {
-	if len(t.Aggs) == 0 {
-		return false
-	}
-	for _, a := range t.Aggs {
-		switch a.Kind {
-		case "count", "sum", "min", "max", "avg":
-		case "udf":
-			if !DecomposableAgg(a.UDF) {
-				return false
-			}
-		default:
-			return false
-		}
-	}
-	return true
-}
-
-// TraceAggPartial is one worker's partial group table from
-// RunTraceAggPartial: group keys in first-seen order plus live
-// aggregate states. FinalizeTraceAggPartials merges a set of partials
-// (in partition order) into the final output columns.
-type TraceAggPartial struct {
-	keys    []string
-	keyRows [][]data.Value
-	states  [][]aggState
-}
-
-// RunTraceAggPartial executes an aggregating lowered trace over one
-// partition, returning the live partial states instead of finalized
-// columns. Each row's scalar prefix runs through the same row loop as
-// RunTraceVector; grouping and accumulation are tier-independent. The
-// crossing and its input rows are recorded on u's stats here; the
-// finalize step adds the output groups.
-func RunTraceAggPartial(u *UDF, t *Trace, args []*data.Column, n int) (*TraceAggPartial, error) {
-	start := time.Now()
-	pt := &TraceAggPartial{}
-	groupIdx := map[string]int{}
-	var stepErr error
-	emit := func(regs []data.Value) error {
-		var kb []byte
-		for _, r := range t.KeyRegs {
-			kb = append(kb, regs[r].Key()...)
-			kb = append(kb, 0)
-		}
-		gid, ok := groupIdx[string(kb)]
-		if !ok {
-			keys := make([]data.Value, len(t.KeyRegs))
-			for ki, r := range t.KeyRegs {
-				keys[ki] = regs[r]
-			}
-			sts, err := newAggStates(u.RT, t)
-			if err != nil {
-				stepErr = err
-				return err
-			}
-			gid = len(pt.states)
-			k := string(kb)
-			groupIdx[k] = gid
-			pt.keys = append(pt.keys, k)
-			pt.keyRows = append(pt.keyRows, keys)
-			pt.states = append(pt.states, sts)
-		}
-		for ai := range t.Aggs {
-			spec := &t.Aggs[ai]
-			var v data.Value
-			if spec.ArgReg >= 0 {
-				v = regs[spec.ArgReg]
-			}
-			if err := stepAggState(&pt.states[gid][ai], spec, v); err != nil {
-				stepErr = err
-				return stepErr
-			}
-		}
-		return nil
-	}
-	if err := t.drive(u, args, n, emit); err != nil {
-		return nil, err
-	}
-	if stepErr != nil {
-		return nil, stepErr
-	}
-	u.record(n, 0, time.Since(start), 0)
-	return pt, nil
-}
-
-// FinalizeTraceAggPartials merges partial group tables in partition
-// order — reproducing the serial first-seen group order — and finalizes
-// them into the trace's output columns.
-func FinalizeTraceAggPartials(u *UDF, t *Trace, parts []*TraceAggPartial, outNames []string, outKinds []data.Kind) ([]*data.Column, error) {
-	start := time.Now()
-	nKeys := len(t.KeyRegs)
-	idx := map[string]int{}
-	var keyRows [][]data.Value
-	var states [][]aggState
-	for _, pt := range parts {
-		if pt == nil {
-			continue
-		}
-		for gi, k := range pt.keys {
-			g, ok := idx[k]
-			if !ok {
-				idx[k] = len(states)
-				keyRows = append(keyRows, pt.keyRows[gi])
-				states = append(states, pt.states[gi])
-				continue
-			}
-			for ai := range t.Aggs {
-				if err := mergeAggState(&states[g][ai], &pt.states[gi][ai], &t.Aggs[ai]); err != nil {
-					return nil, err
-				}
-			}
-		}
-	}
-	g := len(states)
-	// Global aggregate over zero rows still produces one (empty) group.
-	if nKeys == 0 && g == 0 {
-		sts, err := newAggStates(u.RT, t)
-		if err != nil {
-			return nil, err
-		}
-		keyRows = append(keyRows, nil)
-		states = append(states, sts)
-		g = 1
-	}
-	outs := make([]*data.Column, nKeys+len(t.Aggs))
-	for ki := 0; ki < nKeys; ki++ {
-		col := data.NewColumnCap(outNames[ki], outKinds[ki], g)
-		for gi := 0; gi < g; gi++ {
-			col.AppendValue(keyRows[gi][ki])
-		}
-		outs[ki] = col
-	}
-	for ai := range t.Aggs {
-		spec := &t.Aggs[ai]
-		col := data.NewColumnCap(outNames[nKeys+ai], outKinds[nKeys+ai], g)
-		for gi := 0; gi < g; gi++ {
-			v, err := finalizeAggValue(&states[gi][ai], spec)
-			if err != nil {
-				return nil, err
-			}
-			col.AppendValue(v)
-		}
-		outs[nKeys+ai] = col
-	}
-	u.recordMerge(g, time.Since(start))
-	return outs, nil
-}
-
 // Render prints the trace as Python-like pseudo-source: the fused
 // wrapper of the paper's code generator (§5.3), written from the trace
 // that runs. Inputs are positional (c0, c1, ...) and registers are
@@ -629,9 +299,6 @@ func (t *Trace) Render(name string) string {
 	fmt.Fprintf(&b, "def %s(%s):\n", name, strings.Join(params, ", "))
 	for i, r := range t.ConstRegs {
 		fmt.Fprintf(&b, "    r%d = %s\n", r, t.Consts[i].Repr())
-	}
-	if len(t.Aggs) > 0 {
-		b.WriteString("    groups = {}\n")
 	}
 	if t.DistinctRegs != nil {
 		b.WriteString("    seen = set()\n")
@@ -650,14 +317,11 @@ func (t *Trace) Render(name string) string {
 		fmt.Fprintf(&b, "    for %s in rows(%s):\n", regList(in), strings.Join(params, ", "))
 	}
 	t.renderOps(&b, t.Ops, 2)
-	if len(t.Aggs) > 0 {
-		b.WriteString("    return groups\n")
-	}
 	return b.String()
 }
 
 // renderOps prints an op list at the given indent depth, then the row's
-// end: the distinct check and the row's yield, or its group step.
+// end: the distinct check and the row's yield.
 func (t *Trace) renderOps(b *strings.Builder, ops []TraceOp, depth int) {
 	ind := strings.Repeat("    ", depth)
 	for oi, op := range ops {
@@ -678,25 +342,7 @@ func (t *Trace) renderOps(b *strings.Builder, ops []TraceOp, depth int) {
 		key := "[" + regList(t.DistinctRegs) + "]"
 		fmt.Fprintf(b, "%sif %s in seen:\n%s    continue\n%sseen.add(%s)\n", ind, key, ind, ind, key)
 	}
-	if len(t.Aggs) == 0 {
-		fmt.Fprintf(b, "%syield %s\n", ind, regList(t.OutRegs))
-		return
-	}
-	keys := ""
-	if len(t.KeyRegs) > 0 {
-		keys = regList(t.KeyRegs)
-	}
-	fmt.Fprintf(b, "%sg = group(groups, [%s])\n", ind, keys)
-	for _, a := range t.Aggs {
-		var args []string
-		if a.Kind == "udf" {
-			args = append(args, a.UDF.Name)
-		}
-		if a.ArgReg >= 0 {
-			args = append(args, fmt.Sprintf("r%d", a.ArgReg))
-		}
-		fmt.Fprintf(b, "%sg.%s(%s)\n", ind, a.Kind, strings.Join(args, ", "))
-	}
+	fmt.Fprintf(b, "%syield %s\n", ind, regList(t.OutRegs))
 }
 
 // regList prints registers as a comma-separated list (_ for none).

@@ -119,14 +119,46 @@ func (VectorInvoker) CallAggregate(u *UDF, args []*data.Column, n int, groupIDs 
 		return nil, err
 	}
 	start := time.Now()
-	var wrap time.Duration
-	ws := time.Now()
 	boxed := make([][]data.Value, len(args))
 	for i, c := range args {
 		boxed[i] = BoxColumn(c, n)
 	}
-	wrap += time.Since(ws)
+	wrap := time.Since(start)
+	out, err := foldAggregate(u, len(args), n, groupIDs, g, func(i int, row []data.Value) {
+		for j := range boxed {
+			row[j] = boxed[j][i]
+		}
+	})
+	if err != nil {
+		return nil, err
+	}
+	u.record(n, g, time.Since(start), wrap)
+	return out, nil
+}
 
+// FoldFusedAggregate folds a UDF aggregate over argument columns a fused
+// wrapper yielded. Like the wrapper's own registers, the values load
+// unboxed (vmColLoad): they never leave the fused section, so they cross
+// no boundary and pay no marshalling.
+func FoldFusedAggregate(u *UDF, args []*data.Column, n int, groupIDs []int, g int) ([]data.Value, error) {
+	start := time.Now()
+	out, err := foldAggregate(u, len(args), n, groupIDs, g, func(i int, row []data.Value) {
+		for j, c := range args {
+			row[j] = vmColLoad(c, i)
+		}
+	})
+	if err != nil {
+		return nil, err
+	}
+	u.record(n, g, time.Since(start), 0)
+	return out, nil
+}
+
+// foldAggregate is the one fold of a UDF aggregate: one state per group,
+// stepped with each of the n rows load fills (width values) in row
+// order — groupIDs[i] is row i's group, every row is in group 0 when it
+// is nil — then finalized per group.
+func foldAggregate(u *UDF, width, n int, groupIDs []int, g int, load func(i int, row []data.Value)) ([]data.Value, error) {
 	states := make([]AggState, g)
 	for i := range states {
 		st, err := NewAggState(u)
@@ -135,11 +167,9 @@ func (VectorInvoker) CallAggregate(u *UDF, args []*data.Column, n int, groupIDs 
 		}
 		states[i] = st
 	}
-	row := make([]data.Value, len(args))
+	row := make([]data.Value, width)
 	for i := 0; i < n; i++ {
-		for j := range boxed {
-			row[j] = boxed[j][i]
-		}
+		load(i, row)
 		gid := 0
 		if groupIDs != nil {
 			gid = groupIDs[i]
@@ -156,7 +186,6 @@ func (VectorInvoker) CallAggregate(u *UDF, args []*data.Column, n int, groupIDs 
 		}
 		out[i] = v
 	}
-	u.record(n, g, time.Since(start), wrap)
 	return out, nil
 }
 

@@ -105,9 +105,9 @@ func Lower(t *Trace, vm bool) *Trace {
 
 // vmPrograms returns each op's register program (nil entries for native
 // GoFn calls and non-call ops), or nil when the trace does not lower
-// onto the VM tier. Aggregating traces qualify: grouping and
-// accumulation happen outside the op list, so their scalar prefix
-// lowers like any other. Distinct-folding, source-driven and expanding
+// onto the VM tier. An aggregating section's trace qualifies like any
+// other: it only yields rows, which the engine's aggregate folds.
+// Distinct-folding, source-driven and expanding
 // traces keep their compiled bodies, as does any trace with a TCall
 // whose body is outside the bytecode subset or whose arity the program
 // does not accept, and a trace with no call at all.

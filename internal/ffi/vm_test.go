@@ -86,14 +86,14 @@ func checkTierParity(t *testing.T, u *UDF, tr *Trace, linked bool, in *data.Colu
 	closure, vm := lowerBoth(t, tr, linked)
 	n := in.Len()
 	names, kinds := []string{"o"}, []data.Kind{data.KindString}
-	want, err := RunTraceVector(u, closure, []*data.Column{in}, n, names, kinds)
+	want, _, err := RunTraceVector(u, closure, []*data.Column{in}, n, names, kinds)
 	if err != nil {
 		t.Fatal(err)
 	}
 	SetVMBailEvery(bailEvery)
 	defer SetVMBailEvery(0)
 	before := mVMBailRows.Value()
-	got, err := RunTraceVector(u, vm, []*data.Column{in}, n, names, kinds)
+	got, _, err := RunTraceVector(u, vm, []*data.Column{in}, n, names, kinds)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -139,7 +139,7 @@ func TestLowerLeavesTraceUnchanged(t *testing.T) {
 	if tr.VM || tr.Linked != nil || tr.Ops[0].Prog != nil || tr.frame != 0 {
 		t.Fatal("Lower changed the trace it was given")
 	}
-	if _, err := RunTraceVector(u, tr, []*data.Column{strCol("a")}, 1, []string{"o"}, []data.Kind{data.KindString}); err == nil {
+	if _, _, err := RunTraceVector(u, tr, []*data.Column{strCol("a")}, 1, []string{"o"}, []data.Kind{data.KindString}); err == nil {
 		t.Fatal("a trace ran before Lower")
 	}
 }
@@ -174,7 +174,7 @@ func TestTraceCallArgsNoAlloc(t *testing.T) {
 	names, kinds := []string{"o"}, []data.Kind{data.KindInt}
 	var out []*data.Column
 	allocs := testing.AllocsPerRun(5, func() {
-		if out, err = RunTraceVector(u, tr, []*data.Column{in}, n, names, kinds); err != nil {
+		if out, _, err = RunTraceVector(u, tr, []*data.Column{in}, n, names, kinds); err != nil {
 			t.Fatal(err)
 		}
 	})
@@ -187,8 +187,9 @@ func TestTraceCallArgsNoAlloc(t *testing.T) {
 }
 
 // TestTraceVarargsAcrossRows: a UDF returning its *args list hands back
-// a copy, never its reused argument window — group keys it produced on
-// earlier rows keep their values after later rows ran.
+// a copy, never its reused argument window — a value it produced on an
+// earlier row keeps its contents after later rows ran. The trace's last
+// op keeps every row's list past its row, as nothing in the engine does.
 func TestTraceVarargsAcrossRows(t *testing.T) {
 	rt := pylite.NewInterp()
 	if err := rt.Exec("def pack(*args):\n    return args\n"); err != nil {
@@ -200,17 +201,24 @@ func TestTraceVarargsAcrossRows(t *testing.T) {
 	if c, err := pylite.Compile(fn.P.(*pylite.FuncValue)); err == nil {
 		op.Compiled = c
 	}
-	u := &UDF{Name: "wrap", Kind: Aggregate, RT: rt, Fused: true}
-	tr := Lower(&Trace{NumRegs: 2, NumIn: 1, Ops: []TraceOp{op}, KeyRegs: []int{1},
-		Aggs: []TraceAgg{{Kind: "count", Star: true, ArgReg: -1}}}, false)
-	cols, err := RunTraceAgg(u, tr, []*data.Column{intCol(1, 2, 3)}, 3,
-		[]string{"k", "n"}, []data.Kind{data.KindList, data.KindInt})
+	var kept []data.Value
+	keep := TraceOp{Kind: TExpr, Dst: 2, Eval: func(regs []data.Value) (data.Value, error) {
+		kept = append(kept, regs[1])
+		return data.Null, nil
+	}}
+	u := &UDF{Name: "wrap", Kind: Table, RT: rt, Fused: true}
+	tr := Lower(&Trace{NumRegs: 3, NumIn: 1, Ops: []TraceOp{op, keep}, OutRegs: []int{1}}, false)
+	cols, _, err := RunTraceVector(u, tr, []*data.Column{intCol(1, 2, 3)}, 3,
+		[]string{"k"}, []data.Kind{data.KindList})
 	if err != nil {
 		t.Fatal(err)
 	}
 	for i, want := range []string{"[1, 1]", "[2, 2]", "[3, 3]"} {
+		if got := kept[i].Repr(); got != want {
+			t.Fatalf("row %d's list = %s after later rows, want %s", i, got, want)
+		}
 		if got := cols[0].Get(i).Repr(); got != want {
-			t.Fatalf("group %d key = %s, want %s", i, got, want)
+			t.Fatalf("row %d = %s, want %s", i, got, want)
 		}
 	}
 }
@@ -248,7 +256,7 @@ func benchTiers(b *testing.B, u *UDF, tr *Trace, vmName string) {
 		b.Run(arm.name, func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				if _, err := RunTraceVector(u, arm.tr, []*data.Column{in}, n, outNames, outKinds); err != nil {
+				if _, _, err := RunTraceVector(u, arm.tr, []*data.Column{in}, n, outNames, outKinds); err != nil {
 					b.Fatal(err)
 				}
 			}

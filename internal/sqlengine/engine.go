@@ -298,38 +298,38 @@ func (e *Engine) execPlan(p *Plan, ectx *execCtx) (*data.Chunk, error) {
 // observe runs op, an execution of plan node p, under the node's span
 // and resource-ledger entry. With no tracer the hook is one nil check.
 func (e *Engine) observe(p *Plan, ectx *execCtx, op func() (*data.Chunk, error)) (*data.Chunk, error) {
+	if ectx.span == nil {
+		return e.account(p, ectx, op)
+	}
+	parent := ectx.span
+	sp := parent.Child("op:" + p.Op.String())
+	annotateOpSpan(sp, p)
+	ectx.span = sp
+	ch, err := e.account(p, ectx, op)
+	ectx.span = parent
+	sp.End()
+	if ch != nil {
+		sp.SetInt("rows_out", int64(ch.NumRows()))
+	}
+	return ch, err
+}
+
+// account runs op, an execution of plan node p, under the node's
+// resource-ledger entry, once the statement's context allows it.
+func (e *Engine) account(p *Plan, ectx *execCtx, op func() (*data.Chunk, error)) (*data.Chunk, error) {
 	if err := ectx.ctx.Err(); err != nil {
 		return nil, err
 	}
-	var opStart time.Time
-	if ectx.led != nil {
-		opStart = time.Now()
+	if ectx.led == nil {
+		return op()
 	}
-	var (
-		ch  *data.Chunk
-		err error
-	)
-	if ectx.span == nil {
-		ch, err = op()
-	} else {
-		parent := ectx.span
-		sp := parent.Child("op:" + p.Op.String())
-		annotateOpSpan(sp, p)
-		ectx.span = sp
-		ch, err = op()
-		ectx.span = parent
-		sp.End()
-		if ch != nil {
-			sp.SetInt("rows_out", int64(ch.NumRows()))
-		}
+	opStart := time.Now()
+	ch, err := op()
+	rows := 0
+	if ch != nil {
+		rows = ch.NumRows()
 	}
-	if ectx.led != nil {
-		rows := 0
-		if ch != nil {
-			rows = ch.NumRows()
-		}
-		ectx.led.OpObserve(opLedgerLabel(p), rows, time.Since(opStart).Nanoseconds())
-	}
+	ectx.led.OpObserve(opLedgerLabel(p), rows, time.Since(opStart).Nanoseconds())
 	return ch, err
 }
 
@@ -487,11 +487,23 @@ func (q *execCtx) close() []ffi.Usage {
 // engine's transport. u is a statement's clone or a worker clone of one.
 func (e *Engine) callUDF(u *ffi.UDF, args []*data.Column, n int) (*data.Column, error) {
 	if u.Fused {
-		cols, err := ffi.CallFusedVector(u, args, n, []string{u.Name}, []data.Kind{u.OutKind()})
+		cols, _, err := ffi.CallFusedVector(u, args, n, []string{u.Name}, []data.Kind{u.OutKind()})
 		if err != nil {
 			return nil, err
 		}
 		return cols[0], nil
 	}
 	return e.Invoker.CallScalar(u, args, n)
+}
+
+// callAggregate is the one place the engine decides how a UDF
+// aggregate's fold crosses: inside a fused aggregate (fused set) it runs
+// in process on every profile over the wrapper's unboxed output
+// (ffi.FoldFusedAggregate); anywhere else through the engine's
+// transport. u is a statement's clone.
+func (e *Engine) callAggregate(u *ffi.UDF, fused bool, args []*data.Column, n int, groupIDs []int, g int) ([]data.Value, error) {
+	if fused {
+		return ffi.FoldFusedAggregate(u, args, n, groupIDs, g)
+	}
+	return e.Invoker.CallAggregate(u, args, n, groupIDs, g)
 }

@@ -9,6 +9,8 @@ import (
 	"sync/atomic"
 
 	"qfusor/internal/data"
+	"qfusor/internal/ffi"
+	"qfusor/internal/obs"
 )
 
 // execColumnar is the executor of every profile, vectorized and
@@ -140,7 +142,9 @@ func (e *Engine) rowWise(p *Plan, in *data.Chunk, ectx *execCtx) (*data.Chunk, e
 // source runs in full, the chain first on its first OFFSET+LIMIT rows,
 // then on windows that double each time, and only while rows are
 // missing. A projection's UDF thus runs on exactly the rows the LIMIT
-// takes, and each window's operators get spans of their own.
+// takes. The span tree still mirrors the plan: one span per chain
+// operator, nested as the plan is, with the source under the lowest, and
+// each window's run of an operator adds its rows to the operator's span.
 func (e *Engine) limitChunk(p *Plan, ectx *execCtx) (*data.Chunk, error) {
 	var chain []*Plan // top down
 	src := p.Children[0]
@@ -152,6 +156,19 @@ func (e *Engine) limitChunk(p *Plan, ectx *execCtx) (*data.Chunk, error) {
 	if need < p.OffsetN { // overflow: no bound
 		need = math.MaxInt64
 	}
+	top := ectx.span
+	spans := make([]*obs.Span, len(chain))
+	for i, op := range chain {
+		spans[i] = ectx.span.Child("op:" + op.Op.String())
+		annotateOpSpan(spans[i], op)
+		ectx.span = spans[i]
+	}
+	defer func() {
+		for i := len(spans) - 1; i >= 0; i-- {
+			spans[i].End()
+		}
+		ectx.span = top
+	}()
 	in, err := e.execPlan(src, ectx)
 	if err != nil {
 		return nil, err
@@ -163,16 +180,19 @@ func (e *Engine) limitChunk(p *Plan, ectx *execCtx) (*data.Chunk, error) {
 			part := in.Slice(at, min(at+w, n))
 			for i := len(chain) - 1; i >= 0; i-- {
 				op, win := chain[i], part
-				if part, err = e.observe(op, ectx, func() (*data.Chunk, error) { return e.rowWise(op, win, ectx) }); err != nil {
+				ectx.span = spans[i]
+				if part, err = e.account(op, ectx, func() (*data.Chunk, error) { return e.rowWise(op, win, ectx) }); err != nil {
 					return nil, err
 				}
+				spans[i].AddInt("rows_out", int64(part.NumRows()))
 			}
 			parts = append(parts, part)
 			if got += part.NumRows(); int64(got) >= need || at+w >= n {
 				break
 			}
 		}
-		in = e.concat(ectx.span, parts[0].Schema(), parts)
+		ectx.span = top
+		in = e.concat(top, parts[0].Schema(), parts)
 	}
 	n := int64(in.NumRows())
 	return in.Slice(int(min(p.OffsetN, n)), int(min(need, n))), nil
@@ -714,21 +734,21 @@ func newPartial(spec AggSpec, g int, k data.Kind) *aggPartial {
 }
 
 // aggregateChunk groups the input and folds native and UDF aggregates in
-// one morsel-parallel loop, which borrows the program's results and keeps
-// only group state: a thread-local hash table (keys in the separator-safe
-// byte encoding) with a copy of each new group's key values, native
-// partials over morsel-local group ids, which go into a buffer per
-// worker. The barrier merges the local tables in morsel order — which
-// reproduces the serial first-occurrence group order exactly — then the
-// partials through the local→global id maps. A UDF aggregate, which may
-// not be decomposable (decomposable traced ones take the partial path in
-// exec_fused.go), runs once over full-length group ids and computed
-// arguments, which the loop writes at each morsel's offset.
+// one morsel-parallel loop, which borrows each morsel's key and argument
+// columns and keeps only group state: a thread-local hash table (keys in
+// the separator-safe byte encoding) with a copy of each new group's key
+// values, native partials over morsel-local group ids, which go into a
+// buffer per worker. The columns come from the node's compiled program
+// or, for a fused aggregate, from its wrapper. The barrier merges the
+// local tables in morsel order — which reproduces the serial
+// first-occurrence group order exactly — then the partials through the
+// local→global id maps. A UDF aggregate, which may not be decomposable,
+// runs once over every morsel's group ids and computed arguments, joined
+// in morsel order.
 func (e *Engine) aggregateChunk(p *Plan, in *data.Chunk, ectx *execCtx) (*data.Chunk, error) {
 	n := in.NumRows()
-	spans := e.morselsFor(n)
+	spans := e.spansFor(p, n)
 	nk := len(p.GroupBy)
-	lent := len(spans) > 1 // the program lends recycled scratch, not fresh columns
 
 	type morselGroups struct {
 		keys     []string       // local group id -> encoded key
@@ -738,22 +758,18 @@ func (e *Engine) aggregateChunk(p *Plan, in *data.Chunk, ectx *execCtx) (*data.C
 	}
 	morsels := make([]*morselGroups, len(spans))
 
-	// One program per node: the group-by keys, then each aggregate's
-	// arguments from argAt[ai] on. A UDF aggregate's computed argument
-	// materializes at the declared parameter kind.
+	// The group-by keys, then each aggregate's arguments from argAt[ai]
+	// on. A UDF aggregate's computed argument materializes at the
+	// declared parameter kind.
 	exprs := append([]SQLExpr(nil), p.GroupBy...)
 	want := make([]data.Kind, len(exprs))
 	argAt := make([]int, len(p.Aggs))
-	var udfAt []int    // the program results that are UDF aggregates' computed arguments
-	var groupIDs []int // a UDF aggregate's full-length group ids
+	var udfAt []int // the expressions that are UDF aggregates' computed arguments
 	for ai, spec := range p.Aggs {
 		argAt[ai] = len(exprs)
-		if spec.UDF != nil && groupIDs == nil {
-			groupIDs = make([]int, n)
-		}
 		for i, a := range spec.Args {
 			kind := data.KindNull
-			if _, isCol := a.(*ColRef); spec.UDF != nil && !isCol {
+			if _, isCol := a.(*ColRef); spec.UDF != nil && (!isCol || p.Op == OpFusedAgg) {
 				kind = data.KindString
 				if i < len(spec.UDF.InKinds) {
 					kind = spec.UDF.InKinds[i]
@@ -763,31 +779,77 @@ func (e *Engine) aggregateChunk(p *Plan, in *data.Chunk, ectx *execCtx) (*data.C
 			exprs, want = append(exprs, a), append(want, kind)
 		}
 	}
-	prog, err := e.compile(in, exprs, want)
-	if err != nil {
-		return nil, err
+	// The columns come from the node's compiled program or, for a fused
+	// aggregate, from its wrapper: one crossing per morsel, whose rows
+	// are the ones its trace yields (fewer after a filter, more after an
+	// expand).
+	var (
+		prog   *exprProg
+		kinds  []data.Kind // each column's kind
+		wrap   *ffi.UDF
+		wrapIn *data.Chunk
+	)
+	if p.Op == OpFusedAgg {
+		wrap = ectx.clone(p.UDF)
+		args, err := fusedArgs(p, in)
+		if err != nil {
+			return nil, err
+		}
+		wrapIn, kinds = data.NewChunk(args...), wrap.OutKinds
+	} else {
+		var err error
+		if prog, err = e.compile(in, exprs, want); err != nil {
+			return nil, err
+		}
+		kinds = make([]data.Kind, len(exprs))
+		for i := range kinds {
+			kinds[i] = prog.kinds[prog.roots[i]]
+		}
 	}
-
-	var udfArgs []*data.Column // a UDF aggregate's full-length computed arguments
-	if groupIDs != nil {
+	// With many morsels, a morsel keeps only its groups' first rows of
+	// the key columns: the program lends recycled scratch, and a wrapper's
+	// fresh columns would hold every row of the input until the barrier.
+	many := len(spans) > 1
+	// A UDF aggregate's rows. The program's morsels have their input's
+	// rows, so they write at the morsel's offset of one full-length id
+	// vector and argument column; a wrapper's morsel counts are known only
+	// after each crossing, so it keeps its own, joined at the barrier.
+	var (
+		udfAgg    = slices.ContainsFunc(p.Aggs, func(a AggSpec) bool { return a.UDF != nil })
+		groupIDs  []int            // row -> group id
+		udfArgs   []*data.Column   // the computed arguments, by expression
+		wrapGids  [][]int          // per fused morsel: row -> local group id
+		wrapUArgs [][]*data.Column // per fused morsel: udfArgs
+	)
+	if udfAgg {
 		udfArgs = make([]*data.Column, len(exprs))
-	}
-	for _, at := range udfAt {
-		if lent {
-			udfArgs[at] = data.NewColumnLen("", prog.kinds[prog.roots[at]], n, true)
+		if prog == nil {
+			wrapGids, wrapUArgs = make([][]int, len(spans)), make([][]*data.Column, len(spans))
+		} else if groupIDs = make([]int, n); many {
+			for _, at := range udfAt {
+				udfArgs[at] = data.NewColumnLen("", kinds[at], n, true)
+			}
 		}
 	}
 	gidBufs := make([][]int, min(e.Workers(), len(spans))) // per worker: morsel row -> local group id
 	seens := make([]map[string]int, len(gidBufs))          // per worker: encoded key -> local group id
 
-	_, err = e.runMorsels(ectx, spans, func(w, m, lo, hi int) error {
-		return prog.use(in.Slice(lo, hi), func(cols []*data.Column) error {
+	_, err := e.runMorsels(ectx, spans, func(w, m, lo, hi int) error {
+		var wrapOut []*data.Column
+		rows := hi - lo
+		if prog == nil {
+			var err error
+			if wrapOut, rows, err = fusedMorsel(wrap, len(spans) == 1, wrapIn.Slice(lo, hi).Cols, rows, wrap.OutNames, wrap.OutKinds); err != nil {
+				return err
+			}
+		}
+		fold := func(cols []*data.Column) error {
 			mg := &morselGroups{keyCols: cols[:nk]}
-			gidBufs[w] = grow(gidBufs[w], hi-lo)
+			gidBufs[w] = grow(gidBufs[w], rows)
 			gids := gidBufs[w]
 			if nk > 0 {
 				seen := make(map[string]int) // one morsel's table, which may live on the stack
-				if lent {                    // many: each worker refills one table
+				if many {                    // each worker refills one table
 					if seens[w] == nil {
 						seens[w] = make(map[string]int)
 					}
@@ -810,13 +872,13 @@ func (e *Engine) aggregateChunk(p *Plan, in *data.Chunk, ectx *execCtx) (*data.C
 					}
 					gids[i] = gid
 				}
-				if lent { // copy each group's first row out of the scratch, group lg to row lg
+				if many { // copy each group's first row out of the morsel, group lg to row lg
 					mg.keyCols = (&data.Chunk{Cols: cols[:nk]}).Take(mg.firstRow).Cols
 					for lg := range mg.firstRow {
 						mg.firstRow[lg] = lg
 					}
 				}
-			} else if hi > lo {
+			} else if rows > 0 {
 				// Global aggregate: every row is in group 0, the ids' zero value.
 				mg.keys, mg.firstRow = []string{""}, []int{0}
 			}
@@ -834,19 +896,32 @@ func (e *Engine) aggregateChunk(p *Plan, in *data.Chunk, ectx *execCtx) (*data.C
 					return err
 				}
 			}
-			if groupIDs != nil {
+			switch {
+			case udfAgg && prog != nil:
 				copy(groupIDs[lo:], gids)
-			}
-			for _, at := range udfAt {
-				if lent {
-					cols[at].CopyInto(udfArgs[at], lo)
-				} else {
-					udfArgs[at] = cols[at]
+				for _, at := range udfAt {
+					if many {
+						cols[at].CopyInto(udfArgs[at], lo)
+					} else {
+						udfArgs[at] = cols[at]
+					}
+				}
+			case udfAgg: // the wrapper's columns are fresh: keep them as they are
+				if wrapGids[m] = gids; many { // the worker's buffer serves its next morsel
+					wrapGids[m] = slices.Clone(gids)
+				}
+				wrapUArgs[m] = make([]*data.Column, len(exprs))
+				for _, at := range udfAt {
+					wrapUArgs[m][at] = cols[at]
 				}
 			}
 			morsels[m] = mg
 			return nil
-		})
+		}
+		if prog != nil {
+			return prog.use(in.Slice(lo, hi), fold)
+		}
+		return fold(wrapOut)
 	})
 	if err != nil {
 		return nil, err
@@ -886,7 +961,7 @@ func (e *Engine) aggregateChunk(p *Plan, in *data.Chunk, ectx *execCtx) (*data.C
 		}
 		k := data.KindNull
 		if len(spec.Args) > 0 {
-			k = prog.kinds[prog.roots[argAt[ai]]]
+			k = kinds[argAt[ai]]
 		}
 		merged[ai] = newPartial(spec, g, k)
 		for m, mg := range morsels {
@@ -894,13 +969,32 @@ func (e *Engine) aggregateChunk(p *Plan, in *data.Chunk, ectx *execCtx) (*data.C
 		}
 	}
 
-	// The UDF aggregates' group ids become global, in place.
-	if groupIDs != nil {
+	// The UDF aggregates' rows: every morsel's, in morsel order, with
+	// global group ids.
+	switch {
+	case udfAgg && prog != nil:
 		for m, s := range spans {
 			ids := groupIDs[s.lo:s.hi]
 			for r, lg := range ids {
 				ids[r] = l2g[m][lg]
 			}
+		}
+		for _, at := range udfAt {
+			if many && !slices.Contains(udfArgs[at].Nulls, true) {
+				udfArgs[at].Nulls = nil // the column was made nullable for any morsel
+			}
+		}
+	case udfAgg:
+		for m, ids := range wrapGids {
+			for r, lg := range ids {
+				ids[r] = l2g[m][lg]
+			}
+		}
+		if groupIDs = wrapGids[0]; many {
+			groupIDs = slices.Concat(wrapGids...)
+		}
+		for _, at := range udfAt {
+			udfArgs[at] = joinMorsels(len(groupIDs), kinds[at], len(morsels), func(m int) *data.Column { return wrapUArgs[m][at] })
 		}
 	}
 	endMerge()
@@ -921,13 +1015,11 @@ func (e *Engine) aggregateChunk(p *Plan, in *data.Chunk, ectx *execCtx) (*data.C
 			argCols := make([]*data.Column, len(spec.Args))
 			for i, a := range spec.Args {
 				argCols[i] = udfArgs[argAt[ai]+i]
-				if cr, ok := a.(*ColRef); ok {
-					argCols[i] = in.Cols[cr.Index]
-				} else if lent && !slices.Contains(argCols[i].Nulls, true) {
-					argCols[i].Nulls = nil // the column was made nullable for any morsel
+				if argCols[i] == nil { // a column of the input, read as it is
+					argCols[i] = in.Cols[a.(*ColRef).Index]
 				}
 			}
-			results, err = e.Invoker.CallAggregate(ectx.clone(spec.UDF), argCols, n, groupIDs, g)
+			results, err = e.callAggregate(ectx.clone(spec.UDF), p.Op == OpFusedAgg, argCols, len(groupIDs), groupIDs, g)
 			if err != nil {
 				return nil, err
 			}
@@ -941,6 +1033,26 @@ func (e *Engine) aggregateChunk(p *Plan, in *data.Chunk, ectx *execCtx) (*data.C
 		}
 	}
 	return out, nil
+}
+
+// joinMorsels joins parts morsels' columns (part(m) for morsel m) into
+// one of n rows and the given kind, in morsel order; a lone part is the
+// result as it is.
+func joinMorsels(n int, kind data.Kind, parts int, part func(m int) *data.Column) *data.Column {
+	if parts == 1 {
+		return part(0)
+	}
+	out := data.NewColumnLen("", kind, n, true)
+	at := 0
+	for m := 0; m < parts; m++ {
+		c := part(m)
+		c.CopyInto(out, at)
+		at += c.Len()
+	}
+	if !slices.Contains(out.Nulls, true) {
+		out.Nulls = nil
+	}
+	return out
 }
 
 // sortChunk orders the chunk by the plan's sort items: the key vectors

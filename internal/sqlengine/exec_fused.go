@@ -14,8 +14,11 @@ const (
 	// OpFused runs a fused wrapper UDF over its child's columns; it may
 	// change cardinality (offloaded filters/expands/distinct run inside).
 	OpFused PlanOp = 100 + iota
-	// OpFusedAgg runs a fused aggregating wrapper: its compiled trace
-	// groups (the exported internal group-by) and folds per group.
+	// OpFusedAgg is a fused section ending in a group-by: per morsel its
+	// wrapper yields the group keys and aggregate arguments, which the
+	// engine's aggregate folds in the same loop (GroupBy and Aggs are
+	// over the wrapper's output columns), so nothing is materialized for
+	// the whole input between the section and its group-by.
 	OpFusedAgg
 )
 
@@ -27,12 +30,14 @@ func init() {
 
 var fusedOpNames = map[PlanOp]string{}
 
-// execFusedColumnar executes OpFused/OpFusedAgg in the vectorized
-// executors.
+// execFusedColumnar executes OpFused/OpFusedAgg.
 func (e *Engine) execFusedColumnar(p *Plan, ectx *execCtx) (*data.Chunk, error) {
 	in, err := e.execPlan(p.Children[0], ectx)
 	if err != nil {
 		return nil, err
+	}
+	if p.Op == OpFusedAgg {
+		return e.aggregateChunk(p, in, ectx)
 	}
 	return e.runFused(p, in, ectx)
 }
@@ -54,7 +59,39 @@ func (e *Engine) runFusedAsTable(p *Plan, in *data.Chunk, ectx *execCtx) (*data.
 // clones of that clone) — never on the catalog's UDF.
 func (e *Engine) runFused(p *Plan, in *data.Chunk, ectx *execCtx) (*data.Chunk, error) {
 	u := ectx.clone(p.UDF)
+	args, err := fusedArgs(p, in)
+	if err != nil {
+		return nil, err
+	}
 	n := in.NumRows()
+	names := p.Schema.Names()
+	kinds := make([]data.Kind, len(p.Schema))
+	for i, f := range p.Schema {
+		kinds[i] = f.Kind
+	}
+	// Stateless fused wrappers are embarrassingly parallel over row
+	// ranges (like the engine's own vectorized operators); a NoPartition
+	// one runs as one morsel. morselsFor is what keeps Parallelism 1
+	// operator-at-a-time.
+	spans := e.spansFor(p, n)
+	return e.runPartitioned(ectx, data.NewChunk(args...), spans, func(_ int, part *data.Chunk) (*data.Chunk, error) {
+		cols, _, err := fusedMorsel(u, len(spans) == 1, part.Cols, part.NumRows(), names, kinds)
+		return data.NewChunk(cols...), err
+	})
+}
+
+// spansFor splits a node's n input rows: into the engine's morsels, or
+// into one when the node's fused wrapper carries cross-row state (a
+// distinct set) or consumes the whole input (a FROM-position table UDF).
+func (e *Engine) spansFor(p *Plan, n int) []morselSpan {
+	if p.NoPartition {
+		return morselPlan(n, n)
+	}
+	return e.morselsFor(n)
+}
+
+// fusedArgs returns the input columns a fused node feeds its wrapper.
+func fusedArgs(p *Plan, in *data.Chunk) ([]*data.Column, error) {
 	args := make([]*data.Column, len(p.TFArgs))
 	for i, a := range p.TFArgs {
 		cr, ok := a.(*ColRef)
@@ -66,70 +103,21 @@ func (e *Engine) runFused(p *Plan, in *data.Chunk, ectx *execCtx) (*data.Chunk, 
 		}
 		args[i] = in.Cols[cr.Index]
 	}
-	names := p.Schema.Names()
-	kinds := make([]data.Kind, len(p.Schema))
-	for i, f := range p.Schema {
-		kinds[i] = f.Kind
-	}
-	if p.Op == OpFused {
-		if p.NoPartition {
-			cols, err := ffi.CallFusedVector(u, args, n, names, kinds)
-			if err != nil {
-				return nil, err
-			}
-			return data.NewChunk(cols...), nil
-		}
-		// Stateless fused wrappers are embarrassingly parallel over row
-		// ranges (like the engine's own vectorized operators). One span is
-		// one clone of u (own pylite interpreter view, own Stats, folded
-		// back into u when the span is done) and one crossing; morselsFor
-		// is what keeps Parallelism 1 operator-at-a-time.
-		return e.runPartitioned(ectx, data.NewChunk(args...), e.morselsFor(n), func(_ int, part *data.Chunk) (*data.Chunk, error) {
-			cu := u.WorkerClone()
-			defer u.AbsorbWorker(cu)
-			cols, err := ffi.CallFusedVector(cu, part.Cols, part.NumRows(), names, kinds)
-			if err != nil {
-				return nil, err
-			}
-			return data.NewChunk(cols...), nil
-		})
-	}
-	// OpFusedAgg: grouping happens inside the wrapper's trace (after
-	// fused filters) via the native group-by export.
-	tr := u.Trace()
-	// Decomposable aggregates (including avg and UDF aggregates with a
-	// merge hook) run as per-worker partial states over morsels, merged
-	// at the barrier.
-	if e.Workers() > 1 && !p.NoPartition && tr.PartialMergeable() && n >= minParallelRows {
-		return e.runTraceAggMorsels(u, tr, args, n, names, kinds, ectx)
-	}
-	cols, err := ffi.RunTraceAgg(u, tr, args, n, names, kinds)
-	if err != nil {
-		return nil, err
-	}
-	return data.NewChunk(cols...), nil
+	return args, nil
 }
 
-// runTraceAggMorsels executes an aggregating trace as per-morsel partial
-// group tables (each on its own clone of u), merging the live states at
-// the barrier (partial aggregation + merge, §5.3.2 applied in parallel).
-func (e *Engine) runTraceAggMorsels(u *ffi.UDF, tr *ffi.Trace, args []*data.Column, n int, names []string, kinds []data.Kind, ectx *execCtx) (*data.Chunk, error) {
-	argChunk := data.NewChunk(args...)
-	spans := e.morselsFor(n)
-	parts := make([]*ffi.TraceAggPartial, len(spans))
-	_, err := e.runMorsels(ectx, spans, func(_, m, lo, hi int) (err error) {
+// fusedMorsel runs one morsel of a fused node: the wrapper over n rows
+// of its input columns. Unless the morsel is the node's only one
+// (alone), it runs on a worker clone of the query's clone u (own pylite
+// interpreter view, own Stats, folded back into u when the morsel is
+// done), so parallel morsels share no state. It is one crossing, and
+// returns the wrapper's output columns and the number of rows it
+// yielded.
+func fusedMorsel(u *ffi.UDF, alone bool, args []*data.Column, n int, names []string, kinds []data.Kind) ([]*data.Column, int, error) {
+	if !alone {
 		cu := u.WorkerClone()
 		defer u.AbsorbWorker(cu)
-		parts[m], err = ffi.RunTraceAggPartial(cu, tr, argChunk.Slice(lo, hi).Cols, hi-lo)
-		return err
-	})
-	if err != nil {
-		return nil, err
+		u = cu
 	}
-	defer e.mergeTimer(ectx.span)()
-	cols, err := ffi.FinalizeTraceAggPartials(u, tr, parts, names, kinds)
-	if err != nil {
-		return nil, err
-	}
-	return data.NewChunk(cols...), nil
+	return ffi.CallFusedVector(u, args, n, names, kinds)
 }

@@ -175,23 +175,7 @@ func explainNode(b *strings.Builder, p *Plan, depth int) {
 		}
 		fmt.Fprintf(b, " [%s]", strings.Join(parts, ", "))
 	case OpAggregate:
-		keys := make([]string, len(p.GroupBy))
-		for i, e := range p.GroupBy {
-			keys[i] = e.String()
-		}
-		aggs := make([]string, len(p.Aggs))
-		for i, a := range p.Aggs {
-			args := make([]string, len(a.Args))
-			for j, e := range a.Args {
-				args[j] = e.String()
-			}
-			if a.Star {
-				aggs[i] = a.Name + "(*)"
-			} else {
-				aggs[i] = a.Name + "(" + strings.Join(args, ", ") + ")"
-			}
-		}
-		fmt.Fprintf(b, " keys=[%s] aggs=[%s]", strings.Join(keys, ", "), strings.Join(aggs, ", "))
+		explainAgg(b, p)
 	case OpJoin:
 		if p.JoinOn != nil {
 			fmt.Fprintf(b, " %s ON %s", p.JoinKind, p.JoinOn)
@@ -209,8 +193,11 @@ func explainNode(b *strings.Builder, p *Plan, depth int) {
 		fmt.Fprintf(b, " [%s]", strings.Join(parts, ", "))
 	case OpLimit:
 		fmt.Fprintf(b, " %d", p.LimitN)
-	case OpTableFunc, OpExpand, OpFused, OpFusedAgg:
+	case OpTableFunc, OpExpand, OpFused:
 		fmt.Fprintf(b, " %s", p.UDF.Name)
+	case OpFusedAgg:
+		fmt.Fprintf(b, " %s", p.UDF.Name)
+		explainAgg(b, p)
 	case OpUnion:
 		if p.UnionAll {
 			b.WriteString(" ALL")
@@ -223,6 +210,27 @@ func explainNode(b *strings.Builder, p *Plan, depth int) {
 	for _, c := range p.Children {
 		explainNode(b, c, depth+1)
 	}
+}
+
+// explainAgg prints an aggregating node's group keys and aggregates.
+func explainAgg(b *strings.Builder, p *Plan) {
+	keys := make([]string, len(p.GroupBy))
+	for i, e := range p.GroupBy {
+		keys[i] = e.String()
+	}
+	aggs := make([]string, len(p.Aggs))
+	for i, a := range p.Aggs {
+		args := make([]string, len(a.Args))
+		for j, e := range a.Args {
+			args[j] = e.String()
+		}
+		if a.Star {
+			aggs[i] = a.Name + "(*)"
+		} else {
+			aggs[i] = a.Name + "(" + strings.Join(args, ", ") + ")"
+		}
+	}
+	fmt.Fprintf(b, " keys=[%s] aggs=[%s]", strings.Join(keys, ", "), strings.Join(aggs, ", "))
 }
 
 // Walk visits the plan tree pre-order.

@@ -19,7 +19,9 @@ fi
 # by name through Catalog.UDF (the catalog and UDF registration aside);
 # and outside internal/ffi only Engine.callUDF chooses between running a
 # fused wrapper (ffi.CallFusedVector) and the transport
-# ((ffi.Invoker).CallScalar); only the transports in
+# ((ffi.Invoker).CallScalar), and only Engine.callAggregate folds a UDF
+# aggregate through a transport's CallAggregate (a fused aggregate's fold
+# stays in process); only the transports in
 # internal/ffi/transport.go run a scalar UDF's body ((*ffi.UDF).Invoke),
 # so no executor calls a UDF around them; and outside the PyLite runtime only ffi's
 # eachRow iterates a generator UDF's rows ((*pylite.Generator).Next,

@@ -12,8 +12,13 @@
 //     a scalar UDF call crosses: a fused wrapper in process, any other
 //     UDF through the profile's transport. Outside internal/ffi, the
 //     choice between them is made only in sqlengine's Engine.callUDF;
-//     runFused runs a fused plan operator, which is a wrapper by
-//     construction.
+//     fusedMorsel runs a morsel of a fused plan operator, which is a
+//     wrapper by construction.
+//   - (ffi.Invoker).CallAggregate folds a UDF aggregate, and so do the
+//     transports' own methods of that name and ffi.FoldFusedAggregate.
+//     Outside internal/ffi, only sqlengine's Engine.callAggregate may
+//     call one: it decides that the fold of a fused aggregate runs in
+//     process, so no executor sends it over the profile's transport.
 //   - (*ffi.UDF).Invoke runs a scalar UDF's body on one row. Only the
 //     transports in internal/ffi/transport.go may call it: they fire the
 //     boundary's fault hook and record the crossing in ffi.udf.*, so no
@@ -60,6 +65,12 @@ type rule struct {
 	msg   string
 }
 
+// aggRule is where a UDF aggregate's fold may be called.
+var aggRule = rule{
+	where: []string{"internal/ffi/*.go", "internal/sqlengine/engine.go:callAggregate"},
+	msg:   "folds a UDF aggregate through a transport directly; call Engine.callAggregate, the one place that decides fused dispatch",
+}
+
 // drainRule is where a UDF's yielded rows may be iterated.
 var drainRule = rule{
 	where: []string{"internal/pylite/*.go", "internal/ffi/trace.go:eachRow", "internal/bench/systems.go"},
@@ -74,7 +85,7 @@ var rules = []rule{
 	},
 	{
 		fn:    module + "/internal/ffi.CallFusedVector",
-		where: []string{"internal/ffi/*.go", "internal/sqlengine/engine.go:callUDF", "internal/sqlengine/exec_fused.go:runFused"},
+		where: []string{"internal/ffi/*.go", "internal/sqlengine/engine.go:callUDF", "internal/sqlengine/exec_fused.go:fusedMorsel"},
 		msg:   "runs a fused wrapper directly; call Engine.callUDF, the one place that decides fused dispatch",
 	},
 	{
@@ -82,6 +93,10 @@ var rules = []rule{
 		where: []string{"internal/ffi/*.go", "internal/sqlengine/engine.go:callUDF"},
 		msg:   "calls a scalar UDF through the transport directly; call Engine.callUDF, the one place that decides fused dispatch",
 	},
+	aggRule.of("(" + module + "/internal/ffi.Invoker).CallAggregate"),
+	aggRule.of("(" + module + "/internal/ffi.VectorInvoker).CallAggregate"),
+	aggRule.of("(*" + module + "/internal/ffi.ProcessInvoker).CallAggregate"),
+	aggRule.of(module + "/internal/ffi.FoldFusedAggregate"),
 	{
 		fn:    "(*" + module + "/internal/ffi.UDF).Invoke",
 		where: []string{"internal/ffi/transport.go"},
