@@ -24,7 +24,9 @@ vet:
 ## body ((*ffi.UDF).Invoke), so no executor calls a UDF around them;
 ## outside the PyLite runtime only ffi's eachRow iterates a generator
 ## UDF's rows ((*pylite.Generator).Next, pylite.Iterate, pylite.ValueIter;
-## the UDO baseline in internal/bench/systems.go aside).
+## the UDO baseline in internal/bench/systems.go aside); only sqlengine's
+## aggregateChunk (the one grouping and dedup) and appendRowKey (the
+## join's key) encode a row key (appendColKey).
 lint:
 	$(GO) vet ./...
 	@unformatted=$$(gofmt -l .); \

@@ -192,14 +192,6 @@ func (qf *QFusor) emitWrapper(seg *Segment, g *DFG, inSec map[int]bool, lo, hi i
 		return nil, err
 	}
 	node.UDF = u
-	for pi := lo; pi <= hi; pi++ {
-		switch seg.Chain[pi].Op {
-		case sqlengine.OpDistinct, sqlengine.OpTableFunc:
-			// The wrapper carries cross-row state (distinct set) or
-			// consumes the whole input stream (FROM-position table UDF).
-			node.NoPartition = true
-		}
-	}
 	childSchema := childSchemaOf(seg, lo)
 	for _, ci := range inputs {
 		name := fmt.Sprintf("c%d", ci)

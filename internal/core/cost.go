@@ -83,7 +83,6 @@ func DefaultCostModel() *CostModel {
 			KRelFilter:    15,
 			KRelAggNative: 20,
 			KRelGroupBy:   60,
-			KRelDistinct:  50,
 		},
 		UDFFactor:  3,
 		UDFDefault: 800,
@@ -233,30 +232,6 @@ func (cm *CostModel) ShouldOffload(r *DFGNode, udfs []*DFGNode, fusedRows, fused
 	}
 	return save > loss
 }
-
-// Heuristics (§5.2.4) — the cold-start rules applied when statistics
-// are missing or the engine is purely rule-based.
-
-// HeuristicFuseFilter: fuse a filter with adjacent UDFs unless it is
-// highly selective below them (in which case reordering it engine-side
-// first is better — that is F3's job, not fusion's).
-func HeuristicFuseFilter(sel float64, beforeUDFs bool) bool {
-	if beforeUDFs {
-		// A pre-filter that drops most rows should run in the engine
-		// first (push-down); one that keeps ≥80% can ride along fused.
-		return sel >= 0.8
-	}
-	// Post-UDF filters always save output conversions when fused.
-	return true
-}
-
-// HeuristicFuseDistinct: fuse DISTINCT only when it is highly selective
-// (removes more than ~90% of its input).
-func HeuristicFuseDistinct(sel float64) bool { return sel <= 0.1 }
-
-// HeuristicFuseGroupBy: group-bys fuse whenever the engine FFI is
-// available (it is, on this substrate).
-func HeuristicFuseGroupBy() bool { return true }
 
 func max(a, b int) int {
 	if a > b {

@@ -24,10 +24,9 @@ const (
 	KRelFilter
 	// KRelAggNative is a native aggregate (sum/count/min/max/...).
 	KRelAggNative
-	// KRelGroupBy is the grouping operator of an Aggregate node.
+	// KRelGroupBy is the grouping operator of an Aggregate node (a
+	// DISTINCT or a UNION's dedup is one with no aggregates).
 	KRelGroupBy
-	// KRelDistinct is a DISTINCT.
-	KRelDistinct
 )
 
 // String names the kind in traces and EXPLAIN-style output.
@@ -47,8 +46,6 @@ func (k OpKind) String() string {
 		return "rel-agg"
 	case KRelGroupBy:
 		return "rel-groupby"
-	case KRelDistinct:
-		return "rel-distinct"
 	}
 	return fmt.Sprintf("op(%d)", int(k))
 }
@@ -117,7 +114,7 @@ type Segment struct {
 func segmentable(p *sqlengine.Plan) bool {
 	switch p.Op {
 	case sqlengine.OpProject, sqlengine.OpFilter, sqlengine.OpExpand,
-		sqlengine.OpTableFunc, sqlengine.OpAggregate, sqlengine.OpDistinct:
+		sqlengine.OpTableFunc, sqlengine.OpAggregate:
 		return len(p.Children) <= 1
 	}
 	return false
@@ -326,11 +323,6 @@ func (b *dfgBuilder) addPlanNode(pi int, p *sqlengine.Plan, in []string) ([]stri
 			b.add(node)
 		}
 		return out, nil
-	case sqlengine.OpDistinct:
-		b.add(&DFGNode{Kind: KRelDistinct, Name: "distinct",
-			In: append([]string(nil), in...), Out: append([]string(nil), in...),
-			PlanIdx: pi, Rows: rows, Sel: 0.1})
-		return in, nil
 	}
 	return nil, fmt.Errorf("core: unsupported segment operator %s", p.Op)
 }

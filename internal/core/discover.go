@@ -141,10 +141,10 @@ func DiscoverSections(g *DFG, cm *CostModel) []*Section {
 
 // heuristicAccept applies the §5.2.4 cold-start rules when the cost
 // model has no learned statistics for any UDF in the candidate section
-// (rule-based engines, newly registered UDFs): fuse all fusible UDF
-// chains; ride-along filters unless highly selective pre-UDF filters
-// (those are better pushed down by F3); fuse DISTINCT only when highly
-// selective; group-bys fuse via the engine FFI.
+// (rule-based engines, newly registered UDFs): every fusible section
+// with a UDF fuses — its UDF chains, the filters riding along (F3 has
+// already moved disjoint ones out) and its group-by, DISTINCT among
+// them, whose rows the engine's aggregate folds.
 func heuristicAccept(g *DFG, nodes []int) bool {
 	anyWarm := false
 	udfs := 0
@@ -157,27 +157,7 @@ func heuristicAccept(g *DFG, nodes []int) bool {
 			}
 		}
 	}
-	if anyWarm || udfs == 0 {
-		return false // warm statistics: the cost model decides
-	}
-	for _, id := range nodes {
-		nd := g.Nodes[id]
-		switch nd.Kind {
-		case KRelFilter:
-			if !HeuristicFuseFilter(nd.Sel, false) {
-				return false
-			}
-		case KRelDistinct:
-			if !HeuristicFuseDistinct(nd.Sel) {
-				return false
-			}
-		case KRelGroupBy:
-			if !HeuristicFuseGroupBy() {
-				return false
-			}
-		}
-	}
-	return true
+	return !anyWarm && udfs > 0 // warm statistics: the cost model decides
 }
 
 // fusibleOrReorderable implements the fusion-case check of Algorithm 2
@@ -201,8 +181,6 @@ func nodeFusible(n *DFGNode) bool {
 		}
 		return false // blocking aggregates (median) stay engine-side
 	case KRelGroupBy:
-		return HeuristicFuseGroupBy()
-	case KRelDistinct:
 		return true
 	}
 	return false
@@ -365,7 +343,7 @@ func (g *DFG) sectionCost(cm *CostModel, sec []int) float64 {
 	entryRows := nodes[0].Rows
 	sel := 1.0
 	for _, n := range nodes {
-		if n.Kind == KRelFilter || n.Kind == KRelDistinct || n.Kind == KUDFTable {
+		if n.Kind == KRelFilter || n.Kind == KUDFTable {
 			sel *= n.Sel
 		}
 	}

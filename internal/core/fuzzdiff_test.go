@@ -221,11 +221,11 @@ var (
 )
 
 const (
-	diffNumShapes = 13
+	diffNumShapes = 16
 	// DiffSeedSpace is the exhaustive seed count TestDiffSeeds covers:
-	// shapes 0-5 and 8-12 draw from the notes dimensions, shapes 6-7
+	// shapes 0-5 and 8-15 draw from the notes dimensions, shapes 6-7
 	// from the vals (inline-tier) dimensions.
-	diffSeedSpace = 11*4*4 + 2*5*4
+	diffSeedSpace = 14*4*4 + 2*5*4
 )
 
 // diffInlineShape reports whether a shape draws from the vals
@@ -285,6 +285,19 @@ func buildDiffQuery(dat []byte) string {
 		// The same three row shapes from a two-column expand UDF, which
 		// exposes both of its columns.
 		return fmt.Sprintf("SELECT p, n FROM (SELECT eshape(id, %s) AS e FROM notes%s) AS x ORDER BY p, n", scalar, pred)
+	case 13:
+		// A DISTINCT over a UDF projection of every note twice: a
+		// group-by with no aggregates, which the engine folds from the
+		// rows the wrapper yields.
+		return fmt.Sprintf("SELECT DISTINCT %s AS s FROM (SELECT id, title FROM notes UNION ALL SELECT id, title FROM notes) AS u%s ORDER BY s", scalar, pred)
+	case 14:
+		// An expand UDF above a DISTINCT: every piece of every distinct
+		// value is kept.
+		return fmt.Sprintf("SELECT p FROM (SELECT pieces(s) AS p FROM (SELECT DISTINCT %s AS s FROM notes%s) AS d) AS x ORDER BY p", scalar, pred)
+	case 15:
+		// A UNION of two UDF projections: a dedup over their
+		// concatenation.
+		return fmt.Sprintf("SELECT %s AS s FROM notes%s UNION SELECT slug(title) AS s FROM notes ORDER BY s", scalar, pred)
 	default:
 		// Inlinable scalar feeding an opaque aggregate: the argument
 		// inlines while the aggregate stays on the fusion ladder.
@@ -442,6 +455,7 @@ func FuzzDiff(f *testing.F) {
 		{8, 0, 0}, {8, 1, 1}, {8, 2, 2}, {8, 3, 3},
 		{9, 0, 0}, {9, 1, 3}, {9, 3, 1}, {10, 0, 0}, {10, 2, 3}, {10, 3, 2},
 		{11, 0, 0}, {11, 3, 1}, {12, 0, 0}, {12, 3, 2},
+		{13, 0, 0}, {13, 3, 1}, {14, 0, 0}, {14, 1, 3}, {15, 0, 2}, {15, 3, 0},
 	} {
 		f.Add(seed)
 	}

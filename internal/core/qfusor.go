@@ -36,8 +36,9 @@ type Options struct {
 	// ScalarOnly restricts fusion to scalar-scalar UDF chains (the
 	// YeSQL baseline).
 	ScalarOnly bool
-	// Offload allows relational operators (filter/case/arithmetic/
-	// distinct) to execute inside the UDF environment.
+	// Offload allows relational operators (filter/case/arithmetic) to
+	// execute inside the UDF environment. A DISTINCT is a group-by, which
+	// AggFusion gates.
 	Offload bool
 	// Reorder enables F3 operator reordering (moving disjoint filters
 	// engine-side below fused sections).
@@ -609,7 +610,7 @@ func (qf *QFusor) filterSections(g *DFG, secs []*Section) []*Section {
 				if !qf.Opts.Offload && !exprIsConstant(nd.Expr) {
 					keep = false
 				}
-			case KRelFilter, KRelDistinct:
+			case KRelFilter:
 				if !qf.Opts.Offload {
 					keep = false
 				}

@@ -228,8 +228,11 @@ func TestFuseComplexTypes(t *testing.T) {
 
 func TestFuseDistinct(t *testing.T) {
 	eng, qf := buildEngine(t)
-	assertSameResult(t, eng, qf,
+	rep := assertSameResult(t, eng, qf,
 		"SELECT DISTINCT upname(firstword(city)) FROM people")
+	if rep.Sections == 0 {
+		t.Fatal("the DISTINCT did not fuse")
+	}
 }
 
 func TestFuseRunningExample(t *testing.T) {
@@ -657,8 +660,7 @@ func TestHeuristicColdStartFusion(t *testing.T) {
 	if rep.Sections == 0 {
 		t.Fatal("cold-start heuristics fused nothing")
 	}
-	// DISTINCT with unknown selectivity stays engine-side under the
-	// heuristic (it only fuses when highly selective).
+	// A DISTINCT is a group-by, which the heuristic always fuses.
 	eng2, qf2 := buildEngine(t)
 	assertSameResult(t, eng2, qf2, "SELECT DISTINCT upname(city) FROM people")
 }

@@ -39,30 +39,40 @@ WHERE id <= 5 AND n != 'ZZZ'`
 	}
 }
 
-// TestDistinctOffloadSingleShot: a fused DISTINCT carries cross-row
-// state, so the node must refuse partitioning and stay correct under a
-// parallel engine.
+// TestDistinctOffloadSingleShot: a fused DISTINCT is a FusedAgg with no
+// aggregates — its wrapper keeps no state across rows, and the engine's
+// aggregate dedups what every morsel yields — so it agrees with native at
+// every morsel size, and over 4 000 rows its wrapper runs on the VM tier,
+// one crossing per morsel.
 func TestDistinctOffloadSingleShot(t *testing.T) {
 	eng, qf := buildEngine(t)
+	addBig(t, eng)
 	eng.Parallelism = 4
-	sql := "SELECT DISTINCT upname(firstword(city)) AS c FROM people"
-	rep := assertSameResult(t, eng, qf, sql)
-	_ = rep
+	for _, size := range []int{1, 7} {
+		eng.MorselSize = size
+		assertSameResult(t, eng, qf, "SELECT DISTINCT upname(firstword(city)) AS c FROM people")
+	}
+	eng.MorselSize = 0
+	const sql = "SELECT DISTINCT upname(firstword(city)) AS c FROM big"
+	assertSameResult(t, eng, qf, sql)
 	q, _, err := qf.Process(eng, sql)
 	if err != nil {
 		t.Fatal(err)
 	}
-	var fused *sqlengine.Plan
-	q.Root.Walk(func(p *sqlengine.Plan) {
-		if p.Op == sqlengine.OpFused {
-			fused = p
-		}
-	})
-	if fused == nil {
-		t.Skip("distinct not fused under current cost model")
+	aggs := fusedAggs(q)
+	if len(aggs) != 1 || len(aggs[0].Aggs) != 0 || len(aggs[0].GroupBy) != 1 {
+		t.Fatalf("want one FusedAgg with one key and no aggregates:\n%s", q.Explain())
 	}
-	if !fused.NoPartition {
-		t.Fatal("fused DISTINCT node is partitionable — duplicate rows possible")
+	u := aggs[0].UDF
+	if !u.Trace().VM {
+		t.Fatalf("wrapper %s is not on the VM tier", u.Name)
+	}
+	before := u.Stats.Calls.Load()
+	if _, err := eng.Execute(q); err != nil {
+		t.Fatal(err)
+	}
+	if calls := u.Stats.Calls.Load() - before; calls < 2 {
+		t.Fatalf("the wrapper ran %d morsels over 4 000 rows, want more than one", calls)
 	}
 }
 
@@ -141,13 +151,21 @@ SELECT n FROM clean WHERE id > 1`)
 		t.Fatal(err)
 	}
 	sql2, executable := core.RenderSQL(q2)
-	hasFusedAgg := false
-	q2.Root.Walk(func(p *sqlengine.Plan) {
-		if p.Op == sqlengine.OpFusedAgg {
-			hasFusedAgg = true
-		}
-	})
-	if hasFusedAgg && executable {
-		t.Fatalf("aggregate fusion should render display-only SQL:\n%s", sql2)
+	if len(fusedAggs(q2)) == 0 {
+		t.Fatalf("the aggregate did not fuse:\n%s", q2.Explain())
+	}
+	// A fused aggregate renders as a GROUP BY over its wrapper's output,
+	// which re-submits.
+	if !executable || !strings.Contains(sql2, "GROUP BY") {
+		t.Fatalf("aggregate fusion should render executable SQL:\n%s", sql2)
+	}
+	// Group keys are reached by name: two of one name cannot re-submit.
+	q3, _, err := qf.Process(eng,
+		"SELECT DISTINCT upname(firstword(name)), upname(firstword(city)) FROM people")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if sql3, executable := core.RenderSQL(q3); executable {
+		t.Fatalf("keys of one name rendered as executable SQL:\n%s", sql3)
 	}
 }

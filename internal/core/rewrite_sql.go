@@ -60,7 +60,7 @@ func (r *sqlRenderer) render(p *sqlengine.Plan) string {
 		if len(p.Children) > 0 {
 			inner = r.render(p.Children[0])
 		}
-		if p.Op == sqlengine.OpFused && len(p.TFArgs) > 0 {
+		if p.Op != sqlengine.OpTableFunc && len(p.TFArgs) > 0 {
 			// Narrow the input to the wrapper's argument columns.
 			cols := make([]string, len(p.TFArgs))
 			for i, a := range p.TFArgs {
@@ -69,21 +69,19 @@ func (r *sqlRenderer) render(p *sqlengine.Plan) string {
 			inner = fmt.Sprintf("SELECT %s FROM (%s) AS %s",
 				strings.Join(cols, ", "), inner, r.alias())
 		}
-		if p.Op == sqlengine.OpFusedAgg {
-			// The wrapper yields the group keys and aggregate arguments
-			// that the engine's aggregate folds in the same loop; the
-			// table-function call form cannot carry that fold — display
-			// only.
-			r.executable = false
-		}
 		extras := ""
 		for _, a := range p.TFArgs {
 			if p.Op == sqlengine.OpTableFunc {
 				extras += ", " + exprSQL(a)
 			}
 		}
-		return fmt.Sprintf("SELECT * FROM %s((%s)%s) AS %s",
-			p.UDF.Name, inner, extras, r.alias())
+		from := fmt.Sprintf("%s((%s)%s) AS %s", p.UDF.Name, inner, extras, r.alias())
+		if p.Op == sqlengine.OpFusedAgg {
+			// The wrapper yields the group keys and aggregate arguments;
+			// a GROUP BY over its output columns folds them.
+			return r.aggregate(p, from)
+		}
+		return "SELECT * FROM " + from
 	case sqlengine.OpExpand:
 		// Expand UDFs appear in SELECT position.
 		nKeep := p.ExpandKeep()
@@ -101,31 +99,7 @@ func (r *sqlRenderer) render(p *sqlengine.Plan) string {
 		return fmt.Sprintf("SELECT %s FROM (%s) AS %s",
 			strings.Join(keeps, ", "), r.render(child), r.alias())
 	case sqlengine.OpAggregate:
-		var items []string
-		for i, k := range p.GroupBy {
-			items = append(items, fmt.Sprintf("%s AS %s", exprSQL(k), p.Schema[i].Name))
-		}
-		for i, a := range p.Aggs {
-			call := a.Name + "(*)"
-			if !a.Star {
-				args := make([]string, len(a.Args))
-				for j, e := range a.Args {
-					args[j] = exprSQL(e)
-				}
-				call = a.Name + "(" + strings.Join(args, ", ") + ")"
-			}
-			items = append(items, fmt.Sprintf("%s AS %s", call, p.Schema[len(p.GroupBy)+i].Name))
-		}
-		sql := fmt.Sprintf("SELECT %s FROM (%s) AS %s",
-			strings.Join(items, ", "), r.render(p.Children[0]), r.alias())
-		if len(p.GroupBy) > 0 {
-			keys := make([]string, len(p.GroupBy))
-			for i, k := range p.GroupBy {
-				keys[i] = exprSQL(k)
-			}
-			sql += " GROUP BY " + strings.Join(keys, ", ")
-		}
-		return sql
+		return r.aggregate(p, fmt.Sprintf("(%s) AS %s", r.render(p.Children[0]), r.alias()))
 	case sqlengine.OpSort:
 		keys := make([]string, len(p.SortItems))
 		for i, s := range p.SortItems {
@@ -135,9 +109,6 @@ func (r *sqlRenderer) render(p *sqlengine.Plan) string {
 			}
 		}
 		return fmt.Sprintf("%s ORDER BY %s", r.render(p.Children[0]), strings.Join(keys, ", "))
-	case sqlengine.OpDistinct:
-		return fmt.Sprintf("SELECT DISTINCT * FROM (%s) AS %s",
-			r.render(p.Children[0]), r.alias())
 	case sqlengine.OpLimit:
 		sql := fmt.Sprintf("%s LIMIT %d", r.render(p.Children[0]), p.LimitN)
 		if p.OffsetN > 0 {
@@ -145,11 +116,7 @@ func (r *sqlRenderer) render(p *sqlengine.Plan) string {
 		}
 		return sql
 	case sqlengine.OpUnion:
-		op := "UNION"
-		if p.UnionAll {
-			op = "UNION ALL"
-		}
-		return fmt.Sprintf("%s %s %s", r.render(p.Children[0]), op, r.render(p.Children[1]))
+		return fmt.Sprintf("%s UNION ALL %s", r.render(p.Children[0]), r.render(p.Children[1]))
 	case sqlengine.OpJoin:
 		// Qualified-name recovery across joins is lossy; render display
 		// SQL only.
@@ -168,6 +135,42 @@ func (r *sqlRenderer) render(p *sqlengine.Plan) string {
 	}
 	r.executable = false
 	return "SELECT /* unsupported operator " + p.Op.String() + " */ *"
+}
+
+// aggregate renders an aggregating node (a DISTINCT is one with no
+// aggregates) over the FROM item from: its group keys and aggregates,
+// named as its schema, grouped by the keys. Keys reach their columns by
+// name, so two keys of one name (SELECT DISTINCT f(a), f(b)) render
+// display-only SQL.
+func (r *sqlRenderer) aggregate(p *sqlengine.Plan, from string) string {
+	var items []string
+	named := map[string]bool{}
+	for i, k := range p.GroupBy {
+		name := strings.ToLower(p.Schema[i].Name)
+		r.executable = r.executable && !named[name]
+		named[name] = true
+		items = append(items, fmt.Sprintf("%s AS %s", exprSQL(k), p.Schema[i].Name))
+	}
+	for i, a := range p.Aggs {
+		call := a.Name + "(*)"
+		if !a.Star {
+			args := make([]string, len(a.Args))
+			for j, e := range a.Args {
+				args[j] = exprSQL(e)
+			}
+			call = a.Name + "(" + strings.Join(args, ", ") + ")"
+		}
+		items = append(items, fmt.Sprintf("%s AS %s", call, p.Schema[len(p.GroupBy)+i].Name))
+	}
+	sql := fmt.Sprintf("SELECT %s FROM %s", strings.Join(items, ", "), from)
+	if len(p.GroupBy) > 0 {
+		keys := make([]string, len(p.GroupBy))
+		for i, k := range p.GroupBy {
+			keys[i] = exprSQL(k)
+		}
+		sql += " GROUP BY " + strings.Join(keys, ", ")
+	}
+	return sql
 }
 
 func (r *sqlRenderer) items(p *sqlengine.Plan) string {

@@ -236,12 +236,6 @@ func (qf *QFusor) buildTrace(seg *Segment, g *DFG, inSec map[int]bool, lo, hi in
 				return nil, nil, err
 			}
 			t.Ops = append(t.Ops, ffi.TraceOp{Kind: ffi.TExpand, Args: args, Dsts: newRegs(nd.Out), UDF: nd.UDF})
-		case sqlengine.OpDistinct:
-			regs, err := fieldRegs(g.PlanFields[pi])
-			if err != nil {
-				return nil, nil, err
-			}
-			t.DistinctRegs = regs
 		case sqlengine.OpAggregate:
 			// The trace yields the aggregate's input rows (see
 			// aggOutputs): the group keys, which resolve against plan

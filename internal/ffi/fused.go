@@ -22,7 +22,10 @@ var FaultFused = faultinject.Register("ffi.fused")
 // columns, no (de)serialization between the fused operators. An
 // aggregating section's wrapper is no different: it yields its group
 // keys and aggregate arguments, and the engine's own aggregate folds
-// them (the paper's call back into the engine for group-by, §5.3.2).
+// them (the paper's call back into the engine for group-by, §5.3.2). A
+// fused DISTINCT is such a section with no aggregates, so no wrapper
+// keeps state across rows and any split of its input into batches
+// gives the same result.
 
 // CallFusedVector invokes a fused wrapper over n rows of input columns,
 // returning its output columns with the given names/kinds and the

@@ -40,11 +40,11 @@ type Trace struct {
 	// Ops is the loop body.
 	Ops []TraceOp
 	// OutRegs lists the registers each row yields, one per output
-	// column. An aggregating section's trace yields its group keys, then
-	// each aggregate's argument: the engine's aggregate folds them.
+	// column. An aggregating section's trace (a DISTINCT's among them)
+	// yields its group keys, then each aggregate's argument: the
+	// engine's aggregate groups and folds them, so no trace keeps state
+	// across rows.
 	OutRegs []int
-	// Distinct, when non-nil, dedups output rows on these registers.
-	DistinctRegs []int
 	// VM marks a trace Lower put on the bytecode VM tier: every TCall
 	// runs its register program or its native GoFn, and the trace's rows
 	// count toward the VM tier's metrics.
@@ -110,22 +110,8 @@ func RunTraceVector(u *UDF, t *Trace, args []*data.Column, n int, outNames []str
 	for i := range outs {
 		outs[i] = data.NewColumnCap(outNames[i], outKinds[i], n)
 	}
-	var seen map[string]bool
-	if t.DistinctRegs != nil {
-		seen = make(map[string]bool, n)
-	}
 	outRows := 0
 	emit := func(regs []data.Value) error {
-		if seen != nil {
-			key := ""
-			for _, r := range t.DistinctRegs {
-				key += regs[r].Key() + "\x00"
-			}
-			if seen[key] {
-				return nil
-			}
-			seen[key] = true
-		}
 		for i, r := range t.OutRegs {
 			outs[i].AppendValue(regs[r])
 		}
@@ -300,9 +286,6 @@ func (t *Trace) Render(name string) string {
 	for i, r := range t.ConstRegs {
 		fmt.Fprintf(&b, "    r%d = %s\n", r, t.Consts[i].Repr())
 	}
-	if t.DistinctRegs != nil {
-		b.WriteString("    seen = set()\n")
-	}
 	if t.Source != nil {
 		args := []string{fmt.Sprintf("rows(%s)", strings.Join(params, ", "))}
 		for _, v := range t.SourceArgs {
@@ -321,7 +304,7 @@ func (t *Trace) Render(name string) string {
 }
 
 // renderOps prints an op list at the given indent depth, then the row's
-// end: the distinct check and the row's yield.
+// yield.
 func (t *Trace) renderOps(b *strings.Builder, ops []TraceOp, depth int) {
 	ind := strings.Repeat("    ", depth)
 	for oi, op := range ops {
@@ -337,10 +320,6 @@ func (t *Trace) renderOps(b *strings.Builder, ops []TraceOp, depth int) {
 			t.renderOps(b, ops[oi+1:], depth+1)
 			return
 		}
-	}
-	if t.DistinctRegs != nil {
-		key := "[" + regList(t.DistinctRegs) + "]"
-		fmt.Fprintf(b, "%sif %s in seen:\n%s    continue\n%sseen.add(%s)\n", ind, key, ind, ind, key)
 	}
 	fmt.Fprintf(b, "%syield %s\n", ind, regList(t.OutRegs))
 }

@@ -107,12 +107,12 @@ func Lower(t *Trace, vm bool) *Trace {
 // GoFn calls and non-call ops), or nil when the trace does not lower
 // onto the VM tier. An aggregating section's trace qualifies like any
 // other: it only yields rows, which the engine's aggregate folds.
-// Distinct-folding, source-driven and expanding
-// traces keep their compiled bodies, as does any trace with a TCall
-// whose body is outside the bytecode subset or whose arity the program
-// does not accept, and a trace with no call at all.
+// Source-driven and expanding traces keep their compiled bodies, as
+// does any trace with a TCall whose body is outside the bytecode subset
+// or whose arity the program does not accept, and a trace with no call
+// at all.
 func vmPrograms(t *Trace) []*pylite.Program {
-	if len(t.DistinctRegs) > 0 || t.Source != nil {
+	if t.Source != nil {
 		return nil
 	}
 	progs := make([]*pylite.Program, len(t.Ops))

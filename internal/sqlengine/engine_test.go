@@ -288,11 +288,20 @@ FROM people GROUP BY city ORDER BY city`)
 
 func TestDistinctUnionLimit(t *testing.T) {
 	runAllModes(t, func(t *testing.T, eng *sqlengine.Engine) {
-		got := queryStrings(t, eng, "SELECT DISTINCT city FROM people ORDER BY city", 0)
-		if len(got) != 3 || got[0] != "athens" {
-			t.Fatalf("distinct got %v", got)
+		// A DISTINCT is a group-by that keeps its input's names and
+		// qualifiers: ORDER BY binds over it by name, qualified name or
+		// position.
+		for _, sql := range []string{
+			"SELECT DISTINCT city FROM people ORDER BY city",
+			"SELECT DISTINCT p.city FROM people AS p ORDER BY p.city",
+			"SELECT DISTINCT city FROM people ORDER BY 1",
+		} {
+			got := queryStrings(t, eng, sql, 0)
+			if len(got) != 3 || got[0] != "athens" {
+				t.Fatalf("%s: got %v", sql, got)
+			}
 		}
-		got = queryStrings(t, eng,
+		got := queryStrings(t, eng,
 			"SELECT city FROM people UNION SELECT city FROM people ORDER BY city LIMIT 2", 0)
 		if len(got) != 2 || got[0] != "athens" || got[1] != "berlin" {
 			t.Fatalf("union got %v", got)

@@ -69,12 +69,6 @@ func (e *Engine) execColumnar(p *Plan, ectx *execCtx) (*data.Chunk, error) {
 			return nil, err
 		}
 		return e.sortChunk(p, in, ectx)
-	case OpDistinct:
-		in, err := e.execPlan(p.Children[0], ectx)
-		if err != nil {
-			return nil, err
-		}
-		return e.distinctChunk(in, ectx), nil
 	case OpLimit:
 		return e.limitChunk(p, ectx)
 	case OpUnion:
@@ -86,11 +80,7 @@ func (e *Engine) execColumnar(p *Plan, ectx *execCtx) (*data.Chunk, error) {
 		if err != nil {
 			return nil, err
 		}
-		out := data.Concat(p.Schema, []*data.Chunk{l, r})
-		if !p.UnionAll {
-			return e.distinctChunk(out, ectx), nil
-		}
-		return out, nil
+		return data.Concat(p.Schema, []*data.Chunk{l, r}), nil
 	case OpTableFunc:
 		in, err := e.execPlan(p.Children[0], ectx)
 		if err != nil {
@@ -736,15 +726,18 @@ func newPartial(spec AggSpec, g int, k data.Kind) *aggPartial {
 // aggregateChunk groups the input and folds native and UDF aggregates in
 // one morsel-parallel loop, which borrows each morsel's key and argument
 // columns and keeps only group state: a thread-local hash table (keys in
-// the separator-safe byte encoding) with a copy of each new group's key
-// values, native partials over morsel-local group ids, which go into a
-// buffer per worker. The columns come from the node's compiled program
-// or, for a fused aggregate, from its wrapper. The barrier merges the
-// local tables in morsel order — which reproduces the serial
-// first-occurrence group order exactly — then the partials through the
-// local→global id maps. A UDF aggregate, which may not be decomposable,
-// runs once over every morsel's group ids and computed arguments, joined
-// in morsel order.
+// the separator-safe byte encoding) with where to find each new group's
+// key values, native partials over morsel-local group ids, which go into
+// a buffer per worker. It is the engine's one grouping: a DISTINCT, and
+// a UNION's dedup, is an aggregate keyed on every column with no
+// aggregates. The columns come from the node's compiled program, from
+// the input itself when every expression is one of its columns, or, for
+// a fused aggregate, from its wrapper. The barrier merges the local
+// tables in morsel order — which reproduces the serial first-occurrence
+// group order exactly — then the partials through the local→global id
+// maps, and gathers the key columns typed. A UDF aggregate, which may
+// not be decomposable, runs once over every morsel's group ids and
+// computed arguments, joined in morsel order.
 func (e *Engine) aggregateChunk(p *Plan, in *data.Chunk, ectx *execCtx) (*data.Chunk, error) {
 	n := in.NumRows()
 	spans := e.spansFor(p, n)
@@ -756,7 +749,7 @@ func (e *Engine) aggregateChunk(p *Plan, in *data.Chunk, ectx *execCtx) (*data.C
 		firstRow []int          // local group id -> its first row in keyCols
 		parts    []*aggPartial  // per agg spec; nil for UDF aggs
 	}
-	morsels := make([]*morselGroups, len(spans))
+	morsels := make([]morselGroups, len(spans))
 
 	// The group-by keys, then each aggregate's arguments from argAt[ai]
 	// on. A UDF aggregate's computed argument materializes at the
@@ -779,24 +772,33 @@ func (e *Engine) aggregateChunk(p *Plan, in *data.Chunk, ectx *execCtx) (*data.C
 			exprs, want = append(exprs, a), append(want, kind)
 		}
 	}
-	// The columns come from the node's compiled program or, for a fused
-	// aggregate, from its wrapper: one crossing per morsel, whose rows
-	// are the ones its trace yields (fewer after a filter, more after an
-	// expand).
+	// The columns come from the node's compiled program; from the input
+	// itself, read in place, when every expression is one of its columns
+	// (a DISTINCT, or GROUP BY k with SUM(v)); or, for a fused aggregate,
+	// from its wrapper: one crossing per morsel, whose rows are the ones
+	// its trace yields (fewer after a filter, more after an expand).
 	var (
 		prog   *exprProg
 		kinds  []data.Kind // each column's kind
 		wrap   *ffi.UDF
 		wrapIn *data.Chunk
+		inCols []*data.Column // each expression's input column, read in place
 	)
-	if p.Op == OpFusedAgg {
+	switch {
+	case p.Op == OpFusedAgg:
 		wrap = ectx.clone(p.UDF)
 		args, err := fusedArgs(p, in)
 		if err != nil {
 			return nil, err
 		}
 		wrapIn, kinds = data.NewChunk(args...), wrap.OutKinds
-	} else {
+	case !slices.ContainsFunc(exprs, func(x SQLExpr) bool { _, ok := x.(*ColRef); return !ok }):
+		inCols, kinds = make([]*data.Column, len(exprs)), make([]data.Kind, len(exprs))
+		for i, x := range exprs {
+			inCols[i] = in.Cols[x.(*ColRef).Index]
+			kinds[i] = inCols[i].Kind
+		}
+	default:
 		var err error
 		if prog, err = e.compile(in, exprs, want); err != nil {
 			return nil, err
@@ -809,7 +811,9 @@ func (e *Engine) aggregateChunk(p *Plan, in *data.Chunk, ectx *execCtx) (*data.C
 	// With many morsels, a morsel keeps only its groups' first rows of
 	// the key columns: the program lends recycled scratch, and a wrapper's
 	// fresh columns would hold every row of the input until the barrier.
+	// Columns read in place stay where they are.
 	many := len(spans) > 1
+	copyKeys := many && inCols == nil
 	// A UDF aggregate's rows. The program's morsels have their input's
 	// rows, so they write at the morsel's offset of one full-length id
 	// vector and argument column; a wrapper's morsel counts are known only
@@ -823,7 +827,7 @@ func (e *Engine) aggregateChunk(p *Plan, in *data.Chunk, ectx *execCtx) (*data.C
 	)
 	if udfAgg {
 		udfArgs = make([]*data.Column, len(exprs))
-		if prog == nil {
+		if wrap != nil {
 			wrapGids, wrapUArgs = make([][]int, len(spans)), make([][]*data.Column, len(spans))
 		} else if groupIDs = make([]int, n); many {
 			for _, at := range udfAt {
@@ -837,14 +841,16 @@ func (e *Engine) aggregateChunk(p *Plan, in *data.Chunk, ectx *execCtx) (*data.C
 	_, err := e.runMorsels(ectx, spans, func(w, m, lo, hi int) error {
 		var wrapOut []*data.Column
 		rows := hi - lo
-		if prog == nil {
+		if wrap != nil {
 			var err error
 			if wrapOut, rows, err = fusedMorsel(wrap, len(spans) == 1, wrapIn.Slice(lo, hi).Cols, rows, wrap.OutNames, wrap.OutKinds); err != nil {
 				return err
 			}
 		}
-		fold := func(cols []*data.Column) error {
-			mg := &morselGroups{keyCols: cols[:nk]}
+		// fold groups the morsel's rows: row i is row base+i of cols.
+		fold := func(cols []*data.Column, base int) error {
+			mg := &morsels[m]
+			mg.keyCols = cols[:nk]
 			gidBufs[w] = grow(gidBufs[w], rows)
 			gids := gidBufs[w]
 			if nk > 0 {
@@ -860,7 +866,7 @@ func (e *Engine) aggregateChunk(p *Plan, in *data.Chunk, ectx *execCtx) (*data.C
 				for i := range gids {
 					kb = kb[:0]
 					for _, kc := range cols[:nk] {
-						kb = appendColKey(kb, kc, i)
+						kb = appendColKey(kb, kc, base+i)
 					}
 					gid, ok := seen[string(kb)]
 					if !ok {
@@ -868,11 +874,11 @@ func (e *Engine) aggregateChunk(p *Plan, in *data.Chunk, ectx *execCtx) (*data.C
 						k := string(kb)
 						seen[k] = gid
 						mg.keys = append(mg.keys, k)
-						mg.firstRow = append(mg.firstRow, i)
+						mg.firstRow = append(mg.firstRow, base+i)
 					}
 					gids[i] = gid
 				}
-				if many { // copy each group's first row out of the morsel, group lg to row lg
+				if copyKeys { // copy each group's first row out of the morsel, group lg to row lg
 					mg.keyCols = (&data.Chunk{Cols: cols[:nk]}).Take(mg.firstRow).Cols
 					for lg := range mg.firstRow {
 						mg.firstRow[lg] = lg
@@ -889,7 +895,9 @@ func (e *Engine) aggregateChunk(p *Plan, in *data.Chunk, ectx *execCtx) (*data.C
 				}
 				var arg *data.Column // nil for COUNT(*)
 				if len(spec.Args) > 0 {
-					arg = cols[argAt[ai]]
+					if arg = cols[argAt[ai]]; inCols != nil {
+						arg = arg.Slice(lo, hi)
+					}
 				}
 				var err error
 				if mg.parts[ai], err = foldNative(spec, arg, gids, len(mg.keys)); err != nil {
@@ -897,7 +905,7 @@ func (e *Engine) aggregateChunk(p *Plan, in *data.Chunk, ectx *execCtx) (*data.C
 				}
 			}
 			switch {
-			case udfAgg && prog != nil:
+			case udfAgg && wrap == nil:
 				copy(groupIDs[lo:], gids)
 				for _, at := range udfAt {
 					if many {
@@ -915,13 +923,15 @@ func (e *Engine) aggregateChunk(p *Plan, in *data.Chunk, ectx *execCtx) (*data.C
 					wrapUArgs[m][at] = cols[at]
 				}
 			}
-			morsels[m] = mg
 			return nil
 		}
-		if prog != nil {
-			return prog.use(in.Slice(lo, hi), fold)
+		switch {
+		case prog != nil:
+			return prog.use(in.Slice(lo, hi), func(cols []*data.Column) error { return fold(cols, 0) })
+		case inCols != nil:
+			return fold(inCols, lo)
 		}
-		return fold(wrapOut)
+		return fold(wrapOut, 0)
 	})
 	if err != nil {
 		return nil, err
@@ -931,23 +941,37 @@ func (e *Engine) aggregateChunk(p *Plan, in *data.Chunk, ectx *execCtx) (*data.C
 	// ids follow first occurrence over the whole input, like the serial
 	// scan did.
 	endMerge := e.mergeTimer(ectx.span)
-	globalIdx := make(map[string]int)
-	type groupRef struct{ m, row int }
-	var groups []groupRef
+	local := 0 // the local groups of every morsel, at least the global ones
+	for m := range morsels {
+		local += len(morsels[m].keys)
+	}
+	// When most rows start a group in their morsel, the groups are many:
+	// size the table for every local one up front (the barrier is serial,
+	// and growing it there is what costs). With few groups per morsel,
+	// reserving morsels × groups would cost more than the growth.
+	hint := 0
+	if 2*local > n {
+		hint = local
+	}
+	globalIdx := make(map[string]int, hint)
+	ids, first := make([]int, local), make([]int, 0, local)
 	l2g := make([][]int, len(spans))
+	newRows := make([][]int, len(spans)) // per morsel: the first rows, in its keyCols, of the groups it saw first
 	for m, mg := range morsels {
-		l2g[m] = make([]int, len(mg.keys))
+		l2g[m], ids = ids[:len(mg.keys)], ids[len(mg.keys):]
+		from := len(first)
 		for lg, k := range mg.keys {
 			gid, ok := globalIdx[k]
 			if !ok {
-				gid = len(groups)
+				gid = len(first)
 				globalIdx[k] = gid
-				groups = append(groups, groupRef{m, mg.firstRow[lg]})
+				first = append(first, mg.firstRow[lg])
 			}
 			l2g[m][lg] = gid
 		}
+		newRows[m] = first[from:]
 	}
-	g := len(groups)
+	g := len(first)
 	if len(p.GroupBy) == 0 && g == 0 {
 		// Empty input still emits one (null/zero) aggregate row.
 		g = 1
@@ -972,7 +996,7 @@ func (e *Engine) aggregateChunk(p *Plan, in *data.Chunk, ectx *execCtx) (*data.C
 	// The UDF aggregates' rows: every morsel's, in morsel order, with
 	// global group ids.
 	switch {
-	case udfAgg && prog != nil:
+	case udfAgg && wrap == nil:
 		for m, s := range spans {
 			ids := groupIDs[s.lo:s.hi]
 			for r, lg := range ids {
@@ -999,17 +1023,29 @@ func (e *Engine) aggregateChunk(p *Plan, in *data.Chunk, ectx *execCtx) (*data.C
 	}
 	endMerge()
 
-	out := data.EmptyChunk(p.Schema)
-	// Key columns from each group's first-occurrence row.
+	out := &data.Chunk{Cols: make([]*data.Column, len(p.Schema))}
+	// Key columns, gathered typed from each group's first-occurrence row.
 	for ki := range p.GroupBy {
-		col := out.Cols[ki]
-		for _, ref := range groups {
-			col.AppendValue(morsels[ref.m].keyCols[ki].Get(ref.row))
+		nullable := false
+		for m := range morsels {
+			nullable = nullable || morsels[m].keyCols[ki].Nulls != nil
 		}
+		col := data.NewColumnLen(p.Schema[ki].Name, p.Schema[ki].Kind, g, nullable)
+		at := 0
+		for m, rows := range newRows {
+			morsels[m].keyCols[ki].TakeInto(col, at, rows)
+			at += len(rows)
+		}
+		if nullable && !slices.Contains(col.Nulls, true) {
+			col.Nulls = nil
+		}
+		out.Cols[ki] = col
 	}
 	// Aggregate columns.
 	for ai, spec := range p.Aggs {
-		col := out.Cols[len(p.GroupBy)+ai]
+		f := p.Schema[len(p.GroupBy)+ai]
+		col := data.NewColumnCap(f.Name, f.Kind, g)
+		out.Cols[len(p.GroupBy)+ai] = col
 		var results []data.Value
 		if spec.UDF != nil {
 			argCols := make([]*data.Column, len(spec.Args))
@@ -1206,50 +1242,4 @@ func mergeRuns(src, dst []int, a, b morselSpan, less func(x, y int) bool) {
 		j++
 		o++
 	}
-}
-
-// distinctChunk removes duplicate rows: morsel-local dedup tables keep
-// each worker's first sightings, and the barrier merges them in morsel
-// order so the kept row set (and order) matches the serial scan.
-func (e *Engine) distinctChunk(in *data.Chunk, ectx *execCtx) *data.Chunk {
-	sp := ectx.span
-	n := in.NumRows()
-	spans := e.morselsFor(n)
-	type dedup struct {
-		keys []string
-		rows []int
-	}
-	parts := make([]dedup, len(spans))
-	_, _ = e.runMorsels(ectx, spans, func(_, m, lo, hi int) error {
-		seen := make(map[string]bool)
-		var d dedup
-		var kb []byte
-		for i := lo; i < hi; i++ {
-			kb = kb[:0]
-			for _, c := range in.Cols {
-				kb = appendColKey(kb, c, i)
-			}
-			if !seen[string(kb)] {
-				k := string(kb)
-				seen[k] = true
-				d.keys = append(d.keys, k)
-				d.rows = append(d.rows, i)
-			}
-		}
-		parts[m] = d
-		return nil
-	})
-	endMerge := e.mergeTimer(sp)
-	seen := make(map[string]bool, n)
-	var idx []int
-	for _, d := range parts {
-		for x, k := range d.keys {
-			if !seen[k] {
-				seen[k] = true
-				idx = append(idx, d.rows[x])
-			}
-		}
-	}
-	endMerge()
-	return e.takeParallel(ectx, in, idx)
 }

@@ -12,7 +12,9 @@ import (
 
 const (
 	// OpFused runs a fused wrapper UDF over its child's columns; it may
-	// change cardinality (offloaded filters/expands/distinct run inside).
+	// change cardinality (offloaded filters and expands run inside). A
+	// wrapper only yields rows: a fused DISTINCT, like any section ending
+	// in a group-by, is an OpFusedAgg.
 	OpFused PlanOp = 100 + iota
 	// OpFusedAgg is a fused section ending in a group-by: per morsel its
 	// wrapper yields the group keys and aggregate arguments, which the
@@ -46,8 +48,7 @@ func (e *Engine) execFusedColumnar(p *Plan, ectx *execCtx) (*data.Chunk, error) 
 // function syntax (the SQL produced by rewrite path 1): every child
 // column feeds the wrapper in order.
 func (e *Engine) runFusedAsTable(p *Plan, in *data.Chunk, ectx *execCtx) (*data.Chunk, error) {
-	proxy := &Plan{Op: OpFused, UDF: p.UDF, Schema: p.Schema, Quals: p.Quals,
-		NoPartition: p.NoPartition, EstRows: p.EstRows}
+	proxy := &Plan{Op: OpFused, UDF: p.UDF, Schema: p.Schema, Quals: p.Quals, EstRows: p.EstRows}
 	for i := range in.Cols {
 		proxy.TFArgs = append(proxy.TFArgs, &ColRef{Name: in.Cols[i].Name, Index: i})
 	}
@@ -69,9 +70,9 @@ func (e *Engine) runFused(p *Plan, in *data.Chunk, ectx *execCtx) (*data.Chunk, 
 	for i, f := range p.Schema {
 		kinds[i] = f.Kind
 	}
-	// Stateless fused wrappers are embarrassingly parallel over row
-	// ranges (like the engine's own vectorized operators); a NoPartition
-	// one runs as one morsel. morselsFor is what keeps Parallelism 1
+	// Fused wrappers are embarrassingly parallel over row ranges (like
+	// the engine's own vectorized operators), save a source-driven one
+	// (spansFor). morselsFor is what keeps Parallelism 1
 	// operator-at-a-time.
 	spans := e.spansFor(p, n)
 	return e.runPartitioned(ectx, data.NewChunk(args...), spans, func(_ int, part *data.Chunk) (*data.Chunk, error) {
@@ -81,10 +82,12 @@ func (e *Engine) runFused(p *Plan, in *data.Chunk, ectx *execCtx) (*data.Chunk, 
 }
 
 // spansFor splits a node's n input rows: into the engine's morsels, or
-// into one when the node's fused wrapper carries cross-row state (a
-// distinct set) or consumes the whole input (a FROM-position table UDF).
+// into one when the node's fused wrapper is driven by a FROM-position
+// table UDF, which consumes its whole input. The rule reads the wrapper's
+// trace, so it holds however the wrapper is reached: a fused node, or a
+// call by name from path-1 SQL.
 func (e *Engine) spansFor(p *Plan, n int) []morselSpan {
-	if p.NoPartition {
+	if p.UDF != nil && p.UDF.Fused && p.UDF.Trace().Source != nil {
 		return morselPlan(n, n)
 	}
 	return e.morselsFor(n)

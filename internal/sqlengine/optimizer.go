@@ -257,8 +257,6 @@ func recomputeEstimates(p *Plan, cat *Catalog) {
 		}
 	case OpSort:
 		p.EstRows = p.Children[0].EstRows
-	case OpDistinct:
-		p.EstRows = p.Children[0].EstRows * distinctSelectivity
 	case OpLimit:
 		p.EstRows = minF(p.Children[0].EstRows, float64(p.LimitN))
 	case OpUnion:

@@ -25,11 +25,10 @@ const (
 	OpAggregate
 	// OpSort orders rows.
 	OpSort
-	// OpDistinct removes duplicate rows.
-	OpDistinct
 	// OpLimit truncates output.
 	OpLimit
-	// OpUnion concatenates (ALL) or set-unions inputs.
+	// OpUnion concatenates its inputs (UNION ALL); a UNION is a dedup
+	// over it (planner.go dedup).
 	OpUnion
 	// OpTableFunc invokes a table UDF over its child's rows.
 	OpTableFunc
@@ -55,8 +54,6 @@ func (op PlanOp) String() string {
 		return "Aggregate"
 	case OpSort:
 		return "Sort"
-	case OpDistinct:
-		return "Distinct"
 	case OpLimit:
 		return "Limit"
 	case OpUnion:
@@ -103,17 +100,12 @@ type Plan struct {
 	SortItems []OrderItem // Sort
 	LimitN    int64       // Limit
 	OffsetN   int64
-	UnionAll  bool
 	UDF       *ffi.UDF  // TableFunc / Expand
 	TFArgs    []SQLExpr // extra scalar args of the UDF
 	// KeepCols are the input columns this node emits, nil for all of
 	// them: the source columns of a Scan or CTERef, or the columns of a
 	// join's left ++ right (set by column pruning, prune.go).
 	KeepCols []int
-
-	// NoPartition marks fused nodes whose wrapper carries cross-row
-	// state (offloaded DISTINCT) and must run single-shot.
-	NoPartition bool
 
 	// EstRows is the optimizer's row estimate for this node's output.
 	EstRows float64
@@ -198,10 +190,6 @@ func explainNode(b *strings.Builder, p *Plan, depth int) {
 	case OpFusedAgg:
 		fmt.Fprintf(b, " %s", p.UDF.Name)
 		explainAgg(b, p)
-	case OpUnion:
-		if p.UnionAll {
-			b.WriteString(" ALL")
-		}
 	}
 	if p.KeepCols != nil { // the columns pruning kept
 		fmt.Fprintf(b, " [%s]", strings.Join(p.Schema.Names(), ", "))

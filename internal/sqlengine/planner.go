@@ -126,10 +126,11 @@ func (pl *planner) planSelectStmt(st *SelectStmt) (*Plan, error) {
 			kinds[c] = fieldKind(joinKind(pl.armKind(p, c), pl.armKind(rhs, c)))
 		}
 		p, rhs = castArm(p, kinds), castArm(rhs, kinds)
-		all := st.UnionOp[i-1] == "UNION ALL"
 		p = &Plan{Op: OpUnion, Children: []*Plan{p, rhs}, Schema: p.Schema,
-			Quals: make([]string, len(p.Schema)), UnionAll: all,
-			EstRows: p.EstRows + rhs.EstRows}
+			Quals: make([]string, len(p.Schema)), EstRows: p.EstRows + rhs.EstRows}
+		if st.UnionOp[i-1] != "UNION ALL" {
+			p = dedup(p)
+		}
 	}
 	if len(st.OrderBy) > 0 {
 		items := make([]OrderItem, len(st.OrderBy))
@@ -272,16 +273,22 @@ func (pl *planner) planCore(core *SelectCore) (*Plan, error) {
 		return nil, err
 	}
 	if core.Distinct {
-		p = &Plan{Op: OpDistinct, Children: []*Plan{p}, Schema: p.Schema,
-			Quals: p.Quals, EstRows: p.EstRows * distinctSelectivity}
+		p = dedup(p)
 	}
 	return p, nil
 }
 
+// dedup plans a DISTINCT, or a UNION's set semantics, over p: a group-by
+// on every column of p with no aggregates, which keeps p's names,
+// qualifiers and kinds.
+func dedup(p *Plan) *Plan {
+	return &Plan{Op: OpAggregate, Children: []*Plan{p}, Schema: p.Schema, Quals: p.Quals,
+		GroupBy: identityExprs(p.Schema), EstRows: p.EstRows * groupSelectivity}
+}
+
 const (
-	filterSelectivity   = 0.33
-	distinctSelectivity = 0.1
-	joinSelectivity     = 0.1
+	filterSelectivity = 0.33
+	joinSelectivity   = 0.1
 )
 
 // planFrom lowers the FROM list and JOIN clauses to a plan.

@@ -28,7 +28,7 @@ func (pl *planner) containsAggregate(e SQLExpr) bool {
 }
 
 // planAggregate lowers a core with aggregation:
-// Aggregate(keys, aggs) → [Filter having] → Project(items) → [Distinct].
+// Aggregate(keys, aggs) → [Filter having] → Project(items) → [dedup].
 func (pl *planner) planAggregate(core *SelectCore, items []SelectItem, in *Plan) (*Plan, error) {
 	// Bind group-by keys; allow references to select-item aliases. The
 	// aggregate's output schema is the keys' kinds, then the aggregates'.
@@ -143,8 +143,7 @@ func (pl *planner) planAggregate(core *SelectCore, items []SelectItem, in *Plan)
 	}
 	pl.aggOut[out] = rw
 	if core.Distinct {
-		return &Plan{Op: OpDistinct, Children: []*Plan{out}, Schema: out.Schema,
-			Quals: out.Quals, EstRows: out.EstRows * distinctSelectivity}, nil
+		return dedup(out), nil
 	}
 	return out, nil
 }

@@ -261,8 +261,14 @@ func (pl *planner) allNull(p *Plan, i int) bool {
 		case *ColRef:
 			return len(p.Children) == 1 && pl.allNull(p.Children[0], x.Index)
 		}
-	case OpFilter, OpSort, OpDistinct, OpLimit:
+	case OpFilter, OpSort, OpLimit:
 		return pl.allNull(p.Children[0], i)
+	case OpAggregate: // a group key that is a column of the input
+		if i < len(p.GroupBy) {
+			if x, ok := p.GroupBy[i].(*ColRef); ok {
+				return pl.allNull(p.Children[0], x.Index)
+			}
+		}
 	case OpUnion:
 		return pl.allNull(p.Children[0], i) && pl.allNull(p.Children[1], i)
 	case OpJoin:

@@ -71,7 +71,7 @@ func prune(p *Plan, need []bool) (*Plan, []int) {
 		p.Schema, p.Quals = choose(p.Schema, keep), choose(p.Quals, keep)
 		return p, positions(keep, len(need))
 	}
-	// Distinct, Union, TableFunc, Expand and fused nodes read every
+	// Union, TableFunc, Expand and fused nodes read every
 	// column of their children.
 	n := 0
 	for _, c := range p.Children {

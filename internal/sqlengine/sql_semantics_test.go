@@ -113,6 +113,11 @@ func TestSetOperations(t *testing.T) {
 	if len(vs) != 5 {
 		t.Fatalf("UNION dedup: %v", vs)
 	}
+	// A NULL key of a DISTINCT arm takes the other arm's kind.
+	vs = q1col(t, eng, "SELECT DISTINCT NULL AS i FROM nums UNION SELECT i FROM nums WHERE i >= 3 ORDER BY 1")
+	if len(vs) != 4 || !vs[0].IsNull() || vs[1].Kind != data.KindInt || vs[1].I != 3 {
+		t.Fatalf("UNION over a DISTINCT NULL: %v", vs)
+	}
 }
 
 func TestOrderLimitOffset(t *testing.T) {

@@ -3,6 +3,7 @@ package workload_test
 import (
 	"context"
 	"errors"
+	"strings"
 	"testing"
 	"time"
 
@@ -219,5 +220,57 @@ func TestSumOverflowErrorsInBothArms(t *testing.T) {
 		if !errors.Is(cause, data.ErrIntOverflow) {
 			t.Errorf("fused: cause %v, want an integer overflow", cause)
 		}
+	}
+}
+
+// TestPath1AggregatesResubmit: rewrite path 1 renders a fused aggregate
+// as a GROUP BY over its wrapper called by name, and the SQL re-submits
+// to the same answer as native on a parallel engine — for the aggregating
+// paper queries and a fused DISTINCT. Q3 joins, and a join renders
+// display-only SQL, so its aggregate is only checked to render.
+func TestPath1AggregatesResubmit(t *testing.T) {
+	in := setup(t)
+	in.Eng.Parallelism, in.Eng.MorselSize = 4, 64 // many morsels at tiny scale
+	for _, c := range []struct{ id, sql string }{
+		{"Q2", workload.Q2}, {"Q3", workload.Q3}, {"Q5", workload.Q5}, {"Q7", workload.Q7}, {"Q15", workload.Q15},
+		{"distinct", "SELECT DISTINCT cleandate(cleandate(pubdate)) AS d FROM pubs"},
+	} {
+		id, sql := c.id, c.sql
+		t.Run(id, func(t *testing.T) {
+			out, executable, err := in.QF.RewriteSQL(in.Eng, sql)
+			if err != nil {
+				t.Fatal(err)
+			}
+			q, _, err := in.QF.Process(in.Eng, sql)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !strings.Contains(q.Explain(), "FusedAgg") || !strings.Contains(out, "GROUP BY") {
+				t.Fatalf("no fused aggregate rendered:\n%s\n%s", q.Explain(), out)
+			}
+			if id == "Q3" {
+				return
+			}
+			if !executable {
+				t.Fatalf("path 1 SQL is display-only:\n%s", out)
+			}
+			want, err := in.Query(sql)
+			if err != nil {
+				t.Fatalf("native: %v", err)
+			}
+			got, err := in.Query(out)
+			if err != nil {
+				t.Fatalf("%v\n%s", err, out)
+			}
+			if want.NumRows() != got.NumRows() {
+				t.Fatalf("rows: native=%d path 1=%d\n%s", want.NumRows(), got.NumRows(), out)
+			}
+			wk, gk := keysOf(want), keysOf(got)
+			for k, n := range wk {
+				if gk[k] != n {
+					t.Fatalf("row %q: native×%d path 1×%d\n%s", k, n, gk[k], out)
+				}
+			}
+		})
 	}
 }

@@ -26,7 +26,9 @@ fi
 # so no executor calls a UDF around them; and outside the PyLite runtime only ffi's
 # eachRow iterates a generator UDF's rows ((*pylite.Generator).Next,
 # pylite.Iterate, pylite.ValueIter; the UDO baseline in
-# internal/bench/systems.go aside).
+# internal/bench/systems.go aside); and only sqlengine's aggregateChunk
+# (the one grouping and dedup) and appendRowKey (the join's key) encode a
+# row key (appendColKey).
 go run ./scripts/udflookup
 GOMAXPROCS=8 go test -race ./...
 # Chaos sweep: fire every registered fault point and require graceful
