@@ -25,8 +25,8 @@ vet:
 ## outside the PyLite runtime only ffi's eachRow iterates a generator
 ## UDF's rows ((*pylite.Generator).Next, pylite.Iterate, pylite.ValueIter;
 ## the UDO baseline in internal/bench/systems.go aside); only sqlengine's
-## aggregateChunk (the one grouping and dedup) and appendRowKey (the
-## join's key) encode a row key (appendColKey).
+## aggregateChunk (the one grouping and dedup) and joinChunk (the join's
+## build) make a hash table (newHashTable).
 lint:
 	$(GO) vet ./...
 	@unformatted=$$(gofmt -l .); \

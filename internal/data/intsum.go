@@ -37,3 +37,11 @@ func (s IntSum) Int() (int64, error) {
 	}
 	return 0, ErrIntOverflow
 }
+
+// Float returns the sum rounded to a float64.
+func (s IntSum) Float() float64 {
+	if v, err := s.Int(); err == nil {
+		return float64(v)
+	}
+	return float64(s.hi)*0x1p64 + float64(s.lo)
+}

@@ -12,8 +12,9 @@ import (
 // TestAggregateAllocationBound: an aggregate allocates its group state,
 // not its input. The morsel loop borrows the expression program's
 // results, which the program recycles from morsel to morsel, and writes
-// its group ids into one buffer per worker; what each morsel keeps is its
-// local group table, its partials and a copy of each new group's key.
+// its group ids into one buffer per worker, whose hash table it refills;
+// what each morsel keeps is each of its groups' first row and hash, its
+// partials and a copy of each group's key.
 // So a grouped and a global aggregate of a computed argument over
 // 200 000 rows allocate within a bound set by the number of groups per
 // morsel and one morsel of scratch per worker, with no term per input
@@ -21,7 +22,7 @@ import (
 func TestAggregateAllocationBound(t *testing.T) {
 	const rows, morsel = 200000, 2048
 	const (
-		perGroup  = 160       // one group of one morsel: its encoded key, first row, partials, key copy
+		perGroup  = 80        // one group of one morsel: its first row and hash, partials, key copy (≈ 68 B measured)
 		perMorsel = 2 << 10   // the morsel's input view, frame and table headers
 		scratch   = 128 << 10 // one worker: eight int columns of one morsel
 	)

@@ -325,10 +325,14 @@ func (e *Engine) expandChunk(p *Plan, in *data.Chunk, ectx *execCtx) (*data.Chun
 // morsel's candidate pairs — the build table's hits for an equi join,
 // every right row for a nested loop — pass through the residual's
 // compiled filter, and a LEFT join then gives each left row left without
-// a pair one NULL-extended pair. Once every morsel has its (left row,
-// right row) index lists, the output columns are gathered from them into
-// one preallocated chunk, each morsel into its own rows. The build table
-// is written before the pool starts and only read afterwards, so probing
+// a pair one NULL-extended pair. An equi join's build is the engine's one
+// hash table (hashtable.go) over the right rows' typed key columns, with
+// each key's rows chained in ascending order; its key equality is the
+// engine's =, so a NULL or NaN key matches nothing and an int key meets a
+// float one as a float. Once every morsel has its (left row, right row)
+// index lists, the output columns are gathered from them into one
+// preallocated chunk, each morsel into its own rows. The build table is
+// written before the pool starts and only read afterwards, so probing
 // needs no locks; the morsels' rows land in input order, so the output is
 // identical at any parallelism.
 func (e *Engine) joinChunk(p *Plan, ectx *execCtx) (*data.Chunk, error) {
@@ -342,23 +346,37 @@ func (e *Engine) joinChunk(p *Plan, ectx *execCtx) (*data.Chunk, error) {
 	}
 	nl := len(p.Children[0].Schema)
 	leftKeys, rightKeys, residual := splitEquiJoin(p.JoinOn, nl)
-	var build map[string][]int
+	nL, nR := l.NumRows(), r.NumRows()
+	// The build is serial: the build side is the smaller input. A NULL or
+	// NaN key, which = makes equal to nothing, is neither built nor probed.
+	var (
+		lk, rk     []*data.Column // the key columns
+		build      hashTable      // a right key's hash -> its id
+		head, next []int          // key id -> its first right row; right row -> the next of its key, or -1
+	)
 	if len(leftKeys) > 0 {
-		// Build phase (serial: the build side is the smaller input and the
-		// map write path would need sharding to parallelize safely).
-		build = make(map[string][]int)
-		var kb []byte
-		for j := 0; j < r.NumRows(); j++ {
-			kb = appendRowKey(kb[:0], r, rightKeys, j)
-			k := string(kb)
-			build[k] = append(build[k], j)
+		lk, rk = make([]*data.Column, len(leftKeys)), make([]*data.Column, len(leftKeys))
+		for k := range lk {
+			lk[k], rk[k] = joinKeys(l.Cols[leftKeys[k]], r.Cols[rightKeys[k]])
+		}
+		hs := make([]uint64, nR)
+		hashKeys(hs, rk, 0)
+		build, next = newHashTable(nR), make([]int, nR)
+		for j := nR - 1; j >= 0; j-- { // descending, so each chain ascends
+			if nullOrNaN(rk, j) {
+				continue
+			}
+			id := build.group(hs[j], func(g int) bool { return keysEqual(rk, head[g], rk, j) })
+			if id == len(head) { // a new key
+				head = append(head, -1)
+			}
+			next[j], head[id] = head[id], j
 		}
 	}
 	filter, err := e.joinFilter(l, r, residual)
 	if err != nil {
 		return nil, err
 	}
-	nL, nR := l.NumRows(), r.NumRows()
 	batch := e.morselSize()
 	spans := e.morselsFor(nL)
 	lrows, rrows := make([][]int, len(spans)), make([][]int, len(spans))
@@ -366,17 +384,24 @@ func (e *Engine) joinChunk(p *Plan, ectx *execCtx) (*data.Chunk, error) {
 	_, err = e.runMorsels(ectx, spans, func(_, m, lo, hi int) error {
 		// Sized for one pair per left row, a key join's usual yield.
 		li, ri := make([]int, 0, hi-lo), make([]int, 0, hi-lo)
-		var kb []byte
-		done := 0 // the pairs before done passed the residual
+		var hbuf [hashBlock]uint64
+		hs, hlo := hbuf[:0], lo // the key hashes of left rows hlo, hlo+1, …
+		done := 0               // the pairs before done passed the residual
 		for i := lo; i < hi; i++ {
-			if build != nil {
-				kb = appendRowKey(kb[:0], l, leftKeys, i)
-				for _, j := range build[string(kb)] {
-					li, ri = append(li, i), append(ri, j)
-				}
-			} else {
+			switch {
+			case lk == nil:
 				for j := 0; j < nR; j++ {
 					li, ri = append(li, i), append(ri, j)
+				}
+			case !nullOrNaN(lk, i):
+				if i-hlo >= len(hs) { // hash the next block of rows
+					hs, hlo = hbuf[:min(hi-i, hashBlock)], i
+					hashKeys(hs, lk, i)
+				}
+				if id := build.find(hs[i-hlo], func(g int) bool { return keysEqual(rk, head[g], lk, i) }); id >= 0 {
+					for j := head[id]; j >= 0; j = next[j] {
+						li, ri = append(li, i), append(ri, j)
+					}
 				}
 			}
 			// The residual runs over batches of candidates, so a nested
@@ -535,8 +560,9 @@ func splitEquiJoin(on SQLExpr, nl int) (leftKeys, rightKeys []int, residual SQLE
 // count adds; sum/avg add sums and non-null counts (avg finalizes from
 // the merged ratio, never from partial averages); min/max compare the
 // partial winners; median concatenates the gathered inputs (blocking —
-// it has no decomposition and must see every value). A SUM of a
-// non-float argument sums exactly in isums, and sums stays nil.
+// it has no decomposition and must see every value). A SUM or AVG of a
+// non-float argument sums exactly in isums, and sums stays nil, so an
+// AVG divides one exact sum, whatever the morsels' split.
 type aggPartial struct {
 	counts []int64
 	sums   []float64
@@ -588,9 +614,19 @@ func foldNative(spec AggSpec, arg *data.Column, gids []int, g int) (*aggPartial,
 			}
 		}
 	case "min", "max":
-		for i, gid := range gids {
-			if !arg.IsNull(i) {
-				foldBest(spec.Name, pt.best, gid, arg.Get(i))
+		max := spec.Name == "max"
+		switch arg.Kind {
+		case data.KindInt:
+			foldBestOf(pt.best, arg.Ints, arg.Nulls, gids, max, data.Int)
+		case data.KindFloat:
+			foldBestOf(pt.best, arg.Floats, arg.Nulls, gids, max, data.Float)
+		case data.KindString:
+			foldBestOf(pt.best, arg.Strs, arg.Nulls, gids, max, data.Str)
+		default:
+			for i, gid := range gids {
+				if !arg.IsNull(i) {
+					foldBest(spec.Name, pt.best, gid, arg.Get(i))
+				}
 			}
 		}
 	case "median":
@@ -621,6 +657,38 @@ func sumInto[T int64 | float64](pt *aggPartial, vals []T, nulls []bool, gids []i
 func foldBest(name string, best []data.Value, gid int, v data.Value) {
 	if best[gid].IsNull() || data.Outranks(v, best[gid], name == "max") {
 		best[gid] = v
+	}
+}
+
+// foldBestOf is foldBest over a typed argument column: each group's
+// winner is folded unboxed — a NaN seat yields to any other value, a
+// NaN never takes a seat held, and a tie keeps the seat — and only the
+// winners are boxed. Its rule must stay data.Outranks', which merges
+// the morsels' winners; TestTypedMinMaxMatchesOutranks checks the two
+// agree.
+func foldBestOf[T int64 | float64 | string](best []data.Value, vals []T, nulls []bool, gids []int, max bool, box func(T) data.Value) {
+	cur, seated := make([]T, len(best)), make([]bool, len(best))
+	for i, gid := range gids {
+		if nulls != nil && nulls[i] {
+			continue
+		}
+		switch v, c := vals[i], cur[gid]; {
+		case !seated[gid]:
+			seated[gid] = true
+		case c != c: // a NaN seat: v takes it unless v is a NaN too
+			if v != v {
+				continue
+			}
+		case max && v > c, !max && v < c:
+		default:
+			continue
+		}
+		cur[gid] = vals[i]
+	}
+	for gid, ok := range seated {
+		if ok {
+			best[gid] = box(cur[gid])
+		}
 	}
 }
 
@@ -669,6 +737,8 @@ func finalizeNative(spec AggSpec, pt *aggPartial, g int) ([]data.Value, error) {
 			switch {
 			case pt.scount[i] == 0:
 				out[i] = data.Null
+			case spec.Name == "avg" && pt.isums != nil:
+				out[i] = data.Float(pt.isums[i].Float() / float64(pt.scount[i]))
 			case spec.Name == "avg":
 				out[i] = data.Float(pt.sums[i] / float64(pt.scount[i]))
 			case pt.isums != nil:
@@ -710,7 +780,7 @@ func newPartial(spec AggSpec, g int, k data.Kind) *aggPartial {
 		pt.counts = make([]int64, g)
 	case "sum", "avg":
 		pt.scount = make([]int64, g)
-		if spec.Name == "sum" && k != data.KindFloat {
+		if k != data.KindFloat {
 			pt.isums = make([]data.IntSum, g)
 		} else {
 			pt.sums = make([]float64, g)
@@ -725,28 +795,32 @@ func newPartial(spec AggSpec, g int, k data.Kind) *aggPartial {
 
 // aggregateChunk groups the input and folds native and UDF aggregates in
 // one morsel-parallel loop, which borrows each morsel's key and argument
-// columns and keeps only group state: a thread-local hash table (keys in
-// the separator-safe byte encoding) with where to find each new group's
-// key values, native partials over morsel-local group ids, which go into
-// a buffer per worker. It is the engine's one grouping: a DISTINCT, and
-// a UNION's dedup, is an aggregate keyed on every column with no
-// aggregates. The columns come from the node's compiled program, from
-// the input itself when every expression is one of its columns, or, for
-// a fused aggregate, from its wrapper. The barrier merges the local
-// tables in morsel order — which reproduces the serial first-occurrence
-// group order exactly — then the partials through the local→global id
-// maps, and gathers the key columns typed. A UDF aggregate, which may
-// not be decomposable, runs once over every morsel's group ids and
-// computed arguments, joined in morsel order.
+// columns and keeps only group state. Each worker refills one hash table
+// (hashtable.go) per morsel: the morsel's keys are hashed column-wise,
+// and a row joins the group whose first row holds an equal key, so no key
+// is encoded and no group allocates. A morsel keeps each group's first
+// row and hash, and native partials over its local group ids, which go
+// into a buffer per worker; MIN and MAX of an int, float or string fold
+// unboxed. It is the engine's one grouping: a DISTINCT, and a UNION's
+// dedup, is an aggregate keyed on every column with no aggregates. The
+// columns come from the node's compiled program, from the input itself
+// when every expression is one of its columns, or, for a fused
+// aggregate, from its wrapper. At the barrier the morsels' groups merge,
+// morsels in order, into one table keyed by the hashes they kept, which
+// numbers the global groups in first-occurrence order, the serial scan's
+// (a lone morsel's groups are the global ones). Then the partials merge
+// through the local→global id maps, and the key columns gather typed. A
+// UDF aggregate, which may not be decomposable, runs once over every
+// morsel's group ids and computed arguments, joined in morsel order.
 func (e *Engine) aggregateChunk(p *Plan, in *data.Chunk, ectx *execCtx) (*data.Chunk, error) {
 	n := in.NumRows()
 	spans := e.spansFor(p, n)
 	nk := len(p.GroupBy)
 
 	type morselGroups struct {
-		keys     []string       // local group id -> encoded key
 		keyCols  []*data.Column // the group-by keys' values
 		firstRow []int          // local group id -> its first row in keyCols
+		hashes   []uint64       // local group id -> its key's hash
 		parts    []*aggPartial  // per agg spec; nil for UDF aggs
 	}
 	morsels := make([]morselGroups, len(spans))
@@ -835,8 +909,13 @@ func (e *Engine) aggregateChunk(p *Plan, in *data.Chunk, ectx *execCtx) (*data.C
 			}
 		}
 	}
-	gidBufs := make([][]int, min(e.Workers(), len(spans))) // per worker: morsel row -> local group id
-	seens := make([]map[string]int, len(gidBufs))          // per worker: encoded key -> local group id
+	// Per worker, reused by each morsel: its row -> local group id, its
+	// table, and its groups' first rows.
+	type workerBufs struct {
+		gids, first []int
+		table       hashTable
+	}
+	bufs := make([]workerBufs, min(e.Workers(), len(spans)))
 
 	_, err := e.runMorsels(ectx, spans, func(w, m, lo, hi int) error {
 		var wrapOut []*data.Column
@@ -851,32 +930,34 @@ func (e *Engine) aggregateChunk(p *Plan, in *data.Chunk, ectx *execCtx) (*data.C
 		fold := func(cols []*data.Column, base int) error {
 			mg := &morsels[m]
 			mg.keyCols = cols[:nk]
-			gidBufs[w] = grow(gidBufs[w], rows)
-			gids := gidBufs[w]
+			wb := &bufs[w]
+			wb.gids = grow(wb.gids, rows)
+			gids := wb.gids
 			if nk > 0 {
-				seen := make(map[string]int) // one morsel's table, which may live on the stack
-				if many {                    // each worker refills one table
-					if seens[w] == nil {
-						seens[w] = make(map[string]int)
-					}
-					seen = seens[w]
-					clear(seen)
+				tbl := &wb.table
+				if tbl.slots == nil {
+					*tbl = newHashTable(min(rows, 4)) // grown to the groups a morsel has
 				}
-				var kb []byte
-				for i := range gids {
-					kb = kb[:0]
-					for _, kc := range cols[:nk] {
-						kb = appendColKey(kb, kc, base+i)
+				clear(tbl.slots)
+				tbl.hashes = tbl.hashes[:0]
+				keys, first := mg.keyCols, wb.first[:0]
+				var hs [hashBlock]uint64 // a block of the rows' key hashes
+				for blo := 0; blo < rows; blo += hashBlock {
+					block := hs[:min(rows-blo, hashBlock)]
+					hashKeys(block, keys, base+blo)
+					for bi, h := range block {
+						r := base + blo + bi
+						gid := tbl.group(h, func(g int) bool { return keysEqual(keys, first[g], keys, r) })
+						if gid == len(first) { // a new group
+							first = append(first, r)
+						}
+						gids[blo+bi] = gid
 					}
-					gid, ok := seen[string(kb)]
-					if !ok {
-						gid = len(mg.keys)
-						k := string(kb)
-						seen[k] = gid
-						mg.keys = append(mg.keys, k)
-						mg.firstRow = append(mg.firstRow, base+i)
-					}
-					gids[i] = gid
+				}
+				mg.firstRow, mg.hashes = first, tbl.hashes
+				if many { // the worker's buffers serve its next morsel, and this one keeps copies
+					wb.first = first
+					mg.firstRow, mg.hashes = slices.Clone(first), slices.Clone(tbl.hashes)
 				}
 				if copyKeys { // copy each group's first row out of the morsel, group lg to row lg
 					mg.keyCols = (&data.Chunk{Cols: cols[:nk]}).Take(mg.firstRow).Cols
@@ -884,9 +965,11 @@ func (e *Engine) aggregateChunk(p *Plan, in *data.Chunk, ectx *execCtx) (*data.C
 						mg.firstRow[lg] = lg
 					}
 				}
-			} else if rows > 0 {
-				// Global aggregate: every row is in group 0, the ids' zero value.
-				mg.keys, mg.firstRow = []string{""}, []int{0}
+			} else {
+				// Global aggregate: every row is in group 0, the ids' zero
+				// value, which exists over no rows too: it is the one row an
+				// empty input still emits.
+				mg.firstRow, mg.hashes = []int{0}, []uint64{0}
 			}
 			mg.parts = make([]*aggPartial, len(p.Aggs))
 			for ai, spec := range p.Aggs {
@@ -900,7 +983,7 @@ func (e *Engine) aggregateChunk(p *Plan, in *data.Chunk, ectx *execCtx) (*data.C
 					}
 				}
 				var err error
-				if mg.parts[ai], err = foldNative(spec, arg, gids, len(mg.keys)); err != nil {
+				if mg.parts[ai], err = foldNative(spec, arg, gids, len(mg.firstRow)); err != nil {
 					return err
 				}
 			}
@@ -937,50 +1020,59 @@ func (e *Engine) aggregateChunk(p *Plan, in *data.Chunk, ectx *execCtx) (*data.C
 		return nil, err
 	}
 
-	// Barrier: merge local group tables in morsel order so global group
-	// ids follow first occurrence over the whole input, like the serial
-	// scan did.
+	// Barrier: the morsels' groups merge, morsels in order, into one
+	// table, which numbers the global groups in first-occurrence order, as
+	// a serial scan numbers them. Morsel m's local groups get their global
+	// ids in ids[off[m]:off[m+1]], and the groups it saw first are
+	// first[newAt[m]:newAt[m+1]]. A lone morsel's groups are the global
+	// ones.
 	endMerge := e.mergeTimer(ectx.span)
-	local := 0 // the local groups of every morsel, at least the global ones
+	single := len(morsels) == 1
+	off, newAt := make([]int, len(spans)+1), make([]int, len(spans)+1)
 	for m := range morsels {
-		local += len(morsels[m].keys)
+		off[m+1] = off[m] + len(morsels[m].firstRow)
 	}
-	// When most rows start a group in their morsel, the groups are many:
-	// size the table for every local one up front (the barrier is serial,
-	// and growing it there is what costs). With few groups per morsel,
-	// reserving morsels × groups would cost more than the growth.
-	hint := 0
-	if 2*local > n {
-		hint = local
-	}
-	globalIdx := make(map[string]int, hint)
-	ids, first := make([]int, local), make([]int, 0, local)
-	l2g := make([][]int, len(spans))
-	newRows := make([][]int, len(spans)) // per morsel: the first rows, in its keyCols, of the groups it saw first
-	for m, mg := range morsels {
-		l2g[m], ids = ids[:len(mg.keys)], ids[len(mg.keys):]
-		from := len(first)
-		for lg, k := range mg.keys {
-			gid, ok := globalIdx[k]
-			if !ok {
-				gid = len(first)
-				globalIdx[k] = gid
-				first = append(first, mg.firstRow[lg])
-			}
-			l2g[m][lg] = gid
+	var ids, first []int // first: global group id -> its first row, in its morsel's keyCols
+	if single {
+		first = morsels[0].firstRow
+	} else {
+		// When most rows start a group in their morsel, size the table for
+		// every local one up front; with few groups per morsel, reserving
+		// morsels × groups would cost more than the growth.
+		hint := 0
+		if 2*off[len(morsels)] > n {
+			hint = off[len(morsels)]
 		}
-		newRows[m] = first[from:]
+		global := newHashTable(hint)
+		ids, first = make([]int, off[len(morsels)]), make([]int, 0, hint)
+		var owner []int32 // global group id -> the morsel that saw it first
+		for m := range morsels {
+			mg := &morsels[m]
+			newAt[m] = len(first)
+			for lg, h := range mg.hashes {
+				r := mg.firstRow[lg]
+				gid := global.group(h, func(g int) bool {
+					return keysEqual(morsels[owner[g]].keyCols, first[g], mg.keyCols, r)
+				})
+				if gid == len(first) { // a new group
+					owner, first = append(owner, int32(m)), append(first, r)
+				}
+				ids[off[m]+lg] = gid
+			}
+		}
 	}
+	newAt[len(morsels)] = len(first)
 	g := len(first)
-	if len(p.GroupBy) == 0 && g == 0 {
-		// Empty input still emits one (null/zero) aggregate row.
-		g = 1
-	}
 
-	// Merge native partials through the id maps.
+	// Merge native partials through the id maps; a lone morsel's are the
+	// merged ones.
 	merged := make([]*aggPartial, len(p.Aggs))
 	for ai, spec := range p.Aggs {
 		if spec.UDF != nil {
+			continue
+		}
+		if single {
+			merged[ai] = morsels[0].parts[ai]
 			continue
 		}
 		k := data.KindNull
@@ -989,31 +1081,33 @@ func (e *Engine) aggregateChunk(p *Plan, in *data.Chunk, ectx *execCtx) (*data.C
 		}
 		merged[ai] = newPartial(spec, g, k)
 		for m, mg := range morsels {
-			mergeNative(merged[ai], mg.parts[ai], spec, l2g[m])
+			mergeNative(merged[ai], mg.parts[ai], spec, ids[off[m]:off[m+1]])
 		}
 	}
 
 	// The UDF aggregates' rows: every morsel's, in morsel order, with
 	// global group ids.
-	switch {
-	case udfAgg && wrap == nil:
+	if udfAgg && !single {
 		for m, s := range spans {
-			ids := groupIDs[s.lo:s.hi]
-			for r, lg := range ids {
-				ids[r] = l2g[m][lg]
+			var gids []int
+			if wrap != nil {
+				gids = wrapGids[m]
+			} else {
+				gids = groupIDs[s.lo:s.hi]
+			}
+			for r, lg := range gids {
+				gids[r] = ids[off[m]+lg]
 			}
 		}
+	}
+	switch {
+	case udfAgg && wrap == nil:
 		for _, at := range udfAt {
 			if many && !slices.Contains(udfArgs[at].Nulls, true) {
 				udfArgs[at].Nulls = nil // the column was made nullable for any morsel
 			}
 		}
 	case udfAgg:
-		for m, ids := range wrapGids {
-			for r, lg := range ids {
-				ids[r] = l2g[m][lg]
-			}
-		}
 		if groupIDs = wrapGids[0]; many {
 			groupIDs = slices.Concat(wrapGids...)
 		}
@@ -1031,10 +1125,8 @@ func (e *Engine) aggregateChunk(p *Plan, in *data.Chunk, ectx *execCtx) (*data.C
 			nullable = nullable || morsels[m].keyCols[ki].Nulls != nil
 		}
 		col := data.NewColumnLen(p.Schema[ki].Name, p.Schema[ki].Kind, g, nullable)
-		at := 0
-		for m, rows := range newRows {
-			morsels[m].keyCols[ki].TakeInto(col, at, rows)
-			at += len(rows)
+		for m := range morsels {
+			morsels[m].keyCols[ki].TakeInto(col, newAt[m], first[newAt[m]:newAt[m+1]])
 		}
 		if nullable && !slices.Contains(col.Nulls, true) {
 			col.Nulls = nil

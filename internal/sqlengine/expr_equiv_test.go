@@ -15,6 +15,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"sort"
 	"testing"
 
 	"qfusor/internal/data"
@@ -470,12 +471,82 @@ func (g *exprGen) expr(depth int) SQLExpr {
 	return x
 }
 
-// checkSeed draws one table and a few expressions over it from seed.
+// checkSeed draws one table and a few expressions over it from seed,
+// then two tables to join.
 func checkSeed(t *testing.T, seed int64) {
 	g := &exprGen{r: rand.New(rand.NewSource(seed))}
 	tbl := g.table([]int{0, 1, 300}[g.pick(3)])
 	for i := 0; i < 3; i++ {
 		checkExprEquiv(t, tbl, g.expr(1+g.pick(4)))
+	}
+	checkJoinEquiv(t, g)
+}
+
+// joinKeyPool holds the key values a join arm draws from: NULL, NaN, −0.0
+// and 0.0, the int64 edges, ints and floats of equal value, and few
+// enough of them that keys repeat.
+var joinKeyPool = map[data.Kind][]data.Value{
+	data.KindInt: {data.Null, data.Int(0), data.Int(1), data.Int(-1), data.Int(7), data.Int(math.MaxInt64),
+		data.Int(math.MinInt64), data.Int(1 << 53), data.Int(1<<53 + 1)},
+	data.KindFloat: {data.Null, data.Float(math.NaN()), data.Float(math.Copysign(0, -1)), data.Float(0), data.Float(1),
+		data.Float(-1), data.Float(7.5), data.Float(1 << 53), data.Float(math.MaxInt64), data.Float(math.Inf(1))},
+	data.KindString: {data.Null, data.Str(""), data.Str("a"), data.Str("A"), data.Str("1"), data.Str("é")},
+}
+
+func keysOf(t *data.Table) []data.Value {
+	out := make([]data.Value, t.NumRows())
+	for r := range out {
+		out[r] = t.Cols[0].Get(r)
+	}
+	return out
+}
+
+// checkJoinEquiv holds the hash equi-join to the same predicate run as a
+// residual, which compiles to the comparison kernel and so is the
+// engine's =: an inner join, its comma-WHERE spelling and a LEFT join
+// each return the same row multiset either way, at every executor shape.
+func checkJoinEquiv(t *testing.T, g *exprGen) {
+	t.Helper()
+	kinds := [][2]data.Kind{{data.KindInt, data.KindInt}, {data.KindFloat, data.KindFloat}, {data.KindInt, data.KindFloat},
+		{data.KindFloat, data.KindInt}, {data.KindString, data.KindString}}[g.pick(5)]
+	table := func(name, val string, kind data.Kind) *data.Table {
+		tbl := data.NewTable(name, data.Schema{{Name: "k", Kind: kind}, {Name: val, Kind: data.KindInt}})
+		keys := joinKeyPool[kind][:1+g.pick(len(joinKeyPool[kind]))]
+		for i := g.pick(40); i >= 0; i-- {
+			_ = tbl.AppendRow(keys[g.pick(len(keys))], data.Int(int64(i)))
+		}
+		return tbl
+	}
+	a, b := table("a", "x", kinds[0]), table("b", "y", kinds[1])
+	same := "b.k + 0" // the right key, as an expression the planner cannot take for a key column
+	if kinds[1] == data.KindString {
+		same = "b.k || ''"
+	}
+	spellings := [][2]string{
+		{"SELECT a.x, b.y FROM a JOIN b ON a.k = b.k", "SELECT a.x, b.y FROM a JOIN b ON a.k = " + same},
+		{"SELECT a.x, b.y FROM a, b WHERE a.k = b.k", "SELECT a.x, b.y FROM a, b WHERE a.k = " + same},
+		{"SELECT a.x, b.y FROM a LEFT JOIN b ON a.k = b.k", "SELECT a.x, b.y FROM a LEFT JOIN b ON a.k = " + same},
+	}
+	for _, eng := range equivConfigs() {
+		eng.Catalog.PutTable(a)
+		eng.Catalog.PutTable(b)
+		for _, sp := range spellings {
+			var got [2][]string
+			for i, sql := range sp {
+				res, err := eng.Query(sql)
+				if err != nil {
+					t.Fatalf("%s: %v", sql, err)
+				}
+				for r := 0; r < res.NumRows(); r++ {
+					got[i] = append(got[i], res.Cols[0].Get(r).Repr()+"|"+res.Cols[1].Get(r).Repr())
+				}
+				sort.Strings(got[i])
+			}
+			if fmt.Sprint(got[0]) != fmt.Sprint(got[1]) {
+				t.Fatalf("%s vs %s [par=%d size=%d] over a.k=%v b.k=%v: %v vs %v", sp[0], sp[1], eng.Parallelism, eng.morselSize(),
+					keysOf(a), keysOf(b), got[0], got[1])
+			}
+		}
 	}
 }
 
@@ -494,5 +565,11 @@ func FuzzExprEquiv(f *testing.F) {
 	// MAX over a column with a NaN answered by where the morsels split it
 	// while a NaN kept whatever seat it took.
 	f.Add(int64(-310))
+	// Joins that matched NULL keys, and NaN keys, while the hash join
+	// encoded its keys: float keys with NaN, −0.0 and 0.0; int keys
+	// against float ones; int keys at the int64 edges.
+	f.Add(int64(4))
+	f.Add(int64(6))
+	f.Add(int64(8))
 	f.Fuzz(checkSeed)
 }

@@ -27,8 +27,8 @@ fi
 # eachRow iterates a generator UDF's rows ((*pylite.Generator).Next,
 # pylite.Iterate, pylite.ValueIter; the UDO baseline in
 # internal/bench/systems.go aside); and only sqlengine's aggregateChunk
-# (the one grouping and dedup) and appendRowKey (the join's key) encode a
-# row key (appendColKey).
+# (the one grouping and dedup) and joinChunk (the join's build) make a
+# hash table (newHashTable).
 go run ./scripts/udflookup
 GOMAXPROCS=8 go test -race ./...
 # Chaos sweep: fire every registered fault point and require graceful

@@ -28,10 +28,10 @@
 //     ffi's eachRow may, the one loop every table and expand UDF drains
 //     through on every transport and in every fused trace, and
 //     internal/bench/systems.go, whose UDO baseline iterates for itself.
-//   - sqlengine's appendColKey is the engine's one row-key encoding. Only
+//   - sqlengine's newHashTable makes the engine's one hash table. Only
 //     aggregateChunk, the one grouping (a DISTINCT and a UNION's dedup
-//     are aggregates with no aggregates), and appendRowKey, the join's
-//     key, may call it, so no second dedup or group-by grows back.
+//     are aggregates with no aggregates), and joinChunk, for its build,
+//     may call it, so no second dedup or group-by grows back.
 //
 // Run from the module root:
 //
@@ -110,9 +110,9 @@ var rules = []rule{
 	drainRule.of(module + "/internal/pylite.Iterate"),
 	drainRule.of(module + "/internal/pylite.ValueIter"),
 	{
-		fn:    module + "/internal/sqlengine.appendColKey",
-		where: []string{"internal/sqlengine/exec_columnar.go:aggregateChunk", "internal/sqlengine/key.go:appendRowKey"},
-		msg:   "encodes a row key outside the one grouping; a dedup or group-by is an OpAggregate (aggregateChunk), a join key appendRowKey",
+		fn:    module + "/internal/sqlengine.newHashTable",
+		where: []string{"internal/sqlengine/exec_columnar.go:aggregateChunk", "internal/sqlengine/exec_columnar.go:joinChunk"},
+		msg:   "makes a hash table outside the one grouping; a dedup or group-by is an OpAggregate (aggregateChunk), a join's build is joinChunk's",
 	},
 }
 
