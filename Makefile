@@ -23,7 +23,7 @@ vet:
 ## only the transports in internal/ffi/transport.go run a scalar UDF's
 ## body ((*ffi.UDF).Invoke), so no executor calls a UDF around them;
 ## outside the PyLite runtime only ffi's eachRow iterates a generator
-## UDF's rows ((*pylite.Generator).Next, pylite.Iterate, pylite.ValueIter;
+## UDF's rows ((*pylite.Interp).Iterate, (*pylite.Generator).Next, pylite.ValueIter;
 ## the UDO baseline in internal/bench/systems.go aside); only sqlengine's
 ## aggregateChunk (the one grouping and dedup) and joinChunk (the join's
 ## build) make a hash table (newHashTable).

@@ -264,13 +264,18 @@ def udo_keep(bd, offer):
 // udoCaller calls PyLite functions from UDO's operator threads, each
 // call on a runtime view it borrows: a view's call stacks belong to one
 // goroutine, and a pipeline with Parallelism > 1 runs its operators on
-// several.
-func udoCaller(rt *pylite.Interp) func(fn data.Value, args ...data.Value) (data.Value, error) {
+// several. With a non-nil each, the result's items (a generator's rows)
+// go to each on the same view.
+func udoCaller(rt *pylite.Interp) func(fn data.Value, each func(data.Value) error, args ...data.Value) (data.Value, error) {
 	views := &sync.Pool{New: func() any { return rt.Worker() }}
-	return func(fn data.Value, args ...data.Value) (data.Value, error) {
+	return func(fn data.Value, each func(data.Value) error, args ...data.Value) (data.Value, error) {
 		v := views.Get().(*pylite.Interp)
 		defer views.Put(v)
-		return v.Call(fn, args)
+		r, err := v.Call(fn, args)
+		if err != nil || each == nil {
+			return r, err
+		}
+		return data.Null, v.Iterate(r, each)
 	}
 }
 
@@ -284,14 +289,14 @@ func udoZillowQ11(t *data.Table, fused bool, par int) (int, udo.Stats, error) {
 	extractFn, _ := rt.Global("udo_extract")
 	keepFn, _ := rt.Global("udo_keep")
 	extract := udo.MapOp("z_extract", func(r []data.Value) []data.Value {
-		out, err := call(extractFn, r[3], r[1], r[5], r[6], r[7])
+		out, err := call(extractFn, nil, r[3], r[1], r[5], r[6], r[7])
 		if err != nil || out.List() == nil {
 			return []data.Value{data.Null, data.Null, data.Null, data.Null, data.Null, data.Null}
 		}
 		return out.List().Items
 	})
 	filter := udo.FilterOp("z_filter", func(r []data.Value) bool {
-		v, err := call(keepFn, r[4], r[5])
+		v, err := call(keepFn, nil, r[4], r[5])
 		return err == nil && v.Truthy()
 	})
 	p := &udo.Pipeline{Ops: []udo.Operator{extract, filter}, Fused: fused, Parallelism: par}
@@ -318,14 +323,10 @@ func udoRun(id string, arrays, docs *data.Table, par int) (int, udo.Stats, error
 	case "Q17":
 		fn, _ := rt.Global("splitarray")
 		split := udo.ExpandOp("splitarray", func(r []data.Value, emit func([]data.Value)) {
-			gv, err := call(fn, r[1])
-			if err != nil {
-				return
-			}
-			_ = pylite.Iterate(gv, func(v data.Value) error {
+			_, _ = call(fn, func(v data.Value) error {
 				emit([]data.Value{r[0], v})
 				return nil
-			})
+			}, r[1])
 		})
 		p := &udo.Pipeline{Ops: []udo.Operator{split}, Parallelism: par}
 		rows, stats, err := p.Run(arrays)
@@ -333,7 +334,7 @@ func udoRun(id string, arrays, docs *data.Table, par int) (int, udo.Stats, error
 	case "Q18":
 		fn, _ := rt.Global("containsdb")
 		filter := udo.FilterOp("containsdb", func(r []data.Value) bool {
-			v, err := call(fn, r[1])
+			v, err := call(fn, nil, r[1])
 			return err == nil && v.Truthy()
 		})
 		p := &udo.Pipeline{Ops: []udo.Operator{filter}, Parallelism: par}

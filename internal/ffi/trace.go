@@ -164,40 +164,33 @@ func (t *Trace) drive(u *UDF, args []*data.Column, n int, emit func([]data.Value
 // driveSource calls the trace's source table UDF once over all n input
 // rows and runs the trace body on every row it yields.
 func (t *Trace) driveSource(u *UDF, args []*data.Column, n int, regs []data.Value, bails *int, emit func([]data.Value) error) error {
-	in := inputRows(args, n)
+	in := inputRows(u.RT, args, n)
 	defer in.Close()
 	gv, err := u.RT.Call(t.Source.Fn, append([]data.Value{data.Object(in)}, t.SourceArgs...))
 	if err != nil {
 		return wrapUDFErr(t.Source, err)
 	}
-	return eachRow(t.Source, gv, func(v data.Value) error {
+	return eachRow(u.RT, t.Source, gv, func(v data.Value) error {
 		bindRow(regs, t.SourceDsts, v)
 		return t.row(u, regs, bails, emit)
 	})
 }
 
 // eachRow feeds every row a generator UDF's result yields (or, for a
-// plain iterable, every item) to fn: the one loop over a UDF's rows. An
-// exception inside the UDF is attributed to it; fn's errors pass as
-// they are.
-func eachRow(src *UDF, gv data.Value, fn func(data.Value) error) error {
-	it, err := pylite.ValueIter(gv)
-	if err != nil {
+// plain iterable, every item) to fn: the one loop over a UDF's rows. It
+// runs on rt, the runtime that called the UDF, and a generator runs
+// with fn as its yield. An exception inside the UDF is attributed to
+// it; fn's errors pass as they are.
+func eachRow(rt *pylite.Interp, src *UDF, gv data.Value, fn func(data.Value) error) error {
+	var cerr error
+	err := rt.Iterate(gv, func(v data.Value) error {
+		cerr = fn(v)
+		return cerr
+	})
+	if err != nil && cerr == nil {
 		return wrapUDFErr(src, err)
 	}
-	defer it.Close()
-	for {
-		v, more, err := it.Next()
-		if err != nil {
-			return wrapUDFErr(src, err)
-		}
-		if !more {
-			return nil
-		}
-		if err := fn(v); err != nil {
-			return err
-		}
-	}
+	return err
 }
 
 // rowCell is the row rule, the one place a yielded value becomes a row:
@@ -260,7 +253,7 @@ func runOps(u *UDF, ops []TraceOp, regs []data.Value, bails *int, emit func([]da
 				return wrapUDFErr(op.UDF, err)
 			}
 			rest := ops[oi+1:]
-			return eachRow(op.UDF, gv, func(v data.Value) error {
+			return eachRow(u.RT, op.UDF, gv, func(v data.Value) error {
 				bindRow(regs, op.Dsts, v)
 				return runOps(u, rest, regs, bails, emit)
 			})

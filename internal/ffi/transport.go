@@ -231,7 +231,7 @@ func (VectorInvoker) CallTable(u *UDF, input *data.Chunk, extra []data.Value) (*
 	}
 	start := time.Now()
 	n := input.NumRows()
-	in := inputRows(input.Cols, n)
+	in := inputRows(u.RT, input.Cols, n)
 	defer in.Close()
 	out := outColumns(u)
 	m, err := drain(u, append([]data.Value{data.Object(in)}, extra...), out)
@@ -250,7 +250,7 @@ func drain(u *UDF, args []data.Value, out []*data.Column) (rows int, err error) 
 	if err != nil {
 		return 0, wrapUDFErr(u, err)
 	}
-	err = eachRow(u, gv, func(v data.Value) error {
+	err = eachRow(u.RT, u, gv, func(v data.Value) error {
 		for i, c := range out {
 			c.AppendValue(rowCell(v, len(out), i))
 		}
@@ -277,8 +277,8 @@ func outColumns(u *UDF) []*data.Column {
 // inputRows is the lazy input generator a table UDF consumes (the
 // paper's inp_datagen): one value per row of cols, a list when there are
 // several columns.
-func inputRows(cols []*data.Column, n int) *pylite.Generator {
-	return pylite.GoGenerator(func(yield func(data.Value) error) error {
+func inputRows(rt *pylite.Interp, cols []*data.Column, n int) *pylite.Generator {
+	return pylite.NewGenerator(rt, func(_ *pylite.Interp, yield func(data.Value) error) error {
 		row := make([]data.Value, len(cols))
 		for i := 0; i < n; i++ {
 			for j, c := range cols {

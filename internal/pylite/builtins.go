@@ -94,7 +94,7 @@ func Builtins() map[string]data.Value {
 		if len(args) == 0 {
 			return data.Str(""), nil
 		}
-		return data.Str(args[0].String()), nil
+		return data.Str(pyStr(args[0])), nil
 	})
 
 	reg("repr", func(_ *Ctx, args []data.Value, _ map[string]data.Value) (data.Value, error) {
@@ -145,13 +145,13 @@ func Builtins() map[string]data.Value {
 	})
 
 	reg("min", func(ctx *Ctx, args []data.Value, _ map[string]data.Value) (data.Value, error) {
-		return minMax(args, true)
+		return minMax(ctx, args, true)
 	})
 	reg("max", func(ctx *Ctx, args []data.Value, _ map[string]data.Value) (data.Value, error) {
-		return minMax(args, false)
+		return minMax(ctx, args, false)
 	})
 
-	reg("sum", func(_ *Ctx, args []data.Value, _ map[string]data.Value) (data.Value, error) {
+	reg("sum", func(ctx *Ctx, args []data.Value, _ map[string]data.Value) (data.Value, error) {
 		if err := wantArgs("sum", args, 1, 2); err != nil {
 			return data.Null, err
 		}
@@ -159,7 +159,7 @@ func Builtins() map[string]data.Value {
 		if len(args) == 2 {
 			acc = args[1]
 		}
-		err := Iterate(args[0], func(v data.Value) error {
+		err := ctx.it.Iterate(args[0], func(v data.Value) error {
 			r, err := binOp("+", acc, v)
 			if err != nil {
 				return err
@@ -175,7 +175,7 @@ func Builtins() map[string]data.Value {
 			return data.Null, err
 		}
 		var items []data.Value
-		if err := Iterate(args[0], func(v data.Value) error {
+		if err := ctx.it.Iterate(args[0], func(v data.Value) error {
 			items = append(items, v)
 			return nil
 		}); err != nil {
@@ -197,34 +197,34 @@ func Builtins() map[string]data.Value {
 		return data.NewList(items), nil
 	})
 
-	reg("list", func(_ *Ctx, args []data.Value, _ map[string]data.Value) (data.Value, error) {
+	reg("list", func(ctx *Ctx, args []data.Value, _ map[string]data.Value) (data.Value, error) {
 		if len(args) == 0 {
 			return data.NewList(nil), nil
 		}
 		var items []data.Value
-		err := Iterate(args[0], func(v data.Value) error {
+		err := ctx.it.Iterate(args[0], func(v data.Value) error {
 			items = append(items, v)
 			return nil
 		})
 		return data.NewList(items), err
 	})
 
-	reg("tuple", func(_ *Ctx, args []data.Value, _ map[string]data.Value) (data.Value, error) {
+	reg("tuple", func(ctx *Ctx, args []data.Value, _ map[string]data.Value) (data.Value, error) {
 		if len(args) == 0 {
 			return data.NewList(nil), nil
 		}
 		var items []data.Value
-		err := Iterate(args[0], func(v data.Value) error {
+		err := ctx.it.Iterate(args[0], func(v data.Value) error {
 			items = append(items, v)
 			return nil
 		})
 		return data.NewList(items), err
 	})
 
-	reg("set", func(_ *Ctx, args []data.Value, _ map[string]data.Value) (data.Value, error) {
+	reg("set", func(ctx *Ctx, args []data.Value, _ map[string]data.Value) (data.Value, error) {
 		s := NewSet()
 		if len(args) == 1 {
-			if err := Iterate(args[0], func(v data.Value) error {
+			if err := ctx.it.Iterate(args[0], func(v data.Value) error {
 				s.Add(v)
 				return nil
 			}); err != nil {
@@ -234,7 +234,7 @@ func Builtins() map[string]data.Value {
 		return data.Object(s), nil
 	})
 
-	reg("dict", func(_ *Ctx, args []data.Value, kwargs map[string]data.Value) (data.Value, error) {
+	reg("dict", func(ctx *Ctx, args []data.Value, kwargs map[string]data.Value) (data.Value, error) {
 		d := data.NewDict()
 		dd := d.Dict()
 		if len(args) == 1 {
@@ -242,7 +242,7 @@ func Builtins() map[string]data.Value {
 				for i, k := range od.Keys {
 					dd.Set(k, od.Vals[i])
 				}
-			} else if err := Iterate(args[0], func(v data.Value) error {
+			} else if err := ctx.it.Iterate(args[0], func(v data.Value) error {
 				pair := v.List()
 				if pair == nil || len(pair.Items) != 2 {
 					return valueErrf("dictionary update sequence element is not a pair")
@@ -259,10 +259,10 @@ func Builtins() map[string]data.Value {
 		return d, nil
 	})
 
-	// The lazy builtins (enumerate, zip, map, filter) iterate their
-	// sources inside the producer, so a producer that overflows its eager
-	// run and restarts on its own goroutine (Generator.start) starts over.
-	reg("enumerate", func(_ *Ctx, args []data.Value, _ map[string]data.Value) (data.Value, error) {
+	// The lazy builtins (enumerate, zip, map, filter) are generators
+	// whose bodies consume their sources: a drain pushes each source item
+	// through the body to its consumer, and zip pulls its sources.
+	reg("enumerate", func(ctx *Ctx, args []data.Value, _ map[string]data.Value) (data.Value, error) {
 		if err := wantArgs("enumerate", args, 1, 2); err != nil {
 			return data.Null, err
 		}
@@ -274,23 +274,23 @@ func Builtins() map[string]data.Value {
 		if _, err := ValueIter(src); err != nil {
 			return data.Null, err
 		}
-		return data.Object(GoGenerator(func(yield func(data.Value) error) error {
+		return data.Object(NewGenerator(ctx.it, func(it *Interp, yield func(data.Value) error) error {
 			i := start
-			return Iterate(src, func(v data.Value) error {
+			return it.Iterate(src, func(v data.Value) error {
 				i++
 				return yield(data.NewList([]data.Value{data.Int(i - 1), v}))
 			})
 		})), nil
 	})
 
-	reg("zip", func(_ *Ctx, args []data.Value, _ map[string]data.Value) (data.Value, error) {
+	reg("zip", func(ctx *Ctx, args []data.Value, _ map[string]data.Value) (data.Value, error) {
 		srcs := append([]data.Value(nil), args...)
 		for _, a := range srcs {
 			if _, err := ValueIter(a); err != nil {
 				return data.Null, err
 			}
 		}
-		return data.Object(GoGenerator(func(yield func(data.Value) error) error {
+		return data.Object(NewGenerator(ctx.it, func(_ *Interp, yield func(data.Value) error) error {
 			iters := make([]Iterator, len(srcs))
 			for i, a := range srcs {
 				iters[i], _ = ValueIter(a) // iterable: checked when zip was called
@@ -319,12 +319,12 @@ func Builtins() map[string]data.Value {
 		})), nil
 	})
 
-	reg("reversed", func(_ *Ctx, args []data.Value, _ map[string]data.Value) (data.Value, error) {
+	reg("reversed", func(ctx *Ctx, args []data.Value, _ map[string]data.Value) (data.Value, error) {
 		if err := wantArgs("reversed", args, 1, 1); err != nil {
 			return data.Null, err
 		}
 		var items []data.Value
-		if err := Iterate(args[0], func(v data.Value) error {
+		if err := ctx.it.Iterate(args[0], func(v data.Value) error {
 			items = append(items, v)
 			return nil
 		}); err != nil {
@@ -336,31 +336,31 @@ func Builtins() map[string]data.Value {
 		return data.NewList(items), nil
 	})
 
-	reg("any", func(_ *Ctx, args []data.Value, _ map[string]data.Value) (data.Value, error) {
+	reg("any", func(ctx *Ctx, args []data.Value, _ map[string]data.Value) (data.Value, error) {
 		res := false
-		err := Iterate(args[0], func(v data.Value) error {
+		err := ctx.it.Iterate(args[0], func(v data.Value) error {
 			if v.Truthy() {
 				res = true
-				return errIterDone
+				return errLoopExit
 			}
 			return nil
 		})
-		if err == errIterDone {
+		if err == errLoopExit {
 			err = nil
 		}
 		return data.Bool(res), err
 	})
 
-	reg("all", func(_ *Ctx, args []data.Value, _ map[string]data.Value) (data.Value, error) {
+	reg("all", func(ctx *Ctx, args []data.Value, _ map[string]data.Value) (data.Value, error) {
 		res := true
-		err := Iterate(args[0], func(v data.Value) error {
+		err := ctx.it.Iterate(args[0], func(v data.Value) error {
 			if !v.Truthy() {
 				res = false
-				return errIterDone
+				return errLoopExit
 			}
 			return nil
 		})
-		if err == errIterDone {
+		if err == errLoopExit {
 			err = nil
 		}
 		return data.Bool(res), err
@@ -374,9 +374,9 @@ func Builtins() map[string]data.Value {
 		if _, err := ValueIter(src); err != nil {
 			return data.Null, err
 		}
-		return data.Object(ctxGenerator(ctx, func(ctx *Ctx, yield func(data.Value) error) error {
-			return Iterate(src, func(v data.Value) error {
-				r, err := ctx.Call(fn, []data.Value{v})
+		return data.Object(NewGenerator(ctx.it, func(it *Interp, yield func(data.Value) error) error {
+			return it.Iterate(src, func(v data.Value) error {
+				r, err := it.Call(fn, []data.Value{v})
 				if err != nil {
 					return err
 				}
@@ -393,11 +393,11 @@ func Builtins() map[string]data.Value {
 		if _, err := ValueIter(src); err != nil {
 			return data.Null, err
 		}
-		return data.Object(ctxGenerator(ctx, func(ctx *Ctx, yield func(data.Value) error) error {
-			return Iterate(src, func(v data.Value) error {
+		return data.Object(NewGenerator(ctx.it, func(it *Interp, yield func(data.Value) error) error {
+			return it.Iterate(src, func(v data.Value) error {
 				keep := v.Truthy()
 				if !fn.IsNull() {
-					r, err := ctx.Call(fn, []data.Value{v})
+					r, err := it.Call(fn, []data.Value{v})
 					if err != nil {
 						return err
 					}
@@ -509,13 +509,10 @@ func Builtins() map[string]data.Value {
 	return b
 }
 
-// errIterDone is an internal sentinel used by any()/all() to stop early.
-var errIterDone = &PyError{Type: "__iterdone__"}
-
-func minMax(args []data.Value, isMin bool) (data.Value, error) {
+func minMax(ctx *Ctx, args []data.Value, isMin bool) (data.Value, error) {
 	var items []data.Value
 	if len(args) == 1 {
-		if err := Iterate(args[0], func(v data.Value) error {
+		if err := ctx.it.Iterate(args[0], func(v data.Value) error {
 			items = append(items, v)
 			return nil
 		}); err != nil {

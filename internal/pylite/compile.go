@@ -28,9 +28,9 @@ type cframe struct {
 	it      *Interp
 	slots   []data.Value
 	names   []string
-	closure *Env // defining environment for free variables
-	gs      *genSink
-	argBase int // argument-stack height at entry (stack frames only)
+	closure *Env                   // defining environment for free variables
+	yield   func(data.Value) error // a generator body's consumer; nil elsewhere
+	argBase int                    // argument-stack height at entry (stack frames only)
 }
 
 type cStmt func(f *cframe) (flow, error)
@@ -112,22 +112,18 @@ func (cf *CompiledFunc) Call(it *Interp, args []data.Value, kwargs map[string]da
 	return data.Null, nil
 }
 
-// callGen starts a generator function on a heap frame.
+// callGen binds a generator function's arguments to a heap frame, which
+// its body runs on when first consumed.
 func (cf *CompiledFunc) callGen(it *Interp, args []data.Value, kwargs map[string]data.Value) (data.Value, error) {
-	// The eager run stages arguments on the runtime's argument stack; a
-	// panic out of it must not leave them there.
-	defer it.popArgs(len(it.args))
-	f := &cframe{it: it, slots: make([]data.Value, len(cf.names)), names: cf.names, closure: cf.src.Env}
+	f := &cframe{slots: make([]data.Value, len(cf.names)), names: cf.names, closure: cf.src.Env}
 	if err := cf.bind(f, args, kwargs); err != nil {
 		return data.Null, err
 	}
-	g := newGenerator()
-	g.start(it, func(run *Interp, sink *genSink) error {
-		f.it, f.gs = run, sink
+	return data.Object(NewGenerator(it, func(run *Interp, yield func(data.Value) error) error {
+		f.it, f.yield = run, yield
 		_, err := cf.body(f)
 		return err
-	})
-	return data.Object(g), nil
+	})), nil
 }
 
 // bind stores the call's arguments, defaults and varargs in f's slots.
@@ -607,39 +603,34 @@ func (c *compiler) compileStmt(st Stmt) (cStmt, error) {
 					return flowZero, nil
 				}
 			}
-			it2, err := ValueIter(iterable)
-			if err != nil {
-				return flowZero, err
-			}
-			defer it2.Close()
-			for {
+			var out flow
+			err = f.it.Iterate(iterable, func(v data.Value) error {
 				if err := f.it.checkIntr(); err != nil {
-					return flowZero, err
+					return err
 				}
 				if p := profActive.Load(); p != nil {
 					p.maybeSample(fname, line)
 				}
-				v, ok, err := it2.Next()
-				if err != nil {
-					return flowZero, err
-				}
-				if !ok {
-					return flowZero, nil
-				}
 				if err := store(f, v); err != nil {
-					return flowZero, err
+					return err
 				}
 				fl, err := body(f)
 				if err != nil {
-					return flowZero, err
+					return err
 				}
 				switch fl.kind {
 				case flowBreak:
-					return flowZero, nil
+					return errLoopExit
 				case flowReturn:
-					return fl, nil
+					out = fl
+					return errLoopExit
 				}
+				return nil
+			})
+			if err == errLoopExit {
+				err = nil
 			}
+			return out, err
 		}, nil
 	case *Pass:
 		return func(f *cframe) (flow, error) { return flowZero, nil }, nil
@@ -919,7 +910,7 @@ func (c *compiler) compileStore(target Expr) (func(f *cframe, v data.Value) erro
 			var items []data.Value
 			if v.Kind == data.KindList {
 				items = v.List().Items
-			} else if err := Iterate(v, func(x data.Value) error {
+			} else if err := f.it.Iterate(v, func(x data.Value) error {
 				items = append(items, x)
 				return nil
 			}); err != nil {

@@ -434,7 +434,7 @@ func (c *compiler) compileExpr(e Expr) (cExpr, error) {
 			}
 		}
 		return func(f *cframe) (data.Value, error) {
-			if f.gs == nil {
+			if f.yield == nil {
 				return data.Null, raisef("SyntaxError", "'yield' outside generator")
 			}
 			v := data.Null
@@ -445,7 +445,7 @@ func (c *compiler) compileExpr(e Expr) (cExpr, error) {
 					return data.Null, err
 				}
 			}
-			return data.Null, f.gs.emit(v)
+			return data.Null, f.yield(v)
 		}, nil
 	}
 	return nil, fmt.Errorf("pylite: cannot compile expression %T", e)
@@ -508,10 +508,13 @@ func (c *compiler) compileCall(x *Call) (cExpr, error) {
 			return data.Null, err
 		}
 		if star != nil {
+			// The items are collected first: a generator's drain restores
+			// the argument stack as it found it.
+			var rest []data.Value
 			sv, err := star(f)
 			if err == nil {
-				err = Iterate(sv, func(v data.Value) error {
-					it.args = append(it.args, v)
+				err = it.Iterate(sv, func(v data.Value) error {
+					rest = append(rest, v)
 					return nil
 				})
 			}
@@ -519,6 +522,7 @@ func (c *compiler) compileCall(x *Call) (cExpr, error) {
 				it.popArgs(base)
 				return data.Null, err
 			}
+			it.args = append(it.args, rest...)
 		}
 		var kwargs map[string]data.Value
 		if len(kwNames) > 0 {
@@ -675,54 +679,30 @@ func (c *compiler) compileComp(x *Comp) (cExpr, error) {
 		if err != nil {
 			return err
 		}
-		it2, err := ValueIter(iterable)
-		if err != nil {
-			return err
-		}
-		defer it2.Close()
-		for {
-			v, ok, err := it2.Next()
-			if err != nil {
-				return err
-			}
-			if !ok {
-				return nil
-			}
+		return f.it.Iterate(iterable, func(v data.Value) error {
 			if err := cf.store(f, v); err != nil {
 				return err
 			}
-			pass := true
 			for _, cond := range cf.ifs {
 				cv, err := cond(f)
-				if err != nil {
+				if err != nil || !cv.Truthy() {
 					return err
 				}
-				if !cv.Truthy() {
-					pass = false
-					break
-				}
 			}
-			if !pass {
-				continue
-			}
-			if err := loop(f, depth+1, emit); err != nil {
-				return err
-			}
-		}
+			return loop(f, depth+1, emit)
+		})
 	}
 	switch x.Kind {
 	case 'g':
 		return func(f *cframe) (data.Value, error) {
-			// Snapshot the frame so the lazy producer does not race with
-			// the continuing function.
+			// The lazy producer runs on a snapshot of the frame: f is
+			// reused by the next call at its depth once this one returns.
 			snap := &cframe{slots: append([]data.Value(nil), f.slots...),
 				names: f.names, closure: f.closure}
-			g := newGenerator()
-			g.start(f.it, func(run *Interp, sink *genSink) error {
-				snap.it, snap.gs = run, sink
-				return loop(snap, 0, sink.emit)
-			})
-			return data.Object(g), nil
+			return data.Object(NewGenerator(f.it, func(run *Interp, yield func(data.Value) error) error {
+				snap.it = run
+				return loop(snap, 0, yield)
+			})), nil
 		}, nil
 	case 's':
 		return func(f *cframe) (data.Value, error) {

@@ -50,9 +50,16 @@ func nameErrf(format string, args ...any) error {
 	return raisef("NameError", format, args...)
 }
 
-// errGenStopped signals that a generator's consumer closed it; the
-// producing goroutine unwinds silently.
+// errGenStopped is what a generator body's yield returns once its
+// consumer has left (an error, break or return out of a drain, or
+// Close): the body unwinds silently. It is no PyError, so no except
+// clause catches it.
 var errGenStopped = errors.New("pylite: generator stopped")
+
+// errLoopExit is what a consumer returns to leave an iteration early: a
+// for loop's break or return, any() and all() once they know the
+// answer. The consumer that returned it also takes it back.
+var errLoopExit = errors.New("pylite: loop exit")
 
 // IsPyError reports whether err is (or wraps) a Python-level exception,
 // returning it if so.

@@ -2,6 +2,7 @@ package pylite
 
 import (
 	"fmt"
+	"maps"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -75,6 +76,16 @@ func (e *Env) Delete(name string) {
 	delete(e.vars, name)
 }
 
+// snapshot returns a scope holding a copy of e's own bindings, under
+// e's parent. Shared scopes (module globals) are not copied: the
+// snapshot is a child of e and sees them live.
+func (e *Env) snapshot() *Env {
+	if e.mu != nil {
+		return NewEnv(e)
+	}
+	return &Env{vars: maps.Clone(e.vars), parent: e.parent}
+}
+
 // Stats aggregates runtime counters used by the experiments.
 type Stats struct {
 	InterpCalls   atomic.Int64
@@ -102,7 +113,7 @@ var (
 // An Interp runs on one goroutine at a time. vmScratch, the frame stack
 // and the argument stack rely on that to be reused without locks:
 // concurrent work takes a view of its own (View, Worker), and so does a
-// generator producer that resumes on its own goroutine.
+// pulled generator body, which runs as a coroutine.
 type Interp struct {
 	Globals  *Env
 	builtins map[string]data.Value
@@ -215,7 +226,7 @@ func (it *Interp) Global(name string) (data.Value, bool) {
 type frame struct {
 	it          *Interp
 	env         *Env
-	gs          *genSink
+	yield       func(data.Value) error // a generator body's consumer; nil elsewhere
 	globalNames map[string]bool
 	fnName      string // enclosing function, for the sampling profiler
 }
@@ -323,13 +334,11 @@ func (it *Interp) callFunc(fn *FuncValue, args []data.Value, kwargs map[string]d
 		return it.eval(fr, fn.Expr)
 	}
 	if fn.IsGen {
-		g := newGenerator()
-		g.start(it, func(run *Interp, sink *genSink) error {
-			fr := &frame{it: run, env: env, gs: sink, fnName: fn.Name}
+		return data.Object(NewGenerator(it, func(run *Interp, yield func(data.Value) error) error {
+			fr := &frame{it: run, env: env, yield: yield, fnName: fn.Name}
 			_, err := run.execBlock(fr, fn.Body)
 			return err
-		})
-		return data.Object(g), nil
+		})), nil
 	}
 	fr := &frame{it: it, env: env, fnName: fn.Name}
 	fl, err := it.execBlock(fr, fn.Body)
@@ -491,33 +500,28 @@ func (it *Interp) execStmt(fr *frame, st Stmt) (flow, error) {
 		if err != nil {
 			return flowZero, err
 		}
-		iter, err := ValueIter(iterable)
-		if err != nil {
-			return flowZero, err
-		}
-		defer iter.Close()
-		for {
-			v, ok, err := iter.Next()
-			if err != nil {
-				return flowZero, err
-			}
-			if !ok {
-				return flowZero, nil
-			}
+		var out flow
+		err = it.Iterate(iterable, func(v data.Value) error {
 			if err := it.assign(fr, s.Target, v); err != nil {
-				return flowZero, err
+				return err
 			}
 			fl, err := it.execBlock(fr, s.Body)
 			if err != nil {
-				return flowZero, err
+				return err
 			}
 			switch fl.kind {
 			case flowBreak:
-				return flowZero, nil
+				return errLoopExit
 			case flowReturn:
-				return fl, nil
+				out = fl
+				return errLoopExit
 			}
+			return nil
+		})
+		if err == errLoopExit {
+			err = nil
 		}
+		return out, err
 	case *FuncDef:
 		fn := &FuncValue{Name: s.Name, Params: s.Params, Vararg: s.Vararg,
 			Body: s.Body, IsGen: s.IsGen, Env: fr.env, Globals: it.Globals}
@@ -641,9 +645,6 @@ func toError(v data.Value) error {
 // matchExcept reports whether exception pe is caught by an except clause
 // naming typ ("" or "Exception" or "BaseException" catch everything).
 func matchExcept(pe *PyError, typ string) bool {
-	if pe.Type == "__iterdone__" || pe.Type == "__eageroverflow__" {
-		return false
-	}
 	return typ == "" || typ == "Exception" || typ == "BaseException" || typ == pe.Type
 }
 
@@ -685,7 +686,7 @@ func (it *Interp) assign(fr *frame, target Expr, v data.Value) error {
 		return setIndex(obj, key, v)
 	case *TupleLit:
 		var items []data.Value
-		if err := Iterate(v, func(x data.Value) error {
+		if err := it.Iterate(v, func(x data.Value) error {
 			items = append(items, x)
 			return nil
 		}); err != nil {
@@ -796,7 +797,7 @@ func (it *Interp) eval(fr *frame, e Expr) (data.Value, error) {
 			if err != nil {
 				return data.Null, err
 			}
-			if err := Iterate(star, func(v data.Value) error {
+			if err := it.Iterate(star, func(v data.Value) error {
 				args = append(args, v)
 				return nil
 			}); err != nil {
@@ -904,7 +905,7 @@ func (it *Interp) eval(fr *frame, e Expr) (data.Value, error) {
 	case *Comp:
 		return it.evalComp(fr, x)
 	case *Yield:
-		if fr.gs == nil {
+		if fr.yield == nil {
 			return data.Null, raisef("SyntaxError", "'yield' outside function")
 		}
 		v := data.Null
@@ -915,7 +916,7 @@ func (it *Interp) eval(fr *frame, e Expr) (data.Value, error) {
 				return data.Null, err
 			}
 		}
-		return data.Null, fr.gs.emit(v)
+		return data.Null, fr.yield(v)
 	}
 	return data.Null, fmt.Errorf("pylite: unsupported expression %T", e)
 }
@@ -923,14 +924,12 @@ func (it *Interp) eval(fr *frame, e Expr) (data.Value, error) {
 // evalComp evaluates list/set/generator comprehensions.
 func (it *Interp) evalComp(fr *frame, c *Comp) (data.Value, error) {
 	if c.Kind == 'g' {
-		// Generator expression: lazy evaluation in its own goroutine.
-		g := newGenerator()
-		env := NewEnv(fr.env)
-		g.start(it, func(run *Interp, sink *genSink) error {
-			sub := &frame{it: run, env: env, gs: fr.gs}
-			return run.compLoop(sub, c, 0, sink.emit)
-		})
-		return data.Object(g), nil
+		// Generator expression: a lazy producer over a snapshot of the
+		// enclosing locals, as on the closure tier.
+		env := fr.env.snapshot()
+		return data.Object(NewGenerator(it, func(run *Interp, yield func(data.Value) error) error {
+			return run.compLoop(&frame{it: run, env: env}, c, 0, yield)
+		})), nil
 	}
 	// List/set comprehensions run in the enclosing frame (Python 2-style
 	// scoping, kept identical between the interpreter and compiled tier).
@@ -964,38 +963,16 @@ func (it *Interp) compLoop(fr *frame, c *Comp, depth int, emit func(data.Value) 
 	if err != nil {
 		return err
 	}
-	iter, err := ValueIter(iterable)
-	if err != nil {
-		return err
-	}
-	defer iter.Close()
-	for {
-		v, ok, err := iter.Next()
-		if err != nil {
-			return err
-		}
-		if !ok {
-			return nil
-		}
+	return it.Iterate(iterable, func(v data.Value) error {
 		if err := it.assign(fr, cf.Target, v); err != nil {
 			return err
 		}
-		pass := true
 		for _, cond := range cf.Ifs {
 			cv, err := it.eval(fr, cond)
-			if err != nil {
+			if err != nil || !cv.Truthy() {
 				return err
 			}
-			if !cv.Truthy() {
-				pass = false
-				break
-			}
 		}
-		if !pass {
-			continue
-		}
-		if err := it.compLoop(fr, c, depth+1, emit); err != nil {
-			return err
-		}
-	}
+		return it.compLoop(fr, c, depth+1, emit)
+	})
 }

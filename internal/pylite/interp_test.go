@@ -1,6 +1,7 @@
 package pylite
 
 import (
+	"runtime"
 	"strings"
 	"testing"
 
@@ -128,10 +129,16 @@ def f():
     g.close()
     return a + b
 `
-	v := mustRun(t, src, "f")
-	if v.I != 1 {
-		t.Fatalf("got %v, want 1", v)
-	}
+	// next() runs the body as a coroutine; close() must end it.
+	onBothTiers(t, src, func(t *testing.T, it *Interp) {
+		before := runtime.NumGoroutine()
+		for i := 0; i < 3; i++ {
+			if v, err := callGlobal(it, "f"); err != nil || v.I != 1 {
+				t.Fatalf("got %v, %v, want 1", v, err)
+			}
+		}
+		goroutinesBack(t, before)
+	})
 }
 
 func TestClassInitStepFinal(t *testing.T) {

@@ -77,7 +77,7 @@ func callMethod(ctx *Ctx, obj data.Value, name string, args []data.Value, kwargs
 	case data.KindObject:
 		switch o := obj.P.(type) {
 		case *Set:
-			return setMethod(o, name, args)
+			return setMethod(ctx, o, name, args)
 		case *MatchObj:
 			return matchMethod(o, name, args)
 		}
@@ -189,7 +189,7 @@ func strMethod(ctx *Ctx, s, name string, args []data.Value) (data.Value, error) 
 			return data.Null, err
 		}
 		var parts []string
-		err := Iterate(args[0], func(v data.Value) error {
+		err := ctx.it.Iterate(args[0], func(v data.Value) error {
 			if v.Kind != data.KindString {
 				return typeErrf("sequence item: expected str instance, %s found", v.TypeName())
 			}
@@ -439,7 +439,7 @@ func strFormat(format string, args []data.Value) (data.Value, error) {
 			if idx < 0 || idx >= len(args) {
 				return data.Null, indexErrf("replacement index %d out of range", idx)
 			}
-			b.WriteString(args[idx].String())
+			b.WriteString(pyStr(args[idx]))
 		case '}':
 			if i+1 < len(format) && format[i+1] == '}' {
 				b.WriteByte('}')
@@ -469,7 +469,7 @@ func listMethod(ctx *Ctx, obj data.Value, name string, args []data.Value, kwargs
 		if err := wantArgs(name, args, 1, 1); err != nil {
 			return data.Null, err
 		}
-		err := Iterate(args[0], func(v data.Value) error {
+		err := ctx.it.Iterate(args[0], func(v data.Value) error {
 			l.Items = append(l.Items, v)
 			return nil
 		})
@@ -722,7 +722,7 @@ func dictMethod(d *data.Dict, name string, args []data.Value) (data.Value, error
 
 // ---- set methods ----
 
-func setMethod(s *Set, name string, args []data.Value) (data.Value, error) {
+func setMethod(ctx *Ctx, s *Set, name string, args []data.Value) (data.Value, error) {
 	switch name {
 	case "add":
 		if err := wantArgs(name, args, 1, 1); err != nil {
@@ -741,7 +741,7 @@ func setMethod(s *Set, name string, args []data.Value) (data.Value, error) {
 	case "union", "intersection", "difference":
 		other := NewSet()
 		if len(args) == 1 {
-			if err := Iterate(args[0], func(v data.Value) error {
+			if err := ctx.it.Iterate(args[0], func(v data.Value) error {
 				other.Add(v)
 				return nil
 			}); err != nil {

@@ -362,36 +362,36 @@ func mathModule() data.Value {
 
 func itertoolsModule() data.Value {
 	attrs := map[string]data.Value{}
-	attrs["combinations"] = nativeFn("itertools.combinations", func(_ *Ctx, args []data.Value, _ map[string]data.Value) (data.Value, error) {
+	attrs["combinations"] = nativeFn("itertools.combinations", func(ctx *Ctx, args []data.Value, _ map[string]data.Value) (data.Value, error) {
 		if err := wantArgs("combinations", args, 2, 2); err != nil {
 			return data.Null, err
 		}
 		var items []data.Value
-		if err := Iterate(args[0], func(v data.Value) error {
+		if err := ctx.it.Iterate(args[0], func(v data.Value) error {
 			items = append(items, v)
 			return nil
 		}); err != nil {
 			return data.Null, err
 		}
 		r, _ := args[1].AsInt()
-		return data.Object(GoGenerator(func(yield func(data.Value) error) error {
+		return data.Object(NewGenerator(ctx.it, func(_ *Interp, yield func(data.Value) error) error {
 			return emitCombinations(items, int(r), yield)
 		})), nil
 	})
-	attrs["chain"] = nativeFn("itertools.chain", func(_ *Ctx, args []data.Value, _ map[string]data.Value) (data.Value, error) {
+	attrs["chain"] = nativeFn("itertools.chain", func(ctx *Ctx, args []data.Value, _ map[string]data.Value) (data.Value, error) {
 		srcs := append([]data.Value(nil), args...)
-		return data.Object(GoGenerator(func(yield func(data.Value) error) error {
+		return data.Object(NewGenerator(ctx.it, func(it *Interp, yield func(data.Value) error) error {
 			for _, src := range srcs {
-				if err := Iterate(src, yield); err != nil {
+				if err := it.Iterate(src, yield); err != nil {
 					return err
 				}
 			}
 			return nil
 		})), nil
 	})
-	attrs["permutations"] = nativeFn("itertools.permutations", func(_ *Ctx, args []data.Value, _ map[string]data.Value) (data.Value, error) {
+	attrs["permutations"] = nativeFn("itertools.permutations", func(ctx *Ctx, args []data.Value, _ map[string]data.Value) (data.Value, error) {
 		var items []data.Value
-		if err := Iterate(args[0], func(v data.Value) error {
+		if err := ctx.it.Iterate(args[0], func(v data.Value) error {
 			items = append(items, v)
 			return nil
 		}); err != nil {
@@ -402,7 +402,7 @@ func itertoolsModule() data.Value {
 			rr, _ := args[1].AsInt()
 			r = int(rr)
 		}
-		return data.Object(GoGenerator(func(yield func(data.Value) error) error {
+		return data.Object(NewGenerator(ctx.it, func(_ *Interp, yield func(data.Value) error) error {
 			return emitPermutations(items, r, yield)
 		})), nil
 	})

@@ -2,10 +2,12 @@ package pylite
 
 import (
 	"fmt"
-	"sync"
+	"iter"
+	"runtime"
 	"sync/atomic"
 
 	"qfusor/internal/data"
+	"qfusor/internal/obs"
 )
 
 // Ctx gives builtins and value methods the ability to call back into
@@ -206,181 +208,148 @@ type ExcValue struct {
 
 func (e *ExcValue) String() string { return fmt.Sprintf("%s(%s)", e.Type, e.Msg) }
 
-// Generator is a suspended PyLite generator. Generator bodies are run
-// eagerly in the calling goroutine up to eagerYieldLimit yields (the
-// common case: per-tuple table UDFs like combinations produce a handful
-// of rows); bodies that exceed the limit — unbounded pipelines,
-// inp_datagen over whole columns — are restarted in their own goroutine
-// with channel-based suspend/resume. Bodies are assumed deterministic
-// up to the first eagerYieldLimit yields (true of the UDF design
-// specification's generators; see DESIGN.md).
-type Generator struct {
-	// Eager mode.
-	eager bool
-	items []data.Value
-	pos   int
-
-	// Goroutine mode.
-	ch   chan data.Value
-	stop chan struct{}
-	errc chan error
-
-	mu       sync.Mutex
-	finished bool
-	finalErr error
-	closed   bool
+// pyStr is Python's str(v): an exception gives its message.
+func pyStr(v data.Value) string {
+	if e, ok := v.P.(*ExcValue); ok && v.Kind == data.KindObject {
+		return e.Msg
+	}
+	return v.String()
 }
 
-const (
-	generatorBuffer = 16
-	// eagerYieldLimit bounds how many yields run eagerly before
-	// switching to goroutine-based suspension.
-	eagerYieldLimit = 1024
-)
+// Generator is a PyLite generator: one lazy producer whose body runs at
+// most once, started by its first consumer. The body comes from a
+// generator function, a generator expression or a Go builtin (enumerate,
+// zip, map, filter, itertools.*, ffi's table input), and is driven one
+// of two ways:
+//
+//   - pushed: a drain (Interp.Iterate — every for loop and comprehension
+//     on both tiers, and ffi's eachRow) runs the body on the consumer's
+//     goroutine and runtime with the consumer as its yield: no buffer, no
+//     coroutine, no limit;
+//   - pulled: Next (next(), zip, a loop over a generator already started)
+//     runs the body as a coroutine (iter.Pull) on a worker view of the
+//     runtime that made the generator. The view's counters fold back
+//     when the body ends, and Close stops it (the collector calls Close
+//     on a pulled generator dropped unclosed).
+//
+// A consumer that leaves a drain early (an error, break or return)
+// unwinds the body with errGenStopped, which no except clause catches;
+// the generator is then finished, where CPython would leave it
+// suspended. See DESIGN.md §2.
+type Generator struct {
+	body func(it *Interp, yield func(data.Value) error) error
+	it   *Interp // the runtime that made it; a pulled body runs on a view of it
 
-func newGenerator() *Generator { return &Generator{} }
+	running bool // the body is executing: a drain, or a pull step
+	done    bool // no item is left to consume
+	next    func() (data.Value, bool)
+	stop    func()
+	err     *error // a pulled body's terminal error
+}
 
-// errEagerOverflow aborts an eager run that produced too many values.
-var errEagerOverflow = &PyError{Type: "__eageroverflow__"}
+// NewGenerator makes a generator that runs body when it is first
+// consumed; it is the runtime making it.
+func NewGenerator(it *Interp, body func(it *Interp, yield func(data.Value) error) error) *Generator {
+	return &Generator{body: body, it: it}
+}
 
-// start executes the producer. body must emit values via the sink and
-// return the terminal error (nil for normal exhaustion). It is invoked
-// once eagerly, on it; if the eager run overflows, body is invoked a
-// second time inside a goroutine, on a view of its own: the resumed
-// producer runs concurrently with its consumer, and an Interp belongs to
-// one goroutine. The view's counters fold back into it when the producer
-// exits. it is nil for producers that run no PyLite code.
-func (g *Generator) start(it *Interp, body func(it *Interp, sink *genSink) error) {
-	eager := &genSink{eagerLimit: eagerYieldLimit}
-	err := body(it, eager)
-	if err != errEagerOverflow {
-		g.eager = true
-		g.items = eager.eagerItems
-		g.finished = true
-		if err != errGenStopped {
-			g.finalErr = err
-		}
-		return
+// mGenPulls counts the bodies started as coroutines.
+var mGenPulls = obs.Default.Counter("pylite.generator_pulls")
+
+// drain calls fn with every item g yields. A generator that has not
+// started runs its body on it with fn as the yield; the argument stack
+// is restored on every exit, a panic included. Any other is pulled.
+func (g *Generator) drain(it *Interp, fn func(data.Value) error) error {
+	if g.running || g.done || g.next != nil {
+		return each(g, fn)
 	}
-	// Overflow: restart suspended in a goroutine.
-	g.ch = make(chan data.Value, generatorBuffer)
-	g.stop = make(chan struct{})
-	g.errc = make(chan error, 1)
-	sink := &genSink{ch: g.ch, stop: g.stop}
-	go func() {
-		run := it
-		if it != nil {
-			run = it.Worker()
-		}
-		err := body(run, sink)
-		if err == errGenStopped {
-			err = nil
-		}
-		if it != nil {
-			it.MergeStats(run)
-		}
-		g.errc <- err
-		close(g.ch)
+	g.running, g.done = true, true
+	base := len(it.args)
+	defer func() {
+		g.running = false
+		it.popArgs(base)
 	}()
+	var cerr error
+	err := g.body(it, func(v data.Value) error {
+		if cerr == nil {
+			cerr = fn(v)
+		}
+		if cerr != nil {
+			return errGenStopped
+		}
+		return nil
+	})
+	if cerr != nil {
+		return cerr
+	}
+	return err
 }
 
 // Next pulls the next yielded value. ok=false means exhaustion; err is
 // the body's terminal error if it raised.
 func (g *Generator) Next() (v data.Value, ok bool, err error) {
-	if g.eager {
-		if g.pos < len(g.items) {
-			v = g.items[g.pos]
-			g.pos++
-			return v, true, nil
-		}
-		return data.Null, false, g.finalErr
+	if g.running {
+		return data.Null, false, valueErrf("generator already executing")
 	}
-	v, ok = <-g.ch
+	if g.done {
+		return data.Null, false, nil
+	}
+	if g.next == nil {
+		g.pull()
+	}
+	g.running = true
+	v, ok = g.next()
+	g.running = false
 	if ok {
 		return v, true, nil
 	}
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	if !g.finished {
-		g.finalErr = <-g.errc
-		g.finished = true
-	}
-	return data.Null, false, g.finalErr
+	g.done = true
+	return data.Null, false, *g.err
 }
 
-// Close abandons the generator, unblocking and terminating its producer.
-// Safe to call multiple times and after exhaustion.
-func (g *Generator) Close() {
-	if g.eager {
-		return
-	}
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	if g.closed {
-		return
-	}
-	g.closed = true
-	close(g.stop)
-	// Drain so the producer can finish its in-flight send and exit.
-	go func() {
-		for range g.ch {
+// pull starts the body as a coroutine on a view of its own: the
+// consumer's runtime stays the consumer's, whose stacks the suspended
+// body would otherwise interleave with.
+func (g *Generator) pull() {
+	mGenPulls.Inc()
+	body, owner, run := g.body, g.it, g.it.Worker()
+	errp := new(error)
+	g.err = errp
+	g.next, g.stop = iter.Pull(func(yield func(data.Value) bool) {
+		err := body(run, func(v data.Value) error {
+			if !yield(v) {
+				return errGenStopped
+			}
+			return nil
+		})
+		if err != errGenStopped {
+			*errp = err
 		}
-	}()
+		owner.MergeStats(run)
+	})
+	// A generator abandoned unclosed is stopped when it is collected, as
+	// CPython closes one: the coroutine refers to the body, not to g, so
+	// it does not keep g reachable.
+	runtime.SetFinalizer(g, (*Generator).Close)
+}
+
+// Close abandons the generator, stopping a pulled body. Safe to call
+// multiple times and after exhaustion; a no-op while the body runs.
+func (g *Generator) Close() {
+	if g.running {
+		return
+	}
+	if g.stop != nil {
+		g.stop()
+	}
+	g.done = true
 }
 
 func (g *Generator) String() string { return "<generator>" }
 
-// genSink is the producer side of a generator: either an eager
-// collector (bounded) or a channel pair.
-type genSink struct {
-	// Eager mode.
-	eagerLimit int
-	eagerItems []data.Value
-	// Goroutine mode.
-	ch   chan data.Value
-	stop chan struct{}
-}
-
-func (s *genSink) emit(v data.Value) error {
-	if s.ch == nil {
-		if len(s.eagerItems) >= s.eagerLimit {
-			return errEagerOverflow
-		}
-		s.eagerItems = append(s.eagerItems, v)
-		return nil
-	}
-	select {
-	case s.ch <- v:
-		return nil
-	case <-s.stop:
-		return errGenStopped
-	}
-}
-
-// GoGenerator builds a Generator from a native Go producer. The FFI
-// layer uses it to feed engine columns into table UDFs as the paper's
-// inp_datagen generator.
-func GoGenerator(produce func(yield func(data.Value) error) error) *Generator {
-	g := newGenerator()
-	g.start(nil, func(_ *Interp, sink *genSink) error {
-		return produce(sink.emit)
-	})
-	return g
-}
-
-// ctxGenerator is GoGenerator for a builtin whose producer calls back
-// into PyLite: produce calls through the Ctx it is given, which belongs
-// to a view of its own once the producer resumes on its own goroutine.
-func ctxGenerator(ctx *Ctx, produce func(ctx *Ctx, yield func(data.Value) error) error) *Generator {
-	g := newGenerator()
-	g.start(ctx.it, func(it *Interp, sink *genSink) error {
-		return produce(it.ctx, sink.emit)
-	})
-	return g
-}
-
-// Iterator is the pull-style iteration protocol shared by builtins
-// (zip, enumerate, map) and the engine integration.
+// Iterator is the pull-style iteration protocol (ValueIter): zip pulls
+// its sources through it, and Iterate everything but a generator it can
+// drain.
 type Iterator interface {
 	Next() (data.Value, bool, error)
 	Close()
@@ -436,11 +405,6 @@ func (it *strIter) Next() (data.Value, bool, error) {
 
 func (it *strIter) Close() {}
 
-type genIter struct{ g *Generator }
-
-func (it *genIter) Next() (data.Value, bool, error) { return it.g.Next() }
-func (it *genIter) Close()                          { it.g.Close() }
-
 // ValueIter returns an Iterator over v, or a TypeError if v is not
 // iterable.
 func ValueIter(v data.Value) (Iterator, error) {
@@ -459,7 +423,7 @@ func ValueIter(v data.Value) (Iterator, error) {
 	case data.KindObject:
 		switch o := v.P.(type) {
 		case *Generator:
-			return &genIter{g: o}, nil
+			return o, nil
 		case *RangeObj:
 			return &rangeIter{r: o, cur: o.Start}, nil
 		case *Set:
@@ -469,15 +433,34 @@ func ValueIter(v data.Value) (Iterator, error) {
 	return nil, typeErrf("'%s' object is not iterable", v.TypeName())
 }
 
-// Iterate drains v through fn; any error from fn aborts iteration.
-func Iterate(v data.Value, fn func(data.Value) error) error {
-	it, err := ValueIter(v)
+// Iterate calls fn with every item of v, on it: a generator that has
+// not started runs with fn as its yield (see Generator), anything else
+// is pulled. An error from fn stops the iteration and is returned as is.
+func (it *Interp) Iterate(v data.Value, fn func(data.Value) error) error {
+	if l := v.List(); l != nil {
+		// The common case needs no iterator.
+		for _, x := range l.Items {
+			if err := fn(x); err != nil {
+				return err
+			}
+		}
+		return nil
+	}
+	if g, ok := v.P.(*Generator); ok && v.Kind == data.KindObject {
+		return g.drain(it, fn)
+	}
+	src, err := ValueIter(v)
 	if err != nil {
 		return err
 	}
-	defer it.Close()
+	return each(src, fn)
+}
+
+// each pulls every item of src through fn and closes src.
+func each(src Iterator, fn func(data.Value) error) error {
+	defer src.Close()
 	for {
-		x, ok, err := it.Next()
+		x, ok, err := src.Next()
 		if err != nil {
 			return err
 		}

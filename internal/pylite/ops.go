@@ -590,7 +590,7 @@ func formatPercent(format string, arg data.Value) (data.Value, error) {
 			if err != nil {
 				return data.Null, err
 			}
-			b.WriteString(v.String())
+			b.WriteString(pyStr(v))
 		case 'r':
 			v, err := nextArg()
 			if err != nil {

@@ -184,7 +184,7 @@ func (p *Program) RunVM(it *Interp, regs []data.Value) (data.Value, error) {
 			}
 			s.Add(regs[in.B])
 		case OpUnpack:
-			if err := vmUnpack(regs, in); err != nil {
+			if err := vmUnpack(it, regs, in); err != nil {
 				return data.Null, err
 			}
 		case OpIterInit:
@@ -311,9 +311,9 @@ func (p *Program) vmCallMethod(it *Interp, regs []data.Value, in *Instr) (data.V
 
 // vmUnpack destructures regs[in.A] into the target slots, mirroring
 // the interpreter's tuple-assignment semantics.
-func vmUnpack(regs []data.Value, in *Instr) error {
+func vmUnpack(it *Interp, regs []data.Value, in *Instr) error {
 	var items []data.Value
-	if err := Iterate(regs[in.A], func(x data.Value) error {
+	if err := it.Iterate(regs[in.A], func(x data.Value) error {
 		items = append(items, x)
 		return nil
 	}); err != nil {

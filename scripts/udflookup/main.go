@@ -23,11 +23,13 @@
 //     transports in internal/ffi/transport.go may call it: they fire the
 //     boundary's fault hook and record the crossing in ffi.udf.*, so no
 //     executor again calls a UDF around its transport.
-//   - (*pylite.Generator).Next, pylite.Iterate and pylite.ValueIter walk
-//     the rows a generator UDF yields. Outside the PyLite runtime, only
-//     ffi's eachRow may, the one loop every table and expand UDF drains
-//     through on every transport and in every fused trace, and
-//     internal/bench/systems.go, whose UDO baseline iterates for itself.
+//   - (*pylite.Interp).Iterate (a drain: a generator runs with the
+//     consumer as its yield), (*pylite.Generator).Next and
+//     pylite.ValueIter (pulls) walk the rows a generator UDF yields.
+//     Outside the PyLite runtime, only ffi's eachRow may, the one loop
+//     every table and expand UDF drains through on every transport and
+//     in every fused trace, and internal/bench/systems.go, whose UDO
+//     baseline iterates for itself.
 //   - sqlengine's newHashTable makes the engine's one hash table. Only
 //     aggregateChunk, the one grouping (a DISTINCT and a UNION's dedup
 //     are aggregates with no aggregates), and joinChunk, for its build,
@@ -106,8 +108,8 @@ var rules = []rule{
 		where: []string{"internal/ffi/transport.go"},
 		msg:   "runs a UDF's body around its transport; call through Engine.callUDF and the profile's Invoker",
 	},
+	drainRule.of("(*" + module + "/internal/pylite.Interp).Iterate"),
 	drainRule.of("(*" + module + "/internal/pylite.Generator).Next"),
-	drainRule.of(module + "/internal/pylite.Iterate"),
 	drainRule.of(module + "/internal/pylite.ValueIter"),
 	{
 		fn:    module + "/internal/sqlengine.newHashTable",
