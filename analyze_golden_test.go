@@ -110,7 +110,7 @@ func TestAnalyzeGoldenColdWarm(t *testing.T) {
 // recorded inlining decision from the plan-cache entry (`plancache=hit`
 // with the same decision table and plan).
 func TestAnalyzeGoldenInlined(t *testing.T) {
-	db := openTestDB(t, qfusor.MonetDB, qfusor.WithTier("inline"))
+	db := openTestDB(t, qfusor.MonetDB)
 	if err := db.Define(`
 @scalarudf
 def boost(x: int) -> int:

@@ -137,8 +137,8 @@ func TestPublicAPIOptions(t *testing.T) {
 	}
 }
 
-// TestOpenRejectsUnknownTier: a tier pin outside vm, closure, inline
-// and auto is an error, not a silent auto.
+// TestOpenRejectsUnknownTier: a tier pin outside vm, closure and auto
+// is an error, not a silent auto.
 func TestOpenRejectsUnknownTier(t *testing.T) {
 	if db, err := qfusor.Open(qfusor.MonetDB, qfusor.WithTier("bogus")); err == nil {
 		db.Close()

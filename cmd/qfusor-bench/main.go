@@ -80,7 +80,7 @@ func main() {
 	obsOut := flag.String("obs", "", "write results + metrics snapshot as JSON to this file (e.g. BENCH_obs.json)")
 	parallelism := flag.Int("parallelism", 0, "executor workers for experiments that don't pin their own: 0 = auto (one per core), 1 = serial")
 	morsel := flag.Int("morsel", 0, "morsel row count for experiments that don't pin their own (0 = engine default, 2048)")
-	tier := flag.String("tier", "", "fused-section execution tier for experiments that don't pin their own: vm | closure | inline | auto/empty (inline where the cost model says so, else vm)")
+	tier := flag.String("tier", "", "fused-section execution tier for experiments that don't pin their own: vm | closure | auto/empty (inline every UDF call whose body translates, else vm)")
 	timeout := flag.Duration("timeout", 0, "per-query deadline (0 = none); an expired query fails its experiment instead of wedging the run")
 	httpAddr := flag.String("http", "", "serve diagnostics while the run is live (/metrics, /debug/queries, /debug/trace/<id>); empty = off")
 	plancache := flag.Bool("plancache", true, "enable the plan-decision cache on launched instances (the plancache experiment manages its own arms)")

@@ -501,15 +501,16 @@ func httpGet(url string) ([]byte, error) {
 }
 
 // inlineSmoke is the check behind `make inline-smoke` and
-// scripts/check.sh: it pins a DB to the relational-inlining tier, runs
-// a guarded straight-line UDF query (plus an opaque UDF the inliner
-// must refuse), and asserts the Froid contract end to end — results
-// bit-identical to native, zero FFI crossings for the inlined query,
-// the qfusor.inline.* decision counters moving and rendering as valid
-// Prometheus exposition, and the vectorized evaluator's CSE engaging
-// on the nested call's repeated subtrees.
+// scripts/check.sh: on a DB at the default tier, which inlines every
+// call whose UDF body translates, it runs a guarded straight-line UDF
+// query (plus an opaque UDF the inliner must refuse), and asserts the
+// Froid contract end to end — results bit-identical to native, zero FFI
+// crossings for the inlined query, the qfusor.inline.* decision
+// counters moving and rendering as valid Prometheus exposition, and the
+// vectorized evaluator's CSE engaging on the nested call's repeated
+// subtrees.
 func inlineSmoke(w io.Writer) error {
-	db, err := qfusor.Open(qfusor.MonetDB, qfusor.WithTier("inline"))
+	db, err := qfusor.Open(qfusor.MonetDB)
 	if err != nil {
 		return err
 	}

@@ -44,7 +44,7 @@ func main() {
 	size := flag.String("size", "tiny", "workload size: tiny | small | medium | large")
 	parallelism := flag.Int("parallelism", 0, "executor workers: 0 = auto (one per core), 1 = serial")
 	morsel := flag.Int("morsel", 0, "morsel row count for the parallel executor (0 = default, 2048)")
-	tier := flag.String("tier", "auto", "fused-section execution tier: vm | closure | inline | auto (inline where the cost model says so, else vm)")
+	tier := flag.String("tier", "auto", "fused-section execution tier: vm | closure | auto (inline every UDF call whose body translates, else vm)")
 	timeout := flag.Duration("timeout", 0, "per-query deadline (0 = none); expired queries return a cancelled QueryError")
 	httpAddr := flag.String("http", "", "serve diagnostics on this address (/metrics, /debug/queries, /debug/trace/<id>, /debug/profile); empty = off")
 	serveAddr := flag.String("serve", "", "serve the multi-session HTTP/JSON query API on this address instead of the shell (/v1/query, /v1/session, /debug/sessions + diagnostics); empty = shell mode")

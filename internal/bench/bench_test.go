@@ -80,16 +80,33 @@ func TestFig6bShape(t *testing.T) {
 }
 
 // TestFig4OverheadSmall: optimizer overheads stay in the
-// low-millisecond range.
+// low-millisecond range. As in TestFig6bShape, one cold sample is noise
+// on a loaded machine, so the experiment runs fig4Runs times and each
+// query's overheads are bounded by their medians.
 func TestFig4OverheadSmall(t *testing.T) {
+	const fig4Runs = 7
 	r := quickRunner()
-	res, err := r.Fig4Overhead()
-	if err != nil {
-		t.Fatal(err)
+	samples := map[string]map[string][]float64{}
+	for range fig4Runs {
+		res, err := r.Fig4Overhead()
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, row := range res.Rows {
+			if samples[row.Label] == nil {
+				samples[row.Label] = map[string][]float64{}
+			}
+			for _, m := range []string{"fus-optim_ms", "code-gen_ms"} {
+				samples[row.Label][m] = append(samples[row.Label][m], row.Metrics[m])
+			}
+		}
 	}
-	for _, row := range res.Rows {
-		if row.Metrics["fus-optim_ms"] > 100 || row.Metrics["code-gen_ms"] > 100 {
-			t.Errorf("%s: overhead too large: %+v", row.Label, row.Metrics)
+	for label, byMetric := range samples {
+		for m, ms := range byMetric {
+			slices.Sort(ms)
+			if med := ms[len(ms)/2]; med > 100 {
+				t.Errorf("%s: median %s %.2f over %d runs is too large (samples %v)", label, m, med, fig4Runs, ms)
+			}
 		}
 	}
 }

@@ -22,7 +22,7 @@ import (
 //
 // A fixed-rate open-loop client (requests fire on a clock and never
 // wait for the previous response — the arrival process does not slow
-// down when the server does) drives a tier-pinned session at 0.5x, 1x
+// down when the server does) drives a default-tier session at 0.5x, 1x
 // and 2x the measured admission capacity for a sustained window.
 // Open-loop load is the honest serving benchmark: a closed loop would
 // self-throttle at saturation and hide the queue. Reported per arm:
@@ -32,10 +32,11 @@ import (
 // their uncontended execution latency).
 //
 // The tier arm runs the same Q1-shape straight-line UDF query through
-// an inline-pinned and a closure-pinned session: relational inlining
-// translates the UDF into engine expressions at plan time, so the
-// inlined arm must beat the closure JIT AND cross the FFI exactly
-// zero times (ffi.udf.calls delta == 0 — the Froid argument).
+// a default-tier and a closure-pinned session: at the default tier
+// relational inlining translates the UDF into engine expressions at
+// plan time, so the inlined arm must beat the closure JIT AND cross the
+// FFI exactly zero times (ffi.udf.calls delta == 0 — the Froid
+// argument).
 func (r *Runner) ServeSustained() (*Result, error) {
 	res := &Result{ID: "E22", Title: "Serving plane: sustained fixed-rate load + inlined-vs-closure tier"}
 	// capacity = 1: one admitted query executes alone, so the measured
@@ -135,9 +136,9 @@ def sboost(x: int) -> int:
 		return nil, fmt.Errorf("sustained oracle: status=%d err=%v", status, err)
 	}
 
-	// Tier-pinned sessions: the session's SessionView carries the tier,
-	// so every query on it plans onto that tier.
-	inlineSess, err := serveOpenSession(base, "inline", 0)
+	// Sessions: the session's SessionView carries the tier, so every
+	// query on it plans onto that tier; the default tier inlines.
+	inlineSess, err := serveOpenSession(base, "auto", 0)
 	if err != nil {
 		return nil, err
 	}
@@ -145,14 +146,14 @@ def sboost(x: int) -> int:
 	if err != nil {
 		return nil, err
 	}
-	// susSess runs the sustained arms: inline tier with parallelism 2,
+	// susSess runs the sustained arms: default tier with parallelism 2,
 	// so the executor hands morsels to workers over channels and the
 	// handler goroutine yields while holding the admission slot. On a
 	// single-core host a run-to-completion holder is never preempted,
 	// so concurrent arrivals would only ever reach the admission gate
 	// when the slot is free — queueing and shedding would be
 	// structurally unobservable no matter the offered rate.
-	susSess, err := serveOpenSession(base, "inline", 2)
+	susSess, err := serveOpenSession(base, "auto", 2)
 	if err != nil {
 		return nil, err
 	}
@@ -230,7 +231,7 @@ def sboost(x: int) -> int:
 		})
 	}
 
-	// ---- Arms 2-4: sustained fixed-rate open loop on the inline session ----
+	// ---- Arms 2-4: sustained fixed-rate open loop on the inlining session ----
 	// These arms run the aggregate over sbig (see the table comment
 	// above): a long, slot-dominated execution with a one-row response,
 	// so overload manifests as admission queueing and shedding rather
@@ -391,8 +392,8 @@ func pctDur(ds []time.Duration, p float64) time.Duration {
 	return s[idx]
 }
 
-// serveOpenSession opens a tier-pinned server session and returns its
-// id. parallelism 0 keeps the engine default.
+// serveOpenSession opens a server session on the given tier and
+// returns its id. parallelism 0 keeps the engine default.
 func serveOpenSession(base, tier string, parallelism int) (string, error) {
 	opts := map[string]any{"tier": tier}
 	if parallelism > 0 {

@@ -92,27 +92,6 @@ func DefaultCostModel() *CostModel {
 	}
 }
 
-// InlineAdvantage models the per-site saving (in nanoseconds) of
-// relationally inlining a scalar UDF call instead of running it behind
-// the FFI: every row stops paying input conversion per argument, the
-// output conversion, the UDF's own per-row interpreter cost (learned
-// from statistics, or declared, or the cold default) and — amortized —
-// a boundary crossing, and instead pays engine-side expression
-// evaluation proportional to the inlined template's node count.
-// Positive means inlining wins (§5.2 extended with the inline term —
-// the FFI cost of an inlined section is zero by construction). Small
-// templates therefore inline at any cardinality, Froid-style, while a
-// template near the node budget can still lose to a cheap learned UDF.
-func (cm *CostModel) InlineAdvantage(rows float64, args, ops int, udfNanos float64) float64 {
-	if rows < 1 {
-		rows = 1
-	}
-	if udfNanos <= 0 {
-		udfNanos = cm.UDFDefault
-	}
-	return rows*(cm.WIn*float64(max(1, args))+cm.WOut+udfNanos-cm.relRowCost(KRelExpr)*float64(max(1, ops))) + cm.CrossCost
-}
-
 // udfRowCost returns the learned (or declared, or default) per-row
 // processing cost of a UDF node.
 func (cm *CostModel) udfRowCost(n *DFGNode) float64 {

@@ -379,10 +379,10 @@ func runDiff(t *testing.T, prof engines.Profile, dat []byte) {
 	bailed, berr := queryFused("vm-bailout")
 	ffi.SetVMBailEvery(0)
 
-	// Arm 6: relational inlining forced past the cost model — inlinable
-	// call sites substitute into engine expressions; fully inlined
-	// queries skip fusion discovery entirely (tier=inlined).
-	in.QF.Opts.Tier = "inline"
+	// Arm 6: relational inlining at the default tier — inlinable call
+	// sites substitute into engine expressions; fully inlined queries
+	// skip fusion discovery entirely (tier=inlined).
+	in.QF.Opts.Tier = "auto"
 	in.QF.PlanCache.Purge()
 	inl, ierr := queryFused("inlined")
 

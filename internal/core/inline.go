@@ -1,6 +1,7 @@
 package core
 
 import (
+	"errors"
 	"fmt"
 	"sync"
 	"sync/atomic"
@@ -16,10 +17,11 @@ import (
 // a UDF behind the FFI boundary, translate its body into an engine
 // expression tree and substitute it at every call site, so the
 // optimizer sees through the UDF and the executor never crosses into
-// the interpreter at all. Only UDFs whose PyLite body is straight-line
-// arithmetic / comparisons / string builtins / single-return
-// conditionals qualify; everything else stays opaque and falls through
-// to the VM/closure fusion ladder unchanged.
+// the interpreter at all. A call inlines if and only if the UDF's PyLite
+// body translates (straight-line arithmetic / comparisons / string
+// builtins / single-return conditionals) and the call's argument and
+// result kinds check; everything else stays opaque and falls through to
+// the VM/closure fusion ladder unchanged.
 //
 // The translation is exactness-first: an operation is only emitted when
 // the engine expression produces bit-identical results to the PyLite
@@ -73,8 +75,8 @@ type InlineDecision struct {
 	// appear by name), empty when opaque.
 	Expr string `json:"expr,omitempty"`
 	// Sites counts call sites this query actually substituted (0 when
-	// the cost model kept the UDF on the fusion ladder, or under the
-	// forced-fallback hook).
+	// no site's argument or result kinds matched the template, or under
+	// the forced-fallback hook).
 	Sites int `json:"sites,omitempty"`
 }
 
@@ -88,7 +90,6 @@ const inlineParamTable = "__param__"
 type inlineInfo struct {
 	template sqlengine.SQLExpr // nil = opaque
 	reason   string            // why opaque
-	ops      int               // translated node count (cost-model term)
 }
 
 // inlineCache memoizes per-UDF classifications, epoch-fenced on UDF
@@ -148,8 +149,18 @@ func classifyUDF(u *ffi.UDF) *inlineInfo {
 	if !ok {
 		return &inlineInfo{reason: "not a PyLite function"}
 	}
-	if err := pylite.CheckInlineShape(fn); err != nil {
-		return &inlineInfo{reason: err.Error()}
+	switch {
+	case fn.Body == nil:
+		return &inlineInfo{reason: "no function body (lambda or builtin)"}
+	case fn.IsGen:
+		return &inlineInfo{reason: "generator function (yield)"}
+	case fn.Vararg != "":
+		return &inlineInfo{reason: fmt.Sprintf("*%s vararg parameter", fn.Vararg)}
+	}
+	for _, p := range fn.Params {
+		if p.Default != nil {
+			return &inlineInfo{reason: fmt.Sprintf("parameter %q has a default", p.Name)}
+		}
 	}
 	if len(fn.Params) != len(u.InKinds) {
 		return &inlineInfo{reason: "parameter/kind arity mismatch"}
@@ -169,8 +180,7 @@ func classifyUDF(u *ffi.UDF) *inlineInfo {
 	if kind != data.KindNull && kind != u.OutKind() {
 		return &inlineInfo{reason: fmt.Sprintf("body produces %s, declared %s", kind, u.OutKind())}
 	}
-	expr = dropNullGuards(expr)
-	return &inlineInfo{template: expr, ops: countExprNodes(expr)}
+	return &inlineInfo{template: dropNullGuards(expr)}
 }
 
 // dropNullGuards eliminates the translated Froid guard idiom
@@ -236,18 +246,6 @@ func nullStrictIn(e sqlengine.SQLExpr, key string) bool {
 		return false
 	}
 	return false
-}
-
-// countExprNodes sizes a template for the cost model's per-row
-// relational-work term (counted after simplification — eliminated
-// guards cost nothing at runtime).
-func countExprNodes(e sqlengine.SQLExpr) int {
-	n := 0
-	sqlengine.RewriteExpr(e, func(x sqlengine.SQLExpr) sqlengine.SQLExpr {
-		n++
-		return x
-	})
-	return n
 }
 
 // inlineNodeBudget caps translated AST nodes per UDF — templates expand
@@ -323,14 +321,24 @@ func (tr *inlTranslator) block(env inlEnv, stmts []pylite.Stmt) (sqlengine.SQLEx
 			}
 			return v.e, v.kind, nil
 		case *pylite.Assign:
-			name := s.Targets[0].(*pylite.Name).ID
+			if len(s.Targets) != 1 {
+				return nil, 0, fmt.Errorf("chained assignment")
+			}
+			n, ok := s.Targets[0].(*pylite.Name)
+			if !ok {
+				return nil, 0, fmt.Errorf("assignment to non-name target")
+			}
 			v, err := tr.value(env, s.Value)
 			if err != nil {
 				return nil, 0, err
 			}
-			env = env.with(name, v)
+			env = env.with(n.ID, v)
 		case *pylite.AugAssign:
-			name := s.Target.(*pylite.Name).ID
+			n, ok := s.Target.(*pylite.Name)
+			if !ok {
+				return nil, 0, fmt.Errorf("augmented assignment to non-name target")
+			}
+			name := n.ID
 			cur, ok := env[name]
 			if !ok {
 				return nil, 0, fmt.Errorf("augmented assignment to unbound %s", name)
@@ -370,10 +378,15 @@ func (tr *inlTranslator) block(env inlEnv, stmts []pylite.Stmt) (sqlengine.SQLEx
 				Thens: []sqlengine.SQLExpr{thenExpr},
 				Else:  elseExpr,
 			}, kind, nil
-		case *pylite.Pass, *pylite.ExprStmt:
-			// Pass and docstrings contribute nothing.
+		case *pylite.Pass:
+		case *pylite.ExprStmt:
+			// Docstrings ride along; any other bare expression is a side
+			// effect the translation cannot represent.
+			if _, ok := s.Value.(*pylite.Const); !ok {
+				return nil, 0, fmt.Errorf("bare expression statement")
+			}
 		default:
-			return nil, 0, fmt.Errorf("unsupported statement %T", st)
+			return nil, 0, errors.New(untranslatable(st))
 		}
 	}
 	return &sqlengine.Lit{Value: data.Null}, data.KindNull, nil
@@ -602,7 +615,50 @@ func (tr *inlTranslator) value(env inlEnv, e pylite.Expr) (inlVal, error) {
 	case *pylite.Call:
 		return tr.call(env, x)
 	}
-	return inlVal{}, fmt.Errorf("unsupported expression %T", e)
+	return inlVal{}, errors.New(untranslatable(e))
+}
+
+// untranslatable names, in words, a statement or expression form the
+// translator has no case for, so an opaque verdict reads as the
+// construct that caused it.
+func untranslatable(n pylite.Node) string {
+	switch n.(type) {
+	case *pylite.While:
+		return "while loop"
+	case *pylite.For:
+		return "for loop"
+	case *pylite.Try:
+		return "try/except"
+	case *pylite.Raise:
+		return "raise statement"
+	case *pylite.Global:
+		return "global declaration"
+	case *pylite.FuncDef:
+		return "nested function definition"
+	case *pylite.ClassDef:
+		return "nested class definition"
+	case *pylite.Import:
+		return "import statement"
+	case *pylite.Del:
+		return "del statement"
+	case *pylite.Assert:
+		return "assert statement"
+	case *pylite.Break, *pylite.Continue:
+		return "loop control statement"
+	case *pylite.Attr:
+		return "attribute access outside a method call"
+	case *pylite.Index:
+		return "subscript expression"
+	case *pylite.SliceExpr:
+		return "slice expression"
+	case *pylite.ListLit, *pylite.TupleLit, *pylite.SetLit, *pylite.DictLit:
+		return "container literal"
+	case *pylite.Lambda:
+		return "lambda expression"
+	case *pylite.Comp:
+		return "comprehension"
+	}
+	return "unsupported construct"
 }
 
 func isNumericKind(k data.Kind) bool { return k == data.KindInt || k == data.KindFloat }
@@ -748,6 +804,12 @@ const pyStripCutset = " \t\n\r"
 // anything outside the list (or with possibly-None arguments) is
 // rejected.
 func (tr *inlTranslator) call(env inlEnv, x *pylite.Call) (inlVal, error) {
+	if x.StarArg != nil {
+		return inlVal{}, fmt.Errorf("starred call argument")
+	}
+	if len(x.KwNames) > 0 {
+		return inlVal{}, fmt.Errorf("keyword call argument")
+	}
 	args := make([]inlVal, len(x.Args))
 	for i, a := range x.Args {
 		v, err := tr.value(env, a)
@@ -831,15 +893,13 @@ func (tr *inlTranslator) call(env inlEnv, x *pylite.Call) (inlVal, error) {
 // case the caller skips fusion discovery entirely: tier=inlined).
 //
 // A "vm" or "closure" tier pin disables the pass (those pins mean "run
-// the fusion ladder on that tier"); "inline" forces substitution past
-// the cost model; ""/"auto" applies the §5.2 InlineAdvantage term per
-// site.
+// the fusion ladder on that tier"); at "auto" every site whose UDF
+// translates and whose kinds check is substituted.
 func (qf *QFusor) inlinePass(eng *sqlengine.Engine, q *sqlengine.Query, rep *Report) bool {
 	if qf.Opts.Tier == TierVM || qf.Opts.Tier == TierClosure {
 		return false
 	}
 	qf.ic.sync(eng.Catalog)
-	force := qf.Opts.Tier == TierInline
 	st := &inlineState{decisions: map[string]*InlineDecision{}}
 
 	plans := make([]*sqlengine.Plan, 0, len(q.CTEs)+1)
@@ -848,7 +908,7 @@ func (qf *QFusor) inlinePass(eng *sqlengine.Engine, q *sqlengine.Query, rep *Rep
 	}
 	plans = append(plans, q.Root)
 	for _, pr := range plans {
-		pr.Walk(func(p *sqlengine.Plan) { qf.inlineNode(p, force, st) })
+		pr.Walk(func(p *sqlengine.Plan) { qf.inlineNode(p, st) })
 	}
 
 	for _, name := range st.order {
@@ -897,7 +957,7 @@ func (st *inlineState) decision(name string, info *inlineInfo) *InlineDecision {
 // inlineNode rewrites one plan node's expression slots in place. The
 // input schema (concatenated child schemas) types column references for
 // the argument-kind check.
-func (qf *QFusor) inlineNode(p *sqlengine.Plan, force bool, st *inlineState) {
+func (qf *QFusor) inlineNode(p *sqlengine.Plan, st *inlineState) {
 	var in data.Schema
 	for _, c := range p.Children {
 		in = append(in, c.Schema...)
@@ -907,7 +967,7 @@ func (qf *QFusor) inlineNode(p *sqlengine.Plan, force bool, st *inlineState) {
 			return nil
 		}
 		return sqlengine.RewriteExpr(e, func(x sqlengine.SQLExpr) sqlengine.SQLExpr {
-			return qf.inlineSite(x, in, p.EstRows, force, st)
+			return qf.inlineSite(x, in, st)
 		})
 	}
 	for i := range p.Exprs {
@@ -937,9 +997,9 @@ func (qf *QFusor) inlineNode(p *sqlengine.Plan, force bool, st *inlineState) {
 }
 
 // inlineSite substitutes one UDF call when every gate passes:
-// classification, the forced-fallback hook, argument arity and kinds,
-// and (in auto tier) the cost model.
-func (qf *QFusor) inlineSite(x sqlengine.SQLExpr, in data.Schema, est float64, force bool, st *inlineState) sqlengine.SQLExpr {
+// classification, the forced-fallback hook, and argument arity and
+// kinds.
+func (qf *QFusor) inlineSite(x sqlengine.SQLExpr, in data.Schema, st *inlineState) sqlengine.SQLExpr {
 	f, ok := x.(*sqlengine.FuncExpr)
 	if !ok || f.Star || f.UDF == nil {
 		return x
@@ -960,9 +1020,6 @@ func (qf *QFusor) inlineSite(x sqlengine.SQLExpr, in data.Schema, est float64, f
 			return x
 		}
 	}
-	if !force && qf.CM.InlineAdvantage(est, len(f.Args), info.ops, inlineUDFCost(u)) <= 0 {
-		return x
-	}
 	out := sqlengine.RewriteExpr(info.template, func(n sqlengine.SQLExpr) sqlengine.SQLExpr {
 		c, ok := n.(*sqlengine.ColRef)
 		if !ok || c.Table != inlineParamTable {
@@ -978,18 +1035,6 @@ func (qf *QFusor) inlineSite(x sqlengine.SQLExpr, in data.Schema, est float64, f
 	d.Sites++
 	st.sites++
 	return out
-}
-
-// inlineUDFCost mirrors CostModel.udfRowCost for a catalog UDF: the
-// learned per-row interpreter cost when statistics exist, the declared
-// estimate otherwise, zero to let the model use its cold default.
-func inlineUDFCost(u *ffi.UDF) float64 {
-	if u.Stats.InRows.Load() > 0 {
-		if c := u.Stats.NanosPerRow() - u.Stats.WrapNanosPerRow(); c > 0 {
-			return c
-		}
-	}
-	return u.EstCost
 }
 
 // inlineTemplateString renders a template with parameter markers shown

@@ -63,5 +63,5 @@ func benchTier(b *testing.B, tier core.Tier) {
 	}
 }
 
-func BenchmarkTierInlined(b *testing.B) { benchTier(b, "inline") }
+func BenchmarkTierInlined(b *testing.B) { benchTier(b, "auto") }
 func BenchmarkTierClosure(b *testing.B) { benchTier(b, "closure") }

@@ -59,7 +59,6 @@ func TestInlinedQueryZeroFFI(t *testing.T) {
 	faultinject.Reset()
 	defer faultinject.Reset()
 	in := inlineTestDB(t)
-	defer func() { in.QF.Opts.Tier = "auto" }()
 	const sql = "SELECT id, boost(n) AS b, shout(s) AS u FROM nums ORDER BY id"
 
 	native, err := in.Query(sql)
@@ -73,7 +72,6 @@ func TestInlinedQueryZeroFFI(t *testing.T) {
 	stats0 := boost.Stats.Snapshot()
 	breaker0 := in.QF.Breaker.Snapshot()
 
-	in.QF.Opts.Tier = "inline"
 	q, rep, err := in.QF.Process(in.Eng, sql)
 	if err != nil {
 		t.Fatal(err)
@@ -141,8 +139,6 @@ func TestInlinedQueryZeroFFI(t *testing.T) {
 // decision from the plan cache instead of re-running the pass.
 func TestInlinePlanCacheReplay(t *testing.T) {
 	in := inlineTestDB(t)
-	defer func() { in.QF.Opts.Tier = "auto" }()
-	in.QF.Opts.Tier = "inline"
 	const sql = "SELECT id, boost(n) AS b FROM nums ORDER BY id"
 
 	_, cold, err := in.QF.Process(in.Eng, sql)
@@ -177,8 +173,6 @@ func TestInlinePlanCacheReplay(t *testing.T) {
 // the fusion ladder with correct results.
 func TestInlineEpochFence(t *testing.T) {
 	in := inlineTestDB(t)
-	defer func() { in.QF.Opts.Tier = "auto" }()
-	in.QF.Opts.Tier = "inline"
 	const sql = "SELECT id, boost(n) AS b FROM nums ORDER BY id"
 
 	res1, err := in.QueryFused(sql)
@@ -233,7 +227,6 @@ def boost(x: int) -> int:
 // it types as an int, so that site keeps its call — with the same rows.
 func TestInlineTypedSubstitution(t *testing.T) {
 	in := inlineTestDB(t)
-	defer func() { in.QF.Opts.Tier = "auto" }()
 	if err := in.Define(`
 @scalarudf
 def twice(x: float) -> float:
@@ -243,7 +236,6 @@ def twice(x: float) -> float:
 `); err != nil {
 		t.Fatal(err)
 	}
-	in.QF.Opts.Tier = "inline"
 	for sql, sites := range map[string]int{
 		"SELECT id, twice(CAST(n AS float)) AS v FROM nums ORDER BY id": 1,
 		"SELECT id, twice(NULL) AS v FROM nums ORDER BY id":             0,

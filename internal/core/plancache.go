@@ -349,11 +349,10 @@ func optionsFingerprint(o Options) string {
 	flag(o.AggFusion, 'A')
 	flag(o.Cache, 'C')
 	// Tier pinning changes which execution tier a cached plan's wrappers
-	// carry, so forced tiers get their own cache partitions ("auto"/""
+	// carry, so pinned tiers get their own cache partitions ("auto"/""
 	// stays unmarked — the default decision).
 	flag(o.Tier == TierVM, 'V')
 	flag(o.Tier == TierClosure, 'v')
-	flag(o.Tier == TierInline, 'I')
 	return b.String()
 }
 

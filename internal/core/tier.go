@@ -12,8 +12,8 @@ type Tier string
 
 const (
 	// TierAuto leaves the decision to the optimizer: the inlining pass
-	// weighs InlineAdvantage per call site, and a fused section runs on
-	// the VM whenever its trace lowers.
+	// substitutes every call site whose UDF body translates, and a fused
+	// section runs on the VM whenever its trace lowers.
 	TierAuto Tier = "auto"
 	// TierVM runs fused sections on the vectorized bytecode VM whenever
 	// their trace lowers, with the inlining pass off.
@@ -21,24 +21,21 @@ const (
 	// TierClosure runs fused sections on their compiled bodies, with the
 	// inlining pass off.
 	TierClosure Tier = "closure"
-	// TierInline forces relational inlining of every inlinable UDF call
-	// site; opaque UDFs still fall through to the fusion ladder.
-	TierInline Tier = "inline"
 	// TierInlined is the reported tier of a call site the inlining pass
 	// substituted (never a pin).
 	TierInlined Tier = "inlined"
 )
 
-// ParseTier validates a tier pin from outside the program: vm, closure,
-// inline or auto ("" is auto).
+// ParseTier validates a tier pin from outside the program: vm, closure
+// or auto ("" is auto).
 func ParseTier(s string) (Tier, error) {
 	switch t := Tier(s); t {
 	case "":
 		return TierAuto, nil
-	case TierAuto, TierVM, TierClosure, TierInline:
+	case TierAuto, TierVM, TierClosure:
 		return t, nil
 	}
-	return "", fmt.Errorf("unknown tier %q (want vm, closure, inline or auto)", s)
+	return "", fmt.Errorf("unknown tier %q (want vm, closure or auto)", s)
 }
 
 // wrapperTier is the tier a fused wrapper runs on, fixed when its trace

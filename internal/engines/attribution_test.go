@@ -140,3 +140,37 @@ func TestAttributionCostIndependentOfCatalogSize(t *testing.T) {
 		t.Fatalf("UDF-free query allocates %.0f objects with 30 UDFs, %.0f with 330", small, large)
 	}
 }
+
+// TestUDFBodyCostPositive: after native runs, a scalar UDF's learned
+// body cost per row — wall minus wrapper time, what the cost model's
+// udfRowCost reads — is positive on every transport: in-process vector
+// (monetdb), in-process per-row (sqlite) and out-of-process (postgresql,
+// where the host's round trip is wrapper time and must be in wall too).
+func TestUDFBodyCostPositive(t *testing.T) {
+	for _, p := range []Profile{Monet, SQLite, Postgres} {
+		t.Run(string(p), func(t *testing.T) {
+			in := Launch(Config{Profile: p, JIT: true})
+			defer in.Close()
+			if err := in.Define("@scalarudf\ndef inc(x: int) -> int:\n    return x + 1\n"); err != nil {
+				t.Fatal(err)
+			}
+			in.Put(intTable("t", 2000))
+			for i := 0; i < 3; i++ {
+				if _, err := in.Query("SELECT inc(x) AS y FROM t"); err != nil {
+					t.Fatal(err)
+				}
+			}
+			u, ok := in.Eng.Catalog.UDF("inc")
+			if !ok {
+				t.Fatal("inc not in catalog")
+			}
+			if u.Stats.InRows.Load() == 0 {
+				t.Fatal("native runs recorded no rows")
+			}
+			if body := u.Stats.NanosPerRow() - u.Stats.WrapNanosPerRow(); body <= 0 {
+				t.Fatalf("body cost %.0f ns/row (wall %.0f, wrap %.0f)", body,
+					u.Stats.NanosPerRow(), u.Stats.WrapNanosPerRow())
+			}
+		})
+	}
+}

@@ -216,11 +216,11 @@ def bucket(x: int) -> int:
     return 2
 `
 
-// inlineDB is a serial Monet instance pinned to the inlined tier over a
+// inlineDB is a serial Monet instance at the default tier over a
 // 20 000-row table shaped like the benchmark's `big`.
 func inlineDB(t *testing.T) *Instance {
 	t.Helper()
-	in := Launch(Config{Profile: Monet, Parallelism: 1, JIT: true, Tier: "inline"})
+	in := Launch(Config{Profile: Monet, Parallelism: 1, JIT: true})
 	if err := in.Define(inlineLib); err != nil {
 		t.Fatal(err)
 	}

@@ -74,7 +74,7 @@ type Stats struct {
 	Calls     atomic.Int64
 	InRows    atomic.Int64
 	OutRows   atomic.Int64
-	WallNanos atomic.Int64
+	WallNanos atomic.Int64 // whole call, wrapper time included, on every transport
 	WrapNanos atomic.Int64 // time spent converting/serializing at the boundary
 }
 

@@ -339,10 +339,11 @@ func (p *ProcessInvoker) CallScalar(u *UDF, args []*data.Column, n int) (*data.C
 	}
 	// The worker already recorded per-row stats; the transport's share of
 	// the elapsed time (elapsed minus the UDF wall time this call added)
-	// is wrapper cost. Concurrent callers make the delta approximate, but
-	// never the cumulative-total subtraction the old accounting did.
+	// is wrapper cost. Wall includes wrap on every transport, so it is
+	// added to both. Concurrent callers make the delta approximate.
 	wrap := time.Since(start).Nanoseconds() - (u.Stats.WallNanos.Load() - wallBefore)
 	if wrap > 0 {
+		u.Stats.WallNanos.Add(wrap)
 		u.Stats.WrapNanos.Add(wrap)
 	}
 	return out, nil

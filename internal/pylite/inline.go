@@ -1,208 +1,15 @@
 package pylite
 
-import (
-	"fmt"
-
-	"qfusor/internal/data"
-)
-
-// Inlinability analysis (Froid-style relational inlining support): the
-// structural half of deciding whether a UDF body can be translated into
-// engine expressions. PyLite owns the AST, so the shape veto lives here;
-// the actual expression translation (which needs the SQL expression
-// vocabulary) lives in core's inline pass. The split mirrors SOFA's
-// annotation model: this layer answers "is the body straight-line
-// arithmetic / comparisons / string builtins / single-return
-// conditionals?", and the caller layers semantic checks (NULL guards,
-// kind agreement) on top.
+import "qfusor/internal/data"
 
 // FuncOf extracts the parsed function body behind a UDF's function
-// value. Returns false for non-PyLite callables (native Go UDFs,
-// builtins, classes).
+// value, for core's relational inliner, which translates that body into
+// engine expressions and is the one judge of whether it inlines. Returns
+// false for non-PyLite callables (native Go UDFs, builtins, classes).
 func FuncOf(v data.Value) (*FuncValue, bool) {
 	if v.Kind != data.KindObject {
 		return nil, false
 	}
 	fn, ok := v.P.(*FuncValue)
 	return fn, ok
-}
-
-// CheckInlineShape walks a function body and returns nil when every
-// statement is one of the straight-line forms the relational inliner
-// can translate: simple assignments, augmented assignments, returns,
-// if/elif/else trees and pass. Anything imperative beyond that — loops,
-// try/except, raise, yield, del, global, nested defs, comprehensions,
-// starred or keyword calls — fails with a reason naming the construct,
-// so opacity decisions are explainable in \analyze output.
-func CheckInlineShape(fn *FuncValue) error {
-	if fn == nil || fn.Body == nil {
-		return fmt.Errorf("no function body (lambda or builtin)")
-	}
-	if fn.IsGen {
-		return fmt.Errorf("generator function (yield)")
-	}
-	if fn.Vararg != "" {
-		return fmt.Errorf("*%s vararg parameter", fn.Vararg)
-	}
-	for _, p := range fn.Params {
-		if p.Default != nil {
-			return fmt.Errorf("parameter %q has a default", p.Name)
-		}
-	}
-	return checkInlineBlock(fn.Body)
-}
-
-// checkInlineBlock vetoes non-straight-line statements.
-func checkInlineBlock(body []Stmt) error {
-	for _, st := range body {
-		switch s := st.(type) {
-		case *Return:
-			if s.Value != nil {
-				if err := checkInlineExpr(s.Value); err != nil {
-					return err
-				}
-			}
-		case *Assign:
-			if len(s.Targets) != 1 {
-				return fmt.Errorf("chained assignment")
-			}
-			if _, ok := s.Targets[0].(*Name); !ok {
-				return fmt.Errorf("assignment to non-name target")
-			}
-			if err := checkInlineExpr(s.Value); err != nil {
-				return err
-			}
-		case *AugAssign:
-			if _, ok := s.Target.(*Name); !ok {
-				return fmt.Errorf("augmented assignment to non-name target")
-			}
-			if err := checkInlineExpr(s.Value); err != nil {
-				return err
-			}
-		case *If:
-			if err := checkInlineExpr(s.Cond); err != nil {
-				return err
-			}
-			if err := checkInlineBlock(s.Body); err != nil {
-				return err
-			}
-			if err := checkInlineBlock(s.Else); err != nil {
-				return err
-			}
-		case *Pass:
-		case *ExprStmt:
-			// Docstrings ride along; any other bare expression is a side
-			// effect the translation cannot represent.
-			if _, ok := s.Value.(*Const); !ok {
-				return fmt.Errorf("bare expression statement")
-			}
-		case *While:
-			return fmt.Errorf("while loop")
-		case *For:
-			return fmt.Errorf("for loop")
-		case *Try:
-			return fmt.Errorf("try/except")
-		case *Raise:
-			return fmt.Errorf("raise statement")
-		case *Global:
-			return fmt.Errorf("global declaration")
-		case *FuncDef:
-			return fmt.Errorf("nested function definition")
-		case *ClassDef:
-			return fmt.Errorf("nested class definition")
-		case *Import:
-			return fmt.Errorf("import statement")
-		case *Del:
-			return fmt.Errorf("del statement")
-		case *Assert:
-			return fmt.Errorf("assert statement")
-		case *Break, *Continue:
-			return fmt.Errorf("loop control statement")
-		default:
-			return fmt.Errorf("unsupported statement %T", st)
-		}
-	}
-	return nil
-}
-
-// checkInlineExpr vetoes expression forms that can never translate to
-// an engine expression, so the translator only sees candidates. The
-// finer semantic rejections (operator subset, kind agreement, NULL
-// guards) stay with the translator — this is the cheap structural cut.
-func checkInlineExpr(e Expr) error {
-	switch x := e.(type) {
-	case nil:
-		return nil
-	case *Const, *Name:
-		return nil
-	case *BinOp:
-		if err := checkInlineExpr(x.Left); err != nil {
-			return err
-		}
-		return checkInlineExpr(x.Right)
-	case *UnaryOp:
-		return checkInlineExpr(x.Operand)
-	case *BoolOp:
-		if err := checkInlineExpr(x.Left); err != nil {
-			return err
-		}
-		return checkInlineExpr(x.Right)
-	case *Compare:
-		if err := checkInlineExpr(x.Left); err != nil {
-			return err
-		}
-		for _, c := range x.Comps {
-			if err := checkInlineExpr(c); err != nil {
-				return err
-			}
-		}
-		return nil
-	case *IfExp:
-		if err := checkInlineExpr(x.Cond); err != nil {
-			return err
-		}
-		if err := checkInlineExpr(x.Then); err != nil {
-			return err
-		}
-		return checkInlineExpr(x.Else)
-	case *Call:
-		if x.StarArg != nil {
-			return fmt.Errorf("starred call argument")
-		}
-		if len(x.KwNames) > 0 {
-			return fmt.Errorf("keyword call argument")
-		}
-		switch fn := x.Fn.(type) {
-		case *Name:
-			// Builtin-or-not is the translator's decision.
-		case *Attr:
-			if err := checkInlineExpr(fn.Obj); err != nil {
-				return err
-			}
-		default:
-			return fmt.Errorf("call through computed function")
-		}
-		for _, a := range x.Args {
-			if err := checkInlineExpr(a); err != nil {
-				return err
-			}
-		}
-		return nil
-	case *Attr:
-		return fmt.Errorf("attribute access outside a method call")
-	case *Index:
-		return fmt.Errorf("subscript expression")
-	case *SliceExpr:
-		return fmt.Errorf("slice expression")
-	case *ListLit, *TupleLit, *SetLit, *DictLit:
-		return fmt.Errorf("container literal")
-	case *Lambda:
-		return fmt.Errorf("lambda expression")
-	case *Comp:
-		return fmt.Errorf("comprehension")
-	case *Yield:
-		return fmt.Errorf("yield expression")
-	default:
-		return fmt.Errorf("unsupported expression %T", e)
-	}
 }

@@ -8,8 +8,10 @@ import (
 	"testing"
 	"time"
 
+	"qfusor/internal/core"
 	"qfusor/internal/data"
 	"qfusor/internal/engines"
+	"qfusor/internal/ffi"
 	"qfusor/internal/obs"
 	"qfusor/internal/resilience"
 	"qfusor/internal/workload"
@@ -19,7 +21,14 @@ import (
 // at tiny scale.
 func setup(t *testing.T) *engines.Instance {
 	t.Helper()
-	in := engines.Launch(engines.Config{Profile: engines.Monet, JIT: true})
+	return setupProfile(t, engines.Monet)
+}
+
+// setupProfile launches an instance of profile p with every workload
+// installed at tiny scale.
+func setupProfile(t *testing.T, p engines.Profile) *engines.Instance {
+	t.Helper()
+	in := engines.Launch(engines.Config{Profile: p, JIT: true})
 	t.Cleanup(in.Close)
 	if err := workload.InstallUDFBench(in); err != nil {
 		t.Fatal(err)
@@ -86,6 +95,76 @@ func TestAllQueriesFusedParity(t *testing.T) {
 			}
 			if want.NumRows() == 0 {
 				t.Fatalf("%s returned no rows — dataset too sparse for a meaningful test", id)
+			}
+		})
+	}
+}
+
+// TestInlineVerdictIgnoresStatistics: whether a call inlines depends on
+// the UDF's body and the call's kinds only, never on a cost learned or
+// declared for the UDF. A translatable UDF declared to cost 1 ns per row
+// (cheaper than any engine expression) inlines at the default tier, and
+// Q1–Q18's inline decisions are the same on a cold instance and after
+// native runs have filled the statistics, on an in-process vector, an
+// in-process per-row and an out-of-process transport.
+func TestInlineVerdictIgnoresStatistics(t *testing.T) {
+	ids := make([]string, 0, 18)
+	for id := range workload.AllQueries() {
+		ids = append(ids, id)
+	}
+	slices.Sort(ids)
+	decisions := func(in *engines.Instance) map[string][]core.InlineDecision {
+		in.QF.PlanCache.Purge()
+		out := map[string][]core.InlineDecision{}
+		for _, id := range ids {
+			_, rep, err := in.QF.Process(in.Eng, workload.AllQueries()[id])
+			if err != nil {
+				t.Fatalf("%s: %v", id, err)
+			}
+			out[id] = rep.Inlined
+		}
+		return out
+	}
+	for _, p := range []engines.Profile{engines.Monet, engines.SQLite, engines.Postgres} {
+		t.Run(string(p), func(t *testing.T) {
+			in := setupProfile(t, p)
+			if err := in.Define(`
+def clampc(x):
+    if x is None:
+        return 0.0
+    if x < 0.0:
+        return 0.0
+    if x > 100.0:
+        return 100.0
+    return x
+`); err != nil {
+				t.Fatal(err)
+			}
+			if err := in.Register(core.UDFSpec{Name: "clampc", Kind: ffi.Scalar,
+				In: []data.Kind{data.KindFloat}, Out: []data.Kind{data.KindFloat}, Cost: 1}); err != nil {
+				t.Fatal(err)
+			}
+			_, rep, err := in.QF.Process(in.Eng, "SELECT clampc(CAST(population AS float)) AS c FROM population")
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(rep.Inlined) != 1 || rep.Inlined[0].Sites != 1 {
+				t.Fatalf("clampc declared at 1 ns/row not inlined: %+v", rep.Inlined)
+			}
+
+			cold := decisions(in)
+			for r := 0; r < 3; r++ {
+				for _, id := range ids {
+					if _, err := in.Query(workload.AllQueries()[id]); err != nil {
+						t.Fatalf("%s native: %v", id, err)
+					}
+				}
+			}
+			warm := decisions(in)
+			for _, id := range ids {
+				if !slices.Equal(cold[id], warm[id]) {
+					t.Errorf("%s: inline decisions changed after native runs:\ncold: %+v\nwarm: %+v", id, cold[id], warm[id])
+				}
 			}
 		})
 	}

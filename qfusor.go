@@ -203,12 +203,11 @@ func WithMorselSize(n int) Option {
 }
 
 // WithTier pins the execution tier of fused sections: "vm" forces the
-// vectorized bytecode VM wherever a section is eligible, "closure"
-// forces the closure-compiled trace loop, "inline" forces relational
-// inlining of every inlinable UDF call site (opaque UDFs still run the
-// fusion ladder), and "auto" (the default) inlines where the cost model
-// says so and otherwise runs like "vm". Ineligible sections always run
-// the closure tier. Open rejects any other value.
+// vectorized bytecode VM wherever a section is eligible and "closure"
+// forces the closure-compiled trace loop, both with relational inlining
+// off; "auto" (the default) inlines every UDF call whose body translates
+// into engine expressions and otherwise runs like "vm". Ineligible
+// sections always run the closure tier. Open rejects any other value.
 func WithTier(tier string) Option {
 	return func(c *engines.Config) { c.Tier = core.Tier(tier) }
 }

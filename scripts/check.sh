@@ -28,7 +28,9 @@ fi
 # (*pylite.Generator).Next, pylite.ValueIter; the UDO baseline in
 # internal/bench/systems.go aside); and only sqlengine's aggregateChunk
 # (the one grouping and dedup) and joinChunk (the join's build) make a
-# hash table (newHashTable).
+# hash table (newHashTable); and outside internal/ffi only the cost
+# model's udfRowCost reads (*ffi.Stats).WrapNanosPerRow, so a UDF's body
+# cost is derived in one place.
 go run ./scripts/udflookup
 GOMAXPROCS=8 go test -race ./...
 # Chaos sweep: fire every registered fault point and require graceful
@@ -55,9 +57,9 @@ go run ./cmd/qfusor-bench -vm-smoke
 # responses instead of collapsing, the admission counters show up in
 # /metrics and /debug/sessions, and shutdown drains within its grace.
 go run ./cmd/qfusor-bench -serve-smoke
-# Inlined-tier smoke: a guarded straight-line UDF query pinned to the
-# relational-inlining tier must come back native-identical with zero
-# FFI crossings (the Froid contract), an opaque UDF must fall back, and
+# Inlined-tier smoke: a guarded straight-line UDF query at the default
+# tier must inline and come back native-identical with zero FFI
+# crossings (the Froid contract), an opaque UDF must fall back, and
 # the qfusor.inline.* counters must appear in valid Prometheus form.
 go run ./cmd/qfusor-bench -inline-smoke
 # Differential fuzz smoke: a bounded run of the native vs fused-cold vs

@@ -34,6 +34,10 @@
 //     aggregateChunk, the one grouping (a DISTINCT and a UNION's dedup
 //     are aggregates with no aggregates), and joinChunk, for its build,
 //     may call it, so no second dedup or group-by grows back.
+//   - (*ffi.Stats).WrapNanosPerRow is the wrapper half of a UDF's learned
+//     cost. Outside internal/ffi, only the cost model's udfRowCost
+//     (internal/core/cost.go) may read it, so a UDF's body cost (wall
+//     minus wrapper time) is derived in one place.
 //
 // Run from the module root:
 //
@@ -115,6 +119,11 @@ var rules = []rule{
 		fn:    module + "/internal/sqlengine.newHashTable",
 		where: []string{"internal/sqlengine/exec_columnar.go:aggregateChunk", "internal/sqlengine/exec_columnar.go:joinChunk"},
 		msg:   "makes a hash table outside the one grouping; a dedup or group-by is an OpAggregate (aggregateChunk), a join's build is joinChunk's",
+	},
+	{
+		fn:    "(*" + module + "/internal/ffi.Stats).WrapNanosPerRow",
+		where: []string{"internal/ffi/*.go", "internal/core/cost.go:udfRowCost"},
+		msg:   "derives a UDF's body cost from its statistics; read CostModel.udfRowCost, the one place that does",
 	},
 }
 
