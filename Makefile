@@ -26,7 +26,9 @@ vet:
 ## UDF's rows ((*pylite.Interp).Iterate, (*pylite.Generator).Next, pylite.ValueIter;
 ## the UDO baseline in internal/bench/systems.go aside); only sqlengine's
 ## aggregateChunk (the one grouping and dedup) and joinChunk (the join's
-## build) make a hash table (newHashTable); outside internal/ffi only the
+## build) make a hash table (newHashTable); only sqlengine's materialize
+## gathers an operator's output ((*Engine).gather), so no operator grows
+## its own gather back; outside internal/ffi only the
 ## cost model's udfRowCost reads (*ffi.Stats).WrapNanosPerRow, so a UDF's
 ## body cost is derived in one place.
 lint:

@@ -57,6 +57,32 @@ func TestScalarCallsAreAccountedOnEveryProfile(t *testing.T) {
 	}
 }
 
+// TestTransportTimeReachesMetrics: on PostgreSQL, whose transport adds
+// each call's round-trip time to the UDF's wall and wrapper time, the
+// process-wide ffi.udf.wall_nanos and ffi.udf.wrap_nanos grow by exactly
+// what the query's ffi.Usage reports.
+func TestTransportTimeReachesMetrics(t *testing.T) {
+	wall, wrap := obs.Default.Counter("ffi.udf.wall_nanos"), obs.Default.Counter("ffi.udf.wrap_nanos")
+	in := rowDB(t, Postgres, 50)
+	defer in.Close()
+	q, err := in.Eng.Plan("SELECT up(s) AS u FROM t")
+	if err != nil {
+		t.Fatal(err)
+	}
+	w0, p0 := wall.Value(), wrap.Value()
+	_, used, err := in.Eng.ExecuteTracedCtx(context.Background(), q, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var uw, up int64
+	for _, u := range used {
+		uw, up = uw+u.WallNanos, up+u.WrapNanos
+	}
+	if dw, dp := wall.Value()-w0, wrap.Value()-p0; dw != uw || dp != up || up == 0 {
+		t.Errorf("ffi.udf.wall_nanos +%d, wrap_nanos +%d; the query's Usage reports wall %d, wrap %d (want equal, wrap > 0)", dw, dp, uw, up)
+	}
+}
+
 // TestRowExecutorStreamsUnderLimit pins what the row executor still
 // streams: under a LIMIT, a scalar UDF in a projection and an expand
 // UDF run only on the rows the LIMIT takes, and on PostgreSQL each of

@@ -278,14 +278,21 @@ func (u *UDF) record(inRows, outRows int, wall, wrap time.Duration) {
 	u.Stats.Calls.Add(1)
 	u.Stats.InRows.Add(int64(inRows))
 	u.Stats.OutRows.Add(int64(outRows))
-	u.Stats.WallNanos.Add(wall.Nanoseconds())
-	u.Stats.WrapNanos.Add(wrap.Nanoseconds())
+	u.addTime(wall, wrap)
 	mUDFCalls.Inc()
 	mUDFRowsIn.Add(int64(inRows))
 	mUDFRowsOut.Add(int64(outRows))
+	mUDFCallNanos.Observe(float64(wall.Nanoseconds()))
+}
+
+// addTime adds wall and wrapper time to the UDF's Stats and to the
+// process-wide ffi.udf.wall_nanos and ffi.udf.wrap_nanos, so the two
+// always agree.
+func (u *UDF) addTime(wall, wrap time.Duration) {
+	u.Stats.WallNanos.Add(wall.Nanoseconds())
+	u.Stats.WrapNanos.Add(wrap.Nanoseconds())
 	mUDFWallNanos.Add(wall.Nanoseconds())
 	mUDFWrapNanos.Add(wrap.Nanoseconds())
-	mUDFCallNanos.Observe(float64(wall.Nanoseconds()))
 }
 
 // CrossIn boxes one engine value into the UDF environment. String

@@ -341,10 +341,8 @@ func (p *ProcessInvoker) CallScalar(u *UDF, args []*data.Column, n int) (*data.C
 	// the elapsed time (elapsed minus the UDF wall time this call added)
 	// is wrapper cost. Wall includes wrap on every transport, so it is
 	// added to both. Concurrent callers make the delta approximate.
-	wrap := time.Since(start).Nanoseconds() - (u.Stats.WallNanos.Load() - wallBefore)
-	if wrap > 0 {
-		u.Stats.WallNanos.Add(wrap)
-		u.Stats.WrapNanos.Add(wrap)
+	if wrap := time.Since(start) - time.Duration(u.Stats.WallNanos.Load()-wallBefore); wrap > 0 {
+		u.addTime(wrap, wrap)
 	}
 	return out, nil
 }

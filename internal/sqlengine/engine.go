@@ -289,48 +289,60 @@ func (e *Engine) execQuery(q *Query) (*data.Chunk, error) {
 }
 
 // execPlan runs one plan node through the executor, wrapping it in a
-// per-operator span when the query is traced. Child executions recurse
-// through here, so the span tree mirrors the plan tree.
+// per-operator span when the query is traced, and returns its output
+// materialized. Child executions recurse through here, so the span tree
+// mirrors the plan tree.
 func (e *Engine) execPlan(p *Plan, ectx *execCtx) (*data.Chunk, error) {
-	return e.observe(p, ectx, func() (*data.Chunk, error) { return e.execColumnar(p, ectx) })
+	out, err := e.execRel(p, ectx, false)
+	return out.ch, err
+}
+
+// execRel is execPlan for a parent that reads through row lists
+// (through), which gets a filter's or a join's output as it is.
+func (e *Engine) execRel(p *Plan, ectx *execCtx, through bool) (rel, error) {
+	return e.observe(p, ectx, through, func() (rel, error) { return e.execColumnar(p, ectx) })
 }
 
 // observe runs op, an execution of plan node p, under the node's span
 // and resource-ledger entry. With no tracer the hook is one nil check.
-func (e *Engine) observe(p *Plan, ectx *execCtx, op func() (*data.Chunk, error)) (*data.Chunk, error) {
+func (e *Engine) observe(p *Plan, ectx *execCtx, through bool, op func() (rel, error)) (rel, error) {
 	if ectx.span == nil {
-		return e.account(p, ectx, op)
+		return e.account(p, ectx, through, op)
 	}
 	parent := ectx.span
 	sp := parent.Child("op:" + p.Op.String())
 	annotateOpSpan(sp, p)
 	ectx.span = sp
-	ch, err := e.account(p, ectx, op)
+	out, err := e.account(p, ectx, through, op)
 	ectx.span = parent
 	sp.End()
-	if ch != nil {
-		sp.SetInt("rows_out", int64(ch.NumRows()))
+	if err == nil {
+		sp.SetInt("rows_out", int64(out.numRows()))
 	}
-	return ch, err
+	return out, err
 }
 
 // account runs op, an execution of plan node p, under the node's
-// resource-ledger entry, once the statement's context allows it.
-func (e *Engine) account(p *Plan, ectx *execCtx, op func() (*data.Chunk, error)) (*data.Chunk, error) {
+// resource-ledger entry, once the statement's context allows it, and
+// materializes its output unless the parent reads through.
+func (e *Engine) account(p *Plan, ectx *execCtx, through bool, op func() (rel, error)) (rel, error) {
 	if err := ectx.ctx.Err(); err != nil {
-		return nil, err
-	}
-	if ectx.led == nil {
-		return op()
+		return rel{}, err
 	}
 	opStart := time.Now()
-	ch, err := op()
-	rows := 0
-	if ch != nil {
-		rows = ch.NumRows()
+	out, err := op()
+	if err == nil && !through && out.takes != nil {
+		out.ch, err = e.materialize(ectx, out)
+		out.takes = nil
 	}
-	ectx.led.OpObserve(opLedgerLabel(p), rows, time.Since(opStart).Nanoseconds())
-	return ch, err
+	if ectx.led != nil {
+		rows := 0
+		if err == nil {
+			rows = out.numRows()
+		}
+		ectx.led.OpObserve(opLedgerLabel(p), rows, time.Since(opStart).Nanoseconds())
+	}
+	return out, err
 }
 
 // opLedgerLabel names a plan operator for the resource ledger: the

@@ -1,11 +1,12 @@
 package sqlengine
 
 import (
+	"cmp"
 	"fmt"
 	"math"
 	"slices"
 	"sort"
-	"sync"
+	"strings"
 	"sync/atomic"
 
 	"qfusor/internal/data"
@@ -14,60 +15,73 @@ import (
 )
 
 // execColumnar is the executor of every profile, vectorized and
-// operator-at-a-time: every operator materializes its full output before
-// the parent runs (MonetDB's model; an explicit MorselSize splits UDF
-// batches but keeps the same operator boundaries). Operators that scan
-// full inputs run morsel-parallel over the engine's worker pool (see
-// morsel.go); the blocking ones keep per-worker partial state and merge
-// at the barrier. Two rules make tuple-at-a-time a parameter of the same
-// loop: under ModeRow a projection, filter or expand that calls a UDF
-// runs one-row morsels (rowSpans), and a LIMIT stops the row-wise chain
-// below it early on every profile (limitChunk).
-func (e *Engine) execColumnar(p *Plan, ectx *execCtx) (*data.Chunk, error) {
+// operator-at-a-time: every operator finishes its output before the
+// parent runs (MonetDB's model; an explicit MorselSize splits UDF
+// batches but keeps the same operator boundaries). A filter's or join's
+// output is row lists (rel), which an aggregate, a projection or a join's
+// probe side reads through. Operators run morsel-parallel over the
+// engine's worker pool (morsel.go); the blocking ones keep per-worker
+// partial state and merge at the barrier. Under ModeRow a projection,
+// filter or expand that calls a UDF runs one-row morsels (rowSpans), and
+// a LIMIT stops the row-wise chain below it early (limitChunk).
+func (e *Engine) execColumnar(p *Plan, ectx *execCtx) (rel, error) {
 	switch p.Op {
-	case OpScan:
-		t, ok := e.Catalog.Table(p.Table)
-		if !ok {
-			if ch, ok := ectx.ctes[lower(p.Table)]; ok {
-				return p.emit(ch), nil
-			}
-			return nil, errNoSuchTable(p.Table)
-		}
-		return p.emit(t.Chunk()), nil
-	case OpCTERef:
-		ch, ok := ectx.ctes[lower(p.Table)]
-		if !ok {
-			return nil, fmt.Errorf("sql: CTE %s not materialized", p.Table)
-		}
-		return p.emit(ch), nil
 	case OpProject, OpFilter, OpExpand:
 		if len(p.Children) == 0 {
 			// FROM-less SELECT: one dummy row. The planner's placeholder
 			// node has no expressions — keep the dummy row so a parent
 			// projection evaluates once.
 			if len(p.Exprs) == 0 {
-				return oneRowChunk(), nil
+				return rel{ch: oneRowChunk()}, nil
 			}
-			return e.rowWise(p, oneRowChunk(), ectx)
+			return e.rowWise(p, rel{ch: oneRowChunk()}, ectx)
 		}
-		in, err := e.execPlan(p.Children[0], ectx)
+		// Under ModeRow a projection's UDF runs one-row morsels, not a take's.
+		in, err := e.execRel(p.Children[0], ectx, p.Op == OpProject && (e.Mode != ModeRow || len(p.UDFCalls()) == 0))
 		if err != nil {
-			return nil, err
+			return rel{}, err
 		}
 		return e.rowWise(p, in, ectx)
 	case OpJoin:
 		return e.joinChunk(p, ectx)
-	case OpAggregate:
-		in, err := e.execPlan(p.Children[0], ectx)
+	case OpAggregate, OpFusedAgg:
+		in, err := e.execRel(p.Children[0], ectx, !sourceDriven(p))
 		if err != nil {
+			return rel{}, err
+		}
+		ch, err := e.aggregateChunk(p, in, ectx)
+		return rel{ch: ch}, err
+	}
+	ch, err := e.execChunk(p, ectx)
+	return rel{ch: ch}, err
+}
+
+// execChunk executes the operators whose output is always a chunk.
+func (e *Engine) execChunk(p *Plan, ectx *execCtx) (*data.Chunk, error) {
+	var in *data.Chunk // the one child's output, for the operators that have one here
+	if p.Op == OpSort || p.Op == OpTableFunc || p.Op == OpFused {
+		var err error
+		if in, err = e.execPlan(p.Children[0], ectx); err != nil {
 			return nil, err
 		}
-		return e.aggregateChunk(p, in, ectx)
+	}
+	switch p.Op {
+	case OpScan:
+		t, ok := e.Catalog.Table(p.Table)
+		if !ok {
+			if ch, ok := ectx.ctes[strings.ToLower(p.Table)]; ok {
+				return p.emit(ch), nil
+			}
+			return nil, errNoSuchTable(p.Table)
+		}
+		return p.emit(t.Chunk()), nil
+	case OpCTERef:
+		ch, ok := ectx.ctes[strings.ToLower(p.Table)]
+		if !ok {
+			return nil, fmt.Errorf("sql: CTE %s not materialized", p.Table)
+		}
+		return p.emit(ch), nil
 	case OpSort:
-		in, err := e.execPlan(p.Children[0], ectx)
-		if err != nil {
-			return nil, err
-		}
 		return e.sortChunk(p, in, ectx)
 	case OpLimit:
 		return e.limitChunk(p, ectx)
@@ -82,10 +96,6 @@ func (e *Engine) execColumnar(p *Plan, ectx *execCtx) (*data.Chunk, error) {
 		}
 		return data.Concat(p.Schema, []*data.Chunk{l, r}), nil
 	case OpTableFunc:
-		in, err := e.execPlan(p.Children[0], ectx)
-		if err != nil {
-			return nil, err
-		}
 		if p.UDF.Fused {
 			// A fused wrapper re-submitted as a table function (rewrite
 			// path 1) uses the vector calling convention.
@@ -109,22 +119,23 @@ func (e *Engine) execColumnar(p *Plan, ectx *execCtx) (*data.Chunk, error) {
 			}
 		}
 		return out, nil
-	case OpFused, OpFusedAgg:
-		return e.execFusedColumnar(p, ectx)
+	case OpFused:
+		return e.runFused(p, in, ectx)
 	}
 	return nil, fmt.Errorf("sql: columnar executor: unsupported op %s", p.Op)
 }
 
 // rowWise applies a row-wise operator — a projection, filter or expand —
-// to its input.
-func (e *Engine) rowWise(p *Plan, in *data.Chunk, ectx *execCtx) (*data.Chunk, error) {
+// to its input (a chunk, or a projection's take).
+func (e *Engine) rowWise(p *Plan, in rel, ectx *execCtx) (rel, error) {
 	switch p.Op {
 	case OpProject:
 		return e.projectChunk(p, in, ectx)
 	case OpFilter:
-		return e.filterChunk(p.Exprs[0], in, ectx)
+		return e.filterChunk(p.Exprs[0], in.ch, ectx)
 	}
-	return e.expandChunk(p, in, ectx)
+	ch, err := e.expandChunk(p, in.ch, ectx)
+	return rel{ch: ch}, err
 }
 
 // limitChunk takes rows [OFFSET, OFFSET+LIMIT) of its child. Above a
@@ -171,9 +182,11 @@ func (e *Engine) limitChunk(p *Plan, ectx *execCtx) (*data.Chunk, error) {
 			for i := len(chain) - 1; i >= 0; i-- {
 				op, win := chain[i], part
 				ectx.span = spans[i]
-				if part, err = e.account(op, ectx, func() (*data.Chunk, error) { return e.rowWise(op, win, ectx) }); err != nil {
+				out, err := e.account(op, ectx, false, func() (rel, error) { return e.rowWise(op, rel{ch: win}, ectx) })
+				if err != nil {
 					return nil, err
 				}
+				part = out.ch
 				spans[i].AddInt("rows_out", int64(part.NumRows()))
 			}
 			parts = append(parts, part)
@@ -188,81 +201,125 @@ func (e *Engine) limitChunk(p *Plan, ectx *execCtx) (*data.Chunk, error) {
 	return in.Slice(int(min(p.OffsetN, n)), int(min(need, n))), nil
 }
 
-func lower(s string) string {
-	b := []byte(s)
-	for i, c := range b {
-		if c >= 'A' && c <= 'Z' {
-			b[i] = c + 32
-		}
-	}
-	return string(b)
-}
-
 func oneRowChunk() *data.Chunk {
 	c := data.NewColumn("__dummy", data.KindInt)
 	c.AppendInt(0)
 	return data.NewChunk(c)
 }
 
-// projectChunk evaluates the projection expressions over the chunk,
-// split into morsels and driven by the worker pool. The expressions compile into one program, so a
-// subtree repeated between output columns (or within one, as relational
-// inlining produces) evaluates once per morsel.
-func (e *Engine) projectChunk(p *Plan, in *data.Chunk, ectx *execCtx) (*data.Chunk, error) {
-	want := make([]data.Kind, len(p.Schema))
-	for i, f := range p.Schema {
-		want[i] = f.Kind
-	}
-	prog, err := e.compile(in, p.Exprs, want)
-	if err != nil {
-		return nil, err
-	}
-	rename := func(cols []*data.Column) *data.Chunk {
-		for i, c := range cols {
-			if prog.roots[i] < len(in.Cols) {
-				mZeroCopyCols.Inc() // a column reference of matching kind passes through
-			}
-			cp := *c // the result may be the input's own column
-			cp.Name = p.Schema[i].Name
-			cols[i] = &cp
+// projectChunk evaluates the projection expressions over its input. A
+// column passed through is the input's own, or a take's gathered once
+// into the output. The computed ones compile into one program over the
+// columns they read, so a subtree repeated between output columns (or
+// within one, as relational inlining produces) evaluates once per morsel.
+func (e *Engine) projectChunk(p *Plan, in rel, ectx *execCtx) (rel, error) {
+	src, names, want := in.cols(), p.Schema.Names(), make([]data.Kind, len(p.Schema))
+	out := make([]*data.Column, len(p.Exprs))
+	var pass, comp []int // output columns gathered from a take; computed output columns
+	var passed rel       // the take of the columns in pass
+	for i, x := range p.Exprs {
+		want[i] = p.Schema[i].Kind
+		cr, ok := x.(*ColRef)
+		if !ok || want[i] != data.KindNull && src[cr.Index].Kind != want[i] { // compiled, it would not be the column itself
+			comp = append(comp, i)
+			continue
 		}
-		return data.NewChunk(cols...)
+		t, c := in.source(cr.Index)
+		cp := *c
+		cp.Name = names[i]
+		if out[i] = &cp; in.takes == nil {
+			mZeroCopyCols.Inc()
+		} else {
+			pass, passed.takes = append(pass, i), append(passed.takes, take{cols: []*data.Column{&cp}, rows: t.rows, nulls: t.nulls})
+		}
 	}
-	// Column references alone compute nothing: the input's columns are
-	// the output, with no morsels to run and none to concatenate.
-	if len(prog.roots) > 0 && !slices.ContainsFunc(prog.roots, func(r int) bool { return r >= len(in.Cols) }) {
-		return rename(choose(in.Cols, prog.roots)), nil
-	}
-	return e.runPartitioned(ectx, in, e.rowSpans(in.NumRows(), prog.crosses()), func(_ int, part *data.Chunk) (*data.Chunk, error) {
-		cols, err := prog.run(part)
+	if pass != nil {
+		ch, err := e.materialize(ectx, passed)
 		if err != nil {
-			return nil, err
+			return rel{}, err
 		}
-		return rename(cols), nil
+		for k, i := range pass {
+			out[i] = ch.Cols[k]
+		}
+	}
+	if len(comp) == 0 {
+		return rel{ch: data.NewChunk(out...)}, nil
+	}
+	exprs, reads := narrow(choose(p.Exprs, comp))
+	prog, err := e.compile(data.NewChunk(choose(src, reads)...), exprs, choose(want, comp))
+	if err != nil {
+		return rel{}, err
+	}
+	spans := in.spans(func(n int) []morselSpan { return e.rowSpans(n, prog.crosses()) })
+	parts, err := partitioned(e, ectx, spans, func(_, m, lo, hi int) (*data.Chunk, error) {
+		var scr []data.Column // the morsel's own: a result may be a column it reads, or share its storage
+		cols, err := prog.run(in.morsel(&scr, reads, m, lo, hi))
+		for k, c := range cols {
+			cp := *c
+			cp.Name = names[comp[k]]
+			cols[k] = &cp
+		}
+		return data.NewChunk(cols...), err
 	})
+	if err != nil {
+		return rel{}, err
+	}
+	for k, c := range e.concat(ectx.span, parts[0].Schema(), parts).Cols {
+		out[comp[k]] = c
+	}
+	return rel{ch: data.NewChunk(out...)}, nil
+}
+
+// narrow rewrites xs' column references onto the columns they read, in
+// order of first reference, and returns those (column 0 if none is read).
+func narrow(xs []SQLExpr) ([]SQLExpr, []int) {
+	var reads []int
+	slotOf := map[int]int{}
+	out := make([]SQLExpr, len(xs))
+	for i, x := range xs {
+		out[i] = RewriteExpr(x, func(x SQLExpr) SQLExpr {
+			if cr, ok := x.(*ColRef); ok {
+				s, seen := slotOf[cr.Index]
+				if !seen {
+					s, slotOf[cr.Index] = len(reads), len(reads)
+					reads = append(reads, cr.Index)
+				}
+				cr.Index = s
+			}
+			return x
+		})
+	}
+	if len(reads) == 0 {
+		reads = []int{0}
+	}
+	return out, reads
 }
 
 // filterChunk keeps rows where the predicate holds. Each morsel lists
 // its kept rows from the predicate's column, which it borrows, so the
-// column is recycled from morsel to morsel; the output is then gathered
-// once, into columns sized for every morsel's rows.
-func (e *Engine) filterChunk(pred SQLExpr, in *data.Chunk, ectx *execCtx) (*data.Chunk, error) {
+// column is recycled from morsel to morsel; the lists, in the engine's
+// usual morsels even after one-row ModeRow ones, are the output's take.
+func (e *Engine) filterChunk(pred SQLExpr, in *data.Chunk, ectx *execCtx) (rel, error) {
 	prog, err := e.compile(in, []SQLExpr{pred}, []data.Kind{data.KindBool})
 	if err != nil {
-		return nil, err
+		return rel{}, err
 	}
-	keep, err := partitioned(e, ectx, in, e.rowSpans(in.NumRows(), prog.crosses()), func(lo int, part *data.Chunk) (keep []int, err error) {
-		err = prog.use(part, func(cols []*data.Column) error { keep = trueRows(cols[0], lo); return nil })
+	spans := e.rowSpans(in.NumRows(), prog.crosses())
+	keep, err := partitioned(e, ectx, spans, func(_, _, lo, hi int) (keep []int, err error) {
+		err = prog.use(in.Slice(lo, hi), func(cols []*data.Column) error { keep = trueRows(cols[0], lo); return nil })
 		return keep, err
 	})
 	if err != nil {
-		return nil, err
+		return rel{}, err
 	}
-	cols, err := e.gather(ectx, take{cols: in.Cols, rows: keep})
-	if err != nil {
-		return nil, err
+	if usual := e.morselsFor(in.NumRows()); len(usual) < len(spans) {
+		rows := make([][]int, len(usual))
+		for m, s := range usual {
+			rows[m] = slices.Concat(keep[s.lo:s.hi]...)
+		}
+		keep = rows
 	}
-	return &data.Chunk{Cols: cols}, nil
+	return rel{takes: []take{{cols: in.Cols, rows: keep}}}, nil
 }
 
 // trueRows lists the rows where a predicate's bool column holds (NULL
@@ -329,35 +386,38 @@ func (e *Engine) expandChunk(p *Plan, in *data.Chunk, ectx *execCtx) (*data.Chun
 // hash table (hashtable.go) over the right rows' typed key columns, with
 // each key's rows chained in ascending order; its key equality is the
 // engine's =, so a NULL or NaN key matches nothing and an int key meets a
-// float one as a float. Once every morsel has its (left row, right row)
-// index lists, the output columns are gathered from them into one
-// preallocated chunk, each morsel into its own rows. The build table is
-// written before the pool starts and only read afterwards, so probing
-// needs no locks; the morsels' rows land in input order, so the output is
-// identical at any parallelism.
-func (e *Engine) joinChunk(p *Plan, ectx *execCtx) (*data.Chunk, error) {
-	l, err := e.execPlan(p.Children[0], ectx)
+// float one as a float. Over a filter, a morsel probes the rows of the
+// filter's list, so its pairs name rows of the filter's input. The output
+// is every morsel's (left row, right row) lists, takes of the columns the
+// parent reads. The build table is written before the pool starts and
+// only read afterwards, so probing needs no locks; the morsels keep
+// input order, so the output is identical at any parallelism.
+func (e *Engine) joinChunk(p *Plan, ectx *execCtx) (rel, error) {
+	lr, err := e.execRel(p.Children[0], ectx, p.Children[0].Op == OpFilter)
 	if err != nil {
-		return nil, err
+		return rel{}, err
 	}
 	r, err := e.execPlan(p.Children[1], ectx)
 	if err != nil {
-		return nil, err
+		return rel{}, err
 	}
+	lcols := lr.cols()
 	nl := len(p.Children[0].Schema)
 	leftKeys, rightKeys, residual := splitEquiJoin(p.JoinOn, nl)
-	nL, nR := l.NumRows(), r.NumRows()
+	nR := r.NumRows()
 	// The build is serial: the build side is the smaller input. A NULL or
 	// NaN key, which = makes equal to nothing, is neither built nor probed.
 	var (
-		lk, rk     []*data.Column // the key columns
-		build      hashTable      // a right key's hash -> its id
-		head, next []int          // key id -> its first right row; right row -> the next of its key, or -1
+		lk, rk     []*data.Column        // the key columns
+		build      hashTable             // a right key's hash -> its id
+		head, next []int                 // key id -> its first right row; right row -> the next of its key, or -1
+		kc         = slices.Clone(lcols) // the left columns, keys as = compares them
 	)
 	if len(leftKeys) > 0 {
 		lk, rk = make([]*data.Column, len(leftKeys)), make([]*data.Column, len(leftKeys))
 		for k := range lk {
-			lk[k], rk[k] = joinKeys(l.Cols[leftKeys[k]], r.Cols[rightKeys[k]])
+			lk[k], rk[k] = joinKeys(lcols[leftKeys[k]], r.Cols[rightKeys[k]])
+			kc[leftKeys[k]] = lk[k]
 		}
 		hs := make([]uint64, nR)
 		hashKeys(hs, rk, 0)
@@ -373,42 +433,85 @@ func (e *Engine) joinChunk(p *Plan, ectx *execCtx) (*data.Chunk, error) {
 			next[j], head[id] = head[id], j
 		}
 	}
-	filter, err := e.joinFilter(l, r, residual)
+	filter, err := e.joinFilter(lcols, r, residual)
 	if err != nil {
-		return nil, err
+		return rel{}, err
+	}
+	// The parent's columns, under its names (KeepCols ascend, so the left
+	// side's come first). A side keeps its row lists when the parent, the
+	// residual or a LEFT join reads them; one always does.
+	keep := p.emit(data.NewChunk(append(lcols[:nl:nl], r.Cols...)...)).Cols
+	for c, col := range keep {
+		cp := *col
+		cp.Name = p.Schema[c].Name
+		keep[c] = &cp
+	}
+	split := nl
+	if p.KeepCols != nil {
+		split = sort.SearchInts(p.KeepCols, nl)
+	}
+	needL := split > 0 || filter != nil || p.JoinKind == "LEFT"
+	needR := split < len(keep) || filter != nil || p.JoinKind == "LEFT" || !needL
+	// Probe row x of morsel m is left row lo+x, or over a take probe[m][x]
+	// (its keys then gathered into the worker's scratch).
+	spans, probe := lr.spans(e.morselsFor), [][]int(nil)
+	if lr.takes != nil {
+		probe = lr.takes[0].rows
 	}
 	batch := e.morselSize()
-	spans := e.morselsFor(nL)
 	lrows, rrows := make([][]int, len(spans)), make([][]int, len(spans))
-	var padded atomic.Bool // some left row has no pair: the right columns get a null mask
-	_, err = e.runMorsels(ectx, spans, func(_, m, lo, hi int) error {
+	scr := make([][]data.Column, e.Workers()) // per worker: a take's probe keys
+	var padded atomic.Bool                    // some left row has no pair: the right columns get a null mask
+	_, err = e.runMorsels(ectx, spans, func(w, m, lo, hi int) error {
+		keys, kb := lk, lo // probe row x's key is row kb+x of keys
+		if probe != nil {
+			keys, kb = rel{takes: []take{{cols: kc, rows: probe}}}.morsel(&scr[w], leftKeys, m, lo, hi).Cols, 0
+		}
 		// Sized for one pair per left row, a key join's usual yield.
-		li, ri := make([]int, 0, hi-lo), make([]int, 0, hi-lo)
+		var li, ri []int
+		if needL {
+			li = make([]int, 0, hi-lo)
+		}
+		if needR {
+			ri = make([]int, 0, hi-lo)
+		}
+		pair := func(i, j int) {
+			if needL {
+				li = append(li, i)
+			}
+			if needR {
+				ri = append(ri, j)
+			}
+		}
 		var hbuf [hashBlock]uint64
-		hs, hlo := hbuf[:0], lo // the key hashes of left rows hlo, hlo+1, …
+		hs, hlo := hbuf[:0], kb // the key hashes of key rows hlo, hlo+1, …
 		done := 0               // the pairs before done passed the residual
-		for i := lo; i < hi; i++ {
+		for x := 0; x < hi-lo; x++ {
+			i, kr := lo+x, kb+x
+			if probe != nil {
+				i = probe[m][x]
+			}
 			switch {
 			case lk == nil:
 				for j := 0; j < nR; j++ {
-					li, ri = append(li, i), append(ri, j)
+					pair(i, j)
 				}
-			case !nullOrNaN(lk, i):
-				if i-hlo >= len(hs) { // hash the next block of rows
-					hs, hlo = hbuf[:min(hi-i, hashBlock)], i
-					hashKeys(hs, lk, i)
+			case !nullOrNaN(keys, kr):
+				if kr-hlo >= len(hs) { // hash the next block of rows
+					hs, hlo = hbuf[:min(hi-lo-x, hashBlock)], kr
+					hashKeys(hs, keys, kr)
 				}
-				if id := build.find(hs[i-hlo], func(g int) bool { return keysEqual(rk, head[g], lk, i) }); id >= 0 {
+				if id := build.find(hs[kr-hlo], func(g int) bool { return keysEqual(rk, head[g], keys, kr) }); id >= 0 {
 					for j := head[id]; j >= 0; j = next[j] {
-						li, ri = append(li, i), append(ri, j)
+						pair(i, j)
 					}
 				}
 			}
 			// The residual runs over batches of candidates, so a nested
 			// loop holds at most one batch and one left row's pairs beyond
 			// its output.
-			if filter != nil && (len(li)-done >= batch || i == hi-1) {
-				kept, err := filter(li[done:], ri[done:])
+			if filter != nil && (len(li)-done >= batch || x == hi-lo-1) {
+				kept, err := filter(w, li[done:], ri[done:])
 				if err != nil {
 					return err
 				}
@@ -418,7 +521,7 @@ func (e *Engine) joinChunk(p *Plan, ectx *execCtx) (*data.Chunk, error) {
 		}
 		if p.JoinKind == "LEFT" {
 			var pad bool
-			if li, ri, pad = padLeft(li, ri, lo, hi); pad {
+			if li, ri, pad = padLeft(li, ri, lo, hi, probe, m); pad {
 				padded.Store(true)
 			}
 		}
@@ -426,76 +529,37 @@ func (e *Engine) joinChunk(p *Plan, ectx *execCtx) (*data.Chunk, error) {
 		return nil
 	})
 	if err != nil {
-		return nil, err
+		return rel{}, err
 	}
-	// Only the parent's columns are gathered. KeepCols ascend, so the
-	// left side's come first.
-	keep := p.emit(data.NewChunk(append(l.Cols[:nl:nl], r.Cols...)...)).Cols
-	split := nl
-	if p.KeepCols != nil {
-		split = sort.SearchInts(p.KeepCols, nl)
+	var out rel
+	if needL {
+		out.takes = append(out.takes, take{cols: keep[:split], rows: lrows})
 	}
-	cols, err := e.gather(ectx, take{cols: keep[:split], rows: lrows}, take{cols: keep[split:], rows: rrows, nulls: padded.Load()})
-	if err != nil {
-		return nil, err
+	if needR {
+		out.takes = append(out.takes, take{cols: keep[split:], rows: rrows, nulls: padded.Load()})
 	}
-	for c, col := range cols {
-		col.Name = p.Schema[c].Name
-	}
-	return &data.Chunk{Cols: cols}, nil
+	return out, nil
 }
 
 // joinFilter compiles a join's residual predicate once, over just the
 // columns it reads. The filter it returns gathers those columns for a
-// list of candidate pairs, runs the program over them — each UDF
-// crossing on its own worker clone, as in every program — and compacts
-// the pairs in place to the ones the predicate holds for, returning how
-// many remain. A nil residual gives a nil filter.
-func (e *Engine) joinFilter(l, r *data.Chunk, residual SQLExpr) (func(li, ri []int) (int, error), error) {
+// list of candidate pairs into worker w's scratch, runs the program over
+// them and compacts the pairs in place to the ones the predicate holds
+// for, returning how many remain. A nil residual gives a nil filter.
+func (e *Engine) joinFilter(l []*data.Column, r *data.Chunk, residual SQLExpr) (func(w int, li, ri []int) (int, error), error) {
 	if residual == nil {
 		return nil, nil
 	}
-	nl := len(l.Cols)
-	var reads []int // joined column index per slot of the gathered chunk
-	slotOf := map[int]int{}
-	pred := RewriteExpr(residual, func(x SQLExpr) SQLExpr {
-		if cr, ok := x.(*ColRef); ok {
-			s, seen := slotOf[cr.Index]
-			if !seen {
-				s = len(reads)
-				slotOf[cr.Index] = s
-				reads = append(reads, cr.Index)
-			}
-			cr.Index = s
-		}
-		return x
-	})
-	if len(reads) == 0 {
-		reads = []int{0} // a column, for the row count
-	}
-	src := make([]*data.Column, len(reads))
-	for s, x := range reads {
-		if x < nl {
-			src[s] = l.Cols[x]
-		} else {
-			src[s] = r.Cols[x-nl]
-		}
-	}
-	prog, err := e.compile(data.NewChunk(src...), []SQLExpr{pred}, []data.Kind{data.KindBool})
+	pred, reads := narrow([]SQLExpr{residual})
+	prog, err := e.compile(data.NewChunk(choose(append(l[:len(l):len(l)], r.Cols...), reads)...), pred, []data.Kind{data.KindBool})
 	if err != nil {
 		return nil, err
 	}
-	return func(li, ri []int) (int, error) {
-		cand := make([]*data.Column, len(src))
-		for s, x := range reads {
-			if x < nl {
-				cand[s] = src[s].Take(li)
-			} else {
-				cand[s] = src[s].Take(ri)
-			}
-		}
+	scr := make([][]data.Column, e.Workers())
+	return func(w int, li, ri []int) (int, error) {
+		cand := rel{takes: []take{{cols: l, rows: [][]int{li}}, {cols: r.Cols, rows: [][]int{ri}}}}
 		var keep []int
-		if err := prog.use(data.NewChunk(cand...), func(cols []*data.Column) error { keep = trueRows(cols[0], 0); return nil }); err != nil {
+		if err := prog.use(cand.morsel(&scr[w], reads, 0, 0, len(li)), func(cols []*data.Column) error { keep = trueRows(cols[0], 0); return nil }); err != nil {
 			return 0, err
 		}
 		for n, k := range keep {
@@ -505,20 +569,24 @@ func (e *Engine) joinFilter(l, r *data.Chunk, residual SQLExpr) (func(li, ri []i
 	}, nil
 }
 
-// padLeft gives every left row in [lo, hi) that no pair names the pair
-// (i, -1), in left-row order: a LEFT join's NULL-extended rows. The pairs
-// come ordered by left row; padded reports whether any row got one.
-func padLeft(li, ri []int, lo, hi int) (_, _ []int, padded bool) {
+// padLeft gives every left row of a morsel (lo … hi-1, or probe[m]) that
+// no pair names the pair (i, -1), in order: a LEFT join's NULL-extended
+// rows. padded reports whether any row got one.
+func padLeft(li, ri []int, lo, hi int, probe [][]int, m int) (_, _ []int, padded bool) {
 	pl := make([]int, 0, len(li)+hi-lo)
 	pr := make([]int, 0, len(li)+hi-lo)
-	x := 0
-	for i := lo; i < hi; i++ {
-		if x == len(li) || li[x] != i {
+	k := 0
+	for x := lo; x < hi; x++ {
+		i := x
+		if probe != nil {
+			i = probe[m][x-lo]
+		}
+		if k == len(li) || li[k] != i {
 			pl, pr = append(pl, i), append(pr, -1)
 			continue
 		}
-		for ; x < len(li) && li[x] == i; x++ {
-			pl, pr = append(pl, i), append(pr, ri[x])
+		for ; k < len(li) && li[k] == i; k++ {
+			pl, pr = append(pl, i), append(pr, ri[k])
 		}
 	}
 	return pl, pr, len(pl) > len(li)
@@ -802,19 +870,17 @@ func newPartial(spec AggSpec, g int, k data.Kind) *aggPartial {
 // row and hash, and native partials over its local group ids, which go
 // into a buffer per worker; MIN and MAX of an int, float or string fold
 // unboxed. It is the engine's one grouping: a DISTINCT, and a UNION's
-// dedup, is an aggregate keyed on every column with no aggregates. The
-// columns come from the node's compiled program, from the input itself
-// when every expression is one of its columns, or, for a fused
-// aggregate, from its wrapper. At the barrier the morsels' groups merge,
-// morsels in order, into one table keyed by the hashes they kept, which
-// numbers the global groups in first-occurrence order, the serial scan's
-// (a lone morsel's groups are the global ones). Then the partials merge
-// through the local→global id maps, and the key columns gather typed. A
-// UDF aggregate, which may not be decomposable, runs once over every
-// morsel's group ids and computed arguments, joined in morsel order.
-func (e *Engine) aggregateChunk(p *Plan, in *data.Chunk, ectx *execCtx) (*data.Chunk, error) {
-	n := in.NumRows()
-	spans := e.spansFor(p, n)
+// dedup, is an aggregate keyed on every column with no aggregates. At the
+// barrier the morsels' groups merge, morsels in order, into one table
+// keyed by the hashes they kept, which numbers the global groups in
+// first-occurrence order, the serial scan's (a lone morsel's groups are
+// the global ones). Then the partials merge through the local→global id
+// maps, and the key columns gather typed. A UDF aggregate, which may not
+// be decomposable, runs once over every morsel's group ids and computed
+// arguments, joined in morsel order.
+func (e *Engine) aggregateChunk(p *Plan, in rel, ectx *execCtx) (*data.Chunk, error) {
+	n, through := in.numRows(), in.takes != nil
+	spans := in.spans(func(n int) []morselSpan { return e.spansFor(p, n) })
 	nk := len(p.GroupBy)
 
 	type morselGroups struct {
@@ -836,45 +902,54 @@ func (e *Engine) aggregateChunk(p *Plan, in *data.Chunk, ectx *execCtx) (*data.C
 		argAt[ai] = len(exprs)
 		for i, a := range spec.Args {
 			kind := data.KindNull
-			if _, isCol := a.(*ColRef); spec.UDF != nil && (!isCol || p.Op == OpFusedAgg) {
+			_, isCol := a.(*ColRef)
+			if spec.UDF != nil && (!isCol || p.Op == OpFusedAgg) {
 				kind = data.KindString
 				if i < len(spec.UDF.InKinds) {
 					kind = spec.UDF.InKinds[i]
 				}
+			}
+			if spec.UDF != nil && (!isCol || p.Op == OpFusedAgg || through) {
 				udfAt = append(udfAt, len(exprs))
 			}
 			exprs, want = append(exprs, a), append(want, kind)
 		}
 	}
 	// The columns come from the node's compiled program; from the input
-	// itself, read in place, when every expression is one of its columns
-	// (a DISTINCT, or GROUP BY k with SUM(v)); or, for a fused aggregate,
-	// from its wrapper: one crossing per morsel, whose rows are the ones
-	// its trace yields (fewer after a filter, more after an expand).
+	// columns themselves when every expression is one (a DISTINCT, or
+	// GROUP BY k with SUM(v)); or, for a fused aggregate, from its wrapper:
+	// one crossing per morsel, whose rows are the ones its trace yields
+	// (fewer after a filter, more after an expand). A morsel reads the
+	// input columns in reads (rel.morsel), or a chunk's in place (inCols).
 	var (
 		prog   *exprProg
 		kinds  []data.Kind // each column's kind
 		wrap   *ffi.UDF
-		wrapIn *data.Chunk
+		reads  []int          // the input columns a morsel reads
 		inCols []*data.Column // each expression's input column, read in place
+		cols   = in.cols()
+		err    error
 	)
 	switch {
 	case p.Op == OpFusedAgg:
-		wrap = ectx.clone(p.UDF)
-		args, err := fusedArgs(p, in)
-		if err != nil {
+		if reads, err = fusedReads(p, len(cols)); err != nil {
 			return nil, err
 		}
-		wrapIn, kinds = data.NewChunk(args...), wrap.OutKinds
+		wrap = ectx.clone(p.UDF)
+		kinds = wrap.OutKinds
 	case !slices.ContainsFunc(exprs, func(x SQLExpr) bool { _, ok := x.(*ColRef); return !ok }):
-		inCols, kinds = make([]*data.Column, len(exprs)), make([]data.Kind, len(exprs))
+		kinds = make([]data.Kind, len(exprs))
 		for i, x := range exprs {
-			inCols[i] = in.Cols[x.(*ColRef).Index]
-			kinds[i] = inCols[i].Kind
+			reads = append(reads, x.(*ColRef).Index)
+			kinds[i] = cols[reads[i]].Kind
+		}
+		if !through {
+			inCols = choose(cols, reads)
 		}
 	default:
-		var err error
-		if prog, err = e.compile(in, exprs, want); err != nil {
+		var xs []SQLExpr
+		xs, reads = narrow(exprs)
+		if prog, err = e.compile(data.NewChunk(choose(cols, reads)...), xs, want); err != nil {
 			return nil, err
 		}
 		kinds = make([]data.Kind, len(exprs))
@@ -883,9 +958,8 @@ func (e *Engine) aggregateChunk(p *Plan, in *data.Chunk, ectx *execCtx) (*data.C
 		}
 	}
 	// With many morsels, a morsel keeps only its groups' first rows of
-	// the key columns: the program lends recycled scratch, and a wrapper's
-	// fresh columns would hold every row of the input until the barrier.
-	// Columns read in place stay where they are.
+	// the key columns, unless it reads them in place: scratch is recycled,
+	// and a wrapper's fresh columns would hold every row.
 	many := len(spans) > 1
 	copyKeys := many && inCols == nil
 	// A UDF aggregate's rows. The program's morsels have their input's
@@ -894,15 +968,15 @@ func (e *Engine) aggregateChunk(p *Plan, in *data.Chunk, ectx *execCtx) (*data.C
 	// after each crossing, so it keeps its own, joined at the barrier.
 	var (
 		udfAgg    = slices.ContainsFunc(p.Aggs, func(a AggSpec) bool { return a.UDF != nil })
-		groupIDs  []int            // row -> group id
-		udfArgs   []*data.Column   // the computed arguments, by expression
-		wrapGids  [][]int          // per fused morsel: row -> local group id
-		wrapUArgs [][]*data.Column // per fused morsel: udfArgs
+		groupIDs  []int          // row -> group id
+		udfArgs   []*data.Column // the computed arguments, by expression
+		wrapGids  [][]int        // per fused morsel: row -> local group id
+		wrapUArgs []*data.Chunk  // per fused morsel: its udfAt columns
 	)
 	if udfAgg {
 		udfArgs = make([]*data.Column, len(exprs))
 		if wrap != nil {
-			wrapGids, wrapUArgs = make([][]int, len(spans)), make([][]*data.Column, len(spans))
+			wrapGids, wrapUArgs = make([][]int, len(spans)), make([]*data.Chunk, len(spans))
 		} else if groupIDs = make([]int, n); many {
 			for _, at := range udfAt {
 				udfArgs[at] = data.NewColumnLen("", kinds[at], n, true)
@@ -910,19 +984,20 @@ func (e *Engine) aggregateChunk(p *Plan, in *data.Chunk, ectx *execCtx) (*data.C
 		}
 	}
 	// Per worker, reused by each morsel: its row -> local group id, its
-	// table, and its groups' first rows.
+	// table, its groups' first rows, and the columns it gathers.
 	type workerBufs struct {
 		gids, first []int
 		table       hashTable
+		scr         []data.Column
 	}
 	bufs := make([]workerBufs, min(e.Workers(), len(spans)))
 
-	_, err := e.runMorsels(ectx, spans, func(w, m, lo, hi int) error {
+	_, err = e.runMorsels(ectx, spans, func(w, m, lo, hi int) error {
 		var wrapOut []*data.Column
 		rows := hi - lo
 		if wrap != nil {
 			var err error
-			if wrapOut, rows, err = fusedMorsel(wrap, len(spans) == 1, wrapIn.Slice(lo, hi).Cols, rows, wrap.OutNames, wrap.OutKinds); err != nil {
+			if wrapOut, rows, err = fusedMorsel(wrap, len(spans) == 1, in.morsel(&bufs[w].scr, reads, m, lo, hi).Cols, rows, wrap.OutNames, wrap.OutKinds); err != nil {
 				return err
 			}
 		}
@@ -1001,20 +1076,19 @@ func (e *Engine) aggregateChunk(p *Plan, in *data.Chunk, ectx *execCtx) (*data.C
 				if wrapGids[m] = gids; many { // the worker's buffer serves its next morsel
 					wrapGids[m] = slices.Clone(gids)
 				}
-				wrapUArgs[m] = make([]*data.Column, len(exprs))
-				for _, at := range udfAt {
-					wrapUArgs[m][at] = cols[at]
-				}
+				wrapUArgs[m] = data.NewChunk(choose(cols, udfAt)...)
 			}
 			return nil
 		}
 		switch {
 		case prog != nil:
-			return prog.use(in.Slice(lo, hi), func(cols []*data.Column) error { return fold(cols, 0) })
+			return prog.use(in.morsel(&bufs[w].scr, reads, m, lo, hi), func(cols []*data.Column) error { return fold(cols, 0) })
 		case inCols != nil:
 			return fold(inCols, lo)
+		case wrap != nil:
+			return fold(wrapOut, 0)
 		}
-		return fold(wrapOut, 0)
+		return fold(in.morsel(&bufs[w].scr, reads, m, lo, hi).Cols, 0)
 	})
 	if err != nil {
 		return nil, err
@@ -1111,8 +1185,12 @@ func (e *Engine) aggregateChunk(p *Plan, in *data.Chunk, ectx *execCtx) (*data.C
 		if groupIDs = wrapGids[0]; many {
 			groupIDs = slices.Concat(wrapGids...)
 		}
-		for _, at := range udfAt {
-			udfArgs[at] = joinMorsels(len(groupIDs), kinds[at], len(morsels), func(m int) *data.Column { return wrapUArgs[m][at] })
+		joined := wrapUArgs[0]
+		if many {
+			joined = data.Concat(joined.Schema(), wrapUArgs)
+		}
+		for k, at := range udfAt {
+			udfArgs[at] = joined.Cols[k]
 		}
 	}
 	endMerge()
@@ -1144,7 +1222,7 @@ func (e *Engine) aggregateChunk(p *Plan, in *data.Chunk, ectx *execCtx) (*data.C
 			for i, a := range spec.Args {
 				argCols[i] = udfArgs[argAt[ai]+i]
 				if argCols[i] == nil { // a column of the input, read as it is
-					argCols[i] = in.Cols[a.(*ColRef).Index]
+					argCols[i] = cols[a.(*ColRef).Index]
 				}
 			}
 			results, err = e.callAggregate(ectx.clone(spec.UDF), p.Op == OpFusedAgg, argCols, len(groupIDs), groupIDs, g)
@@ -1163,33 +1241,11 @@ func (e *Engine) aggregateChunk(p *Plan, in *data.Chunk, ectx *execCtx) (*data.C
 	return out, nil
 }
 
-// joinMorsels joins parts morsels' columns (part(m) for morsel m) into
-// one of n rows and the given kind, in morsel order; a lone part is the
-// result as it is.
-func joinMorsels(n int, kind data.Kind, parts int, part func(m int) *data.Column) *data.Column {
-	if parts == 1 {
-		return part(0)
-	}
-	out := data.NewColumnLen("", kind, n, true)
-	at := 0
-	for m := 0; m < parts; m++ {
-		c := part(m)
-		c.CopyInto(out, at)
-		at += c.Len()
-	}
-	if !slices.Contains(out.Nulls, true) {
-		out.Nulls = nil
-	}
-	return out
-}
-
-// sortChunk orders the chunk by the plan's sort items: the key vectors
-// evaluate morsel-parallel into shared (disjoint) ranges, each worker
-// stable-sorts a contiguous run, and the runs fold together with a
-// pairwise stable merge — ties always prefer the earlier run, so the
-// result is identical to a full stable sort.
+// sortChunk orders the chunk by the plan's sort items and then the row
+// index, so no two rows tie and any sort gives the stable order. The
+// keys evaluate morsel-parallel, each worker sorts a contiguous run, the
+// runs merge, and the output is gathered once.
 func (e *Engine) sortChunk(p *Plan, in *data.Chunk, ectx *execCtx) (*data.Chunk, error) {
-	sp := ectx.span
 	n := in.NumRows()
 	exprs := make([]SQLExpr, len(p.SortItems))
 	for i, s := range p.SortItems {
@@ -1206,72 +1262,52 @@ func (e *Engine) sortChunk(p *Plan, in *data.Chunk, ectx *execCtx) (*data.Chunk,
 	if err != nil {
 		return nil, err
 	}
-	less := func(a, b int) bool {
+	order := func(a, b int) int {
 		for k, s := range p.SortItems {
-			c := compareRows(keys.Cols[k], a, b)
-			if c == 0 {
-				continue
+			if c := compareRows(keys.Cols[k], a, b); c != 0 && s.Desc {
+				return -c
+			} else if c != 0 {
+				return c
 			}
-			if s.Desc {
-				return c > 0
-			}
-			return c < 0
 		}
-		return false
+		return cmp.Compare(a, b)
 	}
 	idx := make([]int, n)
 	for i := range idx {
 		idx[i] = i
 	}
-	workers := e.Workers()
-	if workers <= 1 || n < minParallelRows {
-		sort.SliceStable(idx, func(a, b int) bool { return less(idx[a], idx[b]) })
-		return in.Take(idx), nil
-	}
-	// Sorted runs: one contiguous range per worker.
-	per := (n + workers - 1) / workers
-	runs := morselPlan(n, per)
-	var wg sync.WaitGroup
-	for _, r := range runs {
-		wg.Add(1)
-		go func(r morselSpan) {
-			defer wg.Done()
-			seg := idx[r.lo:r.hi]
-			sort.SliceStable(seg, func(a, b int) bool { return less(seg[a], seg[b]) })
-		}(r)
-	}
-	wg.Wait()
-	endMerge := e.mergeTimer(sp)
-	buf := make([]int, n)
-	for len(runs) > 1 {
-		next := make([]morselSpan, 0, (len(runs)+1)/2)
-		var mwg sync.WaitGroup
-		for i := 0; i < len(runs); i += 2 {
-			if i+1 == len(runs) {
-				r := runs[i]
-				copy(buf[r.lo:r.hi], idx[r.lo:r.hi])
-				next = append(next, r)
-				continue
-			}
-			a, b := runs[i], runs[i+1]
-			mwg.Add(1)
-			go func(a, b morselSpan) {
-				defer mwg.Done()
-				mergeRuns(idx, buf, a, b, less)
-			}(a, b)
-			next = append(next, morselSpan{a.lo, b.hi})
+	if workers := e.Workers(); workers > 1 && n >= minParallelRows {
+		// Sorted runs, one per worker, then merged pairwise on the pool,
+		// level by level, each level's runs twice as long.
+		size := (n + workers - 1) / workers
+		if _, _, err := e.drive(ectx.ctx, morselPlan(n, size), false, func(_, _, lo, hi int) error { slices.SortFunc(idx[lo:hi], order); return nil }); err != nil {
+			return nil, err
 		}
-		mwg.Wait()
-		idx, buf = buf, idx
-		runs = next
+		endMerge := e.mergeTimer(ectx.span)
+		for buf := make([]int, n); size < n; size *= 2 {
+			if _, _, err := e.drive(ectx.ctx, morselPlan(n, 2*size), false, func(_, _, lo, hi int) error {
+				mergeRuns(buf[lo:hi], idx[lo:min(lo+size, hi)], idx[min(lo+size, hi):hi], order)
+				return nil
+			}); err != nil {
+				return nil, err
+			}
+			idx, buf = buf, idx
+		}
+		endMerge()
+	} else {
+		slices.SortFunc(idx, order)
 	}
-	endMerge()
-	return e.takeParallel(ectx, in, idx), nil
+	var rows [][]int // the gather's morsels
+	for _, s := range e.morselsFor(n) {
+		rows = append(rows, idx[s.lo:s.hi])
+	}
+	return e.materialize(ectx, rel{takes: []take{{cols: in.Cols, rows: rows}}})
 }
 
-// compareRows orders two rows of a sort-key column as data.Compare
-// orders their values: NULL first, then by value; kinds with no order of
-// their own (dicts) compare by their text.
+// compareRows orders two rows of a sort-key column: NULL first, then by
+// value, a NaN above every other float and equal to a NaN (as PostgreSQL
+// and DuckDB order it); kinds with no order of their own (dicts) compare
+// by their text.
 func compareRows(c *data.Column, a, b int) int {
 	switch an, bn := c.IsNull(a), c.IsNull(b); {
 	case an && bn:
@@ -1283,55 +1319,32 @@ func compareRows(c *data.Column, a, b int) int {
 	}
 	switch c.Kind {
 	case data.KindInt:
-		return order(c.Ints[a], c.Ints[b])
+		return cmp.Compare(c.Ints[a], c.Ints[b])
 	case data.KindFloat:
-		return order(c.Floats[a], c.Floats[b])
+		if x, y := c.Floats[a], c.Floats[b]; math.IsNaN(x) != math.IsNaN(y) {
+			return cmp.Compare(y, x) // cmp.Compare puts the NaN below
+		}
+		return cmp.Compare(c.Floats[a], c.Floats[b])
 	case data.KindString:
-		return order(c.Strs[a], c.Strs[b])
+		return cmp.Compare(c.Strs[a], c.Strs[b])
 	}
 	va, vb := c.Get(a), c.Get(b)
 	r, ok := data.Compare(va, vb)
 	if !ok {
-		r = order(va.String(), vb.String())
+		r = cmp.Compare(va.String(), vb.String())
 	}
 	return r
 }
 
-// order is the three-way comparison of data.Compare: a NaN is neither
-// below nor above anything, so it orders equal.
-func order[T int64 | float64 | string](a, b T) int {
-	switch {
-	case a < b:
-		return -1
-	case a > b:
-		return 1
-	}
-	return 0
-}
-
-// mergeRuns stable-merges two adjacent sorted runs of src into the same
-// positions of dst: an element from the right run only passes the left
-// one when strictly less, preserving input order on ties.
-func mergeRuns(src, dst []int, a, b morselSpan, less func(x, y int) bool) {
-	i, j, o := a.lo, b.lo, a.lo
-	for i < a.hi && j < b.hi {
-		if less(src[j], src[i]) {
-			dst[o] = src[j]
-			j++
+// mergeRuns merges the sorted runs a and b into dst by order, under
+// which no two rows tie.
+func mergeRuns(dst, a, b []int, order func(x, y int) int) {
+	i, j := 0, 0
+	for o := range dst {
+		if j == len(b) || i < len(a) && order(a[i], b[j]) < 0 {
+			dst[o], i = a[i], i+1
 		} else {
-			dst[o] = src[i]
-			i++
+			dst[o], j = b[j], j+1
 		}
-		o++
-	}
-	for i < a.hi {
-		dst[o] = src[i]
-		i++
-		o++
-	}
-	for j < b.hi {
-		dst[o] = src[j]
-		j++
-		o++
 	}
 }

@@ -32,18 +32,6 @@ func init() {
 
 var fusedOpNames = map[PlanOp]string{}
 
-// execFusedColumnar executes OpFused/OpFusedAgg.
-func (e *Engine) execFusedColumnar(p *Plan, ectx *execCtx) (*data.Chunk, error) {
-	in, err := e.execPlan(p.Children[0], ectx)
-	if err != nil {
-		return nil, err
-	}
-	if p.Op == OpFusedAgg {
-		return e.aggregateChunk(p, in, ectx)
-	}
-	return e.runFused(p, in, ectx)
-}
-
 // runFusedAsTable executes a fused wrapper invoked through table-
 // function syntax (the SQL produced by rewrite path 1): every child
 // column feeds the wrapper in order.
@@ -60,7 +48,7 @@ func (e *Engine) runFusedAsTable(p *Plan, in *data.Chunk, ectx *execCtx) (*data.
 // clones of that clone) — never on the catalog's UDF.
 func (e *Engine) runFused(p *Plan, in *data.Chunk, ectx *execCtx) (*data.Chunk, error) {
 	u := ectx.clone(p.UDF)
-	args, err := fusedArgs(p, in)
+	reads, err := fusedReads(p, len(in.Cols))
 	if err != nil {
 		return nil, err
 	}
@@ -75,38 +63,43 @@ func (e *Engine) runFused(p *Plan, in *data.Chunk, ectx *execCtx) (*data.Chunk, 
 	// (spansFor). morselsFor is what keeps Parallelism 1
 	// operator-at-a-time.
 	spans := e.spansFor(p, n)
-	return e.runPartitioned(ectx, data.NewChunk(args...), spans, func(_ int, part *data.Chunk) (*data.Chunk, error) {
+	return e.runPartitioned(ectx, data.NewChunk(choose(in.Cols, reads)...), spans, func(_ int, part *data.Chunk) (*data.Chunk, error) {
 		cols, _, err := fusedMorsel(u, len(spans) == 1, part.Cols, part.NumRows(), names, kinds)
 		return data.NewChunk(cols...), err
 	})
 }
 
 // spansFor splits a node's n input rows: into the engine's morsels, or
-// into one when the node's fused wrapper is driven by a FROM-position
-// table UDF, which consumes its whole input. The rule reads the wrapper's
-// trace, so it holds however the wrapper is reached: a fused node, or a
-// call by name from path-1 SQL.
+// into one when the node is sourceDriven, reached as a fused node or by
+// name from path-1 SQL.
 func (e *Engine) spansFor(p *Plan, n int) []morselSpan {
-	if p.UDF != nil && p.UDF.Fused && p.UDF.Trace().Source != nil {
+	if sourceDriven(p) {
 		return morselPlan(n, n)
 	}
 	return e.morselsFor(n)
 }
 
-// fusedArgs returns the input columns a fused node feeds its wrapper.
-func fusedArgs(p *Plan, in *data.Chunk) ([]*data.Column, error) {
-	args := make([]*data.Column, len(p.TFArgs))
+// sourceDriven reports whether node p's fused wrapper is driven by a
+// FROM-position table UDF, which consumes its whole input as one morsel.
+func sourceDriven(p *Plan) bool {
+	return p.UDF != nil && p.UDF.Fused && p.UDF.Trace().Source != nil
+}
+
+// fusedReads returns the input columns, of ncols, that a fused node
+// feeds its wrapper.
+func fusedReads(p *Plan, ncols int) ([]int, error) {
+	reads := make([]int, len(p.TFArgs))
 	for i, a := range p.TFArgs {
 		cr, ok := a.(*ColRef)
 		if !ok {
 			return nil, fmt.Errorf("sql: fused input must be a column ref, got %T", a)
 		}
-		if cr.Index < 0 || cr.Index >= len(in.Cols) {
+		if cr.Index < 0 || cr.Index >= ncols {
 			return nil, fmt.Errorf("sql: fused input %s out of range", cr)
 		}
-		args[i] = in.Cols[cr.Index]
+		reads[i] = cr.Index
 	}
-	return args, nil
+	return reads, nil
 }
 
 // fusedMorsel runs one morsel of a fused node: the wrapper over n rows

@@ -53,7 +53,9 @@ func sameValue(a, b data.Value) bool {
 // EvalPure per row; the filter keeps exactly the rows where EvalPure is
 // truthy; each operator compiled its expressions once, however many
 // morsels it ran; and the expression as a group key and as an
-// aggregate's argument gives what a serial single-batch run gives.
+// aggregate's argument gives what a serial single-batch run gives. The
+// projection and the aggregates read the table as a chunk and as a
+// filter's take of every row.
 func checkExprEquiv(t *testing.T, tbl *data.Table, x SQLExpr) {
 	t.Helper()
 	x, kind, err := (&planner{cat: NewCatalog()}).bindExpr(x, &Plan{Schema: tbl.Schema})
@@ -89,7 +91,7 @@ func checkExprEquiv(t *testing.T, tbl *data.Table, x SQLExpr) {
 	ref.Catalog.PutTable(tbl)
 	if _, err := ref.statement(context.Background(), nil, func(qe *Engine) error {
 		for a, agg := range aggs {
-			serial[a], serialErr[a] = qe.aggregateChunk(agg, in, qe.q)
+			serial[a], serialErr[a] = qe.aggregateChunk(agg, rel{ch: in}, qe.q)
 			if err := serialErr[a]; err != nil && !errors.Is(err, data.ErrIntOverflow) {
 				return err
 			}
@@ -111,28 +113,44 @@ func checkExprEquiv(t *testing.T, tbl *data.Table, x SQLExpr) {
 				t.Errorf("%s: compiled as %s, bound as %s", label, k, kind)
 			}
 
+			// The projection reads its input as a chunk, and as the take a
+			// filter that keeps every row hands up.
 			scan := &Plan{Op: OpScan, Table: tbl.Name, Schema: tbl.Schema}
-			before := mExprCompiles.Value()
-			got, err := qe.projectChunk(&Plan{Op: OpProject, Exprs: []SQLExpr{x, x},
-				Schema: data.Schema{{Name: "v", Kind: want.Kind}, {Name: "w", Kind: want.Kind}}, Children: []*Plan{scan}}, in, qe.q)
-			if err != nil {
-				return err
-			}
-			if d := mExprCompiles.Value() - before; d != 1 {
-				t.Errorf("%s: projection compiled %d times, want once per node", label, d)
-			}
-			if got.NumRows() != n {
-				t.Fatalf("%s: %d rows out, want %d", label, got.NumRows(), n)
-			}
-			for i := 0; i < n; i++ {
-				for _, col := range got.Cols {
-					if g, w := col.Get(i), want.Get(i); !sameValue(g, w) {
-						t.Fatalf("%s: row %d %v: got %s %v, want %s %v", label, i, in.Row(i), g.Kind, g, w.Kind, w)
+			for _, src := range []rel{{ch: in}, keepAll(qe, in)} {
+				arm := fmt.Sprintf("%s take=%t", label, src.takes != nil)
+				before := mExprCompiles.Value()
+				res, err := qe.projectChunk(&Plan{Op: OpProject, Exprs: []SQLExpr{x, x},
+					Schema: data.Schema{{Name: "v", Kind: want.Kind}, {Name: "w", Kind: want.Kind}}, Children: []*Plan{scan}}, src, qe.q)
+				if err != nil {
+					return err
+				}
+				got := res.ch
+				// Once per node; a bare column compiles to nothing, passing
+				// through as it is.
+				wantCompiles := int64(1)
+				if _, bare := x.(*ColRef); bare {
+					wantCompiles = 0
+				}
+				if d := mExprCompiles.Value() - before; d != wantCompiles {
+					t.Errorf("%s: projection compiled %d times, want %d", arm, d, wantCompiles)
+				}
+				if got.NumRows() != n {
+					t.Fatalf("%s: %d rows out, want %d", arm, got.NumRows(), n)
+				}
+				for i := 0; i < n; i++ {
+					for _, col := range got.Cols {
+						if g, w := col.Get(i), want.Get(i); !sameValue(g, w) {
+							t.Fatalf("%s: row %d %v: got %s %v, want %s %v", arm, i, in.Row(i), g.Kind, g, w.Kind, w)
+						}
 					}
 				}
 			}
 
-			kept, err := qe.filterChunk(x, in, qe.q)
+			take, err := qe.filterChunk(x, in, qe.q)
+			if err != nil {
+				return err
+			}
+			kept, err := qe.materialize(qe.q, take)
 			if err != nil {
 				return err
 			}
@@ -151,17 +169,20 @@ func checkExprEquiv(t *testing.T, tbl *data.Table, x SQLExpr) {
 			}
 
 			for a, agg := range aggs {
-				got, err := qe.aggregateChunk(agg, in, qe.q)
-				if errors.Is(err, data.ErrIntOverflow) != errors.Is(serialErr[a], data.ErrIntOverflow) {
-					t.Fatalf("%s: aggregate %s: error %v, serially %v: an int SUM overflows in every config or in none", label, agg.Schema, err, serialErr[a])
+				for _, src := range []rel{{ch: in}, keepAll(qe, in)} {
+					arm := fmt.Sprintf("%s take=%t", label, src.takes != nil)
+					got, err := qe.aggregateChunk(agg, src, qe.q)
+					if errors.Is(err, data.ErrIntOverflow) != errors.Is(serialErr[a], data.ErrIntOverflow) {
+						t.Fatalf("%s: aggregate %s: error %v, serially %v: an int SUM overflows in every config or in none", arm, agg.Schema, err, serialErr[a])
+					}
+					if serialErr[a] != nil {
+						continue
+					}
+					if err != nil {
+						return err
+					}
+					checkSameAggregate(t, arm, agg, got, serial[a], n, mag)
 				}
-				if serialErr[a] != nil {
-					continue
-				}
-				if err != nil {
-					return err
-				}
-				checkSameAggregate(t, label, agg, got, serial[a], n, mag)
 			}
 			return nil
 		})
@@ -169,6 +190,20 @@ func checkExprEquiv(t *testing.T, tbl *data.Table, x SQLExpr) {
 			t.Fatalf("%s: %v", label, err)
 		}
 	}
+}
+
+// keepAll is the take of every row of in, in qe's morsels: what a
+// filter whose predicate holds on every row hands its parent.
+func keepAll(qe *Engine, in *data.Chunk) rel {
+	var rows [][]int
+	for _, s := range qe.morselsFor(in.NumRows()) {
+		r := make([]int, 0, s.hi-s.lo)
+		for i := s.lo; i < s.hi; i++ {
+			r = append(r, i)
+		}
+		rows = append(rows, r)
+	}
+	return rel{takes: []take{{cols: in.Cols, rows: rows}}}
 }
 
 // aggregateArm plans x as a GROUP BY key and as the argument of COUNT,
@@ -284,6 +319,8 @@ func TestExprEquivFixed(t *testing.T) {
 		{"CASE WHEN a IS NULL THEN NULL ELSE a * 2 END", []data.Value{I(20), I(-14), N, I(10)}},
 		{"CASE WHEN a > 0 THEN b END", []data.Value{I(3), N, N, N}},
 		{"CAST(f AS int) + CAST(b AS float)", []data.Value{F(4), F(2), F(4), N}},
+		// A cast to the column's own kind compiles to the column itself.
+		{"CAST(a AS int)", []data.Value{I(10), I(-7), N, I(5)}},
 		// A result over a recycled intermediate that owns its null mask
 		// (the union of a's and b's) must not share that mask.
 		{"(a + b) * 2", []data.Value{I(26), I(-14), N, N}},

@@ -241,26 +241,25 @@ func (e *Engine) mergeTimer(sp *obs.Span) func() {
 // contiguous slices of in (and the row each starts at) and outputs one
 // chunk per slice.
 func (e *Engine) runPartitioned(ectx *execCtx, in *data.Chunk, spans []morselSpan, fn func(lo int, part *data.Chunk) (*data.Chunk, error)) (*data.Chunk, error) {
-	outs, err := partitioned(e, ectx, in, spans, fn)
+	outs, err := partitioned(e, ectx, spans, func(_, _, lo, hi int) (*data.Chunk, error) { return fn(lo, in.Slice(lo, hi)) })
 	if err != nil {
 		return nil, err
 	}
 	return e.concat(ectx.span, outs[0].Schema(), outs), nil
 }
 
-// partitioned runs fn over spans, the morsels of in, and returns its
-// results in input order. fn sees each morsel as a view of in and the
-// row the view starts at. A serial single batch runs fn over in itself:
-// no slicing and no morsel accounting.
-func partitioned[T any](e *Engine, ectx *execCtx, in *data.Chunk, spans []morselSpan, fn func(lo int, part *data.Chunk) (T, error)) ([]T, error) {
+// partitioned runs fn(worker, m, lo, hi) over spans, an input's morsels,
+// and returns its results in input order. A serial single batch runs on
+// the calling goroutine with no morsel accounting.
+func partitioned[T any](e *Engine, ectx *execCtx, spans []morselSpan, fn func(w, m, lo, hi int) (T, error)) ([]T, error) {
 	outs := make([]T, len(spans))
 	if len(spans) == 1 && e.Workers() <= 1 {
 		var err error
-		outs[0], err = fn(0, in)
+		outs[0], err = fn(0, 0, spans[0].lo, spans[0].hi)
 		return outs, err
 	}
-	_, err := e.runMorsels(ectx, spans, func(_, m, lo, hi int) (err error) {
-		outs[m], err = fn(lo, in.Slice(lo, hi))
+	_, err := e.runMorsels(ectx, spans, func(w, m, lo, hi int) (err error) {
+		outs[m], err = fn(w, m, lo, hi)
 		return err
 	})
 	return outs, err
@@ -276,34 +275,103 @@ func (e *Engine) concat(sp *obs.Span, schema data.Schema, parts []*data.Chunk) *
 	return data.Concat(schema, parts)
 }
 
-// takeParallel materializes in.Take(idx) across the worker pool: each
-// morsel of idx gathers into its rows of one preallocated output
-// (identical output to the serial Take).
-func (e *Engine) takeParallel(ectx *execCtx, in *data.Chunk, idx []int) *data.Chunk {
-	if len(idx) < minParallelRows || e.Workers() <= 1 {
-		return in.Take(idx)
-	}
-	var rows [][]int
-	for _, s := range e.morselsFor(len(idx)) {
-		rows = append(rows, idx[s.lo:s.hi])
-	}
-	cols, err := e.gather(ectx, take{cols: in.Cols, rows: rows})
-	if err != nil {
-		// An aborted drain leaves holes in the output; the serial gather
-		// is always correct, and a cancelled query stops at the caller's
-		// next context check anyway.
-		return in.Take(idx)
-	}
-	return &data.Chunk{Cols: cols}
-}
-
-// take is one source of a gathered output: morsel m keeps the rows
+// take is one source of an operator's output: morsel m keeps the rows
 // rows[m] of cols, in order. A row of -1 is NULL, and nulls says whether
 // any row is.
 type take struct {
 	cols  []*data.Column
 	rows  [][]int
 	nulls bool
+}
+
+// rel is an operator's output: a chunk, or a filter's or a join's takes,
+// side by side, which a parent reads through (morsel) or materializes.
+type rel struct {
+	ch    *data.Chunk
+	takes []take
+}
+
+// numRows is the output's row count.
+func (r rel) numRows() int {
+	if r.takes == nil {
+		return r.ch.NumRows()
+	}
+	spans := r.spans(nil)
+	return spans[len(spans)-1].hi
+}
+
+// spans are a take's morsels as ranges of its output rows, or a chunk's
+// rows split by split.
+func (r rel) spans(split func(n int) []morselSpan) []morselSpan {
+	if r.takes == nil {
+		return split(r.ch.NumRows())
+	}
+	spans := make([]morselSpan, len(r.takes[0].rows))
+	at := 0
+	for m, rows := range r.takes[0].rows {
+		spans[m], at = morselSpan{at, at + len(rows)}, at+len(rows)
+	}
+	return spans
+}
+
+// source returns output column c and, over takes, its take.
+func (r rel) source(c int) (take, *data.Column) {
+	if r.takes == nil {
+		return take{}, r.ch.Cols[c]
+	}
+	t := 0
+	for ; c >= len(r.takes[t].cols); t++ {
+		c -= len(r.takes[t].cols)
+	}
+	return r.takes[t], r.takes[t].cols[c]
+}
+
+// cols are the output's columns, or over takes their sources.
+func (r rel) cols() []*data.Column {
+	if r.takes == nil {
+		return r.ch.Cols
+	}
+	var cols []*data.Column
+	for _, t := range r.takes {
+		cols = append(cols, t.cols...)
+	}
+	return cols
+}
+
+// morsel returns rows [lo, hi), morsel m, of the output columns reads:
+// views of a chunk's columns, or a take's rows gathered into scr, scratch
+// that one worker reuses from morsel to morsel (valid until its next).
+func (r rel) morsel(scr *[]data.Column, reads []int, m, lo, hi int) *data.Chunk {
+	ch := &data.Chunk{Cols: make([]*data.Column, len(reads))}
+	if len(*scr) < len(reads) {
+		*scr = make([]data.Column, len(reads))
+	}
+	for i, c := range reads {
+		t, src := r.source(c)
+		if r.takes == nil {
+			ch.Cols[i] = src.Slice(lo, hi)
+			continue
+		}
+		if sc := &(*scr)[i]; sc.Len() < hi-lo || sc.Kind != src.Kind {
+			*sc = *data.NewColumnLen(src.Name, src.Kind, hi-lo, src.Nulls != nil || t.nulls)
+		}
+		ch.Cols[i] = (*scr)[i].Slice(0, hi-lo)
+		src.TakeInto(ch.Cols[i], 0, t.rows[m])
+	}
+	return ch
+}
+
+// materialize returns an operator's output as a chunk, gathering a
+// take's columns: the one place an output is gathered.
+func (e *Engine) materialize(ectx *execCtx, r rel) (*data.Chunk, error) {
+	if r.ch != nil {
+		return r.ch, nil
+	}
+	cols, err := e.gather(ectx, r.takes...)
+	if err != nil {
+		return nil, err
+	}
+	return &data.Chunk{Cols: cols}, nil
 }
 
 // gather materializes an operator's output once its morsels have chosen
@@ -313,27 +381,20 @@ type take struct {
 // their sources' names; one has a null mask when its source has one or
 // its take has NULL rows, so the output is identical at any parallelism.
 func (e *Engine) gather(ectx *execCtx, takes ...take) ([]*data.Column, error) {
-	at := make([]int, len(takes[0].rows)+1) // morsel m's first output row
-	for m, rows := range takes[0].rows {
-		at[m+1] = at[m] + len(rows)
-	}
-	n, width := at[len(at)-1], 0
-	for _, t := range takes {
-		width += len(t.cols)
-	}
-	out := make([]*data.Column, 0, width)
+	spans := rel{takes: takes}.spans(nil) // each morsel's output rows
+	n, out := spans[len(spans)-1].hi, []*data.Column(nil)
 	for _, t := range takes {
 		for _, c := range t.cols {
 			out = append(out, data.NewColumnLen(c.Name, c.Kind, n, c.Nulls != nil || t.nulls))
 		}
 	}
-	if len(at) == 2 {
+	if len(spans) == 1 {
 		gatherMorsel(out, takes, 0, 0) // one morsel: gather in place
 		return out, nil
 	}
 	ts := append([]take(nil), takes...) // the pool's copy, so takes stays with the caller
-	_, _, err := e.drive(ectx.ctx, make([]morselSpan, len(at)-1), n < minParallelRows, func(_, m, _, _ int) error {
-		gatherMorsel(out, ts, m, at[m])
+	_, _, err := e.drive(ectx.ctx, spans, n < minParallelRows, func(_, m, lo, _ int) error {
+		gatherMorsel(out, ts, m, lo)
 		return nil
 	})
 	return out, err

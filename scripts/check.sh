@@ -28,7 +28,8 @@ fi
 # (*pylite.Generator).Next, pylite.ValueIter; the UDO baseline in
 # internal/bench/systems.go aside); and only sqlengine's aggregateChunk
 # (the one grouping and dedup) and joinChunk (the join's build) make a
-# hash table (newHashTable); and outside internal/ffi only the cost
+# hash table (newHashTable); and only sqlengine's materialize gathers an
+# operator's output ((*Engine).gather); and outside internal/ffi only the cost
 # model's udfRowCost reads (*ffi.Stats).WrapNanosPerRow, so a UDF's body
 # cost is derived in one place.
 go run ./scripts/udflookup

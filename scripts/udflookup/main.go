@@ -34,6 +34,11 @@
 //     aggregateChunk, the one grouping (a DISTINCT and a UNION's dedup
 //     are aggregates with no aggregates), and joinChunk, for its build,
 //     may call it, so no second dedup or group-by grows back.
+//   - sqlengine's (*Engine).gather copies the rows an operator's morsels
+//     chose into new columns. A filter or a join hands its row lists up
+//     and an aggregate, a projection or a join's probe side reads through
+//     them, so only materialize, the one helper that gives any other
+//     parent a chunk, may call it: no operator grows its own gather back.
 //   - (*ffi.Stats).WrapNanosPerRow is the wrapper half of a UDF's learned
 //     cost. Outside internal/ffi, only the cost model's udfRowCost
 //     (internal/core/cost.go) may read it, so a UDF's body cost (wall
@@ -119,6 +124,11 @@ var rules = []rule{
 		fn:    module + "/internal/sqlengine.newHashTable",
 		where: []string{"internal/sqlengine/exec_columnar.go:aggregateChunk", "internal/sqlengine/exec_columnar.go:joinChunk"},
 		msg:   "makes a hash table outside the one grouping; a dedup or group-by is an OpAggregate (aggregateChunk), a join's build is joinChunk's",
+	},
+	{
+		fn:    "(*" + module + "/internal/sqlengine.Engine).gather",
+		where: []string{"internal/sqlengine/morsel.go:materialize"},
+		msg:   "gathers an operator's output outside materialize; return the row lists (a rel's takes) and let the parent read through them or materialize them",
 	},
 	{
 		fn:    "(*" + module + "/internal/ffi.Stats).WrapNanosPerRow",
