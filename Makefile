@@ -30,7 +30,9 @@ vet:
 ## gathers an operator's output ((*Engine).gather), so no operator grows
 ## its own gather back; outside internal/ffi only the
 ## cost model's udfRowCost reads (*ffi.Stats).WrapNanosPerRow, so a UDF's
-## body cost is derived in one place.
+## body cost is derived in one place; outside the PyLite runtime only
+## ffi's (*TraceOp).call runs a register program ((*pylite.Program).RunVM),
+## so a fused trace has one VM dispatch.
 lint:
 	$(GO) vet ./...
 	@unformatted=$$(gofmt -l .); \

@@ -174,7 +174,7 @@ func (r *Runner) VMTierBench() (*Result, error) {
 	}
 
 	res.Notes = append(res.Notes,
-		"gate (make vm-smoke): section_speedup > 1 on the dispatch-bound section/ rows (closure_section_ms / vm_section_ms; section time = per-query ledger FFI wall clock); both tiers load rows alike, so the ratio is the closure tier's call frames alone (lower+lower ~1.5x at size small)",
+		"gate (make vm-smoke): section_speedup > 1 on the dispatch-bound section/ rows (closure_section_ms / vm_section_ms; section time = per-query ledger FFI wall clock); both tiers load rows alike, so the ratio is the closure tier's call frames alone (lower+lower ~1.2x at size small)",
 		"every section pays its UDF body compute on both tiers (Amdahl): lower+cleandate keeps cleandate's split/replace chains (~1.2x), and the json.loads-heavy tier/Q1–Q3 rows report real but smaller gains",
 		"vm_rows > 0 and bail_rows = 0 show the VM tier engaged and stayed on the fast path; bailing rows re-run on the closure tier (Q3's expanding section keeps its closure form by design)",
 		"morsel sweep pins the VM tier; the default 2048 balances register-file reuse against cache residency")

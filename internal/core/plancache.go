@@ -307,29 +307,12 @@ func (pc *PlanCache) Snapshot() PlanCacheSnapshot {
 	return snap
 }
 
-// normalizeSQL collapses whitespace runs to single spaces and strips a
-// trailing semicolon, so trivially reformatted repeats of one query
-// share a cache entry. Case is preserved: identifiers resolve
-// case-insensitively anyway, and folding would conflate string
-// literals.
+// normalizeSQL trims surrounding whitespace and one trailing semicolon,
+// so a repeat that differs only there shares a cache entry. Nothing
+// inside the statement changes: whitespace and case inside a string
+// literal are part of the query.
 func normalizeSQL(sql string) string {
-	sql = strings.TrimSpace(sql)
-	sql = strings.TrimSuffix(sql, ";")
-	var b strings.Builder
-	b.Grow(len(sql))
-	space := false
-	for _, r := range sql {
-		if r == ' ' || r == '\t' || r == '\n' || r == '\r' {
-			space = true
-			continue
-		}
-		if space && b.Len() > 0 {
-			b.WriteByte(' ')
-		}
-		space = false
-		b.WriteRune(r)
-	}
-	return b.String()
+	return strings.TrimSpace(strings.TrimSuffix(strings.TrimSpace(sql), ";"))
 }
 
 // optionsFingerprint encodes the technique switches that shape plan

@@ -49,10 +49,6 @@ type Trace struct {
 	// runs its register program or its native GoFn, and the trace's rows
 	// count toward the VM tier's metrics.
 	VM bool
-	// Linked, when set, is the whole-row program of a VM trace made of
-	// nothing but program calls (see link): the row loop runs it in place
-	// of the op list.
-	Linked *pylite.Program
 	// frame is the register-file size: NumRegs plus every call's window
 	// (set by Lower; only a lowered trace runs).
 	frame int
@@ -129,7 +125,8 @@ func RunTraceVector(u *UDF, t *Trace, args []*data.Column, n int, outNames []str
 // whole morsel: once per input row with registers [0, NumIn) loaded
 // from args, or — when the trace has a Source — once per row the source
 // yields from a single call over all n input rows. It then counts the
-// morsel's rows, and on the VM tier its bailed calls.
+// morsel's rows, and on the VM tier the rows with a bailed call (once
+// each, however many of their calls bailed).
 func (t *Trace) drive(u *UDF, args []*data.Column, n int, emit func([]data.Value) error) error {
 	if t.frame < t.NumRegs {
 		return fmt.Errorf("ffi: trace of %s run before Lower", u.Name)
@@ -138,17 +135,21 @@ func (t *Trace) drive(u *UDF, args []*data.Column, n int, emit func([]data.Value
 	for i, r := range t.ConstRegs {
 		regs[r] = t.Consts[i]
 	}
-	bails := 0
+	bails, bailed := 0, false
 	if t.Source == nil {
 		for i := 0; i < n; i++ {
 			for j, c := range args {
 				regs[j] = vmColLoad(c, i)
 			}
-			if err := t.row(u, regs, &bails, emit); err != nil {
+			bailed = false
+			if err := runOps(u, t.Ops, regs, &bailed, emit); err != nil {
 				return err
 			}
+			if bailed {
+				bails++
+			}
 		}
-	} else if err := t.driveSource(u, args, n, regs, &bails, emit); err != nil {
+	} else if err := t.driveSource(u, args, n, regs, emit); err != nil {
 		return err
 	}
 	mTraceRows.Add(int64(n))
@@ -162,17 +163,19 @@ func (t *Trace) drive(u *UDF, args []*data.Column, n int, emit func([]data.Value
 }
 
 // driveSource calls the trace's source table UDF once over all n input
-// rows and runs the trace body on every row it yields.
-func (t *Trace) driveSource(u *UDF, args []*data.Column, n int, regs []data.Value, bails *int, emit func([]data.Value) error) error {
+// rows and runs the trace body on every row it yields. A source-driven
+// trace never lowers onto the VM (vmPrograms), so no call of it bails.
+func (t *Trace) driveSource(u *UDF, args []*data.Column, n int, regs []data.Value, emit func([]data.Value) error) error {
 	in := inputRows(u.RT, args, n)
 	defer in.Close()
 	gv, err := u.RT.Call(t.Source.Fn, append([]data.Value{data.Object(in)}, t.SourceArgs...))
 	if err != nil {
 		return wrapUDFErr(t.Source, err)
 	}
+	var bailed bool
 	return eachRow(u.RT, t.Source, gv, func(v data.Value) error {
 		bindRow(regs, t.SourceDsts, v)
-		return t.row(u, regs, bails, emit)
+		return runOps(u, t.Ops, regs, &bailed, emit)
 	})
 }
 
@@ -219,14 +222,13 @@ func bindRow(regs []data.Value, dsts []int, v data.Value) {
 
 // runOps is the row loop: it executes an op list for one (possibly
 // expanded) row, each TCall on the target Lower fixed (see call); emit is
-// called at the end of the chain. bails accumulates the row's bailed VM
-// calls.
-func runOps(u *UDF, ops []TraceOp, regs []data.Value, bails *int, emit func([]data.Value) error) error {
+// called at the end of the chain. A bailed VM call sets *bailed.
+func runOps(u *UDF, ops []TraceOp, regs []data.Value, bailed *bool, emit func([]data.Value) error) error {
 	for oi := range ops {
 		op := &ops[oi]
 		switch op.Kind {
 		case TCall:
-			v, err := op.call(u, regs, bails)
+			v, err := op.call(u, regs, bailed)
 			if err != nil {
 				return err
 			}
@@ -255,7 +257,7 @@ func runOps(u *UDF, ops []TraceOp, regs []data.Value, bails *int, emit func([]da
 			rest := ops[oi+1:]
 			return eachRow(u.RT, op.UDF, gv, func(v data.Value) error {
 				bindRow(regs, op.Dsts, v)
-				return runOps(u, rest, regs, bails, emit)
+				return runOps(u, rest, regs, bailed, emit)
 			})
 		}
 	}

@@ -73,8 +73,7 @@ func bytecodeFor(u *UDF) *pylite.Program {
 // TExpand gets its own window above t's registers to stage its
 // arguments in. With vm set and the trace eligible (vmPrograms), the
 // result has VM set: each TCall runs its register program in a window
-// sized for it (bailing to the compiled body) or its native GoFn, and an
-// all-program trace also gets its Linked whole-row program.
+// sized for it (bailing to the compiled body) or its native GoFn.
 func Lower(t *Trace, vm bool) *Trace {
 	lt := *t
 	lt.Ops = append([]TraceOp(nil), t.Ops...)
@@ -82,7 +81,7 @@ func Lower(t *Trace, vm bool) *Trace {
 	if vm {
 		progs = vmPrograms(t)
 	}
-	lt.VM, lt.Linked, lt.frame = progs != nil, nil, t.NumRegs
+	lt.VM, lt.frame = progs != nil, t.NumRegs
 	for oi := range lt.Ops {
 		op := &lt.Ops[oi]
 		op.Prog = nil
@@ -96,9 +95,6 @@ func Lower(t *Trace, vm bool) *Trace {
 		}
 		op.Base = lt.frame
 		lt.frame += width
-	}
-	if lt.VM {
-		lt.Linked = link(&lt)
 	}
 	return &lt
 }
@@ -142,23 +138,6 @@ func vmPrograms(t *Trace) []*pylite.Program {
 	return progs
 }
 
-// link splices the calls of a lowered trace made of nothing but program
-// calls into one whole-row instruction stream: per-call entry overhead
-// (cancellation poll, clear pass, window staging) collapses to one
-// occurrence per row. Traces with TExpr/TFilter ops or GoFn calls keep
-// per-call dispatch (nil).
-func link(t *Trace) *pylite.Program {
-	parts := make([]pylite.LinkPart, len(t.Ops))
-	for oi := range t.Ops {
-		op := &t.Ops[oi]
-		if op.Kind != TCall || op.Prog == nil {
-			return nil
-		}
-		parts[oi] = pylite.LinkPart{Prog: op.Prog, Base: op.Base, Args: op.Args, Dst: op.Dst}
-	}
-	return pylite.LinkPrograms(parts, t.frame)
-}
-
 // vmColLoad loads one column value into a register without the
 // boundary marshalling CrossIn models: scalar kinds construct the
 // value in place (no string clone — neither tier mutates string
@@ -180,45 +159,13 @@ func vmColLoad(c *data.Column, i int) data.Value {
 	return CrossIn(c, i)
 }
 
-// row runs the trace body for one loaded row and emits it: through the
-// linked whole-row program when there is one, else through runOps. On a
-// bail of the linked program — or any error but an interrupt — the
-// whole row re-runs on the compiled bodies: every op is a TCall, bodies
-// write nothing below their own window until their return lands, and
-// completed calls are deterministic, so the re-run reproduces the same
-// destinations (or the same authoritative error). bails counts one per
-// re-routed row.
-func (t *Trace) row(u *UDF, regs []data.Value, bails *int, emit func([]data.Value) error) error {
-	if t.Linked == nil {
-		return runOps(u, t.Ops, regs, bails, emit)
-	}
-	if !forcedBail() {
-		_, err := t.Linked.RunVM(u.RT, regs)
-		if err == nil {
-			return emit(regs)
-		}
-		if isInterrupt(err) {
-			return err
-		}
-	}
-	*bails++
-	for oi := range t.Ops {
-		op := &t.Ops[oi]
-		v, err := op.callBody(u, regs)
-		if err != nil {
-			return wrapUDFErr(op.UDF, err)
-		}
-		regs[op.Dst] = v
-	}
-	return emit(regs)
-}
-
 // call runs one TCall on the target Lower fixed: its VM program in its
 // window, or else its compiled body or the UDF itself (GoFn,
 // interpreter). A program that bails — or fails — re-runs the call on
 // the compiled body, which reproduces the same result or the same
-// (authoritative) error; only an interrupt aborts at once.
-func (op *TraceOp) call(u *UDF, regs []data.Value, bails *int) (data.Value, error) {
+// (authoritative) error; only an interrupt aborts at once. A bail sets
+// *bailed.
+func (op *TraceOp) call(u *UDF, regs []data.Value, bailed *bool) (data.Value, error) {
 	if p := op.Prog; p != nil {
 		win := regs[op.Base : op.Base+p.NumRegs]
 		op.stage(regs)
@@ -231,7 +178,7 @@ func (op *TraceOp) call(u *UDF, regs []data.Value, bails *int) (data.Value, erro
 				return v, err
 			}
 		}
-		*bails++
+		*bailed = true
 	}
 	v, err := op.callBody(u, regs)
 	if err != nil {

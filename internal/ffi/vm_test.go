@@ -36,54 +36,77 @@ func traceFixture(t testing.TB) (*UDF, *Trace) {
 	return u, tr
 }
 
-// linkedFixture builds an all-TCall trace (two chained scalar UDFs)
-// whose VM lowering splices into one whole-row linked program.
-func linkedFixture(t testing.TB) (*UDF, *Trace) {
+// scalarUDFs defines src on a fresh runtime and returns the named
+// functions as scalar UDFs with their compiled bodies, plus a fused
+// wrapper on the same runtime.
+func scalarUDFs(t testing.TB, src string, names ...string) (*UDF, []*UDF) {
 	rt := pylite.NewInterp()
-	src := "def shout(s):\n    return s.upper() + \"!\"\n\ndef clip(s):\n    return s[:5].lower()\n"
 	if err := rt.Exec(src); err != nil {
 		t.Fatal(err)
 	}
-	mk := func(name string) (*UDF, *pylite.FuncValue) {
+	udfs := make([]*UDF, len(names))
+	for i, name := range names {
 		fn, _ := rt.Global(name)
 		fv := fn.P.(*pylite.FuncValue)
 		if c, err := pylite.Compile(fv); err == nil {
 			fv.SetCompiled(c)
 		}
-		return &UDF{Name: name, Kind: Scalar, Fn: fn, RT: rt}, fv
+		udfs[i] = &UDF{Name: name, Kind: Scalar, Fn: fn, RT: rt}
 	}
-	shout, shoutFV := mk("shout")
-	clip, clipFV := mk("clip")
-	u := &UDF{Name: "wrap", Kind: Table, Fn: shout.Fn, RT: rt, Fused: true}
-	tr := &Trace{
+	return &UDF{Name: "wrap", Kind: Table, Fn: udfs[0].Fn, RT: rt, Fused: true}, udfs
+}
+
+const shoutClipSrc = "def shout(s):\n    return s.upper() + \"!\"\n\ndef clip(s):\n    return s[:5].lower()\n"
+
+// callOp is a TCall of u from arg into dst on u's compiled body.
+func callOp(u *UDF, dst, arg int) TraceOp {
+	return TraceOp{Kind: TCall, Dst: dst, Args: []int{arg}, UDF: u, Compiled: u.Fn.P.(*pylite.FuncValue).Compiled()}
+}
+
+// chainFixture builds an all-TCall trace: two chained scalar UDFs, each
+// run on the VM in its own window.
+func chainFixture(t testing.TB) (*UDF, *Trace) {
+	u, fs := scalarUDFs(t, shoutClipSrc, "shout", "clip")
+	return u, &Trace{
 		NumRegs: 3, NumIn: 1,
-		Ops: []TraceOp{
-			{Kind: TCall, Dst: 1, Args: []int{0}, UDF: shout, Compiled: shoutFV.Compiled()},
-			{Kind: TCall, Dst: 2, Args: []int{1}, UDF: clip, Compiled: clipFV.Compiled()},
-		},
+		Ops:     []TraceOp{callOp(fs[0], 1, 0), callOp(fs[1], 2, 1)},
 		OutRegs: []int{2},
 	}
-	return u, tr
+}
+
+// exprFixture builds two program calls with a relational expression
+// between them.
+func exprFixture(t testing.TB) (*UDF, *Trace) {
+	u, fs := scalarUDFs(t, shoutClipSrc, "shout", "clip")
+	return u, &Trace{
+		NumRegs: 4, NumIn: 1,
+		Ops: []TraceOp{
+			callOp(fs[0], 1, 0),
+			{Kind: TExpr, Dst: 2, Text: "'>' || r1", Eval: func(regs []data.Value) (data.Value, error) {
+				return data.Str(">" + regs[1].String()), nil
+			}},
+			callOp(fs[1], 3, 2),
+		},
+		OutRegs: []int{3},
+	}
 }
 
 // lowerBoth lowers tr for both tiers, checking the VM lowering took.
-func lowerBoth(t testing.TB, tr *Trace, linked bool) (closure, vm *Trace) {
+func lowerBoth(t testing.TB, tr *Trace) (closure, vm *Trace) {
 	closure, vm = Lower(tr, false), Lower(tr, true)
 	if closure.VM || !vm.VM {
 		t.Fatalf("VM flags: closure %v, vm %v", closure.VM, vm.VM)
-	}
-	if (vm.Linked != nil) != linked {
-		t.Fatalf("linked program = %v, want linked %v", vm.Linked != nil, linked)
 	}
 	return closure, vm
 }
 
 // checkTierParity runs the same trace lowered without and with the VM
 // over in, every bailEvery-th VM call forced to bail (0: none), and
-// requires identical columns and VM bails exactly when forced.
-func checkTierParity(t *testing.T, u *UDF, tr *Trace, linked bool, in *data.Column, bailEvery int) {
+// requires identical columns and bail rows exactly when forced: never
+// more than the rows, and every row when every call bails.
+func checkTierParity(t *testing.T, u *UDF, tr *Trace, in *data.Column, bailEvery int) {
 	t.Helper()
-	closure, vm := lowerBoth(t, tr, linked)
+	closure, vm := lowerBoth(t, tr)
 	n := in.Len()
 	names, kinds := []string{"o"}, []data.Kind{data.KindString}
 	want, _, err := RunTraceVector(u, closure, []*data.Column{in}, n, names, kinds)
@@ -97,8 +120,9 @@ func checkTierParity(t *testing.T, u *UDF, tr *Trace, linked bool, in *data.Colu
 	if err != nil {
 		t.Fatal(err)
 	}
-	if bails := mVMBailRows.Value() - before; (bails > 0) != (bailEvery > 0) {
-		t.Fatalf("bails = %d with bailEvery = %d", bails, bailEvery)
+	bails := mVMBailRows.Value() - before
+	if (bails > 0) != (bailEvery > 0) || bails > int64(n) || (bailEvery == 1 && bails != int64(n)) {
+		t.Fatalf("bail rows = %d over %d rows with bailEvery = %d", bails, n, bailEvery)
 	}
 	if got[0].Len() != want[0].Len() {
 		t.Fatalf("rows: got %d want %d", got[0].Len(), want[0].Len())
@@ -112,31 +136,43 @@ func checkTierParity(t *testing.T, u *UDF, tr *Trace, linked bool, in *data.Colu
 
 func TestRunTraceVectorVMParity(t *testing.T) {
 	u, tr := traceFixture(t)
-	checkTierParity(t, u, tr, false, strCol("a", "ada", "grace", "x", "turing"), 0)
+	checkTierParity(t, u, tr, strCol("a", "ada", "grace", "x", "turing"), 0)
 }
 
 func TestRunTraceVectorVMForcedBailParity(t *testing.T) {
 	u, tr := traceFixture(t)
-	checkTierParity(t, u, tr, false, strCol("a", "ada", "grace", "x", "turing"), 2)
+	checkTierParity(t, u, tr, strCol("a", "ada", "grace", "x", "turing"), 2)
+	checkTierParity(t, u, tr, strCol("a", "ada", "grace", "x", "turing"), 1)
 }
 
 func TestLinkedTraceParity(t *testing.T) {
-	u, tr := linkedFixture(t)
-	checkTierParity(t, u, tr, true, strCol("Ada Lovelace", "x", "Grace Hopper", "Turing"), 0)
+	u, tr := chainFixture(t)
+	checkTierParity(t, u, tr, strCol("Ada Lovelace", "x", "Grace Hopper", "Turing"), 0)
 }
 
 func TestLinkedTraceForcedBailParity(t *testing.T) {
-	u, tr := linkedFixture(t)
-	checkTierParity(t, u, tr, true, strCol("Ada Lovelace", "x", "Grace Hopper", "Turing"), 2)
+	u, tr := chainFixture(t)
+	checkTierParity(t, u, tr, strCol("Ada Lovelace", "x", "Grace Hopper", "Turing"), 2)
+	checkTierParity(t, u, tr, strCol("Ada Lovelace", "x", "Grace Hopper", "Turing"), 1)
+}
+
+// TestBailRowsCountRows: a row whose two program calls (a relational
+// expression between them) both bail counts once toward the bail rows.
+func TestBailRowsCountRows(t *testing.T) {
+	u, tr := exprFixture(t)
+	in := strCol("Ada Lovelace", "x", "Grace Hopper", "Turing")
+	checkTierParity(t, u, tr, in, 0)
+	checkTierParity(t, u, tr, in, 2)
+	checkTierParity(t, u, tr, in, 1)
 }
 
 // TestLowerLeavesTraceUnchanged: lowering returns a new trace; the one
 // it was given (the optimizer's, shared by every tier) keeps no program
 // and, having no call windows, refuses to run.
 func TestLowerLeavesTraceUnchanged(t *testing.T) {
-	u, tr := linkedFixture(t)
+	u, tr := chainFixture(t)
 	Lower(tr, true)
-	if tr.VM || tr.Linked != nil || tr.Ops[0].Prog != nil || tr.frame != 0 {
+	if tr.VM || tr.Ops[0].Prog != nil || tr.frame != 0 {
 		t.Fatal("Lower changed the trace it was given")
 	}
 	if _, _, err := RunTraceVector(u, tr, []*data.Column{strCol("a")}, 1, []string{"o"}, []data.Kind{data.KindString}); err == nil {
@@ -272,11 +308,9 @@ func BenchmarkVMDispatch(b *testing.B) {
 	benchTiers(b, u, tr, "vm")
 }
 
-// BenchmarkVMDispatchLinked compares the tiers on an all-TCall trace
-// (two chained UDF calls per row), where the VM splices both call
-// programs into one whole-row instruction stream: one RunVM entry, one
-// cancellation poll, one clear pass per row.
+// BenchmarkVMDispatchLinked compares the tiers on an all-TCall trace:
+// two chained UDF calls per row, each program run in its own window.
 func BenchmarkVMDispatchLinked(b *testing.B) {
-	u, tr := linkedFixture(b)
-	benchTiers(b, u, tr, "vm-linked")
+	u, tr := chainFixture(b)
+	benchTiers(b, u, tr, "vm-two-calls")
 }

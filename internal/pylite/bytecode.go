@@ -93,12 +93,6 @@ const (
 	OpReturn
 	// OpBail: abandon the row to the closure tier (Sym = reason).
 	OpBail
-	// OpRetJump: regs[Dst] = regs[A]; pc = B. Emitted only by
-	// LinkPrograms where a spliced body returns: the return value lands
-	// in the caller's destination register and control falls through to
-	// the next body. One slot, like the OpReturn it replaces, so
-	// intra-body jump targets survive the splice unchanged.
-	OpRetJump
 )
 
 // Instr is one bytecode instruction. Operand meaning depends on Op.
@@ -312,9 +306,6 @@ func instrRegs(in *Instr, read, write func(int)) bool {
 		read(in.A)
 	case OpReturn:
 		read(in.A)
-	case OpRetJump:
-		read(in.A)
-		write(in.Dst)
 	case OpJump, OpCheck, OpBail:
 		// no registers
 	default:
@@ -366,8 +357,6 @@ func clearRegs(p *Program) []int {
 			a, b = pc+1, inr.B
 		case OpIterNext:
 			a, b = pc+1, inr.C
-		case OpRetJump:
-			a = inr.B
 		case OpReturn, OpBail:
 		default:
 			a = pc + 1

@@ -220,9 +220,6 @@ func (p *Program) RunVM(it *Interp, regs []data.Value) (data.Value, error) {
 			}
 		case OpReturn:
 			return regs[in.A], nil
-		case OpRetJump:
-			regs[in.Dst] = regs[in.A]
-			pc = in.B
 		case OpBail:
 			return data.Null, bailErr(in.Sym)
 		default:

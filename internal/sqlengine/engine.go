@@ -73,18 +73,6 @@ type Engine struct {
 	// and set on the view a statement executes on (see statement), which
 	// is how the expression evaluators — they take no execCtx — reach it.
 	q *execCtx
-
-	// statsMu guards lastStats: concurrent queries on one engine each
-	// write it, so access goes through LastStats().
-	statsMu   sync.Mutex
-	lastStats ExecStats
-}
-
-// ExecStats carries per-query measurements used by the experiments.
-type ExecStats struct {
-	PlanTime time.Duration
-	ExecTime time.Duration
-	Rows     int
 }
 
 // New creates an engine with the given execution model and transport.
@@ -108,9 +96,7 @@ func New(name string, mode ExecMode, inv ffi.Invoker, stepBudget int64) *Engine 
 // without mutating the engine every other session executes on —
 // Parallelism is read per query in the morsel scheduler, so flipping
 // it on a shared Engine would race. n <= 0 keeps the parent's
-// parallelism; morsel <= 0 keeps the parent's morsel size. Views also
-// have independent LastStats, so concurrent sessions don't clobber
-// each other's per-query measurements.
+// parallelism; morsel <= 0 keeps the parent's morsel size.
 func (e *Engine) View(parallelism, morsel int) *Engine {
 	if parallelism <= 0 {
 		parallelism = e.Parallelism
@@ -182,21 +168,8 @@ func (e *Engine) PlanQuery(st *SelectStmt) (*Query, error) {
 		return nil, err
 	}
 	Optimize(q, e.Catalog)
-	planTime := time.Since(start)
-	mPlanNanos.Observe(float64(planTime.Nanoseconds()))
-	e.statsMu.Lock()
-	e.lastStats.PlanTime = planTime
-	e.statsMu.Unlock()
+	mPlanNanos.Observe(float64(time.Since(start).Nanoseconds()))
 	return q, nil
-}
-
-// LastStats returns measurements of the most recent query. Prefer the
-// per-query numbers carried by EXPLAIN ANALYZE (core.Analysis) when
-// queries run concurrently.
-func (e *Engine) LastStats() ExecStats {
-	e.statsMu.Lock()
-	defer e.statsMu.Unlock()
-	return e.lastStats
 }
 
 // Plan parses + plans a SELECT string (the EXPLAIN hook QFusor's client
@@ -244,14 +217,9 @@ func (e *Engine) ExecuteTracedCtx(ctx context.Context, q *Query, root *obs.Span)
 	if err != nil {
 		return nil, used, err
 	}
-	execTime := time.Since(start)
 	mQueries.Inc()
 	mRowsOut.Add(int64(ch.NumRows()))
-	mExecNanos.Observe(float64(execTime.Nanoseconds()))
-	e.statsMu.Lock()
-	e.lastStats.ExecTime = execTime
-	e.lastStats.Rows = ch.NumRows()
-	e.statsMu.Unlock()
+	mExecNanos.Observe(float64(time.Since(start).Nanoseconds()))
 	out := data.FromChunk("result", ch)
 	out.Schema = q.Root.Schema
 	for i, c := range out.Cols {

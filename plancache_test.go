@@ -45,14 +45,52 @@ func TestPlanCacheHitSkipsFrontend(t *testing.T) {
 	if st.Hits < 1 || st.Misses < 1 {
 		t.Fatalf("stats did not record the hit/miss pair: %+v", st)
 	}
-	// Trivial reformatting (whitespace, trailing semicolon) shares the
-	// entry: still a hit, not a new plan.
-	again, err := db.QueryAnalyze("SELECT id,  slug(slug(title)) AS s\nFROM notes ORDER BY id;")
+	// Surrounding whitespace and a trailing semicolon share the entry:
+	// still a hit, not a new plan.
+	again, err := db.QueryAnalyze("\n " + sql + ";\n")
 	if err != nil {
 		t.Fatal(err)
 	}
 	if got := again.Report.PlanCache; got != "hit" {
 		t.Fatalf("reformatted repeat PlanCache = %q, want hit", got)
+	}
+}
+
+// TestPlanCacheKeepsLiteralWhitespace: two statements that differ only
+// in the whitespace inside a string literal get a plan each, so the
+// second runs with its own literal, not the first one's.
+func TestPlanCacheKeepsLiteralWhitespace(t *testing.T) {
+	for _, p := range []qfusor.Profile{qfusor.MonetDB, qfusor.SQLite, qfusor.PostgreSQL} {
+		t.Run(string(p), func(t *testing.T) {
+			db, err := qfusor.Open(p)
+			if err != nil {
+				t.Fatal(err)
+			}
+			t.Cleanup(db.Close)
+			if err := db.Exec("CREATE TABLE t (s string)"); err != nil {
+				t.Fatal(err)
+			}
+			if err := db.Exec("INSERT INTO t VALUES ('a b'), ('a  b'), ('a  b')"); err != nil {
+				t.Fatal(err)
+			}
+			if err := db.Define("@scalarudf\ndef up(s: str) -> str:\n    return s.upper()\n"); err != nil {
+				t.Fatal(err)
+			}
+			for _, lit := range []string{"A  B", "A B"} {
+				sql := fmt.Sprintf("SELECT COUNT(*) AS n FROM t WHERE up(s) = '%s'", lit)
+				native, err := db.QueryNative(sql)
+				if err != nil {
+					t.Fatal(err)
+				}
+				fused, err := db.Query(sql)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if got, want := renderRows(t, fused), renderRows(t, native); got != want {
+					t.Fatalf("%s:\nfused:\n%s\nnative:\n%s", sql, got, want)
+				}
+			}
+		})
 	}
 }
 

@@ -31,7 +31,9 @@ fi
 # hash table (newHashTable); and only sqlengine's materialize gathers an
 # operator's output ((*Engine).gather); and outside internal/ffi only the cost
 # model's udfRowCost reads (*ffi.Stats).WrapNanosPerRow, so a UDF's body
-# cost is derived in one place.
+# cost is derived in one place; and outside the PyLite runtime only ffi's
+# (*TraceOp).call runs a register program ((*pylite.Program).RunVM), so a
+# fused trace has one VM dispatch.
 go run ./scripts/udflookup
 GOMAXPROCS=8 go test -race ./...
 # Chaos sweep: fire every registered fault point and require graceful

@@ -43,6 +43,11 @@
 //     cost. Outside internal/ffi, only the cost model's udfRowCost
 //     (internal/core/cost.go) may read it, so a UDF's body cost (wall
 //     minus wrapper time) is derived in one place.
+//   - (*pylite.Program).RunVM runs a UDF's register program. Outside the
+//     PyLite runtime, only ffi's (*TraceOp).call may, which runs each
+//     call of a fused trace in its own register window and re-runs only
+//     that call on its compiled body when it bails: a trace has one VM
+//     dispatch.
 //
 // Run from the module root:
 //
@@ -134,6 +139,11 @@ var rules = []rule{
 		fn:    "(*" + module + "/internal/ffi.Stats).WrapNanosPerRow",
 		where: []string{"internal/ffi/*.go", "internal/core/cost.go:udfRowCost"},
 		msg:   "derives a UDF's body cost from its statistics; read CostModel.udfRowCost, the one place that does",
+	},
+	{
+		fn:    "(*" + module + "/internal/pylite.Program).RunVM",
+		where: []string{"internal/pylite/*.go", "internal/ffi/vm.go:call"},
+		msg:   "runs a register program outside the one VM dispatch; lower the trace and let (*ffi.TraceOp).call run each call in its window",
 	},
 }
 
