@@ -107,7 +107,7 @@ func (r *Runner) VMTierBench() (*Result, error) {
 			row.Metrics["section_speedup"] = float64(minDur(cSec)) / float64(vs)
 		}
 		if vmRows == 0 {
-			row.Note = "no VM-eligible sections (stayed on closure tier)"
+			row.Note = "no call with a program (stayed on closure tier)"
 		}
 		return row, nil
 	}
@@ -176,7 +176,7 @@ func (r *Runner) VMTierBench() (*Result, error) {
 	res.Notes = append(res.Notes,
 		"gate (make vm-smoke): section_speedup > 1 on the dispatch-bound section/ rows (closure_section_ms / vm_section_ms; section time = per-query ledger FFI wall clock); both tiers load rows alike, so the ratio is the closure tier's call frames alone (lower+lower ~1.2x at size small)",
 		"every section pays its UDF body compute on both tiers (Amdahl): lower+cleandate keeps cleandate's split/replace chains (~1.2x), and the json.loads-heavy tier/Q1–Q3 rows report real but smaller gains",
-		"vm_rows > 0 and bail_rows = 0 show the VM tier engaged and stayed on the fast path; bailing rows re-run on the closure tier (Q3's expanding section keeps its closure form by design)",
+		"vm_rows > 0 and bail_rows = 0 show the VM tier engaged and stayed on the fast path; a bailing call re-runs on the closure tier, that call only; each call is lowered on its own, so Q3's expanding section runs its calls on the VM too",
 		"morsel sweep pins the VM tier; the default 2048 balances register-file reuse against cache residency")
 	return res, nil
 }

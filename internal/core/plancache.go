@@ -67,8 +67,8 @@ type PlanEntry struct {
 	Sources  []string `json:"-"`
 	Wrappers []string `json:"wrappers,omitempty"`
 	// Tiers records, aligned with Wrappers, which execution tier each
-	// wrapper was planned onto ("vm", "closure", or "inlined" for the
-	// pseudo-wrapper entries of inlined UDFs) — so a cache hit's
+	// wrapper was planned onto ("vm", "closure", "mixed", or "inlined"
+	// for the pseudo-wrapper entries of inlined UDFs) — so a cache hit's
 	// \analyze output and ledger attribution match a fresh plan's.
 	Tiers []Tier `json:"tiers,omitempty"`
 	// Inlined replays the relational-inlining decisions of the miss that

@@ -9,6 +9,7 @@ import (
 	"qfusor/internal/core"
 	"qfusor/internal/data"
 	"qfusor/internal/ffi"
+	"qfusor/internal/obs"
 	"qfusor/internal/pylite"
 	"qfusor/internal/sqlengine"
 )
@@ -314,7 +315,8 @@ func TestExecDMLFusedUpdateMatchesNative(t *testing.T) {
 
 // TestTableUDFBottomSection: a FROM-position table UDF is the source of
 // its section's trace — one call per batch over an input generator —
-// and the section stays on the closure tier.
+// and the call it drives still runs on the VM, as any call with a
+// program does: every row the source yields counts as a VM row.
 func TestTableUDFBottomSection(t *testing.T) {
 	eng, qf := buildEngine(t)
 	sql := "SELECT upname(c0) FROM splitall((SELECT name FROM people))"
@@ -332,11 +334,19 @@ func TestTableUDFBottomSection(t *testing.T) {
 			u = p.UDF
 		}
 	})
-	if u == nil || u.Trace() == nil {
-		t.Fatalf("wrapper %s has no trace", rep.Wrappers[0])
+	if u == nil || u.Trace() == nil || u.Trace().Source == nil {
+		t.Fatalf("wrapper %s has no source-driven trace", rep.Wrappers[0])
 	}
-	if rep.Tiers[0] != "closure" {
-		t.Fatalf("tier = %s, want closure", rep.Tiers[0])
+	if rep.Tiers[0] != core.TierVM {
+		t.Fatalf("tier = %s, want vm", rep.Tiers[0])
+	}
+	vmRows := obs.Default.Counter("qfusor.vm.rows")
+	before := vmRows.Value()
+	if _, err := eng.Execute(q); err != nil {
+		t.Fatal(err)
+	}
+	if vmRows.Value() == before {
+		t.Fatal("the source-driven section counted no VM rows")
 	}
 }
 

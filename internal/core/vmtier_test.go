@@ -27,7 +27,7 @@ func launchVMTier(t *testing.T, tier core.Tier) *engines.Instance {
 }
 
 // TestVMTierSelection checks that the tier decision lands where the
-// options point it: "vm" and "auto" take the VM on an eligible section,
+// options point it: "vm" and "auto" run calls with a program on the VM,
 // "closure" pins the trace loop — visible in the Report and the
 // op-span tier attribute.
 func TestVMTierSelection(t *testing.T) {

@@ -118,10 +118,6 @@ type Program struct {
 	// holds the constant default for every parameter index >= Required.
 	Required int
 	Defaults []data.Value
-	// BailCount is the number of static bail sites compiled in (raise
-	// statements, guarded mutations); 0 means the program can only bail
-	// on dynamic dispatch or runtime errors.
-	BailCount int
 	// ClearRegs lists the registers that must be Null-cleared before
 	// each run: those some path can read before writing (conditionally
 	// assigned locals, loop-carried state). Registers provably written
@@ -185,7 +181,6 @@ type bcompiler struct {
 	nregs  int
 	instrs []Instr
 	loops  []bcLoop
-	bails  int
 }
 
 // BCCompile lowers fn into a register program, or returns an error
@@ -229,7 +224,6 @@ func BCCompile(fn *FuncValue) (*Program, error) {
 		NumRegs:   c.nregs,
 		NumParams: np,
 		Required:  np,
-		BailCount: c.bails,
 		fn:        fn,
 	}
 	if len(fn.Body) > 0 {
@@ -458,7 +452,6 @@ func (c *bcompiler) patch(at int, target int) {
 }
 
 func (c *bcompiler) bail(reason string) int {
-	c.bails++
 	return c.emit(Instr{Op: OpBail, Sym: reason})
 }
 

@@ -316,20 +316,26 @@ def f(x):
 // ---- bailout points ----
 
 func TestVMBailRaise(t *testing.T) {
-	it, _, prog := vmCompile(t, `
+	it, fv, prog := vmCompile(t, `
 def f(x):
     if x < 0:
         raise ValueError("neg")
     return x
 `, "f")
-	if got, err := runVM(t, it, prog, data.Int(3)); err != nil || got.I != 3 {
-		t.Fatalf("clean path: %v err=%v", got, err)
+	closure, err := Compile(fv)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := closure.Call(it, []data.Value{data.Int(3)}, nil)
+	if got, verr := runVM(t, it, prog, data.Int(3)); verr != nil || err != nil || got.I != want.I {
+		t.Fatalf("clean path: vm %v err=%v, closure %v err=%v", got, verr, want, err)
 	}
 	if _, err := runVM(t, it, prog, data.Int(-3)); !IsVMBail(err) {
 		t.Fatalf("want bail on raise path, got %v", err)
 	}
-	if prog.BailCount == 0 {
-		t.Fatal("raise should register a static bail site")
+	// The bail re-runs the call on the closure tier, which raises.
+	if _, err := closure.Call(it, []data.Value{data.Int(-3)}, nil); err == nil || !strings.Contains(err.Error(), "ValueError") {
+		t.Fatalf("closure tier on the raise path: %v, want a ValueError", err)
 	}
 }
 

@@ -202,12 +202,13 @@ func WithMorselSize(n int) Option {
 	}
 }
 
-// WithTier pins the execution tier of fused sections: "vm" forces the
-// vectorized bytecode VM wherever a section is eligible and "closure"
-// forces the closure-compiled trace loop, both with relational inlining
-// off; "auto" (the default) inlines every UDF call whose body translates
-// into engine expressions and otherwise runs like "vm". Ineligible
-// sections always run the closure tier. Open rejects any other value.
+// WithTier pins the execution tier of fused sections: "vm" runs each
+// UDF call whose body has a bytecode program on the vectorized VM and
+// "closure" runs every call on its closure-compiled body, both with
+// relational inlining off; "auto" (the default) inlines every UDF call
+// whose body translates into engine expressions and otherwise runs like
+// "vm". A call without a program always runs its compiled body. Open
+// rejects any other value.
 func WithTier(tier string) Option {
 	return func(c *engines.Config) { c.Tier = core.Tier(tier) }
 }
