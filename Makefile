@@ -65,11 +65,14 @@ chaos:
 
 
 
-## fuzz-smoke: bounded runs of the four fuzzers. FuzzDiff — native vs
-## fused-cold vs fused-warm (plan-cache hit) must stay bit-identical on
-## every generated query on the monetdb, sqlite and postgresql profiles,
-## with no fused arm falling back to native; 30s is enough for
-## thousands of execs.
+## fuzz-smoke: bounded runs of the four fuzzers (scripts/fuzz-smoke.sh),
+## each for a default longer than its baseline pass (the re-run of its
+## cached corpus), so that every smoke fuzzes new inputs, and printing
+## how many it found; FUZZTIME overrides the defaults. FuzzDiff — native
+## vs fused-cold vs fused-warm (plan-cache hit) vs fused-VM vs
+## VM-with-forced-bailouts must stay bit-identical on every generated
+## query on the monetdb, sqlite and postgresql profiles, with no fused
+## arm falling back to native.
 ## FuzzExprEquiv — a compiled expression program must equal the row
 ## evaluator row by row at every morsel size and parallelism, and an
 ## expression as a GROUP BY key and as a SUM, MIN, MAX and COUNT
@@ -80,10 +83,7 @@ chaos:
 ## ErrCorruptChunk, never panic or over-allocate, and every decoded
 ## chunk round-trips through the encoder unchanged.
 fuzz-smoke:
-	$(GO) test -run '^$$' -fuzz FuzzDiff -fuzztime 30s ./internal/core
-	$(GO) test -run '^$$' -fuzz FuzzExprEquiv -fuzztime 30s ./internal/sqlengine
-	$(GO) test -run '^$$' -fuzz FuzzJSONLoads -fuzztime 30s ./internal/data
-	$(GO) test -run '^$$' -fuzz FuzzDecodeChunk -fuzztime 30s ./internal/data
+	./scripts/fuzz-smoke.sh
 
 ## obs-smoke: end-to-end diagnostics-plane check — starts the embedded
 ## HTTP server against a live engine and validates /metrics exposition,

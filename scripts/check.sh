@@ -65,25 +65,10 @@ go run ./cmd/qfusor-bench -serve-smoke
 # crossings (the Froid contract), an opaque UDF must fall back, and
 # the qfusor.inline.* counters must appear in valid Prometheus form.
 go run ./cmd/qfusor-bench -inline-smoke
-# Differential fuzz smoke: a bounded run of the native vs fused-cold vs
-# fused-warm (plan-cache hit) equivalence fuzzer on the monetdb, sqlite
-# and postgresql profiles; any mismatch, or a fused arm that fell back
-# to native, is a plan-cache or fusion correctness bug. FUZZTIME can be
-# shortened for fast local iteration.
-go test -run '^$' -fuzz FuzzDiff -fuzztime "${FUZZTIME:-30s}" ./internal/core
-# Expression-equivalence fuzz smoke: seeded random expressions over
-# random columns; the compiled columnar program must equal evalRow row
-# by row at every morsel size and parallelism, and each expression as a
-# GROUP BY key and as a SUM, MIN, MAX and COUNT argument must aggregate
-# as the serial single-batch run does (the seeded table of the same
-# check, TestExprEquivalence, already ran under -race above).
-go test -run '^$' -fuzz FuzzExprEquiv -fuzztime "${FUZZTIME:-30s}" ./internal/sqlengine
-# JSON decoder fuzz smoke: json.loads' single-pass decoder against the
-# encoding/json path it replaced — same values, same int/float split,
-# same sorted keys, same error outcome; only trailing data (which the
-# decoder rejects, like CPython) may differ.
-go test -run '^$' -fuzz FuzzJSONLoads -fuzztime "${FUZZTIME:-30s}" ./internal/data
-# Chunk decoder fuzz smoke: arbitrary bytes must decode to a chunk or
-# fail with ErrCorruptChunk (never panic or allocate for a forged
-# count), and every decoded chunk must round-trip through the encoder.
-go test -run '^$' -fuzz FuzzDecodeChunk -fuzztime "${FUZZTIME:-30s}" ./internal/data
+# Fuzz smokes (scripts/fuzz-smoke.sh): FuzzDiff (native vs fused-cold
+# vs fused-warm vs fused-VM vs VM-with-forced-bailouts on the monetdb,
+# sqlite and postgresql profiles), FuzzExprEquiv (compiled expression
+# programs vs the row evaluator), FuzzJSONLoads and FuzzDecodeChunk, each
+# for a default longer than its baseline pass, printing the new inputs
+# each found. FUZZTIME overrides the defaults for fast local iteration.
+./scripts/fuzz-smoke.sh
