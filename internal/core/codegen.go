@@ -201,7 +201,7 @@ func (qf *QFusor) emitWrapper(seg *Segment, g *DFG, inSec map[int]bool, lo, hi i
 		node.TFArgs = append(node.TFArgs, &sqlengine.ColRef{Name: name, Index: ci})
 	}
 	return &fusedResult{Nodes: []*sqlengine.Plan{node}, Sources: []string{u.Trace().Render(u.Name)},
-		SpanLo: lo, SpanHi: hi, Wrapper: u.Name, Cached: cached, Tier: wrapperTier(u)}, nil
+		SpanLo: lo, SpanHi: hi, Wrapper: u.Name, Cached: cached, Tier: u.Trace().Tier()}, nil
 }
 
 // aggOutputs describes the wrapper of a section that ends in the

@@ -161,7 +161,7 @@ func (qf *QFusor) emitScalarWrapper(e sqlengine.SQLExpr, childSchema data.Schema
 	rep.Sections++
 	rep.Sources = append(rep.Sources, u.Trace().Render(u.Name))
 	rep.Wrappers = append(rep.Wrappers, u.Name)
-	rep.Tiers = append(rep.Tiers, wrapperTier(u))
+	rep.Tiers = append(rep.Tiers, u.Trace().Tier())
 
 	args := make([]sqlengine.SQLExpr, len(cols))
 	for i, cr := range cols {

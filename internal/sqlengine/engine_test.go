@@ -372,6 +372,19 @@ func TestExplainOutput(t *testing.T) {
 	}
 }
 
+// TestHasUDFInOrderBy: a UDF call bound into a sort key (its argument is
+// in the select list) counts as a UDF call of the sort node.
+func TestHasUDFInOrderBy(t *testing.T) {
+	eng := newTestEngine(t, sqlengine.ModeColumnar, ffi.VectorInvoker{})
+	q, err := eng.Plan("SELECT name FROM people ORDER BY upname(name)")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if q.Root.Op != sqlengine.OpSort || len(q.Root.UDFCalls()) != 1 || !q.HasUDF() {
+		t.Fatalf("the sort key's UDF call is not found:\n%s", q.Explain())
+	}
+}
+
 func TestFilterPushdownThroughProject(t *testing.T) {
 	eng := newTestEngine(t, sqlengine.ModeColumnar, ffi.VectorInvoker{})
 	q, err := eng.Plan("SELECT n, a FROM (SELECT name AS n, age AS a FROM people) AS s WHERE a > 30")

@@ -267,6 +267,9 @@ func (p *Plan) UDFCalls() []*ffi.UDF {
 	if p.JoinOn != nil {
 		collect(p.JoinOn)
 	}
+	for _, s := range p.SortItems {
+		collect(s.Expr)
+	}
 	return out
 }
 
