@@ -67,7 +67,8 @@ chaos:
 
 ## fuzz-smoke: bounded runs of the four fuzzers (scripts/fuzz-smoke.sh),
 ## each for a default longer than its baseline pass (the re-run of its
-## cached corpus), so that every smoke fuzzes new inputs, and printing
+## seeds and testdata/fuzz: each smoke starts from an empty fuzz cache),
+## so that every smoke fuzzes new inputs, and printing
 ## how many it found; FUZZTIME overrides the defaults. FuzzDiff — native
 ## vs fused-cold vs fused-warm (plan-cache hit) vs fused-VM vs
 ## VM-with-forced-bailouts must stay bit-identical on every generated

@@ -253,7 +253,10 @@ func (u *UDF) Trace() *Trace { return u.trace.Load() }
 func (u *UDF) SetTrace(t *Trace) { u.trace.Store(t) }
 
 // AbsorbWorker folds a clone's learned statistics (UDF stats and
-// interpreter counters) back into u.
+// interpreter counters) back into u, and the clone's interpreter steps
+// and calls into its query's ledger and the process-wide counters
+// (pylite.Interp.MergeStats): a clone's steps reach the ledger only
+// here, or when an interrupt stops it.
 func (u *UDF) AbsorbWorker(c *UDF) {
 	if c == nil {
 		return

@@ -253,8 +253,11 @@ func (l *ResourceLedger) VMObserve(rows, bailRows int) {
 	l.vmBailRows.Add(int64(bailRows))
 }
 
-// StepCounter exposes the interpreter-step counter the query's UDF
-// runtime views add to (pylite.NewInterrupt). Nil on a nil ledger.
+// StepCounter exposes the query's interpreter-step counter
+// (pylite.NewInterrupt). Each of the query's UDF runtime views counts
+// its steps privately and adds them here when it is merged or
+// interrupted, so the counter is exact once the statement has absorbed
+// its clones, not while it runs. Nil on a nil ledger.
 func (l *ResourceLedger) StepCounter() *atomic.Int64 {
 	if l == nil {
 		return nil

@@ -8,13 +8,19 @@ import (
 	"qfusor/internal/data"
 )
 
-// Builtins returns the builtin namespace shared by the interpreter and
-// compiled code. The map is freshly allocated per runtime (values are
-// immutable so sharing the *Builtin objects is safe).
-func Builtins() map[string]data.Value {
+// builtins is the builtin namespace of every runtime in the process:
+// built once and never written, so the three tiers read it without a
+// lock, and the closure tier and the VM resolve a name's builtin at
+// compile time (resolveGlobal). (Filled by init: the builtins reach the
+// compiler through the runtime, which a variable initializer may not.)
+var builtins map[string]data.Value
+
+func init() { builtins = newBuiltins() }
+
+func newBuiltins() map[string]data.Value {
 	b := map[string]data.Value{}
 	reg := func(name string, fn func(ctx *Ctx, args []data.Value, kwargs map[string]data.Value) (data.Value, error)) {
-		b[name] = data.Object(&Builtin{Name: name, Fn: fn})
+		b[name] = newBuiltin(name, fn)
 	}
 
 	reg("len", func(_ *Ctx, args []data.Value, _ map[string]data.Value) (data.Value, error) {

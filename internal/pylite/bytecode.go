@@ -35,8 +35,9 @@ const (
 	OpConst VMOp = iota
 	// OpMove: regs[Dst] = regs[A].
 	OpMove
-	// OpLoadGlobal: regs[Dst] = lookup(Sym) through the defining env
-	// chain, module globals, then builtins (NameError otherwise).
+	// OpLoadGlobal: regs[Dst] = the free name Sym, resolved at compile
+	// time (ref): the closure scopes, the module cell, then the builtin
+	// (NameError otherwise).
 	OpLoadGlobal
 	// OpBinOp: regs[Dst] = binOp(Sym, regs[A], regs[B]).
 	OpBinOp
@@ -104,6 +105,7 @@ type Instr struct {
 	Val     data.Value
 	Xs      []int
 	Line    int
+	ref     *globalRef // OpLoadGlobal's resolved name
 }
 
 // Program is a compiled register program for one UDF body.
@@ -128,10 +130,6 @@ type Program struct {
 	NeedsClear bool
 	// Line is the entry line for the sampling profiler.
 	Line int
-
-	// fn is the source function; the VM resolves free names through its
-	// defining environment, exactly like the interpreter.
-	fn *FuncValue
 }
 
 // AlwaysBails reports whether the program's first reachable
@@ -224,7 +222,6 @@ func BCCompile(fn *FuncValue) (*Program, error) {
 		NumRegs:   c.nregs,
 		NumParams: np,
 		Required:  np,
-		fn:        fn,
 	}
 	if len(fn.Body) > 0 {
 		prog.Line = fn.Body[0].nodeLine()
@@ -933,7 +930,7 @@ func (c *bcompiler) expr(e Expr) (int, error) {
 			return slot, nil
 		}
 		r := c.temp()
-		c.emit(Instr{Op: OpLoadGlobal, Dst: r, Sym: x.ID})
+		c.emit(Instr{Op: OpLoadGlobal, Dst: r, Sym: x.ID, ref: resolveGlobal(c.fn.Env, x.ID)})
 		return r, nil
 	case *BinOp:
 		a, err := c.expr(x.Left)

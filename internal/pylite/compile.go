@@ -42,6 +42,7 @@ func Compile(fn *FuncValue) (*CompiledFunc, error) {
 		slotOf:  make(map[string]int),
 		globals: make(map[string]bool),
 		fnName:  fn.Name,
+		env:     fn.Env,
 	}
 	// Parameters get the first slots.
 	cf := &CompiledFunc{src: fn, varargSlot: -1, isGen: fn.IsGen}
@@ -197,6 +198,7 @@ type compiler struct {
 	slotOf  map[string]int
 	globals map[string]bool
 	fnName  string // compiled function, for profiler back-edge samples
+	env     *Env   // defining scope: free names resolve through it (resolveGlobal)
 }
 
 func (c *compiler) slot(name string) int {
@@ -672,7 +674,7 @@ func (c *compiler) compileStmt(st Stmt) (cStmt, error) {
 		}
 		return func(f *cframe) (flow, error) {
 			fn := &FuncValue{Name: def.Name, Params: def.Params, Vararg: def.Vararg,
-				Body: def.Body, IsGen: def.IsGen, Env: f.closureEnv(), Globals: f.it.Globals}
+				Body: def.Body, IsGen: def.IsGen, Env: f.closureEnv()}
 			v := data.Object(fn)
 			if slot >= 0 {
 				f.slots[slot] = v
@@ -694,7 +696,7 @@ func (c *compiler) compileStmt(st Stmt) (cStmt, error) {
 				if fd, ok := m.(*FuncDef); ok {
 					cls.Methods[fd.Name] = &FuncValue{Name: def.Name + "." + fd.Name,
 						Params: fd.Params, Vararg: fd.Vararg, Body: fd.Body,
-						IsGen: fd.IsGen, Env: env, Globals: f.it.Globals}
+						IsGen: fd.IsGen, Env: env}
 				}
 			}
 			v := data.Object(cls)

@@ -19,19 +19,8 @@ func (c *compiler) compileExpr(e Expr) (cExpr, error) {
 				return f.slots[slot], nil
 			}, nil
 		}
-		id := x.ID
-		return func(f *cframe) (data.Value, error) {
-			if v, ok := f.closure.Lookup(id); ok {
-				return v, nil
-			}
-			if v, ok := f.it.Globals.Lookup(id); ok {
-				return v, nil
-			}
-			if v, ok := f.it.builtins[id]; ok {
-				return v, nil
-			}
-			return data.Null, nameErrf("name '%s' is not defined", id)
-		}, nil
+		g := resolveGlobal(c.env, x.ID)
+		return func(f *cframe) (data.Value, error) { return g.load() }, nil
 	case *BinOp:
 		l, err := c.compileExpr(x.Left)
 		if err != nil {
@@ -420,7 +409,7 @@ func (c *compiler) compileExpr(e Expr) (cExpr, error) {
 		def := x
 		return func(f *cframe) (data.Value, error) {
 			return data.Object(&FuncValue{Name: "<lambda>", Params: def.Params,
-				Expr: def.Body, Env: f.closureEnv(), Globals: f.it.Globals}), nil
+				Expr: def.Body, Env: f.closureEnv()}), nil
 		}, nil
 	case *Comp:
 		return c.compileComp(x)

@@ -11,39 +11,88 @@ import (
 	"qfusor/internal/obs"
 )
 
-// Env is a lexical scope: a name→value map chained to its parent.
+// Env is a lexical scope. A function's scope is a name→value map chained
+// to its parent and used by one goroutine at a time. The module scope
+// (NewSharedEnv) is shared by every view of a runtime and binds each
+// name to a cell instead: compiled code resolves a free name to its cell
+// once, at compile time (resolveGlobal), so a load on the hot path is
+// one atomic pointer load and hashes no name.
 type Env struct {
 	vars   map[string]data.Value
 	parent *Env
-	// mu guards vars on scopes shared across goroutines. Only the
-	// module-global scope is shared (NewSharedEnv): the serving plane
-	// accepts CREATE FUNCTION while queries execute, so worker views
-	// resolve names through Globals concurrently with a Define writing
-	// them. Local scopes are goroutine-private and stay lock-free.
-	mu *sync.RWMutex
+	// cells is the module scope's name→cell map; nil on every other scope.
+	cells *cellMap
 }
 
-// NewEnv creates a child scope of parent (nil for a global scope).
+// cell is one module-scope binding: an atomic pointer to its value, nil
+// while the name is unbound. Cells are never removed: a rebind stores
+// into the existing cell and `del` stores nil, so code that resolved a
+// cell before the name was (re)defined sees every later binding.
+type cell struct{ p atomic.Pointer[data.Value] }
+
+func (c *cell) load() (data.Value, bool) {
+	if p := c.p.Load(); p != nil {
+		return *p, true
+	}
+	return data.Null, false
+}
+
+func (c *cell) store(v data.Value) { c.p.Store(&v) }
+
+// cellMap is the module scope's copy-on-write name→cell map. Readers
+// load it without a lock; adding a name publishes a copy under mu, which
+// no reader takes. Live UDF definition (the serving plane's CREATE
+// FUNCTION) writes the module scope while queries read it.
+type cellMap struct {
+	m  atomic.Pointer[map[string]*cell]
+	mu sync.Mutex
+}
+
+// lookup returns name's cell, or nil if no code has named it yet.
+func (cm *cellMap) lookup(name string) *cell { return (*cm.m.Load())[name] }
+
+// get returns name's cell, adding an unbound one if it has none.
+func (cm *cellMap) get(name string) *cell {
+	if c := cm.lookup(name); c != nil {
+		return c
+	}
+	cm.mu.Lock()
+	defer cm.mu.Unlock()
+	old := *cm.m.Load()
+	if c := old[name]; c != nil {
+		return c
+	}
+	next := make(map[string]*cell, len(old)+1)
+	maps.Copy(next, old)
+	c := new(cell)
+	next[name] = c
+	cm.m.Store(&next)
+	return c
+}
+
+// NewEnv creates a child scope of parent.
 func NewEnv(parent *Env) *Env {
 	return &Env{vars: make(map[string]data.Value), parent: parent}
 }
 
-// NewSharedEnv creates a scope safe for concurrent Lookup/Set/Delete —
-// used for module globals, which live UDF definition mutates while
-// queries resolve names through them.
-func NewSharedEnv(parent *Env) *Env {
-	return &Env{vars: make(map[string]data.Value), parent: parent, mu: new(sync.RWMutex)}
+// NewSharedEnv creates a module scope: one cell per name, safe for
+// concurrent Lookup/Set/Delete without a reader lock. Module globals
+// live there, which live UDF definition mutates while queries resolve
+// names through them.
+func NewSharedEnv() *Env {
+	cm := &cellMap{}
+	cm.m.Store(&map[string]*cell{})
+	return &Env{cells: cm}
 }
 
 // Lookup resolves name through the scope chain.
 func (e *Env) Lookup(name string) (data.Value, bool) {
 	for s := e; s != nil; s = s.parent {
-		if s.mu != nil {
-			s.mu.RLock()
-			v, ok := s.vars[name]
-			s.mu.RUnlock()
-			if ok {
-				return v, true
+		if s.cells != nil {
+			if c := s.cells.lookup(name); c != nil {
+				if v, ok := c.load(); ok {
+					return v, true
+				}
 			}
 			continue
 		}
@@ -56,10 +105,8 @@ func (e *Env) Lookup(name string) (data.Value, bool) {
 
 // Set binds name in this scope.
 func (e *Env) Set(name string, v data.Value) {
-	if e.mu != nil {
-		e.mu.Lock()
-		e.vars[name] = v
-		e.mu.Unlock()
+	if e.cells != nil {
+		e.cells.get(name).store(v)
 		return
 	}
 	e.vars[name] = v
@@ -67,23 +114,73 @@ func (e *Env) Set(name string, v data.Value) {
 
 // Delete unbinds name from this scope (the `del` statement).
 func (e *Env) Delete(name string) {
-	if e.mu != nil {
-		e.mu.Lock()
-		delete(e.vars, name)
-		e.mu.Unlock()
+	if e.cells != nil {
+		if c := e.cells.lookup(name); c != nil {
+			c.p.Store(nil)
+		}
 		return
 	}
 	delete(e.vars, name)
 }
 
 // snapshot returns a scope holding a copy of e's own bindings, under
-// e's parent. Shared scopes (module globals) are not copied: the
-// snapshot is a child of e and sees them live.
+// e's parent. The module scope is not copied: the snapshot is a child
+// of it and sees its cells live.
 func (e *Env) snapshot() *Env {
-	if e.mu != nil {
+	if e.cells != nil {
 		return NewEnv(e)
 	}
 	return &Env{vars: maps.Clone(e.vars), parent: e.parent}
+}
+
+// globalRef is a free name of a compiled body (closure tier or VM),
+// resolved once at compile time: the closure scopes in front of the
+// defining module scope (nil for a top-level function), the name's cell
+// in that module scope, and the builtin the name falls back to.
+type globalRef struct {
+	name      string
+	closure   *Env
+	cell      *cell
+	builtin   data.Value
+	isBuiltin bool
+}
+
+// resolveGlobal resolves name as seen from a body defined in env.
+// Every function's scope chain ends at a module scope; one that does
+// not gets a cell of its own, which stays unbound.
+func resolveGlobal(env *Env, name string) *globalRef {
+	g := &globalRef{name: name}
+	g.builtin, g.isBuiltin = builtins[name]
+	s := env
+	for s != nil && s.cells == nil {
+		s = s.parent
+	}
+	if s != env {
+		g.closure = env
+	}
+	if s != nil {
+		g.cell = s.cells.get(name)
+	} else {
+		g.cell = new(cell)
+	}
+	return g
+}
+
+// load reads the name: the closure scopes first (a nested function's
+// enclosing locals), then the module cell, then the builtin.
+func (g *globalRef) load() (data.Value, error) {
+	for s := g.closure; s != nil && s.cells == nil; s = s.parent {
+		if v, ok := s.vars[g.name]; ok {
+			return v, nil
+		}
+	}
+	if v, ok := g.cell.load(); ok {
+		return v, nil
+	}
+	if g.isBuiltin {
+		return g.builtin, nil
+	}
+	return data.Null, nameErrf("name '%s' is not defined", g.name)
 }
 
 // Stats aggregates runtime counters used by the experiments.
@@ -98,6 +195,8 @@ type Stats struct {
 // feed the experiments; these aggregate across every runtime in the
 // process so EXPLAIN ANALYZE and the metrics registry can report
 // interpreter-tier vs compiled-tier activity and JIT compile counts.
+// The two call counters are bumped per call on no view: a view counts
+// its calls in its tally, which fold adds here.
 var (
 	mInterpCalls   = obs.Default.Counter("pylite.interp_calls")
 	mCompiledCalls = obs.Default.Counter("pylite.compiled_calls")
@@ -105,19 +204,20 @@ var (
 	mCompileNanos  = obs.Default.Counter("pylite.jit_compile_nanos")
 )
 
-// Interp is a PyLite runtime: globals, builtins, and the tracing-JIT
-// policy. With HotThreshold == 0 it behaves like a pure interpreter
-// (the CPython cost baseline); with HotThreshold > 0, functions that
-// get hot are closure-compiled and swapped in (the PyPy-style tier).
+// Interp is a PyLite runtime: its module scope and the tracing-JIT
+// policy (builtins are one process-wide table). With HotThreshold == 0
+// it behaves like a pure interpreter (the CPython cost baseline); with
+// HotThreshold > 0, functions that get hot are closure-compiled and
+// swapped in (the PyPy-style tier).
 //
-// An Interp runs on one goroutine at a time. vmScratch, the frame stack
-// and the argument stack rely on that to be reused without locks:
-// concurrent work takes a view of its own (View, Worker), and so does a
-// pulled generator body, which runs as a coroutine.
+// An Interp runs on one goroutine at a time. vmScratch, the frame stack,
+// the argument stack and the tally rely on that to be used without
+// locks or atomics: concurrent work takes a view of its own (View,
+// Worker), and so does a pulled generator body, which runs as a
+// coroutine.
 type Interp struct {
-	Globals  *Env
-	builtins map[string]data.Value
-	ctx      *Ctx
+	Globals *Env
+	ctx     *Ctx
 
 	// HotThreshold is the number of interpreted entries after which a
 	// function is JIT-compiled. 0 disables the JIT.
@@ -126,6 +226,11 @@ type Interp struct {
 	// intr is the query this view executes for (see View): immutable, and
 	// nil on the root runtime, which no query executes on.
 	intr *Interrupt
+
+	// tally is what this runtime executed since its last fold; root
+	// marks the runtime NewInterp made, which folds after every Call.
+	tally tally
+	root  bool
 
 	// vmScratch is the argument-staging buffer for bytecode-VM calls. VM
 	// callees cannot re-enter the VM (callable arguments bail), so one
@@ -146,12 +251,9 @@ type Interp struct {
 	Stats Stats
 }
 
-// NewInterp creates a runtime with builtins installed.
+// NewInterp creates a runtime with an empty module scope.
 func NewInterp() *Interp {
-	it := &Interp{
-		Globals:  NewSharedEnv(nil),
-		builtins: Builtins(),
-	}
+	it := &Interp{Globals: NewSharedEnv(), root: true}
 	it.ctx = &Ctx{it: it}
 	return it
 }
@@ -160,16 +262,17 @@ func NewInterp() *Interp {
 func (it *Interp) Ctx() *Ctx { return it.ctx }
 
 // View returns a view of the runtime executing for one query: it shares
-// Globals (a shared Env — live UDF definition may mutate it mid-query,
-// see NewSharedEnv), builtins (read-only) and the JIT threshold, polls
-// in at every statement, and accumulates its own Stats — so concurrent
-// queries and workers never contend on the root's counters, and the
-// profiler can tell what each view actually executed. Fold the counters
-// back with MergeStats when the view's work is done.
+// Globals (the module scope — live UDF definition may rebind it
+// mid-query, see NewSharedEnv) and the JIT threshold, polls in at every
+// statement, and accumulates its own Stats and tally — so concurrent
+// queries and workers write no memory they share on the per-statement
+// and per-call path, and the profiler can tell what each view actually
+// executed. The view's statement steps and calls reach the query's step
+// counter and the process-wide call counters when it is folded: by
+// MergeStats when the view's work is done, or when an interrupt stops it.
 func (it *Interp) View(in *Interrupt) *Interp {
 	w := &Interp{
 		Globals:      it.Globals,
-		builtins:     it.builtins,
 		HotThreshold: it.HotThreshold,
 		intr:         in,
 	}
@@ -181,12 +284,41 @@ func (it *Interp) View(in *Interrupt) *Interp {
 // executing for the same query as it.
 func (it *Interp) Worker() *Interp { return it.View(it.intr) }
 
-// MergeStats folds a worker view's counters into this runtime's Stats.
+// MergeStats folds a worker view's counters into this runtime's Stats,
+// and its tally into the shared sinks (fold). Call it once w's work is
+// done: w's tally is not safe for concurrent use.
 func (it *Interp) MergeStats(w *Interp) {
 	it.Stats.InterpCalls.Add(w.Stats.InterpCalls.Load())
 	it.Stats.CompiledCalls.Add(w.Stats.CompiledCalls.Load())
 	it.Stats.Compilations.Add(w.Stats.Compilations.Load())
 	it.Stats.CompileNanos.Add(w.Stats.CompileNanos.Load())
+	w.fold()
+}
+
+// tally counts what one runtime executed and has not yet folded into the
+// memory every view shares: statement steps, interpreted calls and
+// compiled calls. The runtime owning it increments plain fields.
+type tally struct {
+	steps, interpCalls, compiledCalls int64
+}
+
+// fold adds the runtime's tally to the shared sinks and clears it: the
+// steps to its query's step counter (Interrupt), the calls to
+// pylite.interp_calls and pylite.compiled_calls. Each count is folded
+// once, by the runtime that made it, so nested merges (worker into query
+// view into catalog runtime) count nothing twice.
+func (it *Interp) fold() {
+	t := &it.tally
+	if in := it.intr; in != nil && in.steps != nil && t.steps != 0 {
+		in.steps.Add(t.steps)
+	}
+	if t.interpCalls != 0 {
+		mInterpCalls.Add(t.interpCalls)
+	}
+	if t.compiledCalls != 0 {
+		mCompiledCalls.Add(t.compiledCalls)
+	}
+	*t = tally{}
 }
 
 // Exec parses and runs src at module level (defining functions, classes
@@ -247,8 +379,13 @@ type flow struct {
 
 var flowZero = flow{}
 
-// Call invokes any callable value with positional args.
+// Call invokes any callable value with positional args. A call made on
+// the root runtime folds its tally when it returns: no merge ever folds
+// the root.
 func (it *Interp) Call(fn data.Value, args []data.Value) (data.Value, error) {
+	if it.root {
+		defer it.fold()
+	}
 	return it.callKw(fn, args, nil)
 }
 
@@ -304,7 +441,7 @@ func (it *Interp) popArgs(base int) {
 func (it *Interp) callFunc(fn *FuncValue, args []data.Value, kwargs map[string]data.Value) (data.Value, error) {
 	if c := fn.Compiled(); c != nil {
 		it.Stats.CompiledCalls.Add(1)
-		mCompiledCalls.Inc()
+		it.tally.compiledCalls++
 		return c.Call(it, args, kwargs)
 	}
 	if it.HotThreshold > 0 && !fn.Uncompilable() && fn.Heat() >= it.HotThreshold {
@@ -315,16 +452,16 @@ func (it *Interp) callFunc(fn *FuncValue, args []data.Value, kwargs map[string]d
 			it.Stats.Compilations.Add(1)
 			it.Stats.CompileNanos.Add(time.Since(start).Nanoseconds())
 			it.Stats.CompiledCalls.Add(1)
+			it.tally.compiledCalls++
 			mCompilations.Inc()
 			mCompileNanos.Add(time.Since(start).Nanoseconds())
-			mCompiledCalls.Inc()
 			return c.Call(it, args, kwargs)
 		}
 		// Uncompilable constructs fall back to interpretation forever.
 		fn.SetCompiled(nil)
 	}
 	it.Stats.InterpCalls.Add(1)
-	mInterpCalls.Inc()
+	it.tally.interpCalls++
 	env, err := bindParams(fn, args, kwargs)
 	if err != nil {
 		return data.Null, err
@@ -524,7 +661,7 @@ func (it *Interp) execStmt(fr *frame, st Stmt) (flow, error) {
 		return out, err
 	case *FuncDef:
 		fn := &FuncValue{Name: s.Name, Params: s.Params, Vararg: s.Vararg,
-			Body: s.Body, IsGen: s.IsGen, Env: fr.env, Globals: it.Globals}
+			Body: s.Body, IsGen: s.IsGen, Env: fr.env}
 		fr.env.Set(s.Name, data.Object(fn))
 		return flowZero, nil
 	case *ClassDef:
@@ -533,7 +670,7 @@ func (it *Interp) execStmt(fr *frame, st Stmt) (flow, error) {
 			if fd, ok := m.(*FuncDef); ok {
 				cls.Methods[fd.Name] = &FuncValue{Name: s.Name + "." + fd.Name,
 					Params: fd.Params, Vararg: fd.Vararg, Body: fd.Body,
-					IsGen: fd.IsGen, Env: fr.env, Globals: it.Globals}
+					IsGen: fd.IsGen, Env: fr.env}
 			}
 		}
 		fr.env.Set(s.Name, data.Object(cls))
@@ -717,7 +854,7 @@ func (it *Interp) eval(fr *frame, e Expr) (data.Value, error) {
 		if v, ok := it.Globals.Lookup(x.ID); ok {
 			return v, nil
 		}
-		if v, ok := it.builtins[x.ID]; ok {
+		if v, ok := builtins[x.ID]; ok {
 			return v, nil
 		}
 		return data.Null, nameErrf("name '%s' is not defined", x.ID)
@@ -901,7 +1038,7 @@ func (it *Interp) eval(fr *frame, e Expr) (data.Value, error) {
 		return d, nil
 	case *Lambda:
 		return data.Object(&FuncValue{Name: "<lambda>", Params: x.Params,
-			Expr: x.Body, Env: fr.env, Globals: it.Globals}), nil
+			Expr: x.Body, Env: fr.env}), nil
 	case *Comp:
 		return it.evalComp(fr, x)
 	case *Yield:

@@ -45,10 +45,15 @@ type Interrupt struct {
 
 // NewInterrupt builds a query's interrupt: every interpreted statement
 // and compiled loop back-edge of a view carrying it polls done, draws
-// from a budget of that many steps (budget <= 0 = unlimited) and adds
-// one to steps. cause explains a done-closure (typically ctx.Err); it
-// may be nil. With nothing to poll or count it returns nil, which a
-// view treats as "never interrupted".
+// from a budget of that many steps (budget <= 0 = unlimited) and counts
+// one step in the view's own tally. The tally is added to steps when
+// the view is folded (Interp.MergeStats, or an interrupt stopping the
+// view), so steps is exact once every view of the query is merged,
+// while the statement path writes no memory the views share. The budget
+// alone stays a shared counter, drawn from at every step. cause explains
+// a done-closure (typically ctx.Err); it may be nil. With nothing to
+// poll or count it returns nil, which a view treats as "never
+// interrupted".
 func NewInterrupt(done <-chan struct{}, cause func() error, budget int64, steps *atomic.Int64) *Interrupt {
 	if done == nil && budget <= 0 && steps == nil {
 		return nil
@@ -61,9 +66,11 @@ func NewInterrupt(done <-chan struct{}, cause func() error, budget int64, steps 
 	return in
 }
 
-// checkIntr is the statement-level gate: fault hook, step budget, and
-// cancellation poll. With no interrupt and no fault armed it costs one
-// atomic load and a nil check.
+// checkIntr is the statement-level gate: fault hook, step count, step
+// budget and cancellation poll. With no interrupt and no fault armed it
+// costs one atomic load and a nil check; with one, the step count is a
+// plain add to the view's tally. A view an interrupt stops folds its
+// tally at once, so a cancelled query's ledger counts the steps it ran.
 func (it *Interp) checkIntr() error {
 	if faultinject.Armed() {
 		if err := faultinject.Fire(FaultStep); err != nil {
@@ -74,15 +81,15 @@ func (it *Interp) checkIntr() error {
 	if in == nil {
 		return nil
 	}
-	if in.steps != nil {
-		in.steps.Add(1)
-	}
+	it.tally.steps++
 	if in.budget != nil && in.budget.Add(-1) < 0 {
+		it.fold()
 		return &InterruptError{Cause: ErrStepBudget}
 	}
 	if in.done != nil {
 		select {
 		case <-in.done:
+			it.fold()
 			cause := errors.New("pylite: interrupt requested")
 			if in.cause != nil {
 				if c := in.cause(); c != nil {

@@ -3,6 +3,7 @@ package pylite
 import (
 	"strconv"
 	"strings"
+	"unicode/utf8"
 
 	"qfusor/internal/data"
 )
@@ -29,7 +30,7 @@ func getAttr(ctx *Ctx, obj data.Value, name string) (data.Value, error) {
 			return data.Null, attrErrf("module '%s' has no attribute '%s'", o.Name, name)
 		case *Generator:
 			if name == "close" {
-				return boundBuiltin("close", func(_ *Ctx, _ []data.Value, _ map[string]data.Value) (data.Value, error) {
+				return newBuiltin("close", func(_ *Ctx, _ []data.Value, _ map[string]data.Value) (data.Value, error) {
 					o.Close()
 					return data.Null, nil
 				}), nil
@@ -45,13 +46,9 @@ func getAttr(ctx *Ctx, obj data.Value, name string) (data.Value, error) {
 	}
 	// Built-in type methods become bound builtins.
 	recv := obj
-	return boundBuiltin(name, func(c *Ctx, args []data.Value, kwargs map[string]data.Value) (data.Value, error) {
+	return newBuiltin(name, func(c *Ctx, args []data.Value, kwargs map[string]data.Value) (data.Value, error) {
 		return callMethod(c, recv, name, args, kwargs)
 	}), nil
-}
-
-func boundBuiltin(name string, fn func(*Ctx, []data.Value, map[string]data.Value) (data.Value, error)) data.Value {
-	return data.Object(&Builtin{Name: name, Fn: fn})
 }
 
 // setAttr implements obj.name = v (instances only).
@@ -63,6 +60,48 @@ func setAttr(obj data.Value, name string, v data.Value) error {
 		}
 	}
 	return attrErrf("'%s' object attribute assignment not supported", obj.TypeName())
+}
+
+// splitValues is strings.SplitN(s, sep, n) written straight into the
+// list's items, with no intermediate []string. Like SplitN, an empty sep
+// splits after each UTF-8 sequence, and n == 0 yields no items.
+func splitValues(s, sep string, n int) []data.Value {
+	if sep == "" {
+		if l := utf8.RuneCountInString(s); n < 0 || n > l {
+			n = l
+		}
+		items := make([]data.Value, n)
+		for i := 0; i < n-1; i++ {
+			_, size := utf8.DecodeRuneInString(s)
+			items[i] = data.Str(s[:size])
+			s = s[size:]
+		}
+		if n > 0 {
+			items[n-1] = data.Str(s)
+		}
+		return items
+	}
+	if n < 0 {
+		n = strings.Count(s, sep) + 1
+	}
+	if n > len(s)+1 {
+		n = len(s) + 1
+	}
+	items := make([]data.Value, n)
+	if n == 0 {
+		return items
+	}
+	i := 0
+	for ; i < n-1; i++ {
+		m := strings.Index(s, sep)
+		if m < 0 {
+			break
+		}
+		items[i] = data.Str(s[:m])
+		s = s[m+len(sep):]
+	}
+	items[i] = data.Str(s)
+	return items[:i+1]
 }
 
 // callMethod dispatches a built-in method call on a value.
@@ -142,12 +181,7 @@ func strMethod(ctx *Ctx, s, name string, args []data.Value) (data.Value, error) 
 			n, _ := args[1].AsInt()
 			limit = int(n) + 1
 		}
-		parts := strings.SplitN(s, sep, limit)
-		items := make([]data.Value, len(parts))
-		for i, p := range parts {
-			items[i] = data.Str(p)
-		}
-		return data.NewList(items), nil
+		return data.NewList(splitValues(s, sep, limit)), nil
 	case "rsplit":
 		sep := " "
 		if len(args) > 0 {

@@ -56,21 +56,17 @@ func moduleOf(name string, attrs map[string]data.Value) data.Value {
 	return data.Object(&ModuleObj{Name: name, Attrs: attrs})
 }
 
-func nativeFn(name string, fn func(ctx *Ctx, args []data.Value, kwargs map[string]data.Value) (data.Value, error)) data.Value {
-	return data.Object(&Builtin{Name: name, Fn: fn})
-}
-
 // ---- json ----
 
 func jsonModule() data.Value {
 	return moduleOf("json", map[string]data.Value{
-		"dumps": nativeFn("json.dumps", func(_ *Ctx, args []data.Value, _ map[string]data.Value) (data.Value, error) {
+		"dumps": newBuiltin("json.dumps", func(_ *Ctx, args []data.Value, _ map[string]data.Value) (data.Value, error) {
 			if err := wantArgs("json.dumps", args, 1, 1); err != nil {
 				return data.Null, err
 			}
 			return data.Str(data.MarshalJSONValue(args[0])), nil
 		}),
-		"loads": nativeFn("json.loads", func(_ *Ctx, args []data.Value, _ map[string]data.Value) (data.Value, error) {
+		"loads": newBuiltin("json.loads", func(_ *Ctx, args []data.Value, _ map[string]data.Value) (data.Value, error) {
 			if err := wantArgs("json.loads", args, 1, 1); err != nil {
 				return data.Null, err
 			}
@@ -180,7 +176,7 @@ func reArgs(name string, args []data.Value, n int) ([]string, error) {
 
 func reModule() data.Value {
 	attrs := map[string]data.Value{}
-	attrs["sub"] = nativeFn("re.sub", func(_ *Ctx, args []data.Value, _ map[string]data.Value) (data.Value, error) {
+	attrs["sub"] = newBuiltin("re.sub", func(_ *Ctx, args []data.Value, _ map[string]data.Value) (data.Value, error) {
 		ss, err := reArgs("re.sub", args, 3)
 		if err != nil {
 			return data.Null, err
@@ -191,7 +187,7 @@ func reModule() data.Value {
 		}
 		return data.Str(re.ReplaceAllString(ss[2], translateReplacement(ss[1]))), nil
 	})
-	attrs["match"] = nativeFn("re.match", func(_ *Ctx, args []data.Value, _ map[string]data.Value) (data.Value, error) {
+	attrs["match"] = newBuiltin("re.match", func(_ *Ctx, args []data.Value, _ map[string]data.Value) (data.Value, error) {
 		ss, err := reArgs("re.match", args, 2)
 		if err != nil {
 			return data.Null, err
@@ -206,7 +202,7 @@ func reModule() data.Value {
 		}
 		return matchValue(g), nil
 	})
-	attrs["search"] = nativeFn("re.search", func(_ *Ctx, args []data.Value, _ map[string]data.Value) (data.Value, error) {
+	attrs["search"] = newBuiltin("re.search", func(_ *Ctx, args []data.Value, _ map[string]data.Value) (data.Value, error) {
 		ss, err := reArgs("re.search", args, 2)
 		if err != nil {
 			return data.Null, err
@@ -221,7 +217,7 @@ func reModule() data.Value {
 		}
 		return matchValue(g), nil
 	})
-	attrs["findall"] = nativeFn("re.findall", func(_ *Ctx, args []data.Value, _ map[string]data.Value) (data.Value, error) {
+	attrs["findall"] = newBuiltin("re.findall", func(_ *Ctx, args []data.Value, _ map[string]data.Value) (data.Value, error) {
 		ss, err := reArgs("re.findall", args, 2)
 		if err != nil {
 			return data.Null, err
@@ -241,7 +237,7 @@ func reModule() data.Value {
 		}
 		return data.NewList(items), nil
 	})
-	attrs["split"] = nativeFn("re.split", func(_ *Ctx, args []data.Value, _ map[string]data.Value) (data.Value, error) {
+	attrs["split"] = newBuiltin("re.split", func(_ *Ctx, args []data.Value, _ map[string]data.Value) (data.Value, error) {
 		ss, err := reArgs("re.split", args, 2)
 		if err != nil {
 			return data.Null, err
@@ -257,7 +253,7 @@ func reModule() data.Value {
 		}
 		return data.NewList(items), nil
 	})
-	attrs["compile"] = nativeFn("re.compile", func(_ *Ctx, args []data.Value, _ map[string]data.Value) (data.Value, error) {
+	attrs["compile"] = newBuiltin("re.compile", func(_ *Ctx, args []data.Value, _ map[string]data.Value) (data.Value, error) {
 		ss, err := reArgs("re.compile", args, 1)
 		if err != nil {
 			return data.Null, err
@@ -267,7 +263,7 @@ func reModule() data.Value {
 		}
 		pat := ss[0]
 		sub := map[string]data.Value{}
-		sub["sub"] = nativeFn("sub", func(_ *Ctx, args []data.Value, _ map[string]data.Value) (data.Value, error) {
+		sub["sub"] = newBuiltin("sub", func(_ *Ctx, args []data.Value, _ map[string]data.Value) (data.Value, error) {
 			ss2, err := reArgs("sub", args, 2)
 			if err != nil {
 				return data.Null, err
@@ -275,7 +271,7 @@ func reModule() data.Value {
 			re, _ := compilePattern(pat)
 			return data.Str(re.ReplaceAllString(ss2[1], translateReplacement(ss2[0]))), nil
 		})
-		sub["match"] = nativeFn("match", func(_ *Ctx, args []data.Value, _ map[string]data.Value) (data.Value, error) {
+		sub["match"] = newBuiltin("match", func(_ *Ctx, args []data.Value, _ map[string]data.Value) (data.Value, error) {
 			ss2, err := reArgs("match", args, 1)
 			if err != nil {
 				return data.Null, err
@@ -290,7 +286,7 @@ func reModule() data.Value {
 			}
 			return matchValue(g), nil
 		})
-		sub["findall"] = nativeFn("findall", func(_ *Ctx, args []data.Value, _ map[string]data.Value) (data.Value, error) {
+		sub["findall"] = newBuiltin("findall", func(_ *Ctx, args []data.Value, _ map[string]data.Value) (data.Value, error) {
 			ss2, err := reArgs("findall", args, 1)
 			if err != nil {
 				return data.Null, err
@@ -312,7 +308,7 @@ func reModule() data.Value {
 
 func mathModule() data.Value {
 	unary := func(name string, f func(float64) float64) data.Value {
-		return nativeFn("math."+name, func(_ *Ctx, args []data.Value, _ map[string]data.Value) (data.Value, error) {
+		return newBuiltin("math."+name, func(_ *Ctx, args []data.Value, _ map[string]data.Value) (data.Value, error) {
 			if err := wantArgs(name, args, 1, 1); err != nil {
 				return data.Null, err
 			}
@@ -338,20 +334,20 @@ func mathModule() data.Value {
 		"tan":   unary("tan", math.Tan),
 		"fabs":  unary("fabs", math.Abs),
 	}
-	attrs["floor"] = nativeFn("math.floor", func(_ *Ctx, args []data.Value, _ map[string]data.Value) (data.Value, error) {
+	attrs["floor"] = newBuiltin("math.floor", func(_ *Ctx, args []data.Value, _ map[string]data.Value) (data.Value, error) {
 		x, _ := args[0].AsFloat()
 		return data.Int(int64(math.Floor(x))), nil
 	})
-	attrs["ceil"] = nativeFn("math.ceil", func(_ *Ctx, args []data.Value, _ map[string]data.Value) (data.Value, error) {
+	attrs["ceil"] = newBuiltin("math.ceil", func(_ *Ctx, args []data.Value, _ map[string]data.Value) (data.Value, error) {
 		x, _ := args[0].AsFloat()
 		return data.Int(int64(math.Ceil(x))), nil
 	})
-	attrs["pow"] = nativeFn("math.pow", func(_ *Ctx, args []data.Value, _ map[string]data.Value) (data.Value, error) {
+	attrs["pow"] = newBuiltin("math.pow", func(_ *Ctx, args []data.Value, _ map[string]data.Value) (data.Value, error) {
 		x, _ := args[0].AsFloat()
 		y, _ := args[1].AsFloat()
 		return data.Float(math.Pow(x, y)), nil
 	})
-	attrs["isnan"] = nativeFn("math.isnan", func(_ *Ctx, args []data.Value, _ map[string]data.Value) (data.Value, error) {
+	attrs["isnan"] = newBuiltin("math.isnan", func(_ *Ctx, args []data.Value, _ map[string]data.Value) (data.Value, error) {
 		x, ok := args[0].AsFloat()
 		return data.Bool(ok && math.IsNaN(x)), nil
 	})
@@ -362,7 +358,7 @@ func mathModule() data.Value {
 
 func itertoolsModule() data.Value {
 	attrs := map[string]data.Value{}
-	attrs["combinations"] = nativeFn("itertools.combinations", func(ctx *Ctx, args []data.Value, _ map[string]data.Value) (data.Value, error) {
+	attrs["combinations"] = newBuiltin("itertools.combinations", func(ctx *Ctx, args []data.Value, _ map[string]data.Value) (data.Value, error) {
 		if err := wantArgs("combinations", args, 2, 2); err != nil {
 			return data.Null, err
 		}
@@ -378,7 +374,7 @@ func itertoolsModule() data.Value {
 			return emitCombinations(items, int(r), yield)
 		})), nil
 	})
-	attrs["chain"] = nativeFn("itertools.chain", func(ctx *Ctx, args []data.Value, _ map[string]data.Value) (data.Value, error) {
+	attrs["chain"] = newBuiltin("itertools.chain", func(ctx *Ctx, args []data.Value, _ map[string]data.Value) (data.Value, error) {
 		srcs := append([]data.Value(nil), args...)
 		return data.Object(NewGenerator(ctx.it, func(it *Interp, yield func(data.Value) error) error {
 			for _, src := range srcs {
@@ -389,7 +385,7 @@ func itertoolsModule() data.Value {
 			return nil
 		})), nil
 	})
-	attrs["permutations"] = nativeFn("itertools.permutations", func(ctx *Ctx, args []data.Value, _ map[string]data.Value) (data.Value, error) {
+	attrs["permutations"] = newBuiltin("itertools.permutations", func(ctx *Ctx, args []data.Value, _ map[string]data.Value) (data.Value, error) {
 		var items []data.Value
 		if err := ctx.it.Iterate(args[0], func(v data.Value) error {
 			items = append(items, v)

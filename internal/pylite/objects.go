@@ -24,14 +24,13 @@ func (c *Ctx) Call(fn data.Value, args []data.Value) (data.Value, error) {
 
 // FuncValue is a user-defined function or lambda (a runtime object).
 type FuncValue struct {
-	Name    string
-	Params  []Param
-	Vararg  string
-	Body    []Stmt // nil for lambdas
-	Expr    Expr   // lambda body
-	IsGen   bool
-	Env     *Env // defining environment (closure)
-	Globals *Env
+	Name   string
+	Params []Param
+	Vararg string
+	Body   []Stmt // nil for lambdas
+	Expr   Expr   // lambda body
+	IsGen  bool
+	Env    *Env // defining environment (closure); its chain ends at the module scope
 
 	// compiled is the closure-compiled version installed by the JIT
 	// (atomic: read on every call). hot counts interpreter entries (the
@@ -116,6 +115,14 @@ type BoundMethod struct {
 type Builtin struct {
 	Name string
 	Fn   func(ctx *Ctx, args []data.Value, kwargs map[string]data.Value) (data.Value, error)
+	// effect marks print and the container methods that mutate their
+	// receiver (vmMutatingMethods): the VM never runs them (vmCall).
+	effect bool
+}
+
+// newBuiltin makes a Builtin, deciding its effect once from its name.
+func newBuiltin(name string, fn func(ctx *Ctx, args []data.Value, kwargs map[string]data.Value) (data.Value, error)) data.Value {
+	return data.Object(&Builtin{Name: name, Fn: fn, effect: name == "print" || vmMutatingMethods[name]})
 }
 
 func (b *Builtin) String() string { return fmt.Sprintf("<builtin %s>", b.Name) }
@@ -317,6 +324,9 @@ func (g *Generator) pull() {
 	g.err = errp
 	g.next, g.stop = iter.Pull(func(yield func(data.Value) bool) {
 		err := body(run, func(v data.Value) error {
+			// Fold at every yield: a body left suspended is not merged
+			// until it is closed, after its query's ledger may be read.
+			run.fold()
 			if !yield(v) {
 				return errGenStopped
 			}

@@ -79,15 +79,9 @@ func (p *Program) RunVM(it *Interp, regs []data.Value) (data.Value, error) {
 		case OpMove:
 			regs[in.Dst] = regs[in.A]
 		case OpLoadGlobal:
-			v, ok := p.fn.Env.Lookup(in.Sym)
-			if !ok {
-				v, ok = it.Globals.Lookup(in.Sym)
-			}
-			if !ok {
-				v, ok = it.builtins[in.Sym]
-			}
-			if !ok {
-				return data.Null, nameErrf("name '%s' is not defined", in.Sym)
+			v, err := in.ref.load()
+			if err != nil {
+				return data.Null, err
 			}
 			regs[in.Dst] = v
 		case OpBinOp:
@@ -244,8 +238,8 @@ func (p *Program) vmCall(it *Interp, regs []data.Value, in *Instr) (data.Value, 
 	// print writes to the host before the row could bail later; aliased
 	// bound mutators (f = xs.append) mutate through the alias, invisible
 	// to the compiler's freshness analysis. Both must run on the closure
-	// tier.
-	if b.Name == "print" || vmMutatingMethods[b.Name] {
+	// tier (Builtin.effect).
+	if b.effect {
 		return data.Null, bailErr("side-effecting builtin " + b.Name)
 	}
 	// Args stage through the interpreter's scratch slice: callees

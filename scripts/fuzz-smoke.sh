@@ -1,16 +1,22 @@
 #!/bin/sh
 # Bounded runs of the four fuzzers, each past its baseline pass so that
-# it fuzzes new inputs. A fuzzer first re-runs its whole corpus (seeds,
-# testdata/fuzz and the inputs cached by earlier runs: "gathering
-# baseline coverage") and only then mutates; a run shorter than that
-# pass checks nothing new. Each default below is longer than the
-# baseline pass measured on a 2-CPU host with the corpus cached there
-# (FuzzExprEquiv: 722 inputs in 49 s; the others: under 2 s). The cache
-# ($(go env GOCACHE)/fuzz) grows with every run that finds inputs, and
-# so does the pass: a smoke that at its default never leaves the
-# baseline pass fails the script, so that the default is raised rather
-# than the smoke silently fuzzing nothing. FUZZTIME overrides all four
-# defaults, and a run at an override may end inside the pass.
+# it fuzzes new inputs. A fuzzer first re-runs its whole corpus
+# ("gathering baseline coverage") and only then mutates; a run shorter
+# than that pass checks nothing new. Each smoke gets a fresh, empty fuzz
+# cache (-test.fuzzcachedir under a temporary directory, removed after
+# the run; go test passes it after its own -test.fuzzcachedir, and the
+# later flag wins), so the corpus is bounded: the baseline pass replays
+# only the seeds and testdata/fuzz, and does not grow with every run
+# that found inputs, as $(go env GOCACHE)/fuzz would. Each default below
+# is longer than the baseline pass measured that way on a 2-CPU host:
+# under 1 s each (FuzzDiff 43 inputs, FuzzExprEquiv 8, FuzzJSONLoads 63,
+# FuzzDecodeChunk 3). FuzzExprEquiv's default was 120 s while its pass
+# replayed the growing cache (722 inputs in 49 s); it is 60 s now. A
+# smoke that at its default never leaves the baseline pass fails the
+# script, so that the default is raised rather than the smoke silently
+# fuzzing nothing. FUZZTIME overrides all four defaults, and a run at an
+# override may end inside the pass. An input worth keeping goes into
+# the package's testdata/fuzz by hand.
 # Minimizing a new input is capped at 5 s: at Go's default of 60 s, one
 # minimization took 28 s of FuzzJSONLoads' 31 s run. After each run the
 # script prints the baseline pass and how many new inputs the fuzzer
@@ -33,11 +39,14 @@ cd "$(dirname "$0")/.."
 
 fuzz_smoke() { # NAME PACKAGE DEFAULT_FUZZTIME
     log=$(mktemp)
-    if ! go test -run '^$' -fuzz "$1" -fuzztime "${FUZZTIME:-$3}" -fuzzminimizetime 5s "$2" >"$log" 2>&1; then
+    cache=$(mktemp -d)
+    if ! go test -run '^$' -fuzz "$1" -fuzztime "${FUZZTIME:-$3}" -fuzzminimizetime 5s "$2" \
+        -test.fuzzcachedir="$cache" >"$log" 2>&1; then
         cat "$log"
-        rm -f "$log"
+        rm -rf "$log" "$cache"
         exit 1
     fi
+    rm -rf "$cache"
     cat "$log"
     base=$(grep 'now fuzzing' "$log" | sed 's/fuzz: elapsed: \([^,]*\), gathering baseline coverage: \([0-9]*\).*/\2 inputs in \1/' || true)
     last=$(grep 'new interesting' "$log" | tail -n 1 || true)
@@ -54,6 +63,6 @@ fuzz_smoke() { # NAME PACKAGE DEFAULT_FUZZTIME
 }
 
 fuzz_smoke FuzzDiff ./internal/core 60s
-fuzz_smoke FuzzExprEquiv ./internal/sqlengine 120s
+fuzz_smoke FuzzExprEquiv ./internal/sqlengine 60s
 fuzz_smoke FuzzJSONLoads ./internal/data 30s
 fuzz_smoke FuzzDecodeChunk ./internal/data 30s
